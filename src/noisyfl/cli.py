@@ -1,10 +1,26 @@
 """Config-driven command line: partition -> noise -> train -> analyze.
 
-Every stage writes a manifest with sha256 hashes of its inputs and outputs;
-the next stage refuses to run on artifacts whose hashes no longer match.
-All output bytes are a pure function of the config and master seed: JSON is
-dumped with sorted keys, CSVs use fixed formatting, and no timestamps or
-absolute paths are recorded.
+Every stage goes through :func:`run_stage`, the one place that decides
+whether a stage runs, writes its artifacts, hashes them and writes its
+manifest.
+
+- Manifest keys: ``stage``, ``version``, ``config_digest`` (sha256 of the
+  config without its output directory), ``inputs`` and ``outputs`` (file
+  name -> sha256), plus the stage's own fields: the noise spec and report,
+  a train seed's ``seed``, ``lr`` and last-k accuracy, the selected lr.
+  A stage's inputs are the verified outputs of the stages before it.
+- Skip rule: a stage is skipped when its manifest records the same stage,
+  version, config digest, input hashes (and a train seed's ``seed`` and
+  ``lr``) and every recorded output still hashes as recorded.  A missing
+  or unparseable manifest counts as absent, so the stage runs again.
+- Atomic writes: each output is written to ``<name>.tmp`` and moved into
+  place with ``os.replace``; the manifest is written last, the same way,
+  so a killed run leaves only finished stages behind.
+
+The dataset stage writes dataset.csv (and test_dataset.csv) once for both
+partition and noise.  All output bytes are a pure function of the config
+and master seed: JSON is dumped with sorted keys, CSVs use fixed
+formatting, and no timestamps or absolute paths are recorded.
 
 Exit codes: 0 success, 2 config validation, 3 artifact mismatch,
 4 numerical abort, 1 anything else.
@@ -15,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -31,26 +48,20 @@ from .analysis import (
     sensitivity_series,
 )
 from .config import RunConfig, load_config
-from .datasets import load_csv, save_csv
+from .datasets import class_histogram, load_csv, save_csv
 from .errors import ArtifactMismatchError, ConfigError, NoisyFLError, NumericalAbortError
 from .federation import run_federation, write_telemetry
 from .localtrain import COTEACHING_DEFAULT_FORGET_RATE
 from .models import save_checkpoint
-from .noise import (
-    SCENE_CLEAN,
-    SCENE_GLOBALIZED,
-    SCENE_LOCALIZED,
-    SCENE_REALWORLD,
-    load_noise_manifest,
-    noise_manifest_dict,
-    run_scene,
-)
+from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, run_scene
 from .partition import load_plan, make_partition, save_plan
 
 SUMMARY_LAST_K = 10
+SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
+TMP_SUFFIX = ".tmp"
 
 
-# ---------------------------------------------------------------- helpers
+# ---------------------------------------------------------------- artifact I/O
 
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
@@ -71,69 +82,125 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def write_csv(header: list[str], rows: list[list], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_atomic(path: str, write) -> None:
+    """Call ``write(<path>.tmp)``, then move the result into place; ``path`` is never half-written."""
+    tmp = path + TMP_SUFFIX
+    write(tmp)
+    os.replace(tmp, path)
+
+
 def config_digest(cfg: RunConfig) -> str:
     blob = json.dumps(cfg.canonical_dict(), sort_keys=True).encode("utf-8")
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def _check_recorded_hashes(recorded: dict, base_dir: str, stage: str) -> None:
-    for rel, expected in recorded.items():
+# ---------------------------------------------------------------- stage runner
+
+def _read_manifest(path: str) -> dict | None:
+    try:
+        doc = read_json(path)
+    except (OSError, ValueError):  # missing, truncated or not UTF-8
+        return None
+    if not isinstance(doc, dict) or not isinstance(doc.get("outputs"), dict):
+        return None
+    return doc
+
+
+def _finished(base_dir: str, manifest: str, key: dict) -> tuple[dict | None, str]:
+    """(manifest, "") if it records ``key`` and intact outputs, else (None, why not)."""
+    doc = _read_manifest(os.path.join(base_dir, manifest))
+    if doc is None:
+        return None, f"{manifest} is missing or unreadable"
+    for field, value in key.items():
+        if doc.get(field) != value:
+            return None, f"{manifest} records a different {field}"
+    for rel, recorded in doc["outputs"].items():
         path = os.path.join(base_dir, rel)
-        if not os.path.exists(path):
-            raise ArtifactMismatchError(f"{stage}: missing artifact {rel}")
-        actual = sha256_file(path)
-        if actual != expected:
-            raise ArtifactMismatchError(
-                f"{stage}: artifact {rel} hash {actual} does not match recorded {expected}"
-            )
+        if not os.path.isfile(path) or sha256_file(path) != recorded:
+            return None, f"artifact {rel} does not match the hash in {manifest}"
+    return doc, ""
 
 
-def _materialize_dataset_files(cfg: RunConfig) -> tuple[str, str | None]:
-    """Write dataset.csv (+ test_dataset.csv) into the output dir; idempotent bytes."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    train, test = cfg.dataset.materialize()
-    train_path = os.path.join(cfg.output_dir, "dataset.csv")
-    save_csv(train, train_path)
-    test_path = None
-    if test is not None:
-        test_path = os.path.join(cfg.output_dir, "test_dataset.csv")
-        save_csv(test, test_path)
-    return train_path, test_path
+def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> dict:
+    """Run one stage unless ``manifest`` shows it finished under ``key``; return the manifest.
+
+    ``key`` holds ``config_digest`` and ``inputs`` (name -> sha256), plus
+    whatever else tells runs of the stage apart.  ``produce()`` returns
+    ``(fields, writers)``: extra manifest fields, and one ``writer(path)``
+    per output file, named relative to ``base_dir``.
+    """
+    key = {"stage": stage, "version": __version__, **key}
+    done, _ = _finished(base_dir, manifest, key)
+    if done is not None:
+        return done
+    fields, writers = produce()
+    outputs = {}
+    for rel, write in writers.items():
+        path = os.path.join(base_dir, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_atomic(path, write)
+        outputs[rel] = sha256_file(path)
+    doc = {**fields, **key, "outputs": outputs}
+    write_atomic(os.path.join(base_dir, manifest), functools.partial(write_json, doc))
+    return doc
+
+
+def require_stage(base_dir: str, manifest: str, digest: str, consumer: str, needs: tuple[str, ...]) -> dict:
+    """Manifest of an upstream stage that finished under ``digest`` with intact ``needs`` outputs."""
+    doc, why = _finished(base_dir, manifest, {"version": __version__, "config_digest": digest})
+    if doc is None:
+        raise ArtifactMismatchError(f"{consumer}: {why}; run the stage that writes it first")
+    missing = [name for name in needs if name not in doc["outputs"]]
+    if missing:
+        raise ArtifactMismatchError(f"{consumer}: {manifest} records no {', '.join(missing)}")
+    return doc
 
 
 # ---------------------------------------------------------------- stages
 
+def _dataset_stage(cfg: RunConfig) -> dict:
+    """Materialize dataset.csv (+ test_dataset.csv) for the stages that build on it."""
+    params = cfg.dataset.params
+    sources = {}
+    if cfg.dataset.source == "csv":
+        sources = {field: sha256_file(params[field]) for field in ("path", "test_path") if params.get(field)}
+
+    def produce():
+        train, test = cfg.dataset.materialize()
+        writers = {"dataset.csv": functools.partial(save_csv, train)}
+        if test is not None:
+            writers["test_dataset.csv"] = functools.partial(save_csv, test)
+        return {}, writers
+
+    key = {"config_digest": config_digest(cfg), "inputs": sources}
+    return run_stage("dataset", cfg.output_dir, "dataset_manifest.json", key, produce)
+
+
 def cmd_partition(cfg: RunConfig) -> None:
-    """Materialize the dataset and write plan + per-client class histograms."""
-    train_path, _ = _materialize_dataset_files(cfg)
-    ds = load_csv(train_path, "label")
-    plan = make_partition(
-        ds, cfg.federation.num_clients, cfg.partition, rng.derive_seed(cfg.seed, "partition")
-    )
-    plan_path = os.path.join(cfg.output_dir, "plan.json")
-    save_plan(plan, plan_path)
+    """Split the dataset across clients; write the plan and per-client class histograms."""
+    data = _dataset_stage(cfg)
 
-    hist_path = os.path.join(cfg.output_dir, "client_histograms.csv")
-    with open(hist_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["client"] + [f"class_{i}" for i in range(ds.num_classes)])
-        for k, idx in enumerate(plan.clients):
-            counts = np.bincount(ds.labels[idx], minlength=ds.num_classes)
-            writer.writerow([k] + counts.tolist())
+    def produce():
+        ds = load_csv(os.path.join(cfg.output_dir, "dataset.csv"), "label")
+        plan = make_partition(
+            ds, cfg.federation.num_clients, cfg.partition, rng.derive_seed(cfg.seed, "partition")
+        )
+        header = ["client"] + [f"class_{i}" for i in range(ds.num_classes)]
+        rows = [[k] + class_histogram(ds, idx).counts.tolist() for k, idx in enumerate(plan.clients)]
+        return {}, {
+            "plan.json": functools.partial(save_plan, plan),
+            "client_histograms.csv": functools.partial(write_csv, header, rows),
+        }
 
-    write_json(
-        {
-            "stage": "partition",
-            "version": __version__,
-            "config_digest": config_digest(cfg),
-            "inputs": {"dataset.csv": sha256_file(train_path)},
-            "outputs": {
-                "plan.json": sha256_file(plan_path),
-                "client_histograms.csv": sha256_file(hist_path),
-            },
-        },
-        os.path.join(cfg.output_dir, "partition_manifest.json"),
-    )
+    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.csv": data["outputs"]["dataset.csv"]}}
+    run_stage("partition", cfg.output_dir, "partition_manifest.json", key, produce)
 
 
 def _plans_equal(a, b) -> bool:
@@ -145,43 +212,42 @@ def _plans_equal(a, b) -> bool:
 
 
 def cmd_noise(cfg: RunConfig) -> None:
-    """Run the configured noise scene; writes noisy dataset, plan, and manifest.
+    """Run the configured noise scene; write the noisy dataset and the plan.
 
     The globalized scene corrupts before partitioning, so it owns the plan
     and ignores any pre-existing plan file; other scenes must agree with a
-    pre-existing plan byte for byte.
+    pre-existing plan.
     """
-    train_path, _ = _materialize_dataset_files(cfg)
-    ds = load_csv(train_path, "label")
-    plan, noisy, report = run_scene(ds, cfg.noise, cfg.federation.num_clients, cfg.partition)
+    data = _dataset_stage(cfg)
 
-    plan_path = os.path.join(cfg.output_dir, "plan.json")
-    if os.path.exists(plan_path) and cfg.noise.scene != SCENE_GLOBALIZED:
-        existing = load_plan(plan_path)
-        if not _plans_equal(existing, plan):
-            raise ArtifactMismatchError(
-                "noise: existing plan.json does not match this config's partition"
-            )
-    save_plan(plan, plan_path)
+    def produce():
+        ds = load_csv(os.path.join(cfg.output_dir, "dataset.csv"), "label")
+        spec = cfg.noise
+        plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
+        plan_path = os.path.join(cfg.output_dir, "plan.json")
+        if spec.scene != SCENE_GLOBALIZED and os.path.exists(plan_path):
+            if not _plans_equal(load_plan(plan_path), plan):
+                raise ArtifactMismatchError("noise: existing plan.json does not match this config's partition")
+        fields = {
+            "scene": spec.scene,
+            "mode": spec.mode,
+            "eps_global": spec.eps_global,
+            "eps_min": spec.eps_min,
+            "eps_max": spec.eps_max,
+            "seed": spec.seed,
+        }
+        if report is None:  # real-world data without ground truth
+            fields.update(dict.fromkeys(["per_client_eps", "per_client_ratio", "overall_ratio", "flip_counts"]))
+            fields["skipped_clients"] = []
+        else:
+            fields.update(report.to_dict())
+        return fields, {
+            "plan.json": functools.partial(save_plan, plan),
+            "noisy_dataset.csv": functools.partial(save_csv, noisy),
+        }
 
-    noisy_path = os.path.join(cfg.output_dir, "noisy_dataset.csv")
-    save_csv(noisy, noisy_path)
-
-    manifest = noise_manifest_dict(
-        cfg.noise,
-        report,
-        extra={
-            "stage": "noise",
-            "version": __version__,
-            "config_digest": config_digest(cfg),
-            "inputs": {"dataset.csv": sha256_file(train_path)},
-            "outputs": {
-                "plan.json": sha256_file(plan_path),
-                "noisy_dataset.csv": sha256_file(noisy_path),
-            },
-        },
-    )
-    write_json(manifest, os.path.join(cfg.output_dir, "noise_manifest.json"))
+    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.csv": data["outputs"]["dataset.csv"]}}
+    run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
 
 
 def _noise_ratio_estimate(manifest: dict) -> float:
@@ -195,151 +261,85 @@ def _noise_ratio_estimate(manifest: dict) -> float:
     return 0.0
 
 
-def _train_one_seed(cfg: RunConfig, seed_dir: str, fed_seed: int, lr: float, datasets, digest: str) -> dict:
-    """Run one federation repeat unless its manifest says it already finished."""
-    manifest_path = os.path.join(seed_dir, "seed_manifest.json")
-    if os.path.exists(manifest_path):
-        doc = read_json(manifest_path)
-        try:
-            if doc.get("config_digest") == digest and doc.get("lr") == lr:
-                _check_recorded_hashes(doc.get("outputs", {}), seed_dir, "train")
-                return doc
-        except ArtifactMismatchError:
-            pass  # stale partial outputs; redo the seed
-
-    noisy, plan, test = datasets
+def _train_seed(cfg: RunConfig, lr: float, fed_seed: int, load_inputs) -> tuple[dict, dict]:
+    """One federation repeat: its last-k accuracy plus writers for telemetry and checkpoint."""
+    noisy, plan, test = load_inputs()
     layout = cfg.layout_for(noisy.dim, noisy.num_classes)
     trainer = dataclasses.replace(cfg.federation.trainer, lr=lr)
     fed_cfg = dataclasses.replace(cfg.federation, trainer=trainer, seed=fed_seed)
     result = run_federation(noisy, plan, test, layout, fed_cfg)
-
-    os.makedirs(seed_dir, exist_ok=True)
-    telemetry_path = os.path.join(seed_dir, "telemetry.csv")
-    write_telemetry(result.records, telemetry_path)
-    checkpoint_path = os.path.join(seed_dir, "final_checkpoint.bin")
-    save_checkpoint(result.params, checkpoint_path, round_t=fed_cfg.rounds, seed=fed_seed)
-
     last_k = min(SUMMARY_LAST_K, sum(1 for r in result.records if r.test_accuracy is not None))
-    doc = {
-        "seed": fed_seed,
-        "lr": lr,
-        "config_digest": digest,
-        "last_k": last_k,
-        "last_k_accuracy": last_k_average(result.records, last_k),
-        "outputs": {
-            "telemetry.csv": sha256_file(telemetry_path),
-            "final_checkpoint.bin": sha256_file(checkpoint_path),
-        },
+    fields = {"last_k": last_k, "last_k_accuracy": last_k_average(result.records, last_k)}
+    return fields, {
+        "telemetry.csv": functools.partial(write_telemetry, result.records),
+        "final_checkpoint.bin": lambda path: save_checkpoint(result.params, path, round_t=fed_cfg.rounds, seed=fed_seed),
     }
-    write_json(doc, manifest_path)
-    return doc
-
-
-def _write_summary(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"])
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row["lr"]),
-                    row["repeats"],
-                    row["last_k"],
-                    repr(row["mean"]),
-                    repr(row["std"]),
-                    f"{row['mean']:.4f} ± {row['std']:.4f}",
-                ]
-            )
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    """Run `repeats` federations per learning rate; summarize last-10 accuracy.
+    """Run `repeats` federations per learning rate; summarize last-k accuracy.
 
-    Verifies the artifact hash chain recorded by the noise stage, derives
-    one federation seed per repeat, and skips repeats whose manifests show
-    completed, hash-intact outputs.
+    Builds on the verified outputs of the dataset and noise stages.  Each
+    repeat is a stage of its own, so an interrupted sweep resumes at the
+    first repeat that did not finish.
     """
-    out = cfg.output_dir
-    noise_manifest_path = os.path.join(out, "noise_manifest.json")
-    if not os.path.exists(noise_manifest_path):
-        raise ArtifactMismatchError("train: noise_manifest.json not found; run the noise stage first")
-    noise_manifest = load_noise_manifest(noise_manifest_path)
-    _check_recorded_hashes(noise_manifest.get("outputs", {}), out, "train")
-    _check_recorded_hashes(noise_manifest.get("inputs", {}), out, "train")
-    if noise_manifest.get("config_digest") != config_digest(cfg):
-        raise ArtifactMismatchError("train: noise stage was produced by a different config")
-
-    test_path = os.path.join(out, "test_dataset.csv")
-    if not os.path.exists(test_path):
+    if cfg.dataset.source == "csv" and not cfg.dataset.params.get("test_path"):
         raise ConfigError("dataset", "train stage requires a clean test set (test_per_class or test_path)")
-    noisy = load_csv(os.path.join(out, "noisy_dataset.csv"), "label")
-    plan = load_plan(os.path.join(out, "plan.json"))
-    test = load_csv(test_path, "label")
+    out = cfg.output_dir
+    digest = config_digest(cfg)
+    noise = require_stage(out, "noise_manifest.json", digest, "train", ("noisy_dataset.csv", "plan.json"))
+    data = require_stage(out, "dataset_manifest.json", digest, "train", ("test_dataset.csv",))
+    inputs = {name: noise["outputs"][name] for name in ("noisy_dataset.csv", "plan.json")}
+    inputs["test_dataset.csv"] = data["outputs"]["test_dataset.csv"]
+    key = {"config_digest": digest, "inputs": inputs}
+
+    @functools.cache
+    def load_inputs():
+        return (
+            load_csv(os.path.join(out, "noisy_dataset.csv"), "label"),
+            load_plan(os.path.join(out, "plan.json")),
+            load_csv(os.path.join(out, "test_dataset.csv"), "label"),
+        )
 
     trainer = cfg.federation.trainer
     if trainer.method == "coteaching" and "forget_rate" not in trainer.method_params:
-        estimate = _noise_ratio_estimate(noise_manifest)
+        estimate = _noise_ratio_estimate(noise)
         params = dict(trainer.method_params)
         params["forget_rate"] = estimate if estimate > 0 else COTEACHING_DEFAULT_FORGET_RATE
         trainer = dataclasses.replace(trainer, method_params=params)
         cfg = dataclasses.replace(cfg, federation=dataclasses.replace(cfg.federation, trainer=trainer))
 
-    digest = config_digest(cfg)
     train_root = os.path.join(out, "train")
-    os.makedirs(train_root, exist_ok=True)
-    lrs = list(cfg.lr_grid) if cfg.lr_grid else [cfg.federation.trainer.lr]
     sweep = cfg.lr_grid is not None
-
-    summary_rows = []
-    for lr in lrs:
-        lr_root = os.path.join(train_root, f"lr_{lr!r}") if sweep else train_root
-        os.makedirs(lr_root, exist_ok=True)
-        accs = []
+    rows, summary, writers = [], [], {}
+    for lr in cfg.lr_grid or (trainer.lr,):
+        lr_dir = f"lr_{lr!r}" if sweep else ""
+        seeds = []
         for i in range(cfg.repeats):
             fed_seed = rng.derive_seed(cfg.seed, "federate", i)
-            seed_dir = os.path.join(lr_root, f"seed_{i}")
-            doc = _train_one_seed(cfg, seed_dir, fed_seed, lr, (noisy, plan, test), digest)
-            accs.append(doc["last_k_accuracy"])
-        row = {
-            "lr": lr,
-            "repeats": cfg.repeats,
-            "last_k": min(SUMMARY_LAST_K, cfg.federation.rounds),
-            "mean": float(np.mean(accs)),
-            "std": float(np.std(accs)),
-        }
-        summary_rows.append(row)
+            seeds.append(
+                run_stage(
+                    "train-seed",
+                    os.path.join(train_root, lr_dir, f"seed_{i}"),
+                    "seed_manifest.json",
+                    {**key, "seed": fed_seed, "lr": lr},
+                    functools.partial(_train_seed, cfg, lr, fed_seed, load_inputs),
+                )
+            )
+        accs = [s["last_k_accuracy"] for s in seeds]
+        mean, std = float(np.mean(accs)), float(np.std(accs))
+        # every repeat averages the same evaluated rounds
+        row = [repr(lr), cfg.repeats, seeds[0]["last_k"], repr(mean), repr(std), f"{mean:.4f} ± {std:.4f}"]
+        rows.append(row)
+        summary.append({"lr": lr, "mean_accuracy": mean, "std_accuracy": std})
         if sweep:
-            _write_summary(os.path.join(lr_root, "summary.csv"), [row])
+            writers[f"{lr_dir}/summary.csv"] = functools.partial(write_csv, SUMMARY_HEADER, [row])
+    writers["summary.csv"] = functools.partial(write_csv, SUMMARY_HEADER, rows)
 
-    # grid sweeps select the lr with the best mean last-10 accuracy
-    best = max(summary_rows, key=lambda r: r["mean"])
-    _write_summary(os.path.join(train_root, "summary.csv"), summary_rows)
-    write_json(
-        {
-            "stage": "train",
-            "version": __version__,
-            "config_digest": digest,
-            "inputs": {
-                "noisy_dataset.csv": sha256_file(os.path.join(out, "noisy_dataset.csv")),
-                "plan.json": sha256_file(os.path.join(out, "plan.json")),
-                "test_dataset.csv": sha256_file(test_path),
-            },
-            "selected_lr": best["lr"],
-            "summary": [
-                {"lr": r["lr"], "mean_accuracy": r["mean"], "std_accuracy": r["std"]}
-                for r in summary_rows
-            ],
-        },
-        os.path.join(train_root, "run_manifest.json"),
-    )
-
-
-def _write_series_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    # grid sweeps select the lr with the best mean last-k accuracy
+    best = max(summary, key=lambda r: r["mean_accuracy"])
+    fields = {"selected_lr": best["lr"], "summary": summary}
+    run_stage("train", train_root, "run_manifest.json", key, lambda: (fields, writers))
 
 
 def cmd_analyze(run_dir: str | None, table_path: str | None, scale: str, out_dir: str) -> None:
@@ -368,7 +368,7 @@ def cmd_analyze(run_dir: str | None, table_path: str | None, scale: str, out_dir
     if run_dir:
         manifest_path = os.path.join(run_dir, "noise_manifest.json")
         if os.path.exists(manifest_path):
-            doc = load_noise_manifest(manifest_path)
+            doc = read_json(manifest_path)
             if doc.get("overall_ratio") is not None:
                 noise_rows.append(
                     [
@@ -379,21 +379,12 @@ def cmd_analyze(run_dir: str | None, table_path: str | None, scale: str, out_dir
                     ]
                 )
 
-    _write_series_csv(
-        os.path.join(out_dir, "drop_ratio.csv"),
-        ["partition", "mode", "eps", "drop_ratio"],
-        drop_rows,
-    )
-    _write_series_csv(
-        os.path.join(out_dir, "sensitivity.csv"),
-        ["partition", "mode", "eps", "sensitivity"],
-        sens_rows,
-    )
-    _write_series_csv(
-        os.path.join(out_dir, "noise_ratio.csv"),
-        ["scene", "mode", "eps_nominal", "overall_ratio"],
-        noise_rows,
-    )
+    for name, header, rows in [
+        ("drop_ratio.csv", ["partition", "mode", "eps", "drop_ratio"], drop_rows),
+        ("sensitivity.csv", ["partition", "mode", "eps", "sensitivity"], sens_rows),
+        ("noise_ratio.csv", ["scene", "mode", "eps_nominal", "overall_ratio"], noise_rows),
+    ]:
+        write_atomic(os.path.join(out_dir, name), functools.partial(write_csv, header, rows))
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
@@ -418,22 +409,24 @@ def cmd_pipeline(cfg: RunConfig) -> None:
         for name in sorted(files):
             path = os.path.join(root, name)
             rel = os.path.relpath(path, cfg.output_dir)
-            if rel == "run.json":
+            if rel in ("run.json", "run.json" + TMP_SUFFIX):
                 continue
             artifacts[rel.replace(os.sep, "/")] = sha256_file(path)
-    write_json(
-        {
-            "stages": stages,
-            "version": __version__,
-            "config_digest": config_digest(cfg),
-            "seed": cfg.seed,
-            "artifacts": artifacts,
-        },
-        os.path.join(cfg.output_dir, "run.json"),
-    )
+    doc = {
+        "stages": stages,
+        "version": __version__,
+        "config_digest": config_digest(cfg),
+        "seed": cfg.seed,
+        "artifacts": artifacts,
+    }
+    write_atomic(os.path.join(cfg.output_dir, "run.json"), functools.partial(write_json, doc))
 
 
 # ---------------------------------------------------------------- argparse
+
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", required=True, help="path to the run config JSON")
@@ -444,7 +437,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clients", type=int, help="client count K")
     parser.add_argument("--method", help="local training method")
     parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--lr-grid", help="comma-separated learning-rate sweep")
+    parser.add_argument("--lr-grid", type=_float_list, help="comma-separated learning-rate sweep")
     parser.add_argument("--epochs", type=int, help="local epochs E")
     parser.add_argument("--batch-size", type=int, help="local batch size")
     parser.add_argument("--scene", help="noise scene")
@@ -484,7 +477,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         if value is not None:
             overrides[dotted] = value
     if getattr(args, "lr_grid", None):
-        overrides["federation.lr_grid"] = [float(v) for v in args.lr_grid.split(",")]
+        overrides["federation.lr_grid"] = args.lr_grid
     if getattr(args, "iid", False):
         overrides["partition"] = {"scheme": "iid"}
     elif getattr(args, "noniid_labeldir", None) is not None:

@@ -9,6 +9,7 @@ path.  CLI flags override individual fields before validation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import rng
@@ -21,14 +22,45 @@ from .noise import MODES, SCENE_CLEAN, SCENES, NoiseSpec
 from .partition import SCHEMES, PartitionSpec
 
 
-def _require(doc: dict, field: str, path: str):
+_MISSING = object()
+
+
+def _where(path: str, field: str) -> str:
+    return f"{path}.{field}" if path else field
+
+
+def _get(doc: dict, field: str, path: str, default=_MISSING):
     if field not in doc:
-        raise ConfigError(f"{path}.{field}" if path else field, "missing required field")
+        if default is _MISSING:
+            raise ConfigError(_where(path, field), "missing required field")
+        return default
     return doc[field]
 
 
-def _opt(doc: dict, field: str, default=None):
-    return doc.get(field, default)
+def _number(kind, value, where: str):
+    """``kind(value)`` for kind int or float; a ConfigError unless it is a finite number."""
+    try:
+        number = kind(value)
+        if not math.isfinite(number):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(where, f"must be a finite {'integer' if kind is int else 'number'}") from None
+    return number
+
+
+def _int(doc: dict, field: str, path: str, default=_MISSING) -> int:
+    return _number(int, _get(doc, field, path, default), _where(path, field))
+
+
+def _float(doc: dict, field: str, path: str, default=_MISSING) -> float:
+    return _number(float, _get(doc, field, path, default), _where(path, field))
+
+
+def _section(doc: dict, field: str, path: str, default=_MISSING) -> dict:
+    value = _get(doc, field, path, default)
+    if not isinstance(value, dict):
+        raise ConfigError(_where(path, field), "must be a JSON object")
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,14 +112,10 @@ class RunConfig:
     raw: dict
 
     def layout_for(self, dim: int, num_classes: int) -> Layout:
-        kind = self.model.get("kind", "mlp")
-        if kind == "linear-softmax":
+        if self.model["kind"] == "linear-softmax":
             return LinearSoftmaxLayout(dim=dim, num_classes=num_classes)
         return MLPLayout(
-            dim=dim,
-            hidden=int(self.model.get("hidden", 32)),
-            num_classes=num_classes,
-            activation=self.model.get("activation", "tanh"),
+            dim=dim, hidden=self.model["hidden"], num_classes=num_classes, activation=self.model["activation"]
         )
 
     def canonical_dict(self) -> dict:
@@ -101,109 +129,126 @@ def _validate_dataset(doc: dict) -> DatasetConfig:
     if len(sources) != 1:
         raise ConfigError("dataset", "exactly one of 'synthetic' or 'csv' is required")
     source = sources[0]
-    section = doc[source]
     path = f"dataset.{source}"
+    section = _section(doc, source, "dataset")
     if source == "synthetic":
         params = {
-            "num_classes": int(_require(section, "num_classes", path)),
-            "per_class": int(_require(section, "per_class", path)),
-            "dim": int(_require(section, "dim", path)),
-            "separation": float(_require(section, "separation", path)),
-            "seed": int(_opt(section, "seed", 0)),
+            "num_classes": _int(section, "num_classes", path),
+            "per_class": _int(section, "per_class", path),
+            "dim": _int(section, "dim", path),
+            "separation": _float(section, "separation", path),
+            "seed": _int(section, "seed", path, 0),
         }
-        params["test_per_class"] = int(_opt(section, "test_per_class", max(params["per_class"] // 4, 1)))
+        params["test_per_class"] = _int(section, "test_per_class", path, max(params["per_class"] // 4, 1))
         if params["num_classes"] < 2:
             raise ConfigError(f"{path}.num_classes", "must be >= 2")
-        if params["per_class"] < 1:
-            raise ConfigError(f"{path}.per_class", "must be >= 1")
-        if params["dim"] < 1:
-            raise ConfigError(f"{path}.dim", "must be >= 1")
+        for field in ("per_class", "dim", "test_per_class"):
+            if params[field] < 1:
+                raise ConfigError(f"{path}.{field}", "must be >= 1")
         if not params["separation"] > 0:
             raise ConfigError(f"{path}.separation", "must be > 0")
+        if params["seed"] < 0:
+            raise ConfigError(f"{path}.seed", "must be >= 0")
         return DatasetConfig(source=source, params=params)
     params = {
-        "path": str(_require(section, "path", path)),
-        "label_column": str(_require(section, "label_column", path)),
-        "test_path": _opt(section, "test_path"),
+        "path": _get(section, "path", path),
+        "label_column": _get(section, "label_column", path),
+        "test_path": _get(section, "test_path", path, None),
     }
+    for field, value in params.items():
+        if not (isinstance(value, str) or (field == "test_path" and value is None)):
+            raise ConfigError(f"{path}.{field}", "must be a string")
     return DatasetConfig(source=source, params=params)
 
 
 def _validate_partition(doc: dict) -> PartitionSpec:
-    scheme = _require(doc, "scheme", "partition")
+    scheme = _get(doc, "scheme", "partition")
     if scheme not in SCHEMES:
         raise ConfigError("partition.scheme", f"must be one of {list(SCHEMES)}")
     try:
         return PartitionSpec(
             scheme=scheme,
-            alpha=float(doc["alpha"]) if "alpha" in doc else None,
-            c=int(doc["c"]) if "c" in doc else None,
+            alpha=_float(doc, "alpha", "partition") if "alpha" in doc else None,
+            c=_int(doc, "c", "partition") if "c" in doc else None,
         )
     except ValueError as exc:
         raise ConfigError("partition", str(exc)) from None
 
 
 def _validate_noise(doc: dict, master_seed: int) -> NoiseSpec:
-    scene = _require(doc, "scene", "noise")
+    scene = _get(doc, "scene", "noise")
     if scene not in SCENES:
         raise ConfigError("noise.scene", f"must be one of {list(SCENES)}")
-    mode = _opt(doc, "mode", "none")
+    mode = _get(doc, "mode", "noise", "none")
     if mode not in MODES:
         raise ConfigError("noise.mode", f"must be one of {list(MODES)}")
     asym_map = None
     if doc.get("asym_map") is not None:
         try:
             asym_map = {int(k): int(v) for k, v in doc["asym_map"].items()}
-        except (TypeError, ValueError, AttributeError):
+        except (TypeError, ValueError, OverflowError, AttributeError):
             raise ConfigError("noise.asym_map", "must map class ids to class ids") from None
+    eps = {f: _float(doc, f, "noise") if doc.get(f) is not None else None for f in ("eps_global", "eps_min", "eps_max")}
     try:
-        return NoiseSpec(
-            scene=scene,
-            mode=mode,
-            eps_global=float(doc["eps_global"]) if doc.get("eps_global") is not None else None,
-            eps_min=float(doc["eps_min"]) if doc.get("eps_min") is not None else None,
-            eps_max=float(doc["eps_max"]) if doc.get("eps_max") is not None else None,
-            asym_map=asym_map,
-            seed=master_seed,
-        )
+        return NoiseSpec(scene=scene, mode=mode, asym_map=asym_map, seed=master_seed, **eps)
     except ValueError as exc:
         raise ConfigError("noise", str(exc)) from None
 
 
 def _validate_trainer(doc: dict) -> TrainerConfig:
+    path = "federation.trainer"
+    method_params = _section(doc, "method_params", path, {})
     try:
         return TrainerConfig(
-            method=_opt(doc, "method", "ce"),
-            lr=float(_opt(doc, "lr", 0.01)),
-            momentum=float(_opt(doc, "momentum", 0.9)),
-            weight_decay=float(_opt(doc, "weight_decay", 5e-4)),
-            batch_size=int(_opt(doc, "batch_size", 128)),
-            epochs=int(_opt(doc, "epochs", 5)),
-            method_params=dict(_opt(doc, "method_params", {})),
+            method=_get(doc, "method", path, "ce"),
+            lr=_float(doc, "lr", path, 0.01),
+            momentum=_float(doc, "momentum", path, 0.9),
+            weight_decay=_float(doc, "weight_decay", path, 5e-4),
+            batch_size=_int(doc, "batch_size", path, 128),
+            epochs=_int(doc, "epochs", path, 5),
+            method_params={k: _float(method_params, k, f"{path}.method_params") for k in method_params},
         )
     except ValueError as exc:
-        raise ConfigError("federation.trainer", str(exc)) from None
+        raise ConfigError(path, str(exc)) from None
+
+
+def _validate_model(doc: dict) -> dict:
+    path = "federation.model"
+    model = {
+        "kind": _get(doc, "kind", path, "mlp"),
+        "hidden": _int(doc, "hidden", path, 32),
+        "activation": _get(doc, "activation", path, "tanh"),
+    }
+    if model["kind"] not in ("mlp", "linear-softmax"):
+        raise ConfigError(f"{path}.kind", "must be 'mlp' or 'linear-softmax'")
+    if model["hidden"] < 1:
+        raise ConfigError(f"{path}.hidden", "must be >= 1")
+    if model["activation"] not in ("tanh", "relu"):
+        raise ConfigError(f"{path}.activation", "must be 'tanh' or 'relu'")
+    return model
 
 
 def _validate_federation(doc: dict, master_seed: int) -> tuple[FedConfig, dict, tuple[float, ...] | None]:
-    trainer = _validate_trainer(_opt(doc, "trainer", {}))
+    trainer = _validate_trainer(_section(doc, "trainer", "federation", {}))
     try:
         fed = FedConfig(
-            num_clients=int(_require(doc, "num_clients", "federation")),
-            rounds=int(_require(doc, "rounds", "federation")),
+            num_clients=_int(doc, "num_clients", "federation"),
+            rounds=_int(doc, "rounds", "federation"),
             trainer=trainer,
-            selection_fraction=float(_opt(doc, "selection_fraction", 1.0)),
-            eval_every=int(_opt(doc, "eval_every", 1)),
+            selection_fraction=_float(doc, "selection_fraction", "federation", 1.0),
+            eval_every=_int(doc, "eval_every", "federation", 1),
             seed=master_seed,
         )
     except ValueError as exc:
         raise ConfigError("federation", str(exc)) from None
-    model = _opt(doc, "model", {"kind": "mlp"})
-    if model.get("kind", "mlp") not in ("mlp", "linear-softmax"):
-        raise ConfigError("federation.model.kind", "must be 'mlp' or 'linear-softmax'")
+    if fed.eval_every > fed.rounds:
+        raise ConfigError("federation.eval_every", "must be <= rounds, or no round is evaluated")
+    model = _validate_model(_section(doc, "model", "federation", {}))
     lr_grid = None
     if doc.get("lr_grid"):
-        lr_grid = tuple(float(v) for v in doc["lr_grid"])
+        if not isinstance(doc["lr_grid"], list):
+            raise ConfigError("federation.lr_grid", "must be a list of learning rates")
+        lr_grid = tuple(_number(float, v, "federation.lr_grid") for v in doc["lr_grid"])
         if any(not v > 0 for v in lr_grid):
             raise ConfigError("federation.lr_grid", "learning rates must be > 0")
     return fed, model, lr_grid
@@ -213,18 +258,22 @@ def validate_config(doc: dict) -> RunConfig:
     """Validate a raw config dictionary into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be a JSON object")
-    seed = int(_opt(doc, "seed", 0))
-    output_dir = _require(doc, "output_dir", "")
-    repeats = int(_opt(doc, "repeats", 1))
+    seed = _int(doc, "seed", "", 0)
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
+    output_dir = _get(doc, "output_dir", "")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("output_dir", "must be a non-empty string")
+    repeats = _int(doc, "repeats", "", 1)
     if repeats < 1:
         raise ConfigError("repeats", "must be >= 1")
-    dataset = _validate_dataset(_require(doc, "dataset", ""))
-    partition = _validate_partition(_require(doc, "partition", ""))
-    noise = _validate_noise(_opt(doc, "noise", {"scene": SCENE_CLEAN}), seed)
-    fed, model, lr_grid = _validate_federation(_require(doc, "federation", ""), seed)
+    dataset = _validate_dataset(_section(doc, "dataset", ""))
+    partition = _validate_partition(_section(doc, "partition", ""))
+    noise = _validate_noise(_section(doc, "noise", "", {"scene": SCENE_CLEAN}), seed)
+    fed, model, lr_grid = _validate_federation(_section(doc, "federation", ""), seed)
     return RunConfig(
         seed=seed,
-        output_dir=str(output_dir),
+        output_dir=output_dir,
         repeats=repeats,
         dataset=dataset,
         partition=partition,
@@ -239,7 +288,10 @@ def validate_config(doc: dict) -> RunConfig:
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read a config JSON file, apply dotted-path overrides, and validate."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError("", f"{path} is not a JSON document: {exc}") from None
     for dotted, value in (overrides or {}).items():
         set_by_path(doc, dotted, value)
     return validate_config(doc)
@@ -250,5 +302,7 @@ def set_by_path(doc: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = doc
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ConfigError(dotted, "cannot override a field inside a value that is not a JSON object")
     node[keys[-1]] = value

@@ -178,6 +178,11 @@ def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_C
     label_arr = np.asarray(labels, dtype=np.int64)
     if len(label_arr) == 0:
         raise ParseError("file contains no data rows", row=2)
+    feature_arr = np.asarray(features, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(feature_arr))
+    if len(bad):
+        row, col = bad[0]
+        raise ParseError("feature is not finite", row=int(row) + 2, column=header[feature_cols[col]])
     # Contiguity is checked over the union of observed and (when present)
     # true labels: noise can wipe a class out of the observed column without
     # invalidating the file.
@@ -192,7 +197,7 @@ def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_C
     if num_classes < 2:
         raise LabelRangeError("at least two classes are required")
     return LabeledDataset(
-        features=np.asarray(features, dtype=np.float64),
+        features=feature_arr,
         labels=label_arr,
         num_classes=num_classes,
         true_labels=np.asarray(true_labels, dtype=np.int64) if true_labels else None,

@@ -44,10 +44,6 @@ class FedConfig:
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
 
-    @property
-    def local_epochs(self) -> int:
-        return self.trainer.epochs
-
 
 @dataclass(frozen=True)
 class RoundRecord:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .losses import LOSS_KINDS, backward, loss_ce
+from .losses import LOSS_KINDS, backward, loss_ce, one_hot
 from .models import ModelParams, forward_cached
 
 METHODS = ("ce", "mixup", "sce", "gce", "mae", "coteaching")
@@ -107,12 +107,6 @@ def _epoch_batches(n: int, batch_size: int, shuffle_gen: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes), dtype=np.float64)
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
 def mixup_batch(
     x: np.ndarray, onehot: np.ndarray, lam: float, perm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +150,7 @@ def train_local(
             if mixup:
                 lam = float(lam_sampler(mix_gen, mixup_alpha)) if lam_sampler else float(mix_gen.beta(mixup_alpha, mixup_alpha))
                 perm = mix_gen.permutation(len(batch_idx))
-                mixed_x, mixed_t = mixup_batch(x, _one_hot(y, ds.num_classes), lam, perm)
+                mixed_x, mixed_t = mixup_batch(x, one_hot(y, ds.num_classes), lam, perm)
                 out = backward(model, mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay)
             else:
                 out = backward(

@@ -36,7 +36,7 @@ def _pick(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return probs[np.arange(len(labels)), labels]
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((len(labels), num_classes), dtype=np.float64)
     out[np.arange(len(labels)), labels] = 1.0
     return out
@@ -112,7 +112,7 @@ def _logit_gradients(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict)
     """Per-sample dloss/dlogits; every loss here factors through (p - target)."""
     if kind == "soft_ce":
         return probs - labels
-    onehot = _one_hot(labels, probs.shape[1])
+    onehot = one_hot(labels, probs.shape[1])
     diff = probs - onehot
     if kind == "ce":
         return diff

@@ -13,7 +13,6 @@ under globalized noise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,16 +187,6 @@ class NoiseReport:
             "skipped_clients": list(self.skipped_clients),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NoiseReport":
-        return cls(
-            per_client_ratio=np.asarray(doc["per_client_ratio"], dtype=np.float64),
-            overall_ratio=float(doc["overall_ratio"]),
-            flip_counts=np.asarray(doc["flip_counts"], dtype=np.int64),
-            per_client_eps=None if doc.get("per_client_eps") is None else np.asarray(doc["per_client_eps"], dtype=np.float64),
-            skipped_clients=tuple(doc.get("skipped_clients", ())),
-        )
-
 
 def apply_noise(ds: LabeledDataset, matrix: TransitionMatrix, seed: int) -> tuple[LabeledDataset, np.ndarray]:
     """Independently redraw each observed label from its transition row.
@@ -356,47 +345,3 @@ def run_scene(
     plan, report = realworld_scene(ds, num_clients, partition_spec, spec.seed)
     return plan, ds, report
 
-
-def noise_manifest_dict(spec: NoiseSpec, report: NoiseReport | None, extra: dict | None = None) -> dict:
-    """Scene manifest document: spec fields plus the realized report, flattened."""
-    doc = {
-        "scene": spec.scene,
-        "mode": spec.mode,
-        "eps_global": spec.eps_global,
-        "eps_min": spec.eps_min,
-        "eps_max": spec.eps_max,
-        "seed": spec.seed,
-    }
-    if report is None:
-        doc.update(
-            {
-                "per_client_eps": None,
-                "per_client_ratio": None,
-                "overall_ratio": None,
-                "flip_counts": None,
-                "skipped_clients": [],
-            }
-        )
-    else:
-        doc.update(report.to_dict())
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def save_noise_manifest(spec: NoiseSpec, report: NoiseReport | None, path: str, extra: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(noise_manifest_dict(spec, report, extra), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_noise_manifest(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def report_from_manifest(doc: dict) -> NoiseReport | None:
-    """Rebuild the NoiseReport embedded in a manifest document, if any."""
-    if doc.get("per_client_ratio") is None:
-        return None
-    return NoiseReport.from_dict(doc)

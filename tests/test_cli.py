@@ -1,0 +1,242 @@
+"""End-to-end checks of the command line, each through ``main()`` on a seconds-long config."""
+
+import ast
+import copy
+import csv
+import dataclasses
+import importlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from noisyfl import cli
+from noisyfl import noise as noise_module
+from noisyfl.cli import main
+from noisyfl.config import load_config, set_by_path
+from noisyfl.datasets import load_csv
+from noisyfl.federation import run_federation
+from noisyfl.models import load_checkpoint
+from noisyfl.noise import run_scene
+from noisyfl.partition import load_plan
+from noisyfl.rng import derive_seed
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SMALL = {
+    "seed": 3,
+    "repeats": 1,
+    "dataset": {
+        "synthetic": {"num_classes": 3, "per_class": 60, "dim": 8, "separation": 3.0, "test_per_class": 20, "seed": 5}
+    },
+    "partition": {"scheme": "label-dir", "alpha": 0.5},
+    "noise": {"scene": "localized", "mode": "symmetric", "eps_min": 0.2, "eps_max": 0.4},
+    "federation": {
+        "num_clients": 3,
+        "rounds": 4,
+        "eval_every": 1,
+        "model": {"kind": "mlp", "hidden": 8, "activation": "tanh"},
+        "trainer": {"method": "ce", "lr": 0.05, "batch_size": 32, "epochs": 2},
+    },
+}
+
+GLOBALIZED = {"noise": {"scene": "globalized", "mode": "asymmetric", "eps_global": 0.3}}
+
+
+def write_config(tmp_path, out="out", changes=None) -> tuple[str, str]:
+    """Config file for SMALL with dotted-path ``changes``; returns (config path, output dir)."""
+    doc = copy.deepcopy(SMALL)
+    doc["output_dir"] = str(tmp_path / out)
+    for dotted, value in (changes or {}).items():
+        set_by_path(doc, dotted, value)
+    path = tmp_path / f"{out}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), doc["output_dir"]
+
+
+def tree(root: str) -> dict[str, bytes]:
+    files = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def manifests(root: str) -> list[str]:
+    return sorted(rel for rel in tree(root) if rel.endswith("manifest.json"))
+
+
+class TestDeterminism:
+    def test_two_directories_give_identical_run_json(self, tmp_path):
+        cfg_a, out_a = write_config(tmp_path, "a")
+        cfg_b, out_b = write_config(tmp_path, "b")
+        assert main(["pipeline", "-c", cfg_a]) == 0
+        assert main(["pipeline", "-c", cfg_b]) == 0
+        assert tree(out_a) == tree(out_b)
+        with open(os.path.join(out_a, "run.json"), "rb") as fh:
+            run = json.loads(fh.read())
+        assert set(run["artifacts"]) | {"run.json"} == {rel.replace(os.sep, "/") for rel in tree(out_a)}
+
+    def test_summary_last_k_counts_evaluated_rounds(self, tmp_path):
+        config, out = write_config(
+            tmp_path, changes={"federation.rounds": 20, "federation.eval_every": 5, "federation.trainer.epochs": 1}
+        )
+        assert main(["pipeline", "-c", config]) == 0
+        with open(os.path.join(out, "train", "seed_0", "seed_manifest.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["last_k"] == 4
+        with open(os.path.join(out, "train", "summary.csv"), encoding="utf-8", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["last_k"] == "4"
+
+
+class TestResume:
+    @pytest.mark.parametrize("changes", [None, GLOBALIZED], ids=["localized", "globalized"])
+    def test_rerun_computes_nothing(self, tmp_path, monkeypatch, changes):
+        config, out = write_config(tmp_path, changes=changes)
+        assert main(["pipeline", "-c", config]) == 0
+        before = tree(out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a finished stage ran again")
+
+        for module, name in [
+            (cli, "run_federation"),
+            (cli, "make_partition"),
+            (noise_module, "make_partition"),
+            (cli, "run_scene"),
+            (cli, "save_csv"),
+            (cli, "load_csv"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert main(["pipeline", "-c", config]) == 0
+        assert tree(out) == before
+
+    def test_truncated_manifest_is_redone(self, tmp_path):
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        expected = tree(out)
+        assert len(manifests(out)) == 5
+        for rel in manifests(out):
+            path = os.path.join(out, rel)
+            with open(path, "r+b") as fh:
+                fh.truncate(len(expected[rel]) // 2)
+            assert main(["pipeline", "-c", config]) == 0, rel
+            assert tree(out) == expected, rel
+
+    def test_interrupted_stage_is_redone(self, tmp_path):
+        """A crash mid-stage leaves <name>.tmp files and no manifest for that stage."""
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        expected = tree(out)
+        for rel in manifests(out):
+            path = os.path.join(out, rel)
+            first_output = sorted(json.loads(expected[rel])["outputs"])[0]
+            with open(os.path.join(os.path.dirname(path), first_output + ".tmp"), "wb") as fh:
+                fh.write(b"half-written")
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(b"{")
+            os.remove(path)
+            assert main(["pipeline", "-c", config]) == 0, rel
+            assert tree(out) == expected, rel
+
+
+class TestExitCodes:
+    def test_tampered_noisy_dataset_exits_3(self, tmp_path):
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        with open(os.path.join(out, "noisy_dataset.csv"), "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert main(["train", "-c", config]) == 3
+
+    def test_train_without_noise_stage_exits_3(self, tmp_path):
+        config, _ = write_config(tmp_path)
+        assert main(["partition", "-c", config]) == 0
+        assert main(["train", "-c", config]) == 3
+
+    def test_train_after_config_change_exits_3(self, tmp_path):
+        config, _ = write_config(tmp_path)
+        assert main(["noise", "-c", config]) == 0
+        assert main(["train", "-c", config, "--seed", "4"]) == 3
+
+    def test_diverging_lr_exits_4(self, tmp_path):
+        config, _ = write_config(tmp_path)
+        with np.errstate(all="ignore"):
+            assert main(["pipeline", "-c", config, "--lr", "1e200"]) == 4
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"repeats": "abc"}, {"federation.trainer": "x"}, {"federation.model.hidden": 0}, {"dataset.synthetic.seed": -1}],
+        ids=["repeats-string", "trainer-string", "hidden-zero", "negative-seed"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, changes):
+        config, _ = write_config(tmp_path, changes=changes)
+        assert main(["pipeline", "-c", config]) == 2
+
+    def test_config_that_is_not_json_exits_2(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"seed": ', encoding="utf-8")
+        assert main(["pipeline", "-c", str(path)]) == 2
+
+
+class TestArtifacts:
+    def test_noise_manifest_equals_run_scene_report(self, tmp_path):
+        config, out = write_config(tmp_path)
+        assert main(["noise", "-c", config]) == 0
+        with open(os.path.join(out, "noise_manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        cfg = load_config(config)
+        ds = load_csv(os.path.join(out, "dataset.csv"), "label")
+        _, _, report = run_scene(ds, cfg.noise, cfg.federation.num_clients, cfg.partition)
+        spec = {
+            "scene": cfg.noise.scene,
+            "mode": cfg.noise.mode,
+            "eps_global": cfg.noise.eps_global,
+            "eps_min": cfg.noise.eps_min,
+            "eps_max": cfg.noise.eps_max,
+            "seed": cfg.noise.seed,
+        }
+        runner_keys = {"stage", "version", "config_digest", "inputs", "outputs"}
+        assert set(manifest) == runner_keys | set(spec) | set(report.to_dict())
+        assert {k: manifest[k] for k in spec} == spec
+        assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
+        assert manifest["stage"] == "noise"
+        assert set(manifest["outputs"]) == {"plan.json", "noisy_dataset.csv"}
+
+    def test_checkpoint_holds_run_federation_final_params(self, tmp_path):
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        params, header = load_checkpoint(os.path.join(out, "train", "seed_0", "final_checkpoint.bin"))
+
+        cfg = load_config(config)
+        noisy = load_csv(os.path.join(out, "noisy_dataset.csv"), "label")
+        test = load_csv(os.path.join(out, "test_dataset.csv"), "label")
+        plan = load_plan(os.path.join(out, "plan.json"))
+        fed_seed = derive_seed(cfg.seed, "federate", 0)
+        fed_cfg = dataclasses.replace(cfg.federation, seed=fed_seed)
+        result = run_federation(noisy, plan, test, cfg.layout_for(noisy.dim, noisy.num_classes), fed_cfg)
+
+        assert params.layout == result.params.layout
+        assert np.array_equal(params.values, result.params.values)
+        assert (header["round"], header["seed"]) == (cfg.federation.rounds, fed_seed)
+
+
+def test_tracer_targets_resolve():
+    """Every name perfbench/tracer.py wraps exists where the tracer looks it up."""
+    with open(os.path.join(ROOT, "perfbench", "tracer.py"), encoding="utf-8") as fh:
+        module = ast.parse(fh.read())
+    (targets,) = [
+        node.value
+        for node in module.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert pairs
+    for module_name, dotted in pairs:
+        owner = importlib.import_module(module_name)
+        *path, attr = dotted.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), f"{module_name}.{dotted}"

@@ -127,6 +127,14 @@ class TestCsv:
             load_csv(str(path), "label")
         assert err.value.row == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,label,x1\n1.0,0,2.0\n3.0,1,{bad}\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(str(path), "label")
+        assert (err.value.row, err.value.column) == (3, "x1")
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1\n1.0,2.0\n")

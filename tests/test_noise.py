@@ -4,7 +4,6 @@ import pytest
 from noisyfl.datasets import LabeledDataset, make_synthetic_blobs
 from noisyfl.errors import LabelNotInMatrixError
 from noisyfl.noise import (
-    NoiseReport,
     NoiseSpec,
     TransitionMatrix,
     apply_noise,
@@ -303,15 +302,3 @@ class TestNoiseReport:
         assert report.overall_ratio == pytest.approx(flips / total, abs=1e-15)
         weighted = (report.per_client_ratio * plan.sizes()).sum() / plan.sizes().sum()
         assert report.overall_ratio == pytest.approx(weighted, abs=1e-12)
-
-    def test_round_trip_dict(self):
-        report = NoiseReport(
-            per_client_ratio=[0.1, 0.2],
-            overall_ratio=0.15,
-            flip_counts=np.array([[5, 1], [2, 4]]),
-            per_client_eps=[0.3, 0.4],
-            skipped_clients=(1,),
-        )
-        back = NoiseReport.from_dict(report.to_dict())
-        assert np.array_equal(back.per_client_ratio, report.per_client_ratio)
-        assert back.skipped_clients == (1,)
