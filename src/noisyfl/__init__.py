@@ -13,7 +13,16 @@ from .analysis import (
     overall_noise_ratio,
     sensitivity,
 )
-from .datasets import ClassHistogram, LabeledDataset, class_histogram, load_csv, make_synthetic_blobs, save_csv
+from .datasets import (
+    ClassHistogram,
+    LabeledDataset,
+    class_histogram,
+    load_csv,
+    load_npy,
+    make_synthetic_blobs,
+    save_csv,
+    save_npy,
+)
 from .federation import (
     FedConfig,
     FederationResult,
@@ -39,12 +48,9 @@ from .noise import (
     TransitionMatrix,
     apply_noise,
     asymmetric_matrix,
-    clean_scene,
     cyclic_target_map,
-    globalized_scene,
     localized_asym_target,
-    localized_scene,
-    realworld_scene,
+    run_scene,
     symmetric_matrix,
 )
 from .partition import (
@@ -60,7 +66,7 @@ from .partition import (
     save_plan,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AccuracyTable",
@@ -84,19 +90,17 @@ __all__ = [
     "apply_noise",
     "asymmetric_matrix",
     "class_histogram",
-    "clean_scene",
     "cyclic_target_map",
     "evaluate",
     "forward",
-    "globalized_scene",
     "grad_norm_series",
     "init_params",
     "last_k_average",
     "load_checkpoint",
     "load_csv",
+    "load_npy",
     "load_plan",
     "localized_asym_target",
-    "localized_scene",
     "make_partition",
     "make_synthetic_blobs",
     "overall_noise_ratio",
@@ -104,11 +108,12 @@ __all__ = [
     "partition_label_dirichlet",
     "partition_label_quantity",
     "partition_quantity_skew",
-    "realworld_scene",
     "restrict",
     "run_federation",
+    "run_scene",
     "save_checkpoint",
     "save_csv",
+    "save_npy",
     "save_plan",
     "select_clients",
     "sensitivity",

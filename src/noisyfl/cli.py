@@ -17,10 +17,12 @@ manifest.
   place with ``os.replace``; the manifest is written last, the same way,
   so a killed run leaves only finished stages behind.
 
-The dataset stage writes dataset.csv (and test_dataset.csv) once for both
-partition and noise.  All output bytes are a pure function of the config
-and master seed: JSON is dumped with sorted keys, CSVs use fixed
-formatting, and no timestamps or absolute paths are recorded.
+The dataset stage writes dataset.npy (and test_dataset.npy) once for both
+partition and noise; noise writes noisy_dataset.npy for train.  These
+intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
+import format of user datasets.  All output bytes are a pure function of
+the config and master seed: JSON is dumped with sorted keys, CSVs use
+fixed formatting, and no timestamps or absolute paths are recorded.
 
 Exit codes: 0 success, 2 config validation, 3 artifact mismatch,
 4 numerical abort, 1 anything else.
@@ -48,12 +50,13 @@ from .analysis import (
     sensitivity_series,
 )
 from .config import RunConfig, load_config
-from .datasets import class_histogram, load_csv, save_csv
+from .datasets import class_histogram, load_npy, save_npy
+from .datasets import load_csv, save_csv  # noqa: F401  unused here; perfbench/tracer.py wraps them at this name
 from .errors import ArtifactMismatchError, ConfigError, NoisyFLError, NumericalAbortError
 from .federation import run_federation, write_telemetry
 from .localtrain import COTEACHING_DEFAULT_FORGET_RATE
 from .models import save_checkpoint
-from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, run_scene
+from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, asymmetric_matrix, run_scene
 from .partition import load_plan, make_partition, save_plan
 
 SUMMARY_LAST_K = 10
@@ -134,12 +137,15 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
     ``key`` holds ``config_digest`` and ``inputs`` (name -> sha256), plus
     whatever else tells runs of the stage apart.  ``produce()`` returns
     ``(fields, writers)``: extra manifest fields, and one ``writer(path)``
-    per output file, named relative to ``base_dir``.
+    per output file, named relative to ``base_dir``.  Outputs that an
+    earlier run of the stage recorded and this run does not write (say,
+    files of an older format) are removed once the new manifest is in place.
     """
     key = {"stage": stage, "version": __version__, **key}
     done, _ = _finished(base_dir, manifest, key)
     if done is not None:
         return done
+    previous = _read_manifest(os.path.join(base_dir, manifest))
     fields, writers = produce()
     outputs = {}
     for rel, write in writers.items():
@@ -149,6 +155,11 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
         outputs[rel] = sha256_file(path)
     doc = {**fields, **key, "outputs": outputs}
     write_atomic(os.path.join(base_dir, manifest), functools.partial(write_json, doc))
+    root = os.path.abspath(base_dir)
+    for rel in set((previous or {}).get("outputs", {})) - set(outputs):
+        stale = os.path.abspath(os.path.join(root, rel))
+        if os.path.commonpath([root, stale]) == root and os.path.isfile(stale):
+            os.remove(stale)
     return doc
 
 
@@ -166,7 +177,7 @@ def require_stage(base_dir: str, manifest: str, digest: str, consumer: str, need
 # ---------------------------------------------------------------- stages
 
 def _dataset_stage(cfg: RunConfig) -> dict:
-    """Materialize dataset.csv (+ test_dataset.csv) for the stages that build on it."""
+    """Materialize dataset.npy (+ test_dataset.npy) for the stages that build on it."""
     params = cfg.dataset.params
     sources = {}
     if cfg.dataset.source == "csv":
@@ -174,9 +185,9 @@ def _dataset_stage(cfg: RunConfig) -> dict:
 
     def produce():
         train, test = cfg.dataset.materialize()
-        writers = {"dataset.csv": functools.partial(save_csv, train)}
+        writers = {"dataset.npy": functools.partial(save_npy, train)}
         if test is not None:
-            writers["test_dataset.csv"] = functools.partial(save_csv, test)
+            writers["test_dataset.npy"] = functools.partial(save_npy, test)
         return {}, writers
 
     key = {"config_digest": config_digest(cfg), "inputs": sources}
@@ -188,7 +199,7 @@ def cmd_partition(cfg: RunConfig) -> None:
     data = _dataset_stage(cfg)
 
     def produce():
-        ds = load_csv(os.path.join(cfg.output_dir, "dataset.csv"), "label")
+        ds = load_npy(os.path.join(cfg.output_dir, "dataset.npy"))
         plan = make_partition(
             ds, cfg.federation.num_clients, cfg.partition, rng.derive_seed(cfg.seed, "partition")
         )
@@ -199,7 +210,7 @@ def cmd_partition(cfg: RunConfig) -> None:
             "client_histograms.csv": functools.partial(write_csv, header, rows),
         }
 
-    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.csv": data["outputs"]["dataset.csv"]}}
+    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.npy": data["outputs"]["dataset.npy"]}}
     run_stage("partition", cfg.output_dir, "partition_manifest.json", key, produce)
 
 
@@ -221,8 +232,13 @@ def cmd_noise(cfg: RunConfig) -> None:
     data = _dataset_stage(cfg)
 
     def produce():
-        ds = load_csv(os.path.join(cfg.output_dir, "dataset.csv"), "label")
+        ds = load_npy(os.path.join(cfg.output_dir, "dataset.npy"))
         spec = cfg.noise
+        if spec.asym_map is not None:  # only the dataset tells which classes the map must cover
+            try:
+                asymmetric_matrix(ds.num_classes, 0.0, spec.asym_map)
+            except ValueError as exc:
+                raise ConfigError("noise.asym_map", str(exc)) from None
         plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
         plan_path = os.path.join(cfg.output_dir, "plan.json")
         if spec.scene != SCENE_GLOBALIZED and os.path.exists(plan_path):
@@ -243,10 +259,10 @@ def cmd_noise(cfg: RunConfig) -> None:
             fields.update(report.to_dict())
         return fields, {
             "plan.json": functools.partial(save_plan, plan),
-            "noisy_dataset.csv": functools.partial(save_csv, noisy),
+            "noisy_dataset.npy": functools.partial(save_npy, noisy),
         }
 
-    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.csv": data["outputs"]["dataset.csv"]}}
+    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.npy": data["outputs"]["dataset.npy"]}}
     run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
 
 
@@ -287,18 +303,18 @@ def cmd_train(cfg: RunConfig) -> None:
         raise ConfigError("dataset", "train stage requires a clean test set (test_per_class or test_path)")
     out = cfg.output_dir
     digest = config_digest(cfg)
-    noise = require_stage(out, "noise_manifest.json", digest, "train", ("noisy_dataset.csv", "plan.json"))
-    data = require_stage(out, "dataset_manifest.json", digest, "train", ("test_dataset.csv",))
-    inputs = {name: noise["outputs"][name] for name in ("noisy_dataset.csv", "plan.json")}
-    inputs["test_dataset.csv"] = data["outputs"]["test_dataset.csv"]
+    noise = require_stage(out, "noise_manifest.json", digest, "train", ("noisy_dataset.npy", "plan.json"))
+    data = require_stage(out, "dataset_manifest.json", digest, "train", ("test_dataset.npy",))
+    inputs = {name: noise["outputs"][name] for name in ("noisy_dataset.npy", "plan.json")}
+    inputs["test_dataset.npy"] = data["outputs"]["test_dataset.npy"]
     key = {"config_digest": digest, "inputs": inputs}
 
     @functools.cache
     def load_inputs():
         return (
-            load_csv(os.path.join(out, "noisy_dataset.csv"), "label"),
+            load_npy(os.path.join(out, "noisy_dataset.npy")),
             load_plan(os.path.join(out, "plan.json")),
-            load_csv(os.path.join(out, "test_dataset.csv"), "label"),
+            load_npy(os.path.join(out, "test_dataset.npy")),
         )
 
     trainer = cfg.federation.trainer
@@ -306,7 +322,13 @@ def cmd_train(cfg: RunConfig) -> None:
         estimate = _noise_ratio_estimate(noise)
         params = dict(trainer.method_params)
         params["forget_rate"] = estimate if estimate > 0 else COTEACHING_DEFAULT_FORGET_RATE
-        trainer = dataclasses.replace(trainer, method_params=params)
+        try:
+            trainer = dataclasses.replace(trainer, method_params=params)
+        except ValueError as exc:
+            raise ConfigError(
+                "federation.trainer.method_params.forget_rate",
+                f"not set, and the noise-ratio estimate {estimate!r} is out of range ({exc})",
+            ) from None
         cfg = dataclasses.replace(cfg, federation=dataclasses.replace(cfg.federation, trainer=trainer))
 
     train_root = os.path.join(out, "train")

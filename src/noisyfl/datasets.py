@@ -1,8 +1,13 @@
-"""Dataset representation, synthetic blob generation, and CSV ingestion.
+"""Dataset representation, synthetic blob generation, CSV and .npy storage.
 
 Labels are dense integers in ``[0, C)``; loaders reject sparse label sets
 because downstream flip-probability tables index rows by label.  Datasets
 are immutable after construction and safe for concurrent reads.
+
+CSV is the import format for user data.  Pipeline stages hand datasets to
+each other as ``.npy`` files (:func:`save_npy` / :func:`load_npy`): four
+consecutive arrays in NumPy's own format, written without pickling, so a
+file's bytes are a function of the dataset alone.
 """
 
 from __future__ import annotations
@@ -231,6 +236,62 @@ def save_csv(ds: LabeledDataset, path: str, label_column: str = "label", true_la
             if ds.true_labels is not None:
                 row.append(str(int(ds.true_labels[i])))
             writer.writerow(row)
+
+
+# (field, dtype, ndim) of each array in a save_npy file, in file order
+_NPY_FIELDS = (("features", "<f8", 2), ("labels", "<i8", 1), ("true_labels", "<i8", 2), ("num_classes", "<i8", 0))
+
+
+def save_npy(ds: LabeledDataset, path: str) -> None:
+    """Write features, labels, true labels and ``num_classes`` as four consecutive .npy arrays.
+
+    True labels are stored as a (0, n) array when unknown and as a (1, n)
+    array when known, so "absent" stays distinct from "empty".  The class
+    count is stored rather than inferred, since training's layout depends
+    on it.  Arrays are little-endian and C-ordered.
+    """
+    true = np.empty((0, len(ds))) if ds.true_labels is None else ds.true_labels[None, :]
+    arrays = (ds.features, ds.labels, true, np.array(ds.num_classes))
+    with open(path, "wb") as fh:
+        for (_, dtype, _), arr in zip(_NPY_FIELDS, arrays):
+            np.save(fh, np.asarray(arr, dtype=dtype, order="C"), allow_pickle=False)
+
+
+def load_npy(path: str) -> LabeledDataset:
+    """Read a dataset written by :func:`save_npy`; raise ParseError on anything else.
+
+    Pickled or object arrays are refused, and the file must hold exactly the
+    four arrays with their dtypes and ranks.  Features must be finite; the
+    ``LabeledDataset`` constructor checks shapes and label ranges.
+    """
+    arrays = []
+    with open(path, "rb") as fh:
+        for field_name, dtype, ndim in _NPY_FIELDS:
+            try:
+                arr = np.load(fh, allow_pickle=False)
+            except (ValueError, EOFError) as exc:
+                raise ParseError(f"{path}: cannot read {field_name}: {exc}") from None
+            if not isinstance(arr, np.ndarray) or arr.dtype != np.dtype(dtype) or arr.ndim != ndim:
+                raise ParseError(f"{path}: {field_name} is not a {ndim}-D {dtype} array")
+            arrays.append(arr)
+        if fh.read(1):
+            raise ParseError(f"{path}: unexpected bytes after the dataset arrays")
+    features, labels, true, num_classes = arrays
+    if true.shape[0] > 1:
+        raise ParseError(f"{path}: true_labels holds {true.shape[0]} rows, expected 0 or 1")
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        raise ParseError(f"{path}: feature is not finite", row=int(bad[0][0]), column=f"x{int(bad[0][1])}")
+    try:
+        return LabeledDataset(
+            features=features,
+            labels=labels,
+            num_classes=int(num_classes),
+            true_labels=true[0] if len(true) else None,
+            name=str(path),
+        )
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def class_histogram(ds: LabeledDataset, indices=None) -> ClassHistogram:

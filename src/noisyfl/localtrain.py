@@ -19,13 +19,16 @@ from .models import ModelParams, forward_cached
 
 METHODS = ("ce", "mixup", "sce", "gce", "mae", "coteaching")
 
-_METHOD_PARAM_KEYS = {
-    "ce": set(),
-    "mae": set(),
-    "mixup": {"alpha"},
-    "sce": {"alpha", "beta", "log_clip"},
-    "gce": {"q"},
-    "coteaching": {"forget_rate", "ramp_rounds"},
+_POSITIVE = (lambda v: v > 0, "> 0")
+
+# method -> {method_params key: (accepts(value), the range it accepts)}
+_METHOD_PARAMS = {
+    "ce": {},
+    "mae": {},
+    "mixup": {"alpha": _POSITIVE},
+    "sce": {"alpha": _POSITIVE, "beta": _POSITIVE, "log_clip": (lambda v: v < 0, "< 0")},
+    "gce": {"q": (lambda v: 0 < v <= 1, "in (0, 1]")},
+    "coteaching": {"forget_rate": (lambda v: 0 <= v < 1, "in [0, 1)"), "ramp_rounds": _POSITIVE},
 }
 
 MIXUP_DEFAULT_ALPHA = 1.0
@@ -58,9 +61,14 @@ class TrainerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        unknown = set(self.method_params) - _METHOD_PARAM_KEYS[self.method]
+        ranges = _METHOD_PARAMS[self.method]
+        unknown = set(self.method_params) - set(ranges)
         if unknown:
             raise ValueError(f"method_params keys {sorted(unknown)} invalid for method {self.method!r}")
+        for key, value in self.method_params.items():
+            accepts, allowed = ranges[key]
+            if not accepts(value):
+                raise ValueError(f"method_params.{key} must be {allowed} for method {self.method!r}, got {value!r}")
 
     @property
     def loss_kind(self) -> str:
@@ -101,6 +109,20 @@ def sgd_step(
     return values - lr * velocity, velocity
 
 
+def _step(model: ModelParams, grad: np.ndarray, velocity: np.ndarray, cfg: TrainerConfig) -> np.ndarray:
+    """One momentum-SGD step written into ``model.values``; returns the new velocity.
+
+    This is the step's one finiteness check.  Updating in place keeps one
+    ``ModelParams`` per network for a whole local-training call, instead of
+    a rebuild (and a rescan of every parameter) per batch.
+    """
+    values, velocity = sgd_step(model.values, grad, velocity, cfg.lr, cfg.momentum)
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("local training diverged to non-finite parameters")
+    model.values[:] = values
+    return velocity
+
+
 def _epoch_batches(n: int, batch_size: int, shuffle_gen: np.random.Generator):
     perm = shuffle_gen.permutation(n)
     for start in range(0, n, batch_size):
@@ -133,8 +155,8 @@ def train_local(
         raise ValueError("co-teaching trains two models; call train_local_coteaching")
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
-    values = params.values.copy()
-    velocity = np.zeros_like(values)
+    model = params.copy()  # its values are updated in place, one step per batch
+    velocity = np.zeros_like(model.values)
     stats = TrainStats()
     mixup = cfg.method == "mixup"
     mixup_alpha = cfg.method_params.get("alpha", MIXUP_DEFAULT_ALPHA)
@@ -146,7 +168,6 @@ def train_local(
         for batch_idx in _epoch_batches(len(ds), cfg.batch_size, shuffle_gen):
             x = ds.features[batch_idx]
             y = ds.labels[batch_idx]
-            model = ModelParams(values=values, layout=params.layout)
             if mixup:
                 lam = float(lam_sampler(mix_gen, mixup_alpha)) if lam_sampler else float(mix_gen.beta(mixup_alpha, mixup_alpha))
                 perm = mix_gen.permutation(len(batch_idx))
@@ -156,12 +177,10 @@ def train_local(
                 out = backward(
                     model, x, y, kind=cfg.loss_kind, method_params=cfg.method_params, weight_decay=cfg.weight_decay
                 )
-            values, velocity = sgd_step(values, out.grad, velocity, cfg.lr, cfg.momentum)
-            if not np.all(np.isfinite(values)):
-                raise FloatingPointError("local training diverged to non-finite parameters")
+            velocity = _step(model, out.grad, velocity, cfg)
             batch_losses.append(out.value)
         stats.epoch_losses.append(float(np.mean(batch_losses)))
-    return ModelParams(values=values, layout=params.layout), stats
+    return model, stats
 
 
 def coteaching_keep_fraction(round_t: int, forget_rate: float, ramp_rounds: int) -> float:
@@ -198,14 +217,11 @@ def train_local_coteaching(
         raise ValueError("co-teaching networks must share a layout")
     forget_rate = cfg.method_params.get("forget_rate", COTEACHING_DEFAULT_FORGET_RATE)
     ramp_rounds = cfg.method_params.get("ramp_rounds", COTEACHING_DEFAULT_RAMP_ROUNDS)
-    if not 0.0 <= forget_rate < 1.0:
-        raise ValueError("forget_rate must lie in [0, 1)")
     keep_fraction = coteaching_keep_fraction(round_t, forget_rate, ramp_rounds)
 
-    values_a = params_a.values.copy()
-    values_b = params_b.values.copy()
-    vel_a = np.zeros_like(values_a)
-    vel_b = np.zeros_like(values_b)
+    model_a, model_b = params_a.copy(), params_b.copy()
+    vel_a = np.zeros_like(model_a.values)
+    vel_b = np.zeros_like(model_b.values)
     stats = TrainStats()
 
     for epoch in range(cfg.epochs):
@@ -214,8 +230,6 @@ def train_local_coteaching(
         for batch_idx in _epoch_batches(len(ds), cfg.batch_size, shuffle_gen):
             x = ds.features[batch_idx]
             y = ds.labels[batch_idx]
-            model_a = ModelParams(values=values_a, layout=params_a.layout)
-            model_b = ModelParams(values=values_b, layout=params_b.layout)
             probs_a, _ = forward_cached(model_a, x)
             probs_b, _ = forward_cached(model_b, x)
             sel_a = small_loss_selection(loss_ce(probs_a, y).per_sample, keep_fraction)
@@ -223,14 +237,8 @@ def train_local_coteaching(
             # each network learns from its peer's selection
             out_a = backward(model_a, x[sel_b], y[sel_b], kind="ce", weight_decay=cfg.weight_decay)
             out_b = backward(model_b, x[sel_a], y[sel_a], kind="ce", weight_decay=cfg.weight_decay)
-            values_a, vel_a = sgd_step(values_a, out_a.grad, vel_a, cfg.lr, cfg.momentum)
-            values_b, vel_b = sgd_step(values_b, out_b.grad, vel_b, cfg.lr, cfg.momentum)
-            if not (np.all(np.isfinite(values_a)) and np.all(np.isfinite(values_b))):
-                raise FloatingPointError("local training diverged to non-finite parameters")
+            vel_a = _step(model_a, out_a.grad, vel_a, cfg)
+            vel_b = _step(model_b, out_b.grad, vel_b, cfg)
             batch_losses.append(0.5 * (out_a.value + out_b.value))
         stats.epoch_losses.append(float(np.mean(batch_losses)))
-    return (
-        ModelParams(values=values_a, layout=params_a.layout),
-        ModelParams(values=values_b, layout=params_b.layout),
-        stats,
-    )
+    return model_a, model_b, stats

@@ -264,12 +264,10 @@ def _mode_matrix(num_classes: int, eps: float, mode: str, asym_map: dict[int, in
     return asymmetric_matrix(num_classes, eps, target, class_ids=class_ids)
 
 
-def globalized_scene(
+def _globalized(
     ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
 ) -> tuple[PartitionPlan, LabeledDataset, NoiseReport]:
     """Corrupt the global dataset with one matrix, then partition it."""
-    if spec.scene != SCENE_GLOBALIZED:
-        raise ValueError(f"expected a globalized spec, got scene={spec.scene}")
     matrix = _mode_matrix(ds.num_classes, spec.eps_global, spec.mode, spec.asym_map)
     noisy, _ = apply_noise(ds, matrix, rng.derive_seed(spec.seed, "flip"))
     plan = make_partition(noisy, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
@@ -277,7 +275,7 @@ def globalized_scene(
     return plan, noisy, _post_hoc_report(noisy, plan, eps)
 
 
-def localized_scene(
+def _localized(
     ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
 ) -> tuple[PartitionPlan, LabeledDataset, NoiseReport]:
     """Partition clean data, then corrupt each client within its own classes.
@@ -286,8 +284,6 @@ def localized_scene(
     before any corruption; clients holding a single class are left clean
     and flagged rather than erroring.
     """
-    if spec.scene != SCENE_LOCALIZED:
-        raise ValueError(f"expected a localized spec, got scene={spec.scene}")
     plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
     eps_gen = rng.stream(spec.seed, "eps-draw")
     eps = eps_gen.uniform(spec.eps_min, spec.eps_max, size=num_clients)
@@ -307,41 +303,44 @@ def localized_scene(
     return plan, noisy, _post_hoc_report(noisy, plan, eps, skipped=skipped)
 
 
-def clean_scene(
+def _clean(
     ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
 ) -> tuple[PartitionPlan, LabeledDataset, NoiseReport]:
     """Partition only; labels untouched, ground truth pinned to the labels."""
-    if spec.scene != SCENE_CLEAN:
-        raise ValueError(f"expected a clean spec, got scene={spec.scene}")
     plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
     clean = ds.with_labels(labels=ds.labels.copy(), true_labels=ds.labels.copy())
     return plan, clean, _post_hoc_report(clean, plan, None)
 
 
-def realworld_scene(
-    ds: LabeledDataset, num_clients: int, partition_spec: PartitionSpec, seed: int
-) -> tuple[PartitionPlan, NoiseReport | None]:
+def _realworld(
+    ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
+) -> tuple[PartitionPlan, LabeledDataset, NoiseReport | None]:
     """Partition an inherently noisy dataset; no synthetic corruption.
 
     The report exists only when ground-truth labels are known; it is absent
     (not zero-filled) otherwise.
     """
-    plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(seed, "partition"))
+    plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
     if ds.true_labels is None:
-        return plan, None
-    return plan, _post_hoc_report(ds, plan, None)
+        return plan, ds, None
+    return plan, ds, _post_hoc_report(ds, plan, None)
 
 
 def run_scene(
     ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
 ) -> tuple[PartitionPlan, LabeledDataset, NoiseReport | None]:
-    """Scene dispatch used by the pipeline; returns (plan, dataset, report)."""
+    """Run the scene ``spec`` names; returns (plan, dataset, report).
+
+    The dataset is the noisy one (true labels set) for globalized and
+    localized noise, the input with true labels pinned to its labels for
+    the clean scene, and the input itself for the real-world scene, whose
+    report is None when the data carries no ground truth.
+    """
     if spec.scene == SCENE_GLOBALIZED:
-        return globalized_scene(ds, spec, num_clients, partition_spec)
+        return _globalized(ds, spec, num_clients, partition_spec)
     if spec.scene == SCENE_LOCALIZED:
-        return localized_scene(ds, spec, num_clients, partition_spec)
+        return _localized(ds, spec, num_clients, partition_spec)
     if spec.scene == SCENE_CLEAN:
-        return clean_scene(ds, spec, num_clients, partition_spec)
-    plan, report = realworld_scene(ds, num_clients, partition_spec, spec.seed)
-    return plan, ds, report
+        return _clean(ds, spec, num_clients, partition_spec)
+    return _realworld(ds, spec, num_clients, partition_spec)
 

@@ -2,8 +2,10 @@
 
 Every scheme is a pure function of (dataset, parameters, seed).  Index lists
 are stored sorted ascending so plan files diff canonically.  Schemes that
-sample client shares redraw with seed+1 (up to a fixed budget) when a client
-would come out empty, since aggregation weights by client size.
+sample client shares redraw (up to a fixed budget) when a client would come
+out empty, since aggregation weights by client size; redraw ``a`` of seed
+``s`` uses streams of its own, ``stream(s, <name>, "redraw", a)``, never the
+streams of another seed.
 """
 
 from __future__ import annotations
@@ -101,6 +103,11 @@ class PartitionSpec:
         return {}
 
 
+def _redraw(attempt: int) -> tuple:
+    """Stream-path suffix of redraw ``attempt``; attempt 0 keeps the plain stream names."""
+    return () if attempt == 0 else ("redraw", attempt)
+
+
 def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> PartitionPlan:
     """Global shuffle, then K blocks of floor(N/K); the remainder is unassigned."""
     n = len(ds)
@@ -132,11 +139,11 @@ def partition_quantity_skew(
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
-        attempt_seed = seed + attempt
-        q = np.asarray(sampler(rng.stream(attempt_seed, "quantity-shares"), alpha, num_clients), dtype=np.float64)
+        redraw = _redraw(attempt)
+        q = np.asarray(sampler(rng.stream(seed, "quantity-shares", *redraw), alpha, num_clients), dtype=np.float64)
         counts = np.floor(q * n).astype(np.int64)
         if counts.min() >= 1:
-            perm = rng.stream(attempt_seed, "quantity-shuffle").permutation(n)
+            perm = rng.stream(seed, "quantity-shuffle", *redraw).permutation(n)
             offsets = np.concatenate([[0], np.cumsum(counts)])
             clients = [perm[offsets[k] : offsets[k + 1]] for k in range(num_clients)]
             return PartitionPlan(
@@ -172,14 +179,14 @@ def partition_label_dirichlet(
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
-        attempt_seed = seed + attempt
-        shares_gen = rng.stream(attempt_seed, "labeldir-shares")
+        redraw = _redraw(attempt)
+        shares_gen = rng.stream(seed, "labeldir-shares", *redraw)
         parts: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         for cls in range(ds.num_classes):
             members = np.flatnonzero(ds.labels == cls)
             if len(members) == 0:
                 continue
-            members = rng.stream(attempt_seed, "labeldir-class", cls).permutation(members)
+            members = rng.stream(seed, "labeldir-class", cls, *redraw).permutation(members)
             q = np.asarray(sampler(shares_gen, alpha, num_clients), dtype=np.float64)
             targets = q * len(members)
             counts = np.floor(targets).astype(np.int64)

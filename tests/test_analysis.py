@@ -17,7 +17,7 @@ from noisyfl.errors import LayoutMismatchError
 from noisyfl.federation import FedConfig, RoundRecord, run_federation
 from noisyfl.localtrain import TrainerConfig
 from noisyfl.models import LinearSoftmaxLayout, ModelParams, init_params
-from noisyfl.noise import NoiseReport, NoiseSpec, localized_scene
+from noisyfl.noise import NoiseReport, NoiseSpec, run_scene
 from noisyfl.partition import PartitionSpec, partition_iid
 
 
@@ -113,7 +113,7 @@ class TestOverallNoiseRatio:
     def test_matches_full_recount(self):
         ds = make_synthetic_blobs(6, 500, 2, 4.0, seed=3)
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.2, eps_max=0.5, seed=4)
-        plan, noisy, report = localized_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
+        plan, noisy, report = run_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
         recomputed = overall_noise_ratio(report, plan.sizes())
         assigned = np.concatenate(plan.clients)
         brute = (noisy.labels[assigned] != noisy.true_labels[assigned]).mean()

@@ -15,7 +15,7 @@ from noisyfl import cli
 from noisyfl import noise as noise_module
 from noisyfl.cli import main
 from noisyfl.config import load_config, set_by_path
-from noisyfl.datasets import load_csv
+from noisyfl.datasets import load_csv, load_npy, save_csv
 from noisyfl.federation import run_federation
 from noisyfl.models import load_checkpoint
 from noisyfl.noise import run_scene
@@ -109,6 +109,8 @@ class TestResume:
             (cli, "run_scene"),
             (cli, "save_csv"),
             (cli, "load_csv"),
+            (cli, "save_npy"),
+            (cli, "load_npy"),
         ]:
             monkeypatch.setattr(module, name, refuse)
         assert main(["pipeline", "-c", config]) == 0
@@ -142,13 +144,45 @@ class TestResume:
             assert main(["pipeline", "-c", config]) == 0, rel
             assert tree(out) == expected, rel
 
+    def test_csv_era_directory_is_redone(self, tmp_path, monkeypatch):
+        """A directory the CSV-intermediate version wrote reruns into the tree of a fresh run."""
+        config, out = write_config(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "__version__", "0.1.0")
+            patch.setattr(cli, "save_npy", save_csv)
+            patch.setattr(cli, "load_npy", lambda path: load_csv(path, "label"))
+            assert main(["pipeline", "-c", config]) == 0
+        for rel in tree(out):
+            path = os.path.join(out, rel)
+            if rel.endswith(".npy"):
+                os.rename(path, path[: -len(".npy")] + ".csv")
+            elif rel.endswith(".json"):
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text.replace('.npy"', '.csv"'))
+        assert "dataset.csv" in json.loads(tree(out)["dataset_manifest.json"])["outputs"]
+
+        assert main(["pipeline", "-c", config]) == 0
+        fresh_config, fresh = write_config(tmp_path, "fresh")
+        assert main(["pipeline", "-c", fresh_config]) == 0
+        assert tree(out) == tree(fresh)
+
 
 class TestExitCodes:
     def test_tampered_noisy_dataset_exits_3(self, tmp_path):
         config, out = write_config(tmp_path)
         assert main(["pipeline", "-c", config]) == 0
-        with open(os.path.join(out, "noisy_dataset.csv"), "a", encoding="utf-8") as fh:
-            fh.write("\n")
+        with open(os.path.join(out, "noisy_dataset.npy"), "ab") as fh:
+            fh.write(b"\n")
+        assert main(["train", "-c", config]) == 3
+
+    def test_truncated_noisy_dataset_exits_3(self, tmp_path):
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        path = os.path.join(out, "noisy_dataset.npy")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
         assert main(["train", "-c", config]) == 3
 
     def test_train_without_noise_stage_exits_3(self, tmp_path):
@@ -175,6 +209,49 @@ class TestExitCodes:
         config, _ = write_config(tmp_path, changes=changes)
         assert main(["pipeline", "-c", config]) == 2
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"federation.trainer.method": "gce", "federation.trainer.method_params": {"q": 2}}, "q"),
+            ({"federation.trainer.method": "sce", "federation.trainer.method_params": {"alpha": 0}}, "alpha"),
+            ({"federation.trainer.method": "mixup", "federation.trainer.method_params": {"alpha": 0}}, "alpha"),
+            ({"federation.trainer.method": "mixup", "federation.trainer.method_params": {"alpha": -1}}, "alpha"),
+            (
+                {"federation.trainer.method": "coteaching", "federation.trainer.method_params": {"forget_rate": 1}},
+                "forget_rate",
+            ),
+            (
+                {"federation.trainer.method": "coteaching", "federation.trainer.method_params": {"ramp_rounds": 0}},
+                "ramp_rounds",
+            ),
+            (
+                {
+                    "noise": {"scene": "globalized", "mode": "symmetric", "eps_global": 1.0},
+                    "federation.trainer.method": "coteaching",
+                },
+                "forget_rate",
+            ),
+            (
+                {"noise": {"scene": "globalized", "mode": "asymmetric", "eps_global": 0.3, "asym_map": {"0": 1, "1": 0}}},
+                "noise.asym_map",
+            ),
+        ],
+        ids=[
+            "gce-q-2",
+            "sce-alpha-0",
+            "mixup-alpha-0",
+            "mixup-alpha-negative",
+            "coteaching-forget-rate-1",
+            "coteaching-ramp-rounds-0",
+            "coteaching-forget-rate-from-noise-1",
+            "asym-map-misses-a-class",
+        ],
+    )
+    def test_malformed_training_value_exits_2(self, tmp_path, capsys, changes, field):
+        config, _ = write_config(tmp_path, changes=changes)
+        assert main(["pipeline", "-c", config]) == 2
+        assert field in capsys.readouterr().err
+
     def test_config_that_is_not_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"seed": ', encoding="utf-8")
@@ -188,7 +265,7 @@ class TestArtifacts:
         with open(os.path.join(out, "noise_manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         cfg = load_config(config)
-        ds = load_csv(os.path.join(out, "dataset.csv"), "label")
+        ds = load_npy(os.path.join(out, "dataset.npy"))
         _, _, report = run_scene(ds, cfg.noise, cfg.federation.num_clients, cfg.partition)
         spec = {
             "scene": cfg.noise.scene,
@@ -203,7 +280,7 @@ class TestArtifacts:
         assert {k: manifest[k] for k in spec} == spec
         assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
         assert manifest["stage"] == "noise"
-        assert set(manifest["outputs"]) == {"plan.json", "noisy_dataset.csv"}
+        assert set(manifest["outputs"]) == {"plan.json", "noisy_dataset.npy"}
 
     def test_checkpoint_holds_run_federation_final_params(self, tmp_path):
         config, out = write_config(tmp_path)
@@ -211,8 +288,8 @@ class TestArtifacts:
         params, header = load_checkpoint(os.path.join(out, "train", "seed_0", "final_checkpoint.bin"))
 
         cfg = load_config(config)
-        noisy = load_csv(os.path.join(out, "noisy_dataset.csv"), "label")
-        test = load_csv(os.path.join(out, "test_dataset.csv"), "label")
+        noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
+        test = load_npy(os.path.join(out, "test_dataset.npy"))
         plan = load_plan(os.path.join(out, "plan.json"))
         fed_seed = derive_seed(cfg.seed, "federate", 0)
         fed_cfg = dataclasses.replace(cfg.federation, seed=fed_seed)

@@ -1,12 +1,19 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from noisyfl.datasets import (
     LabeledDataset,
     class_histogram,
     load_csv,
+    load_npy,
     make_synthetic_blobs,
     save_csv,
+    save_npy,
 )
 from noisyfl.errors import LabelRangeError, ParseError
 from noisyfl.localtrain import TrainerConfig, train_local
@@ -146,6 +153,109 @@ class TestCsv:
         path.write_text("x0,label\n1.0,0\n2.0,1\n")
         ds = load_csv(str(path), "label")
         assert ds.true_labels is None
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets; with few rows some of the classes are often absent from the labels."""
+    n = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 3))
+    num_classes = draw(st.integers(2, 6))
+    labels = hnp.arrays(np.int64, n, elements=st.integers(0, num_classes - 1))
+    return LabeledDataset(
+        features=draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(allow_nan=False, allow_infinity=False))),
+        labels=draw(labels),
+        num_classes=num_classes,
+        true_labels=draw(st.none() | labels),
+    )
+
+
+def write_arrays(path, *arrays, allow_pickle=False):
+    with open(path, "wb") as fh:
+        for arr in arrays:
+            np.save(fh, arr, allow_pickle=allow_pickle)
+
+
+def npy_arrays(features=((0.5, 1.0), (2.0, -1.0)), labels=(0, 1), true=((1, 1),), num_classes=2):
+    """The four arrays of a save_npy file, for building malformed ones."""
+    return (
+        np.array(features, dtype=np.float64),
+        np.array(labels, dtype=np.int64),
+        np.array(true, dtype=np.int64).reshape(-1, len(labels)),
+        np.array(num_classes, dtype=np.int64),
+    )
+
+
+class TestNpy:
+    @settings(max_examples=200, deadline=None)
+    @given(ds=datasets())
+    @example(ds=LabeledDataset(features=[[1.0]], labels=[0], num_classes=5))  # 4 classes absent
+    @example(ds=LabeledDataset(features=np.zeros((0, 2)), labels=[], num_classes=2, true_labels=[]))
+    @example(ds=LabeledDataset(features=np.zeros((0, 2)), labels=[], num_classes=2))
+    def test_round_trip(self, tmp_path_factory, ds):
+        path = str(tmp_path_factory.mktemp("npy") / "ds.npy")
+        save_npy(ds, path)
+        back = load_npy(path)
+        assert back.features.shape == ds.features.shape
+        assert back.features.tobytes() == ds.features.tobytes()  # bitwise, so -0.0 stays -0.0
+        assert back.labels.tolist() == ds.labels.tolist()
+        assert back.num_classes == ds.num_classes
+        if ds.true_labels is None:
+            assert back.true_labels is None
+        else:
+            assert back.true_labels.tolist() == ds.true_labels.tolist()
+
+    def test_bytes_deterministic(self, tmp_path):
+        ds = make_synthetic_blobs(3, 40, 2, 2.0, seed=4)
+        fortran = LabeledDataset(np.asfortranarray(ds.features), ds.labels, ds.num_classes, ds.true_labels)
+        paths = [tmp_path / f"{i}.npy" for i in range(4)]
+        save_npy(ds, str(paths[0]))
+        save_npy(ds, str(paths[1]))
+        save_npy(load_npy(str(paths[0])), str(paths[2]))
+        save_npy(fortran, str(paths[3]))
+        assert len({p.read_bytes() for p in paths}) == 1
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda p: write_arrays(p, np.array([[1.0, None]], dtype=object), *npy_arrays()[1:], allow_pickle=True),
+            lambda p: p.write_bytes(pickle.dumps(npy_arrays())),
+            lambda p: write_arrays(p, npy_arrays()[0].astype(np.float32), *npy_arrays()[1:]),
+            lambda p: write_arrays(p, *npy_arrays()[:3], np.array([2], dtype=np.int64)),
+            lambda p: write_arrays(p, *npy_arrays()[:3]),
+            lambda p: write_arrays(p, *npy_arrays(), np.zeros(1)),
+            lambda p: write_arrays(p, *npy_arrays(features=((0.5, np.nan), (2.0, -1.0)))),
+            lambda p: write_arrays(p, *npy_arrays(labels=(0, 2))),
+            lambda p: write_arrays(p, *npy_arrays(true=((1, 1), (0, 0)))),
+            lambda p: p.write_bytes(b""),
+        ],
+        ids=[
+            "object-dtype",
+            "pickled",
+            "float32-features",
+            "num-classes-not-scalar",
+            "truncated-after-three-arrays",
+            "trailing-array",
+            "non-finite-feature",
+            "label-out-of-range",
+            "two-true-label-rows",
+            "empty-file",
+        ],
+    )
+    def test_malformed_file_refused(self, tmp_path, write):
+        path = tmp_path / "bad.npy"
+        write(path)
+        with pytest.raises(ParseError):
+            load_npy(str(path))
+
+    def test_truncated_file_refused(self, tmp_path):
+        path = tmp_path / "ds.npy"
+        save_npy(make_synthetic_blobs(3, 10, 2, 2.0, seed=0), str(path))
+        data = path.read_bytes()
+        for cut in (1, 8, 100, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ParseError):
+                load_npy(str(path))
 
 
 class TestClassHistogram:

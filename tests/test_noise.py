@@ -8,12 +8,9 @@ from noisyfl.noise import (
     TransitionMatrix,
     apply_noise,
     asymmetric_matrix,
-    clean_scene,
     cyclic_target_map,
-    globalized_scene,
     localized_asym_target,
-    localized_scene,
-    realworld_scene,
+    run_scene,
     symmetric_matrix,
 )
 from noisyfl.partition import PartitionSpec, partition_iid, partition_label_quantity
@@ -176,7 +173,7 @@ class TestGlobalizedScene:
     def test_zero_noise_zero_ratios(self):
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=0)
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.0, seed=5)
-        _, noisy, report = globalized_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
+        _, noisy, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
         assert np.array_equal(noisy.labels, ds.labels)
         assert (report.per_client_ratio == 0).all()
         assert report.overall_ratio == 0.0
@@ -184,7 +181,7 @@ class TestGlobalizedScene:
     def test_per_client_ratios_in_band(self):
         ds = make_synthetic_blobs(10, 1000, 2, 4.0, seed=0)
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.4, seed=7)
-        _, _, report = globalized_scene(ds, spec, 10, PartitionSpec(scheme="iid"))
+        _, _, report = run_scene(ds, spec, 10, PartitionSpec(scheme="iid"))
         band = 3 * np.sqrt(0.4 * 0.6 / 1000)
         assert np.abs(report.per_client_ratio - 0.4).max() <= band
         assert np.allclose(report.per_client_eps, 0.4)
@@ -194,8 +191,8 @@ class TestGlobalizedScene:
         # on K or the partition scheme
         ds = make_synthetic_blobs(6, 200, 2, 4.0, seed=1)
         spec = NoiseSpec(scene="globalized", mode="asymmetric", eps_global=0.3, seed=42)
-        _, noisy_a, _ = globalized_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
-        _, noisy_b, _ = globalized_scene(ds, spec, 9, PartitionSpec(scheme="label-dir", alpha=0.5))
+        _, noisy_a, _ = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
+        _, noisy_b, _ = run_scene(ds, spec, 9, PartitionSpec(scheme="label-dir", alpha=0.5))
         assert np.array_equal(noisy_a.labels, noisy_b.labels)
 
 
@@ -203,7 +200,7 @@ class TestLocalizedScene:
     def test_flips_confined_to_local_classes(self):
         ds = make_synthetic_blobs(10, 300, 2, 4.0, seed=2)
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.3, eps_max=0.5, seed=3)
-        plan, noisy, _ = localized_scene(ds, spec, 6, PartitionSpec(scheme="label-dir", alpha=0.3))
+        plan, noisy, _ = run_scene(ds, spec, 6, PartitionSpec(scheme="label-dir", alpha=0.3))
         for k, idx in enumerate(plan.clients):
             clean_classes = set(np.unique(ds.labels[idx]).tolist())
             observed = set(np.unique(noisy.labels[idx]).tolist())
@@ -212,14 +209,14 @@ class TestLocalizedScene:
     def test_zero_width_zero_noise(self):
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=2)
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.0, eps_max=0.0, seed=3)
-        _, noisy, report = localized_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
+        _, noisy, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
         assert np.array_equal(noisy.labels, ds.labels)
         assert report.overall_ratio == 0.0
 
     def test_overall_ratio_matches_recount(self):
         ds = make_synthetic_blobs(6, 500, 2, 4.0, seed=4)
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.2, eps_max=0.6, seed=8)
-        plan, noisy, report = localized_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
+        plan, noisy, report = run_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
         assigned = np.concatenate(plan.clients)
         recount = (noisy.labels[assigned] != noisy.true_labels[assigned]).mean()
         assert report.overall_ratio == pytest.approx(recount, abs=1e-15)
@@ -231,7 +228,7 @@ class TestLocalizedScene:
         hits = 0
         for seed in range(20):
             spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.3, eps_max=0.5, seed=seed)
-            _, _, report = localized_scene(ds, spec, 10, PartitionSpec(scheme="iid"))
+            _, _, report = run_scene(ds, spec, 10, PartitionSpec(scheme="iid"))
             if abs(report.overall_ratio - 0.4) <= 0.05:
                 hits += 1
         assert hits >= 19
@@ -240,21 +237,21 @@ class TestLocalizedScene:
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=1)
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.5, eps_max=0.5, seed=2)
         # label-quantity with c=1 makes every client single-class
-        plan, noisy, report = localized_scene(ds, spec, 4, PartitionSpec(scheme="label-quantity", c=1))
+        plan, noisy, report = run_scene(ds, spec, 4, PartitionSpec(scheme="label-quantity", c=1))
         assert report.skipped_clients == (0, 1, 2, 3)
         assert np.array_equal(noisy.labels, ds.labels)
 
     def test_eps_draws_are_order_stable(self):
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=1)
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.1, eps_max=0.9, seed=6)
-        _, _, r1 = localized_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
-        _, _, r2 = localized_scene(ds, spec, 4, PartitionSpec(scheme="quantity-skew", alpha=10.0))
+        _, _, r1 = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
+        _, _, r2 = run_scene(ds, spec, 4, PartitionSpec(scheme="quantity-skew", alpha=10.0))
         assert np.array_equal(r1.per_client_eps, r2.per_client_eps)
 
     def test_asymmetric_local_flips(self):
         ds = make_synthetic_blobs(6, 200, 2, 4.0, seed=3)
         spec = NoiseSpec(scene="localized", mode="asymmetric", eps_min=1.0, eps_max=1.0, seed=4)
-        plan, noisy, _ = localized_scene(ds, spec, 3, PartitionSpec(scheme="iid"))
+        plan, noisy, _ = run_scene(ds, spec, 3, PartitionSpec(scheme="iid"))
         for k, idx in enumerate(plan.clients):
             local_classes = sorted(np.unique(ds.labels[idx]).tolist())
             mapping = localized_asym_target(local_classes)
@@ -266,7 +263,8 @@ class TestRealworldScene:
     def test_pure_delegation(self):
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=0)
         ds = LabeledDataset(ds.features, ds.labels, 4)  # strip ground truth
-        plan, report = realworld_scene(ds, 4, PartitionSpec(scheme="iid"), seed=21)
+        plan, out, report = run_scene(ds, NoiseSpec(scene="realworld", seed=21), 4, PartitionSpec(scheme="iid"))
+        assert out is ds
         direct = partition_iid(ds, 4, seed=derive_seed(21, "partition"))
         assert all(np.array_equal(a, b) for a, b in zip(plan.clients, direct.clients))
         assert report is None
@@ -274,7 +272,8 @@ class TestRealworldScene:
     def test_report_present_with_ground_truth(self):
         base = make_synthetic_blobs(4, 200, 2, 4.0, seed=0)
         noisy, _ = apply_noise(base, symmetric_matrix(4, 0.3), seed=1)
-        plan, report = realworld_scene(noisy, 4, PartitionSpec(scheme="iid"), seed=2)
+        plan, out, report = run_scene(noisy, NoiseSpec(scene="realworld", seed=2), 4, PartitionSpec(scheme="iid"))
+        assert out is noisy
         assigned = np.concatenate(plan.clients)
         recount = (noisy.labels[assigned] != noisy.true_labels[assigned]).mean()
         assert report is not None
@@ -286,7 +285,7 @@ class TestCleanScene:
     def test_zero_report(self):
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=0)
         spec = NoiseSpec(scene="clean", seed=3)
-        plan, clean, report = clean_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
+        plan, clean, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
         assert np.array_equal(clean.labels, ds.labels)
         assert report.overall_ratio == 0.0
         assert np.trace(report.flip_counts) == plan.sizes().sum()
@@ -296,7 +295,7 @@ class TestNoiseReport:
     def test_overall_consistent_with_flip_counts(self):
         ds = make_synthetic_blobs(5, 400, 2, 4.0, seed=1)
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.35, seed=9)
-        plan, _, report = globalized_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
+        plan, _, report = run_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
         total = report.flip_counts.sum()
         flips = total - np.trace(report.flip_counts)
         assert report.overall_ratio == pytest.approx(flips / total, abs=1e-15)

@@ -6,6 +6,7 @@ from noisyfl.errors import CoverageInfeasibleError, DegeneratePartitionError
 from noisyfl.partition import (
     PartitionPlan,
     PartitionSpec,
+    gamma_dirichlet,
     load_plan,
     make_partition,
     partition_iid,
@@ -128,6 +129,30 @@ class TestLabelDirichlet:
         plan = partition_label_dirichlet(ds, 7, alpha=0.5, seed=2)
         assigned = np.sort(np.concatenate(plan.clients))
         assert np.array_equal(assigned, np.arange(len(ds)))
+
+
+class TestRedrawStreams:
+    @pytest.mark.parametrize(
+        "scheme, calls_per_attempt",
+        [(partition_quantity_skew, 1), (partition_label_dirichlet, 4)],
+        ids=["quantity-skew", "label-dir"],
+    )
+    def test_redraw_does_not_reuse_the_next_seeds_streams(self, scheme, calls_per_attempt):
+        """Attempt 1 at seed s draws from streams of its own, not those of attempt 0 at seed s+1."""
+        ds = balanced(4, 50)
+        calls = []
+
+        def fail_first_attempt(gen, alpha, size):
+            calls.append(None)
+            if len(calls) <= calls_per_attempt:
+                return np.eye(size)[0]  # every share to client 0 empties the others
+            return gamma_dirichlet(gen, alpha, size)
+
+        redrawn = scheme(ds, 4, alpha=50.0, seed=7, sampler=fail_first_attempt)
+        next_seed = scheme(ds, 4, alpha=50.0, seed=8)
+        assert len(calls) == 2 * calls_per_attempt
+        assert min(redrawn.sizes()) >= 1
+        assert not all(np.array_equal(a, b) for a, b in zip(redrawn.clients, next_seed.clients))
 
 
 class TestLabelQuantity:

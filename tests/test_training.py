@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from noisyfl.datasets import make_synthetic_blobs
+from noisyfl import localtrain
 from noisyfl.localtrain import (
     TrainerConfig,
     coteaching_keep_fraction,
+    sgd_step,
     small_loss_selection,
     train_local,
     train_local_coteaching,
@@ -44,6 +46,29 @@ class TestTrainerConfig:
     def test_invalid_numerics(self, kwargs):
         with pytest.raises(ValueError):
             TrainerConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("gce", {"q": 2.0}),
+            ("gce", {"q": 0.0}),
+            ("sce", {"alpha": 0.0}),
+            ("sce", {"beta": -1.0}),
+            ("sce", {"log_clip": 0.0}),
+            ("mixup", {"alpha": 0.0}),
+            ("mixup", {"alpha": -1.0}),
+            ("coteaching", {"forget_rate": 1.0}),
+            ("coteaching", {"forget_rate": -0.1}),
+            ("coteaching", {"ramp_rounds": 0.0}),
+        ],
+    )
+    def test_out_of_range_method_params(self, method, params):
+        with pytest.raises(ValueError, match=next(iter(params))):
+            TrainerConfig(method=method, method_params=params)
+
+    def test_boundary_method_params_accepted(self):
+        TrainerConfig(method="gce", method_params={"q": 1.0})
+        TrainerConfig(method="coteaching", method_params={"forget_rate": 0.0, "ramp_rounds": 0.5})
 
 
 class TestTrainLocal:
@@ -185,9 +210,50 @@ class TestTrainCoteaching:
             train_local_coteaching(ds, a, b, TrainerConfig(method="coteaching"), seed=0)
 
     def test_invalid_forget_rate(self):
-        ds = self._noisy_blobs()
-        a = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=0)
-        b = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=1)
-        cfg = TrainerConfig(method="coteaching", method_params={"forget_rate": 1.0})
         with pytest.raises(ValueError):
-            train_local_coteaching(ds, a, b, cfg, seed=0)
+            TrainerConfig(method="coteaching", method_params={"forget_rate": 1.0})
+
+
+class TestOneModelPerCall:
+    """Each network's ModelParams is built once per call, and every step checks finiteness once."""
+
+    def _train(self, method):
+        ds = blobs(per_class=40)
+        layout = MLPLayout(dim=2, hidden=4, num_classes=3)
+        a, b = init_params(layout, seed=1), init_params(layout, seed=2)
+        cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16)
+        if method == "coteaching":
+            return lambda: train_local_coteaching(ds, a, b, cfg, seed=3)
+        return lambda: train_local(ds, a, cfg, seed=3)
+
+    @pytest.mark.parametrize("method, networks", [("ce", 1), ("coteaching", 2)])
+    def test_one_build_per_network(self, monkeypatch, method, networks):
+        train = self._train(method)
+        built = []
+        post_init = ModelParams.__post_init__
+
+        def counting_post_init(params):
+            built.append(None)
+            post_init(params)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting_post_init)
+        train()
+        assert len(built) == networks
+
+    @pytest.mark.parametrize("method", ["ce", "coteaching"])
+    def test_divergence_raises_on_its_step(self, monkeypatch, method):
+        train = self._train(method)
+        steps = []
+
+        def nan_on_third_step(values, grad, velocity, lr, momentum):
+            steps.append(None)
+            values, velocity = sgd_step(values, grad, velocity, lr, momentum)
+            if len(steps) == 3:
+                values = values.copy()
+                values[0] = np.nan
+            return values, velocity
+
+        monkeypatch.setattr(localtrain, "sgd_step", nan_on_third_step)
+        with pytest.raises(FloatingPointError):
+            train()
+        assert len(steps) == 3
