@@ -4,6 +4,12 @@ Batches come from a per-epoch seeded shuffle; mixup draws consume a separate
 named stream so that stubbing the mixing coefficient to 1 reproduces the
 plain-CE trajectory bit for bit.  One call trains one client for E epochs
 and is single-threaded and deterministic.
+
+Every method runs through one epoch/batch loop, which owns the buffers: a
+``models.Workspace`` per network, sized to the batch and allocated once per
+call.  Each ``backward`` returns its gradient in its network's workspace,
+and the loop consumes it with ``sgd_step`` before that workspace is used
+again.  Co-teaching is the same loop with two networks and a batch rule.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 from . import rng
 from .datasets import LabeledDataset
 from .losses import LOSS_KINDS, backward, loss_ce, one_hot
-from .models import ModelParams, forward_cached
+from .models import ModelParams, Workspace, forward_cached
 
 METHODS = ("ce", "mixup", "sce", "gce", "mae", "coteaching")
 
@@ -109,26 +115,6 @@ def sgd_step(
     return values - lr * velocity, velocity
 
 
-def _step(model: ModelParams, grad: np.ndarray, velocity: np.ndarray, cfg: TrainerConfig) -> np.ndarray:
-    """One momentum-SGD step written into ``model.values``; returns the new velocity.
-
-    This is the step's one finiteness check.  Updating in place keeps one
-    ``ModelParams`` per network for a whole local-training call, instead of
-    a rebuild (and a rescan of every parameter) per batch.
-    """
-    values, velocity = sgd_step(model.values, grad, velocity, cfg.lr, cfg.momentum)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("local training diverged to non-finite parameters")
-    model.values[:] = values
-    return velocity
-
-
-def _epoch_batches(n: int, batch_size: int, shuffle_gen: np.random.Generator):
-    perm = shuffle_gen.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
-
-
 def mixup_batch(
     x: np.ndarray, onehot: np.ndarray, lam: float, perm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +122,39 @@ def mixup_batch(
     mixed_x = lam * x + (1.0 - lam) * x[perm]
     mixed_t = lam * onehot + (1.0 - lam) * onehot[perm]
     return mixed_x, mixed_t
+
+
+def _train(ds: LabeledDataset, start: tuple[ModelParams, ...], cfg: TrainerConfig, seed: int, batch_rule):
+    """The one epoch/batch loop behind every local-training method.
+
+    Each network gets a copy of its start parameters, updated in place one
+    momentum-SGD step per batch, and one workspace for the whole call.
+    ``batch_rule(models, works, x, y)`` runs each network's backward on the
+    batch and returns one ``LossOutput`` per network plus the batch loss.
+    Each epoch gathers its shuffled rows once; a batch is a slice of them.
+    """
+    if len(ds) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    models = [params.copy() for params in start]
+    works = [Workspace(m.layout, min(cfg.batch_size, len(ds))) for m in models]
+    velocities = [np.zeros_like(m.values) for m in models]
+    stats = TrainStats()
+    for epoch in range(cfg.epochs):
+        perm = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
+        xs, ys = ds.features[perm], ds.labels[perm]
+        batch_losses = []
+        for first in range(0, len(ds), cfg.batch_size):
+            rows = slice(first, first + cfg.batch_size)
+            outs, batch_loss = batch_rule(models, works, xs[rows], ys[rows])
+            for i, (model, out) in enumerate(zip(models, outs)):
+                values, velocities[i] = sgd_step(model.values, out.grad, velocities[i], cfg.lr, cfg.momentum)
+                # the step's one finiteness check, before the network takes the values
+                if not np.isfinite(values, out=works[i].finite).all():
+                    raise FloatingPointError("local training diverged to non-finite parameters")
+                model.values[:] = values
+            batch_losses.append(batch_loss)
+        stats.epoch_losses.append(float(np.mean(batch_losses)))
+    return models, stats
 
 
 def train_local(
@@ -153,33 +172,23 @@ def train_local(
     """
     if cfg.method == "coteaching":
         raise ValueError("co-teaching trains two models; call train_local_coteaching")
-    if len(ds) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    model = params.copy()  # its values are updated in place, one step per batch
-    velocity = np.zeros_like(model.values)
-    stats = TrainStats()
     mixup = cfg.method == "mixup"
-    mixup_alpha = cfg.method_params.get("alpha", MIXUP_DEFAULT_ALPHA)
+    mix_alpha = cfg.method_params.get("alpha", MIXUP_DEFAULT_ALPHA)
     mix_gen = rng.stream(seed, "mixup") if mixup else None
 
-    for epoch in range(cfg.epochs):
-        shuffle_gen = rng.stream(seed, "shuffle", epoch)
-        batch_losses = []
-        for batch_idx in _epoch_batches(len(ds), cfg.batch_size, shuffle_gen):
-            x = ds.features[batch_idx]
-            y = ds.labels[batch_idx]
-            if mixup:
-                lam = float(lam_sampler(mix_gen, mixup_alpha)) if lam_sampler else float(mix_gen.beta(mixup_alpha, mixup_alpha))
-                perm = mix_gen.permutation(len(batch_idx))
-                mixed_x, mixed_t = mixup_batch(x, one_hot(y, ds.num_classes), lam, perm)
-                out = backward(model, mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay)
-            else:
-                out = backward(
-                    model, x, y, kind=cfg.loss_kind, method_params=cfg.method_params, weight_decay=cfg.weight_decay
-                )
-            velocity = _step(model, out.grad, velocity, cfg)
-            batch_losses.append(out.value)
-        stats.epoch_losses.append(float(np.mean(batch_losses)))
+    def one_network(models, works, x, y):
+        if mixup:
+            lam = float(lam_sampler(mix_gen, mix_alpha)) if lam_sampler else float(mix_gen.beta(mix_alpha, mix_alpha))
+            mixed_x, mixed_t = mixup_batch(x, one_hot(y, ds.num_classes), lam, mix_gen.permutation(len(x)))
+            out = backward(models[0], mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay, work=works[0])
+        else:
+            out = backward(
+                models[0], x, y, kind=cfg.loss_kind, method_params=cfg.method_params,
+                weight_decay=cfg.weight_decay, work=works[0],
+            )
+        return (out,), out.value
+
+    (model,), stats = _train(ds, (params,), cfg, seed, one_network)
     return model, stats
 
 
@@ -211,34 +220,21 @@ def train_local_coteaching(
     smallest R(t) fraction; each network then steps on the subset its peer
     selected.  Both networks share the batch schedule.
     """
-    if len(ds) == 0:
-        raise ValueError("cannot train on an empty dataset")
     if params_a.layout != params_b.layout:
         raise ValueError("co-teaching networks must share a layout")
     forget_rate = cfg.method_params.get("forget_rate", COTEACHING_DEFAULT_FORGET_RATE)
     ramp_rounds = cfg.method_params.get("ramp_rounds", COTEACHING_DEFAULT_RAMP_ROUNDS)
     keep_fraction = coteaching_keep_fraction(round_t, forget_rate, ramp_rounds)
 
-    model_a, model_b = params_a.copy(), params_b.copy()
-    vel_a = np.zeros_like(model_a.values)
-    vel_b = np.zeros_like(model_b.values)
-    stats = TrainStats()
+    def cross_update(models, works, x, y):
+        # rank with each network, then step each on its peer's selection; the
+        # subset gets its own forward pass, since rows picked from the full
+        # batch's matmul need not equal a matmul of the picked rows bit for bit
+        kept = [small_loss_selection(loss_ce(forward_cached(m, x, w)[0], y).per_sample, keep_fraction)
+                for m, w in zip(models, works)]
+        outs = [backward(m, x[sel], y[sel], kind="ce", weight_decay=cfg.weight_decay, work=w)
+                for m, w, sel in zip(models, works, kept[::-1])]
+        return outs, 0.5 * (outs[0].value + outs[1].value)
 
-    for epoch in range(cfg.epochs):
-        shuffle_gen = rng.stream(seed, "shuffle", epoch)
-        batch_losses = []
-        for batch_idx in _epoch_batches(len(ds), cfg.batch_size, shuffle_gen):
-            x = ds.features[batch_idx]
-            y = ds.labels[batch_idx]
-            probs_a, _ = forward_cached(model_a, x)
-            probs_b, _ = forward_cached(model_b, x)
-            sel_a = small_loss_selection(loss_ce(probs_a, y).per_sample, keep_fraction)
-            sel_b = small_loss_selection(loss_ce(probs_b, y).per_sample, keep_fraction)
-            # each network learns from its peer's selection
-            out_a = backward(model_a, x[sel_b], y[sel_b], kind="ce", weight_decay=cfg.weight_decay)
-            out_b = backward(model_b, x[sel_a], y[sel_a], kind="ce", weight_decay=cfg.weight_decay)
-            vel_a = _step(model_a, out_a.grad, vel_a, cfg)
-            vel_b = _step(model_b, out_b.grad, vel_b, cfg)
-            batch_losses.append(0.5 * (out_a.value + out_b.value))
-        stats.epoch_losses.append(float(np.mean(batch_losses)))
+    (model_a, model_b), stats = _train(ds, (params_a, params_b), cfg, seed, cross_update)
     return model_a, model_b, stats

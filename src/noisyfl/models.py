@@ -1,7 +1,9 @@
 """Desk-scale differentiable models: linear-softmax and one-hidden-layer MLP.
 
 Parameters live in a single flat float64 vector; the layout descriptor maps
-slices of it to weight matrices.  Gradients are hand-derived in losses.py.
+slices of it to weight matrices.  A :class:`Workspace` holds one network's
+activations and gradient buffers, so that a training step runs in place;
+the loss-specific part of the hand-derived gradient is in losses.py.
 """
 
 from __future__ import annotations
@@ -115,6 +117,12 @@ def _mlp_views(layout: MLPLayout, values: np.ndarray):
     return w1, b1, w2, b2
 
 
+def _layer_views(layout: Layout, values: np.ndarray):
+    if isinstance(layout, LinearSoftmaxLayout):
+        return _linear_views(layout, values)
+    return _mlp_views(layout, values)
+
+
 def init_params(layout: Layout, seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer, from a named stream."""
     gen = rng.stream(seed, "init")
@@ -132,10 +140,68 @@ def init_params(layout: Layout, seed: int) -> ModelParams:
     return ModelParams(values=values, layout=layout)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+class Workspace:
+    """One network's buffers for forward and backward passes over up to ``rows`` rows.
+
+    The caller owns it: a local-training call builds one per network and
+    hands it to every :func:`forward_cached` and ``losses.backward`` call of
+    that network, so a step allocates almost nothing.  Everything those
+    calls return (probabilities, per-sample losses, the gradient) is a view
+    of these buffers and holds only until the next call with the same
+    workspace.  ``probs`` holds the logits, then the probabilities, then
+    d(mean loss)/d(logits); ``grad_views`` are the per-layer views of the
+    flat ``grad``, in the layout's order.
+    """
+
+    def __init__(self, layout: Layout, rows: int):
+        c, p = layout.num_classes, layout.param_count
+        self.layout = layout
+        self.rows = rows
+        self.row_ids = np.arange(rows)
+        self.probs = np.empty((rows, c))
+        self.row_stat = np.empty((rows, 1))  # softmax row max, then row sum
+        self.per_sample = np.empty(rows)
+        self.row_scale = np.empty(rows)
+        self.grad = np.empty(p)
+        self.decay = np.empty(p)
+        self.finite = np.empty(p, dtype=bool)
+        self.x = None  # the rows of the last forward pass
+        self.grad_views = _layer_views(layout, self.grad)
+        if isinstance(layout, MLPLayout):
+            self.z1 = np.empty((rows, layout.hidden))
+            self.hidden = np.empty((rows, layout.hidden))
+            self.dhidden = np.empty((rows, layout.hidden))
+
+    def backprop(self, params: ModelParams, weight_decay: float) -> np.ndarray:
+        """``grad`` from the mean-loss logit gradient left in ``probs`` by the caller.
+
+        It reverses the last forward pass (whose ``hidden`` it overwrites)
+        and adds ``weight_decay * params.values``.
+        """
+        b = len(self.x)
+        dlogits = self.probs[:b]
+        if isinstance(self.layout, LinearSoftmaxLayout):
+            gw, gb = self.grad_views
+            np.matmul(dlogits.T, self.x, out=gw)
+            np.add.reduce(dlogits, axis=0, out=gb)
+        else:
+            gw1, gb1, gw2, gb2 = self.grad_views
+            _, _, w2, _ = _mlp_views(self.layout, params.values)
+            hidden, dz1 = self.hidden[:b], self.dhidden[:b]
+            np.matmul(dlogits.T, hidden, out=gw2)
+            np.add.reduce(dlogits, axis=0, out=gb2)
+            np.matmul(dlogits, w2, out=dz1)
+            if self.layout.activation == "tanh":
+                np.square(hidden, out=hidden)
+                np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - tanh^2
+                dz1 *= hidden
+            else:
+                dz1 *= np.greater(self.z1[:b], 0.0, out=hidden)  # relu' as 1.0/0.0
+            np.matmul(dz1.T, self.x, out=gw1)
+            np.add.reduce(dz1, axis=0, out=gb1)
+        if weight_decay:
+            self.grad += np.multiply(params.values, weight_decay, out=self.decay)
+        return self.grad
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -144,51 +210,45 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return probs
 
 
-def forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass returning probabilities plus the cache backward needs."""
+def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace | None = None):
+    """Forward pass into ``work``; returns the probability rows and the workspace.
+
+    Without ``work`` a one-shot workspace sized to ``x`` is built.  The
+    returned rows alias ``work.probs``; the workspace also keeps what
+    backward needs (``x``, ``z1``, ``hidden``).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.layout.dim:
-        raise LayoutMismatchError(
-            f"input of shape {x.shape} does not match layout dim {params.layout.dim}"
-        )
-    if isinstance(params.layout, LinearSoftmaxLayout):
-        w, b = _linear_views(params.layout, params.values)
-        probs = _softmax(x @ w.T + b)
-        return probs, {"x": x}
-    w1, b1, w2, b2 = _mlp_views(params.layout, params.values)
-    z1 = x @ w1.T + b1
-    hidden = np.tanh(z1) if params.layout.activation == "tanh" else np.maximum(z1, 0.0)
-    probs = _softmax(hidden @ w2.T + b2)
-    return probs, {"x": x, "z1": z1, "hidden": hidden}
-
-
-def logit_grad_to_param_grad(params: ModelParams, cache: dict, dlogits: np.ndarray) -> np.ndarray:
-    """Backpropagate mean-loss logit gradients (already 1/B-scaled) to a flat vector."""
     layout = params.layout
-    grad = np.empty(layout.param_count, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != layout.dim:
+        raise LayoutMismatchError(f"input of shape {x.shape} does not match layout dim {layout.dim}")
+    b = len(x)
+    if work is None:
+        work = Workspace(layout, b)
+    elif work.layout != layout:
+        raise LayoutMismatchError("workspace layout does not match the parameters")
+    elif b > work.rows:
+        raise ValueError(f"batch of {b} rows exceeds the workspace's {work.rows}")
+    logits = work.probs[:b]
     if isinstance(layout, LinearSoftmaxLayout):
-        c, d = layout.num_classes, layout.dim
-        grad[: c * d] = (dlogits.T @ cache["x"]).ravel()
-        grad[c * d :] = dlogits.sum(axis=0)
-        return grad
-    w1, b1, w2, b2 = _mlp_views(layout, params.values)
-    d, h, c = layout.dim, layout.hidden, layout.num_classes
-    dw2 = dlogits.T @ cache["hidden"]
-    db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2
-    if layout.activation == "tanh":
-        dz1 = dhidden * (1.0 - cache["hidden"] ** 2)
+        w, bias = _linear_views(layout, params.values)
+        np.matmul(x, w.T, out=logits)
     else:
-        dz1 = dhidden * (cache["z1"] > 0.0)
-    i = 0
-    grad[i : i + h * d] = (dz1.T @ cache["x"]).ravel()
-    i += h * d
-    grad[i : i + h] = dz1.sum(axis=0)
-    i += h
-    grad[i : i + c * h] = dw2.ravel()
-    i += c * h
-    grad[i:] = db2
-    return grad
+        w1, b1, w2, bias = _mlp_views(layout, params.values)
+        z1, hidden = work.z1[:b], work.hidden[:b]
+        np.matmul(x, w1.T, out=z1)
+        z1 += b1
+        if layout.activation == "tanh":
+            np.tanh(z1, out=hidden)
+        else:
+            np.maximum(z1, 0.0, out=hidden)
+        np.matmul(hidden, w2.T, out=logits)
+    logits += bias
+    row_stat = work.row_stat[:b]
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=row_stat)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True, out=row_stat)
+    work.x = x
+    return logits, work
 
 
 CHECKPOINT_MAGIC = "noisyfl-checkpoint"

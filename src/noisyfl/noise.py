@@ -118,7 +118,9 @@ class NoiseSpec:
     eps_global parametrizes the globalized scene; (eps_min, eps_max) bound
     the per-client uniform draw of the localized scene; clean/realworld
     scenes carry no ratios.  Specs with eps_max > 1 are rejected rather
-    than clamped.
+    than clamped.  ``asym_map`` overrides the cyclic flip target of the
+    globalized asymmetric scene and is rejected everywhere else, where
+    nothing would read it.
     """
 
     scene: str
@@ -134,6 +136,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise scene {self.scene!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
+        if self.asym_map is not None and (self.scene, self.mode) != (SCENE_GLOBALIZED, MODE_ASYMMETRIC):
+            raise ValueError("asym_map applies only to the globalized scene in asymmetric mode")
         if self.scene == SCENE_GLOBALIZED:
             if self.mode == MODE_NONE:
                 raise ValueError("globalized scene requires a symmetric or asymmetric mode")

@@ -202,8 +202,37 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"repeats": "abc"}, {"federation.trainer": "x"}, {"federation.model.hidden": 0}, {"dataset.synthetic.seed": -1}],
-        ids=["repeats-string", "trainer-string", "hidden-zero", "negative-seed"],
+        [
+            {"repeats": "abc"},
+            {"federation.trainer": "x"},
+            {"federation.model.hidden": 0},
+            {"dataset.synthetic.seed": -1},
+            {
+                "noise": {
+                    "scene": "localized",
+                    "mode": "asymmetric",
+                    "eps_min": 0.2,
+                    "eps_max": 0.4,
+                    "asym_map": {"0": 2, "1": 0, "2": 1},
+                }
+            },
+            {
+                "noise": {
+                    "scene": "globalized",
+                    "mode": "symmetric",
+                    "eps_global": 0.3,
+                    "asym_map": {"0": 2, "1": 0, "2": 1},
+                }
+            },
+        ],
+        ids=[
+            "repeats-string",
+            "trainer-string",
+            "hidden-zero",
+            "negative-seed",
+            "asym-map-localized-asymmetric",
+            "asym-map-globalized-symmetric",
+        ],
     )
     def test_malformed_config_exits_2(self, tmp_path, changes):
         config, _ = write_config(tmp_path, changes=changes)

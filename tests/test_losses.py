@@ -14,7 +14,7 @@ from noisyfl.losses import (
     loss_sce,
     loss_soft_ce,
 )
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, forward, init_params
+from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward, forward_cached, init_params
 
 LAYOUTS = [
     LinearSoftmaxLayout(dim=3, num_classes=3),
@@ -190,6 +190,48 @@ class TestBackward:
         out = backward(params, np.zeros((2, 2)), np.array([0, 1]), kind="ce")
         assert isinstance(out, LossOutput)
         assert np.all(np.isfinite(out.grad))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,), (1, 4, 3)])
+    def test_misshaped_input_rejected(self, layout, shape):
+        params = init_params(layout, seed=0)
+        work = Workspace(layout, rows=8)
+        with pytest.raises(LayoutMismatchError):
+            forward_cached(params, np.zeros(shape), work)
+        with pytest.raises(LayoutMismatchError):
+            backward(params, np.zeros(shape), np.zeros(4, dtype=int), kind="ce", work=work)
+
+    def test_batch_larger_than_workspace_rejected(self):
+        layout = LAYOUTS[1]
+        params = init_params(layout, seed=0)
+        work = Workspace(layout, rows=4)
+        backward(params, np.zeros((4, 3)), np.zeros(4, dtype=int), kind="ce", work=work)
+        with pytest.raises(ValueError, match="exceeds"):
+            backward(params, np.zeros((5, 3)), np.zeros(5, dtype=int), kind="ce", work=work)
+
+    def test_workspace_of_another_layout_rejected(self):
+        params = init_params(LAYOUTS[1], seed=0)
+        with pytest.raises(LayoutMismatchError):
+            forward_cached(params, np.zeros((2, 3)), Workspace(LAYOUTS[2], rows=4))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae", "soft_ce"])
+    def test_results_are_views_of_the_workspace(self, layout, kind):
+        gen = np.random.default_rng(4)
+        params = init_params(layout, seed=1)
+        x = gen.normal(size=(5, 3))
+        y = gen.integers(0, 3, size=5)
+        labels = np.eye(3)[y] if kind == "soft_ce" else y
+        work = Workspace(layout, rows=7)
+        fresh = backward(params, x, labels, kind=kind, weight_decay=0.01)
+        out = backward(params, x, labels, kind=kind, weight_decay=0.01, work=work)
+        assert out.grad is work.grad
+        assert np.shares_memory(out.per_sample, work.per_sample)
+        assert np.array_equal(out.grad, fresh.grad)
+        assert np.array_equal(out.per_sample, fresh.per_sample)
+        assert out.value == fresh.value
 
 
 class TestSgdStep:

@@ -168,6 +168,25 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec(scene="clean", mode="symmetric")
 
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            dict(scene="localized", mode="asymmetric", eps_min=0.2, eps_max=0.4),
+            dict(scene="localized", mode="symmetric", eps_min=0.2, eps_max=0.4),
+            dict(scene="globalized", mode="symmetric", eps_global=0.3),
+            dict(scene="clean"),
+            dict(scene="realworld"),
+        ],
+        ids=["localized-asymmetric", "localized-symmetric", "globalized-symmetric", "clean", "realworld"],
+    )
+    def test_asym_map_rejected_where_unread(self, scene):
+        with pytest.raises(ValueError, match="asym_map"):
+            NoiseSpec(asym_map={0: 1, 1: 2, 2: 0}, **scene)
+
+    def test_asym_map_accepted_for_globalized_asymmetric(self):
+        spec = NoiseSpec(scene="globalized", mode="asymmetric", eps_global=0.3, asym_map={0: 1, 1: 2, 2: 0})
+        assert spec.asym_map == {0: 1, 1: 2, 2: 0}
+
 
 class TestGlobalizedScene:
     def test_zero_noise_zero_ratios(self):

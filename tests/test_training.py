@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+from noisyfl import localtrain, rng
 from noisyfl.datasets import make_synthetic_blobs
-from noisyfl import localtrain
 from noisyfl.localtrain import (
+    MIXUP_DEFAULT_ALPHA,
     TrainerConfig,
     coteaching_keep_fraction,
+    mixup_batch,
     sgd_step,
     small_loss_selection,
     train_local,
     train_local_coteaching,
 )
-from noisyfl.losses import backward
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, init_params
+from noisyfl.losses import backward, loss_ce, one_hot
+from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, forward, init_params
 from noisyfl.noise import apply_noise, symmetric_matrix
 
 
@@ -257,3 +259,80 @@ class TestOneModelPerCall:
         with pytest.raises(FloatingPointError):
             train()
         assert len(steps) == 3
+
+
+def hand_trained(ds, starts, cfg, seed, round_t):
+    """Reference loop: a fresh gather, fresh ModelParams and a one-shot backward for every batch."""
+    values = [p.values.copy() for p in starts]
+    velocities = [np.zeros_like(v) for v in values]
+    mix_gen = rng.stream(seed, "mixup")
+    epoch_losses = []
+    for epoch in range(cfg.epochs):
+        order = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
+        batch_losses = []
+        for first in range(0, len(ds), cfg.batch_size):
+            idx = order[first : first + cfg.batch_size]
+            x, y = ds.features[idx], ds.labels[idx]
+            nets = [ModelParams(v.copy(), starts[0].layout) for v in values]
+            if cfg.method == "coteaching":
+                keep = coteaching_keep_fraction(
+                    round_t, cfg.method_params["forget_rate"], localtrain.COTEACHING_DEFAULT_RAMP_ROUNDS
+                )
+                kept = [small_loss_selection(loss_ce(forward(net, x), y).per_sample, keep) for net in nets]
+                outs = [
+                    backward(nets[0], x[kept[1]], y[kept[1]], kind="ce", weight_decay=cfg.weight_decay),
+                    backward(nets[1], x[kept[0]], y[kept[0]], kind="ce", weight_decay=cfg.weight_decay),
+                ]
+                batch_losses.append(0.5 * (outs[0].value + outs[1].value))
+            else:
+                if cfg.method == "mixup":
+                    lam = float(mix_gen.beta(MIXUP_DEFAULT_ALPHA, MIXUP_DEFAULT_ALPHA))
+                    mixed_x, mixed_t = mixup_batch(x, one_hot(y, ds.num_classes), lam, mix_gen.permutation(len(idx)))
+                    out = backward(nets[0], mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay)
+                else:
+                    out = backward(nets[0], x, y, cfg.loss_kind, cfg.method_params, cfg.weight_decay)
+                outs = [out]
+                batch_losses.append(out.value)
+            for i, out in enumerate(outs):
+                values[i], velocities[i] = sgd_step(values[i], out.grad, velocities[i], cfg.lr, cfg.momentum)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return values, epoch_losses
+
+
+class TestWorkspaceReuse:
+    """Training through reused workspaces equals fresh one-shot steps bit for bit."""
+
+    LAYOUTS = [
+        LinearSoftmaxLayout(dim=5, num_classes=3),
+        MLPLayout(dim=5, hidden=6, num_classes=3, activation="tanh"),
+        MLPLayout(dim=5, hidden=6, num_classes=3, activation="relu"),
+    ]
+    METHOD_PARAMS = {
+        "ce": {},
+        "mixup": {},
+        "sce": {"alpha": 0.3, "beta": 0.7},
+        "gce": {"q": 0.5},
+        "mae": {},
+        "coteaching": {"forget_rate": 0.4},
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    @pytest.mark.parametrize("method", list(METHOD_PARAMS))
+    # 69 rows: a 5-row last batch, a 1-row last batch, one batch smaller than the batch size
+    @pytest.mark.parametrize("batch_size", [16, 17, 100])
+    def test_matches_fresh_steps(self, layout, method, batch_size):
+        clean = make_synthetic_blobs(3, 23, 5, 2.0, seed=1)
+        ds, _ = apply_noise(clean, symmetric_matrix(3, 0.3), seed=2)
+        starts = [init_params(layout, seed=3), init_params(layout, seed=4)]
+        cfg = TrainerConfig(
+            method=method, lr=0.2, epochs=3, batch_size=batch_size, method_params=self.METHOD_PARAMS[method]
+        )
+        if method == "coteaching":
+            *trained, stats = train_local_coteaching(ds, starts[0], starts[1], cfg, seed=5, round_t=6)
+        else:
+            starts = starts[:1]
+            *trained, stats = train_local(ds, starts[0], cfg, seed=5)
+        values, epoch_losses = hand_trained(ds, starts, cfg, seed=5, round_t=6)
+        for model, expected in zip(trained, values):
+            assert np.array_equal(model.values, expected)
+        assert stats.epoch_losses == epoch_losses
