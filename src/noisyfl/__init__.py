@@ -66,7 +66,7 @@ from .partition import (
     save_plan,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AccuracyTable",

@@ -1,4 +1,4 @@
-"""Config-driven command line: partition -> noise -> train -> analyze.
+"""Config-driven command line: dataset -> noise -> train -> analyze.
 
 Every stage goes through :func:`run_stage`, the one place that decides
 whether a stage runs, writes its artifacts, hashes them and writes its
@@ -17,8 +17,10 @@ manifest.
   place with ``os.replace``; the manifest is written last, the same way,
   so a killed run leaves only finished stages behind.
 
-The dataset stage writes dataset.npy (and test_dataset.npy) once for both
-partition and noise; noise writes noisy_dataset.npy for train.  These
+The dataset stage writes dataset.npy (and test_dataset.npy).  The noise
+stage runs the configured scene once and is the one writer of the client
+split: plan.json, client_histograms.csv and noisy_dataset.npy for train.
+``partition`` only prints the histograms of that split.  The
 intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
 import format of user datasets.  All output bytes are a pure function of
 the config and master seed: JSON is dumped with sorted keys, CSVs use
@@ -52,12 +54,13 @@ from .analysis import (
 from .config import RunConfig, load_config
 from .datasets import class_histogram, load_npy, save_npy
 from .datasets import load_csv, save_csv  # noqa: F401  unused here; perfbench/tracer.py wraps them at this name
+from .partition import make_partition  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
 from .errors import ArtifactMismatchError, ConfigError, NoisyFLError, NumericalAbortError
 from .federation import run_federation, write_telemetry
 from .localtrain import COTEACHING_DEFAULT_FORGET_RATE
 from .models import save_checkpoint
 from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, asymmetric_matrix, run_scene
-from .partition import load_plan, make_partition, save_plan
+from .partition import load_plan, save_plan
 
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
@@ -85,11 +88,15 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def print_csv(header: list[str], rows: list[list], fh=None) -> None:
+    writer = csv.writer(fh or sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def write_csv(header: list[str], rows: list[list], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        print_csv(header, rows, fh)
 
 
 def write_atomic(path: str, write) -> None:
@@ -194,56 +201,43 @@ def _dataset_stage(cfg: RunConfig) -> dict:
     return run_stage("dataset", cfg.output_dir, "dataset_manifest.json", key, produce)
 
 
+def _split(cfg: RunConfig):
+    """Run the configured scene on dataset.npy: (dataset, plan, noisy dataset, report).
+
+    The one computation of the client split.  Globalized noise partitions
+    the corrupted data, every other scene the data as it is.
+    """
+    ds = load_npy(os.path.join(cfg.output_dir, "dataset.npy"))
+    spec = cfg.noise
+    if spec.asym_map is not None:  # only the dataset tells which classes the map must cover
+        try:
+            asymmetric_matrix(ds.num_classes, 0.0, spec.asym_map)
+        except ValueError as exc:
+            raise ConfigError("noise.asym_map", str(exc)) from None
+    plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
+    return ds, plan, noisy, report
+
+
+def _histograms(ds, plan) -> tuple[list[str], list[list]]:
+    """Header and rows of client_histograms.csv: per-client counts of the dataset's labels."""
+    header = ["client"] + [f"class_{i}" for i in range(ds.num_classes)]
+    return header, [[k] + class_histogram(ds, idx).counts.tolist() for k, idx in enumerate(plan.clients)]
+
+
 def cmd_partition(cfg: RunConfig) -> None:
-    """Split the dataset across clients; write the plan and per-client class histograms."""
-    data = _dataset_stage(cfg)
-
-    def produce():
-        ds = load_npy(os.path.join(cfg.output_dir, "dataset.npy"))
-        plan = make_partition(
-            ds, cfg.federation.num_clients, cfg.partition, rng.derive_seed(cfg.seed, "partition")
-        )
-        header = ["client"] + [f"class_{i}" for i in range(ds.num_classes)]
-        rows = [[k] + class_histogram(ds, idx).counts.tolist() for k, idx in enumerate(plan.clients)]
-        return {}, {
-            "plan.json": functools.partial(save_plan, plan),
-            "client_histograms.csv": functools.partial(write_csv, header, rows),
-        }
-
-    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.npy": data["outputs"]["dataset.npy"]}}
-    run_stage("partition", cfg.output_dir, "partition_manifest.json", key, produce)
-
-
-def _plans_equal(a, b) -> bool:
-    return (
-        a.scheme == b.scheme
-        and a.num_clients == b.num_clients
-        and all(np.array_equal(x, y) for x, y in zip(a.clients, b.clients))
-    )
+    """Print client_histograms.csv of the split the noise stage writes; writes no plan."""
+    _dataset_stage(cfg)
+    ds, plan, _, _ = _split(cfg)
+    print_csv(*_histograms(ds, plan))
 
 
 def cmd_noise(cfg: RunConfig) -> None:
-    """Run the configured noise scene; write the noisy dataset and the plan.
-
-    The globalized scene corrupts before partitioning, so it owns the plan
-    and ignores any pre-existing plan file; other scenes must agree with a
-    pre-existing plan.
-    """
+    """Run the configured noise scene; write the plan, its histograms and the noisy dataset."""
     data = _dataset_stage(cfg)
 
     def produce():
-        ds = load_npy(os.path.join(cfg.output_dir, "dataset.npy"))
+        ds, plan, noisy, report = _split(cfg)
         spec = cfg.noise
-        if spec.asym_map is not None:  # only the dataset tells which classes the map must cover
-            try:
-                asymmetric_matrix(ds.num_classes, 0.0, spec.asym_map)
-            except ValueError as exc:
-                raise ConfigError("noise.asym_map", str(exc)) from None
-        plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
-        plan_path = os.path.join(cfg.output_dir, "plan.json")
-        if spec.scene != SCENE_GLOBALIZED and os.path.exists(plan_path):
-            if not _plans_equal(load_plan(plan_path), plan):
-                raise ArtifactMismatchError("noise: existing plan.json does not match this config's partition")
         fields = {
             "scene": spec.scene,
             "mode": spec.mode,
@@ -259,6 +253,7 @@ def cmd_noise(cfg: RunConfig) -> None:
             fields.update(report.to_dict())
         return fields, {
             "plan.json": functools.partial(save_plan, plan),
+            "client_histograms.csv": functools.partial(write_csv, *_histograms(ds, plan)),
             "noisy_dataset.npy": functools.partial(save_npy, noisy),
         }
 
@@ -410,21 +405,10 @@ def cmd_analyze(run_dir: str | None, table_path: str | None, scale: str, out_dir
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    """Chain all stages in scene-appropriate order, then index the output tree.
-
-    Globalized noise corrupts before partitioning, so its pipeline starts at
-    the noise stage, which emits the plan itself.
-    """
-    stages = []
-    if cfg.noise.scene != SCENE_GLOBALIZED:
-        cmd_partition(cfg)
-        stages.append("partition")
+    """Run dataset, noise, train and analyze, then index the output tree in run.json."""
     cmd_noise(cfg)
-    stages.append("noise")
     cmd_train(cfg)
-    stages.append("train")
     cmd_analyze(cfg.output_dir, None, "fraction", os.path.join(cfg.output_dir, "analysis"))
-    stages.append("analyze")
 
     artifacts = {}
     for root, _, files in os.walk(cfg.output_dir):
@@ -435,7 +419,7 @@ def cmd_pipeline(cfg: RunConfig) -> None:
                 continue
             artifacts[rel.replace(os.sep, "/")] = sha256_file(path)
     doc = {
-        "stages": stages,
+        "stages": ["noise", "train", "analyze"],
         "version": __version__,
         "config_digest": config_digest(cfg),
         "seed": cfg.seed,
@@ -518,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
-        ("partition", "split the dataset across clients and report class histograms"),
-        ("noise", "apply the configured noise scene and write the noisy dataset"),
+        ("partition", "print per-client class histograms of the split; writes no plan"),
+        ("noise", "apply the configured noise scene; write the plan and the noisy dataset"),
         ("train", "run FedAvg repeats and summarize last-10-round accuracy"),
-        ("pipeline", "run partition, noise, train, and analyze in order"),
+        ("pipeline", "run noise, train, and analyze in order"),
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_config_arguments(p)

@@ -65,14 +65,14 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def with_labels(self, labels: np.ndarray, true_labels: np.ndarray | None, name: str | None = None) -> "LabeledDataset":
+    def with_labels(self, labels: np.ndarray, true_labels: np.ndarray | None) -> "LabeledDataset":
         """Copy of this dataset with replaced (observed, true) label vectors."""
         return LabeledDataset(
             features=self.features,
             labels=labels,
             num_classes=self.num_classes,
             true_labels=true_labels,
-            name=self.name if name is None else name,
+            name=self.name,
         )
 
 

@@ -113,7 +113,6 @@ def run_federation(
     test_set: LabeledDataset,
     layout: Layout,
     cfg: FedConfig,
-    initial_params: ModelParams | None = None,
     keep_history: bool = False,
 ) -> FederationResult:
     """Run T FedAvg rounds and collect per-round telemetry.
@@ -129,13 +128,7 @@ def run_federation(
     locals_ds = [restrict(train_ds, plan, k) for k in range(cfg.num_clients)]
     sizes = plan.sizes()
 
-    global_params = (
-        initial_params.copy()
-        if initial_params is not None
-        else init_params(layout, rng.derive_seed(cfg.seed, "init"))
-    )
-    if initial_params is not None and initial_params.layout != layout:
-        raise LayoutMismatchError("initial_params layout does not match requested layout")
+    global_params = init_params(layout, rng.derive_seed(cfg.seed, "init"))
 
     coteaching = cfg.trainer.method == "coteaching"
     peer_nets: dict[int, ModelParams] = {}

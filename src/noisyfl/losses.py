@@ -63,7 +63,7 @@ def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict, out:
 
     ``labels`` is a soft-target matrix for soft_ce; ``row_ids`` is
     ``arange(len(probs))``.  This is the one definition of every loss
-    value, for :func:`evaluate_loss` and :func:`backward` alike.
+    value, for the ``loss_*`` functions and :func:`backward` alike.
     """
     if kind == "soft_ce":
         terms = np.log(np.maximum(probs, _LOG_FLOOR))
@@ -129,11 +129,6 @@ def loss_gce(probs: np.ndarray, labels: np.ndarray, q: float = GCE_DEFAULT_Q) ->
 def loss_mae(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
     """Mean absolute error against the one-hot target, which reduces to 2(1 - p_y)."""
     return _loss(probs, labels, "mae", {})
-
-
-def evaluate_loss(probs: np.ndarray, labels: np.ndarray, kind: str, method_params: dict | None = None) -> LossOutput:
-    """Dispatch by loss kind; ``labels`` is a soft-target matrix for soft_ce."""
-    return _loss(probs, labels, kind, method_params or {})
 
 
 def _logit_gap(probs, labels, kind: str, mp: dict, p_label, row_ids, row_scale) -> None:

@@ -95,13 +95,6 @@ class PartitionSpec:
         if self.scheme == SCHEME_LABEL_QUANTITY and (self.c is None or self.c < 1):
             raise ValueError("scheme label-quantity requires c >= 1")
 
-    def params_dict(self) -> dict:
-        if self.scheme == SCHEME_LABEL_QUANTITY:
-            return {"c": int(self.c)}
-        if self.scheme in (SCHEME_QUANTITY, SCHEME_LABEL_DIR):
-            return {"alpha": float(self.alpha)}
-        return {}
-
 
 def _redraw(attempt: int) -> tuple:
     """Stream-path suffix of redraw ``attempt``; attempt 0 keeps the plain stream names."""

@@ -79,6 +79,8 @@ class TestDeterminism:
         with open(os.path.join(out_a, "run.json"), "rb") as fh:
             run = json.loads(fh.read())
         assert set(run["artifacts"]) | {"run.json"} == {rel.replace(os.sep, "/") for rel in tree(out_a)}
+        assert run["stages"] == ["noise", "train", "analyze"]
+        assert "partition_manifest.json" not in run["artifacts"]
 
     def test_summary_last_k_counts_evaluated_rounds(self, tmp_path):
         config, out = write_config(
@@ -120,7 +122,7 @@ class TestResume:
         config, out = write_config(tmp_path)
         assert main(["pipeline", "-c", config]) == 0
         expected = tree(out)
-        assert len(manifests(out)) == 5
+        assert len(manifests(out)) == 4
         for rel in manifests(out):
             path = os.path.join(out, rel)
             with open(path, "r+b") as fh:
@@ -309,7 +311,7 @@ class TestArtifacts:
         assert {k: manifest[k] for k in spec} == spec
         assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
         assert manifest["stage"] == "noise"
-        assert set(manifest["outputs"]) == {"plan.json", "noisy_dataset.npy"}
+        assert set(manifest["outputs"]) == {"plan.json", "client_histograms.csv", "noisy_dataset.npy"}
 
     def test_checkpoint_holds_run_federation_final_params(self, tmp_path):
         config, out = write_config(tmp_path)
@@ -327,6 +329,44 @@ class TestArtifacts:
         assert params.layout == result.params.layout
         assert np.array_equal(params.values, result.params.values)
         assert (header["round"], header["seed"]) == (cfg.federation.rounds, fed_seed)
+
+
+def client_counts(out: str) -> str:
+    """client_histograms.csv text recounted from dataset.npy over the clients of plan.json."""
+    ds = load_npy(os.path.join(out, "dataset.npy"))
+    plan = load_plan(os.path.join(out, "plan.json"))
+    lines = [",".join(["client"] + [f"class_{c}" for c in range(ds.num_classes)])]
+    for k, idx in enumerate(plan.clients):
+        counts = np.bincount(ds.labels[idx], minlength=ds.num_classes)
+        lines.append(",".join(str(v) for v in [k, *counts]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSplit:
+    """The noise stage is the one writer of the client split; ``partition`` only previews it."""
+
+    def test_globalized_split_survives_partition_reruns(self, tmp_path):
+        config, out = write_config(tmp_path, changes=GLOBALIZED)
+        for command in ["partition", "noise", "partition", "train"]:
+            assert main([command, "-c", config]) == 0, command
+        with open(os.path.join(out, "client_histograms.csv"), encoding="utf-8", newline="") as fh:
+            assert fh.read() == client_counts(out)
+
+    @pytest.mark.parametrize("changes", [None, GLOBALIZED], ids=["localized", "globalized"])
+    def test_partition_prints_the_histograms_noise_writes(self, tmp_path, capsysbinary, changes):
+        config, out = write_config(tmp_path, changes=changes)
+        assert main(["partition", "-c", config]) == 0
+        printed = capsysbinary.readouterr().out
+        assert not os.path.exists(os.path.join(out, "plan.json"))
+        assert main(["noise", "-c", config]) == 0
+        with open(os.path.join(out, "client_histograms.csv"), "rb") as fh:
+            assert printed == fh.read()
+
+    def test_partition_with_uncovered_asym_map_exits_2(self, tmp_path, capsys):
+        noise = {"scene": "globalized", "mode": "asymmetric", "eps_global": 0.3, "asym_map": {"0": 1, "1": 0}}
+        config, _ = write_config(tmp_path, changes={"noise": noise})
+        assert main(["partition", "-c", config]) == 2
+        assert "noise.asym_map" in capsys.readouterr().err
 
 
 def test_tracer_targets_resolve():
