@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_arguments(p)
 
     p = sub.add_parser("analyze", help="compute drop-ratio/sensitivity/noise-ratio series")
-    p.add_argument("--run", help="run directory holding noise_manifest.json and telemetry")
+    p.add_argument("--run", help="run directory whose noise_manifest.json gives the noise-ratio row")
     p.add_argument("--table", help="accuracy table CSV (partition,mode,eps,accuracy)")
     p.add_argument("--scale", choices=["percent", "fraction"], default="percent")
     p.add_argument("--out", required=True, help="directory for the metric CSVs")

@@ -9,7 +9,10 @@ Every method runs through one epoch/batch loop, which owns the buffers: a
 ``models.Workspace`` per network, sized to the batch and allocated once per
 call.  Each ``backward`` returns its gradient in its network's workspace,
 and the loop consumes it with ``sgd_step`` before that workspace is used
-again.  Co-teaching is the same loop with two networks and a batch rule.
+again.  Co-teaching is the same loop with two networks and a batch rule; as
+in Han et al.'s reference implementation (arXiv 1804.06872), each network
+runs one forward pass per batch, which both ranks the batch and carries the
+update loss on the rows its peer selected.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .losses import LOSS_KINDS, backward, loss_ce, one_hot
+from .losses import LOSS_KINDS, _per_sample, backward, backward_cached, one_hot
 from .models import ModelParams, Workspace, forward_cached
 
 METHODS = ("ce", "mixup", "sce", "gce", "mae", "coteaching")
@@ -92,14 +95,6 @@ class TrainStats:
     @property
     def mean_loss(self) -> float:
         return float(np.mean(self.epoch_losses)) if self.epoch_losses else float("nan")
-
-    @property
-    def first_epoch_loss(self) -> float:
-        return self.epoch_losses[0]
-
-    @property
-    def last_epoch_loss(self) -> float:
-        return self.epoch_losses[-1]
 
 
 def sgd_step(
@@ -218,7 +213,11 @@ def train_local_coteaching(
 
     Per batch, each network ranks per-sample CE losses and keeps the
     smallest R(t) fraction; each network then steps on the subset its peer
-    selected.  Both networks share the batch schedule.
+    selected.  Both networks share the batch schedule.  The update loss is
+    backpropagated through the ranking pass, as in Han et al.'s reference
+    implementation (arXiv 1804.06872), so each network runs one forward pass
+    per batch; a kept row's values come from the full-batch matmul, which can
+    differ in the last bits from a pass over the kept rows alone.
     """
     if params_a.layout != params_b.layout:
         raise ValueError("co-teaching networks must share a layout")
@@ -227,13 +226,18 @@ def train_local_coteaching(
     keep_fraction = coteaching_keep_fraction(round_t, forget_rate, ramp_rounds)
 
     def cross_update(models, works, x, y):
-        # rank with each network, then step each on its peer's selection; the
-        # subset gets its own forward pass, since rows picked from the full
-        # batch's matmul need not equal a matmul of the picked rows bit for bit
-        kept = [small_loss_selection(loss_ce(forward_cached(m, x, w)[0], y).per_sample, keep_fraction)
-                for m, w in zip(models, works)]
-        outs = [backward(m, x[sel], y[sel], kind="ce", weight_decay=cfg.weight_decay, work=w)
-                for m, w, sel in zip(models, works, kept[::-1])]
+        # rank the batch with each network's one forward pass, then narrow
+        # each pass to its peer's selection and backpropagate through it
+        b = len(x)
+        kept = []
+        for m, w in zip(models, works):
+            probs, _ = forward_cached(m, x, w)
+            _per_sample(probs, y, "ce", {}, w.per_sample[:b], w.row_ids[:b])
+            kept.append(small_loss_selection(w.per_sample[:b], keep_fraction))
+        outs = []
+        for m, w, sel in zip(models, works, kept[::-1]):
+            w.keep(sel)
+            outs.append(backward_cached(m, w, y[sel], kind="ce", weight_decay=cfg.weight_decay))
         return outs, 0.5 * (outs[0].value + outs[1].value)
 
     (model_a, model_b), stats = _train(ds, (params_a, params_b), cfg, seed, cross_update)

@@ -8,6 +8,10 @@ value and dloss/dlogits.  All reductions are batch means.
 given: the probabilities become dloss/dlogits in place and the gradient
 lands in the workspace's flat buffer, so what it returns is valid only
 until the next call with that workspace.  Without one it builds its own.
+It is a forward pass followed by :func:`backward_cached`, which backpropagates
+through the pass a workspace already holds.  Co-teaching calls that directly:
+as in Han et al.'s reference implementation (arXiv 1804.06872), each network
+backpropagates its update loss through the forward pass that ranked the batch.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict, out:
 
     ``labels`` is a soft-target matrix for soft_ce; ``row_ids`` is
     ``arange(len(probs))``.  This is the one definition of every loss
-    value, for the ``loss_*`` functions and :func:`backward` alike.
+    value, for the ``loss_*`` functions, :func:`backward_cached` and
+    co-teaching's ranking alike.
     """
     if kind == "soft_ce":
         terms = np.log(np.maximum(probs, _LOG_FLOOR))
@@ -172,10 +177,25 @@ def backward(
     The pass runs in ``work`` (a one-shot workspace when None), and the
     returned ``per_sample`` and ``grad`` are views of its buffers.
     """
+    _, work = forward_cached(params, x, work)
+    return backward_cached(params, work, labels, kind, method_params, weight_decay)
+
+
+def backward_cached(
+    params: ModelParams,
+    work: Workspace,
+    labels: np.ndarray,
+    kind: str = "ce",
+    method_params: dict | None = None,
+    weight_decay: float = 0.0,
+) -> LossOutput:
+    """:func:`backward` over the forward pass ``work`` already holds.
+
+    ``labels`` belong to the rows of that pass, after any ``work.keep``.
+    """
     mp = method_params or {}
-    probs, work = forward_cached(params, x, work)
-    b = len(probs)
-    per, row_ids = work.per_sample[:b], work.row_ids[:b]
+    b = len(work.x)
+    probs, per, row_ids = work.probs[:b], work.per_sample[:b], work.row_ids[:b]
     p_label = _per_sample(probs, labels, kind, mp, per, row_ids)
     _logit_gap(probs, labels, kind, mp, p_label, row_ids, work.row_scale[:b])
     probs /= b  # the gradient of the batch mean

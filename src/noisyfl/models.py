@@ -150,7 +150,8 @@ class Workspace:
     of these buffers and holds only until the next call with the same
     workspace.  ``probs`` holds the logits, then the probabilities, then
     d(mean loss)/d(logits); ``grad_views`` are the per-layer views of the
-    flat ``grad``, in the layout's order.
+    flat ``grad``, in the layout's order.  :meth:`keep` narrows the last
+    pass to some of its rows, so that a backward can reuse it.
     """
 
     def __init__(self, layout: Layout, rows: int):
@@ -171,6 +172,20 @@ class Workspace:
             self.z1 = np.empty((rows, layout.hidden))
             self.hidden = np.empty((rows, layout.hidden))
             self.dhidden = np.empty((rows, layout.hidden))
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Narrow the last forward pass to ``rows`` of it, moved to the head in that order.
+
+        A backward over the workspace then sees only those rows, as if the
+        pass had run on ``x[rows]``; the values are the full pass's, which
+        can differ in the last bits from a pass over the subset alone.
+        """
+        k = len(rows)
+        self.probs[:k] = self.probs[rows]
+        if isinstance(self.layout, MLPLayout):
+            self.z1[:k] = self.z1[rows]
+            self.hidden[:k] = self.hidden[rows]
+        self.x = self.x[rows]
 
     def backprop(self, params: ModelParams, weight_decay: float) -> np.ndarray:
         """``grad`` from the mean-loss logit gradient left in ``probs`` by the caller.

@@ -94,6 +94,27 @@ class TestDeterminism:
         assert row["last_k"] == "4"
 
 
+class Crash(Exception):
+    """Stands in for the process dying at the point where it is raised."""
+
+
+class CrashingOs:
+    """The ``os`` module as ``noisyfl.cli`` sees it, except that the ``crash_at``-th ``replace`` raises."""
+
+    def __init__(self, crash_at: int):
+        self.crash_at = crash_at
+        self.replaces = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, src, dst):
+        self.replaces += 1
+        if self.replaces == self.crash_at:
+            raise Crash(dst)
+        os.replace(src, dst)
+
+
 class TestResume:
     @pytest.mark.parametrize("changes", [None, GLOBALIZED], ids=["localized", "globalized"])
     def test_rerun_computes_nothing(self, tmp_path, monkeypatch, changes):
@@ -145,6 +166,25 @@ class TestResume:
             os.remove(path)
             assert main(["pipeline", "-c", config]) == 0, rel
             assert tree(out) == expected, rel
+
+    def test_crash_at_every_replace_is_resumed(self, tmp_path, monkeypatch):
+        """A crash at any file move, then a plain rerun, gives the tree of an uninterrupted run."""
+        sweep = {"repeats": 2, "federation.lr_grid": [0.05, 0.1]}
+        config, out = write_config(tmp_path, "whole", changes=sweep)
+        counted = CrashingOs(crash_at=0)
+        monkeypatch.setattr(cli, "os", counted)
+        assert main(["pipeline", "-c", config]) == 0
+        expected = tree(out)
+        # every output file and manifest, plus run.json, is moved into place once
+        assert counted.replaces == len(expected)
+        for k in range(1, counted.replaces + 1):
+            config, out = write_config(tmp_path, f"crash_{k}", changes=sweep)
+            monkeypatch.setattr(cli, "os", CrashingOs(crash_at=k))
+            with pytest.raises(Crash):
+                main(["pipeline", "-c", config])
+            monkeypatch.setattr(cli, "os", os)
+            assert main(["pipeline", "-c", config]) == 0, k
+            assert tree(out) == expected, k
 
     def test_csv_era_directory_is_redone(self, tmp_path, monkeypatch):
         """A directory the CSV-intermediate version wrote reruns into the tree of a fresh run."""

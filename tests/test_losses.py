@@ -8,6 +8,7 @@ from noisyfl.localtrain import mixup_batch, sgd_step
 from noisyfl.losses import (
     LossOutput,
     backward,
+    backward_cached,
     loss_ce,
     loss_gce,
     loss_mae,
@@ -232,6 +233,65 @@ class TestWorkspace:
         assert np.array_equal(out.grad, fresh.grad)
         assert np.array_equal(out.per_sample, fresh.per_sample)
         assert out.value == fresh.value
+
+
+class TestReusedPass:
+    """A backward through the kept rows of a full-batch pass equals a pass over those rows alone.
+
+    Co-teaching backpropagates through the pass that ranked the batch.  A
+    row of a 64-row matmul can differ in the last bits from the same row of
+    a matmul over fewer rows, so the bound is relative: 1e-12 of the largest
+    gradient entry, about 4500 float64 ulps.  Keeping every row in order is
+    the same pass, so it is bit-equal.
+    """
+
+    # the benchmark's shapes: 32 features, 64 hidden units, 10 classes, 64-row batches
+    LAYOUTS = [
+        LinearSoftmaxLayout(dim=32, num_classes=10),
+        MLPLayout(dim=32, hidden=64, num_classes=10, activation="tanh"),
+        MLPLayout(dim=32, hidden=64, num_classes=10, activation="relu"),
+    ]
+    BATCH = 64
+
+    def _reused_and_recomputed(self, layout, kind, sel, seed=0):
+        gen = np.random.default_rng(seed)
+        params = init_params(layout, seed=seed + 1)
+        x = gen.normal(size=(self.BATCH, layout.dim))
+        y = gen.integers(0, layout.num_classes, size=self.BATCH)
+        work = Workspace(layout, rows=self.BATCH)
+        forward_cached(params, x, work)
+        work.keep(sel)
+        reused = backward_cached(params, work, y[sel], kind=kind, weight_decay=5e-4)
+        recomputed = backward(params, x[sel], y[sel], kind=kind, weight_decay=5e-4)
+        return reused, recomputed
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
+    @pytest.mark.parametrize("k", [1, 3, 5, 63])
+    def test_subset_within_tolerance(self, layout, kind, k):
+        for seed in range(3):
+            # choice without replacement returns the rows unsorted
+            sel = np.random.default_rng(100 + seed).choice(self.BATCH, size=k, replace=False)
+            reused, recomputed = self._reused_and_recomputed(layout, kind, sel, seed)
+            scale = np.abs(recomputed.grad).max()
+            assert np.abs(reused.grad - recomputed.grad).max() <= 1e-12 * scale
+            assert reused.value == pytest.approx(recomputed.value, rel=1e-12)
+            assert len(reused.per_sample) == k
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    def test_unsorted_selection_keeps_its_order(self, layout):
+        sel = np.array([40, 3, 17, 63, 0, 8, 25])
+        reused, recomputed = self._reused_and_recomputed(layout, "ce", sel)
+        assert np.abs(reused.per_sample - recomputed.per_sample).max() <= 1e-12
+        assert np.abs(reused.grad - recomputed.grad).max() <= 1e-12 * np.abs(recomputed.grad).max()
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
+    def test_keeping_every_row_is_bit_equal(self, layout, kind):
+        reused, recomputed = self._reused_and_recomputed(layout, kind, np.arange(self.BATCH))
+        assert np.array_equal(reused.grad, recomputed.grad)
+        assert np.array_equal(reused.per_sample, recomputed.per_sample)
+        assert reused.value == recomputed.value
 
 
 class TestSgdStep:

@@ -13,8 +13,8 @@ from noisyfl.localtrain import (
     train_local,
     train_local_coteaching,
 )
-from noisyfl.losses import backward, loss_ce, one_hot
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, forward, init_params
+from noisyfl.losses import backward, backward_cached, loss_ce, one_hot
+from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, forward_cached, init_params
 from noisyfl.noise import apply_noise, symmetric_matrix
 
 
@@ -115,8 +115,8 @@ class TestTrainLocal:
             params = init_params(layout, seed=seed)
             cfg = TrainerConfig(method=method, lr=0.1, epochs=5, batch_size=64)
             _, stats = train_local(ds, params, cfg, seed=seed)
-            firsts.append(stats.first_epoch_loss)
-            lasts.append(stats.last_epoch_loss)
+            firsts.append(stats.epoch_losses[0])
+            lasts.append(stats.epoch_losses[-1])
         assert np.mean(lasts) < np.mean(firsts)
 
     def test_mixup_with_stubbed_lambda_matches_ce(self):
@@ -262,7 +262,7 @@ class TestOneModelPerCall:
 
 
 def hand_trained(ds, starts, cfg, seed, round_t):
-    """Reference loop: a fresh gather, fresh ModelParams and a one-shot backward for every batch."""
+    """Reference loop: a fresh gather, fresh ModelParams and a one-shot pass for every batch."""
     values = [p.values.copy() for p in starts]
     velocities = [np.zeros_like(v) for v in values]
     mix_gen = rng.stream(seed, "mixup")
@@ -278,11 +278,13 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                 keep = coteaching_keep_fraction(
                     round_t, cfg.method_params["forget_rate"], localtrain.COTEACHING_DEFAULT_RAMP_ROUNDS
                 )
-                kept = [small_loss_selection(loss_ce(forward(net, x), y).per_sample, keep) for net in nets]
-                outs = [
-                    backward(nets[0], x[kept[1]], y[kept[1]], kind="ce", weight_decay=cfg.weight_decay),
-                    backward(nets[1], x[kept[0]], y[kept[0]], kind="ce", weight_decay=cfg.weight_decay),
-                ]
+                # rank with a one-shot pass, then take the gradient from the peer's rows of that pass
+                passes = [forward_cached(net, x) for net in nets]
+                kept = [small_loss_selection(loss_ce(probs, y).per_sample, keep) for probs, _ in passes]
+                outs = []
+                for net, (_, work), sel in zip(nets, passes, kept[::-1]):
+                    work.keep(sel)
+                    outs.append(backward_cached(net, work, y[sel], kind="ce", weight_decay=cfg.weight_decay))
                 batch_losses.append(0.5 * (outs[0].value + outs[1].value))
             else:
                 if cfg.method == "mixup":
