@@ -5,14 +5,18 @@ named stream so that stubbing the mixing coefficient to 1 reproduces the
 plain-CE trajectory bit for bit.  One call trains one client for E epochs
 and is single-threaded and deterministic.
 
-Every method runs through one epoch/batch loop, which owns the buffers: a
-``models.Workspace`` per network, sized to the batch and allocated once per
-call.  Each ``backward`` returns its gradient in its network's workspace,
-and the loop consumes it with ``sgd_step`` before that workspace is used
-again.  Co-teaching is the same loop with two networks and a batch rule; as
-in Han et al.'s reference implementation (arXiv 1804.06872), each network
-runs one forward pass per batch, which both ranks the batch and carries the
-update loss on the rows its peer selected.
+Every method runs through one epoch/batch loop, :func:`_train`.  It checks
+the dataset against the layout once, then gives each network one
+``models.Workspace``, bound to that network and sized to the batch, for
+the whole call.  A method is a batch rule that takes each network's
+gradient through the checked entries ``losses.backward`` (or, for
+co-teaching, ``models.forward_cached`` and ``losses.backward_cached``),
+which bind nothing anew for the bound network; the loop then takes the
+momentum-SGD step (:func:`sgd_step`) in per-call velocity and workspace
+buffers.  Co-teaching is the same loop with two networks and a batch
+rule; as in Han et al.'s reference implementation (arXiv 1804.06872),
+each network runs one forward pass per batch, which both ranks the batch
+and carries the update loss on the rows its peer selected.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
+from .errors import LayoutMismatchError
 from .losses import LOSS_KINDS, _per_sample, backward, backward_cached, one_hot
 from .models import ModelParams, Workspace, forward_cached
 
@@ -98,16 +103,29 @@ class TrainStats:
 
 
 def sgd_step(
-    values: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float
+    values: np.ndarray,
+    grad: np.ndarray,
+    velocity: np.ndarray,
+    lr: float,
+    momentum: float,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum SGD: v' = mu*v + g, w' = w - lr*v'.
+    """Momentum SGD: v' = mu*v + g, w' = w - lr*v'; returns (w', v').
 
-    Weight decay is folded into ``grad`` by the loss backward, not here.
+    With ``out`` given, ``velocity`` becomes v' in place and w' is written
+    to ``out``, so a training step allocates nothing; without it, v' and
+    w' are new arrays and no argument changes.  Weight decay is folded into
+    ``grad`` by the loss backward, not here.
     """
     if grad.shape != values.shape or velocity.shape != values.shape:
         raise ValueError("grad/velocity shape must match parameter shape")
-    velocity = momentum * velocity + grad
-    return values - lr * velocity, velocity
+    if out is None:
+        velocity = momentum * velocity + grad
+        return values - lr * velocity, velocity
+    velocity *= momentum
+    velocity += grad
+    np.multiply(velocity, lr, out=out)
+    return np.subtract(values, out, out=out), velocity
 
 
 def mixup_batch(
@@ -123,32 +141,45 @@ def _train(ds: LabeledDataset, start: tuple[ModelParams, ...], cfg: TrainerConfi
     """The one epoch/batch loop behind every local-training method.
 
     Each network gets a copy of its start parameters, updated in place one
-    momentum-SGD step per batch, and one workspace for the whole call.
+    momentum-SGD step per batch, and one workspace bound to that copy for
+    the whole call, sized to the largest batch.  The dataset's width is
+    checked against the layout here, once, before any step.
     ``batch_rule(models, works, x, y)`` runs each network's backward on the
-    batch and returns one ``LossOutput`` per network plus the batch loss.
-    Each epoch gathers its shuffled rows once; a batch is a slice of them.
+    batch and returns one ``LossOutput`` per network plus the batch loss;
+    the loop steps each network with :func:`sgd_step` in a per-call
+    velocity and its workspace's ``step`` buffer, and checks the new values
+    for finiteness before the network takes them.  Each epoch gathers its
+    shuffled rows once; a batch is a slice of them.  Overflow is not
+    reported as a numpy warning: a diverging step fails that check and
+    raises ``FloatingPointError``.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
+    layout = start[0].layout
+    if ds.features.shape[1] != layout.dim:
+        raise LayoutMismatchError(f"dataset of width {ds.features.shape[1]} does not match layout dim {layout.dim}")
     models = [params.copy() for params in start]
-    works = [Workspace(m.layout, min(cfg.batch_size, len(ds))) for m in models]
+    works = [Workspace(layout, min(cfg.batch_size, len(ds)), m) for m in models]
     velocities = [np.zeros_like(m.values) for m in models]
     stats = TrainStats()
-    for epoch in range(cfg.epochs):
-        perm = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
-        xs, ys = ds.features[perm], ds.labels[perm]
-        batch_losses = []
-        for first in range(0, len(ds), cfg.batch_size):
-            rows = slice(first, first + cfg.batch_size)
-            outs, batch_loss = batch_rule(models, works, xs[rows], ys[rows])
-            for i, (model, out) in enumerate(zip(models, outs)):
-                values, velocities[i] = sgd_step(model.values, out.grad, velocities[i], cfg.lr, cfg.momentum)
-                # the step's one finiteness check, before the network takes the values
-                if not np.isfinite(values, out=works[i].finite).all():
-                    raise FloatingPointError("local training diverged to non-finite parameters")
-                model.values[:] = values
-            batch_losses.append(batch_loss)
-        stats.epoch_losses.append(float(np.mean(batch_losses)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
+            xs, ys = ds.features[perm], ds.labels[perm]
+            batch_losses = []
+            for first in range(0, len(ds), cfg.batch_size):
+                rows = slice(first, first + cfg.batch_size)
+                outs, batch_loss = batch_rule(models, works, xs[rows], ys[rows])
+                for i, (model, work, out) in enumerate(zip(models, works, outs)):
+                    values, velocities[i] = sgd_step(
+                        model.values, out.grad, velocities[i], cfg.lr, cfg.momentum, work.step
+                    )
+                    # the step's one finiteness check, before the network takes the values
+                    if not np.isfinite(values, out=work.finite).all():
+                        raise FloatingPointError("local training diverged to non-finite parameters")
+                    model.values[:] = values
+                batch_losses.append(batch_loss)
+            stats.epoch_losses.append(float(np.mean(batch_losses)))
     return models, stats
 
 
@@ -168,6 +199,7 @@ def train_local(
     if cfg.method == "coteaching":
         raise ValueError("co-teaching trains two models; call train_local_coteaching")
     mixup = cfg.method == "mixup"
+    kind = cfg.loss_kind
     mix_alpha = cfg.method_params.get("alpha", MIXUP_DEFAULT_ALPHA)
     mix_gen = rng.stream(seed, "mixup") if mixup else None
 
@@ -178,7 +210,7 @@ def train_local(
             out = backward(models[0], mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay, work=works[0])
         else:
             out = backward(
-                models[0], x, y, kind=cfg.loss_kind, method_params=cfg.method_params,
+                models[0], x, y, kind=kind, method_params=cfg.method_params,
                 weight_decay=cfg.weight_decay, work=works[0],
             )
         return (out,), out.value

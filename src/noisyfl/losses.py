@@ -4,14 +4,16 @@ Every loss is defined on softmax probability rows; gradients flow through
 the softmax in closed form, so each loss only has to supply its per-sample
 value and dloss/dlogits.  All reductions are batch means.
 
-:func:`backward` runs in a caller-owned ``models.Workspace`` when one is
-given: the probabilities become dloss/dlogits in place and the gradient
-lands in the workspace's flat buffer, so what it returns is valid only
-until the next call with that workspace.  Without one it builds its own.
-It is a forward pass followed by :func:`backward_cached`, which backpropagates
-through the pass a workspace already holds.  Co-teaching calls that directly:
-as in Han et al.'s reference implementation (arXiv 1804.06872), each network
-backpropagates its update loss through the forward pass that ranked the batch.
+:func:`backward_cached` binds a ``models.Workspace`` to the given
+parameters and backpropagates through the pass it already holds, turning
+its probabilities into d(mean loss)/d(logits) in place; :func:`backward`
+is ``forward_cached`` followed by it, and is the step of every method but
+co-teaching.  Their checks take constant time, and binding a workspace to
+the network it already holds is a no-op, so a training step recomputes
+no weight view.  What they return are views of the workspace's buffers,
+valid until its next pass; without a workspace :func:`backward` builds
+its own.  Co-teaching takes its update loss from the pass that ranked the
+batch, as in Han et al.'s reference implementation (arXiv 1804.06872).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LayoutMismatchError
 from .models import ModelParams, Workspace, forward_cached
 
 LOSS_KINDS = ("ce", "sce", "gce", "mae", "soft_ce")
@@ -32,9 +35,13 @@ GCE_DEFAULT_Q = 0.7
 _LOG_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LossOutput:
-    """Mean loss value, per-sample losses, and (when computed) the flat gradient."""
+    """Mean loss value, per-sample losses, and (when computed) the flat gradient.
+
+    Not frozen: training builds one per step, and a frozen dataclass's
+    ``__init__`` costs about as much as the step's checks together.
+    """
 
     value: float
     per_sample: np.ndarray
@@ -191,12 +198,16 @@ def backward_cached(
 ) -> LossOutput:
     """:func:`backward` over the forward pass ``work`` already holds.
 
-    ``labels`` belong to the rows of that pass, after any ``work.keep``.
+    ``labels`` belong to the rows of that pass, after any ``work.keep``;
+    the backpropagation runs with ``params``.
     """
+    if work.layout is not params.layout and work.layout != params.layout:
+        raise LayoutMismatchError("workspace layout does not match the parameters")
+    work.bind(params)
     mp = method_params or {}
     b = len(work.x)
     probs, per, row_ids = work.probs[:b], work.per_sample[:b], work.row_ids[:b]
     p_label = _per_sample(probs, labels, kind, mp, per, row_ids)
     _logit_gap(probs, labels, kind, mp, p_label, row_ids, work.row_scale[:b])
     probs /= b  # the gradient of the batch mean
-    return LossOutput(value=_mean(per), per_sample=per, grad=work.backprop(params, weight_decay))
+    return LossOutput(value=_mean(per), per_sample=per, grad=work.backprop(weight_decay))

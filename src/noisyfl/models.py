@@ -2,7 +2,12 @@
 
 Parameters live in a single flat float64 vector; the layout descriptor maps
 slices of it to weight matrices.  A :class:`Workspace` holds one network's
-activations and gradient buffers, so that a training step runs in place;
+buffers for a local-training call and is bound to that network: it takes
+the views of its weight matrices (and their transposes) once, and they
+follow the training loop's in-place updates of the flat vector, so a step
+runs its kernels in place and recomputes no view.  What a pass returns is
+a view of the workspace's buffers and holds until its next pass.
+:func:`forward_cached` is the checked entry over :meth:`Workspace.forward`;
 the loss-specific part of the hand-derived gradient is in losses.py.
 """
 
@@ -141,23 +146,37 @@ def init_params(layout: Layout, seed: int) -> ModelParams:
 
 
 class Workspace:
-    """One network's buffers for forward and backward passes over up to ``rows`` rows.
+    """One network's buffers for a local-training call, bound to that network.
 
-    The caller owns it: a local-training call builds one per network and
-    hands it to every :func:`forward_cached` and ``losses.backward`` call of
-    that network, so a step allocates almost nothing.  Everything those
-    calls return (probabilities, per-sample losses, the gradient) is a view
-    of these buffers and holds only until the next call with the same
-    workspace.  ``probs`` holds the logits, then the probabilities, then
-    d(mean loss)/d(logits); ``grad_views`` are the per-layer views of the
-    flat ``grad``, in the layout's order.  :meth:`keep` narrows the last
-    pass to some of its rows, so that a backward can reuse it.
+    :meth:`bind` takes the weight views of a ``ModelParams``' flat
+    ``values`` (and the transposes the matmuls read).  They are views, so
+    they stay valid while the caller updates ``values`` in place, as the
+    training loop does after every step; binding the same values again is
+    a no-op, and only another network's values are bound anew.
+    :meth:`forward` and :meth:`backprop` run only their kernels: they take
+    the rows as given (float64, ``layout.dim`` columns, at most ``rows`` of
+    them).  :func:`forward_cached` and ``losses.backward`` are the checked
+    entries over them; each checks its input in constant time and binds
+    the network it is given.
+
+    Buffers: ``probs`` holds the logits, then the probabilities, then
+    d(mean loss)/d(logits); ``per_sample``, ``row_scale`` and ``row_stat``
+    are per-row scratch; ``z1``, ``hidden`` and ``dhidden`` are the hidden
+    layer's (MLP only); ``grad`` is the flat gradient, with per-layer
+    views ``grad_views`` in the layout's order; ``decay``, ``step`` and
+    ``finite`` are parameter-sized scratch for weight decay, the SGD step
+    and its finiteness check.  Everything a pass returns is a view of these
+    buffers and holds only until the next pass in the same workspace.
+    :meth:`keep` narrows the last pass to some of its rows, so that a
+    backward can reuse it.
     """
 
-    def __init__(self, layout: Layout, rows: int):
+    def __init__(self, layout: Layout, rows: int, params: ModelParams | None = None):
         c, p = layout.num_classes, layout.param_count
         self.layout = layout
         self.rows = rows
+        self.mlp = isinstance(layout, MLPLayout)
+        self.tanh = self.mlp and layout.activation == "tanh"
         self.row_ids = np.arange(rows)
         self.probs = np.empty((rows, c))
         self.row_stat = np.empty((rows, 1))  # softmax row max, then row sum
@@ -165,13 +184,52 @@ class Workspace:
         self.row_scale = np.empty(rows)
         self.grad = np.empty(p)
         self.decay = np.empty(p)
+        self.step = np.empty(p)
         self.finite = np.empty(p, dtype=bool)
         self.x = None  # the rows of the last forward pass
+        self.values = None  # the bound network's flat parameters
         self.grad_views = _layer_views(layout, self.grad)
-        if isinstance(layout, MLPLayout):
+        if self.mlp:
             self.z1 = np.empty((rows, layout.hidden))
             self.hidden = np.empty((rows, layout.hidden))
             self.dhidden = np.empty((rows, layout.hidden))
+        if params is not None:
+            self.bind(params)
+
+    def bind(self, params: ModelParams) -> None:
+        """Compute with ``params`` from the next pass on (its layout must be this workspace's)."""
+        if self.values is params.values:
+            return
+        self.values = params.values
+        if self.mlp:
+            w1, self.b1, self.w2, self.b_out = _mlp_views(self.layout, params.values)
+            self.w1_t, self.w_out_t = w1.T, self.w2.T
+        else:
+            w, self.b_out = _linear_views(self.layout, params.values)
+            self.w_out_t = w.T
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Probability rows of the bound network for ``x``; a view of ``probs``."""
+        b = len(x)
+        logits = self.probs[:b]
+        if self.mlp:
+            z1, hidden = self.z1[:b], self.hidden[:b]
+            np.matmul(x, self.w1_t, out=z1)
+            z1 += self.b1
+            if self.tanh:
+                np.tanh(z1, out=hidden)
+            else:
+                np.maximum(z1, 0.0, out=hidden)
+            np.matmul(hidden, self.w_out_t, out=logits)
+        else:
+            np.matmul(x, self.w_out_t, out=logits)
+        logits += self.b_out
+        row_stat = self.row_stat[:b]
+        logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=row_stat)
+        np.exp(logits, out=logits)
+        logits /= np.add.reduce(logits, axis=1, keepdims=True, out=row_stat)
+        self.x = x
+        return logits
 
     def keep(self, rows: np.ndarray) -> None:
         """Narrow the last forward pass to ``rows`` of it, moved to the head in that order.
@@ -182,31 +240,26 @@ class Workspace:
         """
         k = len(rows)
         self.probs[:k] = self.probs[rows]
-        if isinstance(self.layout, MLPLayout):
+        if self.mlp:
             self.z1[:k] = self.z1[rows]
             self.hidden[:k] = self.hidden[rows]
         self.x = self.x[rows]
 
-    def backprop(self, params: ModelParams, weight_decay: float) -> np.ndarray:
+    def backprop(self, weight_decay: float) -> np.ndarray:
         """``grad`` from the mean-loss logit gradient left in ``probs`` by the caller.
 
         It reverses the last forward pass (whose ``hidden`` it overwrites)
-        and adds ``weight_decay * params.values``.
+        and adds ``weight_decay`` times the bound values.
         """
         b = len(self.x)
         dlogits = self.probs[:b]
-        if isinstance(self.layout, LinearSoftmaxLayout):
-            gw, gb = self.grad_views
-            np.matmul(dlogits.T, self.x, out=gw)
-            np.add.reduce(dlogits, axis=0, out=gb)
-        else:
+        if self.mlp:
             gw1, gb1, gw2, gb2 = self.grad_views
-            _, _, w2, _ = _mlp_views(self.layout, params.values)
             hidden, dz1 = self.hidden[:b], self.dhidden[:b]
             np.matmul(dlogits.T, hidden, out=gw2)
             np.add.reduce(dlogits, axis=0, out=gb2)
-            np.matmul(dlogits, w2, out=dz1)
-            if self.layout.activation == "tanh":
+            np.matmul(dlogits, self.w2, out=dz1)
+            if self.tanh:
                 np.square(hidden, out=hidden)
                 np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - tanh^2
                 dz1 *= hidden
@@ -214,8 +267,12 @@ class Workspace:
                 dz1 *= np.greater(self.z1[:b], 0.0, out=hidden)  # relu' as 1.0/0.0
             np.matmul(dz1.T, self.x, out=gw1)
             np.add.reduce(dz1, axis=0, out=gb1)
+        else:
+            gw, gb = self.grad_views
+            np.matmul(dlogits.T, self.x, out=gw)
+            np.add.reduce(dlogits, axis=0, out=gb)
         if weight_decay:
-            self.grad += np.multiply(params.values, weight_decay, out=self.decay)
+            self.grad += np.multiply(self.values, weight_decay, out=self.decay)
         return self.grad
 
 
@@ -226,44 +283,26 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace | None = None):
-    """Forward pass into ``work``; returns the probability rows and the workspace.
+    """Checked forward pass into ``work``; returns the probability rows and the workspace.
 
-    Without ``work`` a one-shot workspace sized to ``x`` is built.  The
-    returned rows alias ``work.probs``; the workspace also keeps what
-    backward needs (``x``, ``z1``, ``hidden``).
+    Without ``work`` a one-shot workspace sized to ``x`` is built;
+    otherwise ``work`` is bound to ``params`` first.  The returned rows
+    alias ``work.probs``; the workspace also keeps what backward needs
+    (``x``, ``z1``, ``hidden``).
     """
     x = np.asarray(x, dtype=np.float64)
     layout = params.layout
     if x.ndim != 2 or x.shape[1] != layout.dim:
         raise LayoutMismatchError(f"input of shape {x.shape} does not match layout dim {layout.dim}")
-    b = len(x)
     if work is None:
-        work = Workspace(layout, b)
-    elif work.layout != layout:
+        work = Workspace(layout, len(x), params)
+    elif work.layout is not layout and work.layout != layout:
         raise LayoutMismatchError("workspace layout does not match the parameters")
-    elif b > work.rows:
-        raise ValueError(f"batch of {b} rows exceeds the workspace's {work.rows}")
-    logits = work.probs[:b]
-    if isinstance(layout, LinearSoftmaxLayout):
-        w, bias = _linear_views(layout, params.values)
-        np.matmul(x, w.T, out=logits)
+    elif len(x) > work.rows:
+        raise ValueError(f"batch of {len(x)} rows exceeds the workspace's {work.rows}")
     else:
-        w1, b1, w2, bias = _mlp_views(layout, params.values)
-        z1, hidden = work.z1[:b], work.hidden[:b]
-        np.matmul(x, w1.T, out=z1)
-        z1 += b1
-        if layout.activation == "tanh":
-            np.tanh(z1, out=hidden)
-        else:
-            np.maximum(z1, 0.0, out=hidden)
-        np.matmul(hidden, w2.T, out=logits)
-    logits += bias
-    row_stat = work.row_stat[:b]
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=row_stat)
-    np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=1, keepdims=True, out=row_stat)
-    work.x = x
-    return logits, work
+        work.bind(params)
+    return work.forward(x), work
 
 
 CHECKPOINT_MAGIC = "noisyfl-checkpoint"

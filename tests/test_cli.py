@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from noisyfl.cli import main
 from noisyfl.config import load_config, set_by_path
 from noisyfl.datasets import load_csv, load_npy, save_csv
 from noisyfl.federation import run_federation
+from noisyfl.localtrain import METHODS
 from noisyfl.models import load_checkpoint
 from noisyfl.noise import run_scene
 from noisyfl.partition import load_plan
@@ -241,6 +243,15 @@ class TestExitCodes:
         config, _ = write_config(tmp_path)
         with np.errstate(all="ignore"):
             assert main(["pipeline", "-c", config, "--lr", "1e200"]) == 4
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_diverging_run_reports_one_line(self, tmp_path, capsys, method):
+        config, _ = write_config(tmp_path, changes={"federation.trainer.method": method})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pipeline", "-c", config, "--lr", "1e200"]) == 4
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == "numerical abort: non-finite parameters at round 1\n"
 
     @pytest.mark.parametrize(
         "changes",

@@ -235,6 +235,47 @@ class TestWorkspace:
         assert out.value == fresh.value
 
 
+class TestBoundWorkspace:
+    """A workspace computes with the network it is bound to, as that network's values change."""
+
+    def _batch(self, layout):
+        gen = np.random.default_rng(6)
+        return gen.normal(size=(6, layout.dim)), gen.integers(0, layout.num_classes, size=6)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_checked_entries_rebind_to_a_second_network(self, layout):
+        x, y = self._batch(layout)
+        first, second = init_params(layout, seed=1), init_params(layout, seed=2)
+        work = Workspace(layout, rows=6)
+        forward_cached(first, x, work)
+        probs, _ = forward_cached(second, x, work)
+        assert np.array_equal(probs, forward(second, x))
+        backward(first, x, y, kind="ce", weight_decay=0.01, work=work)
+        out = backward(second, x, y, kind="ce", weight_decay=0.01, work=work)
+        fresh = backward(second, x, y, kind="ce", weight_decay=0.01)
+        assert np.array_equal(out.grad, fresh.grad)
+        assert np.array_equal(out.per_sample, fresh.per_sample)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_in_place_update_reaches_the_next_pass(self, layout):
+        x, y = self._batch(layout)
+        params, other = init_params(layout, seed=1), init_params(layout, seed=2)
+        work = Workspace(layout, rows=6, params=params)
+        work.forward(x)
+        params.values[:] = other.values
+        assert np.array_equal(work.forward(x), forward(other, x))
+        out = backward_cached(params, work, y, kind="ce", weight_decay=0.01)
+        fresh = backward(other, x, y, kind="ce", weight_decay=0.01)
+        assert np.array_equal(out.grad, fresh.grad)
+        assert out.value == fresh.value
+
+    def test_backward_cached_rejects_another_layout(self):
+        work = Workspace(LAYOUTS[1], rows=4)
+        forward_cached(init_params(LAYOUTS[1], seed=0), np.zeros((2, 3)), work)
+        with pytest.raises(LayoutMismatchError):
+            backward_cached(init_params(LAYOUTS[2], seed=0), work, np.zeros(2, dtype=int))
+
+
 class TestReusedPass:
     """A backward through the kept rows of a full-batch pass equals a pass over those rows alone.
 
@@ -323,6 +364,22 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sgd_step(np.zeros(3), np.zeros(2), np.zeros(3), 0.1, 0.0)
+
+    def test_without_out_no_argument_changes(self):
+        w, g, v = np.array([1.0, 2.0]), np.array([0.5, -0.5]), np.array([0.25, 0.75])
+        v.flags.writeable = False
+        w2, v2 = sgd_step(w, g, v, lr=0.1, momentum=0.9)
+        assert v2 is not v and w2 is not w
+        assert np.array_equal(v, [0.25, 0.75]) and np.array_equal(w, [1.0, 2.0])
+
+    def test_with_out_updates_velocity_in_place_bit_equal(self):
+        gen = np.random.default_rng(8)
+        w, g, v = gen.normal(size=50), gen.normal(size=50), gen.normal(size=50)
+        pure_w, pure_v = sgd_step(w, g, v, lr=0.037, momentum=0.9)
+        out = np.empty(50)
+        w2, v2 = sgd_step(w, g, v, lr=0.037, momentum=0.9, out=out)
+        assert w2 is out and v2 is v
+        assert np.array_equal(w2, pure_w) and np.array_equal(v, pure_v)
 
 
 class TestMixupBatch:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from noisyfl import localtrain, rng
+from noisyfl import localtrain, models, rng
 from noisyfl.datasets import make_synthetic_blobs
+from noisyfl.errors import LayoutMismatchError
 from noisyfl.localtrain import (
     MIXUP_DEFAULT_ALPHA,
     TrainerConfig,
@@ -14,7 +15,7 @@ from noisyfl.localtrain import (
     train_local_coteaching,
 )
 from noisyfl.losses import backward, backward_cached, loss_ce, one_hot
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, forward_cached, init_params
+from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
 from noisyfl.noise import apply_noise, symmetric_matrix
 
 
@@ -242,14 +243,44 @@ class TestOneModelPerCall:
         train()
         assert len(built) == networks
 
+    @pytest.mark.parametrize(
+        "method, entry, networks", [("ce", "backward", 1), ("mixup", "backward", 1), ("coteaching", "forward_cached", 2)]
+    )
+    def test_steps_run_the_checked_entries_on_a_once_bound_workspace(self, monkeypatch, method, entry, networks):
+        # 120 rows in batches of 16 over 2 epochs: 16 steps per network
+        train = self._train(method)
+        calls, views = [], []
+        original, mlp_views = getattr(localtrain, entry), models._mlp_views
+        monkeypatch.setattr(localtrain, entry, lambda *args, **kw: calls.append(None) or original(*args, **kw))
+        monkeypatch.setattr(models, "_mlp_views", lambda *args: views.append(None) or mlp_views(*args))
+        train()
+        assert len(calls) == 16 * networks
+        assert len(views) == 2 * networks  # each workspace's grad views and its one bind
+
+    @pytest.mark.parametrize("method", ["ce", "mixup", "coteaching"])
+    def test_dataset_width_checked_before_any_step(self, monkeypatch, method):
+        ds = blobs(per_class=40)  # 2 features
+        layout = MLPLayout(dim=3, hidden=4, num_classes=3)
+        a, b = init_params(layout, seed=1), init_params(layout, seed=2)
+        cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16)
+        passes, steps = [], []
+        monkeypatch.setattr(Workspace, "forward", lambda work, x: passes.append(None))
+        monkeypatch.setattr(localtrain, "sgd_step", lambda *args: steps.append(None))
+        with pytest.raises(LayoutMismatchError, match="width 2"):
+            if method == "coteaching":
+                train_local_coteaching(ds, a, b, cfg, seed=3)
+            else:
+                train_local(ds, a, cfg, seed=3)
+        assert passes == [] and steps == []
+
     @pytest.mark.parametrize("method", ["ce", "coteaching"])
     def test_divergence_raises_on_its_step(self, monkeypatch, method):
         train = self._train(method)
         steps = []
 
-        def nan_on_third_step(values, grad, velocity, lr, momentum):
+        def nan_on_third_step(values, grad, velocity, lr, momentum, out=None):
             steps.append(None)
-            values, velocity = sgd_step(values, grad, velocity, lr, momentum)
+            values, velocity = sgd_step(values, grad, velocity, lr, momentum, out)
             if len(steps) == 3:
                 values = values.copy()
                 values[0] = np.nan
@@ -324,7 +355,20 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("batch_size", [16, 17, 100])
     def test_matches_fresh_steps(self, layout, method, batch_size):
         clean = make_synthetic_blobs(3, 23, 5, 2.0, seed=1)
-        ds, _ = apply_noise(clean, symmetric_matrix(3, 0.3), seed=2)
+        self._check(clean, layout, method, batch_size)
+
+    @pytest.mark.parametrize("method", list(METHOD_PARAMS))
+    def test_matches_fresh_steps_at_benchmark_shapes(self, method):
+        # 32 features, 64 hidden units, 10 classes and 64-row batches, as in the
+        # benchmark's workloads, whose matmuls run other BLAS kernels than the
+        # small shapes above; 150 rows end each epoch on a 22-row batch.  Here a
+        # co-teaching network that recomputed its pass on the kept rows would
+        # differ in the last bits from one that reuses its ranking pass.
+        clean = make_synthetic_blobs(10, 15, 32, 2.0, seed=1)
+        self._check(clean, MLPLayout(dim=32, hidden=64, num_classes=10, activation="tanh"), method, 64)
+
+    def _check(self, clean, layout, method, batch_size):
+        ds, _ = apply_noise(clean, symmetric_matrix(clean.num_classes, 0.3), seed=2)
         starts = [init_params(layout, seed=3), init_params(layout, seed=4)]
         cfg = TrainerConfig(
             method=method, lr=0.2, epochs=3, batch_size=batch_size, method_params=self.METHOD_PARAMS[method]
