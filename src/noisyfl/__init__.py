@@ -8,13 +8,10 @@ pluggable robust local strategies, and analysis metrics over the results.
 from .analysis import (
     AccuracyTable,
     accuracy_drop_ratio,
-    grad_norm_series,
     last_k_average,
-    overall_noise_ratio,
     sensitivity,
 )
 from .datasets import (
-    ClassHistogram,
     LabeledDataset,
     class_histogram,
     load_csv,
@@ -70,7 +67,6 @@ __version__ = "0.4.0"
 
 __all__ = [
     "AccuracyTable",
-    "ClassHistogram",
     "FedConfig",
     "FederationResult",
     "LabeledDataset",
@@ -93,7 +89,6 @@ __all__ = [
     "cyclic_target_map",
     "evaluate",
     "forward",
-    "grad_norm_series",
     "init_params",
     "last_k_average",
     "load_checkpoint",
@@ -103,7 +98,6 @@ __all__ = [
     "localized_asym_target",
     "make_partition",
     "make_synthetic_blobs",
-    "overall_noise_ratio",
     "partition_iid",
     "partition_label_dirichlet",
     "partition_label_quantity",

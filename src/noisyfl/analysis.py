@@ -1,25 +1,33 @@
-"""Derived metrics over run telemetry and externally supplied accuracy tables.
+"""Derived metrics: the last-k accuracy of a run, and the paper's drop
+ratio and noise sensitivity over an accuracy table.
 
-All functions are pure; re-running them on stored telemetry is idempotent.
-Accuracy tables declare their scale (percent or fraction); series metrics
-are computed in the declared scale, so sensitivities over percent tables
-come out in percent points per unit noise ratio.
+All functions are pure.  Accuracy tables declare their scale (percent or
+fraction); series metrics are computed in the declared scale, so
+sensitivities over percent tables come out in percent points per unit
+noise ratio.  :func:`read_accuracy_table` rejects a row whose eps is not
+finite or whose accuracy lies outside the declared scale, naming the row.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayoutMismatchError, ParseError
+from .errors import NoisyFLError, ParseError
 from .federation import RoundRecord
-from .models import ModelParams
-from .noise import NoiseReport
 
 SCALE_PERCENT = "percent"
 SCALE_FRACTION = "fraction"
+
+
+def _scale_bound(scale: str) -> float:
+    """The largest accuracy ``scale`` admits."""
+    if scale not in (SCALE_PERCENT, SCALE_FRACTION):
+        raise ValueError(f"unknown accuracy scale {scale!r}")
+    return 100.0 if scale == SCALE_PERCENT else 1.0
 
 
 def last_k_average(records: list[RoundRecord], k: int) -> float:
@@ -46,28 +54,6 @@ def sensitivity(acc_at_eps: float, acc_at_eps_plus_delta: float, delta: float) -
     return (acc_at_eps - acc_at_eps_plus_delta) / delta
 
 
-def overall_noise_ratio(report: NoiseReport, sizes) -> float:
-    """Size-weighted mean of per-client flip ratios."""
-    sizes = np.asarray(sizes, dtype=np.float64)
-    if len(sizes) != len(report.per_client_ratio):
-        raise ValueError("sizes length must match per-client ratios")
-    return float((report.per_client_ratio * sizes).sum() / sizes.sum())
-
-
-def grad_norm_series(checkpoints: list[ModelParams]) -> list[float]:
-    """Euclidean norms of consecutive parameter differences."""
-    if len(checkpoints) < 2:
-        raise ValueError("need at least 2 checkpoints")
-    layout = checkpoints[0].layout
-    for cp in checkpoints[1:]:
-        if cp.layout != layout:
-            raise LayoutMismatchError("checkpoints must share a layout")
-    return [
-        float(np.linalg.norm(b.values - a.values))
-        for a, b in zip(checkpoints[:-1], checkpoints[1:])
-    ]
-
-
 @dataclass(frozen=True)
 class AccuracyTable:
     """(partition, mode, eps) -> accuracy, with a declared value scale."""
@@ -76,16 +62,10 @@ class AccuracyTable:
     scale: str = SCALE_PERCENT
 
     def __post_init__(self):
-        if self.scale not in (SCALE_PERCENT, SCALE_FRACTION):
-            raise ValueError(f"unknown accuracy scale {self.scale!r}")
-        bound = 100.0 if self.scale == SCALE_PERCENT else 1.0
+        bound = _scale_bound(self.scale)
         for key, value in self.entries.items():
             if not 0.0 <= value <= bound:
                 raise ValueError(f"accuracy {value} for {key} outside declared {self.scale} bounds")
-
-    def as_fraction(self, key) -> float:
-        value = self.entries[key]
-        return value / 100.0 if self.scale == SCALE_PERCENT else value
 
     def eps_grid(self, partition: str, mode: str) -> list[float]:
         return sorted(e for (p, m, e) in self.entries if p == partition and m == mode)
@@ -93,6 +73,7 @@ class AccuracyTable:
 
 def read_accuracy_table(path: str, scale: str = SCALE_PERCENT) -> AccuracyTable:
     """Load a ``partition,mode,eps,accuracy`` CSV into an AccuracyTable."""
+    bound = _scale_bound(scale)
     entries = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -101,10 +82,18 @@ def read_accuracy_table(path: str, scale: str = SCALE_PERCENT) -> AccuracyTable:
             raise ParseError(f"accuracy table needs columns {sorted(required)}", row=1)
         for row_no, row in enumerate(reader, start=2):
             try:
-                key = (row["partition"], row["mode"], float(row["eps"]))
-                entries[key] = float(row["accuracy"])
+                eps, accuracy = float(row["eps"]), float(row["accuracy"])
             except (TypeError, ValueError):
                 raise ParseError("malformed accuracy row", row=row_no) from None
+            if not math.isfinite(eps):
+                raise ParseError(f"eps {row['eps']!r} is not finite", row=row_no, column="eps")
+            if not 0.0 <= accuracy <= bound:  # also rejects nan
+                raise ParseError(
+                    f"accuracy {row['accuracy']!r} is not in [0, {bound:g}] ({scale} scale)",
+                    row=row_no,
+                    column="accuracy",
+                )
+            entries[(row["partition"], row["mode"], eps)] = accuracy
     return AccuracyTable(entries=entries, scale=scale)
 
 
@@ -123,17 +112,19 @@ def sensitivity_series(table: AccuracyTable, partition: str, mode: str) -> list[
 def drop_ratio_series(
     table: AccuracyTable, mode: str, noniid_partition: str, iid_partition: str = "iid"
 ) -> list[tuple[float, float]]:
-    """Drop ratio at every eps where both the IID and non-IID entries exist."""
+    """Drop ratio at every eps where both the IID and non-IID entries exist.
+
+    An IID accuracy of 0 leaves the ratio undefined; the error names the point.
+    """
     series = []
     for eps in table.eps_grid(iid_partition, mode):
         key_noniid = (noniid_partition, mode, eps)
         if key_noniid in table.entries:
-            series.append(
-                (
-                    eps,
-                    accuracy_drop_ratio(
-                        table.entries[(iid_partition, mode, eps)], table.entries[key_noniid]
-                    ),
-                )
-            )
+            try:
+                ratio = accuracy_drop_ratio(table.entries[(iid_partition, mode, eps)], table.entries[key_noniid])
+            except ZeroDivisionError:
+                raise NoisyFLError(
+                    f"drop ratio at ({noniid_partition}, {mode}, {eps!r}) is undefined: the {iid_partition} accuracy is 0"
+                ) from None
+            series.append((eps, ratio))
     return series

@@ -55,7 +55,14 @@ from .config import RunConfig, load_config
 from .datasets import class_histogram, load_npy, save_npy
 from .datasets import load_csv, save_csv  # noqa: F401  unused here; perfbench/tracer.py wraps them at this name
 from .partition import make_partition  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
-from .errors import ArtifactMismatchError, ConfigError, NoisyFLError, NumericalAbortError
+from .errors import (
+    ArtifactMismatchError,
+    ConfigError,
+    CoverageInfeasibleError,
+    DegeneratePartitionError,
+    NoisyFLError,
+    NumericalAbortError,
+)
 from .federation import run_federation, write_telemetry
 from .localtrain import COTEACHING_DEFAULT_FORGET_RATE
 from .models import save_checkpoint
@@ -214,14 +221,17 @@ def _split(cfg: RunConfig):
             asymmetric_matrix(ds.num_classes, 0.0, spec.asym_map)
         except ValueError as exc:
             raise ConfigError("noise.asym_map", str(exc)) from None
-    plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
+    try:
+        plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
+    except (CoverageInfeasibleError, DegeneratePartitionError) as exc:  # only the partition schemes raise these
+        raise ConfigError("partition", str(exc)) from None
     return ds, plan, noisy, report
 
 
 def _histograms(ds, plan) -> tuple[list[str], list[list]]:
     """Header and rows of client_histograms.csv: per-client counts of the dataset's labels."""
     header = ["client"] + [f"class_{i}" for i in range(ds.num_classes)]
-    return header, [[k] + class_histogram(ds, idx).counts.tolist() for k, idx in enumerate(plan.clients)]
+    return header, [[k] + class_histogram(ds, idx).tolist() for k, idx in enumerate(plan.clients)]
 
 
 def cmd_partition(cfg: RunConfig) -> None:
@@ -434,64 +444,62 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+# (flag, type, config path it overrides, help); a type of None keeps the text as given
+OVERRIDES = [
+    ("--seed", int, "seed", "master seed override"),
+    ("--output-dir", None, "output_dir", "output directory override"),
+    ("--repeats", int, "repeats", "number of repeated seeds"),
+    ("--rounds", int, "federation.rounds", "communication rounds T"),
+    ("--clients", int, "federation.num_clients", "client count K"),
+    ("--method", None, "federation.trainer.method", "local training method"),
+    ("--lr", float, "federation.trainer.lr", "learning rate"),
+    ("--lr-grid", _float_list, "federation.lr_grid", "comma-separated learning-rate sweep"),
+    ("--epochs", int, "federation.trainer.epochs", "local epochs E"),
+    ("--batch-size", int, "federation.trainer.batch_size", "local batch size"),
+    ("--scene", None, "noise.scene", "noise scene"),
+    ("--mode", None, "noise.mode", "noise mode (symmetric/asymmetric/none)"),
+    ("--eps-global", float, "noise.eps_global", "globalized noise ratio"),
+    ("--eps-min", float, "noise.eps_min", "localized noise ratio lower bound"),
+    ("--eps-max", float, "noise.eps_max", "localized noise ratio upper bound"),
+]
+
+# (flag, type, metavar, scheme, the scheme's parameter, help); they exclude each other,
+# and the one given replaces the config's whole partition section
+PARTITION_FLAGS = [
+    ("--iid", None, None, "iid", None, "IID partition"),
+    ("--noniid-labeldir", float, "ALPHA", "label-dir", "alpha", "Dirichlet label skew"),
+    ("--noniid-quantity", float, "ALPHA", "quantity-skew", "alpha", "quantity skew"),
+    ("--noniid-label-count", int, "C", "label-quantity", "c", "label-quantity skew (classes per client)"),
+]
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` under."""
+    return flag[2:].replace("-", "_")
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", required=True, help="path to the run config JSON")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--output-dir", help="output directory override")
-    parser.add_argument("--repeats", type=int, help="number of repeated seeds")
-    parser.add_argument("--rounds", type=int, help="communication rounds T")
-    parser.add_argument("--clients", type=int, help="client count K")
-    parser.add_argument("--method", help="local training method")
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--lr-grid", type=_float_list, help="comma-separated learning-rate sweep")
-    parser.add_argument("--epochs", type=int, help="local epochs E")
-    parser.add_argument("--batch-size", type=int, help="local batch size")
-    parser.add_argument("--scene", help="noise scene")
-    parser.add_argument("--mode", help="noise mode (symmetric/asymmetric/none)")
-    parser.add_argument("--eps-global", type=float, help="globalized noise ratio")
-    parser.add_argument("--eps-min", type=float, help="localized noise ratio lower bound")
-    parser.add_argument("--eps-max", type=float, help="localized noise ratio upper bound")
+    for flag, kind, _, help_text in OVERRIDES:
+        parser.add_argument(flag, type=kind, help=help_text)
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--iid", action="store_true", help="IID partition")
-    group.add_argument("--noniid-labeldir", type=float, metavar="ALPHA", help="Dirichlet label skew")
-    group.add_argument("--noniid-quantity", type=float, metavar="ALPHA", help="quantity skew")
-    group.add_argument(
-        "--noniid-label-count", type=int, metavar="C", help="label-quantity skew (classes per client)"
-    )
+    for flag, kind, metavar, _, _, help_text in PARTITION_FLAGS:
+        if kind is None:
+            group.add_argument(flag, action="store_true", default=None, help=help_text)
+        else:
+            group.add_argument(flag, type=kind, metavar=metavar, help=help_text)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     overrides: dict = {}
-    simple = {
-        "seed": "seed",
-        "output_dir": "output_dir",
-        "repeats": "repeats",
-        "rounds": "federation.rounds",
-        "clients": "federation.num_clients",
-        "method": "federation.trainer.method",
-        "lr": "federation.trainer.lr",
-        "epochs": "federation.trainer.epochs",
-        "batch_size": "federation.trainer.batch_size",
-        "scene": "noise.scene",
-        "mode": "noise.mode",
-        "eps_global": "noise.eps_global",
-        "eps_min": "noise.eps_min",
-        "eps_max": "noise.eps_max",
-    }
-    for attr, dotted in simple.items():
-        value = getattr(args, attr, None)
+    for flag, _, dotted, _ in OVERRIDES:
+        value = getattr(args, _dest(flag), None)
         if value is not None:
             overrides[dotted] = value
-    if getattr(args, "lr_grid", None):
-        overrides["federation.lr_grid"] = args.lr_grid
-    if getattr(args, "iid", False):
-        overrides["partition"] = {"scheme": "iid"}
-    elif getattr(args, "noniid_labeldir", None) is not None:
-        overrides["partition"] = {"scheme": "label-dir", "alpha": args.noniid_labeldir}
-    elif getattr(args, "noniid_quantity", None) is not None:
-        overrides["partition"] = {"scheme": "quantity-skew", "alpha": args.noniid_quantity}
-    elif getattr(args, "noniid_label_count", None) is not None:
-        overrides["partition"] = {"scheme": "label-quantity", "c": args.noniid_label_count}
+    for flag, _, _, scheme, param, _ in PARTITION_FLAGS:
+        value = getattr(args, _dest(flag), None)
+        if value is not None:
+            overrides["partition"] = {"scheme": scheme} if param is None else {"scheme": scheme, param: value}
     return overrides
 
 

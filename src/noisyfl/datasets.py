@@ -13,7 +13,7 @@ file's bytes are a function of the dataset alone.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,23 +74,6 @@ class LabeledDataset:
             true_labels=true_labels,
             name=self.name,
         )
-
-
-@dataclass(frozen=True)
-class ClassHistogram:
-    """Per-class sample counts for a dataset or an index selection."""
-
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def nonzero_classes(self) -> int:
-        return int(np.count_nonzero(self.counts))
 
 
 def _blob_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
@@ -294,8 +277,8 @@ def load_npy(path: str) -> LabeledDataset:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def class_histogram(ds: LabeledDataset, indices=None) -> ClassHistogram:
-    """Count observed labels, optionally restricted to an index selection."""
+def class_histogram(ds: LabeledDataset, indices=None) -> np.ndarray:
+    """Per-class counts (int64, length C) of observed labels, optionally restricted to an index selection."""
     if indices is None:
         selected = ds.labels
     else:
@@ -303,5 +286,4 @@ def class_histogram(ds: LabeledDataset, indices=None) -> ClassHistogram:
         if len(idx) and (idx.min() < 0 or idx.max() >= len(ds)):
             raise IndexError(f"index out of range for dataset of size {len(ds)}")
         selected = ds.labels[idx]
-    counts = np.bincount(selected, minlength=ds.num_classes)
-    return ClassHistogram(counts=counts)
+    return np.bincount(selected, minlength=ds.num_classes)

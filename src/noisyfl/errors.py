@@ -36,11 +36,11 @@ class LabelRangeError(NoisyFLError):
 
 
 class DegeneratePartitionError(NoisyFLError):
-    """A partition scheme produced an empty client after exhausting retries."""
+    """A partition scheme would leave a client empty: K > N, or its redraws ran out."""
 
 
 class CoverageInfeasibleError(NoisyFLError):
-    """label-quantity scheme cannot cover every class (K*c < C)."""
+    """label-quantity cannot give each client c classes and cover every class (c > C or K*c < C)."""
 
 
 class LabelNotInMatrixError(NoisyFLError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class RoundRecord:
 class FederationResult:
     records: list[RoundRecord]
     params: ModelParams
-    history: list[ModelParams] = field(default_factory=list)  # w^0 .. w^T when kept
 
 
 def select_clients(num_clients: int, fraction: float, round_t: int, seed: int) -> list[int]:
@@ -113,7 +112,6 @@ def run_federation(
     test_set: LabeledDataset,
     layout: Layout,
     cfg: FedConfig,
-    keep_history: bool = False,
 ) -> FederationResult:
     """Run T FedAvg rounds and collect per-round telemetry.
 
@@ -134,7 +132,6 @@ def run_federation(
     peer_nets: dict[int, ModelParams] = {}
 
     records: list[RoundRecord] = []
-    history = [global_params.copy()] if keep_history else []
     for round_t in range(1, cfg.rounds + 1):
         selected = select_clients(cfg.num_clients, cfg.selection_fraction, round_t, cfg.seed)
         trained: list[ModelParams] = []
@@ -161,8 +158,6 @@ def run_federation(
             raise NumericalAbortError(round_t)
         grad_norm = float(np.linalg.norm(new_params.values - global_params.values))
         global_params = new_params
-        if keep_history:
-            history.append(global_params.copy())
 
         accuracy = evaluate(global_params, test_set) if round_t % cfg.eval_every == 0 else None
         records.append(
@@ -174,7 +169,7 @@ def run_federation(
                 mean_client_loss=float(np.mean(client_losses)),
             )
         )
-    return FederationResult(records=records, params=global_params, history=history)
+    return FederationResult(records=records, params=global_params)
 
 
 TELEMETRY_COLUMNS = ("round", "test_accuracy", "grad_norm", "mean_client_loss", "selected_clients")

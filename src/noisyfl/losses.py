@@ -74,8 +74,7 @@ def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict, out:
 
     ``labels`` is a soft-target matrix for soft_ce; ``row_ids`` is
     ``arange(len(probs))``.  This is the one definition of every loss
-    value, for the ``loss_*`` functions, :func:`backward_cached` and
-    co-teaching's ranking alike.
+    value, for :func:`backward_cached` and co-teaching's ranking alike.
     """
     if kind == "soft_ce":
         terms = np.log(np.maximum(probs, _LOG_FLOOR))
@@ -104,43 +103,6 @@ def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict, out:
         np.subtract(1.0, p_label, out=out)
         out *= 2.0
     return p_label
-
-
-def _loss(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict) -> LossOutput:
-    per = np.empty(len(probs))
-    _per_sample(probs, labels, kind, mp, per, np.arange(len(probs)))
-    return LossOutput(value=_mean(per), per_sample=per)
-
-
-def loss_ce(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
-    """Cross entropy -log p_y."""
-    return _loss(probs, labels, "ce", {})
-
-
-def loss_soft_ce(probs: np.ndarray, targets: np.ndarray) -> LossOutput:
-    """Cross entropy against soft simplex targets (mixup path)."""
-    return _loss(probs, targets, "soft_ce", {})
-
-
-def loss_sce(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    alpha: float = SCE_DEFAULT_ALPHA,
-    beta: float = SCE_DEFAULT_BETA,
-    log_clip: float = SCE_DEFAULT_LOG_CLIP,
-) -> LossOutput:
-    """Symmetric cross entropy alpha*CE + beta*RCE with log(0) clipped to log_clip."""
-    return _loss(probs, labels, "sce", {"alpha": alpha, "beta": beta, "log_clip": log_clip})
-
-
-def loss_gce(probs: np.ndarray, labels: np.ndarray, q: float = GCE_DEFAULT_Q) -> LossOutput:
-    """Generalized cross entropy (1 - p_y^q)/q; q -> 1 recovers 1 - p_y."""
-    return _loss(probs, labels, "gce", {"q": q})
-
-
-def loss_mae(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
-    """Mean absolute error against the one-hot target, which reduces to 2(1 - p_y)."""
-    return _loss(probs, labels, "mae", {})
 
 
 def _logit_gap(probs, labels, kind: str, mp: dict, p_label, row_ids, row_scale) -> None:

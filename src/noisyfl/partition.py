@@ -107,7 +107,7 @@ def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> PartitionP
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     if n < num_clients:
-        raise ValueError("dataset smaller than client count")
+        raise DegeneratePartitionError(f"{num_clients} clients cannot each get one of {n} samples")
     perm = rng.stream(seed, "iid").permutation(n)
     block = n // num_clients
     clients = [perm[k * block : (k + 1) * block] for k in range(num_clients)]
@@ -210,8 +210,10 @@ def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed:
     num_classes = ds.num_classes
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
-    if not 1 <= c <= num_classes:
-        raise ValueError("c must satisfy 1 <= c <= num_classes")
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    if c > num_classes:
+        raise CoverageInfeasibleError(f"c = {c} classes per client exceeds the C = {num_classes} classes")
     if num_clients * c < num_classes:
         raise CoverageInfeasibleError(
             f"K*c = {num_clients * c} < C = {num_classes}: some class would be unassigned"

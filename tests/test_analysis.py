@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,20 +7,19 @@ from noisyfl.analysis import (
     AccuracyTable,
     accuracy_drop_ratio,
     drop_ratio_series,
-    grad_norm_series,
     last_k_average,
-    overall_noise_ratio,
     read_accuracy_table,
     sensitivity,
     sensitivity_series,
 )
 from noisyfl.datasets import make_synthetic_blobs
-from noisyfl.errors import LayoutMismatchError
-from noisyfl.federation import FedConfig, RoundRecord, run_federation
+from noisyfl.errors import NoisyFLError, ParseError
+from noisyfl.federation import FedConfig, RoundRecord, read_telemetry, run_federation, write_telemetry
 from noisyfl.localtrain import TrainerConfig
-from noisyfl.models import LinearSoftmaxLayout, ModelParams, init_params
-from noisyfl.noise import NoiseReport, NoiseSpec, run_scene
+from noisyfl.models import LinearSoftmaxLayout, init_params
+from noisyfl.noise import NoiseSpec, run_scene
 from noisyfl.partition import PartitionSpec, partition_iid
+from noisyfl.rng import derive_seed
 
 
 def record(round_t, acc):
@@ -94,67 +95,51 @@ class TestSensitivity:
 
 
 class TestOverallNoiseRatio:
-    def _report(self, ratios):
-        k = len(ratios)
-        return NoiseReport(
-            per_client_ratio=ratios, overall_ratio=0.0, flip_counts=np.zeros((2, 2)), per_client_eps=None
-        )
+    """The report's overall_ratio, which the noise manifest records."""
 
-    def test_equal_sizes(self):
-        assert overall_noise_ratio(self._report([0.3, 0.5]), [100, 100]) == pytest.approx(0.4)
-
-    def test_weighted(self):
-        assert overall_noise_ratio(self._report([0.0, 0.4]), [100, 300]) == pytest.approx(0.3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            overall_noise_ratio(self._report([0.1]), [10, 20])
-
-    def test_matches_full_recount(self):
+    def _run(self, partition):
         ds = make_synthetic_blobs(6, 500, 2, 4.0, seed=3)
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.2, eps_max=0.5, seed=4)
-        plan, noisy, report = run_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
-        recomputed = overall_noise_ratio(report, plan.sizes())
+        return run_scene(ds, spec, 5, partition)
+
+    def test_equal_sizes(self):
+        plan, _, report = self._run(PartitionSpec(scheme="iid"))
+        assert len(set(plan.sizes().tolist())) == 1
+        assert report.overall_ratio == pytest.approx(report.per_client_ratio.mean(), abs=1e-15)
+
+    def test_weighted(self):
+        plan, _, report = self._run(PartitionSpec(scheme="quantity-skew", alpha=0.5))
+        sizes = plan.sizes()
+        assert len(set(sizes.tolist())) > 1
+        weighted = float((report.per_client_ratio * sizes).sum() / sizes.sum())
+        assert report.overall_ratio == pytest.approx(weighted, abs=1e-15)
+        assert report.overall_ratio != pytest.approx(report.per_client_ratio.mean(), abs=1e-6)
+
+    def test_matches_full_recount(self):
+        plan, noisy, report = self._run(PartitionSpec(scheme="iid"))
         assigned = np.concatenate(plan.clients)
         brute = (noisy.labels[assigned] != noisy.true_labels[assigned]).mean()
-        assert recomputed == pytest.approx(brute, abs=1e-12)
         assert report.overall_ratio == pytest.approx(brute, abs=1e-15)
 
 
 class TestGradNormSeries:
-    def _params(self, values):
-        layout = LinearSoftmaxLayout(dim=1, num_classes=2)
-        return ModelParams(np.asarray(values, dtype=float), layout)
+    """The grad_norm column of telemetry.csv is the series of |w^t - w^(t-1)|."""
 
-    def test_identical_checkpoints(self):
-        p = self._params([1.0, 2.0, 3.0, 4.0])
-        assert grad_norm_series([p, p, p]) == [0.0, 0.0]
-
-    def test_pythagorean(self):
-        a = self._params([0.0, 0.0, 0.0, 0.0])
-        b = self._params([3.0, 4.0, 0.0, 0.0])
-        assert grad_norm_series([a, b]) == [5.0]
-
-    def test_matches_runtime_telemetry(self):
+    def test_matches_runtime_telemetry(self, tmp_path):
         ds = make_synthetic_blobs(3, 120, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         plan = partition_iid(ds, 3, seed=2)
         layout = LinearSoftmaxLayout(dim=2, num_classes=3)
         cfg = FedConfig(num_clients=3, rounds=5, trainer=TrainerConfig(epochs=1, lr=0.05), seed=3)
-        result = run_federation(ds, plan, test, layout, cfg, keep_history=True)
-        series = grad_norm_series(result.history)
-        recorded = [r.grad_norm for r in result.records]
+        result = run_federation(ds, plan, test, layout, cfg)
+        path = str(tmp_path / "telemetry.csv")
+        write_telemetry(result.records, path)
+        # the global model after t rounds is the final model of the same run cut at t rounds
+        models = [init_params(layout, derive_seed(3, "init")).values]
+        models += [run_federation(ds, plan, test, layout, replace(cfg, rounds=t)).params.values for t in range(1, 6)]
+        series = [float(np.linalg.norm(b - a)) for a, b in zip(models[:-1], models[1:])]
+        recorded = [r.grad_norm for r in read_telemetry(path)]
         assert np.abs(np.array(series) - np.array(recorded)).max() <= 1e-9
-
-    def test_too_few_checkpoints(self):
-        with pytest.raises(ValueError):
-            grad_norm_series([self._params([0, 0, 0, 0])])
-
-    def test_layout_mismatch(self):
-        a = self._params([0.0, 0.0, 0.0, 0.0])
-        b = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=0)
-        with pytest.raises(LayoutMismatchError):
-            grad_norm_series([a, b])
 
 
 class TestAccuracyTable:
@@ -165,8 +150,14 @@ class TestAccuracyTable:
             AccuracyTable(entries={("iid", "symmetric", 0.1): 1.5}, scale="fraction")
 
     def test_fraction_normalization(self):
-        table = AccuracyTable(entries={("iid", "symmetric", 0.1): 85.86}, scale="percent")
-        assert table.as_fraction(("iid", "symmetric", 0.1)) == pytest.approx(0.8586)
+        # the same accuracies in either scale: drop ratios agree, sensitivities differ by the factor 100
+        percent = {("iid", "symmetric", 0.1): 85.86, ("iid", "symmetric", 0.2): 80.73, ("label-dir", "symmetric", 0.1): 52.5}
+        fraction = {key: value / 100.0 for key, value in percent.items()}
+        tables = [AccuracyTable(entries=percent, scale="percent"), AccuracyTable(entries=fraction, scale="fraction")]
+        (drop_pct,), (drop_frac,) = [drop_ratio_series(t, "symmetric", "label-dir") for t in tables]
+        assert drop_pct[1] == pytest.approx(drop_frac[1], rel=1e-12)
+        (sens_pct,), (sens_frac,) = [sensitivity_series(t, "iid", "symmetric") for t in tables]
+        assert sens_pct[1] == pytest.approx(100.0 * sens_frac[1], rel=1e-12)
 
     def test_series_skip_missing_grid_points(self):
         entries = {
@@ -197,3 +188,34 @@ class TestAccuracyTable:
         assert table.entries[("iid", "symmetric", 0.2)] == 80.73
         series = sensitivity_series(table, "iid", "symmetric")
         assert series[0][1] == pytest.approx(51.3, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("iid,symmetric,0.2,105", "accuracy"),
+            ("iid,symmetric,0.2,-1", "accuracy"),
+            ("iid,symmetric,0.2,nan", "accuracy"),
+            ("iid,symmetric,0.2,inf", "accuracy"),
+            ("iid,symmetric,nan,80", "eps"),
+            ("iid,symmetric,-inf,80", "eps"),
+        ],
+        ids=["above-100", "negative", "nan-accuracy", "inf-accuracy", "nan-eps", "inf-eps"],
+    )
+    def test_unusable_row_names_its_number(self, tmp_path, row, column):
+        path = tmp_path / "table.csv"
+        path.write_text(f"partition,mode,eps,accuracy\niid,symmetric,0.1,85.86\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            read_accuracy_table(str(path))
+        assert (err.value.row, err.value.column) == (3, column)
+
+    def test_fraction_scale_bound(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("partition,mode,eps,accuracy\niid,symmetric,0.1,85.86\n")
+        assert read_accuracy_table(str(path), scale="percent").entries
+        with pytest.raises(ParseError, match="fraction"):
+            read_accuracy_table(str(path), scale="fraction")
+
+    def test_undefined_drop_ratio_names_its_point(self):
+        entries = {("iid", "symmetric", 0.4): 0.0, ("label-dir", "symmetric", 0.4): 30.43}
+        with pytest.raises(NoisyFLError, match=r"\(label-dir, symmetric, 0\.4\)"):
+            drop_ratio_series(AccuracyTable(entries=entries), "symmetric", "label-dir")

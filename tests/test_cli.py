@@ -334,6 +334,63 @@ class TestExitCodes:
         assert main(["pipeline", "-c", config]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("pipeline", ["--noniid-label-count", "9"]),
+            ("pipeline", ["--clients", "500", "--iid"]),
+            ("pipeline", ["--clients", "2", "--noniid-label-count", "2"]),
+            ("pipeline", ["--clients", "40", "--noniid-labeldir", "0.0001"]),
+            ("partition", ["--noniid-label-count", "9"]),
+            ("partition", ["--clients", "500", "--iid"]),
+            ("partition", ["--clients", "2", "--noniid-label-count", "2"]),
+        ],
+        ids=[
+            "c-above-classes",
+            "clients-above-samples",
+            "classes-uncovered",
+            "redraws-exhausted",  # 2000 redraws take about 1.5 s, so only through one command
+            "partition-c-above-classes",
+            "partition-clients-above-samples",
+            "partition-classes-uncovered",
+        ],
+    )
+    def test_partition_that_cannot_be_built_exits_2(self, tmp_path, capsys, command, flags):
+        # 5 classes of 20 samples: N = 100, C = 5
+        config, _ = write_config(tmp_path, changes={"dataset.synthetic.num_classes": 5, "dataset.synthetic.per_class": 20})
+        assert main([command, "-c", config, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: partition: ")
+        assert err.count("\n") == 1
+
+    def test_noise_defect_is_not_a_partition_error(self, tmp_path, monkeypatch):
+        """Only the partition schemes' errors become exit 2; a ValueError from the noise code propagates."""
+
+        def broken(*args, **kwargs):
+            raise ValueError("defect")
+
+        monkeypatch.setattr(noise_module, "apply_noise", broken)
+        config, _ = write_config(tmp_path)
+        with pytest.raises(ValueError, match="defect"):
+            main(["noise", "-c", config])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("iid,symmetric,0.2,105", "row 3, column 'accuracy'"),
+            ("iid,symmetric,nan,80", "row 3, column 'eps'"),
+            ("iid,symmetric,0.1,0", "(label-dir, symmetric, 0.1)"),
+        ],
+        ids=["accuracy-above-100", "nan-eps", "zero-iid-accuracy"],
+    )
+    def test_unusable_accuracy_table_exits_1(self, tmp_path, capsys, row, message):
+        table = tmp_path / "table.csv"
+        table.write_text(f"partition,mode,eps,accuracy\nlabel-dir,symmetric,0.1,52.5\n{row}\n", encoding="utf-8")
+        assert main(["analyze", "--table", str(table), "--out", str(tmp_path / "analysis")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_config_that_is_not_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"seed": ', encoding="utf-8")
@@ -418,6 +475,81 @@ class TestSplit:
         config, _ = write_config(tmp_path, changes={"noise": noise})
         assert main(["partition", "-c", config]) == 2
         assert "noise.asym_map" in capsys.readouterr().err
+
+
+EVERY_FLAG = [
+    "--seed", "9",
+    "--output-dir", "elsewhere",
+    "--repeats", "2",
+    "--rounds", "7",
+    "--clients", "5",
+    "--method", "gce",
+    "--lr", "0.03",
+    "--lr-grid", "0.01,0.1",
+    "--epochs", "3",
+    "--batch-size", "16",
+    "--scene", "globalized",
+    "--mode", "asymmetric",
+    "--eps-global", "0.25",
+    "--eps-min", "0.1",
+    "--eps-max", "0.3",
+]  # fmt: skip
+
+EVERY_OVERRIDE = {
+    "seed": 9,
+    "output_dir": "elsewhere",
+    "repeats": 2,
+    "federation.rounds": 7,
+    "federation.num_clients": 5,
+    "federation.trainer.method": "gce",
+    "federation.trainer.lr": 0.03,
+    "federation.lr_grid": [0.01, 0.1],
+    "federation.trainer.epochs": 3,
+    "federation.trainer.batch_size": 16,
+    "noise.scene": "globalized",
+    "noise.mode": "asymmetric",
+    "noise.eps_global": 0.25,
+    "noise.eps_min": 0.1,
+    "noise.eps_max": 0.3,
+}
+
+
+class TestOverrides:
+    """The overrides dict each config subcommand builds from its flags, pinned literally."""
+
+    @pytest.mark.parametrize("command", ["partition", "noise", "train", "pipeline"])
+    @pytest.mark.parametrize(
+        "partition_flag, partition",
+        [
+            ([], None),
+            (["--iid"], {"scheme": "iid"}),
+            (["--noniid-labeldir", "0.5"], {"scheme": "label-dir", "alpha": 0.5}),
+            (["--noniid-quantity", "2"], {"scheme": "quantity-skew", "alpha": 2.0}),
+            (["--noniid-label-count", "3"], {"scheme": "label-quantity", "c": 3}),
+            (["--noniid-label-count", "0"], {"scheme": "label-quantity", "c": 0}),
+            (["--noniid-labeldir", "0"], {"scheme": "label-dir", "alpha": 0.0}),
+        ],
+        ids=["none", "iid", "labeldir", "quantity", "label-count", "label-count-zero", "labeldir-zero"],
+    )
+    def test_every_flag(self, command, partition_flag, partition):
+        args = cli.build_parser().parse_args([command, "-c", "cfg.json", *EVERY_FLAG, *partition_flag])
+        expected = dict(EVERY_OVERRIDE)
+        if partition is not None:
+            expected["partition"] = partition
+        overrides = cli._overrides_from_args(args)
+        assert overrides == expected
+        # the JSON text also tells 2 from 2.0, so each value keeps its type
+        assert json.dumps(overrides, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_no_flag_overrides_nothing(self):
+        for command in ["partition", "noise", "train", "pipeline"]:
+            assert cli._overrides_from_args(cli.build_parser().parse_args([command, "-c", "cfg.json"])) == {}
+
+    def test_partition_flags_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(["noise", "-c", "cfg.json", "--iid", "--noniid-label-count", "3"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_tracer_targets_resolve():

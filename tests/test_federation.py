@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -124,6 +125,23 @@ class TestEvaluate:
         assert evaluate(params, ds) == pytest.approx(correct / len(ds), abs=1e-15)
 
 
+def global_models(ds, plan, test, layout, cfg):
+    """The global models w^0 .. w^T of ``cfg``'s run, w^t from the same run cut at t rounds.
+
+    Selection and training seeds depend only on (seed, round), so a run
+    of t rounds is the first t rounds of the longer one; the records of
+    every cut run are checked to be a prefix of the whole run's.
+    """
+    whole = run_federation(ds, plan, test, layout, cfg)
+    history = [init_params(layout, derive_seed(cfg.seed, "init"))]
+    for t in range(1, cfg.rounds + 1):
+        cut = run_federation(ds, plan, test, layout, dataclasses.replace(cfg, rounds=t))
+        assert cut.records == whole.records[:t]
+        history.append(cut.params)
+    assert np.array_equal(history[-1].values, whole.params.values)
+    return history
+
+
 class TestRunFederation:
     def _setup(self, num_clients=4, rounds=6, **trainer_kwargs):
         ds = make_synthetic_blobs(3, 200, 2, 5.0, seed=0)
@@ -141,18 +159,19 @@ class TestRunFederation:
         layout = LinearSoftmaxLayout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, momentum=0.9, epochs=1, batch_size=32)
         cfg = FedConfig(num_clients=1, rounds=10, trainer=trainer, seed=31)
-        result = run_federation(ds, plan, test, layout, cfg, keep_history=True)
+        history = global_models(ds, plan, test, layout, cfg)
 
         params = init_params(layout, derive_seed(31, "init"))
         for t in range(1, 11):
             params, _ = train_local(ds, params, trainer, derive_seed(31, "train", t, 0))
-            assert np.abs(params.values - result.history[t].values).max() <= 1e-9
+            assert np.abs(params.values - history[t].values).max() <= 1e-9
 
     def test_grad_norm_recomputable_from_history(self):
         ds, test, plan, layout, cfg = self._setup()
-        result = run_federation(ds, plan, test, layout, cfg, keep_history=True)
+        result = run_federation(ds, plan, test, layout, cfg)
+        history = global_models(ds, plan, test, layout, cfg)
         for t, rec in enumerate(result.records, start=1):
-            diff = result.history[t].values - result.history[t - 1].values
+            diff = history[t].values - history[t - 1].values
             assert rec.grad_norm == pytest.approx(float(np.linalg.norm(diff)), abs=1e-9)
 
     def test_deterministic(self):

@@ -5,16 +5,7 @@ import pytest
 from conftest import finite_difference_grad, naive_softmax_forward
 from noisyfl.errors import LayoutMismatchError
 from noisyfl.localtrain import mixup_batch, sgd_step
-from noisyfl.losses import (
-    LossOutput,
-    backward,
-    backward_cached,
-    loss_ce,
-    loss_gce,
-    loss_mae,
-    loss_sce,
-    loss_soft_ce,
-)
+from noisyfl.losses import LossOutput, backward, backward_cached
 from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward, forward_cached, init_params
 
 LAYOUTS = [
@@ -30,25 +21,47 @@ def probs_row(p_y, num_classes=4, label=0):
     return row[None, :]
 
 
+def loss_of(probs, labels, kind, **method_params):
+    """``backward(kind=...)`` on a network whose forward pass gives back ``probs``.
+
+    A linear-softmax network over the identity input: row i picks weight
+    column i, set to log probs[i], so the softmax returns probs[i] up to
+    rounding.  A zero probability becomes a logit of log(1e-300), whose
+    share of the row rounds away against any probability near 1.
+    """
+    n, num_classes = probs.shape
+    layout = LinearSoftmaxLayout(dim=n, num_classes=num_classes)
+    weights = np.log(np.maximum(probs, 1e-300)).T
+    params = ModelParams(np.concatenate([weights.ravel(), np.zeros(num_classes)]), layout)
+    return backward(params, np.eye(n), labels, kind=kind, method_params=method_params)
+
+
+def random_probs(gen, rows, num_classes):
+    raw = gen.uniform(0.01, 1.0, size=(rows, num_classes))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
 class TestLossValues:
+    """Each loss's value through ``backward(kind=...)``, the entry every method trains with."""
+
     def test_perfect_prediction_zero_loss(self):
         probs = probs_row(1.0)
         labels = np.array([0])
-        assert loss_ce(probs, labels).value == 0.0
-        assert loss_gce(probs, labels, q=0.7).value == 0.0
-        assert loss_mae(probs, labels).value == 0.0
+        assert loss_of(probs, labels, "ce").value == 0.0
+        assert loss_of(probs, labels, "gce", q=0.7).value == 0.0
+        assert loss_of(probs, labels, "mae").value == 0.0
 
     def test_gce_matches_high_precision_oracle(self):
         # independent oracle: evaluate (1 - p^q)/q with 50-digit arithmetic
         with mpmath.workdps(50):
             expected = float((1 - mpmath.mpf("0.5") ** mpmath.mpf("0.7")) / mpmath.mpf("0.7"))
-        got = loss_gce(probs_row(0.5), np.array([0]), q=0.7).value
+        got = loss_of(probs_row(0.5), np.array([0]), "gce", q=0.7).value
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_gce_limit_approaches_mae_form(self):
         probs = probs_row(0.37)
         labels = np.array([0])
-        near_one = loss_gce(probs, labels, q=0.999).value
+        near_one = loss_of(probs, labels, "gce", q=0.999).value
         assert near_one == pytest.approx(1.0 - 0.37, abs=1e-3)
 
     def test_gce_invalid_q(self):
@@ -56,60 +69,64 @@ class TestLossValues:
         labels = np.array([0])
         for q in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                loss_gce(probs, labels, q=q)
+                loss_of(probs, labels, "gce", q=q)
 
     def test_sce_invalid_params(self):
         probs = probs_row(0.5)
         labels = np.array([0])
         with pytest.raises(ValueError):
-            loss_sce(probs, labels, alpha=0.0)
+            loss_of(probs, labels, "sce", alpha=0.0)
         with pytest.raises(ValueError):
-            loss_sce(probs, labels, beta=-1.0)
+            loss_of(probs, labels, "sce", beta=-1.0)
 
     def test_sce_composition(self):
         probs = probs_row(0.6)
         labels = np.array([0])
-        ce = loss_ce(probs, labels).value
-        out = loss_sce(probs, labels, alpha=0.1, beta=1.0, log_clip=-4.0)
+        ce = loss_of(probs, labels, "ce").value
+        out = loss_of(probs, labels, "sce", alpha=0.1, beta=1.0, log_clip=-4.0)
         assert out.value == pytest.approx(0.1 * ce + 4.0 * (1.0 - 0.6), rel=1e-12)
 
     def test_mae_value(self):
-        out = loss_mae(probs_row(0.25), np.array([0]))
+        out = loss_of(probs_row(0.25), np.array([0]), "mae")
         assert out.value == pytest.approx(1.5, rel=1e-12)
 
     def test_ce_and_gce_strictly_decreasing_in_confidence(self):
         grid = np.linspace(0.05, 0.95, 19)
-        ce = [loss_ce(probs_row(p), np.array([0])).value for p in grid]
-        gce = [loss_gce(probs_row(p), np.array([0])).value for p in grid]
+        ce = [loss_of(probs_row(p), np.array([0]), "ce").value for p in grid]
+        gce = [loss_of(probs_row(p), np.array([0]), "gce").value for p in grid]
         assert all(a > b for a, b in zip(ce[:-1], ce[1:]))
         assert all(a > b for a, b in zip(gce[:-1], gce[1:]))
 
     def test_losses_nonnegative(self):
         gen = np.random.default_rng(0)
         for _ in range(50):
-            raw = gen.uniform(0.01, 1.0, size=(6, 5))
-            probs = raw / raw.sum(axis=1, keepdims=True)
+            probs = random_probs(gen, 6, 5)
             labels = gen.integers(0, 5, size=6)
-            assert loss_ce(probs, labels).per_sample.min() >= 0
-            assert loss_gce(probs, labels).per_sample.min() >= 0
-            assert loss_mae(probs, labels).per_sample.min() >= 0
-            assert loss_sce(probs, labels).per_sample.min() >= 0
+            for kind in ("ce", "gce", "mae", "sce"):
+                assert loss_of(probs, labels, kind).per_sample.min() >= 0, kind
 
     def test_value_is_mean_of_per_sample(self):
         gen = np.random.default_rng(1)
-        raw = gen.uniform(0.01, 1.0, size=(9, 4))
-        probs = raw / raw.sum(axis=1, keepdims=True)
+        probs = random_probs(gen, 9, 4)
         labels = gen.integers(0, 4, size=9)
-        out = loss_ce(probs, labels)
+        out = loss_of(probs, labels, "ce")
         assert out.value == pytest.approx(out.per_sample.mean(), abs=1e-10)
 
     def test_soft_ce_equals_hard_ce_on_one_hot(self):
         gen = np.random.default_rng(2)
-        raw = gen.uniform(0.01, 1.0, size=(5, 3))
-        probs = raw / raw.sum(axis=1, keepdims=True)
+        probs = random_probs(gen, 5, 3)
         labels = gen.integers(0, 3, size=5)
         onehot = np.eye(3)[labels]
-        assert loss_soft_ce(probs, onehot).value == pytest.approx(loss_ce(probs, labels).value, rel=1e-12)
+        soft = loss_of(probs, onehot, "soft_ce").value
+        assert soft == pytest.approx(loss_of(probs, labels, "ce").value, rel=1e-12)
+
+    def test_network_returns_the_probabilities(self):
+        # the premise of every test above: the loss sees (up to rounding) the rows it was handed
+        gen = np.random.default_rng(3)
+        probs = random_probs(gen, 7, 5)
+        labels = gen.integers(0, 5, size=7)
+        out = loss_of(probs, labels, "ce")
+        assert np.abs(out.per_sample + np.log(probs[np.arange(7), labels])).max() <= 1e-14
 
 
 class TestForward:

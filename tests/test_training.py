@@ -14,7 +14,7 @@ from noisyfl.localtrain import (
     train_local,
     train_local_coteaching,
 )
-from noisyfl.losses import backward, backward_cached, loss_ce, one_hot
+from noisyfl.losses import backward, backward_cached, one_hot
 from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
 from noisyfl.noise import apply_noise, symmetric_matrix
 
@@ -311,7 +311,8 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                 )
                 # rank with a one-shot pass, then take the gradient from the peer's rows of that pass
                 passes = [forward_cached(net, x) for net in nets]
-                kept = [small_loss_selection(loss_ce(probs, y).per_sample, keep) for probs, _ in passes]
+                ce = [-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)) for probs, _ in passes]
+                kept = [small_loss_selection(per_sample, keep) for per_sample in ce]
                 outs = []
                 for net, (_, work), sel in zip(nets, passes, kept[::-1]):
                     work.keep(sel)
