@@ -46,7 +46,6 @@ from .noise import (
     apply_noise,
     asymmetric_matrix,
     cyclic_target_map,
-    localized_asym_target,
     run_scene,
     symmetric_matrix,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "load_csv",
     "load_npy",
     "load_plan",
-    "localized_asym_target",
     "make_partition",
     "make_synthetic_blobs",
     "partition_iid",

@@ -5,7 +5,8 @@ All functions are pure.  Accuracy tables declare their scale (percent or
 fraction); series metrics are computed in the declared scale, so
 sensitivities over percent tables come out in percent points per unit
 noise ratio.  :func:`read_accuracy_table` rejects a row whose eps is not
-finite or whose accuracy lies outside the declared scale, naming the row.
+finite, whose accuracy lies outside the declared scale, or whose
+(partition, mode, eps) an earlier row already gave, naming the row.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ def read_accuracy_table(path: str, scale: str = SCALE_PERCENT) -> AccuracyTable:
                     row=row_no,
                     column="accuracy",
                 )
-            entries[(row["partition"], row["mode"], eps)] = accuracy
+            key = (row["partition"], row["mode"], eps)
+            if key in entries:
+                raise ParseError(f"({key[0]}, {key[1]}, {eps!r}) is given by an earlier row too", row=row_no)
+            entries[key] = accuracy
     return AccuracyTable(entries=entries, scale=scale)
 
 

@@ -80,7 +80,6 @@ class DatasetConfig:
                 dim=p["dim"],
                 separation=p["separation"],
                 seed=p["seed"],
-                name="synthetic-train",
             )
             test = make_synthetic_blobs(
                 num_classes=p["num_classes"],
@@ -88,7 +87,6 @@ class DatasetConfig:
                 dim=p["dim"],
                 separation=p["separation"],
                 seed=rng.derive_seed(p["seed"], "test"),
-                name="synthetic-test",
             )
             return train, test
         train = load_csv(p["path"], p["label_column"])

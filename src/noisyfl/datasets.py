@@ -34,7 +34,6 @@ class LabeledDataset:
     labels: np.ndarray
     num_classes: int
     true_labels: np.ndarray | None = None
-    name: str = "dataset"
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -72,7 +71,6 @@ class LabeledDataset:
             labels=labels,
             num_classes=self.num_classes,
             true_labels=true_labels,
-            name=self.name,
         )
 
 
@@ -93,7 +91,7 @@ def _blob_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
     return means
 
 
-def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation: float, seed: int, name: str = "blobs") -> LabeledDataset:
+def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation: float, seed: int) -> LabeledDataset:
     """Balanced isotropic Gaussian blobs, one unit-variance cluster per class.
 
     Deterministic for fixed arguments; ``true_labels`` equals ``labels``
@@ -116,14 +114,13 @@ def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation:
         labels=labels,
         num_classes=num_classes,
         true_labels=labels.copy(),
-        name=name,
     )
 
 
 TRUE_LABEL_COLUMN = "true_label"
 
 
-def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_COLUMN, name: str | None = None) -> LabeledDataset:
+def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_COLUMN) -> LabeledDataset:
     """Load a dataset from a headered CSV file.
 
     All columns other than the label column (and the optional true-label
@@ -189,7 +186,6 @@ def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_C
         labels=label_arr,
         num_classes=num_classes,
         true_labels=np.asarray(true_labels, dtype=np.int64) if true_labels else None,
-        name=name if name is not None else str(path),
     )
 
 
@@ -271,7 +267,6 @@ def load_npy(path: str) -> LabeledDataset:
             labels=labels,
             num_classes=int(num_classes),
             true_labels=true[0] if len(true) else None,
-            name=str(path),
         )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -1,19 +1,21 @@
 """Label-noise transition matrices and the three federated noise scenes.
 
-Globalized noise corrupts the full dataset with a single row-stochastic
-flip table and then partitions; localized noise partitions first and
-corrupts each client with its own ratio drawn from U(eps_min, eps_max),
-flipping only among the classes that client actually holds; the real-world
-scene partitions an already-noisy dataset untouched.
+Every scene runs the same three steps in one order: corrupt globally,
+partition, corrupt per client.  Globalized noise takes the first step: one
+row-stochastic flip table corrupts the whole dataset before it is split.
+Localized noise takes the last: each client draws its own ratio from
+U(eps_min, eps_max) and flips only among the classes it holds.  The clean
+and real-world scenes are only partitioned.
 
-One master seed fans out into named streams (partition / eps-draw / flip),
-so e.g. changing the client count never changes which global labels flip
-under globalized noise.
+One master seed fans out into named streams: ``flip`` for the global
+corruption, ``partition`` for the split, ``eps-draw`` for the per-client
+ratios and (``flip``, k) for client k's corruption.  So e.g. changing the
+client count never changes which global labels flip under globalized noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +40,9 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic table of flip probabilities P(observed=j | true=i).
-
-    ``class_ids`` maps row/column positions to global class ids when the
-    matrix covers only a client-local subset of classes.
-    """
+    """Row-stochastic table of flip probabilities P(observed=j | true=i)."""
 
     probs: np.ndarray
-    class_ids: np.ndarray | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -56,18 +53,13 @@ class TransitionMatrix:
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.abs(probs.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("transition matrix rows must sum to 1")
-        if self.class_ids is not None:
-            ids = np.asarray(self.class_ids, dtype=np.int64)
-            object.__setattr__(self, "class_ids", ids)
-            if len(ids) != probs.shape[0]:
-                raise ValueError("class_ids length must match matrix size")
 
     @property
     def size(self) -> int:
         return self.probs.shape[0]
 
 
-def symmetric_matrix(num_classes: int, eps: float, class_ids=None) -> TransitionMatrix:
+def symmetric_matrix(num_classes: int, eps: float) -> TransitionMatrix:
     """Uniform corruption: diagonal 1-eps, every off-diagonal eps/(C-1)."""
     if num_classes < 2:
         raise ValueError("symmetric noise needs at least 2 classes")
@@ -75,10 +67,10 @@ def symmetric_matrix(num_classes: int, eps: float, class_ids=None) -> Transition
         raise ValueError("eps must lie in [0, 1]")
     probs = np.full((num_classes, num_classes), eps / (num_classes - 1), dtype=np.float64)
     np.fill_diagonal(probs, 1.0 - eps)
-    return TransitionMatrix(probs=probs, class_ids=class_ids)
+    return TransitionMatrix(probs=probs)
 
 
-def asymmetric_matrix(num_classes: int, eps: float, target_map: dict[int, int], class_ids=None) -> TransitionMatrix:
+def asymmetric_matrix(num_classes: int, eps: float, target_map: dict[int, int]) -> TransitionMatrix:
     """Pairwise flipping: row i keeps 1-eps and sends eps to target_map[i]."""
     if num_classes < 2:
         raise ValueError("asymmetric noise needs at least 2 classes")
@@ -95,20 +87,12 @@ def asymmetric_matrix(num_classes: int, eps: float, target_map: dict[int, int], 
             raise ValueError(f"target_map[{i}] maps a class to itself")
         probs[i, i] = 1.0 - eps
         probs[i, j] += eps
-    return TransitionMatrix(probs=probs, class_ids=class_ids)
+    return TransitionMatrix(probs=probs)
 
 
 def cyclic_target_map(num_classes: int) -> dict[int, int]:
     """Default asymmetric target: i -> (i+1) mod C."""
     return {i: (i + 1) % num_classes for i in range(num_classes)}
-
-
-def localized_asym_target(local_classes) -> dict[int, int]:
-    """Map each local class to the next one in sorted order, cyclically."""
-    ordered = sorted(int(c) for c in local_classes)
-    if len(ordered) < 2:
-        raise ValueError("need at least 2 local classes for asymmetric flipping")
-    return {c: ordered[(i + 1) % len(ordered)] for i, c in enumerate(ordered)}
 
 
 @dataclass(frozen=True)
@@ -166,8 +150,11 @@ class NoiseReport:
     """Realized corruption accounting for one scene run.
 
     ``flip_counts[i, j]`` counts assigned samples with true class i observed
-    as class j; the diagonal counts unflipped samples.  ``skipped_clients``
-    lists single-class clients that localized noise left clean.
+    as class j; the diagonal counts unflipped samples.  The report is the one
+    place flip counts are computed: they are recounted from the (observed,
+    true) label pairs of the assigned samples, whichever scene flipped them.
+    ``skipped_clients`` lists single-class clients that localized noise left
+    clean.
     """
 
     per_client_ratio: np.ndarray
@@ -192,46 +179,24 @@ class NoiseReport:
         }
 
 
-def apply_noise(ds: LabeledDataset, matrix: TransitionMatrix, seed: int) -> tuple[LabeledDataset, np.ndarray]:
+def apply_noise(ds: LabeledDataset, matrix: TransitionMatrix, seed: int) -> LabeledDataset:
     """Independently redraw each observed label from its transition row.
 
     Sample n's flip consumes exactly the n-th uniform of the flip stream,
     so the outcome is a function of (seed, n) alone and growing the dataset
-    never perturbs earlier samples.  Returns the corrupted dataset (with
-    ``true_labels`` set to the clean input labels) and the C x C count
-    matrix of (true -> observed) transitions.
+    never perturbs earlier samples.  Returns the corrupted dataset, with
+    ``true_labels`` set to the clean input labels.
     """
-    n = len(ds)
-    if matrix.class_ids is not None:
-        ids = matrix.class_ids
-        lookup = -np.ones(ds.num_classes, dtype=np.int64)
-        lookup[ids] = np.arange(len(ids))
-        rows = lookup[ds.labels]
-        if len(rows) and rows.min() < 0:
-            missing = np.unique(ds.labels[rows < 0]).tolist()
-            raise LabelNotInMatrixError(f"labels {missing} not covered by the transition matrix")
-        back = ids
-    else:
-        if matrix.size < ds.num_classes or (n and ds.labels.max() >= matrix.size):
-            raise LabelNotInMatrixError(
-                f"matrix over {matrix.size} classes cannot corrupt labels up to {int(ds.labels.max()) if n else 0}"
-            )
-        rows = ds.labels
-        back = np.arange(matrix.size, dtype=np.int64)
-
-    u = rng.stream(seed, "flip").random(n)
+    if matrix.size < ds.num_classes:
+        raise LabelNotInMatrixError(f"matrix over {matrix.size} classes cannot corrupt labels of {ds.num_classes} classes")
+    u = rng.stream(seed, "flip").random(len(ds))
     cdf = np.cumsum(matrix.probs, axis=1)
-    drawn = np.empty(n, dtype=np.int64)
-    for r in np.unique(rows):
-        mask = rows == r
-        drawn[mask] = np.searchsorted(cdf[r], u[mask], side="right")
-    np.clip(drawn, 0, matrix.size - 1, out=drawn)
-    noisy = back[drawn]
-
-    flip_counts = np.zeros((ds.num_classes, ds.num_classes), dtype=np.int64)
-    np.add.at(flip_counts, (ds.labels, noisy), 1)
-    out = ds.with_labels(labels=noisy, true_labels=ds.labels.copy())
-    return out, flip_counts
+    noisy = np.empty(len(ds), dtype=np.int64)
+    for r in np.unique(ds.labels):
+        mask = ds.labels == r
+        noisy[mask] = np.searchsorted(cdf[r], u[mask], side="right")
+    np.clip(noisy, 0, matrix.size - 1, out=noisy)
+    return ds.with_labels(labels=noisy, true_labels=ds.labels.copy())
 
 
 def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps, skipped=()) -> NoiseReport:
@@ -256,78 +221,10 @@ def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps,
     )
 
 
-def _mode_matrix(num_classes: int, eps: float, mode: str, asym_map: dict[int, int] | None, class_ids=None) -> TransitionMatrix:
+def _mode_matrix(num_classes: int, eps: float, mode: str, asym_map: dict[int, int] | None = None) -> TransitionMatrix:
     if mode == MODE_SYMMETRIC:
-        return symmetric_matrix(num_classes, eps, class_ids=class_ids)
-    if class_ids is None:
-        target = asym_map if asym_map is not None else cyclic_target_map(num_classes)
-    else:
-        local_map = localized_asym_target(class_ids)
-        pos = {int(c): i for i, c in enumerate(class_ids)}
-        target = {pos[src]: pos[dst] for src, dst in local_map.items()}
-    return asymmetric_matrix(num_classes, eps, target, class_ids=class_ids)
-
-
-def _globalized(
-    ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
-) -> tuple[PartitionPlan, LabeledDataset, NoiseReport]:
-    """Corrupt the global dataset with one matrix, then partition it."""
-    matrix = _mode_matrix(ds.num_classes, spec.eps_global, spec.mode, spec.asym_map)
-    noisy, _ = apply_noise(ds, matrix, rng.derive_seed(spec.seed, "flip"))
-    plan = make_partition(noisy, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
-    eps = np.full(num_clients, spec.eps_global, dtype=np.float64)
-    return plan, noisy, _post_hoc_report(noisy, plan, eps)
-
-
-def _localized(
-    ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
-) -> tuple[PartitionPlan, LabeledDataset, NoiseReport]:
-    """Partition clean data, then corrupt each client within its own classes.
-
-    eps_k ~ U(eps_min, eps_max) is drawn for every client in index order
-    before any corruption; clients holding a single class are left clean
-    and flagged rather than erroring.
-    """
-    plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
-    eps_gen = rng.stream(spec.seed, "eps-draw")
-    eps = eps_gen.uniform(spec.eps_min, spec.eps_max, size=num_clients)
-
-    noisy_labels = ds.labels.copy()
-    skipped = []
-    for k in range(num_clients):
-        local = restrict(ds, plan, k)
-        local_classes = np.unique(local.labels)
-        if len(local_classes) < 2:
-            skipped.append(k)
-            continue
-        matrix = _mode_matrix(len(local_classes), float(eps[k]), spec.mode, None, class_ids=local_classes)
-        corrupted, _ = apply_noise(local, matrix, rng.derive_seed(spec.seed, "flip", k))
-        noisy_labels[plan.clients[k]] = corrupted.labels
-    noisy = ds.with_labels(labels=noisy_labels, true_labels=ds.labels.copy())
-    return plan, noisy, _post_hoc_report(noisy, plan, eps, skipped=skipped)
-
-
-def _clean(
-    ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
-) -> tuple[PartitionPlan, LabeledDataset, NoiseReport]:
-    """Partition only; labels untouched, ground truth pinned to the labels."""
-    plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
-    clean = ds.with_labels(labels=ds.labels.copy(), true_labels=ds.labels.copy())
-    return plan, clean, _post_hoc_report(clean, plan, None)
-
-
-def _realworld(
-    ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
-) -> tuple[PartitionPlan, LabeledDataset, NoiseReport | None]:
-    """Partition an inherently noisy dataset; no synthetic corruption.
-
-    The report exists only when ground-truth labels are known; it is absent
-    (not zero-filled) otherwise.
-    """
-    plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
-    if ds.true_labels is None:
-        return plan, ds, None
-    return plan, ds, _post_hoc_report(ds, plan, None)
+        return symmetric_matrix(num_classes, eps)
+    return asymmetric_matrix(num_classes, eps, asym_map if asym_map is not None else cyclic_target_map(num_classes))
 
 
 def run_scene(
@@ -335,16 +232,43 @@ def run_scene(
 ) -> tuple[PartitionPlan, LabeledDataset, NoiseReport | None]:
     """Run the scene ``spec`` names; returns (plan, dataset, report).
 
-    The dataset is the noisy one (true labels set) for globalized and
-    localized noise, the input with true labels pinned to its labels for
-    the clean scene, and the input itself for the real-world scene, whose
-    report is None when the data carries no ground truth.
-    """
-    if spec.scene == SCENE_GLOBALIZED:
-        return _globalized(ds, spec, num_clients, partition_spec)
-    if spec.scene == SCENE_LOCALIZED:
-        return _localized(ds, spec, num_clients, partition_spec)
-    if spec.scene == SCENE_CLEAN:
-        return _clean(ds, spec, num_clients, partition_spec)
-    return _realworld(ds, spec, num_clients, partition_spec)
+    One path for every scene, in one order:
 
+    1. Globalized noise corrupts the whole dataset (stream ``flip``).
+    2. The (possibly corrupted) dataset is partitioned (stream ``partition``).
+    3. Localized noise draws every client's eps_k ~ U(eps_min, eps_max) in
+       index order (stream ``eps-draw``), then corrupts client k (stream
+       (``flip``, k)) among the classes it holds: its labels are coded by
+       their position among its sorted classes, flipped with an m x m
+       matrix whose asymmetric target is the next position, cyclically,
+       and mapped back.  Single-class clients stay clean and are listed in
+       ``skipped_clients``.  The clean scene pins its true labels to its
+       labels; the real-world scene returns the input itself.
+    4. The report is built unless the data has no ground truth; then it is None.
+    """
+    eps = None
+    if spec.scene == SCENE_GLOBALIZED:
+        matrix = _mode_matrix(ds.num_classes, spec.eps_global, spec.mode, spec.asym_map)
+        ds = apply_noise(ds, matrix, rng.derive_seed(spec.seed, "flip"))
+        eps = np.full(num_clients, spec.eps_global, dtype=np.float64)
+    plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
+    skipped = []
+    if spec.scene == SCENE_LOCALIZED:
+        eps = rng.stream(spec.seed, "eps-draw").uniform(spec.eps_min, spec.eps_max, size=num_clients)
+        labels = ds.labels.copy()
+        for k in range(num_clients):
+            local = restrict(ds, plan, k)
+            classes, positions = np.unique(local.labels, return_inverse=True)
+            if len(classes) < 2:
+                skipped.append(k)
+                continue
+            coded = LabeledDataset(features=local.features, labels=positions, num_classes=len(classes))
+            matrix = _mode_matrix(len(classes), float(eps[k]), spec.mode)
+            flipped = apply_noise(coded, matrix, rng.derive_seed(spec.seed, "flip", k))
+            labels[plan.clients[k]] = classes[flipped.labels]
+        ds = ds.with_labels(labels=labels, true_labels=ds.labels.copy())
+    elif spec.scene == SCENE_CLEAN:
+        ds = ds.with_labels(labels=ds.labels.copy(), true_labels=ds.labels.copy())
+    if ds.true_labels is None:
+        return plan, ds, None
+    return plan, ds, _post_hoc_report(ds, plan, eps, skipped)

@@ -5,7 +5,8 @@ are stored sorted ascending so plan files diff canonically.  Schemes that
 sample client shares redraw (up to a fixed budget) when a client would come
 out empty, since aggregation weights by client size; redraw ``a`` of seed
 ``s`` uses streams of its own, ``stream(s, <name>, "redraw", a)``, never the
-streams of another seed.
+streams of another seed.  More clients than samples fail before any draw,
+since no redraw could give every client a sample.
 """
 
 from __future__ import annotations
@@ -101,13 +102,18 @@ def _redraw(attempt: int) -> tuple:
     return () if attempt == 0 else ("redraw", attempt)
 
 
-def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> PartitionPlan:
-    """Global shuffle, then K blocks of floor(N/K); the remainder is unassigned."""
-    n = len(ds)
+def _check_client_count(n: int, num_clients: int) -> None:
+    """Reject a client count that no draw can serve: below 1, or above the N samples."""
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     if n < num_clients:
         raise DegeneratePartitionError(f"{num_clients} clients cannot each get one of {n} samples")
+
+
+def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> PartitionPlan:
+    """Global shuffle, then K blocks of floor(N/K); the remainder is unassigned."""
+    n = len(ds)
+    _check_client_count(n, num_clients)
     perm = rng.stream(seed, "iid").permutation(n)
     block = n // num_clients
     clients = [perm[k * block : (k + 1) * block] for k in range(num_clients)]
@@ -127,8 +133,7 @@ def partition_quantity_skew(
     indices; floor remainders are dropped.
     """
     n = len(ds)
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
+    _check_client_count(n, num_clients)
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
@@ -167,8 +172,7 @@ def partition_label_dirichlet(
     go round-robin over clients ordered by ascending fractional deficit.
     """
     n = len(ds)
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
+    _check_client_count(n, num_clients)
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
@@ -273,7 +277,6 @@ def restrict(ds: LabeledDataset, plan: PartitionPlan, k: int) -> LabeledDataset:
         labels=ds.labels[idx],
         num_classes=ds.num_classes,
         true_labels=ds.true_labels[idx] if ds.true_labels is not None else None,
-        name=f"{ds.name}[client{k}]",
     )
 
 

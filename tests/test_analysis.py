@@ -208,6 +208,13 @@ class TestAccuracyTable:
             read_accuracy_table(str(path))
         assert (err.value.row, err.value.column) == (3, column)
 
+    def test_duplicate_row_names_its_number(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("partition,mode,eps,accuracy\niid,symmetric,0.1,80\niid,symmetric,0.1,20\niid,symmetric,0.2,70\n")
+        with pytest.raises(ParseError, match=r"\(iid, symmetric, 0\.1\) is given by an earlier row too") as err:
+            read_accuracy_table(str(path))
+        assert err.value.row == 3
+
     def test_fraction_scale_bound(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("partition,mode,eps,accuracy\niid,symmetric,0.1,85.86\n")

@@ -339,19 +339,23 @@ class TestExitCodes:
         [
             ("pipeline", ["--noniid-label-count", "9"]),
             ("pipeline", ["--clients", "500", "--iid"]),
+            ("pipeline", ["--clients", "500", "--noniid-labeldir", "0.5"]),
             ("pipeline", ["--clients", "2", "--noniid-label-count", "2"]),
             ("pipeline", ["--clients", "40", "--noniid-labeldir", "0.0001"]),
             ("partition", ["--noniid-label-count", "9"]),
             ("partition", ["--clients", "500", "--iid"]),
+            ("partition", ["--clients", "500", "--noniid-quantity", "1.0"]),
             ("partition", ["--clients", "2", "--noniid-label-count", "2"]),
         ],
         ids=[
             "c-above-classes",
             "clients-above-samples",
+            "labeldir-clients-above-samples",
             "classes-uncovered",
             "redraws-exhausted",  # 2000 redraws take about 1.5 s, so only through one command
             "partition-c-above-classes",
             "partition-clients-above-samples",
+            "partition-quantity-clients-above-samples",
             "partition-classes-uncovered",
         ],
     )
@@ -380,8 +384,9 @@ class TestExitCodes:
             ("iid,symmetric,0.2,105", "row 3, column 'accuracy'"),
             ("iid,symmetric,nan,80", "row 3, column 'eps'"),
             ("iid,symmetric,0.1,0", "(label-dir, symmetric, 0.1)"),
+            ("label-dir,symmetric,0.10,20", "(label-dir, symmetric, 0.1) is given by an earlier row too (row 3)"),
         ],
-        ids=["accuracy-above-100", "nan-eps", "zero-iid-accuracy"],
+        ids=["accuracy-above-100", "nan-eps", "zero-iid-accuracy", "duplicate-row"],
     )
     def test_unusable_accuracy_table_exits_1(self, tmp_path, capsys, row, message):
         table = tmp_path / "table.csv"

@@ -9,7 +9,6 @@ from noisyfl.noise import (
     apply_noise,
     asymmetric_matrix,
     cyclic_target_map,
-    localized_asym_target,
     run_scene,
     symmetric_matrix,
 )
@@ -75,76 +74,44 @@ class TestTransitionMatrixInvariants:
             TransitionMatrix(probs=np.array([[1.5, -0.5], [0.0, 1.0]]))
 
 
-class TestLocalizedAsymTarget:
-    def test_sorted_cycle(self):
-        assert localized_asym_target([5, 1, 3]) == {1: 3, 3: 5, 5: 1}
-
-    def test_two_classes_swap(self):
-        assert localized_asym_target([0, 1]) == {0: 1, 1: 0}
-
-    def test_composition_is_identity(self):
-        classes = [2, 4, 7, 9]
-        mapping = localized_asym_target(classes)
-        for start in classes:
-            value = start
-            for _ in range(len(classes)):
-                value = mapping[value]
-            assert value == start
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            localized_asym_target([3])
-
-
 class TestApplyNoise:
     def test_identity_noop(self):
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=0)
-        noisy, counts = apply_noise(ds, symmetric_matrix(4, 0.0), seed=1)
+        noisy = apply_noise(ds, symmetric_matrix(4, 0.0), seed=1)
         assert np.array_equal(noisy.labels, ds.labels)
-        assert counts.sum() == len(ds)
-        assert np.array_equal(np.diag(counts), np.bincount(ds.labels, minlength=4))
 
     def test_full_asymmetric_flips_everything(self):
         ds = make_synthetic_blobs(5, 40, 2, 4.0, seed=0)
-        noisy, _ = apply_noise(ds, asymmetric_matrix(5, 1.0, cyclic_target_map(5)), seed=3)
+        noisy = apply_noise(ds, asymmetric_matrix(5, 1.0, cyclic_target_map(5)), seed=3)
         assert np.array_equal(noisy.labels, (ds.labels + 1) % 5)
 
     def test_flip_fraction_in_binomial_band(self):
         ds = make_synthetic_blobs(10, 5000, 2, 4.0, seed=0)
         n = len(ds)
         eps = 0.4
-        noisy, _ = apply_noise(ds, symmetric_matrix(10, eps), seed=11)
+        noisy = apply_noise(ds, symmetric_matrix(10, eps), seed=11)
         realized = (noisy.labels != ds.labels).mean()
         assert abs(realized - eps) <= 3 * np.sqrt(eps * (1 - eps) / n)
 
     def test_preserves_features_and_truth(self):
         ds = make_synthetic_blobs(3, 50, 2, 4.0, seed=0)
-        noisy, counts = apply_noise(ds, symmetric_matrix(3, 0.5), seed=2)
+        noisy = apply_noise(ds, symmetric_matrix(3, 0.5), seed=2)
         assert noisy.features is ds.features
         assert np.array_equal(noisy.true_labels, ds.labels)
-        flips = (noisy.labels != ds.labels).sum()
-        assert counts.sum() - np.trace(counts) == flips
 
     def test_prefix_stability(self):
         # growing the dataset must not change earlier samples' draws
         big = make_synthetic_blobs(4, 100, 2, 4.0, seed=5)
         small = LabeledDataset(big.features[:120], big.labels[:120], 4)
         m = symmetric_matrix(4, 0.5)
-        noisy_small, _ = apply_noise(small, m, seed=9)
-        noisy_big, _ = apply_noise(big, m, seed=9)
+        noisy_small = apply_noise(small, m, seed=9)
+        noisy_big = apply_noise(big, m, seed=9)
         assert np.array_equal(noisy_big.labels[:120], noisy_small.labels)
 
     def test_label_outside_matrix(self):
         ds = LabeledDataset(features=np.zeros((3, 1)), labels=[0, 1, 2], num_classes=3)
         with pytest.raises(LabelNotInMatrixError):
             apply_noise(ds, symmetric_matrix(2, 0.1), seed=0)
-
-    def test_local_matrix_with_class_ids(self):
-        ds = LabeledDataset(features=np.zeros((4, 1)), labels=[1, 3, 3, 1], num_classes=5)
-        m = asymmetric_matrix(2, 1.0, {0: 1, 1: 0}, class_ids=[1, 3])
-        noisy, counts = apply_noise(ds, m, seed=0)
-        assert noisy.labels.tolist() == [3, 1, 1, 3]
-        assert counts[1, 3] == 2 and counts[3, 1] == 2
 
 
 class TestNoiseSpecValidation:
@@ -268,14 +235,34 @@ class TestLocalizedScene:
         assert np.array_equal(r1.per_client_eps, r2.per_client_eps)
 
     def test_asymmetric_local_flips(self):
-        ds = make_synthetic_blobs(6, 200, 2, 4.0, seed=3)
-        spec = NoiseSpec(scene="localized", mode="asymmetric", eps_min=1.0, eps_max=1.0, seed=4)
-        plan, noisy, _ = run_scene(ds, spec, 3, PartitionSpec(scheme="iid"))
-        for k, idx in enumerate(plan.clients):
-            local_classes = sorted(np.unique(ds.labels[idx]).tolist())
-            mapping = localized_asym_target(local_classes)
-            expected = np.array([mapping[v] for v in ds.labels[idx]])
-            assert np.array_equal(noisy.labels[idx], expected)
+        # label-quantity, c = 3 of 6 classes: at eps 1 every label moves to the
+        # next class its client holds, in ascending order, wrapping around.  The
+        # global cycle would differ: it sends 2 to 3 on client 0 and 5 to 0 on client 1.
+        ds = make_synthetic_blobs(6, 3, 2, 4.0, seed=0)
+        spec = NoiseSpec(scene="localized", mode="asymmetric", eps_min=1.0, eps_max=1.0, seed=0)
+        plan, noisy, report = run_scene(ds, spec, 3, PartitionSpec(scheme="label-quantity", c=3))
+        assert [ds.labels[idx].tolist() for idx in plan.clients] == [
+            [1, 1, 1, 2, 4, 4, 4],
+            [2, 3, 3, 5, 5, 5],
+            [0, 0, 0, 2, 3],
+        ]
+        assert [noisy.labels[idx].tolist() for idx in plan.clients] == [
+            [2, 2, 2, 4, 1, 1, 1],  # 1 -> 2 -> 4 -> 1
+            [3, 5, 5, 2, 2, 2],  # 2 -> 3 -> 5 -> 2
+            [2, 2, 2, 3, 0],  # 0 -> 2 -> 3 -> 0
+        ]
+        assert np.array_equal(noisy.true_labels, ds.labels)
+        assert report.skipped_clients == ()
+        assert report.overall_ratio == 1.0
+
+    def test_single_class_client_stays_clean_under_asymmetric_noise(self):
+        ds = make_synthetic_blobs(3, 4, 2, 4.0, seed=0)
+        spec = NoiseSpec(scene="localized", mode="asymmetric", eps_min=1.0, eps_max=1.0, seed=0)
+        plan, noisy, report = run_scene(ds, spec, 3, PartitionSpec(scheme="label-quantity", c=1))
+        assert sorted(np.unique(ds.labels[idx]).tolist() for idx in plan.clients) == [[0], [1], [2]]
+        assert np.array_equal(noisy.labels, ds.labels)
+        assert report.skipped_clients == (0, 1, 2)
+        assert report.overall_ratio == 0.0
 
 
 class TestRealworldScene:
@@ -290,7 +277,7 @@ class TestRealworldScene:
 
     def test_report_present_with_ground_truth(self):
         base = make_synthetic_blobs(4, 200, 2, 4.0, seed=0)
-        noisy, _ = apply_noise(base, symmetric_matrix(4, 0.3), seed=1)
+        noisy = apply_noise(base, symmetric_matrix(4, 0.3), seed=1)
         plan, out, report = run_scene(noisy, NoiseSpec(scene="realworld", seed=2), 4, PartitionSpec(scheme="iid"))
         assert out is noisy
         assigned = np.concatenate(plan.clients)
@@ -311,6 +298,21 @@ class TestCleanScene:
 
 
 class TestNoiseReport:
+    def test_identity_counts_lie_on_the_diagonal(self):
+        ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=0)
+        spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.0, seed=1)
+        _, _, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))  # 4 blocks of 100: every sample assigned
+        assert report.flip_counts.sum() == len(ds)
+        assert np.array_equal(np.diag(report.flip_counts), np.bincount(ds.labels, minlength=4))
+
+    def test_off_diagonal_counts_are_the_flips(self):
+        ds = make_synthetic_blobs(3, 50, 2, 4.0, seed=0)
+        spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.5, seed=2)
+        _, noisy, report = run_scene(ds, spec, 3, PartitionSpec(scheme="iid"))  # 3 blocks of 50: every sample assigned
+        flips = (noisy.labels != ds.labels).sum()
+        assert flips > 0
+        assert report.flip_counts.sum() - np.trace(report.flip_counts) == flips
+
     def test_overall_consistent_with_flip_counts(self):
         ds = make_synthetic_blobs(5, 400, 2, 4.0, seed=1)
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.35, seed=9)

@@ -154,6 +154,17 @@ class TestRedrawStreams:
         assert min(redrawn.sizes()) >= 1
         assert not all(np.array_equal(a, b) for a, b in zip(redrawn.clients, next_seed.clients))
 
+    @pytest.mark.parametrize("scheme", [partition_quantity_skew, partition_label_dirichlet], ids=["quantity-skew", "label-dir"])
+    def test_more_clients_than_samples_fails_before_any_draw(self, scheme):
+        """No redraw can give K > N clients a sample each, so none is drawn."""
+        ds = balanced(5, 20)
+
+        def sampler(gen, alpha, size):
+            pytest.fail("sampler called for more clients than samples")
+
+        with pytest.raises(DegeneratePartitionError, match="500 clients cannot each get one of 100 samples"):
+            scheme(ds, 500, alpha=0.5, seed=0, sampler=sampler)
+
 
 class TestLabelQuantity:
     def test_c_equals_num_classes_covers_everything(self):

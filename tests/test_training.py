@@ -177,7 +177,7 @@ class TestCoteachingSchedule:
 class TestTrainCoteaching:
     def _noisy_blobs(self, seed=0):
         clean = blobs(per_class=60, seed=seed)
-        noisy, _ = apply_noise(clean, symmetric_matrix(3, 0.3), seed=seed + 100)
+        noisy = apply_noise(clean, symmetric_matrix(3, 0.3), seed=seed + 100)
         return noisy
 
     def test_zero_forget_rate_matches_independent_ce(self):
@@ -369,7 +369,7 @@ class TestWorkspaceReuse:
         self._check(clean, MLPLayout(dim=32, hidden=64, num_classes=10, activation="tanh"), method, 64)
 
     def _check(self, clean, layout, method, batch_size):
-        ds, _ = apply_noise(clean, symmetric_matrix(clean.num_classes, 0.3), seed=2)
+        ds = apply_noise(clean, symmetric_matrix(clean.num_classes, 0.3), seed=2)
         starts = [init_params(layout, seed=3), init_params(layout, seed=4)]
         cfg = TrainerConfig(
             method=method, lr=0.2, epochs=3, batch_size=batch_size, method_params=self.METHOD_PARAMS[method]
