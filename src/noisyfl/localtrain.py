@@ -6,17 +6,19 @@ plain-CE trajectory bit for bit.  One call trains one client for E epochs
 and is single-threaded and deterministic.
 
 Every method runs through one epoch/batch loop, :func:`_train`.  It checks
-the dataset against the layout once, then gives each network one
-``models.Workspace``, bound to that network and sized to the batch, for
-the whole call.  A method is a batch rule that takes each network's
+the dataset against the layout once, then holds the networks it trains as
+one stack (one network, or co-teaching's two as the rows of an (S, P)
+array) with one ``models.Workspace`` bound to it and sized to the batch,
+for the whole call.  A method is a batch rule that takes the stack's
 gradient through the checked entries ``losses.backward`` (or, for
 co-teaching, ``models.forward_cached`` and ``losses.backward_cached``),
-which bind nothing anew for the bound network; the loop then takes the
-momentum-SGD step (:func:`sgd_step`) in per-call velocity and workspace
-buffers.  Co-teaching is the same loop with two networks and a batch
-rule; as in Han et al.'s reference implementation (arXiv 1804.06872),
-each network runs one forward pass per batch, which both ranks the batch
-and carries the update loss on the rows its peer selected.
+which bind nothing anew for the bound stack; the loop then takes one
+momentum-SGD step (:func:`sgd_step`) per batch for the whole stack, in
+per-call velocity and workspace buffers.  Co-teaching is the same loop
+with a stack of two networks and a batch rule: one stacked forward pass
+per batch ranks the batch for both networks and, as in Han et al.'s
+reference implementation (arXiv 1804.06872), carries each network's update
+loss on the rows its peer selected.
 """
 
 from __future__ import annotations
@@ -129,58 +131,79 @@ def sgd_step(
 
 
 def mixup_batch(
-    x: np.ndarray, onehot: np.ndarray, lam: float, perm: np.ndarray
+    x: np.ndarray, onehot: np.ndarray, lam: float, perm: np.ndarray, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convex combination of a batch with its permuted copy; targets stay on the simplex."""
-    mixed_x = lam * x + (1.0 - lam) * x[perm]
-    mixed_t = lam * onehot + (1.0 - lam) * onehot[perm]
+    """Convex combination of a batch with its permuted copy; targets stay on the simplex.
+
+    Each array ``a`` becomes ``lam * a + (1 - lam) * a[perm]``.  ``out``
+    is (mixed rows, mixed targets, row scratch, target scratch), shaped
+    like ``x``, ``onehot``, ``x`` and ``onehot``; with it nothing is
+    allocated, and without it they are new arrays.
+    """
+    if out is None:
+        out = (np.empty_like(x), np.empty_like(onehot), np.empty_like(x), np.empty_like(onehot))
+    mixed_x, mixed_t, scratch_x, scratch_t = out
+    for a, mixed, scratch in ((x, mixed_x, scratch_x), (onehot, mixed_t, scratch_t)):
+        np.multiply(lam, a, out=mixed)
+        np.take(a, perm, axis=0, out=scratch, mode="clip")  # a[perm]; "clip" writes to out unbuffered
+        scratch *= 1.0 - lam
+        mixed += scratch
     return mixed_x, mixed_t
 
 
-def _train(ds: LabeledDataset, start: tuple[ModelParams, ...], cfg: TrainerConfig, seed: int, batch_rule):
+def _train(
+    ds: LabeledDataset, start: tuple[ModelParams, ...], cfg: TrainerConfig, seed: int, batch_rule, targets=None
+):
     """The one epoch/batch loop behind every local-training method.
 
-    Each network gets a copy of its start parameters, updated in place one
-    momentum-SGD step per batch, and one workspace bound to that copy for
-    the whole call, sized to the largest batch.  The dataset's width is
+    The S networks (S = 1, or 2 for co-teaching) train as one stack: a
+    copy of their start parameters, as the rows of an (S, P) array for
+    S > 1, with one velocity of that shape and one workspace bound to it
+    for the whole call, sized to the largest batch.  The dataset's width is
     checked against the layout here, once, before any step.
-    ``batch_rule(models, works, x, y)`` runs each network's backward on the
-    batch and returns one ``LossOutput`` per network plus the batch loss;
-    the loop steps each network with :func:`sgd_step` in a per-call
-    velocity and its workspace's ``step`` buffer, and checks the new values
-    for finiteness before the network takes them.  Each epoch gathers its
-    shuffled rows once; a batch is a slice of them.  Overflow is not
-    reported as a numpy warning: a diverging step fails that check and
-    raises ``FloatingPointError``.
+    ``batch_rule(stack, work, x, y)`` runs the backward of every network on
+    the batch and returns one ``LossOutput`` whose ``grad`` is shaped like
+    the stack and whose ``value`` is the batch loss.  The loop then takes
+    one momentum-SGD step (:func:`sgd_step`) for the whole stack, in the
+    velocity and the workspace's ``step`` buffer, and checks the new values
+    for finiteness once before the stack takes them.  Each epoch gathers
+    its shuffled rows and their targets (``ds.labels`` unless ``targets``
+    gives one row per sample) once; a batch is a slice of them.  Overflow
+    is not reported as a numpy warning: a diverging step fails that check
+    and raises ``FloatingPointError``.  Returns the trained networks in the
+    order of ``start``.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
     layout = start[0].layout
     if ds.features.shape[1] != layout.dim:
         raise LayoutMismatchError(f"dataset of width {ds.features.shape[1]} does not match layout dim {layout.dim}")
-    models = [params.copy() for params in start]
-    works = [Workspace(layout, min(cfg.batch_size, len(ds)), m) for m in models]
-    velocities = [np.zeros_like(m.values) for m in models]
+    if len(start) == 1:
+        stack = start[0].copy()
+    else:
+        stack = ModelParams(np.stack([params.values for params in start]), layout)
+    work = Workspace(layout, min(cfg.batch_size, len(ds)), stack)
+    velocity = np.zeros_like(stack.values)
+    targets = ds.labels if targets is None else targets
     stats = TrainStats()
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
-            xs, ys = ds.features[perm], ds.labels[perm]
+            xs, ys = ds.features[perm], targets[perm]
             batch_losses = []
             for first in range(0, len(ds), cfg.batch_size):
                 rows = slice(first, first + cfg.batch_size)
-                outs, batch_loss = batch_rule(models, works, xs[rows], ys[rows])
-                for i, (model, work, out) in enumerate(zip(models, works, outs)):
-                    values, velocities[i] = sgd_step(
-                        model.values, out.grad, velocities[i], cfg.lr, cfg.momentum, work.step
-                    )
-                    # the step's one finiteness check, before the network takes the values
-                    if not np.isfinite(values, out=work.finite).all():
-                        raise FloatingPointError("local training diverged to non-finite parameters")
-                    model.values[:] = values
-                batch_losses.append(batch_loss)
+                out = batch_rule(stack, work, xs[rows], ys[rows])
+                values, velocity = sgd_step(stack.values, out.grad, velocity, cfg.lr, cfg.momentum, work.step)
+                # the step's one finiteness check, before the stack takes the values
+                if not np.isfinite(values, out=work.finite).all():
+                    raise FloatingPointError("local training diverged to non-finite parameters")
+                stack.values[:] = values
+                batch_losses.append(out.value)
             stats.epoch_losses.append(float(np.mean(batch_losses)))
-    return models, stats
+    if len(start) == 1:
+        return [stack], stats
+    return [ModelParams(values, layout) for values in stack.values], stats
 
 
 def train_local(
@@ -193,29 +216,37 @@ def train_local(
     """E epochs of mini-batch SGD with the configured loss or mixup.
 
     ``lam_sampler(gen, alpha) -> lam`` overrides the Beta(alpha, alpha) draw
-    (test stubbing).  Co-teaching needs two models; use
+    (test stubbing).  Mixup trains on one-hot targets, built once per call
+    and gathered once per epoch, and mixes each batch into per-call
+    buffers.  Co-teaching needs two models; use
     :func:`train_local_coteaching`.
     """
     if cfg.method == "coteaching":
         raise ValueError("co-teaching trains two models; call train_local_coteaching")
-    mixup = cfg.method == "mixup"
-    kind = cfg.loss_kind
-    mix_alpha = cfg.method_params.get("alpha", MIXUP_DEFAULT_ALPHA)
-    mix_gen = rng.stream(seed, "mixup") if mixup else None
+    targets = None
+    if cfg.method == "mixup":
+        mix_alpha = cfg.method_params.get("alpha", MIXUP_DEFAULT_ALPHA)
+        mix_gen = rng.stream(seed, "mixup")
+        targets = one_hot(ds.labels, ds.num_classes)
+        rows = min(cfg.batch_size, len(ds))
+        buffers = [np.empty((rows,) + a.shape[1:]) for a in (ds.features, targets, ds.features, targets)]
 
-    def one_network(models, works, x, y):
-        if mixup:
+        def one_network(stack, work, x, onehot):
             lam = float(lam_sampler(mix_gen, mix_alpha)) if lam_sampler else float(mix_gen.beta(mix_alpha, mix_alpha))
-            mixed_x, mixed_t = mixup_batch(x, one_hot(y, ds.num_classes), lam, mix_gen.permutation(len(x)))
-            out = backward(models[0], mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay, work=works[0])
-        else:
-            out = backward(
-                models[0], x, y, kind=kind, method_params=cfg.method_params,
-                weight_decay=cfg.weight_decay, work=works[0],
-            )
-        return (out,), out.value
+            b = len(x)
+            out = buffers if b == rows else [buf[:b] for buf in buffers]
+            mixed_x, mixed_t = mixup_batch(x, onehot, lam, mix_gen.permutation(b), out)
+            return backward(stack, mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay, work=work)
 
-    (model,), stats = _train(ds, (params,), cfg, seed, one_network)
+    else:
+        kind = cfg.loss_kind
+
+        def one_network(stack, work, x, y):
+            return backward(
+                stack, x, y, kind=kind, method_params=cfg.method_params, weight_decay=cfg.weight_decay, work=work
+            )
+
+    (model,), stats = _train(ds, (params,), cfg, seed, one_network, targets)
     return model, stats
 
 
@@ -243,13 +274,15 @@ def train_local_coteaching(
 ) -> tuple[ModelParams, ModelParams, TrainStats]:
     """Cross-update two networks on each other's small-loss samples.
 
-    Per batch, each network ranks per-sample CE losses and keeps the
-    smallest R(t) fraction; each network then steps on the subset its peer
-    selected.  Both networks share the batch schedule.  The update loss is
-    backpropagated through the ranking pass, as in Han et al.'s reference
-    implementation (arXiv 1804.06872), so each network runs one forward pass
-    per batch; a kept row's values come from the full-batch matmul, which can
-    differ in the last bits from a pass over the kept rows alone.
+    The two networks train as one stack, so each batch runs one forward
+    pass, one backward and one SGD step for both.  Per batch, each network
+    ranks its per-sample CE losses and keeps the smallest R(t) fraction;
+    each network then steps on the subset its peer selected.  Both
+    networks share the batch schedule.  The update loss is backpropagated
+    through the ranking pass, as in Han et al.'s reference implementation
+    (arXiv 1804.06872); a kept row's values come from the full-batch
+    matmul, which can differ in the last bits from a pass over the kept
+    rows alone.
     """
     if params_a.layout != params_b.layout:
         raise ValueError("co-teaching networks must share a layout")
@@ -257,20 +290,17 @@ def train_local_coteaching(
     ramp_rounds = cfg.method_params.get("ramp_rounds", COTEACHING_DEFAULT_RAMP_ROUNDS)
     keep_fraction = coteaching_keep_fraction(round_t, forget_rate, ramp_rounds)
 
-    def cross_update(models, works, x, y):
-        # rank the batch with each network's one forward pass, then narrow
-        # each pass to its peer's selection and backpropagate through it
+    def cross_update(stack, work, x, y):
+        # one stacked pass ranks the batch for both networks; each network's
+        # pass is then narrowed to its peer's selection and backpropagated
         b = len(x)
-        kept = []
-        for m, w in zip(models, works):
-            probs, _ = forward_cached(m, x, w)
-            _per_sample(probs, y, "ce", {}, w.per_sample[:b], w.row_ids[:b])
-            kept.append(small_loss_selection(w.per_sample[:b], keep_fraction))
-        outs = []
-        for m, w, sel in zip(models, works, kept[::-1]):
-            w.keep(sel)
-            outs.append(backward_cached(m, w, y[sel], kind="ce", weight_decay=cfg.weight_decay))
-        return outs, 0.5 * (outs[0].value + outs[1].value)
+        probs, _ = forward_cached(stack, x, work)
+        per = work.per_sample[: 2 * b]
+        _per_sample(probs, np.concatenate((y, y)), "ce", {}, per, work.row_ids[: 2 * b])
+        kept = [small_loss_selection(per[:b], keep_fraction), small_loss_selection(per[b:], keep_fraction)]
+        peers = np.array(kept[::-1])  # row s: the rows network s steps on
+        work.keep(peers)
+        return backward_cached(stack, work, y[peers].ravel(), kind="ce", weight_decay=cfg.weight_decay)
 
     (model_a, model_b), stats = _train(ds, (params_a, params_b), cfg, seed, cross_update)
     return model_a, model_b, stats

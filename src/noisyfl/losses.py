@@ -8,9 +8,11 @@ value and dloss/dlogits.  All reductions are batch means.
 parameters and backpropagates through the pass it already holds, turning
 its probabilities into d(mean loss)/d(logits) in place; :func:`backward`
 is ``forward_cached`` followed by it, and is the step of every method but
-co-teaching.  Their checks take constant time, and binding a workspace to
-the network it already holds is a no-op, so a training step recomputes
-no weight view.  What they return are views of the workspace's buffers,
+co-teaching.  Bound to a stack of networks, they compute every network's
+loss over the stack's rows as one block and backpropagate once for all.
+Their checks take constant time, and binding a workspace to the network
+it already holds is a no-op, so a training step recomputes no weight
+view.  What they return are views of the workspace's buffers,
 valid until its next pass; without a workspace :func:`backward` builds
 its own.  Co-teaching takes its update loss from the pass that ranked the
 batch, as in Han et al.'s reference implementation (arXiv 1804.06872).
@@ -54,8 +56,13 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _mean(per_sample: np.ndarray) -> float:
-    return float(np.add.reduce(per_sample) / len(per_sample))
+def _mean(per_sample: np.ndarray, networks: int) -> float:
+    """Each network's mean over its rows, averaged over a stack of ``networks``."""
+    if networks == 1:
+        return float(np.add.reduce(per_sample) / len(per_sample))
+    means = np.add.reduce(per_sample.reshape(networks, -1), axis=1)
+    means /= len(per_sample) // networks
+    return float(np.add.reduce(means) / networks)
 
 
 def _sce_params(mp: dict) -> tuple[float, float, float]:
@@ -161,15 +168,18 @@ def backward_cached(
     """:func:`backward` over the forward pass ``work`` already holds.
 
     ``labels`` belong to the rows of that pass, after any ``work.keep``;
-    the backpropagation runs with ``params``.
+    for a stack they are each network's labels in turn, and each network's
+    gradient is that of its own batch mean.  ``value`` is then the mean of
+    the networks' batch means.  The backpropagation runs with ``params``.
     """
     if work.layout is not params.layout and work.layout != params.layout:
         raise LayoutMismatchError("workspace layout does not match the parameters")
     work.bind(params)
     mp = method_params or {}
-    b = len(work.x)
-    probs, per, row_ids = work.probs[:b], work.per_sample[:b], work.row_ids[:b]
+    b = work.x.shape[-2]  # rows per network
+    n = work.networks * b
+    probs, per, row_ids = work.probs[:n], work.per_sample[:n], work.row_ids[:n]
     p_label = _per_sample(probs, labels, kind, mp, per, row_ids)
-    _logit_gap(probs, labels, kind, mp, p_label, row_ids, work.row_scale[:b])
-    probs /= b  # the gradient of the batch mean
-    return LossOutput(value=_mean(per), per_sample=per, grad=work.backprop(weight_decay))
+    _logit_gap(probs, labels, kind, mp, p_label, row_ids, work.row_scale[:n])
+    probs /= b  # the gradient of each network's batch mean
+    return LossOutput(value=_mean(per, work.networks), per_sample=per, grad=work.backprop(weight_decay))

@@ -1,14 +1,17 @@
 """Desk-scale differentiable models: linear-softmax and one-hidden-layer MLP.
 
 Parameters live in a single flat float64 vector; the layout descriptor maps
-slices of it to weight matrices.  A :class:`Workspace` holds one network's
-buffers for a local-training call and is bound to that network: it takes
-the views of its weight matrices (and their transposes) once, and they
-follow the training loop's in-place updates of the flat vector, so a step
-runs its kernels in place and recomputes no view.  What a pass returns is
-a view of the workspace's buffers and holds until its next pass.
-:func:`forward_cached` is the checked entry over :meth:`Workspace.forward`;
-the loss-specific part of the hand-derived gradient is in losses.py.
+slices of it to weight matrices.  A stack of networks of one layout is an
+(S, P) array with one network per row.  A :class:`Workspace` holds the
+buffers of one network or of one stack for a local-training call and is
+bound to it: it takes the views of its weight matrices (and their
+transposes) once, and they follow the training loop's in-place updates of
+the values, so a step runs its kernels in place and recomputes no view.
+Each kernel of a pass runs once for the whole stack, so co-teaching's two
+networks cost one pass's dispatch.  What a pass returns is a view of the
+workspace's buffers and holds until its next pass.  :func:`forward_cached`
+is the checked entry over :meth:`Workspace.forward`; the loss-specific part
+of the hand-derived gradient is in losses.py.
 """
 
 from __future__ import annotations
@@ -83,7 +86,12 @@ def layout_from_dict(doc: dict) -> Layout:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Flat float64 parameter vector tied to its layout."""
+    """Flat float64 parameters tied to their layout.
+
+    ``values`` is one network's vector of ``layout.param_count`` entries,
+    or a stack of S networks of that layout as the rows of an (S, P)
+    array, which a :class:`Workspace` runs in one pass.
+    """
 
     values: np.ndarray
     layout: Layout
@@ -91,7 +99,7 @@ class ModelParams:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or len(values) != self.layout.param_count:
+        if values.ndim not in (1, 2) or values.shape[-1] != self.layout.param_count:
             raise ValueError(
                 f"expected {self.layout.param_count} parameters for layout, got shape {values.shape}"
             )
@@ -104,25 +112,28 @@ class ModelParams:
 
 def _linear_views(layout: LinearSoftmaxLayout, values: np.ndarray):
     c, d = layout.num_classes, layout.dim
-    w = values[: c * d].reshape(c, d)
-    b = values[c * d :]
+    lead = values.shape[:-1]
+    w = values[..., : c * d].reshape(lead + (c, d))
+    b = values[..., c * d :]
     return w, b
 
 
 def _mlp_views(layout: MLPLayout, values: np.ndarray):
     d, h, c = layout.dim, layout.hidden, layout.num_classes
+    lead = values.shape[:-1]
     i = 0
-    w1 = values[i : i + h * d].reshape(h, d)
+    w1 = values[..., i : i + h * d].reshape(lead + (h, d))
     i += h * d
-    b1 = values[i : i + h]
+    b1 = values[..., i : i + h]
     i += h
-    w2 = values[i : i + c * h].reshape(c, h)
+    w2 = values[..., i : i + c * h].reshape(lead + (c, h))
     i += c * h
-    b2 = values[i : i + c]
+    b2 = values[..., i : i + c]
     return w1, b1, w2, b2
 
 
 def _layer_views(layout: Layout, values: np.ndarray):
+    """Per-layer views of one network's values, or of every row of a stack at once."""
     if isinstance(layout, LinearSoftmaxLayout):
         return _linear_views(layout, values)
     return _mlp_views(layout, values)
@@ -146,131 +157,159 @@ def init_params(layout: Layout, seed: int) -> ModelParams:
 
 
 class Workspace:
-    """One network's buffers for a local-training call, bound to that network.
+    """The buffers of one network, or of a stack of S networks, for a local-training call.
 
-    :meth:`bind` takes the weight views of a ``ModelParams``' flat
-    ``values`` (and the transposes the matmuls read).  They are views, so
-    they stay valid while the caller updates ``values`` in place, as the
-    training loop does after every step; binding the same values again is
-    a no-op, and only another network's values are bound anew.
-    :meth:`forward` and :meth:`backprop` run only their kernels: they take
-    the rows as given (float64, ``layout.dim`` columns, at most ``rows`` of
-    them).  :func:`forward_cached` and ``losses.backward`` are the checked
-    entries over them; each checks its input in constant time and binds
-    the network it is given.
+    A workspace is made for the shape of the ``ModelParams`` it computes
+    with: one network's (P,) values, or an (S, P) stack whose rows are S
+    networks of one layout (S = 1 without ``params``).  Every kernel of a
+    pass runs once for the whole stack: the matmuls broadcast over the
+    stack axis (``x @ W1^T`` for each network's W1), and the softmax and
+    the loss work on the stack's rows as one flat block.  The block of a
+    pass over ``b`` rows is the first S*b rows of each row buffer, network
+    after network, so the rows of network s are ``s*b`` to ``(s+1)*b``.
+
+    :meth:`bind` takes the weight views of the values (and the transposes
+    the matmuls read).  They are views, so they stay valid while the
+    caller updates the values in place, as the training loop does after
+    every step; binding the same values again is a no-op, and only another
+    network's values are bound anew.  :meth:`forward` and :meth:`backprop`
+    run only their kernels: they take the rows as given (float64,
+    ``layout.dim`` columns, at most ``rows`` of them).  :func:`forward_cached`
+    and ``losses.backward`` are the checked entries over them; each checks
+    its input in constant time and binds the network it is given.
 
     Buffers: ``probs`` holds the logits, then the probabilities, then
     d(mean loss)/d(logits); ``per_sample``, ``row_scale`` and ``row_stat``
-    are per-row scratch; ``z1``, ``hidden`` and ``dhidden`` are the hidden
-    layer's (MLP only); ``grad`` is the flat gradient, with per-layer
-    views ``grad_views`` in the layout's order; ``decay``, ``step`` and
-    ``finite`` are parameter-sized scratch for weight decay, the SGD step
-    and its finiteness check.  Everything a pass returns is a view of these
-    buffers and holds only until the next pass in the same workspace.
-    :meth:`keep` narrows the last pass to some of its rows, so that a
-    backward can reuse it.
+    are per-row scratch; ``hidden`` (the activations) and ``dhidden`` are
+    the hidden layer's (MLP only); ``grad`` is the gradient, shaped like
+    the values, with per-layer views ``grad_views`` in the layout's order;
+    ``decay``, ``step`` and ``finite`` are scratch of that shape for weight
+    decay, the SGD step and its finiteness check.  Everything a pass
+    returns is a view of these buffers and holds only until the next pass
+    in the same workspace.  :meth:`keep` narrows the last pass to some of
+    its rows, so that a backward can reuse it.
     """
 
     def __init__(self, layout: Layout, rows: int, params: ModelParams | None = None):
-        c, p = layout.num_classes, layout.param_count
+        shape = (layout.param_count,) if params is None else params.values.shape
         self.layout = layout
         self.rows = rows
+        self.networks = 1 if len(shape) == 1 else shape[0]
         self.mlp = isinstance(layout, MLPLayout)
         self.tanh = self.mlp and layout.activation == "tanh"
-        self.row_ids = np.arange(rows)
-        self.probs = np.empty((rows, c))
-        self.row_stat = np.empty((rows, 1))  # softmax row max, then row sum
-        self.per_sample = np.empty(rows)
-        self.row_scale = np.empty(rows)
-        self.grad = np.empty(p)
-        self.decay = np.empty(p)
-        self.step = np.empty(p)
-        self.finite = np.empty(p, dtype=bool)
-        self.x = None  # the rows of the last forward pass
-        self.values = None  # the bound network's flat parameters
+        n = self.networks * rows
+        self.row_ids = np.arange(n)
+        self.probs = np.empty((n, layout.num_classes))
+        self.row_stat = np.empty((n, 1))  # softmax row max, then row sum
+        self.per_sample = np.empty(n)
+        self.row_scale = np.empty(n)
+        self.grad = np.empty(shape)
+        self.decay = np.empty(shape)
+        self.step = np.empty(shape)
+        self.finite = np.empty(shape, dtype=bool)
+        self.x = None  # the rows of the last pass: (b, d), or (S, k, d) once a stack keeps k each
+        self.values = None  # the bound network's (or stack's) parameters
         self.grad_views = _layer_views(layout, self.grad)
         if self.mlp:
-            self.z1 = np.empty((rows, layout.hidden))
-            self.hidden = np.empty((rows, layout.hidden))
-            self.dhidden = np.empty((rows, layout.hidden))
+            self.hidden = np.empty((n, layout.hidden))
+            self.dhidden = np.empty((n, layout.hidden))
         if params is not None:
             self.bind(params)
 
     def bind(self, params: ModelParams) -> None:
-        """Compute with ``params`` from the next pass on (its layout must be this workspace's)."""
+        """Compute with ``params`` from the next pass on (its layout and shape must be this workspace's)."""
         if self.values is params.values:
             return
+        if params.values.shape != self.grad.shape:
+            raise LayoutMismatchError(
+                f"parameters of shape {params.values.shape} do not fit a workspace for {self.grad.shape}"
+            )
         self.values = params.values
+        views = _layer_views(self.layout, params.values)
         if self.mlp:
-            w1, self.b1, self.w2, self.b_out = _mlp_views(self.layout, params.values)
-            self.w1_t, self.w_out_t = w1.T, self.w2.T
+            w1, b1, self.w2, b_out = views
+            self.w1_t, self.b1 = w1.swapaxes(-1, -2), b1[..., None, :]
+            w_out = self.w2
         else:
-            w, self.b_out = _linear_views(self.layout, params.values)
-            self.w_out_t = w.T
+            w_out, b_out = views
+        # biases broadcast over each network's rows
+        self.w_out_t, self.b_out = w_out.swapaxes(-1, -2), b_out[..., None, :]
+
+    def _block(self, buf: np.ndarray, b: int) -> np.ndarray:
+        """The pass's first ``b`` rows of ``buf`` for each network: (b, m), or (S, b, m) for a stack."""
+        if self.networks == 1:
+            return buf[:b]
+        return buf[: self.networks * b].reshape(self.networks, b, buf.shape[1])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Probability rows of the bound network for ``x``; a view of ``probs``."""
+        """Probability rows of the bound networks for ``x``: a view of ``probs``, network after network."""
         b = len(x)
-        logits = self.probs[:b]
+        logits = self._block(self.probs, b)
         if self.mlp:
-            z1, hidden = self.z1[:b], self.hidden[:b]
-            np.matmul(x, self.w1_t, out=z1)
-            z1 += self.b1
+            hidden = self._block(self.hidden, b)
+            np.matmul(x, self.w1_t, out=hidden)
+            hidden += self.b1
             if self.tanh:
-                np.tanh(z1, out=hidden)
+                np.tanh(hidden, out=hidden)
             else:
-                np.maximum(z1, 0.0, out=hidden)
+                np.maximum(hidden, 0.0, out=hidden)
             np.matmul(hidden, self.w_out_t, out=logits)
         else:
             np.matmul(x, self.w_out_t, out=logits)
         logits += self.b_out
-        row_stat = self.row_stat[:b]
-        logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=row_stat)
-        np.exp(logits, out=logits)
-        logits /= np.add.reduce(logits, axis=1, keepdims=True, out=row_stat)
+        n = self.networks * b
+        probs, row_stat = self.probs[:n], self.row_stat[:n]
+        probs -= np.maximum.reduce(probs, axis=1, keepdims=True, out=row_stat)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=1, keepdims=True, out=row_stat)
         self.x = x
-        return logits
+        return probs
 
     def keep(self, rows: np.ndarray) -> None:
         """Narrow the last forward pass to ``rows`` of it, moved to the head in that order.
 
-        A backward over the workspace then sees only those rows, as if the
-        pass had run on ``x[rows]``; the values are the full pass's, which
-        can differ in the last bits from a pass over the subset alone.
+        ``rows`` holds each network's rows: (k,) for one network, (S, k)
+        for a stack, row s for network s.  A backward over the workspace
+        then sees only those rows, as if each network's pass had run on
+        ``x[rows[s]]``; the values are the full pass's, which can differ in
+        the last bits from a pass over the subset alone.
         """
-        k = len(rows)
-        self.probs[:k] = self.probs[rows]
+        b = self.x.shape[-2]
+        picked = (np.arange(0, self.networks * b, b)[:, None] + rows).ravel()
+        n = len(picked)
+        self.probs[:n] = self.probs[picked]
         if self.mlp:
-            self.z1[:k] = self.z1[rows]
-            self.hidden[:k] = self.hidden[rows]
-        self.x = self.x[rows]
+            self.hidden[:n] = self.hidden[picked]
+        # the pass's rows are shared by the stack until a keep gives each network its own
+        self.x = self.x[rows] if self.x.ndim == 2 else np.take_along_axis(self.x, rows[:, :, None], axis=1)
 
     def backprop(self, weight_decay: float) -> np.ndarray:
         """``grad`` from the mean-loss logit gradient left in ``probs`` by the caller.
 
         It reverses the last forward pass (whose ``hidden`` it overwrites)
-        and adds ``weight_decay`` times the bound values.
+        for every network at once and adds ``weight_decay`` times the bound
+        values.
         """
-        b = len(self.x)
-        dlogits = self.probs[:b]
+        b = self.x.shape[-2]
+        dlogits = self._block(self.probs, b)
         if self.mlp:
             gw1, gb1, gw2, gb2 = self.grad_views
-            hidden, dz1 = self.hidden[:b], self.dhidden[:b]
-            np.matmul(dlogits.T, hidden, out=gw2)
-            np.add.reduce(dlogits, axis=0, out=gb2)
+            hidden, dz1 = self._block(self.hidden, b), self._block(self.dhidden, b)
+            np.matmul(dlogits.swapaxes(-1, -2), hidden, out=gw2)
+            np.add.reduce(dlogits, axis=-2, out=gb2)
             np.matmul(dlogits, self.w2, out=dz1)
             if self.tanh:
                 np.square(hidden, out=hidden)
                 np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - tanh^2
                 dz1 *= hidden
             else:
-                dz1 *= np.greater(self.z1[:b], 0.0, out=hidden)  # relu' as 1.0/0.0
-            np.matmul(dz1.T, self.x, out=gw1)
-            np.add.reduce(dz1, axis=0, out=gb1)
+                dz1 *= np.greater(hidden, 0.0, out=hidden)  # relu' as 1.0/0.0: relu(z) > 0 where z > 0
+            np.matmul(dz1.swapaxes(-1, -2), self.x, out=gw1)
+            np.add.reduce(dz1, axis=-2, out=gb1)
         else:
             gw, gb = self.grad_views
-            np.matmul(dlogits.T, self.x, out=gw)
-            np.add.reduce(dlogits, axis=0, out=gb)
+            np.matmul(dlogits.swapaxes(-1, -2), self.x, out=gw)
+            np.add.reduce(dlogits, axis=-2, out=gb)
         if weight_decay:
             self.grad += np.multiply(self.values, weight_decay, out=self.decay)
         return self.grad
@@ -286,9 +325,11 @@ def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace | None = 
     """Checked forward pass into ``work``; returns the probability rows and the workspace.
 
     Without ``work`` a one-shot workspace sized to ``x`` is built;
-    otherwise ``work`` is bound to ``params`` first.  The returned rows
-    alias ``work.probs``; the workspace also keeps what backward needs
-    (``x``, ``z1``, ``hidden``).
+    otherwise ``work`` is bound to ``params`` first.  For a stack of S
+    networks every network sees the rows of ``x``, and the S*len(x)
+    returned rows are network after network.  The returned rows alias
+    ``work.probs``; the workspace also keeps what backward needs (``x``
+    and ``hidden``).
     """
     x = np.asarray(x, dtype=np.float64)
     layout = params.layout

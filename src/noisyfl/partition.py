@@ -170,37 +170,48 @@ def partition_label_dirichlet(
 
     Class i is shuffled once, split at floor(q_ik * N_i); per-class leftovers
     go round-robin over clients ordered by ascending fractional deficit.
+    A client's size depends only on the shares, so an attempt draws them
+    and counts each client's samples; only the accepted attempt shuffles
+    the classes and builds the split.
     """
     n = len(ds)
     _check_client_count(n, num_clients)
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
+    client_ids = np.arange(num_clients)
+    classes = [(cls, np.flatnonzero(ds.labels == cls)) for cls in range(ds.num_classes)]
+    classes = [(cls, members) for cls, members in classes if len(members)]
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
-        redraw = _redraw(attempt)
-        shares_gen = rng.stream(seed, "labeldir-shares", *redraw)
-        parts: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-        for cls in range(ds.num_classes):
-            members = np.flatnonzero(ds.labels == cls)
-            if len(members) == 0:
-                continue
-            members = rng.stream(seed, "labeldir-class", cls, *redraw).permutation(members)
+        shares_gen = rng.stream(seed, "labeldir-shares", *_redraw(attempt))
+        sizes = np.zeros(num_clients, dtype=np.int64)
+        splits = []  # per class: the cut offsets and the leftover order
+        for _, members in classes:
             q = np.asarray(sampler(shares_gen, alpha, num_clients), dtype=np.float64)
             targets = q * len(members)
             counts = np.floor(targets).astype(np.int64)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            for k in range(num_clients):
-                parts[k].append(members[offsets[k] : offsets[k + 1]])
-            deficit = targets - counts
-            order = np.lexsort((np.arange(num_clients), deficit))
-            _deal_leftovers(order, members[offsets[-1] :], parts, np.arange(num_clients))
-        clients = [np.concatenate(p) if p else np.zeros(0, dtype=np.int64) for p in parts]
-        if min(len(c) for c in clients) >= 1:
-            return PartitionPlan(
-                clients=clients, scheme=SCHEME_LABEL_DIR, params={"alpha": float(alpha)}, seed=seed
-            )
+            # cuts past the class end keep only what is there, as the slices of the split do
+            offsets = np.minimum(np.concatenate([[0], np.cumsum(counts)]), len(members))
+            order = np.lexsort((client_ids, targets - counts))
+            leftover = order[np.arange(len(members) - offsets[-1]) % num_clients]
+            sizes += np.diff(offsets) + np.bincount(leftover, minlength=num_clients)
+            splits.append((offsets, order))
+        if sizes.min() >= 1:
+            return _label_dirichlet_plan(seed, _redraw(attempt), classes, splits, num_clients, alpha)
     raise DegeneratePartitionError(
         f"label-dirichlet left a client empty after {EMPTY_CLIENT_RETRIES} redraws (alpha={alpha}, K={num_clients}, N={n})"
     )
+
+
+def _label_dirichlet_plan(seed: int, redraw: tuple, classes: list, splits: list, num_clients: int, alpha: float):
+    """Shuffle each class with the accepted attempt's streams and cut it where the shares say."""
+    parts: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    for (cls, members), (offsets, order) in zip(classes, splits):
+        members = rng.stream(seed, "labeldir-class", cls, *redraw).permutation(members)
+        for k in range(num_clients):
+            parts[k].append(members[offsets[k] : offsets[k + 1]])
+        _deal_leftovers(order, members[offsets[-1] :], parts, np.arange(num_clients))
+    clients = [np.concatenate(p) if p else np.zeros(0, dtype=np.int64) for p in parts]
+    return PartitionPlan(clients=clients, scheme=SCHEME_LABEL_DIR, params={"alpha": float(alpha)}, seed=seed)
 
 
 def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed: int) -> PartitionPlan:

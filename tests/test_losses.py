@@ -352,6 +352,96 @@ class TestReusedPass:
         assert reused.value == recomputed.value
 
 
+class TestStackedPass:
+    """A pass over a stack of two networks equals each network's own pass bit for bit.
+
+    The stack's forward, ``keep`` with a different selection per network
+    and backward run each kernel once for both networks; co-teaching trains
+    through them.  The workspace holds 64 rows per network, so a smaller
+    batch uses the head of each buffer.
+    """
+
+    LAYOUTS = TestReusedPass.LAYOUTS
+    ROWS = 64
+
+    def _stack(self, layout):
+        nets = [init_params(layout, seed=1), init_params(layout, seed=2)]
+        return nets, ModelParams(np.stack([net.values for net in nets]), layout)
+
+    def _check(self, layout, b, selections, kind="ce"):
+        gen = np.random.default_rng(b)
+        x = gen.normal(size=(b, layout.dim))
+        y = gen.integers(0, layout.num_classes, size=b)
+        nets, stack = self._stack(layout)
+        work = Workspace(layout, rows=self.ROWS, params=stack)
+        probs, _ = forward_cached(stack, x, work)
+        singles = []
+        for net, sel in zip(nets, selections):
+            single = Workspace(layout, rows=self.ROWS)
+            own_probs, _ = forward_cached(net, x, single)
+            assert np.array_equal(probs[len(singles) * b : (len(singles) + 1) * b], own_probs)
+            single.keep(sel)
+            singles.append(backward_cached(net, single, y[sel], kind=kind, weight_decay=5e-4))
+        rows = np.array(selections)
+        work.keep(rows)
+        out = backward_cached(stack, work, y[rows].ravel(), kind=kind, weight_decay=5e-4)
+        assert out.grad is work.grad and out.grad.shape == stack.values.shape
+        assert np.array_equal(out.grad, np.stack([single.grad for single in singles]))
+        assert np.array_equal(out.per_sample, np.concatenate([single.per_sample for single in singles]))
+        assert out.value == 0.5 * (singles[0].value + singles[1].value)
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    @pytest.mark.parametrize("b", [1, 5, 63, 64])
+    def test_different_selections_match_single_passes(self, layout, b):
+        gen = np.random.default_rng(100 + b)
+        k = max(1, (3 * b) // 4)
+        self._check(layout, b, [gen.permutation(b)[:k], gen.permutation(b)[:k]])
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    @pytest.mark.parametrize("b", [1, 5, 63, 64])
+    def test_keeping_every_row_matches_single_passes(self, layout, b):
+        # forget_rate 0: each network keeps the whole batch in order
+        self._check(layout, b, [np.arange(b), np.arange(b)])
+
+    @pytest.mark.parametrize("kind", ["sce", "gce", "mae"])
+    def test_robust_losses_match_single_passes(self, kind):
+        gen = np.random.default_rng(7)
+        self._check(self.LAYOUTS[1], 64, [gen.permutation(64)[:40], gen.permutation(64)[:40]], kind)
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    def test_narrowing_twice_keeps_the_composed_rows(self, layout):
+        gen = np.random.default_rng(3)
+        x = gen.normal(size=(64, layout.dim))
+        y = gen.integers(0, layout.num_classes, size=64)
+        first = np.array([gen.permutation(64)[:40], gen.permutation(64)[:40]])
+        second = np.array([gen.permutation(40)[:25], gen.permutation(40)[:25]])
+        composed = np.take_along_axis(first, second, axis=1)
+        grads = []
+        for steps in ([first, second], [composed]):
+            _, stack = self._stack(layout)
+            work = Workspace(layout, rows=self.ROWS, params=stack)
+            forward_cached(stack, x, work)
+            for rows in steps:
+                work.keep(rows)
+            grads.append(backward_cached(stack, work, y[composed].ravel(), kind="ce").grad.copy())
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_workspace_of_another_stack_size_rejected(self):
+        layout = self.LAYOUTS[1]
+        nets, stack = self._stack(layout)
+        x = np.zeros((4, layout.dim))
+        with pytest.raises(LayoutMismatchError, match="shape"):
+            forward_cached(nets[0], x, Workspace(layout, rows=4, params=stack))
+        with pytest.raises(LayoutMismatchError, match="shape"):
+            forward_cached(stack, x, Workspace(layout, rows=4))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 4)])
+    def test_misshaped_stack_rejected(self, shape):
+        layout = LinearSoftmaxLayout(dim=1, num_classes=2)  # 4 parameters
+        with pytest.raises(ValueError, match="expected 4 parameters"):
+            ModelParams(np.zeros(shape), layout)
+
+
 class TestSgdStep:
     def test_no_momentum(self):
         w = np.array([1.0, 2.0])
@@ -415,3 +505,17 @@ class TestMixupBatch:
         mixed_x, mixed_t = mixup_batch(x, onehot, 1.0, gen.permutation(8))
         assert np.array_equal(mixed_x, x)
         assert np.array_equal(mixed_t, onehot)
+
+    def test_out_buffers_are_written_bit_equal(self):
+        gen = np.random.default_rng(7)
+        onehot = np.eye(4)[gen.integers(0, 4, size=9)]
+        x = gen.normal(size=(9, 3))
+        perm = gen.permutation(9)
+        fresh_x, fresh_t = mixup_batch(x, onehot, 0.37, perm)
+        out = (np.empty_like(x), np.empty_like(onehot), np.empty_like(x), np.empty_like(onehot))
+        mixed_x, mixed_t = mixup_batch(x, onehot, 0.37, perm, out)
+        assert mixed_x is out[0] and mixed_t is out[1]
+        # written out in the order lam * a + (1 - lam) * a[perm]
+        assert np.array_equal(mixed_x, 0.37 * x + (1.0 - 0.37) * x[perm])
+        assert np.array_equal(mixed_t, 0.37 * onehot + (1.0 - 0.37) * onehot[perm])
+        assert np.array_equal(mixed_x, fresh_x) and np.array_equal(mixed_t, fresh_t)

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from noisyfl import rng
 from noisyfl.datasets import LabeledDataset, class_histogram, make_synthetic_blobs
 from noisyfl.errors import CoverageInfeasibleError, DegeneratePartitionError
 from noisyfl.partition import (
@@ -153,6 +156,28 @@ class TestRedrawStreams:
         assert len(calls) == 2 * calls_per_attempt
         assert min(redrawn.sizes()) >= 1
         assert not all(np.array_equal(a, b) for a, b in zip(redrawn.clients, next_seed.clients))
+
+    def test_label_dir_shuffles_classes_for_the_accepted_attempt_only(self, monkeypatch):
+        """A rejected attempt draws only its shares; one class-shuffle stream per class is drawn in all."""
+        ds = make_synthetic_blobs(5, 20, 8, 3.0, 1)
+        paths = []
+        stream = rng.stream
+        monkeypatch.setattr(rng, "stream", lambda seed, *path: paths.append(path) or stream(seed, *path))
+        partition_label_dirichlet(ds, 20, alpha=0.2, seed=7)
+        shares = [path for path in paths if path[0] == "labeldir-shares"]
+        assert shares == [("labeldir-shares",), ("labeldir-shares", "redraw", 1), ("labeldir-shares", "redraw", 2)]
+        assert [path for path in paths if path[0] == "labeldir-class"] == [
+            ("labeldir-class", cls, "redraw", 2) for cls in range(5)
+        ]
+
+    def test_label_dir_plan_after_redraws_is_unchanged(self, tmp_path):
+        """Golden digest of the plan file for a case that takes three attempts, as written before
+        rejected attempts stopped building their split."""
+        ds = make_synthetic_blobs(5, 20, 8, 3.0, 1)
+        path = tmp_path / "plan.json"
+        save_plan(partition_label_dirichlet(ds, 20, alpha=0.2, seed=7), str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "c8c384bf996a9d34bcab8226042d34706804c3dba6b7690bc15cdf442f2dfc7e"
 
     @pytest.mark.parametrize("scheme", [partition_quantity_skew, partition_label_dirichlet], ids=["quantity-skew", "label-dir"])
     def test_more_clients_than_samples_fails_before_any_draw(self, scheme):
