@@ -1,8 +1,9 @@
 """Deterministic simulation toolkit for federated learning with noisy labels.
 
 Pipeline stages: heterogeneous client partitioning, label-noise injection
-under globalized/localized/real-world scenes, FedAvg training with
-pluggable robust local strategies, and analysis metrics over the results.
+under globalized/localized/real-world scenes, and FedAvg training with
+pluggable robust local strategies.  Analysis turns the accuracies of
+finished runs into the paper's drop-ratio and sensitivity series.
 """
 
 from .analysis import (
@@ -62,7 +63,7 @@ from .partition import (
     save_plan,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AccuracyTable",

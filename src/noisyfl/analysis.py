@@ -1,34 +1,18 @@
 """Derived metrics: the last-k accuracy of a run, and the paper's drop
 ratio and noise sensitivity over an accuracy table.
 
-All functions are pure.  Accuracy tables declare their scale (percent or
-fraction); series metrics are computed in the declared scale, so
-sensitivities over percent tables come out in percent points per unit
-noise ratio.  :func:`read_accuracy_table` rejects a row whose eps is not
-finite, whose accuracy lies outside the declared scale, or whose
-(partition, mode, eps) an earlier row already gave, naming the row.
+All functions are pure.  Accuracies are fractions in [0, 1], so
+sensitivities come out in accuracy per unit noise ratio.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoisyFLError, ParseError
+from .errors import NoisyFLError
 from .federation import RoundRecord
-
-SCALE_PERCENT = "percent"
-SCALE_FRACTION = "fraction"
-
-
-def _scale_bound(scale: str) -> float:
-    """The largest accuracy ``scale`` admits."""
-    if scale not in (SCALE_PERCENT, SCALE_FRACTION):
-        raise ValueError(f"unknown accuracy scale {scale!r}")
-    return 100.0 if scale == SCALE_PERCENT else 1.0
 
 
 def last_k_average(records: list[RoundRecord], k: int) -> float:
@@ -57,48 +41,17 @@ def sensitivity(acc_at_eps: float, acc_at_eps_plus_delta: float, delta: float) -
 
 @dataclass(frozen=True)
 class AccuracyTable:
-    """(partition, mode, eps) -> accuracy, with a declared value scale."""
+    """(partition, mode, eps) -> accuracy, a fraction in [0, 1]."""
 
     entries: dict = field(default_factory=dict)
-    scale: str = SCALE_PERCENT
 
     def __post_init__(self):
-        bound = _scale_bound(self.scale)
         for key, value in self.entries.items():
-            if not 0.0 <= value <= bound:
-                raise ValueError(f"accuracy {value} for {key} outside declared {self.scale} bounds")
+            if not 0.0 <= value <= 1.0:  # also rejects nan
+                raise ValueError(f"accuracy {value} for {key} is not in [0, 1]")
 
     def eps_grid(self, partition: str, mode: str) -> list[float]:
         return sorted(e for (p, m, e) in self.entries if p == partition and m == mode)
-
-
-def read_accuracy_table(path: str, scale: str = SCALE_PERCENT) -> AccuracyTable:
-    """Load a ``partition,mode,eps,accuracy`` CSV into an AccuracyTable."""
-    bound = _scale_bound(scale)
-    entries = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"partition", "mode", "eps", "accuracy"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ParseError(f"accuracy table needs columns {sorted(required)}", row=1)
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                eps, accuracy = float(row["eps"]), float(row["accuracy"])
-            except (TypeError, ValueError):
-                raise ParseError("malformed accuracy row", row=row_no) from None
-            if not math.isfinite(eps):
-                raise ParseError(f"eps {row['eps']!r} is not finite", row=row_no, column="eps")
-            if not 0.0 <= accuracy <= bound:  # also rejects nan
-                raise ParseError(
-                    f"accuracy {row['accuracy']!r} is not in [0, {bound:g}] ({scale} scale)",
-                    row=row_no,
-                    column="accuracy",
-                )
-            key = (row["partition"], row["mode"], eps)
-            if key in entries:
-                raise ParseError(f"({key[0]}, {key[1]}, {eps!r}) is given by an earlier row too", row=row_no)
-            entries[key] = accuracy
-    return AccuracyTable(entries=entries, scale=scale)
 
 
 def sensitivity_series(table: AccuracyTable, partition: str, mode: str) -> list[tuple[float, float]]:

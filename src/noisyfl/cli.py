@@ -1,4 +1,4 @@
-"""Config-driven command line: dataset -> noise -> train -> analyze.
+"""Config-driven command line: dataset -> noise -> train, then analyze over finished runs.
 
 Every stage goes through :func:`run_stage`, the one place that decides
 whether a stage runs, writes its artifacts, hashes them and writes its
@@ -6,8 +6,8 @@ manifest.
 
 - Manifest keys: ``stage``, ``version``, ``config_digest`` (sha256 of the
   config without its output directory), ``inputs`` and ``outputs`` (file
-  name -> sha256), plus the stage's own fields: the noise spec and report,
-  a train seed's ``seed``, ``lr`` and last-k accuracy, the selected lr.
+  name -> sha256), plus the stage's own fields: the noise spec, the
+  partition spec and the noise report, a train seed's ``seed``, ``lr`` and last-k accuracy, the selected lr.
   A stage's inputs are the verified outputs of the stages before it.
 - Skip rule: a stage is skipped when its manifest records the same stage,
   version, config digest, input hashes (and a train seed's ``seed`` and
@@ -26,6 +26,12 @@ import format of user datasets.  All output bytes are a pure function of
 the config and master seed: JSON is dumped with sorted keys, CSVs use
 fixed formatting, and no timestamps or absolute paths are recorded.
 
+``analyze`` is no stage: it reads finished run directories, one
+accuracy-table entry each, and writes the paper's drop-ratio and
+sensitivity series over them.  Its key for a run is (partition with its
+parameter, scene/mode, nominal noise ratio); its accuracy is the mean
+last-k accuracy of the selected lr.
+
 Exit codes: 0 success, 2 config validation, 3 artifact mismatch,
 4 numerical abort, 1 anything else.
 """
@@ -38,6 +44,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -48,7 +55,6 @@ from .analysis import (
     AccuracyTable,
     drop_ratio_series,
     last_k_average,
-    read_accuracy_table,
     sensitivity_series,
 )
 from .config import RunConfig, load_config
@@ -66,8 +72,8 @@ from .errors import (
 from .federation import run_federation, write_telemetry
 from .localtrain import COTEACHING_DEFAULT_FORGET_RATE
 from .models import save_checkpoint
-from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, asymmetric_matrix, run_scene
-from .partition import load_plan, save_plan
+from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, NoiseSpec, asymmetric_matrix, run_scene
+from .partition import PartitionSpec, load_plan, save_plan
 
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
@@ -255,6 +261,7 @@ def cmd_noise(cfg: RunConfig) -> None:
             "eps_min": spec.eps_min,
             "eps_max": spec.eps_max,
             "seed": spec.seed,
+            "partition": dataclasses.asdict(cfg.partition),
         }
         if report is None:  # real-world data without ground truth
             fields.update(dict.fromkeys(["per_client_eps", "per_client_ratio", "overall_ratio", "flip_counts"]))
@@ -280,6 +287,15 @@ def _noise_ratio_estimate(manifest: dict) -> float:
     if scene == SCENE_REALWORLD and manifest.get("overall_ratio") is not None:
         return float(manifest["overall_ratio"])
     return 0.0
+
+
+def _train_inputs(out: str, digest: str, consumer: str) -> tuple[dict, dict]:
+    """The noise manifest under ``digest``, and the verified input hashes of the train stage."""
+    noise = require_stage(out, "noise_manifest.json", digest, consumer, ("noisy_dataset.npy", "plan.json"))
+    data = require_stage(out, "dataset_manifest.json", digest, consumer, ("test_dataset.npy",))
+    inputs = {name: noise["outputs"][name] for name in ("noisy_dataset.npy", "plan.json")}
+    inputs["test_dataset.npy"] = data["outputs"]["test_dataset.npy"]
+    return noise, inputs
 
 
 def _train_seed(cfg: RunConfig, lr: float, fed_seed: int, load_inputs) -> tuple[dict, dict]:
@@ -308,10 +324,7 @@ def cmd_train(cfg: RunConfig) -> None:
         raise ConfigError("dataset", "train stage requires a clean test set (test_per_class or test_path)")
     out = cfg.output_dir
     digest = config_digest(cfg)
-    noise = require_stage(out, "noise_manifest.json", digest, "train", ("noisy_dataset.npy", "plan.json"))
-    data = require_stage(out, "dataset_manifest.json", digest, "train", ("test_dataset.npy",))
-    inputs = {name: noise["outputs"][name] for name in ("noisy_dataset.npy", "plan.json")}
-    inputs["test_dataset.npy"] = data["outputs"]["test_dataset.npy"]
+    noise, inputs = _train_inputs(out, digest, "train")
     key = {"config_digest": digest, "inputs": inputs}
 
     @functools.cache
@@ -369,56 +382,75 @@ def cmd_train(cfg: RunConfig) -> None:
     run_stage("train", train_root, "run_manifest.json", key, lambda: (fields, writers))
 
 
-def cmd_analyze(run_dir: str | None, table_path: str | None, scale: str, out_dir: str) -> None:
-    """Emit drop-ratio / sensitivity series (table input) and the realized
-    noise-ratio series (run input); empty inputs yield header-only files."""
-    os.makedirs(out_dir, exist_ok=True)
+def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
+    """One finished run as an accuracy-table entry: ((partition, scene/mode, nominal eps), accuracy).
+
+    The train manifest must be of this version, and the dataset and noise
+    manifests must record its config digest and the inputs it trained on.
+    The accuracy is the mean last-k accuracy of the selected lr.
+    """
+    where = f"analyze {run_dir}"
+    train_key = {"stage": "train", "version": __version__}
+    train, why = _finished(os.path.join(run_dir, "train"), "run_manifest.json", train_key)
+    if train is None:
+        raise ArtifactMismatchError(f"{where}: {why}")
+    noise, inputs = _train_inputs(run_dir, train.get("config_digest"), where)
+    if train.get("inputs") != inputs:
+        raise ArtifactMismatchError(f"{where}: run_manifest.json records other inputs than the noise stage wrote")
+    try:
+        spec = PartitionSpec(**{f.name: noise["partition"][f.name] for f in dataclasses.fields(PartitionSpec)})
+        NoiseSpec(**{name: noise[name] for name in ("scene", "mode", "eps_global", "eps_min", "eps_max")})
+        (accuracy,) = [row["mean_accuracy"] for row in train["summary"] if row["lr"] == train["selected_lr"]]
+        typed = [(accuracy, float), (spec.alpha, float), (spec.c, int)]
+        typed += [(noise[name], float) for name in ("eps_global", "eps_min", "eps_max", "overall_ratio")]
+        if any(value is not None and (type(value) is not kind or not math.isfinite(value)) for value, kind in typed):
+            raise ValueError("a recorded number is not finite or not of its type")
+        param = {scheme: param for _, _, _, scheme, param, _ in PARTITION_FLAGS}[spec.scheme]
+        partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
+        key = (partition, f"{noise['scene']}/{noise['mode']}", _noise_ratio_estimate(noise))
+        AccuracyTable(entries={key: accuracy})  # its own check: a fraction in [0, 1]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactMismatchError(f"{where}: unusable manifest field ({exc})") from None
+    return key, accuracy
+
+
+def cmd_analyze(run_dirs: list[str], out_dir: str) -> None:
+    """Write drop_ratio.csv and sensitivity.csv over the accuracies of finished runs."""
+    entries, owners = {}, {}
+    for run_dir in run_dirs:
+        key, accuracy = _run_entry(run_dir)
+        if key in owners:
+            raise NoisyFLError(f"analyze: {owners[key]} and {run_dir} both give ({key[0]}, {key[1]}, {key[2]!r})")
+        entries[key], owners[key] = accuracy, run_dir
+    table = AccuracyTable(entries=entries)
+
     drop_rows: list[list] = []
     sens_rows: list[list] = []
-    noise_rows: list[list] = []
+    partitions = sorted({p for (p, _, _) in table.entries})
+    modes = sorted({m for (_, m, _) in table.entries})
+    for mode in modes:
+        for part in partitions:
+            if part == "iid":
+                continue
+            for eps, ratio in drop_ratio_series(table, mode, part):
+                drop_rows.append([part, mode, repr(eps), repr(ratio)])
+    for mode in modes:
+        for part in partitions:
+            for eps, s in sensitivity_series(table, part, mode):
+                sens_rows.append([part, mode, repr(eps), repr(s)])
 
-    if table_path:
-        table: AccuracyTable = read_accuracy_table(table_path, scale=scale)
-        partitions = sorted({p for (p, _, _) in table.entries})
-        modes = sorted({m for (_, m, _) in table.entries})
-        for mode in modes:
-            for part in partitions:
-                if part == "iid":
-                    continue
-                for eps, ratio in drop_ratio_series(table, mode, part):
-                    drop_rows.append([part, mode, repr(eps), repr(ratio)])
-        for mode in modes:
-            for part in partitions:
-                for eps, s in sensitivity_series(table, part, mode):
-                    sens_rows.append([part, mode, repr(eps), repr(s)])
-
-    if run_dir:
-        manifest_path = os.path.join(run_dir, "noise_manifest.json")
-        if os.path.exists(manifest_path):
-            doc = read_json(manifest_path)
-            if doc.get("overall_ratio") is not None:
-                noise_rows.append(
-                    [
-                        doc["scene"],
-                        doc["mode"],
-                        repr(_noise_ratio_estimate(doc)),
-                        repr(float(doc["overall_ratio"])),
-                    ]
-                )
-
+    os.makedirs(out_dir, exist_ok=True)
     for name, header, rows in [
         ("drop_ratio.csv", ["partition", "mode", "eps", "drop_ratio"], drop_rows),
         ("sensitivity.csv", ["partition", "mode", "eps", "sensitivity"], sens_rows),
-        ("noise_ratio.csv", ["scene", "mode", "eps_nominal", "overall_ratio"], noise_rows),
     ]:
         write_atomic(os.path.join(out_dir, name), functools.partial(write_csv, header, rows))
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    """Run dataset, noise, train and analyze, then index the output tree in run.json."""
+    """Run dataset, noise and train, then index the output tree in run.json."""
     cmd_noise(cfg)
     cmd_train(cfg)
-    cmd_analyze(cfg.output_dir, None, "fraction", os.path.join(cfg.output_dir, "analysis"))
 
     artifacts = {}
     for root, _, files in os.walk(cfg.output_dir):
@@ -429,7 +461,6 @@ def cmd_pipeline(cfg: RunConfig) -> None:
                 continue
             artifacts[rel.replace(os.sep, "/")] = sha256_file(path)
     doc = {
-        "stages": ["noise", "train", "analyze"],
         "version": __version__,
         "config_digest": config_digest(cfg),
         "seed": cfg.seed,
@@ -513,16 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("partition", "print per-client class histograms of the split; writes no plan"),
         ("noise", "apply the configured noise scene; write the plan and the noisy dataset"),
         ("train", "run FedAvg repeats and summarize last-10-round accuracy"),
-        ("pipeline", "run noise, train, and analyze in order"),
+        ("pipeline", "run dataset, noise and train in order; index the outputs in run.json"),
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_config_arguments(p)
 
-    p = sub.add_parser("analyze", help="compute drop-ratio/sensitivity/noise-ratio series")
-    p.add_argument("--run", help="run directory whose noise_manifest.json gives the noise-ratio row")
-    p.add_argument("--table", help="accuracy table CSV (partition,mode,eps,accuracy)")
-    p.add_argument("--scale", choices=["percent", "fraction"], default="percent")
-    p.add_argument("--out", required=True, help="directory for the metric CSVs")
+    p = sub.add_parser("analyze", help="compute the drop-ratio and sensitivity series over finished runs")
+    p.add_argument("--runs", nargs="+", required=True, metavar="DIR", help="output directories of finished pipelines")
+    p.add_argument("--out", required=True, help="directory for drop_ratio.csv and sensitivity.csv")
     return parser
 
 
@@ -531,7 +560,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            cmd_analyze(args.run, args.table, args.scale, args.out)
+            cmd_analyze(args.runs, args.out)
             return 0
         cfg = load_config(args.config, _overrides_from_args(args))
         if args.command == "partition":

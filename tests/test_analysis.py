@@ -8,12 +8,11 @@ from noisyfl.analysis import (
     accuracy_drop_ratio,
     drop_ratio_series,
     last_k_average,
-    read_accuracy_table,
     sensitivity,
     sensitivity_series,
 )
 from noisyfl.datasets import make_synthetic_blobs
-from noisyfl.errors import NoisyFLError, ParseError
+from noisyfl.errors import NoisyFLError
 from noisyfl.federation import FedConfig, RoundRecord, read_telemetry, run_federation, write_telemetry
 from noisyfl.localtrain import TrainerConfig
 from noisyfl.models import LinearSoftmaxLayout, init_params
@@ -144,85 +143,33 @@ class TestGradNormSeries:
 
 class TestAccuracyTable:
     def test_scale_bounds(self):
-        with pytest.raises(ValueError):
-            AccuracyTable(entries={("iid", "symmetric", 0.1): 105.0}, scale="percent")
-        with pytest.raises(ValueError):
-            AccuracyTable(entries={("iid", "symmetric", 0.1): 1.5}, scale="fraction")
-
-    def test_fraction_normalization(self):
-        # the same accuracies in either scale: drop ratios agree, sensitivities differ by the factor 100
-        percent = {("iid", "symmetric", 0.1): 85.86, ("iid", "symmetric", 0.2): 80.73, ("label-dir", "symmetric", 0.1): 52.5}
-        fraction = {key: value / 100.0 for key, value in percent.items()}
-        tables = [AccuracyTable(entries=percent, scale="percent"), AccuracyTable(entries=fraction, scale="fraction")]
-        (drop_pct,), (drop_frac,) = [drop_ratio_series(t, "symmetric", "label-dir") for t in tables]
-        assert drop_pct[1] == pytest.approx(drop_frac[1], rel=1e-12)
-        (sens_pct,), (sens_frac,) = [sensitivity_series(t, "iid", "symmetric") for t in tables]
-        assert sens_pct[1] == pytest.approx(100.0 * sens_frac[1], rel=1e-12)
+        """Accuracies are fractions: the table takes [0, 1] and nothing else."""
+        for bad in (1.5, -0.1, float("nan"), 85.86):
+            with pytest.raises(ValueError):
+                AccuracyTable(entries={("iid", "symmetric", 0.1): bad})
+        assert AccuracyTable(entries={("iid", "symmetric", 0.1): 0.0, ("iid", "symmetric", 0.2): 1.0}).entries
 
     def test_series_skip_missing_grid_points(self):
         entries = {
-            ("iid", "symmetric", 0.1): 80.0,
-            ("iid", "symmetric", 0.3): 60.0,  # 0.2 missing: delta becomes 0.2
-            ("iid", "symmetric", 0.4): 50.0,
+            ("iid", "symmetric", 0.1): 0.8,
+            ("iid", "symmetric", 0.3): 0.6,  # 0.2 missing: delta becomes 0.2
+            ("iid", "symmetric", 0.4): 0.5,
         }
-        table = AccuracyTable(entries=entries, scale="percent")
+        table = AccuracyTable(entries=entries)
         series = sensitivity_series(table, "iid", "symmetric")
-        assert series[0] == (0.1, pytest.approx((80.0 - 60.0) / 0.2))
-        assert series[1] == (0.3, pytest.approx((60.0 - 50.0) / 0.1))
+        assert series[0] == (0.1, pytest.approx((0.8 - 0.6) / 0.2))
+        assert series[1] == (0.3, pytest.approx((0.6 - 0.5) / 0.1))
 
     def test_drop_ratio_series(self):
         entries = {
-            ("iid", "symmetric", 0.4): 65.08,
-            ("label-dir", "symmetric", 0.4): 30.43,
+            ("iid", "symmetric", 0.4): 0.6508,
+            ("label-dir", "symmetric", 0.4): 0.3043,
         }
-        table = AccuracyTable(entries=entries, scale="percent")
+        table = AccuracyTable(entries=entries)
         series = drop_ratio_series(table, "symmetric", "label-dir")
         assert series == [(0.4, pytest.approx(0.5325, abs=1e-3))]
 
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text(
-            "partition,mode,eps,accuracy\niid,symmetric,0.1,85.86\niid,symmetric,0.2,80.73\n"
-        )
-        table = read_accuracy_table(str(path))
-        assert table.entries[("iid", "symmetric", 0.2)] == 80.73
-        series = sensitivity_series(table, "iid", "symmetric")
-        assert series[0][1] == pytest.approx(51.3, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "row, column",
-        [
-            ("iid,symmetric,0.2,105", "accuracy"),
-            ("iid,symmetric,0.2,-1", "accuracy"),
-            ("iid,symmetric,0.2,nan", "accuracy"),
-            ("iid,symmetric,0.2,inf", "accuracy"),
-            ("iid,symmetric,nan,80", "eps"),
-            ("iid,symmetric,-inf,80", "eps"),
-        ],
-        ids=["above-100", "negative", "nan-accuracy", "inf-accuracy", "nan-eps", "inf-eps"],
-    )
-    def test_unusable_row_names_its_number(self, tmp_path, row, column):
-        path = tmp_path / "table.csv"
-        path.write_text(f"partition,mode,eps,accuracy\niid,symmetric,0.1,85.86\n{row}\n")
-        with pytest.raises(ParseError) as err:
-            read_accuracy_table(str(path))
-        assert (err.value.row, err.value.column) == (3, column)
-
-    def test_duplicate_row_names_its_number(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text("partition,mode,eps,accuracy\niid,symmetric,0.1,80\niid,symmetric,0.1,20\niid,symmetric,0.2,70\n")
-        with pytest.raises(ParseError, match=r"\(iid, symmetric, 0\.1\) is given by an earlier row too") as err:
-            read_accuracy_table(str(path))
-        assert err.value.row == 3
-
-    def test_fraction_scale_bound(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text("partition,mode,eps,accuracy\niid,symmetric,0.1,85.86\n")
-        assert read_accuracy_table(str(path), scale="percent").entries
-        with pytest.raises(ParseError, match="fraction"):
-            read_accuracy_table(str(path), scale="fraction")
-
     def test_undefined_drop_ratio_names_its_point(self):
-        entries = {("iid", "symmetric", 0.4): 0.0, ("label-dir", "symmetric", 0.4): 30.43}
+        entries = {("iid", "symmetric", 0.4): 0.0, ("label-dir", "symmetric", 0.4): 0.3043}
         with pytest.raises(NoisyFLError, match=r"\(label-dir, symmetric, 0\.4\)"):
             drop_ratio_series(AccuracyTable(entries=entries), "symmetric", "label-dir")

@@ -5,15 +5,23 @@ import copy
 import csv
 import dataclasses
 import importlib
+import io
 import json
+import math
 import os
+import shutil
+import tempfile
 import warnings
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noisyfl import cli
 from noisyfl import noise as noise_module
+from noisyfl.analysis import AccuracyTable, drop_ratio_series, sensitivity_series
 from noisyfl.cli import main
 from noisyfl.config import load_config, set_by_path
 from noisyfl.datasets import load_csv, load_npy, save_csv
@@ -71,6 +79,60 @@ def manifests(root: str) -> list[str]:
     return sorted(rel for rel in tree(root) if rel.endswith("manifest.json"))
 
 
+DELETE = object()
+
+
+def _holder(doc, path: str):
+    """(container, key) of the dotted ``path`` in a JSON document; digits index lists."""
+    *parents, last = path.split(".")
+    for part in parents:
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    return doc, last
+
+
+def edit_json(run_dir: str, rel: str, path: str, value=DELETE) -> None:
+    """Set, or delete, the value at the dotted ``path`` of a JSON file."""
+    file = os.path.join(run_dir, rel)
+    with open(file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    node, last = _holder(doc, path)
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    with open(file, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+
+
+def read_rows(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def selected_accuracy(run_dir: str) -> float:
+    """The mean accuracy of the selected lr, as the run's train manifest records it."""
+    with open(os.path.join(run_dir, "train", "run_manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    (accuracy,) = [row["mean_accuracy"] for row in manifest["summary"] if row["lr"] == manifest["selected_lr"]]
+    return accuracy
+
+
+def analyze(run_dirs: list[str], out: str) -> tuple[int, str]:
+    """Exit code and stderr of ``noisyfl analyze`` over ``run_dirs``."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["analyze", "--runs", *run_dirs, "--out", out])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def finished_small(tmp_path_factory):
+    """One finished SMALL pipeline; tests that change it work on a copy."""
+    config, out = write_config(tmp_path_factory.mktemp("finished"))
+    assert main(["pipeline", "-c", config]) == 0
+    return out
+
+
 class TestDeterminism:
     def test_two_directories_give_identical_run_json(self, tmp_path):
         cfg_a, out_a = write_config(tmp_path, "a")
@@ -81,8 +143,9 @@ class TestDeterminism:
         with open(os.path.join(out_a, "run.json"), "rb") as fh:
             run = json.loads(fh.read())
         assert set(run["artifacts"]) | {"run.json"} == {rel.replace(os.sep, "/") for rel in tree(out_a)}
-        assert run["stages"] == ["noise", "train", "analyze"]
+        assert set(run) == {"version", "config_digest", "seed", "artifacts"}
         assert "partition_manifest.json" not in run["artifacts"]
+        assert [rel for rel in run["artifacts"] if rel.startswith("analysis/") or rel == "noise_ratio.csv"] == []
 
     def test_summary_last_k_counts_evaluated_rounds(self, tmp_path):
         config, out = write_config(
@@ -211,6 +274,40 @@ class TestResume:
         fresh_config, fresh = write_config(tmp_path, "fresh")
         assert main(["pipeline", "-c", fresh_config]) == 0
         assert tree(out) == tree(fresh)
+
+    def test_version_0_4_directory_is_redone(self, tmp_path, monkeypatch):
+        """A 0.4.0 tree, whose noise manifest records no partition, reruns every stage and then analyzes.
+
+        The analysis/ files 0.4.0 wrote belong to no stage, so they stay and run.json indexes them.
+        """
+        config, out = write_config(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "__version__", "0.4.0")
+            assert main(["pipeline", "-c", config]) == 0
+        edit_json(out, "noise_manifest.json", "partition")
+        os.makedirs(os.path.join(out, "analysis"))
+        for name, header in [
+            ("drop_ratio.csv", "partition,mode,eps,drop_ratio"),
+            ("sensitivity.csv", "partition,mode,eps,sensitivity"),
+            ("noise_ratio.csv", "scene,mode,eps_nominal,overall_ratio"),
+        ]:
+            with open(os.path.join(out, "analysis", name), "w", encoding="utf-8") as fh:
+                fh.write(header + "\n")
+
+        assert main(["pipeline", "-c", config]) == 0
+        fresh_config, fresh = write_config(tmp_path, "fresh")
+        assert main(["pipeline", "-c", fresh_config]) == 0
+        redone, expected = tree(out), tree(fresh)
+        leftovers = sorted(rel for rel in redone if rel.startswith("analysis" + os.sep))
+        assert len(leftovers) == 3
+        # every manifest now says 0.5.0 and equals a fresh run's, so every stage ran again
+        kept = {rel: data for rel, data in redone.items() if rel not in leftovers and rel != "run.json"}
+        assert kept == {rel: data for rel, data in expected.items() if rel != "run.json"}
+        indexed = json.loads(redone["run.json"])["artifacts"]
+        assert set(indexed) == set(json.loads(expected["run.json"])["artifacts"]) | {
+            rel.replace(os.sep, "/") for rel in leftovers
+        }
+        assert analyze([out], str(tmp_path / "grid"))[0] == 0
 
 
 class TestExitCodes:
@@ -378,23 +475,57 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="defect"):
             main(["noise", "-c", config])
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("iid,symmetric,0.2,105", "row 3, column 'accuracy'"),
-            ("iid,symmetric,nan,80", "row 3, column 'eps'"),
-            ("iid,symmetric,0.1,0", "(label-dir, symmetric, 0.1)"),
-            ("label-dir,symmetric,0.10,20", "(label-dir, symmetric, 0.1) is given by an earlier row too (row 3)"),
-        ],
-        ids=["accuracy-above-100", "nan-eps", "zero-iid-accuracy", "duplicate-row"],
-    )
-    def test_unusable_accuracy_table_exits_1(self, tmp_path, capsys, row, message):
-        table = tmp_path / "table.csv"
-        table.write_text(f"partition,mode,eps,accuracy\nlabel-dir,symmetric,0.1,52.5\n{row}\n", encoding="utf-8")
-        assert main(["analyze", "--table", str(table), "--out", str(tmp_path / "analysis")]) == 1
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize("case", ["zero-iid-accuracy", "duplicate-row"])
+    def test_unusable_accuracy_table_exits_1(self, tmp_path, case):
+        """Runs whose accuracies leave a drop ratio undefined, or that give one table key twice."""
+        config, first = write_config(tmp_path, "first", changes=GLOBALIZED)
+        assert main(["pipeline", "-c", config]) == 0
+        config, second = write_config(tmp_path, "second", changes=GLOBALIZED)
+        if case == "duplicate-row":
+            assert main(["pipeline", "-c", config]) == 0
+            message = f"{first} and {second} both give (label-dir(alpha=0.5), globalized/asymmetric, 0.3)"
+        else:
+            assert main(["pipeline", "-c", config, "--iid"]) == 0
+            edit_json(second, "train/run_manifest.json", "summary.0.mean_accuracy", 0.0)
+            message = "drop ratio at (label-dir(alpha=0.5), globalized/asymmetric, 0.3) is undefined"
+        code, err = analyze([first, second], str(tmp_path / "grid"))
+        assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "rel, path, value",
+        [
+            ("train/run_manifest.json", "summary.0.mean_accuracy", 1.5),
+            ("train/run_manifest.json", "summary.0.mean_accuracy", -0.1),
+            ("train/run_manifest.json", "summary.0.mean_accuracy", math.nan),
+            ("train/run_manifest.json", "summary.0.mean_accuracy", math.inf),
+            ("noise_manifest.json", "eps_min", math.nan),
+            ("noise_manifest.json", "eps_max", math.inf),
+            # a bool passes every range check of a number, and a stray c is not read by label-dir
+            ("train/run_manifest.json", "summary.0.mean_accuracy", True),
+            ("noise_manifest.json", "partition.alpha", True),
+            ("noise_manifest.json", "partition.c", "x"),
+        ],
+        ids=[
+            "accuracy-above-1",
+            "negative-accuracy",
+            "nan-accuracy",
+            "inf-accuracy",
+            "nan-eps",
+            "inf-eps",
+            "bool-accuracy",
+            "bool-alpha",
+            "string-c",
+        ],
+    )
+    def test_unusable_run_exits_3(self, tmp_path, finished_small, rel, path, value):
+        run = str(tmp_path / "run")
+        shutil.copytree(finished_small, run)
+        edit_json(run, rel, path, value)
+        code, err = analyze([run], str(tmp_path / "grid"))
+        assert code == 3
+        assert err.startswith(f"artifact mismatch: analyze {run}: ") and err.count("\n") == 1
 
     def test_config_that_is_not_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -418,6 +549,7 @@ class TestArtifacts:
             "eps_min": cfg.noise.eps_min,
             "eps_max": cfg.noise.eps_max,
             "seed": cfg.noise.seed,
+            "partition": {"scheme": "label-dir", "alpha": 0.5, "c": None},
         }
         runner_keys = {"stage", "version", "config_digest", "inputs", "outputs"}
         assert set(manifest) == runner_keys | set(spec) | set(report.to_dict())
@@ -442,6 +574,115 @@ class TestArtifacts:
         assert params.layout == result.params.layout
         assert np.array_equal(params.values, result.params.values)
         assert (header["round"], header["seed"]) == (cfg.federation.rounds, fed_seed)
+
+
+# the manifest fields analyze reads from a SMALL run (localized noise, label-dir split); the
+# seed manifests and the noise report are not read, and overall_ratio only in the real-world scene
+READ_FIELDS = {
+    "dataset_manifest.json": ["version", "config_digest", "outputs"],
+    "noise_manifest.json": [
+        "version", "config_digest", "outputs", "scene", "mode", "eps_global", "eps_min", "eps_max",
+        "partition", "partition.scheme", "partition.alpha", "partition.c",
+    ],
+    "train/run_manifest.json": [
+        "stage", "version", "config_digest", "inputs", "outputs", "selected_lr",
+        "summary", "summary.0.lr", "summary.0.mean_accuracy",
+    ],
+}  # fmt: skip
+WRONG_VALUES = ["x", [1], {"a": 1}, None, True, math.nan]
+
+
+def _value_at(run_dir: str, rel: str, path: str):
+    with open(os.path.join(run_dir, rel), encoding="utf-8") as fh:
+        node, last = _holder(json.load(fh), path)
+    return node[last]
+
+
+@st.composite
+def run_mutations(draw):
+    """One change to a finished run: (kind, file, detail)."""
+    kind = draw(st.sampled_from(["delete", "set", "truncate", "flip", "missing"]))
+    if kind == "missing":
+        return kind, None, None
+    if kind in ("delete", "set"):
+        rel = draw(st.sampled_from(sorted(READ_FIELDS)))
+        return kind, rel, draw(st.sampled_from(READ_FIELDS[rel]))
+    rel = draw(st.sampled_from(sorted(READ_FIELDS) + ["train/summary.csv"]))
+    return kind, rel, draw(st.integers(min_value=0, max_value=10**6))
+
+
+class TestAnalyze:
+    def test_grid_reproduces_hand_built_series(self, tmp_path):
+        """analyze over IID and label-dir runs at two eps equals the series of a table typed in from their manifests."""
+        splits = [(["--iid"], "iid"), (["--noniid-labeldir", "0.5"], "label-dir(alpha=0.5)")]
+        runs, entries = [], {}
+        for flags, partition in splits:
+            for eps in (0.2, 0.4):
+                config, out = write_config(tmp_path, f"run_{len(runs)}", changes=GLOBALIZED)
+                assert main(["pipeline", "-c", config, *flags, "--eps-global", repr(eps)]) == 0
+                runs.append(out)
+                entries[(partition, "globalized/asymmetric", eps)] = selected_accuracy(out)
+                assert not os.path.exists(os.path.join(out, "analysis"))
+        grid = tmp_path / "grid"
+        assert main(["analyze", "--runs", *runs, "--out", str(grid)]) == 0
+        assert sorted(os.listdir(grid)) == ["drop_ratio.csv", "sensitivity.csv"]
+
+        table = AccuracyTable(entries=entries)
+        mode = "globalized/asymmetric"
+        drop = [
+            ["label-dir(alpha=0.5)", mode, repr(eps), repr(ratio)]
+            for eps, ratio in drop_ratio_series(table, mode, "label-dir(alpha=0.5)")
+        ]
+        sens = [
+            [partition, mode, repr(eps), repr(s)]
+            for _, partition in splits
+            for eps, s in sensitivity_series(table, partition, mode)
+        ]
+        assert (len(drop), len(sens)) == (2, 2)
+        assert read_rows(grid / "drop_ratio.csv") == [["partition", "mode", "eps", "drop_ratio"], *drop]
+        assert read_rows(grid / "sensitivity.csv") == [["partition", "mode", "eps", "sensitivity"], *sens]
+
+    def test_analyze_takes_runs_and_out_only(self):
+        args = cli.build_parser().parse_args(["analyze", "--runs", "a", "b", "--out", "grid"])
+        assert vars(args) == {"command": "analyze", "runs": ["a", "b"], "out": "grid"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutation=run_mutations(), value=st.sampled_from(WRONG_VALUES))
+    def test_any_broken_run_exits_3_without_traceback(self, finished_small, mutation, value):
+        """A deleted key, a wrong type or NaN in a field analyze reads, a truncated or flipped file,
+        or a missing directory: analyze prints one artifact-mismatch line and exits 3.
+
+        A flipped manifest byte gets its high bit set, which no ASCII JSON file holds: a flip that
+        leaves valid JSON with another value cannot be told apart without a hash of the manifest itself.
+        """
+        kind, rel, detail = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            run = os.path.join(tmp, "run")
+            shutil.copytree(finished_small, run)
+            if kind == "missing":
+                run = os.path.join(tmp, "absent")
+            elif kind == "delete":
+                edit_json(run, rel, detail)
+            elif kind == "set":
+                current = _value_at(run, rel, detail)
+                assume(type(value) is not type(current) or value != value)  # value != value: NaN
+                edit_json(run, rel, detail, value)
+            else:
+                path = os.path.join(run, rel)
+                with open(path, "rb") as fh:
+                    data = bytearray(fh.read())
+                if kind == "truncate":
+                    # without its closing brace (and newline) a manifest is not JSON; summary.csv loses its hash
+                    data = data[: detail % (len(data) - 1)]
+                else:
+                    at = detail % len(data)
+                    data[at] ^= 0x80 if rel.endswith(".json") else 1 + detail % 255
+                with open(path, "wb") as fh:
+                    fh.write(bytes(data))
+            code, err = analyze([run], os.path.join(tmp, "grid"))
+        assert code == 3, (mutation, value, err)
+        assert err.startswith("artifact mismatch: analyze ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def client_counts(out: str) -> str:
