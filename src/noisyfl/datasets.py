@@ -95,7 +95,9 @@ def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation:
     """Balanced isotropic Gaussian blobs, one unit-variance cluster per class.
 
     Deterministic for fixed arguments; ``true_labels`` equals ``labels``
-    since the construction is clean.
+    since the construction is clean.  The features are drawn into one
+    (N, dim) array and shifted to their class means in place, so the
+    dataset is the only feature-sized array made.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -107,8 +109,8 @@ def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation:
         raise ValueError("separation must be > 0")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     means = _blob_means(num_classes, dim, separation)
-    gen = rng.stream(seed, "blobs")
-    features = means[labels] + gen.standard_normal((len(labels), dim))
+    features = rng.stream(seed, "blobs").standard_normal((len(labels), dim))
+    features.reshape(num_classes, per_class, dim)[...] += means[:, None, :]  # x + m == m + x exactly
     return LabeledDataset(
         features=features,
         labels=labels,
@@ -164,20 +166,21 @@ def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_C
     if len(label_arr) == 0:
         raise ParseError("file contains no data rows", row=2)
     feature_arr = np.asarray(features, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(feature_arr))
-    if len(bad):
-        row, col = bad[0]
+    if not np.isfinite(feature_arr).all():
+        row, col = np.argwhere(~np.isfinite(feature_arr))[0]
         raise ParseError("feature is not finite", row=int(row) + 2, column=header[feature_cols[col]])
     # Contiguity is checked over the union of observed and (when present)
     # true labels: noise can wipe a class out of the observed column without
     # invalidating the file.
     pool = np.concatenate([label_arr, np.asarray(true_labels, dtype=np.int64)]) if true_labels else label_arr
-    present = np.unique(pool)
-    if present.min() < 0:
+    if pool.min() < 0:
         raise LabelRangeError("negative label values are not allowed")
-    num_classes = int(present.max()) + 1
-    if len(present) != num_classes:
-        missing = sorted(set(range(num_classes)) - set(present.tolist()))
+    if pool.max() >= len(pool):  # C contiguous labels need C <= len(pool); also bounds the count array
+        raise LabelRangeError(f"labels are not contiguous from 0: label {int(pool.max())} among {len(pool)} labels")
+    counts = np.bincount(pool)
+    num_classes = len(counts)
+    if not counts.all():
+        missing = np.flatnonzero(counts == 0).tolist()
         raise LabelRangeError(f"labels are not contiguous from 0: missing {missing}")
     if num_classes < 2:
         raise LabelRangeError("at least two classes are required")
@@ -258,9 +261,9 @@ def load_npy(path: str) -> LabeledDataset:
     features, labels, true, num_classes = arrays
     if true.shape[0] > 1:
         raise ParseError(f"{path}: true_labels holds {true.shape[0]} rows, expected 0 or 1")
-    bad = np.argwhere(~np.isfinite(features))
-    if len(bad):
-        raise ParseError(f"{path}: feature is not finite", row=int(bad[0][0]), column=f"x{int(bad[0][1])}")
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise ParseError(f"{path}: feature is not finite", row=int(row), column=f"x{int(col)}")
     try:
         return LabeledDataset(
             features=features,

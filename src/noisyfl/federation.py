@@ -19,7 +19,7 @@ from . import rng
 from .datasets import LabeledDataset
 from .errors import LayoutMismatchError, NumericalAbortError
 from .localtrain import TrainerConfig, train_local, train_local_coteaching
-from .models import Layout, ModelParams, forward, init_params
+from .models import Layout, ModelParams, Workspace, forward, init_params
 from .partition import PartitionPlan, restrict
 
 
@@ -99,9 +99,14 @@ def aggregate(models: list[ModelParams], weights) -> ModelParams:
     return ModelParams(values=out, layout=layout)
 
 
-def evaluate(params: ModelParams, test_set: LabeledDataset) -> float:
-    """Fraction of argmax-correct predictions; ties break to the lowest class id."""
-    probs = forward(params, test_set.features)
+def evaluate(params: ModelParams, test_set: LabeledDataset, work: Workspace) -> float:
+    """Fraction of argmax-correct predictions; ties break to the lowest class id.
+
+    The pass runs in ``work``, which must hold ``len(test_set)`` rows; beyond
+    its buffers, evaluation holds only each row's predicted class and
+    whether it is correct.
+    """
+    probs = forward(params, test_set.features, work)
     predictions = probs.argmax(axis=1)
     return float((predictions == test_set.labels).mean())
 
@@ -118,15 +123,21 @@ def run_federation(
     Clients train on their noisy shards; evaluation uses the clean test
     set.  Raises :class:`NumericalAbortError` (with the round number) if
     the global model goes non-finite.
+
+    Memory: besides ``train_ds`` and ``test_set``, a federation holds one
+    client's shard at a time, cut from ``train_ds`` for the client's
+    training call and dropped when it returns; the models of the round's
+    selected clients and co-teaching's peer networks; and one evaluation
+    workspace sized to the test set, made once.
     """
     if plan.num_clients != cfg.num_clients:
         raise ValueError(
             f"plan has {plan.num_clients} clients but config expects {cfg.num_clients}"
         )
-    locals_ds = [restrict(train_ds, plan, k) for k in range(cfg.num_clients)]
     sizes = plan.sizes()
 
     global_params = init_params(layout, rng.derive_seed(cfg.seed, "init"))
+    eval_work = Workspace(layout, len(test_set))
 
     coteaching = cfg.trainer.method == "coteaching"
     peer_nets: dict[int, ModelParams] = {}
@@ -143,11 +154,11 @@ def run_federation(
                     if k not in peer_nets:
                         peer_nets[k] = init_params(layout, rng.derive_seed(cfg.seed, "coteach-init", k))
                     model, peer, stats = train_local_coteaching(
-                        locals_ds[k], global_params, peer_nets[k], cfg.trainer, train_seed, round_t
+                        restrict(train_ds, plan, k), global_params, peer_nets[k], cfg.trainer, train_seed, round_t
                     )
                     peer_nets[k] = peer
                 else:
-                    model, stats = train_local(locals_ds[k], global_params, cfg.trainer, train_seed)
+                    model, stats = train_local(restrict(train_ds, plan, k), global_params, cfg.trainer, train_seed)
                 trained.append(model)
                 client_losses.append(stats.mean_loss)
         except FloatingPointError as exc:
@@ -159,7 +170,7 @@ def run_federation(
         grad_norm = float(np.linalg.norm(new_params.values - global_params.values))
         global_params = new_params
 
-        accuracy = evaluate(global_params, test_set) if round_t % cfg.eval_every == 0 else None
+        accuracy = evaluate(global_params, test_set, eval_work) if round_t % cfg.eval_every == 0 else None
         records.append(
             RoundRecord(
                 round=round_t,

@@ -187,7 +187,9 @@ class Workspace:
     decay, the SGD step and its finiteness check.  Everything a pass
     returns is a view of these buffers and holds only until the next pass
     in the same workspace.  :meth:`keep` narrows the last pass to some of
-    its rows, so that a backward can reuse it.
+    its rows, so that a backward can reuse it; it gathers them into a
+    spare copy of ``probs`` and ``hidden``, made on its first call, and
+    swaps it in.
     """
 
     def __init__(self, layout: Layout, rows: int, params: ModelParams | None = None):
@@ -209,6 +211,7 @@ class Workspace:
         self.finite = np.empty(shape, dtype=bool)
         self.x = None  # the rows of the last pass: (b, d), or (S, k, d) once a stack keeps k each
         self.values = None  # the bound network's (or stack's) parameters
+        self.spare_probs = self.spare_hidden = None  # keep's gather targets, made by its first call
         self.grad_views = _layer_views(layout, self.grad)
         if self.mlp:
             self.hidden = np.empty((n, layout.hidden))
@@ -277,9 +280,15 @@ class Workspace:
         b = self.x.shape[-2]
         picked = (np.arange(0, self.networks * b, b)[:, None] + rows).ravel()
         n = len(picked)
-        self.probs[:n] = self.probs[picked]
+        if self.spare_probs is None:
+            self.spare_probs = np.empty_like(self.probs)
+            self.spare_hidden = np.empty_like(self.hidden) if self.mlp else None
+        # gather into the spare buffer and swap, so each block is copied once
+        np.take(self.probs, picked, axis=0, out=self.spare_probs[:n], mode="clip")
+        self.probs, self.spare_probs = self.spare_probs, self.probs
         if self.mlp:
-            self.hidden[:n] = self.hidden[picked]
+            np.take(self.hidden, picked, axis=0, out=self.spare_hidden[:n], mode="clip")
+            self.hidden, self.spare_hidden = self.spare_hidden, self.hidden
         # the pass's rows are shared by the stack until a keep gives each network its own
         self.x = self.x[rows] if self.x.ndim == 2 else np.take_along_axis(self.x, rows[:, :, None], axis=1)
 
@@ -315,9 +324,9 @@ class Workspace:
         return self.grad
 
 
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class-probability rows (softmax output) for a batch of feature rows."""
-    probs, _ = forward_cached(params, x)
+def forward(params: ModelParams, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """Class-probability rows (softmax output) for a batch of feature rows; ``work`` as in :func:`forward_cached`."""
+    probs, _ = forward_cached(params, x, work)
     return probs
 
 

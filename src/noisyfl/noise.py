@@ -192,7 +192,7 @@ def apply_noise(ds: LabeledDataset, matrix: TransitionMatrix, seed: int) -> Labe
     u = rng.stream(seed, "flip").random(len(ds))
     cdf = np.cumsum(matrix.probs, axis=1)
     noisy = np.empty(len(ds), dtype=np.int64)
-    for r in np.unique(ds.labels):
+    for r in np.flatnonzero(np.bincount(ds.labels)):
         mask = ds.labels == r
         noisy[mask] = np.searchsorted(cdf[r], u[mask], side="right")
     np.clip(noisy, 0, matrix.size - 1, out=noisy)

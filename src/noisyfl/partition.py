@@ -74,7 +74,7 @@ class PartitionPlan:
         seen = np.concatenate(self.clients) if self.clients else np.zeros(0, dtype=np.int64)
         if len(seen) and (seen.min() < 0 or seen.max() >= n):
             raise IndexError("plan contains indices outside the dataset")
-        if len(np.unique(seen)) != len(seen):
+        if len(seen) and np.bincount(seen).max() > 1:
             raise ValueError("plan assigns some index to more than one client")
         if any(len(c) == 0 for c in self.clients):
             raise DegeneratePartitionError("plan contains an empty client")

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from noisyfl import rng
 from noisyfl.datasets import (
     LabeledDataset,
+    _blob_means,
     class_histogram,
     load_csv,
     load_npy,
@@ -32,6 +34,13 @@ class TestMakeSyntheticBlobs:
         b = make_synthetic_blobs(3, 50, 4, 2.5, seed=13)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_bit_equal_to_means_plus_noise(self, dim):
+        # the in-place shift gives the bits of the plain sum means[labels] + noise
+        ds = make_synthetic_blobs(4, 30, dim, 2.0, seed=3)
+        noise = rng.stream(3, "blobs").standard_normal((120, dim))
+        assert np.array_equal(ds.features, _blob_means(4, dim, 2.0)[ds.labels] + noise)
 
     def test_different_seed_differs(self):
         a = make_synthetic_blobs(3, 50, 4, 2.5, seed=13)
@@ -103,6 +112,33 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x0,label\n1.0,5\n2.0,0\n")
         with pytest.raises(LabelRangeError):
+            load_csv(str(path), "label")
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ("1.0,0\n2.0,3\n3.0,3\n4.0,0\n", r"missing \[1, 2\]"),
+            ("1.0,0\n2.0,-1\n3.0,1\n", "negative"),
+            ("1.0,0\n2.0,0\n", "two classes"),
+            ("1.0,0\n2.0,1000000000000000\n", r"label 1000000000000000 among 2 labels"),
+        ],
+        ids=["gap", "negative", "one-class", "huge-label"],
+    )
+    def test_bad_label_set_rejected(self, tmp_path, rows, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,label\n" + rows)
+        with pytest.raises(LabelRangeError, match=match):
+            load_csv(str(path), "label")
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [("1.0,0,0\n2.0,0,2\n3.0,0,0\n", r"missing \[1\]"), ("1.0,0,-2\n2.0,1,1\n", "negative")],
+        ids=["gap", "negative"],
+    )
+    def test_true_labels_join_the_contiguity_check(self, tmp_path, rows, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,label,true_label\n" + rows)
+        with pytest.raises(LabelRangeError, match=match):
             load_csv(str(path), "label")
 
     def test_round_trip(self, tmp_path):
@@ -247,6 +283,13 @@ class TestNpy:
         write(path)
         with pytest.raises(ParseError):
             load_npy(str(path))
+
+    def test_non_finite_feature_named(self, tmp_path):
+        path = tmp_path / "bad.npy"
+        write_arrays(path, *npy_arrays(features=((0.5, 1.0), (np.inf, np.nan))))
+        with pytest.raises(ParseError, match="feature is not finite") as err:
+            load_npy(str(path))
+        assert (err.value.row, err.value.column) == (1, "x0")
 
     def test_truncated_file_refused(self, tmp_path):
         path = tmp_path / "ds.npy"

@@ -16,7 +16,7 @@ from noisyfl.federation import (
     write_telemetry,
 )
 from noisyfl.localtrain import TrainerConfig, train_local
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, init_params
+from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, init_params
 from noisyfl.partition import partition_iid
 from noisyfl.rng import derive_seed
 
@@ -105,13 +105,13 @@ class TestEvaluate:
         ds = make_synthetic_blobs(3, 100, 2, 8.0, seed=0)
         params = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=0)
         trained, _ = train_local(ds, params, TrainerConfig(lr=0.2, epochs=10), seed=0)
-        assert evaluate(trained, ds) == 1.0
+        assert evaluate(trained, ds, Workspace(trained.layout, len(ds))) == 1.0
 
     def test_zero_params_tie_break_to_class_zero(self):
         ds = make_synthetic_blobs(4, 25, 2, 4.0, seed=1)  # balanced, 25 per class
         layout = LinearSoftmaxLayout(dim=2, num_classes=4)
         params = ModelParams(np.zeros(layout.param_count), layout)
-        assert evaluate(params, ds) == 0.25
+        assert evaluate(params, ds, Workspace(layout, len(ds))) == 0.25
 
     def test_matches_recount(self):
         ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
@@ -122,7 +122,16 @@ class TestEvaluate:
         correct = sum(
             1 for i in range(len(ds)) if int(np.argmax(probs[i])) == int(ds.labels[i])
         )
-        assert evaluate(params, ds) == pytest.approx(correct / len(ds), abs=1e-15)
+        assert evaluate(params, ds, Workspace(params.layout, len(ds))) == pytest.approx(correct / len(ds), abs=1e-15)
+
+    def test_one_workspace_serves_every_round(self):
+        # run_federation evaluates every round's model in one workspace
+        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
+        layout = MLPLayout(dim=2, hidden=4, num_classes=3)
+        shared = Workspace(layout, len(ds))
+        for seed in range(3):
+            params = init_params(layout, seed=seed)
+            assert evaluate(params, ds, shared) == evaluate(params, ds, Workspace(layout, len(ds)))
 
 
 def global_models(ds, plan, test, layout, cfg):

@@ -289,6 +289,22 @@ class TestPlanProperties:
             plan = make_partition(ds, k, spec, seed=trial)
             plan.validate(len(ds))
 
+    @pytest.mark.parametrize(
+        "clients, error, match",
+        [
+            ([[0, 2], [2, 3]], ValueError, "more than one client"),
+            ([[0, 1], [1]], ValueError, "more than one client"),
+            ([[0, 1], [5]], IndexError, "outside"),
+            ([[0, -1], [2]], IndexError, "outside"),
+            ([[0, 1], []], DegeneratePartitionError, "empty client"),
+        ],
+        ids=["shared-index", "shared-last-index", "index-past-end", "negative-index", "empty-client"],
+    )
+    def test_invalid_plan_rejected(self, clients, error, match):
+        plan = PartitionPlan(clients=clients, scheme="iid")
+        with pytest.raises(error, match=match):
+            plan.validate(5)
+
     def test_heterogeneity_monotone_in_alpha(self):
         ds = balanced(10, 200)
         global_dist = np.full(10, 0.1)
