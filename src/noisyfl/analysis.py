@@ -66,22 +66,20 @@ def sensitivity_series(table: AccuracyTable, partition: str, mode: str) -> list[
     return series
 
 
-def drop_ratio_series(
-    table: AccuracyTable, mode: str, noniid_partition: str, iid_partition: str = "iid"
-) -> list[tuple[float, float]]:
-    """Drop ratio at every eps where both the IID and non-IID entries exist.
+def drop_ratio_series(table: AccuracyTable, mode: str, noniid_partition: str) -> list[tuple[float, float]]:
+    """Drop ratio at every eps where both the ``iid`` and non-IID entries exist.
 
     An IID accuracy of 0 leaves the ratio undefined; the error names the point.
     """
     series = []
-    for eps in table.eps_grid(iid_partition, mode):
+    for eps in table.eps_grid("iid", mode):
         key_noniid = (noniid_partition, mode, eps)
         if key_noniid in table.entries:
             try:
-                ratio = accuracy_drop_ratio(table.entries[(iid_partition, mode, eps)], table.entries[key_noniid])
+                ratio = accuracy_drop_ratio(table.entries[("iid", mode, eps)], table.entries[key_noniid])
             except ZeroDivisionError:
                 raise NoisyFLError(
-                    f"drop ratio at ({noniid_partition}, {mode}, {eps!r}) is undefined: the {iid_partition} accuracy is 0"
+                    f"drop ratio at ({noniid_partition}, {mode}, {eps!r}) is undefined: the iid accuracy is 0"
                 ) from None
             series.append((eps, ratio))
     return series

@@ -83,10 +83,13 @@ TMP_SUFFIX = ".tmp"
 # ---------------------------------------------------------------- artifact I/O
 
 def sha256_file(path: str) -> str:
+    """The file's sha256, read through one 1 MiB buffer that every chunk reuses."""
     digest = hashlib.sha256()
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return "sha256:" + digest.hexdigest()
 
 
@@ -253,16 +256,8 @@ def cmd_noise(cfg: RunConfig) -> None:
 
     def produce():
         ds, plan, noisy, report = _split(cfg)
-        spec = cfg.noise
-        fields = {
-            "scene": spec.scene,
-            "mode": spec.mode,
-            "eps_global": spec.eps_global,
-            "eps_min": spec.eps_min,
-            "eps_max": spec.eps_max,
-            "seed": spec.seed,
-            "partition": dataclasses.asdict(cfg.partition),
-        }
+        fields = {name: value for name, value in dataclasses.asdict(cfg.noise).items() if name != "asym_map"}
+        fields["partition"] = dataclasses.asdict(cfg.partition)
         if report is None:  # real-world data without ground truth
             fields.update(dict.fromkeys(["per_client_eps", "per_client_ratio", "overall_ratio", "flip_counts"]))
             fields["skipped_clients"] = []

@@ -2,15 +2,22 @@
 
 Sections: dataset (synthetic or csv, exactly one), partition, noise,
 federation (protocol + model + trainer), plus output directory, repeat
-count, and the master seed.  Validation errors carry the offending field
-path.  CLI flags override individual fields before validation.
+count, and the master seed.  CLI flags override individual fields before
+validation.
+
+Each section is read against one table from its fields to their readers,
+and a field the table lacks is an error.  The types that use the
+partition, noise, federation and trainer sections build them and hold
+their defaults, ranges and allowed values; only those of the root, the
+dataset and the model live here.  An error names the path of its field,
+or of its section when the section's type rejects a value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 from . import rng
 from .datasets import LabeledDataset, load_csv, make_synthetic_blobs
@@ -18,23 +25,12 @@ from .errors import ConfigError
 from .federation import FedConfig
 from .localtrain import TrainerConfig
 from .models import Layout, LinearSoftmaxLayout, MLPLayout
-from .noise import MODES, SCENE_CLEAN, SCENES, NoiseSpec
-from .partition import SCHEMES, PartitionSpec
-
-
-_MISSING = object()
+from .noise import SCENE_CLEAN, NoiseSpec
+from .partition import PartitionSpec
 
 
 def _where(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
-
-
-def _get(doc: dict, field: str, path: str, default=_MISSING):
-    if field not in doc:
-        if default is _MISSING:
-            raise ConfigError(_where(path, field), "missing required field")
-        return default
-    return doc[field]
 
 
 def _number(kind, value, where: str):
@@ -48,22 +44,122 @@ def _number(kind, value, where: str):
     return number
 
 
-def _int(doc: dict, field: str, path: str, default=_MISSING) -> int:
-    return _number(int, _get(doc, field, path, default), _where(path, field))
+def _int(value, where: str) -> int:
+    return _number(int, value, where)
 
 
-def _float(doc: dict, field: str, path: str, default=_MISSING) -> float:
-    return _number(float, _get(doc, field, path, default), _where(path, field))
+def _float(value, where: str) -> float:
+    return _number(float, value, where)
 
 
-def _section(doc: dict, field: str, path: str, default=_MISSING) -> dict:
-    value = _get(doc, field, path, default)
-    if not isinstance(value, dict):
-        raise ConfigError(_where(path, field), "must be a JSON object")
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(where, "must be a string")
     return value
 
 
-@dataclass(frozen=True)
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(where, "must be a JSON object")
+    return value
+
+
+def _optional(read):
+    """``read``, except that null reads as None, the same as an absent field."""
+    return lambda value, where: None if value is None else read(value, where)
+
+
+def _floats(value, where: str) -> dict:
+    return {key: _float(v, _where(where, key)) for key, v in _object(value, where).items()}
+
+
+def _class_map(value, where: str) -> dict[int, int]:
+    try:
+        return {int(k): int(v) for k, v in value.items()}
+    except (TypeError, ValueError, OverflowError, AttributeError):
+        raise ConfigError(where, "must map class ids to class ids") from None
+
+
+def _lr_grid(value, where: str) -> tuple[float, ...] | None:
+    if not value:  # null or empty: no sweep
+        return None
+    if not isinstance(value, list):
+        raise ConfigError(where, "must be a list of learning rates")
+    grid = tuple(_float(v, where) for v in value)
+    if any(not v > 0 for v in grid):
+        raise ConfigError(where, "learning rates must be > 0")
+    return grid
+
+
+ROOT = {
+    "seed": _int,
+    "output_dir": _text,
+    "repeats": _int,
+    "dataset": _object,
+    "partition": _object,
+    "noise": _object,
+    "federation": _object,
+}
+DATASET = {"synthetic": _object, "csv": _object}
+SYNTHETIC = {"num_classes": _int, "per_class": _int, "dim": _int, "separation": _float, "seed": _int, "test_per_class": _int}
+CSV = {"path": _text, "label_column": _text, "test_path": _optional(_text)}
+PARTITION = {"scheme": _text, "alpha": _float, "c": _int}
+NOISE = {
+    "scene": _text,
+    "mode": _text,
+    "eps_global": _optional(_float),
+    "eps_min": _optional(_float),
+    "eps_max": _optional(_float),
+    "asym_map": _optional(_class_map),
+}
+FEDERATION = {
+    "num_clients": _int,
+    "rounds": _int,
+    "selection_fraction": _float,
+    "eval_every": _int,
+    "trainer": _object,
+    "model": _object,
+    "lr_grid": _lr_grid,
+}
+TRAINER = {
+    "method": _text,
+    "lr": _float,
+    "momentum": _float,
+    "weight_decay": _float,
+    "batch_size": _int,
+    "epochs": _int,
+    "method_params": _floats,
+}
+MODEL = {"kind": _text, "hidden": _int, "activation": _text}
+
+
+def _fields(doc: dict, path: str, table: dict, required=()) -> dict:
+    """Each field of section ``doc`` through its reader in ``table``; a field the table lacks is an error."""
+    fields = {}
+    for key, value in doc.items():
+        where = _where(path, key)
+        if key not in table:
+            raise ConfigError(where, f"unknown field; {path or 'the root'} takes {sorted(table)}")
+        fields[key] = table[key](value, where)
+    for name in required:
+        if name not in fields:
+            raise ConfigError(_where(path, name), "missing required field")
+    return fields
+
+
+def _build(kind, path: str, fields: dict, **fixed):
+    """``kind(**fields, **fixed)``; absent fields take its defaults, and its ValueError is a ConfigError at ``path``."""
+    missing = dataclasses.MISSING
+    for f in dataclasses.fields(kind):
+        if f.default is missing and f.default_factory is missing and f.name not in fields and f.name not in fixed:
+            raise ConfigError(_where(path, f.name), "missing required field")
+    try:
+        return kind(**fields, **fixed)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+@dataclasses.dataclass(frozen=True)
 class DatasetConfig:
     """Synthetic blob parameters or CSV paths; exactly one source."""
 
@@ -74,27 +170,16 @@ class DatasetConfig:
         """Build (train, test) datasets; test is None when not configured."""
         p = self.params
         if self.source == "synthetic":
-            train = make_synthetic_blobs(
-                num_classes=p["num_classes"],
-                per_class=p["per_class"],
-                dim=p["dim"],
-                separation=p["separation"],
-                seed=p["seed"],
-            )
-            test = make_synthetic_blobs(
-                num_classes=p["num_classes"],
-                per_class=p["test_per_class"],
-                dim=p["dim"],
-                separation=p["separation"],
-                seed=rng.derive_seed(p["seed"], "test"),
-            )
+            blobs = {field: p[field] for field in ("num_classes", "dim", "separation")}
+            train = make_synthetic_blobs(per_class=p["per_class"], seed=p["seed"], **blobs)
+            test = make_synthetic_blobs(per_class=p["test_per_class"], seed=rng.derive_seed(p["seed"], "test"), **blobs)
             return train, test
         train = load_csv(p["path"], p["label_column"])
         test = load_csv(p["test_path"], p["label_column"]) if p.get("test_path") else None
         return train, test
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated pipeline configuration."""
 
@@ -117,106 +202,40 @@ class RunConfig:
         )
 
     def canonical_dict(self) -> dict:
-        """Resolved config without the output directory (location-independent)."""
-        doc = {k: v for k, v in self.raw.items() if k != "output_dir"}
-        return doc
+        """The config document as written, without the output directory (location-independent).
+
+        Defaults are not filled in, so a config that spells out a default
+        gets a different ``config_digest`` from one that omits it.
+        """
+        return {k: v for k, v in self.raw.items() if k != "output_dir"}
 
 
-def _validate_dataset(doc: dict) -> DatasetConfig:
-    sources = [s for s in ("synthetic", "csv") if s in doc]
+def _dataset(doc: dict) -> DatasetConfig:
+    sources = list(_fields(doc, "dataset", DATASET))
     if len(sources) != 1:
         raise ConfigError("dataset", "exactly one of 'synthetic' or 'csv' is required")
     source = sources[0]
     path = f"dataset.{source}"
-    section = _section(doc, source, "dataset")
-    if source == "synthetic":
-        params = {
-            "num_classes": _int(section, "num_classes", path),
-            "per_class": _int(section, "per_class", path),
-            "dim": _int(section, "dim", path),
-            "separation": _float(section, "separation", path),
-            "seed": _int(section, "seed", path, 0),
-        }
-        params["test_per_class"] = _int(section, "test_per_class", path, max(params["per_class"] // 4, 1))
-        if params["num_classes"] < 2:
-            raise ConfigError(f"{path}.num_classes", "must be >= 2")
-        for field in ("per_class", "dim", "test_per_class"):
-            if params[field] < 1:
-                raise ConfigError(f"{path}.{field}", "must be >= 1")
-        if not params["separation"] > 0:
-            raise ConfigError(f"{path}.separation", "must be > 0")
-        if params["seed"] < 0:
-            raise ConfigError(f"{path}.seed", "must be >= 0")
+    if source == "csv":
+        params = {"test_path": None, **_fields(doc[source], path, CSV, ["path", "label_column"])}
         return DatasetConfig(source=source, params=params)
-    params = {
-        "path": _get(section, "path", path),
-        "label_column": _get(section, "label_column", path),
-        "test_path": _get(section, "test_path", path, None),
-    }
-    for field, value in params.items():
-        if not (isinstance(value, str) or (field == "test_path" and value is None)):
-            raise ConfigError(f"{path}.{field}", "must be a string")
+    params = {"seed": 0, **_fields(doc[source], path, SYNTHETIC, ["num_classes", "per_class", "dim", "separation"])}
+    params.setdefault("test_per_class", max(params["per_class"] // 4, 1))
+    if params["num_classes"] < 2:
+        raise ConfigError(f"{path}.num_classes", "must be >= 2")
+    for field in ("per_class", "dim", "test_per_class"):
+        if params[field] < 1:
+            raise ConfigError(f"{path}.{field}", "must be >= 1")
+    if not params["separation"] > 0:
+        raise ConfigError(f"{path}.separation", "must be > 0")
+    if params["seed"] < 0:
+        raise ConfigError(f"{path}.seed", "must be >= 0")
     return DatasetConfig(source=source, params=params)
 
 
-def _validate_partition(doc: dict) -> PartitionSpec:
-    scheme = _get(doc, "scheme", "partition")
-    if scheme not in SCHEMES:
-        raise ConfigError("partition.scheme", f"must be one of {list(SCHEMES)}")
-    try:
-        return PartitionSpec(
-            scheme=scheme,
-            alpha=_float(doc, "alpha", "partition") if "alpha" in doc else None,
-            c=_int(doc, "c", "partition") if "c" in doc else None,
-        )
-    except ValueError as exc:
-        raise ConfigError("partition", str(exc)) from None
-
-
-def _validate_noise(doc: dict, master_seed: int) -> NoiseSpec:
-    scene = _get(doc, "scene", "noise")
-    if scene not in SCENES:
-        raise ConfigError("noise.scene", f"must be one of {list(SCENES)}")
-    mode = _get(doc, "mode", "noise", "none")
-    if mode not in MODES:
-        raise ConfigError("noise.mode", f"must be one of {list(MODES)}")
-    asym_map = None
-    if doc.get("asym_map") is not None:
-        try:
-            asym_map = {int(k): int(v) for k, v in doc["asym_map"].items()}
-        except (TypeError, ValueError, OverflowError, AttributeError):
-            raise ConfigError("noise.asym_map", "must map class ids to class ids") from None
-    eps = {f: _float(doc, f, "noise") if doc.get(f) is not None else None for f in ("eps_global", "eps_min", "eps_max")}
-    try:
-        return NoiseSpec(scene=scene, mode=mode, asym_map=asym_map, seed=master_seed, **eps)
-    except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from None
-
-
-def _validate_trainer(doc: dict) -> TrainerConfig:
-    path = "federation.trainer"
-    method_params = _section(doc, "method_params", path, {})
-    try:
-        return TrainerConfig(
-            method=_get(doc, "method", path, "ce"),
-            lr=_float(doc, "lr", path, 0.01),
-            momentum=_float(doc, "momentum", path, 0.9),
-            weight_decay=_float(doc, "weight_decay", path, 5e-4),
-            batch_size=_int(doc, "batch_size", path, 128),
-            epochs=_int(doc, "epochs", path, 5),
-            method_params={k: _float(method_params, k, f"{path}.method_params") for k in method_params},
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _validate_model(doc: dict) -> dict:
+def _model(doc: dict) -> dict:
     path = "federation.model"
-    model = {
-        "kind": _get(doc, "kind", path, "mlp"),
-        "hidden": _int(doc, "hidden", path, 32),
-        "activation": _get(doc, "activation", path, "tanh"),
-    }
+    model = {"kind": "mlp", "hidden": 32, "activation": "tanh", **_fields(doc, path, MODEL)}
     if model["kind"] not in ("mlp", "linear-softmax"):
         raise ConfigError(f"{path}.kind", "must be 'mlp' or 'linear-softmax'")
     if model["hidden"] < 1:
@@ -226,57 +245,33 @@ def _validate_model(doc: dict) -> dict:
     return model
 
 
-def _validate_federation(doc: dict, master_seed: int) -> tuple[FedConfig, dict, tuple[float, ...] | None]:
-    trainer = _validate_trainer(_section(doc, "trainer", "federation", {}))
-    try:
-        fed = FedConfig(
-            num_clients=_int(doc, "num_clients", "federation"),
-            rounds=_int(doc, "rounds", "federation"),
-            trainer=trainer,
-            selection_fraction=_float(doc, "selection_fraction", "federation", 1.0),
-            eval_every=_int(doc, "eval_every", "federation", 1),
-            seed=master_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError("federation", str(exc)) from None
-    if fed.eval_every > fed.rounds:
-        raise ConfigError("federation.eval_every", "must be <= rounds, or no round is evaluated")
-    model = _validate_model(_section(doc, "model", "federation", {}))
-    lr_grid = None
-    if doc.get("lr_grid"):
-        if not isinstance(doc["lr_grid"], list):
-            raise ConfigError("federation.lr_grid", "must be a list of learning rates")
-        lr_grid = tuple(_number(float, v, "federation.lr_grid") for v in doc["lr_grid"])
-        if any(not v > 0 for v in lr_grid):
-            raise ConfigError("federation.lr_grid", "learning rates must be > 0")
-    return fed, model, lr_grid
-
-
 def validate_config(doc: dict) -> RunConfig:
     """Validate a raw config dictionary into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be a JSON object")
-    seed = _int(doc, "seed", "", 0)
+    root = _fields(doc, "", ROOT, ["output_dir", "dataset", "partition", "federation"])
+    seed = root.get("seed", 0)
     if seed < 0:
         raise ConfigError("seed", "must be >= 0")
-    output_dir = _get(doc, "output_dir", "")
-    if not isinstance(output_dir, str) or not output_dir:
+    if not root["output_dir"]:
         raise ConfigError("output_dir", "must be a non-empty string")
-    repeats = _int(doc, "repeats", "", 1)
+    repeats = root.get("repeats", 1)
     if repeats < 1:
         raise ConfigError("repeats", "must be >= 1")
-    dataset = _validate_dataset(_section(doc, "dataset", ""))
-    partition = _validate_partition(_section(doc, "partition", ""))
-    noise = _validate_noise(_section(doc, "noise", "", {"scene": SCENE_CLEAN}), seed)
-    fed, model, lr_grid = _validate_federation(_section(doc, "federation", ""), seed)
+    federation = _fields(root["federation"], "federation", FEDERATION)
+    trainer_doc = federation.pop("trainer", {})
+    trainer = _build(TrainerConfig, "federation.trainer", _fields(trainer_doc, "federation.trainer", TRAINER))
+    model = _model(federation.pop("model", {}))
+    lr_grid = federation.pop("lr_grid", None)
+    noise = root.get("noise", {"scene": SCENE_CLEAN})
     return RunConfig(
         seed=seed,
-        output_dir=output_dir,
+        output_dir=root["output_dir"],
         repeats=repeats,
-        dataset=dataset,
-        partition=partition,
-        noise=noise,
-        federation=fed,
+        dataset=_dataset(root["dataset"]),
+        partition=_build(PartitionSpec, "partition", _fields(root["partition"], "partition", PARTITION)),
+        noise=_build(NoiseSpec, "noise", _fields(noise, "noise", NOISE), seed=seed),
+        federation=_build(FedConfig, "federation", federation, trainer=trainer, seed=seed),
         model=model,
         lr_grid=lr_grid,
         raw=doc,

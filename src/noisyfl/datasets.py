@@ -122,7 +122,7 @@ def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation:
 TRUE_LABEL_COLUMN = "true_label"
 
 
-def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_COLUMN) -> LabeledDataset:
+def load_csv(path: str, label_column: str) -> LabeledDataset:
     """Load a dataset from a headered CSV file.
 
     All columns other than the label column (and the optional true-label
@@ -138,7 +138,7 @@ def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_C
         if label_column not in header:
             raise ParseError(f"label column {label_column!r} not found in header", row=1)
         label_idx = header.index(label_column)
-        true_idx = header.index(true_label_column) if true_label_column in header else None
+        true_idx = header.index(TRUE_LABEL_COLUMN) if TRUE_LABEL_COLUMN in header else None
         feature_cols = [i for i in range(len(header)) if i != label_idx and i != true_idx]
 
         features: list[list[float]] = []
@@ -155,7 +155,7 @@ def load_csv(path: str, label_column: str, true_label_column: str = TRUE_LABEL_C
                 try:
                     true_labels.append(int(row[true_idx]))
                 except ValueError:
-                    raise ParseError("true label is not an integer", row=row_no, column=true_label_column) from None
+                    raise ParseError("true label is not an integer", row=row_no, column=TRUE_LABEL_COLUMN) from None
             try:
                 features.append([float(row[i]) for i in feature_cols])
             except ValueError as exc:
@@ -200,15 +200,15 @@ def _is_float(text: str) -> bool:
         return False
 
 
-def save_csv(ds: LabeledDataset, path: str, label_column: str = "label", true_label_column: str = TRUE_LABEL_COLUMN) -> None:
-    """Write a dataset so that ``load_csv`` round-trips it bit-compatibly.
+def save_csv(ds: LabeledDataset, path: str) -> None:
+    """Write a dataset so that ``load_csv(path, "label")`` round-trips it bit-compatibly.
 
     Features are written with 17 significant digits (lossless for float64);
     the true-label column is emitted only when ground truth is known.
     """
-    header = [f"x{i}" for i in range(ds.dim)] + [label_column]
+    header = [f"x{i}" for i in range(ds.dim)] + ["label"]
     if ds.true_labels is not None:
-        header.append(true_label_column)
+        header.append(TRUE_LABEL_COLUMN)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

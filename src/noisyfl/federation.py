@@ -41,8 +41,8 @@ class FedConfig:
             raise ValueError("rounds must be >= 1")
         if not 0.0 < self.selection_fraction <= 1.0:
             raise ValueError("selection_fraction must lie in (0, 1]")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        if not 1 <= self.eval_every <= self.rounds:
+            raise ValueError("eval_every must lie in [1, rounds], or no round is evaluated")
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown training method {self.method!r}")
+            raise ValueError(f"unknown training method {self.method!r}; must be one of {list(METHODS)}")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:

@@ -117,9 +117,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.scene not in SCENES:
-            raise ValueError(f"unknown noise scene {self.scene!r}")
+            raise ValueError(f"unknown noise scene {self.scene!r}; must be one of {list(SCENES)}")
         if self.mode not in MODES:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+            raise ValueError(f"unknown noise mode {self.mode!r}; must be one of {list(MODES)}")
         if self.asym_map is not None and (self.scene, self.mode) != (SCENE_GLOBALIZED, MODE_ASYMMETRIC):
             raise ValueError("asym_map applies only to the globalized scene in asymmetric mode")
         if self.scene == SCENE_GLOBALIZED:

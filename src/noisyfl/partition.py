@@ -90,7 +90,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown partition scheme {self.scheme!r}")
+            raise ValueError(f"unknown partition scheme {self.scheme!r}; must be one of {list(SCHEMES)}")
         if self.scheme in (SCHEME_QUANTITY, SCHEME_LABEL_DIR) and (self.alpha is None or not self.alpha > 0):
             raise ValueError(f"scheme {self.scheme} requires alpha > 0")
         if self.scheme == SCHEME_LABEL_QUANTITY and (self.c is None or self.c < 1):

@@ -532,6 +532,13 @@ class TestExitCodes:
         path.write_text('{"seed": ', encoding="utf-8")
         assert main(["pipeline", "-c", str(path)]) == 2
 
+    def test_misspelled_config_key_exits_2_before_any_stage(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, changes={"federation.trainer.epoch": 9})
+        assert main(["pipeline", "-c", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: federation.trainer.epoch: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
 
 class TestArtifacts:
     def test_noise_manifest_equals_run_scene_report(self, tmp_path):

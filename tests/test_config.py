@@ -1,6 +1,7 @@
 """Config validation: every malformed document is a ConfigError, never another exception."""
 
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -77,14 +78,23 @@ def test_base_documents_validate(base):
 def test_one_replaced_field_validates_or_raises_config_error(base, data):
     doc = copy.deepcopy(base)
     path = data.draw(st.sampled_from(sorted(field_paths(doc))), label="field")
+    inserted = data.draw(st.booleans(), label="insert an unknown sibling key")
+    if inserted:  # no field name starts with "~"
+        path = path[:-1] + ("~" + data.draw(st.text(max_size=6), label="key"),)
     value = data.draw(json_values | st.just(DELETE), label="value")
     node = doc
     for key in path[:-1]:
         node = node[key]
     if value is DELETE:
-        del node[path[-1]]
+        node.pop(path[-1], None)
     else:
         node[path[-1]] = value
+    if inserted and value is not DELETE:
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        if path[-2:-1] not in [("method_params",), ("asym_map",)]:  # their keys are values, not fields
+            assert err.value.field == ".".join(path)
+        return
     try:
         validate_config(doc)
     except ConfigError:
@@ -113,3 +123,64 @@ def test_known_malformed_fields(path, value):
     node[path[-1]] = value
     with pytest.raises(ConfigError):
         validate_config(doc)
+
+
+def _case_id(value) -> str:
+    return {id(SYNTHETIC): "synthetic", id(CSV): "csv"}.get(id(value)) or ".".join(value)
+
+
+@pytest.mark.parametrize(
+    "base, path",
+    [
+        (SYNTHETIC, ("repeat",)),
+        (SYNTHETIC, ("dataset", "synthetic", "per_clas")),
+        (CSV, ("dataset", "csv", "test_pth")),
+        (SYNTHETIC, ("partition", "alpah")),
+        (CSV, ("noise", "eps_globl")),
+        (SYNTHETIC, ("federation", "selection_fracton")),
+        (SYNTHETIC, ("federation", "model", "hiden")),
+        (SYNTHETIC, ("federation", "trainer", "epoch")),
+    ],
+    ids=_case_id,
+)
+def test_misspelled_key_is_a_config_error_at_its_path(base, path):
+    doc = copy.deepcopy(base)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 1
+    with pytest.raises(ConfigError) as err:
+        validate_config(doc)
+    assert err.value.field == ".".join(path)
+
+
+def _outcome(doc: dict):
+    """The validated config without its raw document, or the ConfigError's text."""
+    try:
+        return dataclasses.replace(validate_config(doc), raw=None)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "base, path",
+    [
+        (base, path)
+        for base in (SYNTHETIC, CSV)
+        for path in [("noise", "eps_global"), ("noise", "eps_min"), ("noise", "eps_max"), ("noise", "asym_map")]
+        + [("federation", "lr_grid")]
+    ]
+    + [(CSV, ("dataset", "csv", "test_path"))],
+    ids=_case_id,
+)
+def test_explicit_null_is_the_same_as_an_absent_field(base, path):
+    absent, null = copy.deepcopy(base), copy.deepcopy(base)
+    for doc, value in [(absent, DELETE), (null, None)]:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    assert _outcome(null) == _outcome(absent)
