@@ -402,7 +402,8 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
             raise ValueError("a recorded number is not finite or not of its type")
         param = {scheme: param for _, _, _, scheme, param, _ in PARTITION_FLAGS}[spec.scheme]
         partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
-        key = (partition, f"{noise['scene']}/{noise['mode']}", _noise_ratio_estimate(noise))
+        # eps to 9 decimals, so that a localized (0.2, 0.4) run's midpoint 0.30000000000000004 is the grid point 0.3
+        key = (partition, f"{noise['scene']}/{noise['mode']}", round(_noise_ratio_estimate(noise), 9))
         AccuracyTable(entries={key: accuracy})  # its own check: a fraction in [0, 1]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactMismatchError(f"{where}: unusable manifest field ({exc})") from None

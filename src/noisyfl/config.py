@@ -33,23 +33,25 @@ def _where(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
 
 
-def _number(kind, value, where: str):
-    """``kind(value)`` for kind int or float; a ConfigError unless it is a finite number."""
-    try:
-        number = kind(value)
-        if not math.isfinite(number):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(where, f"must be a finite {'integer' if kind is int else 'number'}") from None
-    return number
-
-
 def _int(value, where: str) -> int:
-    return _number(int, value, where)
+    """A JSON integer, or a number with no fraction such as ``2.0`` or ``1e3``; never a bool or a string."""
+    if isinstance(value, float) and value.is_integer():  # False for inf and nan
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(where, "must be a finite integer")
 
 
 def _float(value, where: str) -> float:
-    return _number(float, value, where)
+    """A finite JSON number; never a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond every float
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(where, "must be a finite number")
 
 
 def _text(value, where: str) -> str:
@@ -74,9 +76,10 @@ def _floats(value, where: str) -> dict:
 
 
 def _class_map(value, where: str) -> dict[int, int]:
+    """JSON object keys are strings, so a key is read with ``int``; a value must be an integer."""
     try:
-        return {int(k): int(v) for k, v in value.items()}
-    except (TypeError, ValueError, OverflowError, AttributeError):
+        return {int(k): _int(v, where) for k, v in _object(value, where).items()}
+    except (TypeError, ValueError, ConfigError):
         raise ConfigError(where, "must map class ids to class ids") from None
 
 
@@ -278,14 +281,14 @@ def validate_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str, overrides: dict) -> RunConfig:
     """Read a config JSON file, apply dotted-path overrides, and validate."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError("", f"{path} is not a JSON document: {exc}") from None
-    for dotted, value in (overrides or {}).items():
+    for dotted, value in overrides.items():
         set_by_path(doc, dotted, value)
     return validate_config(doc)
 

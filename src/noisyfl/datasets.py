@@ -275,13 +275,9 @@ def load_npy(path: str) -> LabeledDataset:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def class_histogram(ds: LabeledDataset, indices=None) -> np.ndarray:
-    """Per-class counts (int64, length C) of observed labels, optionally restricted to an index selection."""
-    if indices is None:
-        selected = ds.labels
-    else:
-        idx = np.asarray(indices, dtype=np.int64)
-        if len(idx) and (idx.min() < 0 or idx.max() >= len(ds)):
-            raise IndexError(f"index out of range for dataset of size {len(ds)}")
-        selected = ds.labels[idx]
-    return np.bincount(selected, minlength=ds.num_classes)
+def class_histogram(ds: LabeledDataset, indices) -> np.ndarray:
+    """Per-class counts (int64, length C) of the observed labels at ``indices``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if len(idx) and (idx.min() < 0 or idx.max() >= len(ds)):
+        raise IndexError(f"index out of range for dataset of size {len(ds)}")
+    return np.bincount(ds.labels[idx], minlength=ds.num_classes)

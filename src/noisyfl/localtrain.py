@@ -93,37 +93,24 @@ class TrainerConfig:
         return kind
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainStats:
-    """Mean batch loss per epoch for one local training call."""
+    """One local training call's loss: the mean over its epochs of each epoch's mean batch loss."""
 
-    epoch_losses: list[float] = field(default_factory=list)
-
-    @property
-    def mean_loss(self) -> float:
-        return float(np.mean(self.epoch_losses)) if self.epoch_losses else float("nan")
+    mean_loss: float
 
 
 def sgd_step(
-    values: np.ndarray,
-    grad: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    momentum: float,
-    out: np.ndarray | None = None,
+    values: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Momentum SGD: v' = mu*v + g, w' = w - lr*v'; returns (w', v').
 
-    With ``out`` given, ``velocity`` becomes v' in place and w' is written
-    to ``out``, so a training step allocates nothing; without it, v' and
-    w' are new arrays and no argument changes.  Weight decay is folded into
-    ``grad`` by the loss backward, not here.
+    ``velocity`` becomes v' in place and w' is written to ``out``, so a
+    training step allocates nothing; ``values`` and ``grad`` are only read.
+    Weight decay is folded into ``grad`` by the loss backward, not here.
     """
     if grad.shape != values.shape or velocity.shape != values.shape:
         raise ValueError("grad/velocity shape must match parameter shape")
-    if out is None:
-        velocity = momentum * velocity + grad
-        return values - lr * velocity, velocity
     velocity *= momentum
     velocity += grad
     np.multiply(velocity, lr, out=out)
@@ -131,17 +118,14 @@ def sgd_step(
 
 
 def mixup_batch(
-    x: np.ndarray, onehot: np.ndarray, lam: float, perm: np.ndarray, out: tuple | None = None
+    x: np.ndarray, onehot: np.ndarray, lam: float, perm: np.ndarray, out: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convex combination of a batch with its permuted copy; targets stay on the simplex.
 
     Each array ``a`` becomes ``lam * a + (1 - lam) * a[perm]``.  ``out``
     is (mixed rows, mixed targets, row scratch, target scratch), shaped
-    like ``x``, ``onehot``, ``x`` and ``onehot``; with it nothing is
-    allocated, and without it they are new arrays.
+    like ``x``, ``onehot``, ``x`` and ``onehot``, and nothing is allocated.
     """
-    if out is None:
-        out = (np.empty_like(x), np.empty_like(onehot), np.empty_like(x), np.empty_like(onehot))
     mixed_x, mixed_t, scratch_x, scratch_t = out
     for a, mixed, scratch in ((x, mixed_x, scratch_x), (onehot, mixed_t, scratch_t)):
         np.multiply(lam, a, out=mixed)
@@ -171,7 +155,7 @@ def _train(
     gives one row per sample) once; a batch is a slice of them.  Overflow
     is not reported as a numpy warning: a diverging step fails that check
     and raises ``FloatingPointError``.  Returns the trained networks in the
-    order of ``start``.
+    order of ``start`` and the call's :class:`TrainStats`.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -185,7 +169,7 @@ def _train(
     work = Workspace(layout, min(cfg.batch_size, len(ds)), stack)
     velocity = np.zeros_like(stack.values)
     targets = ds.labels if targets is None else targets
-    stats = TrainStats()
+    epoch_losses = []  # each epoch's mean batch loss
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
@@ -200,7 +184,8 @@ def _train(
                     raise FloatingPointError("local training diverged to non-finite parameters")
                 stack.values[:] = values
                 batch_losses.append(out.value)
-            stats.epoch_losses.append(float(np.mean(batch_losses)))
+            epoch_losses.append(float(np.mean(batch_losses)))
+    stats = TrainStats(mean_loss=float(np.mean(epoch_losses)))
     if len(start) == 1:
         return [stack], stats
     return [ModelParams(values, layout) for values in stack.values], stats
@@ -270,7 +255,7 @@ def train_local_coteaching(
     params_b: ModelParams,
     cfg: TrainerConfig,
     seed: int,
-    round_t: int = 1,
+    round_t: int,
 ) -> tuple[ModelParams, ModelParams, TrainStats]:
     """Cross-update two networks on each other's small-loss samples.
 
@@ -294,7 +279,7 @@ def train_local_coteaching(
         # one stacked pass ranks the batch for both networks; each network's
         # pass is then narrowed to its peer's selection and backpropagated
         b = len(x)
-        probs, _ = forward_cached(stack, x, work)
+        probs = forward_cached(stack, x, work)
         per = work.per_sample[: 2 * b]
         _per_sample(probs, np.concatenate((y, y)), "ce", {}, per, work.row_ids[: 2 * b])
         kept = [small_loss_selection(per[:b], keep_fraction), small_loss_selection(per[b:], keep_fraction)]

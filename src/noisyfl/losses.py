@@ -12,10 +12,10 @@ co-teaching.  Bound to a stack of networks, they compute every network's
 loss over the stack's rows as one block and backpropagate once for all.
 Their checks take constant time, and binding a workspace to the network
 it already holds is a no-op, so a training step recomputes no weight
-view.  What they return are views of the workspace's buffers,
-valid until its next pass; without a workspace :func:`backward` builds
-its own.  Co-teaching takes its update loss from the pass that ranked the
-batch, as in Han et al.'s reference implementation (arXiv 1804.06872).
+view.  The gradient they return is a view of the workspace's buffers,
+valid until its next pass.  Co-teaching takes its update loss from the
+pass that ranked the batch, as in Han et al.'s reference implementation
+(arXiv 1804.06872).
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ _LOG_FLOOR = 1e-300
 
 @dataclass(slots=True)
 class LossOutput:
-    """Mean loss value, per-sample losses, and (when computed) the flat gradient.
+    """Mean loss value and the flat gradient; each row's loss stays in the workspace's ``per_sample``.
 
     Not frozen: training builds one per step, and a frozen dataclass's
     ``__init__`` costs about as much as the step's checks together.
     """
 
     value: float
-    per_sample: np.ndarray
-    grad: np.ndarray | None = None
+    grad: np.ndarray
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -141,29 +140,31 @@ def backward(
     params: ModelParams,
     x: np.ndarray,
     labels: np.ndarray,
-    kind: str = "ce",
+    *,
+    kind: str,
+    weight_decay: float,
+    work: Workspace,
     method_params: dict | None = None,
-    weight_decay: float = 0.0,
-    work: Workspace | None = None,
 ) -> LossOutput:
-    """Mean loss, per-sample losses, and the exact flat gradient.
+    """Mean loss and the exact flat gradient of a pass over ``x`` in ``work``.
 
     The gradient is d(mean loss)/dw plus ``weight_decay * w``; it matches
     central finite differences of mean loss + weight_decay/2 * |w|^2.
-    The pass runs in ``work`` (a one-shot workspace when None), and the
-    returned ``per_sample`` and ``grad`` are views of its buffers.
+    The returned ``grad`` is ``work.grad``, and each row's loss is left in
+    ``work.per_sample``.
     """
-    _, work = forward_cached(params, x, work)
-    return backward_cached(params, work, labels, kind, method_params, weight_decay)
+    forward_cached(params, x, work)
+    return backward_cached(params, work, labels, kind=kind, weight_decay=weight_decay, method_params=method_params)
 
 
 def backward_cached(
     params: ModelParams,
     work: Workspace,
     labels: np.ndarray,
-    kind: str = "ce",
+    *,
+    kind: str,
+    weight_decay: float,
     method_params: dict | None = None,
-    weight_decay: float = 0.0,
 ) -> LossOutput:
     """:func:`backward` over the forward pass ``work`` already holds.
 
@@ -182,4 +183,4 @@ def backward_cached(
     p_label = _per_sample(probs, labels, kind, mp, per, row_ids)
     _logit_gap(probs, labels, kind, mp, p_label, row_ids, work.row_scale[:n])
     probs /= b  # the gradient of each network's batch mean
-    return LossOutput(value=_mean(per, work.networks), per_sample=per, grad=work.backprop(weight_decay))
+    return LossOutput(value=_mean(per, work.networks), grad=work.backprop(weight_decay))

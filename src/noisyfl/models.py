@@ -10,8 +10,9 @@ the values, so a step runs its kernels in place and recomputes no view.
 Each kernel of a pass runs once for the whole stack, so co-teaching's two
 networks cost one pass's dispatch.  What a pass returns is a view of the
 workspace's buffers and holds until its next pass.  :func:`forward_cached`
-is the checked entry over :meth:`Workspace.forward`; the loss-specific part
-of the hand-derived gradient is in losses.py.
+is the checked entry over :meth:`Workspace.forward`, and every pass runs in
+a workspace its caller made; the loss-specific part of the hand-derived
+gradient is in losses.py.
 """
 
 from __future__ import annotations
@@ -324,41 +325,30 @@ class Workspace:
         return self.grad
 
 
-def forward(params: ModelParams, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-    """Class-probability rows (softmax output) for a batch of feature rows; ``work`` as in :func:`forward_cached`."""
-    probs, _ = forward_cached(params, x, work)
-    return probs
+def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace) -> np.ndarray:
+    """Checked forward pass into ``work``; returns the probability rows.
 
-
-def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace | None = None):
-    """Checked forward pass into ``work``; returns the probability rows and the workspace.
-
-    Without ``work`` a one-shot workspace sized to ``x`` is built;
-    otherwise ``work`` is bound to ``params`` first.  For a stack of S
-    networks every network sees the rows of ``x``, and the S*len(x)
-    returned rows are network after network.  The returned rows alias
-    ``work.probs``; the workspace also keeps what backward needs (``x``
-    and ``hidden``).
+    ``work`` is bound to ``params`` first.  For a stack of S networks every
+    network sees the rows of ``x``, and the S*len(x) returned rows are
+    network after network.  The returned rows alias ``work.probs``; the
+    workspace also keeps what backward needs (``x`` and ``hidden``).
     """
     x = np.asarray(x, dtype=np.float64)
     layout = params.layout
     if x.ndim != 2 or x.shape[1] != layout.dim:
         raise LayoutMismatchError(f"input of shape {x.shape} does not match layout dim {layout.dim}")
-    if work is None:
-        work = Workspace(layout, len(x), params)
-    elif work.layout is not layout and work.layout != layout:
+    if work.layout is not layout and work.layout != layout:
         raise LayoutMismatchError("workspace layout does not match the parameters")
-    elif len(x) > work.rows:
+    if len(x) > work.rows:
         raise ValueError(f"batch of {len(x)} rows exceeds the workspace's {work.rows}")
-    else:
-        work.bind(params)
-    return work.forward(x), work
+    work.bind(params)
+    return work.forward(x)
 
 
 CHECKPOINT_MAGIC = "noisyfl-checkpoint"
 
 
-def save_checkpoint(params: ModelParams, path: str, round_t: int = 0, seed: int = 0) -> None:
+def save_checkpoint(params: ModelParams, path: str, round_t: int, seed: int) -> None:
     """JSON header line + little-endian float64 payload."""
     header = {
         "format": CHECKPOINT_MAGIC,

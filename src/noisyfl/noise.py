@@ -22,7 +22,8 @@ import numpy as np
 from . import rng
 from .datasets import LabeledDataset
 from .errors import LabelNotInMatrixError
-from .partition import PartitionPlan, PartitionSpec, make_partition, restrict
+from .partition import PartitionPlan, PartitionSpec, make_partition
+from .partition import restrict  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
 
 SCENE_GLOBALIZED = "globalized"
 SCENE_LOCALIZED = "localized"
@@ -179,27 +180,27 @@ class NoiseReport:
         }
 
 
-def apply_noise(ds: LabeledDataset, matrix: TransitionMatrix, seed: int) -> LabeledDataset:
-    """Independently redraw each observed label from its transition row.
+def apply_noise(labels: np.ndarray, num_classes: int, matrix: TransitionMatrix, seed: int) -> np.ndarray:
+    """Independently redraw each of ``labels`` (ids below ``num_classes``) from its transition row.
 
     Sample n's flip consumes exactly the n-th uniform of the flip stream,
-    so the outcome is a function of (seed, n) alone and growing the dataset
-    never perturbs earlier samples.  Returns the corrupted dataset, with
-    ``true_labels`` set to the clean input labels.
+    so the outcome is a function of (seed, n) alone and growing the label
+    vector never perturbs earlier samples.  Returns the noisy labels as a
+    new int64 vector; ``labels`` is only read.
     """
-    if matrix.size < ds.num_classes:
-        raise LabelNotInMatrixError(f"matrix over {matrix.size} classes cannot corrupt labels of {ds.num_classes} classes")
-    u = rng.stream(seed, "flip").random(len(ds))
+    if matrix.size < num_classes:
+        raise LabelNotInMatrixError(f"matrix over {matrix.size} classes cannot corrupt labels of {num_classes} classes")
+    u = rng.stream(seed, "flip").random(len(labels))
     cdf = np.cumsum(matrix.probs, axis=1)
-    noisy = np.empty(len(ds), dtype=np.int64)
-    for r in np.flatnonzero(np.bincount(ds.labels)):
-        mask = ds.labels == r
+    noisy = np.empty(len(labels), dtype=np.int64)
+    for r in np.flatnonzero(np.bincount(labels)):
+        mask = labels == r
         noisy[mask] = np.searchsorted(cdf[r], u[mask], side="right")
     np.clip(noisy, 0, matrix.size - 1, out=noisy)
-    return ds.with_labels(labels=noisy, true_labels=ds.labels.copy())
+    return noisy
 
 
-def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps, skipped=()) -> NoiseReport:
+def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps, skipped) -> NoiseReport:
     """Recount realized flips per client from (observed, true) label pairs."""
     ratios = np.zeros(plan.num_clients, dtype=np.float64)
     flips = 0
@@ -249,23 +250,22 @@ def run_scene(
     eps = None
     if spec.scene == SCENE_GLOBALIZED:
         matrix = _mode_matrix(ds.num_classes, spec.eps_global, spec.mode, spec.asym_map)
-        ds = apply_noise(ds, matrix, rng.derive_seed(spec.seed, "flip"))
+        noisy = apply_noise(ds.labels, ds.num_classes, matrix, rng.derive_seed(spec.seed, "flip"))
+        ds = ds.with_labels(labels=noisy, true_labels=ds.labels.copy())
         eps = np.full(num_clients, spec.eps_global, dtype=np.float64)
     plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
     skipped = []
     if spec.scene == SCENE_LOCALIZED:
         eps = rng.stream(spec.seed, "eps-draw").uniform(spec.eps_min, spec.eps_max, size=num_clients)
         labels = ds.labels.copy()
-        for k in range(num_clients):
-            local = restrict(ds, plan, k)
-            classes, positions = np.unique(local.labels, return_inverse=True)
+        for k, idx in enumerate(plan.clients):
+            classes, positions = np.unique(ds.labels[idx], return_inverse=True)
             if len(classes) < 2:
                 skipped.append(k)
                 continue
-            coded = LabeledDataset(features=local.features, labels=positions, num_classes=len(classes))
             matrix = _mode_matrix(len(classes), float(eps[k]), spec.mode)
-            flipped = apply_noise(coded, matrix, rng.derive_seed(spec.seed, "flip", k))
-            labels[plan.clients[k]] = classes[flipped.labels]
+            flipped = apply_noise(positions, len(classes), matrix, rng.derive_seed(spec.seed, "flip", k))
+            labels[idx] = classes[flipped]
         ds = ds.with_labels(labels=labels, true_labels=ds.labels.copy())
     elif spec.scene == SCENE_CLEAN:
         ds = ds.with_labels(labels=ds.labels.copy(), true_labels=ds.labels.copy())

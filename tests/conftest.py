@@ -7,14 +7,33 @@ import math
 import numpy as np
 
 from noisyfl.losses import backward
-from noisyfl.models import ModelParams
+from noisyfl.models import ModelParams, Workspace, forward_cached
+
+
+def fresh_forward(params, x):
+    """The probability rows of one pass over ``x``, in a workspace made for it."""
+    return forward_cached(params, x, Workspace(params.layout, len(x), params))
+
+
+def fresh_backward(params, x, labels, kind, method_params=None, weight_decay=0.0):
+    """``backward`` in a workspace made for it; returns its LossOutput and the workspace (each row's loss)."""
+    work = Workspace(params.layout, len(x), params)
+    out = backward(params, x, labels, kind=kind, weight_decay=weight_decay, work=work, method_params=method_params)
+    return out, work
+
+
+def mixup_buffers(x, onehot):
+    """``mixup_batch``'s ``out``: mixed rows, mixed targets and their scratch."""
+    return np.empty_like(x), np.empty_like(onehot), np.empty_like(x), np.empty_like(onehot)
 
 
 def finite_difference_grad(params, x, y, kind, method_params=None, weight_decay=0.0, h=1e-5):
     """Central-difference gradient of mean loss + (wd/2)|w|^2, coordinate by coordinate."""
+    work = Workspace(params.layout, len(x))
 
     def objective(values):
-        out = backward(ModelParams(values, params.layout), x, y, kind=kind, method_params=method_params)
+        net = ModelParams(values, params.layout)
+        out = backward(net, x, y, kind=kind, weight_decay=0.0, work=work, method_params=method_params)
         return out.value + 0.5 * weight_decay * float(values @ values)
 
     grad = np.zeros_like(params.values)

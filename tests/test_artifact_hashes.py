@@ -1,6 +1,6 @@
 """Pinned sha256 of the artifacts that only the RNG streams decide.
 
-The dataset, the split and the noisy labels of three small pipelines must
+The dataset, the split and the noisy labels of four small pipelines must
 keep these bytes across changes that do not mean to move them.  They are
 drawn from named numpy streams and written without BLAS arithmetic, so
 the hashes hold on any host; training outputs are not pinned here.  A
@@ -37,10 +37,22 @@ PINNED = {
         "client_histograms.csv": "0cfb1530a6ed167ac212f8ea50b780c55294cd14d7a7bb2185c9fd8b3e6b8f34",
         "noisy_dataset.npy": "afd3732e71b3596d9d0a2ab522e0f1e827b1f72d0f9bdc3b3136508344d3bba8",
     },
+    "localized-asymmetric": {
+        "dataset.npy": "4ed2672feb650f1d0cc598efebbe08161311b9de6b1c410217896e23ed54acb0",
+        "test_dataset.npy": "1aed827614a0b404d83810f4fda4f549f27872590ec5f908003351bb960c2ad1",
+        "plan.json": "0b92a2b584c3aef967826f543c926d50af157658aedb3a12fead454b6664a02a",
+        "client_histograms.csv": "98e81f3d5fa2899caeeb3fc689abbb80d125ad896cc907d166dc131ef1afc1d2",
+        "noisy_dataset.npy": "34afdf2c7ff481d345c2e7d901ac87434aa00a34cf0162f8af933e5463267794",
+    },
 }
 
 # (SMALL changes, CLI flags) of each pinned pipeline
-RUNS = {"small": (None, []), "globalized": (GLOBALIZED, []), "iid": (None, ["--iid"])}
+RUNS = {
+    "small": (None, []),
+    "globalized": (GLOBALIZED, []),
+    "iid": (None, ["--iid"]),
+    "localized-asymmetric": ({"noise.mode": "asymmetric"}, []),
+}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -414,6 +414,21 @@ class TestExitCodes:
                 {"noise": {"scene": "globalized", "mode": "asymmetric", "eps_global": 0.3, "asym_map": {"0": 1, "1": 0}}},
                 "noise.asym_map",
             ),
+            ({"federation.trainer.epochs": 2.9}, "federation.trainer.epochs: must be a finite integer"),
+            ({"seed": "4"}, "config error: seed: must be a finite integer"),
+            ({"federation.trainer.lr": "0.5"}, "federation.trainer.lr: must be a finite number"),
+            ({"federation.trainer.lr": True}, "federation.trainer.lr: must be a finite number"),
+            (
+                {
+                    "noise": {
+                        "scene": "globalized",
+                        "mode": "asymmetric",
+                        "eps_global": 0.3,
+                        "asym_map": {"0": 1.5, "1": 2, "2": 0},
+                    }
+                },
+                "noise.asym_map: must map class ids to class ids",
+            ),
         ],
         ids=[
             "gce-q-2",
@@ -424,6 +439,11 @@ class TestExitCodes:
             "coteaching-ramp-rounds-0",
             "coteaching-forget-rate-from-noise-1",
             "asym-map-misses-a-class",
+            "fractional-epochs",
+            "string-seed",
+            "string-lr",
+            "bool-lr",
+            "fractional-asym-map-target",
         ],
     )
     def test_malformed_training_value_exits_2(self, tmp_path, capsys, changes, field):
@@ -546,7 +566,7 @@ class TestArtifacts:
         assert main(["noise", "-c", config]) == 0
         with open(os.path.join(out, "noise_manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
-        cfg = load_config(config)
+        cfg = load_config(config, {})
         ds = load_npy(os.path.join(out, "dataset.npy"))
         _, _, report = run_scene(ds, cfg.noise, cfg.federation.num_clients, cfg.partition)
         spec = {
@@ -570,7 +590,7 @@ class TestArtifacts:
         assert main(["pipeline", "-c", config]) == 0
         params, header = load_checkpoint(os.path.join(out, "train", "seed_0", "final_checkpoint.bin"))
 
-        cfg = load_config(config)
+        cfg = load_config(config, {})
         noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
         test = load_npy(os.path.join(out, "test_dataset.npy"))
         plan = load_plan(os.path.join(out, "plan.json"))
@@ -648,6 +668,18 @@ class TestAnalyze:
         assert (len(drop), len(sens)) == (2, 2)
         assert read_rows(grid / "drop_ratio.csv") == [["partition", "mode", "eps", "drop_ratio"], *drop]
         assert read_rows(grid / "sensitivity.csv") == [["partition", "mode", "eps", "sensitivity"], *sens]
+
+    def test_runs_whose_eps_differ_by_rounding_give_one_key(self, tmp_path):
+        """A localized (0.2, 0.4) run and a (0.3, 0.3) run are one grid point, not two 5.6e-17 apart."""
+        runs = []
+        for eps_min, eps_max in [("0.2", "0.4"), ("0.3", "0.3")]:
+            config, out = write_config(tmp_path, f"eps_{eps_min}_{eps_max}")
+            assert main(["pipeline", "-c", config, "--eps-min", eps_min, "--eps-max", eps_max]) == 0
+            runs.append(out)
+        code, err = analyze(runs, str(tmp_path / "grid"))
+        assert code == 1
+        key = "(label-dir(alpha=0.5), localized/symmetric, 0.3)"
+        assert err == f"error: analyze: {runs[0]} and {runs[1]} both give {key}\n"
 
     def test_analyze_takes_runs_and_out_only(self):
         args = cli.build_parser().parse_args(["analyze", "--runs", "a", "b", "--out", "grid"])

@@ -113,6 +113,13 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
         (("dataset", "synthetic", "test_per_class"), 0),
         (("output_dir",), 3),
         (("seed",), -1),
+        # a number reader takes neither a fraction for an integer, nor a string, nor a bool
+        (("federation", "trainer", "epochs"), 2.9),
+        (("seed",), "4"),
+        (("federation", "trainer", "lr"), "0.5"),
+        (("federation", "trainer", "lr"), True),
+        (("federation", "trainer", "batch_size"), True),
+        (("dataset", "synthetic", "separation"), 10**400),  # an integer beyond every float
     ],
 )
 def test_known_malformed_fields(path, value):
@@ -121,8 +128,18 @@ def test_known_malformed_fields(path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         validate_config(doc)
+    assert ".".join(path).startswith(err.value.field)  # the field, or the section whose type rejects it
+
+
+@pytest.mark.parametrize("value", [2, 2.0, 2e0])
+def test_a_number_without_fraction_is_an_integer(value):
+    """``2.0`` reads as the integer 2: it names an integer exactly, as ``1e3`` does."""
+    doc = copy.deepcopy(SYNTHETIC)
+    doc["federation"]["trainer"]["epochs"] = value
+    epochs = validate_config(doc).federation.trainer.epochs
+    assert epochs == 2 and type(epochs) is int
 
 
 def _case_id(value) -> str:

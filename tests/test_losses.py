@@ -2,11 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, naive_softmax_forward
+from conftest import finite_difference_grad, fresh_backward, fresh_forward, mixup_buffers, naive_softmax_forward
 from noisyfl.errors import LayoutMismatchError
 from noisyfl.localtrain import mixup_batch, sgd_step
 from noisyfl.losses import LossOutput, backward, backward_cached
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward, forward_cached, init_params
+from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
 
 LAYOUTS = [
     LinearSoftmaxLayout(dim=3, num_classes=3),
@@ -21,8 +21,8 @@ def probs_row(p_y, num_classes=4, label=0):
     return row[None, :]
 
 
-def loss_of(probs, labels, kind, **method_params):
-    """``backward(kind=...)`` on a network whose forward pass gives back ``probs``.
+def loss_and_work(probs, labels, kind, **method_params):
+    """``backward(kind=...)`` on a network whose forward pass gives back ``probs``; returns it and its workspace.
 
     A linear-softmax network over the identity input: row i picks weight
     column i, set to log probs[i], so the softmax returns probs[i] up to
@@ -33,7 +33,11 @@ def loss_of(probs, labels, kind, **method_params):
     layout = LinearSoftmaxLayout(dim=n, num_classes=num_classes)
     weights = np.log(np.maximum(probs, 1e-300)).T
     params = ModelParams(np.concatenate([weights.ravel(), np.zeros(num_classes)]), layout)
-    return backward(params, np.eye(n), labels, kind=kind, method_params=method_params)
+    return fresh_backward(params, np.eye(n), labels, kind, method_params)
+
+
+def loss_of(probs, labels, kind, **method_params):
+    return loss_and_work(probs, labels, kind, **method_params)[0]
 
 
 def random_probs(gen, rows, num_classes):
@@ -103,14 +107,14 @@ class TestLossValues:
             probs = random_probs(gen, 6, 5)
             labels = gen.integers(0, 5, size=6)
             for kind in ("ce", "gce", "mae", "sce"):
-                assert loss_of(probs, labels, kind).per_sample.min() >= 0, kind
+                assert loss_and_work(probs, labels, kind)[1].per_sample.min() >= 0, kind
 
     def test_value_is_mean_of_per_sample(self):
         gen = np.random.default_rng(1)
         probs = random_probs(gen, 9, 4)
         labels = gen.integers(0, 4, size=9)
-        out = loss_of(probs, labels, "ce")
-        assert out.value == pytest.approx(out.per_sample.mean(), abs=1e-10)
+        out, work = loss_and_work(probs, labels, "ce")
+        assert out.value == pytest.approx(work.per_sample.mean(), abs=1e-10)
 
     def test_soft_ce_equals_hard_ce_on_one_hot(self):
         gen = np.random.default_rng(2)
@@ -125,21 +129,21 @@ class TestLossValues:
         gen = np.random.default_rng(3)
         probs = random_probs(gen, 7, 5)
         labels = gen.integers(0, 5, size=7)
-        out = loss_of(probs, labels, "ce")
-        assert np.abs(out.per_sample + np.log(probs[np.arange(7), labels])).max() <= 1e-14
+        _, work = loss_and_work(probs, labels, "ce")
+        assert np.abs(work.per_sample + np.log(probs[np.arange(7), labels])).max() <= 1e-14
 
 
 class TestForward:
     def test_zero_params_uniform(self):
         layout = LinearSoftmaxLayout(dim=2, num_classes=4)
         params = ModelParams(np.zeros(layout.param_count), layout)
-        probs = forward(params, np.random.default_rng(0).normal(size=(5, 2)))
+        probs = fresh_forward(params, np.random.default_rng(0).normal(size=(5, 2)))
         assert np.allclose(probs, 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_rows_on_simplex(self, layout):
         params = init_params(layout, seed=3)
-        probs = forward(params, np.random.default_rng(1).normal(size=(7, layout.dim)))
+        probs = fresh_forward(params, np.random.default_rng(1).normal(size=(7, layout.dim)))
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-10
         assert probs.min() >= 0
 
@@ -147,13 +151,13 @@ class TestForward:
     def test_matches_naive_reimplementation(self, layout):
         params = init_params(layout, seed=5)
         x = np.random.default_rng(2).normal(size=(6, layout.dim))
-        assert np.abs(forward(params, x) - naive_softmax_forward(params, x)).max() <= 1e-12
+        assert np.abs(fresh_forward(params, x) - naive_softmax_forward(params, x)).max() <= 1e-12
 
     def test_shape_mismatch(self):
         layout = LinearSoftmaxLayout(dim=3, num_classes=2)
         params = init_params(layout, seed=0)
         with pytest.raises(LayoutMismatchError):
-            forward(params, np.zeros((4, 5)))
+            fresh_forward(params, np.zeros((4, 5)))
 
 
 class TestBackward:
@@ -162,8 +166,8 @@ class TestBackward:
         params = init_params(layout, seed=1)
         x = np.array([[0.3, -1.2, 2.0]])
         y = np.array([2])
-        probs = forward(params, x)
-        out = backward(params, x, y, kind="ce")
+        probs = fresh_forward(params, x)
+        out, _ = fresh_backward(params, x, y, "ce")
         expected_w = np.outer(probs[0] - np.eye(4)[2], x[0])
         assert np.abs(out.grad[:12].reshape(4, 3) - expected_w).max() <= 1e-12
         assert np.abs(out.grad[12:] - (probs[0] - np.eye(4)[2])).max() <= 1e-12
@@ -175,7 +179,7 @@ class TestBackward:
         params = init_params(layout, seed=7)
         x = gen.normal(size=(6, layout.dim))
         y = gen.integers(0, layout.num_classes, size=6)
-        out = backward(params, x, y, kind=kind)
+        out, _ = fresh_backward(params, x, y, kind)
         fd = finite_difference_grad(params, x, y, kind)
         rel = np.abs(out.grad - fd) / (1.0 + np.abs(fd))
         assert rel.max() < 1e-5
@@ -187,7 +191,7 @@ class TestBackward:
         x = gen.normal(size=(5, layout.dim))
         raw = gen.uniform(0.1, 1.0, size=(5, layout.num_classes))
         targets = raw / raw.sum(axis=1, keepdims=True)
-        out = backward(params, x, targets, kind="soft_ce")
+        out, _ = fresh_backward(params, x, targets, "soft_ce")
         fd = finite_difference_grad(params, x, targets, "soft_ce")
         rel = np.abs(out.grad - fd) / (1.0 + np.abs(fd))
         assert rel.max() < 1e-5
@@ -198,14 +202,14 @@ class TestBackward:
         gen = np.random.default_rng(3)
         x = gen.normal(size=(4, 2))
         y = gen.integers(0, 2, size=4)
-        bare = backward(params, x, y, kind="ce", weight_decay=0.0)
-        decayed = backward(params, x, y, kind="ce", weight_decay=0.01)
+        bare, _ = fresh_backward(params, x, y, "ce", weight_decay=0.0)
+        decayed, _ = fresh_backward(params, x, y, "ce", weight_decay=0.01)
         assert np.array_equal(decayed.grad, bare.grad + 0.01 * params.values)
 
     def test_grad_finite(self):
         layout = LinearSoftmaxLayout(dim=2, num_classes=3)
         params = init_params(layout, seed=0)
-        out = backward(params, np.zeros((2, 2)), np.array([0, 1]), kind="ce")
+        out, _ = fresh_backward(params, np.zeros((2, 2)), np.array([0, 1]), "ce")
         assert isinstance(out, LossOutput)
         assert np.all(np.isfinite(out.grad))
 
@@ -219,15 +223,15 @@ class TestWorkspace:
         with pytest.raises(LayoutMismatchError):
             forward_cached(params, np.zeros(shape), work)
         with pytest.raises(LayoutMismatchError):
-            backward(params, np.zeros(shape), np.zeros(4, dtype=int), kind="ce", work=work)
+            backward(params, np.zeros(shape), np.zeros(4, dtype=int), kind="ce", weight_decay=0.0, work=work)
 
     def test_batch_larger_than_workspace_rejected(self):
         layout = LAYOUTS[1]
         params = init_params(layout, seed=0)
         work = Workspace(layout, rows=4)
-        backward(params, np.zeros((4, 3)), np.zeros(4, dtype=int), kind="ce", work=work)
+        backward(params, np.zeros((4, 3)), np.zeros(4, dtype=int), kind="ce", weight_decay=0.0, work=work)
         with pytest.raises(ValueError, match="exceeds"):
-            backward(params, np.zeros((5, 3)), np.zeros(5, dtype=int), kind="ce", work=work)
+            backward(params, np.zeros((5, 3)), np.zeros(5, dtype=int), kind="ce", weight_decay=0.0, work=work)
 
     def test_workspace_of_another_layout_rejected(self):
         params = init_params(LAYOUTS[1], seed=0)
@@ -243,12 +247,11 @@ class TestWorkspace:
         y = gen.integers(0, 3, size=5)
         labels = np.eye(3)[y] if kind == "soft_ce" else y
         work = Workspace(layout, rows=7)
-        fresh = backward(params, x, labels, kind=kind, weight_decay=0.01)
+        fresh, fresh_work = fresh_backward(params, x, labels, kind, weight_decay=0.01)
         out = backward(params, x, labels, kind=kind, weight_decay=0.01, work=work)
         assert out.grad is work.grad
-        assert np.shares_memory(out.per_sample, work.per_sample)
         assert np.array_equal(out.grad, fresh.grad)
-        assert np.array_equal(out.per_sample, fresh.per_sample)
+        assert np.array_equal(work.per_sample[:5], fresh_work.per_sample)
         assert out.value == fresh.value
 
 
@@ -265,13 +268,13 @@ class TestBoundWorkspace:
         first, second = init_params(layout, seed=1), init_params(layout, seed=2)
         work = Workspace(layout, rows=6)
         forward_cached(first, x, work)
-        probs, _ = forward_cached(second, x, work)
-        assert np.array_equal(probs, forward(second, x))
+        probs = forward_cached(second, x, work)
+        assert np.array_equal(probs, fresh_forward(second, x))
         backward(first, x, y, kind="ce", weight_decay=0.01, work=work)
         out = backward(second, x, y, kind="ce", weight_decay=0.01, work=work)
-        fresh = backward(second, x, y, kind="ce", weight_decay=0.01)
+        fresh, fresh_work = fresh_backward(second, x, y, "ce", weight_decay=0.01)
         assert np.array_equal(out.grad, fresh.grad)
-        assert np.array_equal(out.per_sample, fresh.per_sample)
+        assert np.array_equal(work.per_sample[:6], fresh_work.per_sample)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_in_place_update_reaches_the_next_pass(self, layout):
@@ -280,9 +283,9 @@ class TestBoundWorkspace:
         work = Workspace(layout, rows=6, params=params)
         work.forward(x)
         params.values[:] = other.values
-        assert np.array_equal(work.forward(x), forward(other, x))
+        assert np.array_equal(work.forward(x), fresh_forward(other, x))
         out = backward_cached(params, work, y, kind="ce", weight_decay=0.01)
-        fresh = backward(other, x, y, kind="ce", weight_decay=0.01)
+        fresh, _ = fresh_backward(other, x, y, "ce", weight_decay=0.01)
         assert np.array_equal(out.grad, fresh.grad)
         assert out.value == fresh.value
 
@@ -290,7 +293,7 @@ class TestBoundWorkspace:
         work = Workspace(LAYOUTS[1], rows=4)
         forward_cached(init_params(LAYOUTS[1], seed=0), np.zeros((2, 3)), work)
         with pytest.raises(LayoutMismatchError):
-            backward_cached(init_params(LAYOUTS[2], seed=0), work, np.zeros(2, dtype=int))
+            backward_cached(init_params(LAYOUTS[2], seed=0), work, np.zeros(2, dtype=int), kind="ce", weight_decay=0.0)
 
 
 class TestReusedPass:
@@ -320,8 +323,9 @@ class TestReusedPass:
         forward_cached(params, x, work)
         work.keep(sel)
         reused = backward_cached(params, work, y[sel], kind=kind, weight_decay=5e-4)
-        recomputed = backward(params, x[sel], y[sel], kind=kind, weight_decay=5e-4)
-        return reused, recomputed
+        recomputed, fresh = fresh_backward(params, x[sel], y[sel], kind, weight_decay=5e-4)
+        # each row's loss: the kept rows of the reused pass, and the rows of the fresh one
+        return reused, work.per_sample[: len(sel)], recomputed, fresh.per_sample
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
@@ -330,25 +334,26 @@ class TestReusedPass:
         for seed in range(3):
             # choice without replacement returns the rows unsorted
             sel = np.random.default_rng(100 + seed).choice(self.BATCH, size=k, replace=False)
-            reused, recomputed = self._reused_and_recomputed(layout, kind, sel, seed)
+            reused, reused_rows, recomputed, _ = self._reused_and_recomputed(layout, kind, sel, seed)
             scale = np.abs(recomputed.grad).max()
             assert np.abs(reused.grad - recomputed.grad).max() <= 1e-12 * scale
             assert reused.value == pytest.approx(recomputed.value, rel=1e-12)
-            assert len(reused.per_sample) == k
+            assert reused.value == pytest.approx(reused_rows.mean(), rel=1e-12)  # the value covers the k kept rows
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     def test_unsorted_selection_keeps_its_order(self, layout):
         sel = np.array([40, 3, 17, 63, 0, 8, 25])
-        reused, recomputed = self._reused_and_recomputed(layout, "ce", sel)
-        assert np.abs(reused.per_sample - recomputed.per_sample).max() <= 1e-12
+        reused, reused_rows, recomputed, recomputed_rows = self._reused_and_recomputed(layout, "ce", sel)
+        assert np.abs(reused_rows - recomputed_rows).max() <= 1e-12
         assert np.abs(reused.grad - recomputed.grad).max() <= 1e-12 * np.abs(recomputed.grad).max()
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
     def test_keeping_every_row_is_bit_equal(self, layout, kind):
-        reused, recomputed = self._reused_and_recomputed(layout, kind, np.arange(self.BATCH))
+        every_row = np.arange(self.BATCH)
+        reused, reused_rows, recomputed, recomputed_rows = self._reused_and_recomputed(layout, kind, every_row)
         assert np.array_equal(reused.grad, recomputed.grad)
-        assert np.array_equal(reused.per_sample, recomputed.per_sample)
+        assert np.array_equal(reused_rows, recomputed_rows)
         assert reused.value == recomputed.value
 
 
@@ -374,20 +379,21 @@ class TestStackedPass:
         y = gen.integers(0, layout.num_classes, size=b)
         nets, stack = self._stack(layout)
         work = Workspace(layout, rows=self.ROWS, params=stack)
-        probs, _ = forward_cached(stack, x, work)
-        singles = []
+        probs = forward_cached(stack, x, work)
+        singles, single_rows = [], []
         for net, sel in zip(nets, selections):
             single = Workspace(layout, rows=self.ROWS)
-            own_probs, _ = forward_cached(net, x, single)
+            own_probs = forward_cached(net, x, single)
             assert np.array_equal(probs[len(singles) * b : (len(singles) + 1) * b], own_probs)
             single.keep(sel)
             singles.append(backward_cached(net, single, y[sel], kind=kind, weight_decay=5e-4))
+            single_rows.append(single.per_sample[: len(sel)])
         rows = np.array(selections)
         work.keep(rows)
         out = backward_cached(stack, work, y[rows].ravel(), kind=kind, weight_decay=5e-4)
         assert out.grad is work.grad and out.grad.shape == stack.values.shape
         assert np.array_equal(out.grad, np.stack([single.grad for single in singles]))
-        assert np.array_equal(out.per_sample, np.concatenate([single.per_sample for single in singles]))
+        assert np.array_equal(work.per_sample[: rows.size], np.concatenate(single_rows))
         assert out.value == 0.5 * (singles[0].value + singles[1].value)
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
@@ -423,7 +429,7 @@ class TestStackedPass:
             forward_cached(stack, x, work)
             for rows in steps:
                 work.keep(rows)
-            grads.append(backward_cached(stack, work, y[composed].ravel(), kind="ce").grad.copy())
+            grads.append(backward_cached(stack, work, y[composed].ravel(), kind="ce", weight_decay=0.0).grad.copy())
         assert np.array_equal(grads[0], grads[1])
 
     def test_workspace_of_another_stack_size_rejected(self):
@@ -446,7 +452,7 @@ class TestSgdStep:
     def test_no_momentum(self):
         w = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
-        w2, v2 = sgd_step(w, g, np.zeros(2), lr=0.1, momentum=0.0)
+        w2, v2 = sgd_step(w, g, np.zeros(2), lr=0.1, momentum=0.0, out=np.empty(2))
         assert np.array_equal(w2, w - 0.1 * g)
         assert np.array_equal(v2, g)
 
@@ -457,32 +463,32 @@ class TestSgdStep:
         w = np.array([0.0, 0.0])
         g = np.array([1.0, -2.0])
         v = np.zeros(2)
-        w, v = sgd_step(w, g, v, lr, mu)
-        w, v = sgd_step(w, g, v, lr, mu)
+        w, v = sgd_step(w, g, v, lr, mu, np.empty(2))
+        w, v = sgd_step(w, g, v, lr, mu, np.empty(2))
         assert np.allclose(w, -lr * g * (2 + mu), atol=1e-15)
 
     def test_zero_lr_updates_velocity_only(self):
         w = np.array([1.0])
         g = np.array([3.0])
-        w2, v2 = sgd_step(w, g, np.array([0.5]), lr=0.0, momentum=0.9)
+        w2, v2 = sgd_step(w, g, np.array([0.5]), lr=0.0, momentum=0.9, out=np.empty(1))
         assert np.array_equal(w2, w)
         assert v2[0] == pytest.approx(0.9 * 0.5 + 3.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_step(np.zeros(3), np.zeros(2), np.zeros(3), 0.1, 0.0)
+            sgd_step(np.zeros(3), np.zeros(2), np.zeros(3), 0.1, 0.0, np.empty(3))
 
-    def test_without_out_no_argument_changes(self):
+    def test_values_and_grad_are_only_read(self):
         w, g, v = np.array([1.0, 2.0]), np.array([0.5, -0.5]), np.array([0.25, 0.75])
-        v.flags.writeable = False
-        w2, v2 = sgd_step(w, g, v, lr=0.1, momentum=0.9)
-        assert v2 is not v and w2 is not w
-        assert np.array_equal(v, [0.25, 0.75]) and np.array_equal(w, [1.0, 2.0])
+        w.flags.writeable = g.flags.writeable = False
+        sgd_step(w, g, v, lr=0.1, momentum=0.9, out=np.empty(2))
+        assert np.array_equal(w, [1.0, 2.0]) and np.array_equal(g, [0.5, -0.5])
 
     def test_with_out_updates_velocity_in_place_bit_equal(self):
         gen = np.random.default_rng(8)
         w, g, v = gen.normal(size=50), gen.normal(size=50), gen.normal(size=50)
-        pure_w, pure_v = sgd_step(w, g, v, lr=0.037, momentum=0.9)
+        pure_v = 0.9 * v + g
+        pure_w = w - 0.037 * pure_v
         out = np.empty(50)
         w2, v2 = sgd_step(w, g, v, lr=0.037, momentum=0.9, out=out)
         assert w2 is out and v2 is v
@@ -495,14 +501,14 @@ class TestMixupBatch:
         onehot = np.eye(5)[gen.integers(0, 5, size=16)]
         x = gen.normal(size=(16, 3))
         for lam in (0.0, 0.25, 0.7, 1.0):
-            _, targets = mixup_batch(x, onehot, lam, gen.permutation(16))
+            _, targets = mixup_batch(x, onehot, lam, gen.permutation(16), mixup_buffers(x, onehot))
             assert np.abs(targets.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_lambda_one_is_identity(self):
         gen = np.random.default_rng(6)
         onehot = np.eye(3)[gen.integers(0, 3, size=8)]
         x = gen.normal(size=(8, 2))
-        mixed_x, mixed_t = mixup_batch(x, onehot, 1.0, gen.permutation(8))
+        mixed_x, mixed_t = mixup_batch(x, onehot, 1.0, gen.permutation(8), mixup_buffers(x, onehot))
         assert np.array_equal(mixed_x, x)
         assert np.array_equal(mixed_t, onehot)
 
@@ -511,11 +517,9 @@ class TestMixupBatch:
         onehot = np.eye(4)[gen.integers(0, 4, size=9)]
         x = gen.normal(size=(9, 3))
         perm = gen.permutation(9)
-        fresh_x, fresh_t = mixup_batch(x, onehot, 0.37, perm)
-        out = (np.empty_like(x), np.empty_like(onehot), np.empty_like(x), np.empty_like(onehot))
+        out = mixup_buffers(x, onehot)
         mixed_x, mixed_t = mixup_batch(x, onehot, 0.37, perm, out)
         assert mixed_x is out[0] and mixed_t is out[1]
         # written out in the order lam * a + (1 - lam) * a[perm]
         assert np.array_equal(mixed_x, 0.37 * x + (1.0 - 0.37) * x[perm])
         assert np.array_equal(mixed_t, 0.37 * onehot + (1.0 - 0.37) * onehot[perm])
-        assert np.array_equal(mixed_x, fresh_x) and np.array_equal(mixed_t, fresh_t)

@@ -77,41 +77,45 @@ class TestTransitionMatrixInvariants:
 class TestApplyNoise:
     def test_identity_noop(self):
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=0)
-        noisy = apply_noise(ds, symmetric_matrix(4, 0.0), seed=1)
-        assert np.array_equal(noisy.labels, ds.labels)
+        noisy = apply_noise(ds.labels, 4, symmetric_matrix(4, 0.0), seed=1)
+        assert np.array_equal(noisy, ds.labels)
 
     def test_full_asymmetric_flips_everything(self):
         ds = make_synthetic_blobs(5, 40, 2, 4.0, seed=0)
-        noisy = apply_noise(ds, asymmetric_matrix(5, 1.0, cyclic_target_map(5)), seed=3)
-        assert np.array_equal(noisy.labels, (ds.labels + 1) % 5)
+        noisy = apply_noise(ds.labels, 5, asymmetric_matrix(5, 1.0, cyclic_target_map(5)), seed=3)
+        assert np.array_equal(noisy, (ds.labels + 1) % 5)
 
     def test_flip_fraction_in_binomial_band(self):
         ds = make_synthetic_blobs(10, 5000, 2, 4.0, seed=0)
         n = len(ds)
         eps = 0.4
-        noisy = apply_noise(ds, symmetric_matrix(10, eps), seed=11)
-        realized = (noisy.labels != ds.labels).mean()
+        noisy = apply_noise(ds.labels, 10, symmetric_matrix(10, eps), seed=11)
+        realized = (noisy != ds.labels).mean()
         assert abs(realized - eps) <= 3 * np.sqrt(eps * (1 - eps) / n)
 
     def test_preserves_features_and_truth(self):
+        # apply_noise only reads its labels; the scene keeps the features and records those labels as the truth
         ds = make_synthetic_blobs(3, 50, 2, 4.0, seed=0)
-        noisy = apply_noise(ds, symmetric_matrix(3, 0.5), seed=2)
-        assert noisy.features is ds.features
-        assert np.array_equal(noisy.true_labels, ds.labels)
+        labels = ds.labels.copy()
+        labels.flags.writeable = False
+        noisy = apply_noise(labels, 3, symmetric_matrix(3, 0.5), seed=2)
+        assert noisy is not labels and np.array_equal(labels, ds.labels)
+        spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.5, seed=2)
+        _, scene, _ = run_scene(ds, spec, 3, PartitionSpec(scheme="iid"))
+        assert scene.features is ds.features
+        assert np.array_equal(scene.true_labels, ds.labels)
 
     def test_prefix_stability(self):
-        # growing the dataset must not change earlier samples' draws
+        # growing the label vector must not change earlier samples' draws
         big = make_synthetic_blobs(4, 100, 2, 4.0, seed=5)
-        small = LabeledDataset(big.features[:120], big.labels[:120], 4)
         m = symmetric_matrix(4, 0.5)
-        noisy_small = apply_noise(small, m, seed=9)
-        noisy_big = apply_noise(big, m, seed=9)
-        assert np.array_equal(noisy_big.labels[:120], noisy_small.labels)
+        noisy_small = apply_noise(big.labels[:120], 4, m, seed=9)
+        noisy_big = apply_noise(big.labels, 4, m, seed=9)
+        assert np.array_equal(noisy_big[:120], noisy_small)
 
     def test_label_outside_matrix(self):
-        ds = LabeledDataset(features=np.zeros((3, 1)), labels=[0, 1, 2], num_classes=3)
         with pytest.raises(LabelNotInMatrixError):
-            apply_noise(ds, symmetric_matrix(2, 0.1), seed=0)
+            apply_noise(np.array([0, 1, 2]), 3, symmetric_matrix(2, 0.1), seed=0)
 
 
 class TestNoiseSpecValidation:
@@ -277,7 +281,8 @@ class TestRealworldScene:
 
     def test_report_present_with_ground_truth(self):
         base = make_synthetic_blobs(4, 200, 2, 4.0, seed=0)
-        noisy = apply_noise(base, symmetric_matrix(4, 0.3), seed=1)
+        labels = apply_noise(base.labels, 4, symmetric_matrix(4, 0.3), seed=1)
+        noisy = base.with_labels(labels=labels, true_labels=base.labels)
         plan, out, report = run_scene(noisy, NoiseSpec(scene="realworld", seed=2), 4, PartitionSpec(scheme="iid"))
         assert out is noisy
         assigned = np.concatenate(plan.clients)

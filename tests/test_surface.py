@@ -25,6 +25,10 @@ ALLOWED_DEFAULTS = {
 }
 
 
+# parameters whose default every call in the package overrides: seams for callers outside it
+ALLOWED_OVERRIDDEN = {}
+
+
 def _modules() -> dict[str, ast.Module]:
     modules = {}
     for name in sorted(os.listdir(SRC)):
@@ -124,11 +128,18 @@ def _passes(call: ast.Call, position: int | None, parameter: str) -> bool:
     return len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args)
 
 
-def test_every_defaulted_parameter_is_passed_by_some_caller():
-    """A parameter whose callers all take its default is one value in disguise, so it should be a constant."""
-    modules = _modules()
+def _gives(call: ast.Call, position: int | None, parameter: str) -> bool:
+    """Whether ``call`` certainly gives ``parameter`` a value: by name, or at its position before any ``*args``."""
+    if any(keyword.arg == parameter for keyword in call.keywords):
+        return True
+    if position is None or any(isinstance(arg, ast.Starred) for arg in call.args[: position + 1]):
+        return False
+    return len(call.args) > position
+
+
+def _defaulted_parameters(modules: dict[str, ast.Module]):
+    """(function, parameter, position or None, the package's calls of the function) for each defaulted parameter."""
     calls = [node for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    never_passed = set()
     for name, (_, function) in _public_definitions(modules).items():
         if not isinstance(function, ast.FunctionDef):
             continue
@@ -138,10 +149,31 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
         defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first_defaulted]
         defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
         mine = [call for call in calls if _callee(call) == name]
-        never_passed.update(
-            f"{name}.{parameter}"
-            for position, parameter in defaulted
-            if not any(_passes(call, position, parameter) for call in mine)
-        )
+        for position, parameter in defaulted:
+            yield name, parameter, position, mine
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    """A parameter whose callers all take its default is one value in disguise, so it should be a constant."""
+    never_passed = {
+        f"{name}.{parameter}"
+        for name, parameter, position, calls in _defaulted_parameters(_modules())
+        if not any(_passes(call, position, parameter) for call in calls)
+    }
     assert sorted(never_passed - set(ALLOWED_DEFAULTS)) == []
     assert sorted(name for name in ALLOWED_DEFAULTS if name not in never_passed) == []
+
+
+def test_every_default_is_taken_by_some_caller():
+    """A default that every caller overrides runs only under tests, so the parameter should be required.
+
+    A call through ``*args`` counts as not passing the parameter, since its
+    arguments are not known here.
+    """
+    always_passed = {
+        f"{name}.{parameter}"
+        for name, parameter, position, calls in _defaulted_parameters(_modules())
+        if calls and all(_gives(call, position, parameter) for call in calls)
+    }
+    assert sorted(always_passed - set(ALLOWED_OVERRIDDEN)) == []
+    assert sorted(name for name in ALLOWED_OVERRIDDEN if name not in always_passed) == []

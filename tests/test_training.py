@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import fresh_backward, mixup_buffers
 from noisyfl import localtrain, models, rng
 from noisyfl.datasets import make_synthetic_blobs
 from noisyfl.errors import LayoutMismatchError
@@ -14,7 +17,7 @@ from noisyfl.localtrain import (
     train_local,
     train_local_coteaching,
 )
-from noisyfl.losses import backward, backward_cached, one_hot
+from noisyfl.losses import backward_cached, one_hot
 from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
 from noisyfl.noise import apply_noise, symmetric_matrix
 
@@ -85,10 +88,10 @@ class TestTrainLocal:
         from noisyfl.rng import stream
 
         order = stream(3, "shuffle", 0).permutation(len(ds))
-        out = backward(params, ds.features[order], ds.labels[order], kind="ce", weight_decay=0.01)
+        out, _ = fresh_backward(params, ds.features[order], ds.labels[order], "ce", weight_decay=0.01)
         expected = params.values - 0.1 * out.grad
         assert np.array_equal(trained.values, expected)
-        assert stats.epoch_losses == [out.value]
+        assert stats.mean_loss == out.value
 
     def test_determinism(self):
         ds = blobs()
@@ -109,15 +112,17 @@ class TestTrainLocal:
 
     @pytest.mark.parametrize("method", ["ce", "mixup", "sce", "gce", "mae"])
     def test_loss_decreases_on_separable_blobs(self, method):
+        # one epoch's mean loss against that of four more epochs continued from its result
         layout = MLPLayout(dim=2, hidden=16, num_classes=3)
         firsts, lasts = [], []
         for seed in range(5):
             ds = blobs(seed=seed)
             params = init_params(layout, seed=seed)
-            cfg = TrainerConfig(method=method, lr=0.1, epochs=5, batch_size=64)
-            _, stats = train_local(ds, params, cfg, seed=seed)
-            firsts.append(stats.epoch_losses[0])
-            lasts.append(stats.epoch_losses[-1])
+            cfg = TrainerConfig(method=method, lr=0.1, epochs=1, batch_size=64)
+            trained, first = train_local(ds, params, cfg, seed=seed)
+            _, continued = train_local(ds, trained, dataclasses.replace(cfg, epochs=4), seed=seed + 1)
+            firsts.append(first.mean_loss)
+            lasts.append(continued.mean_loss)
         assert np.mean(lasts) < np.mean(firsts)
 
     def test_mixup_with_stubbed_lambda_matches_ce(self):
@@ -177,8 +182,8 @@ class TestCoteachingSchedule:
 class TestTrainCoteaching:
     def _noisy_blobs(self, seed=0):
         clean = blobs(per_class=60, seed=seed)
-        noisy = apply_noise(clean, symmetric_matrix(3, 0.3), seed=seed + 100)
-        return noisy
+        noisy = apply_noise(clean.labels, 3, symmetric_matrix(3, 0.3), seed=seed + 100)
+        return clean.with_labels(labels=noisy, true_labels=clean.labels)
 
     def test_zero_forget_rate_matches_independent_ce(self):
         ds = self._noisy_blobs()
@@ -203,14 +208,14 @@ class TestTrainCoteaching:
         assert not np.array_equal(a1.values, a0.values)
         assert not np.array_equal(b1.values, b0.values)
         assert not np.array_equal(a1.values, b1.values)
-        assert len(stats.epoch_losses) == 1
+        assert np.isfinite(stats.mean_loss) and stats.mean_loss > 0
 
     def test_layout_mismatch(self):
         ds = self._noisy_blobs()
         a = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=0)
         b = init_params(MLPLayout(dim=2, hidden=4, num_classes=3), seed=0)
         with pytest.raises(ValueError):
-            train_local_coteaching(ds, a, b, TrainerConfig(method="coteaching"), seed=0)
+            train_local_coteaching(ds, a, b, TrainerConfig(method="coteaching"), seed=0, round_t=1)
 
     def test_invalid_forget_rate(self):
         with pytest.raises(ValueError):
@@ -226,7 +231,7 @@ class TestOneModelPerCall:
         a, b = init_params(layout, seed=1), init_params(layout, seed=2)
         cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16)
         if method == "coteaching":
-            return lambda: train_local_coteaching(ds, a, b, cfg, seed=3)
+            return lambda: train_local_coteaching(ds, a, b, cfg, seed=3, round_t=1)
         return lambda: train_local(ds, a, cfg, seed=3)
 
     @pytest.mark.parametrize("method, networks", [("ce", 1), ("coteaching", 2)])
@@ -274,7 +279,7 @@ class TestOneModelPerCall:
         monkeypatch.setattr(localtrain, "sgd_step", lambda *args: steps.append(None))
         with pytest.raises(LayoutMismatchError, match="width 2"):
             if method == "coteaching":
-                train_local_coteaching(ds, a, b, cfg, seed=3)
+                train_local_coteaching(ds, a, b, cfg, seed=3, round_t=1)
             else:
                 train_local(ds, a, cfg, seed=3)
         assert passes == [] and steps == []
@@ -284,7 +289,7 @@ class TestOneModelPerCall:
         train = self._train(method)
         steps = []
 
-        def nan_on_third_step(values, grad, velocity, lr, momentum, out=None):
+        def nan_on_third_step(values, grad, velocity, lr, momentum, out):
             steps.append(None)
             values, velocity = sgd_step(values, grad, velocity, lr, momentum, out)
             if len(steps) == 3:
@@ -299,7 +304,10 @@ class TestOneModelPerCall:
 
 
 def hand_trained(ds, starts, cfg, seed, round_t):
-    """Reference loop: a fresh gather, fresh ModelParams and a one-shot pass for every batch."""
+    """Reference loop: a fresh gather, fresh ModelParams, workspaces and buffers for every batch.
+
+    Returns the trained values and each epoch's mean batch loss.
+    """
     values = [p.values.copy() for p in starts]
     velocities = [np.zeros_like(v) for v in values]
     mix_gen = rng.stream(seed, "mixup")
@@ -315,32 +323,37 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                 keep = coteaching_keep_fraction(
                     round_t, cfg.method_params["forget_rate"], localtrain.COTEACHING_DEFAULT_RAMP_ROUNDS
                 )
-                # rank with a one-shot pass, then take the gradient from the peer's rows of that pass
-                passes = [forward_cached(net, x) for net in nets]
-                ce = [-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)) for probs, _ in passes]
+                # rank with a pass in a new workspace, then take the gradient from the peer's rows of that pass
+                works = [Workspace(net.layout, len(x), net) for net in nets]
+                passes = [forward_cached(net, x, work) for net, work in zip(nets, works)]
+                ce = [-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)) for probs in passes]
                 kept = [small_loss_selection(per_sample, keep) for per_sample in ce]
                 outs = []
-                for net, (_, work), sel in zip(nets, passes, kept[::-1]):
+                for net, work, sel in zip(nets, works, kept[::-1]):
                     work.keep(sel)
                     outs.append(backward_cached(net, work, y[sel], kind="ce", weight_decay=cfg.weight_decay))
                 batch_losses.append(0.5 * (outs[0].value + outs[1].value))
             else:
                 if cfg.method == "mixup":
                     lam = float(mix_gen.beta(MIXUP_DEFAULT_ALPHA, MIXUP_DEFAULT_ALPHA))
-                    mixed_x, mixed_t = mixup_batch(x, one_hot(y, ds.num_classes), lam, mix_gen.permutation(len(idx)))
-                    out = backward(nets[0], mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay)
+                    onehot = one_hot(y, ds.num_classes)
+                    buffers = mixup_buffers(x, onehot)
+                    mixed_x, mixed_t = mixup_batch(x, onehot, lam, mix_gen.permutation(len(idx)), buffers)
+                    out, _ = fresh_backward(nets[0], mixed_x, mixed_t, "soft_ce", weight_decay=cfg.weight_decay)
                 else:
-                    out = backward(nets[0], x, y, cfg.loss_kind, cfg.method_params, cfg.weight_decay)
+                    out, _ = fresh_backward(nets[0], x, y, cfg.loss_kind, cfg.method_params, cfg.weight_decay)
                 outs = [out]
                 batch_losses.append(out.value)
             for i, out in enumerate(outs):
-                values[i], velocities[i] = sgd_step(values[i], out.grad, velocities[i], cfg.lr, cfg.momentum)
+                values[i], velocities[i] = sgd_step(
+                    values[i], out.grad, velocities[i], cfg.lr, cfg.momentum, np.empty_like(values[i])
+                )
         epoch_losses.append(float(np.mean(batch_losses)))
     return values, epoch_losses
 
 
 class TestWorkspaceReuse:
-    """Training through reused workspaces equals fresh one-shot steps bit for bit."""
+    """Training through reused workspaces equals steps in fresh workspaces bit for bit."""
 
     LAYOUTS = [
         LinearSoftmaxLayout(dim=5, num_classes=3),
@@ -375,7 +388,8 @@ class TestWorkspaceReuse:
         self._check(clean, MLPLayout(dim=32, hidden=64, num_classes=10, activation="tanh"), method, 64)
 
     def _check(self, clean, layout, method, batch_size):
-        ds = apply_noise(clean, symmetric_matrix(clean.num_classes, 0.3), seed=2)
+        noisy = apply_noise(clean.labels, clean.num_classes, symmetric_matrix(clean.num_classes, 0.3), seed=2)
+        ds = clean.with_labels(labels=noisy, true_labels=clean.labels)
         starts = [init_params(layout, seed=3), init_params(layout, seed=4)]
         cfg = TrainerConfig(
             method=method, lr=0.2, epochs=3, batch_size=batch_size, method_params=self.METHOD_PARAMS[method]
@@ -388,4 +402,4 @@ class TestWorkspaceReuse:
         values, epoch_losses = hand_trained(ds, starts, cfg, seed=5, round_t=6)
         for model, expected in zip(trained, values):
             assert np.array_equal(model.values, expected)
-        assert stats.epoch_losses == epoch_losses
+        assert stats.mean_loss == float(np.mean(epoch_losses))
