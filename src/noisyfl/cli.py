@@ -16,6 +16,14 @@ manifest.
 - Atomic writes: each output is written to ``<name>.tmp`` and moved into
   place with ``os.replace``; the manifest is written last, the same way,
   so a killed run leaves only finished stages behind.
+- Hashing: a pipeline reads each file once to hash it, when its stage
+  writes it or, for a skipped stage, when the skip rule checks it.  The
+  train stage takes its inputs from the dataset and noise manifests the
+  pipeline just got back from those stages, and ``run.json`` takes each
+  digest from the manifest that records the file; only files no manifest
+  lists (the manifests themselves, leftovers of older versions) are
+  hashed for it.  ``train`` run on its own re-checks its upstream stages
+  from disk.
 
 The dataset stage writes dataset.npy (and test_dataset.npy).  The noise
 stage runs the configured scene once and is the one writer of the client
@@ -186,14 +194,11 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
     return doc
 
 
-def require_stage(base_dir: str, manifest: str, digest: str, consumer: str, needs: tuple[str, ...]) -> dict:
-    """Manifest of an upstream stage that finished under ``digest`` with intact ``needs`` outputs."""
+def require_stage(base_dir: str, manifest: str, digest: str, consumer: str) -> dict:
+    """Manifest of an upstream stage that finished under ``digest`` with intact outputs."""
     doc, why = _finished(base_dir, manifest, {"version": __version__, "config_digest": digest})
     if doc is None:
         raise ArtifactMismatchError(f"{consumer}: {why}; run the stage that writes it first")
-    missing = [name for name in needs if name not in doc["outputs"]]
-    if missing:
-        raise ArtifactMismatchError(f"{consumer}: {manifest} records no {', '.join(missing)}")
     return doc
 
 
@@ -250,8 +255,11 @@ def cmd_partition(cfg: RunConfig) -> None:
     print_csv(*_histograms(ds, plan))
 
 
-def cmd_noise(cfg: RunConfig) -> None:
-    """Run the configured noise scene; write the plan, its histograms and the noisy dataset."""
+def cmd_noise(cfg: RunConfig) -> tuple[dict, dict]:
+    """Run the configured noise scene; write the plan, its histograms and the noisy dataset.
+
+    Returns the verified dataset and noise manifests.
+    """
     data = _dataset_stage(cfg)
 
     def produce():
@@ -270,7 +278,7 @@ def cmd_noise(cfg: RunConfig) -> None:
         }
 
     key = {"config_digest": config_digest(cfg), "inputs": {"dataset.npy": data["outputs"]["dataset.npy"]}}
-    run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
+    return data, run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
 
 
 def _noise_ratio_estimate(manifest: dict) -> float:
@@ -284,13 +292,38 @@ def _noise_ratio_estimate(manifest: dict) -> float:
     return 0.0
 
 
-def _train_inputs(out: str, digest: str, consumer: str) -> tuple[dict, dict]:
-    """The noise manifest under ``digest``, and the verified input hashes of the train stage."""
-    noise = require_stage(out, "noise_manifest.json", digest, consumer, ("noisy_dataset.npy", "plan.json"))
-    data = require_stage(out, "dataset_manifest.json", digest, consumer, ("test_dataset.npy",))
-    inputs = {name: noise["outputs"][name] for name in ("noisy_dataset.npy", "plan.json")}
-    inputs["test_dataset.npy"] = data["outputs"]["test_dataset.npy"]
+def _train_inputs(
+    out: str, digest: str, consumer: str, upstream: tuple[dict, dict] | None = None
+) -> tuple[dict, dict]:
+    """The noise manifest, and the verified input hashes of the train stage.
+
+    ``upstream`` is the (dataset, noise) manifest pair that a pipeline's
+    stages just returned, verified as they ran; without it, both stages
+    must have finished on disk under ``digest``.
+    """
+    if upstream is None:
+        noise = require_stage(out, "noise_manifest.json", digest, consumer)
+        data = require_stage(out, "dataset_manifest.json", digest, consumer)
+    else:
+        data, noise = upstream
+    inputs = {}
+    for manifest, doc, needs in [
+        ("noise_manifest.json", noise, ("noisy_dataset.npy", "plan.json")),
+        ("dataset_manifest.json", data, ("test_dataset.npy",)),
+    ]:
+        missing = [name for name in needs if name not in doc["outputs"]]
+        if missing:
+            raise ArtifactMismatchError(f"{consumer}: {manifest} records no {', '.join(missing)}")
+        inputs.update((name, doc["outputs"][name]) for name in needs)
     return noise, inputs
+
+
+def _recorded(out: str, base_dir: str, manifest: dict) -> dict:
+    """The output digests ``manifest`` records, by their path under ``out`` as run.json names it."""
+    return {
+        os.path.relpath(os.path.join(base_dir, rel), out).replace(os.sep, "/"): digest
+        for rel, digest in manifest["outputs"].items()
+    }
 
 
 def _train_seed(cfg: RunConfig, lr: float, fed_seed: int, load_inputs) -> tuple[dict, dict]:
@@ -308,18 +341,21 @@ def _train_seed(cfg: RunConfig, lr: float, fed_seed: int, load_inputs) -> tuple[
     }
 
 
-def cmd_train(cfg: RunConfig) -> None:
+def cmd_train(cfg: RunConfig, upstream: tuple[dict, dict] | None = None) -> dict:
     """Run `repeats` federations per learning rate; summarize last-k accuracy.
 
-    Builds on the verified outputs of the dataset and noise stages.  Each
-    repeat is a stage of its own, so an interrupted sweep resumes at the
-    first repeat that did not finish.
+    Builds on the verified outputs of the dataset and noise stages: those
+    of the ``upstream`` (dataset, noise) manifests that :func:`cmd_noise`
+    returned, or else those recorded on disk.  Each repeat is a stage of
+    its own, so an interrupted sweep resumes at the first repeat that did
+    not finish.  Returns the digests the train and seed manifests record,
+    by path under the output directory.
     """
     if cfg.dataset.source == "csv" and not cfg.dataset.params.get("test_path"):
         raise ConfigError("dataset", "train stage requires a clean test set (test_per_class or test_path)")
     out = cfg.output_dir
     digest = config_digest(cfg)
-    noise, inputs = _train_inputs(out, digest, "train")
+    noise, inputs = _train_inputs(out, digest, "train", upstream)
     key = {"config_digest": digest, "inputs": inputs}
 
     @functools.cache
@@ -346,21 +382,23 @@ def cmd_train(cfg: RunConfig) -> None:
 
     train_root = os.path.join(out, "train")
     sweep = cfg.lr_grid is not None
-    rows, summary, writers = [], [], {}
+    rows, summary, writers, recorded = [], [], {}, {}
     for lr in cfg.lr_grid or (trainer.lr,):
         lr_dir = f"lr_{lr!r}" if sweep else ""
         seeds = []
         for i in range(cfg.repeats):
             fed_seed = rng.derive_seed(cfg.seed, "federate", i)
+            seed_dir = os.path.join(train_root, lr_dir, f"seed_{i}")
             seeds.append(
                 run_stage(
                     "train-seed",
-                    os.path.join(train_root, lr_dir, f"seed_{i}"),
+                    seed_dir,
                     "seed_manifest.json",
                     {**key, "seed": fed_seed, "lr": lr},
                     functools.partial(_train_seed, cfg, lr, fed_seed, load_inputs),
                 )
             )
+            recorded.update(_recorded(out, seed_dir, seeds[-1]))
         accs = [s["last_k_accuracy"] for s in seeds]
         mean, std = float(np.mean(accs)), float(np.std(accs))
         # every repeat averages the same evaluated rounds
@@ -374,7 +412,8 @@ def cmd_train(cfg: RunConfig) -> None:
     # grid sweeps select the lr with the best mean last-k accuracy
     best = max(summary, key=lambda r: r["mean_accuracy"])
     fields = {"selected_lr": best["lr"], "summary": summary}
-    run_stage("train", train_root, "run_manifest.json", key, lambda: (fields, writers))
+    train = run_stage("train", train_root, "run_manifest.json", key, lambda: (fields, writers))
+    return {**recorded, **_recorded(out, train_root, train)}
 
 
 def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
@@ -444,25 +483,30 @@ def cmd_analyze(run_dirs: list[str], out_dir: str) -> None:
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    """Run dataset, noise and train, then index the output tree in run.json."""
-    cmd_noise(cfg)
-    cmd_train(cfg)
+    """Run dataset, noise and train, then index the output tree in run.json.
+
+    A file a stage manifest lists is indexed with the digest recorded there;
+    only the others are hashed here.
+    """
+    out = cfg.output_dir
+    data, noise = cmd_noise(cfg)
+    recorded = {**_recorded(out, out, data), **_recorded(out, out, noise), **cmd_train(cfg, (data, noise))}
 
     artifacts = {}
-    for root, _, files in os.walk(cfg.output_dir):
+    for root, _, files in os.walk(out):
         for name in sorted(files):
             path = os.path.join(root, name)
-            rel = os.path.relpath(path, cfg.output_dir)
+            rel = os.path.relpath(path, out).replace(os.sep, "/")
             if rel in ("run.json", "run.json" + TMP_SUFFIX):
                 continue
-            artifacts[rel.replace(os.sep, "/")] = sha256_file(path)
+            artifacts[rel] = recorded[rel] if rel in recorded else sha256_file(path)
     doc = {
         "version": __version__,
         "config_digest": config_digest(cfg),
         "seed": cfg.seed,
         "artifacts": artifacts,
     }
-    write_atomic(os.path.join(cfg.output_dir, "run.json"), functools.partial(write_json, doc))
+    write_atomic(os.path.join(out, "run.json"), functools.partial(write_json, doc))
 
 
 # ---------------------------------------------------------------- argparse

@@ -76,9 +76,16 @@ def _floats(value, where: str) -> dict:
 
 
 def _class_map(value, where: str) -> dict[int, int]:
-    """JSON object keys are strings, so a key is read with ``int``; a value must be an integer."""
+    """JSON object keys are strings, so a key must be a class id as ``str`` writes it; a value must be an integer.
+
+    ``int`` alone would also read ``"01"``, ``" 1"``, ``"+1"``, ``"1_0"`` and
+    non-ASCII digits, and two spellings of one class would collapse into one key.
+    """
     try:
-        return {int(k): _int(v, where) for k, v in _object(value, where).items()}
+        pairs = _object(value, where)
+        if any(str(int(k)) != k for k in pairs):
+            raise ValueError(where)
+        return {int(k): _int(v, where) for k, v in pairs.items()}
     except (TypeError, ValueError, ConfigError):
         raise ConfigError(where, "must map class ids to class ids") from None
 

@@ -4,6 +4,7 @@ import ast
 import copy
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from noisyfl import cli
 from noisyfl import noise as noise_module
 from noisyfl.analysis import AccuracyTable, drop_ratio_series, sensitivity_series
-from noisyfl.cli import main
+from noisyfl.cli import main, sha256_file
 from noisyfl.config import load_config, set_by_path
 from noisyfl.datasets import load_csv, load_npy, save_csv
 from noisyfl.federation import run_federation
@@ -73,6 +74,17 @@ def tree(root: str) -> dict[str, bytes]:
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, root)] = fh.read()
     return files
+
+
+def checked_index(root: str) -> dict[str, str]:
+    """run.json's artifacts, after checking them against the tree with an independent hasher.
+
+    run.json lists every file but itself, each with the sha256 of its bytes.
+    """
+    files = {rel.replace(os.sep, "/"): data for rel, data in tree(root).items()}
+    indexed = json.loads(files.pop("run.json"))["artifacts"]
+    assert indexed == {rel: "sha256:" + hashlib.sha256(data).hexdigest() for rel, data in files.items()}
+    return indexed
 
 
 def manifests(root: str) -> list[str]:
@@ -303,11 +315,41 @@ class TestResume:
         # every manifest now says 0.5.0 and equals a fresh run's, so every stage ran again
         kept = {rel: data for rel, data in redone.items() if rel not in leftovers and rel != "run.json"}
         assert kept == {rel: data for rel, data in expected.items() if rel != "run.json"}
-        indexed = json.loads(redone["run.json"])["artifacts"]
+        indexed = checked_index(out)
         assert set(indexed) == set(json.loads(expected["run.json"])["artifacts"]) | {
             rel.replace(os.sep, "/") for rel in leftovers
         }
         assert analyze([out], str(tmp_path / "grid"))[0] == 0
+
+
+class TestIndex:
+    @pytest.mark.parametrize(
+        "changes",
+        [None, GLOBALIZED, {"repeats": 2, "federation.lr_grid": [0.05, 0.1]}],
+        ids=["localized", "globalized", "sweep"],
+    )
+    def test_each_file_is_hashed_once_per_pipeline(self, tmp_path, monkeypatch, changes):
+        """A stage hashes what it writes or skips; run.json reuses those digests and hashes only the rest."""
+        config, out = write_config(tmp_path, changes=changes)
+        hashed = []
+
+        def counting(path):
+            hashed.append(os.path.relpath(path, out).replace(os.sep, "/"))
+            return sha256_file(path)
+
+        monkeypatch.setattr(cli, "sha256_file", counting)
+        for run in ("fresh", "rerun"):
+            hashed.clear()
+            assert main(["pipeline", "-c", config]) == 0, run
+            assert sorted(hashed) == sorted(checked_index(out)), run
+
+    def test_index_after_a_stage_is_redone(self, tmp_path):
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        expected = checked_index(out)
+        os.remove(os.path.join(out, "noisy_dataset.npy"))
+        assert main(["pipeline", "-c", config]) == 0
+        assert checked_index(out) == expected
 
 
 class TestExitCodes:
@@ -325,6 +367,20 @@ class TestExitCodes:
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) // 2)
         assert main(["train", "-c", config]) == 3
+
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    def test_dataset_manifest_without_the_test_set_exits_3(self, tmp_path, capsys, command):
+        """The skip rule passes a manifest whose listed outputs are intact, so the train stage checks what it needs."""
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        path = os.path.join(out, "dataset_manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["outputs"]["test_dataset.npy"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main([command, "-c", config]) == 3
+        assert "dataset_manifest.json records no test_dataset.npy" in capsys.readouterr().err
 
     def test_train_without_noise_stage_exits_3(self, tmp_path):
         config, _ = write_config(tmp_path)

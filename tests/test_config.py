@@ -120,10 +120,18 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
         (("federation", "trainer", "lr"), True),
         (("federation", "trainer", "batch_size"), True),
         (("dataset", "synthetic", "separation"), 10**400),  # an integer beyond every float
+        # a class-map key is a class id as str() writes it, never another spelling int() would read
+        (("noise", "asym_map"), {"1_0": 0, "0": 1}),
+        (("noise", "asym_map"), {" 1": 0, "0": 1}),
+        (("noise", "asym_map"), {"+1": 0, "0": 1}),
+        (("noise", "asym_map"), {"01": 0, "0": 1}),
+        (("noise", "asym_map"), {"\u0663": 0, "0": 1}),  # ARABIC-INDIC DIGIT THREE
+        (("noise", "asym_map"), {"1": 2, "01": 0}),  # two spellings of class 1
     ],
 )
 def test_known_malformed_fields(path, value):
-    doc = copy.deepcopy(SYNTHETIC)
+    # CSV's globalized asymmetric scene takes a class map, so only the map's own reader can reject one
+    doc = copy.deepcopy(CSV if path == ("noise", "asym_map") else SYNTHETIC)
     node = doc
     for key in path[:-1]:
         node = node[key]

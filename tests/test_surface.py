@@ -3,6 +3,8 @@
 import ast
 import os
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "noisyfl")
 
 # public names no module of the package uses, each kept on purpose
@@ -115,8 +117,33 @@ def test_every_public_method_has_a_caller_in_the_package():
     assert sorted(name for name in ALLOWED_METHODS if name not in methods or name not in uncalled) == []
 
 
-def _callee(call: ast.Call) -> str | None:
-    return getattr(call.func, "id", getattr(call.func, "attr", None))
+def _calls(modules: dict[str, ast.Module]) -> list[tuple[str, ast.Call]]:
+    """(name of the function called, call) for each call of a function in the package.
+
+    A bare name is resolved through the module's ``from .x import y as z``
+    aliases, and ``m.name(...)`` counts when ``m`` is a module bound by
+    ``from . import m``.  Any other attribute call is a method call, which
+    never counts as a call of the public function of the same name.
+    """
+    calls = []
+    for tree in modules.values():
+        aliases, submodules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:  # the package's own imports
+                for alias in node.names:
+                    if node.module is None:
+                        submodules.add(alias.asname or alias.name)
+                    else:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                calls.append((aliases.get(func.id, func.id), node))
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in submodules:
+                calls.append((func.attr, node))
+    return calls
 
 
 def _passes(call: ast.Call, position: int | None, parameter: str) -> bool:
@@ -139,7 +166,7 @@ def _gives(call: ast.Call, position: int | None, parameter: str) -> bool:
 
 def _defaulted_parameters(modules: dict[str, ast.Module]):
     """(function, parameter, position or None, the package's calls of the function) for each defaulted parameter."""
-    calls = [node for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    calls = _calls(modules)
     for name, (_, function) in _public_definitions(modules).items():
         if not isinstance(function, ast.FunctionDef):
             continue
@@ -148,18 +175,22 @@ def _defaulted_parameters(modules: dict[str, ast.Module]):
         first_defaulted = len(positional) - len(args.defaults)
         defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first_defaulted]
         defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
-        mine = [call for call in calls if _callee(call) == name]
+        mine = [call for callee, call in calls if callee == name]
         for position, parameter in defaulted:
             yield name, parameter, position, mine
 
 
-def test_every_defaulted_parameter_is_passed_by_some_caller():
-    """A parameter whose callers all take its default is one value in disguise, so it should be a constant."""
-    never_passed = {
+def _never_passed(modules: dict[str, ast.Module]) -> set[str]:
+    return {
         f"{name}.{parameter}"
-        for name, parameter, position, calls in _defaulted_parameters(_modules())
+        for name, parameter, position, calls in _defaulted_parameters(modules)
         if not any(_passes(call, position, parameter) for call in calls)
     }
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    """A parameter whose callers all take its default is one value in disguise, so it should be a constant."""
+    never_passed = _never_passed(_modules())
     assert sorted(never_passed - set(ALLOWED_DEFAULTS)) == []
     assert sorted(name for name in ALLOWED_DEFAULTS if name not in never_passed) == []
 
@@ -177,3 +208,17 @@ def test_every_default_is_taken_by_some_caller():
     }
     assert sorted(always_passed - set(ALLOWED_OVERRIDDEN)) == []
     assert sorted(name for name in ALLOWED_OVERRIDDEN if name not in always_passed) == []
+
+
+# a module that defines a public function with a default, and one that calls it
+DEFINES = "def forward(x, w=None):\n    return x\n\n\ndef run(x):\n    return forward(x)\n"
+CALLS = "from . import a\nfrom .a import forward as step\n\n\ndef go(work, x):\n    return {call}\n"
+
+
+@pytest.mark.parametrize(
+    "call, passes", [("work.forward(x, 2)", False), ("a.forward(x, 2)", True), ("step(x, 2)", True)]
+)
+def test_only_a_call_of_the_function_passes_its_parameter(call, passes):
+    """A method of the same name is another function; a module attribute or an import alias is the same one."""
+    modules = {"a.py": ast.parse(DEFINES), "b.py": ast.parse(CALLS.format(call=call))}
+    assert _never_passed(modules) == (set() if passes else {"forward.w"})
