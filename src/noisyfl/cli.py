@@ -34,6 +34,10 @@ import format of user datasets.  All output bytes are a pure function of
 the config and master seed: JSON is dumped with sorted keys, CSVs use
 fixed formatting, and no timestamps or absolute paths are recorded.
 
+A co-teaching config that sets no ``forget_rate`` trains with the run's
+nominal noise ratio (``eps_global``, the midpoint of ``eps_min`` and ``eps_max``,
+or the real-world ``overall_ratio``), or ``COTEACHING_FALLBACK_FORGET_RATE`` if it is 0.
+
 ``analyze`` is no stage: it reads finished run directories, one
 accuracy-table entry each, and writes the paper's drop-ratio and
 sensitivity series over them.  Its key for a run is (partition with its
@@ -78,14 +82,15 @@ from .errors import (
     NumericalAbortError,
 )
 from .federation import run_federation, write_telemetry
-from .localtrain import COTEACHING_DEFAULT_FORGET_RATE
 from .models import save_checkpoint
 from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, NoiseSpec, asymmetric_matrix, run_scene
+from .noise import NoiseReport
 from .partition import PartitionSpec, load_plan, save_plan
 
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
 TMP_SUFFIX = ".tmp"
+COTEACHING_FALLBACK_FORGET_RATE = 0.2  # when the config sets no forget_rate and the run's noise ratio is 0
 
 
 # ---------------------------------------------------------------- artifact I/O
@@ -194,6 +199,14 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
     return doc
 
 
+def _recorded_inputs(doc: dict, manifest: str, needs: tuple[str, ...], consumer: str) -> dict:
+    """The digests ``manifest`` records for ``needs``; the skip rule passes a manifest that lost one, so check here."""
+    missing = [name for name in needs if name not in doc["outputs"]]
+    if missing:
+        raise ArtifactMismatchError(f"{consumer}: {manifest} records no {', '.join(missing)}")
+    return {name: doc["outputs"][name] for name in needs}
+
+
 def require_stage(base_dir: str, manifest: str, digest: str, consumer: str) -> dict:
     """Manifest of an upstream stage that finished under ``digest`` with intact outputs."""
     doc, why = _finished(base_dir, manifest, {"version": __version__, "config_digest": digest})
@@ -267,8 +280,7 @@ def cmd_noise(cfg: RunConfig) -> tuple[dict, dict]:
         fields = {name: value for name, value in dataclasses.asdict(cfg.noise).items() if name != "asym_map"}
         fields["partition"] = dataclasses.asdict(cfg.partition)
         if report is None:  # real-world data without ground truth
-            fields.update(dict.fromkeys(["per_client_eps", "per_client_ratio", "overall_ratio", "flip_counts"]))
-            fields["skipped_clients"] = []
+            fields.update({f.name: None for f in dataclasses.fields(NoiseReport)}, skipped_clients=[])
         else:
             fields.update(report.to_dict())
         return fields, {
@@ -277,7 +289,8 @@ def cmd_noise(cfg: RunConfig) -> tuple[dict, dict]:
             "noisy_dataset.npy": functools.partial(save_npy, noisy),
         }
 
-    key = {"config_digest": config_digest(cfg), "inputs": {"dataset.npy": data["outputs"]["dataset.npy"]}}
+    inputs = _recorded_inputs(data, "dataset_manifest.json", ("dataset.npy",), "noise")
+    key = {"config_digest": config_digest(cfg), "inputs": inputs}
     return data, run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
 
 
@@ -306,15 +319,10 @@ def _train_inputs(
         data = require_stage(out, "dataset_manifest.json", digest, consumer)
     else:
         data, noise = upstream
-    inputs = {}
-    for manifest, doc, needs in [
-        ("noise_manifest.json", noise, ("noisy_dataset.npy", "plan.json")),
-        ("dataset_manifest.json", data, ("test_dataset.npy",)),
-    ]:
-        missing = [name for name in needs if name not in doc["outputs"]]
-        if missing:
-            raise ArtifactMismatchError(f"{consumer}: {manifest} records no {', '.join(missing)}")
-        inputs.update((name, doc["outputs"][name]) for name in needs)
+    inputs = {
+        **_recorded_inputs(noise, "noise_manifest.json", ("noisy_dataset.npy", "plan.json"), consumer),
+        **_recorded_inputs(data, "dataset_manifest.json", ("test_dataset.npy",), consumer),
+    }
     return noise, inputs
 
 
@@ -369,8 +377,7 @@ def cmd_train(cfg: RunConfig, upstream: tuple[dict, dict] | None = None) -> dict
     trainer = cfg.federation.trainer
     if trainer.method == "coteaching" and "forget_rate" not in trainer.method_params:
         estimate = _noise_ratio_estimate(noise)
-        params = dict(trainer.method_params)
-        params["forget_rate"] = estimate if estimate > 0 else COTEACHING_DEFAULT_FORGET_RATE
+        params = {**trainer.method_params, "forget_rate": estimate if estimate > 0 else COTEACHING_FALLBACK_FORGET_RATE}
         try:
             trainer = dataclasses.replace(trainer, method_params=params)
         except ValueError as exc:

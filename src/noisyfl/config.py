@@ -9,8 +9,11 @@ Each section is read against one table from its fields to their readers,
 and a field the table lacks is an error.  The types that use the
 partition, noise, federation and trainer sections build them and hold
 their defaults, ranges and allowed values; only those of the root, the
-dataset and the model live here.  An error names the path of its field,
-or of its section when the section's type rejects a value.
+dataset and the model live here.  Method parameters, too, take their
+defaults and ranges from their type: ``TrainerConfig`` resolves
+``method_params``, and this module only reads them as numbers.  An error
+names the path of its field, or of its section when the section's type
+rejects a value.
 """
 
 from __future__ import annotations

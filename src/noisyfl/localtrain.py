@@ -19,6 +19,12 @@ with a stack of two networks and a batch rule: one stacked forward pass
 per batch ranks the batch for both networks and, as in Han et al.'s
 reference implementation (arXiv 1804.06872), carries each network's update
 loss on the rows its peer selected.
+
+``_METHOD_PARAMS`` alone declares each method's parameter names, defaults
+and ranges.  :class:`TrainerConfig` checks the written values against it and
+fills in the defaults, so every reader, here and in ``losses``, reads
+``method_params[key]``.  Co-teaching's ``forget_rate`` has no default: the
+train stage infers it from the run's noise ratio (see ``cli``).
 """
 
 from __future__ import annotations
@@ -37,24 +43,24 @@ METHODS = ("ce", "mixup", "sce", "gce", "mae", "coteaching")
 
 _POSITIVE = (lambda v: v > 0, "> 0")
 
-# method -> {method_params key: (accepts(value), the range it accepts)}
+# method -> {method_params key: (default, accepts(value), the range it accepts)};
+# a default of None is none: the train stage infers co-teaching's forget_rate
 _METHOD_PARAMS = {
     "ce": {},
     "mae": {},
-    "mixup": {"alpha": _POSITIVE},
-    "sce": {"alpha": _POSITIVE, "beta": _POSITIVE, "log_clip": (lambda v: v < 0, "< 0")},
-    "gce": {"q": (lambda v: 0 < v <= 1, "in (0, 1]")},
-    "coteaching": {"forget_rate": (lambda v: 0 <= v < 1, "in [0, 1)"), "ramp_rounds": _POSITIVE},
+    "mixup": {"alpha": (1.0, *_POSITIVE)},
+    "sce": {"alpha": (0.1, *_POSITIVE), "beta": (1.0, *_POSITIVE), "log_clip": (-4.0, lambda v: v < 0, "< 0")},
+    "gce": {"q": (0.7, lambda v: 0 < v <= 1, "in (0, 1]")},
+    "coteaching": {"forget_rate": (None, lambda v: 0 <= v < 1, "in [0, 1)"), "ramp_rounds": (10, *_POSITIVE)},
 }
-
-MIXUP_DEFAULT_ALPHA = 1.0
-COTEACHING_DEFAULT_FORGET_RATE = 0.2
-COTEACHING_DEFAULT_RAMP_ROUNDS = 10
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Local-training hyperparameters shared by every strategy."""
+    """Local-training hyperparameters shared by every strategy.
+
+    ``method_params`` is resolved: the method's defaults overlaid with the values written.
+    """
 
     method: str = "ce"
     lr: float = 0.01
@@ -77,14 +83,16 @@ class TrainerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        ranges = _METHOD_PARAMS[self.method]
-        unknown = set(self.method_params) - set(ranges)
+        table = _METHOD_PARAMS[self.method]
+        unknown = set(self.method_params) - set(table)
         if unknown:
             raise ValueError(f"method_params keys {sorted(unknown)} invalid for method {self.method!r}")
         for key, value in self.method_params.items():
-            accepts, allowed = ranges[key]
+            _, accepts, allowed = table[key]
             if not accepts(value):
                 raise ValueError(f"method_params.{key} must be {allowed} for method {self.method!r}, got {value!r}")
+        defaults = {key: default for key, (default, _, _) in table.items() if default is not None}
+        object.__setattr__(self, "method_params", {**defaults, **self.method_params})
 
     @property
     def loss_kind(self) -> str:
@@ -210,7 +218,7 @@ def train_local(
         raise ValueError("co-teaching trains two models; call train_local_coteaching")
     targets = None
     if cfg.method == "mixup":
-        mix_alpha = cfg.method_params.get("alpha", MIXUP_DEFAULT_ALPHA)
+        mix_alpha = cfg.method_params["alpha"]
         mix_gen = rng.stream(seed, "mixup")
         targets = one_hot(ds.labels, ds.num_classes)
         rows = min(cfg.batch_size, len(ds))
@@ -271,9 +279,7 @@ def train_local_coteaching(
     """
     if params_a.layout != params_b.layout:
         raise ValueError("co-teaching networks must share a layout")
-    forget_rate = cfg.method_params.get("forget_rate", COTEACHING_DEFAULT_FORGET_RATE)
-    ramp_rounds = cfg.method_params.get("ramp_rounds", COTEACHING_DEFAULT_RAMP_ROUNDS)
-    keep_fraction = coteaching_keep_fraction(round_t, forget_rate, ramp_rounds)
+    keep_fraction = coteaching_keep_fraction(round_t, cfg.method_params["forget_rate"], cfg.method_params["ramp_rounds"])
 
     def cross_update(stack, work, x, y):
         # one stacked pass ranks the batch for both networks; each network's

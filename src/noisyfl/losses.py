@@ -2,7 +2,10 @@
 
 Every loss is defined on softmax probability rows; gradients flow through
 the softmax in closed form, so each loss only has to supply its per-sample
-value and dloss/dlogits.  All reductions are batch means.
+value and dloss/dlogits.  All reductions are batch means.  The robust
+losses read their parameters from ``method_params`` as
+``TrainerConfig`` resolved them (defaults filled in, ranges checked);
+nothing here defaults or checks a method parameter.
 
 :func:`backward_cached` binds a ``models.Workspace`` to the given
 parameters and backpropagates through the pass it already holds, turning
@@ -28,11 +31,6 @@ from .errors import LayoutMismatchError
 from .models import ModelParams, Workspace, forward_cached
 
 LOSS_KINDS = ("ce", "sce", "gce", "mae", "soft_ce")
-
-SCE_DEFAULT_ALPHA = 0.1
-SCE_DEFAULT_BETA = 1.0
-SCE_DEFAULT_LOG_CLIP = -4.0
-GCE_DEFAULT_Q = 0.7
 
 _LOG_FLOOR = 1e-300
 
@@ -64,18 +62,7 @@ def _mean(per_sample: np.ndarray, networks: int) -> float:
     return float(np.add.reduce(means) / networks)
 
 
-def _sce_params(mp: dict) -> tuple[float, float, float]:
-    alpha = mp.get("alpha", SCE_DEFAULT_ALPHA)
-    beta = mp.get("beta", SCE_DEFAULT_BETA)
-    log_clip = mp.get("log_clip", SCE_DEFAULT_LOG_CLIP)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("sce requires alpha > 0 and beta > 0")
-    if log_clip >= 0:
-        raise ValueError("log_clip must be negative")
-    return alpha, beta, log_clip
-
-
-def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict, out: np.ndarray, row_ids: np.ndarray):
+def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict | None, out: np.ndarray, row_ids: np.ndarray):
     """Each row's loss, written into ``out``; returns p_y (None for soft_ce).
 
     ``labels`` is a soft-target matrix for soft_ce; ``row_ids`` is
@@ -93,25 +80,21 @@ def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict, out:
     if kind == "ce" or kind == "sce":  # -log p_y, with log(0) floored
         np.negative(np.log(np.maximum(p_label, _LOG_FLOOR, out=out), out=out), out=out)
     if kind == "sce":  # alpha*CE + beta*RCE, RCE = -log_clip * (1 - p_y)
-        alpha, beta, log_clip = _sce_params(mp)
         rce = np.subtract(1.0, p_label)
-        rce *= -log_clip
-        rce *= beta
-        out *= alpha
+        rce *= -mp["log_clip"]
+        rce *= mp["beta"]
+        out *= mp["alpha"]
         out += rce
     elif kind == "gce":  # (1 - p_y^q)/q
-        q = mp.get("q", GCE_DEFAULT_Q)
-        if not 0.0 < q <= 1.0:
-            raise ValueError("gce requires 0 < q <= 1")
-        np.subtract(1.0, p_label**q, out=out)
-        out /= q
+        np.subtract(1.0, p_label ** mp["q"], out=out)
+        out /= mp["q"]
     elif kind == "mae":  # |onehot - p|_1 = 2(1 - p_y)
         np.subtract(1.0, p_label, out=out)
         out *= 2.0
     return p_label
 
 
-def _logit_gap(probs, labels, kind: str, mp: dict, p_label, row_ids, row_scale) -> None:
+def _logit_gap(probs, labels, kind: str, mp: dict | None, p_label, row_ids, row_scale) -> None:
     """Overwrite ``probs`` with per-sample dloss/dlogits.
 
     Every loss here factors through (p - target): soft_ce and ce use it as
@@ -123,11 +106,10 @@ def _logit_gap(probs, labels, kind: str, mp: dict, p_label, row_ids, row_scale) 
     if kind == "mae":
         scale = np.multiply(p_label, 2.0, out=row_scale)
     elif kind == "gce":
-        scale = p_label ** mp.get("q", GCE_DEFAULT_Q)
+        scale = p_label ** mp["q"]
     elif kind == "sce":
-        alpha, beta, log_clip = _sce_params(mp)
-        scale = np.multiply(p_label, beta * -log_clip, out=row_scale)
-        scale += alpha
+        scale = np.multiply(p_label, mp["beta"] * -mp["log_clip"], out=row_scale)
+        scale += mp["alpha"]
     else:
         scale = None
     p_label -= 1.0  # p - onehot differs from p only at the label
@@ -176,11 +158,10 @@ def backward_cached(
     if work.layout is not params.layout and work.layout != params.layout:
         raise LayoutMismatchError("workspace layout does not match the parameters")
     work.bind(params)
-    mp = method_params or {}
     b = work.x.shape[-2]  # rows per network
     n = work.networks * b
     probs, per, row_ids = work.probs[:n], work.per_sample[:n], work.row_ids[:n]
-    p_label = _per_sample(probs, labels, kind, mp, per, row_ids)
-    _logit_gap(probs, labels, kind, mp, p_label, row_ids, work.row_scale[:n])
+    p_label = _per_sample(probs, labels, kind, method_params, per, row_ids)
+    _logit_gap(probs, labels, kind, method_params, p_label, row_ids, work.row_scale[:n])
     probs /= b  # the gradient of each network's batch mean
     return LossOutput(value=_mean(per, work.networks), grad=work.backprop(weight_decay))

@@ -6,8 +6,19 @@ import math
 
 import numpy as np
 
+from noisyfl.localtrain import TrainerConfig
 from noisyfl.losses import backward
 from noisyfl.models import ModelParams, Workspace, forward_cached
+
+
+def resolved(kind, method_params=None):
+    """The parameters training hands the loss ``kind``: ``method_params`` over its method's defaults.
+
+    soft_ce is mixup's loss, which takes none.
+    """
+    if kind == "soft_ce":
+        return None
+    return TrainerConfig(method=kind, method_params=method_params or {}).method_params
 
 
 def fresh_forward(params, x):
@@ -16,9 +27,13 @@ def fresh_forward(params, x):
 
 
 def fresh_backward(params, x, labels, kind, method_params=None, weight_decay=0.0):
-    """``backward`` in a workspace made for it; returns its LossOutput and the workspace (each row's loss)."""
+    """``backward`` in a workspace made for it; returns its LossOutput and the workspace (each row's loss).
+
+    ``method_params`` are written values; the defaults of ``kind``'s method fill in the rest.
+    """
     work = Workspace(params.layout, len(x), params)
-    out = backward(params, x, labels, kind=kind, weight_decay=weight_decay, work=work, method_params=method_params)
+    mp = resolved(kind, method_params)
+    out = backward(params, x, labels, kind=kind, weight_decay=weight_decay, work=work, method_params=mp)
     return out, work
 
 
@@ -30,10 +45,11 @@ def mixup_buffers(x, onehot):
 def finite_difference_grad(params, x, y, kind, method_params=None, weight_decay=0.0, h=1e-5):
     """Central-difference gradient of mean loss + (wd/2)|w|^2, coordinate by coordinate."""
     work = Workspace(params.layout, len(x))
+    mp = resolved(kind, method_params)
 
     def objective(values):
         net = ModelParams(values, params.layout)
-        out = backward(net, x, y, kind=kind, weight_decay=0.0, work=work, method_params=method_params)
+        out = backward(net, x, y, kind=kind, weight_decay=0.0, work=work, method_params=mp)
         return out.value + 0.5 * weight_decay * float(values @ values)
 
     grad = np.zeros_like(params.values)

@@ -25,7 +25,7 @@ from noisyfl import noise as noise_module
 from noisyfl.analysis import AccuracyTable, drop_ratio_series, sensitivity_series
 from noisyfl.cli import main, sha256_file
 from noisyfl.config import load_config, set_by_path
-from noisyfl.datasets import load_csv, load_npy, save_csv
+from noisyfl.datasets import load_csv, load_npy, make_synthetic_blobs, save_csv
 from noisyfl.federation import run_federation
 from noisyfl.localtrain import METHODS
 from noisyfl.models import load_checkpoint
@@ -368,19 +368,28 @@ class TestExitCodes:
             fh.truncate(os.path.getsize(path) // 2)
         assert main(["train", "-c", config]) == 3
 
-    @pytest.mark.parametrize("command", ["pipeline", "train"])
-    def test_dataset_manifest_without_the_test_set_exits_3(self, tmp_path, capsys, command):
-        """The skip rule passes a manifest whose listed outputs are intact, so the train stage checks what it needs."""
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("pipeline", "test_dataset.npy"),
+            ("train", "test_dataset.npy"),
+            ("pipeline", "dataset.npy"),
+            ("noise", "dataset.npy"),
+        ],
+        ids=["pipeline", "train", "pipeline-dataset", "noise-dataset"],
+    )
+    def test_dataset_manifest_without_the_test_set_exits_3(self, tmp_path, capsys, command, name):
+        """The skip rule passes a manifest whose listed outputs are intact, so each stage checks what it reads."""
         config, out = write_config(tmp_path)
         assert main(["pipeline", "-c", config]) == 0
         path = os.path.join(out, "dataset_manifest.json")
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        del doc["outputs"]["test_dataset.npy"]
+        del doc["outputs"][name]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert main([command, "-c", config]) == 3
-        assert "dataset_manifest.json records no test_dataset.npy" in capsys.readouterr().err
+        assert f"dataset_manifest.json records no {name}" in capsys.readouterr().err
 
     def test_train_without_noise_stage_exits_3(self, tmp_path):
         config, _ = write_config(tmp_path)
@@ -640,6 +649,22 @@ class TestArtifacts:
         assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
         assert manifest["stage"] == "noise"
         assert set(manifest["outputs"]) == {"plan.json", "client_histograms.csv", "noisy_dataset.npy"}
+
+    def test_noise_manifest_without_ground_truth_has_the_report_keys(self, tmp_path):
+        """Real-world data without true labels records every report field, empty, and no other key."""
+        clean = make_synthetic_blobs(3, 30, 4, 3.0, seed=1)
+        manifests = {}
+        for name, ds in [("truth", clean), ("no_truth", clean.with_labels(labels=clean.labels, true_labels=None))]:
+            path = str(tmp_path / f"{name}.csv")
+            save_csv(ds, path)
+            dataset = {"csv": {"path": path, "label_column": "label"}}
+            config, out = write_config(tmp_path, name, {"dataset": dataset, "noise": {"scene": "realworld"}})
+            assert main(["noise", "-c", config]) == 0
+            with open(os.path.join(out, "noise_manifest.json"), encoding="utf-8") as fh:
+                manifests[name] = json.load(fh)
+        assert set(manifests["no_truth"]) == set(manifests["truth"])
+        report = ["per_client_ratio", "overall_ratio", "flip_counts", "per_client_eps", "skipped_clients"]
+        assert {name: manifests["no_truth"][name] for name in report} == {**dict.fromkeys(report), "skipped_clients": []}
 
     def test_checkpoint_holds_run_federation_final_params(self, tmp_path):
         config, out = write_config(tmp_path)

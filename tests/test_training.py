@@ -8,7 +8,6 @@ from noisyfl import localtrain, models, rng
 from noisyfl.datasets import make_synthetic_blobs
 from noisyfl.errors import LayoutMismatchError
 from noisyfl.localtrain import (
-    MIXUP_DEFAULT_ALPHA,
     TrainerConfig,
     coteaching_keep_fraction,
     mixup_batch,
@@ -66,6 +65,8 @@ class TestTrainerConfig:
             ("coteaching", {"forget_rate": 1.0}),
             ("coteaching", {"forget_rate": -0.1}),
             ("coteaching", {"ramp_rounds": 0.0}),
+            ("gce", {"q": 1.5}),
+            ("gce", {"q": -0.5}),
         ],
     )
     def test_out_of_range_method_params(self, method, params):
@@ -75,6 +76,36 @@ class TestTrainerConfig:
     def test_boundary_method_params_accepted(self):
         TrainerConfig(method="gce", method_params={"q": 1.0})
         TrainerConfig(method="coteaching", method_params={"forget_rate": 0.0, "ramp_rounds": 0.5})
+
+    @pytest.mark.parametrize(
+        "method, resolved",
+        [
+            ("ce", {}),
+            ("mae", {}),
+            ("mixup", {"alpha": 1.0}),
+            ("sce", {"alpha": 0.1, "beta": 1.0, "log_clip": -4.0}),
+            ("gce", {"q": 0.7}),
+            # forget_rate has no default: the train stage infers it from the run's noise ratio
+            ("coteaching", {"ramp_rounds": 10}),
+        ],
+    )
+    def test_defaults_resolved(self, method, resolved):
+        assert TrainerConfig(method=method).method_params == resolved
+
+    @pytest.mark.parametrize(
+        "method, written, resolved",
+        [
+            ("mixup", {"alpha": 0.4}, {"alpha": 0.4}),
+            ("sce", {"beta": 2.0}, {"alpha": 0.1, "beta": 2.0, "log_clip": -4.0}),
+            ("gce", {"q": 0.5}, {"q": 0.5}),
+            ("coteaching", {"forget_rate": 0.3}, {"forget_rate": 0.3, "ramp_rounds": 10}),
+            ("coteaching", {"ramp_rounds": 5.0}, {"ramp_rounds": 5.0}),
+        ],
+    )
+    def test_written_value_replaces_only_its_key(self, method, written, resolved):
+        cfg = TrainerConfig(method=method, method_params=written)
+        assert cfg.method_params == resolved
+        assert dataclasses.replace(cfg, lr=0.5).method_params == resolved
 
 
 class TestTrainLocal:
@@ -214,8 +245,9 @@ class TestTrainCoteaching:
         ds = self._noisy_blobs()
         a = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=0)
         b = init_params(MLPLayout(dim=2, hidden=4, num_classes=3), seed=0)
-        with pytest.raises(ValueError):
-            train_local_coteaching(ds, a, b, TrainerConfig(method="coteaching"), seed=0, round_t=1)
+        cfg = TrainerConfig(method="coteaching", method_params={"forget_rate": 0.2})
+        with pytest.raises(ValueError, match="share a layout"):
+            train_local_coteaching(ds, a, b, cfg, seed=0, round_t=1)
 
     def test_invalid_forget_rate(self):
         with pytest.raises(ValueError):
@@ -225,11 +257,13 @@ class TestTrainCoteaching:
 class TestOneModelPerCall:
     """A call builds each network's ModelParams once, and every step checks finiteness once for all networks."""
 
+    PARAMS = {"ce": {}, "mixup": {}, "coteaching": {"forget_rate": 0.2}}
+
     def _train(self, method):
         ds = blobs(per_class=40)
         layout = MLPLayout(dim=2, hidden=4, num_classes=3)
         a, b = init_params(layout, seed=1), init_params(layout, seed=2)
-        cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16)
+        cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16, method_params=self.PARAMS[method])
         if method == "coteaching":
             return lambda: train_local_coteaching(ds, a, b, cfg, seed=3, round_t=1)
         return lambda: train_local(ds, a, cfg, seed=3)
@@ -273,7 +307,7 @@ class TestOneModelPerCall:
         ds = blobs(per_class=40)  # 2 features
         layout = MLPLayout(dim=3, hidden=4, num_classes=3)
         a, b = init_params(layout, seed=1), init_params(layout, seed=2)
-        cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16)
+        cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16, method_params=self.PARAMS[method])
         passes, steps = [], []
         monkeypatch.setattr(Workspace, "forward", lambda work, x: passes.append(None))
         monkeypatch.setattr(localtrain, "sgd_step", lambda *args: steps.append(None))
@@ -320,9 +354,8 @@ def hand_trained(ds, starts, cfg, seed, round_t):
             x, y = ds.features[idx], ds.labels[idx]
             nets = [ModelParams(v.copy(), starts[0].layout) for v in values]
             if cfg.method == "coteaching":
-                keep = coteaching_keep_fraction(
-                    round_t, cfg.method_params["forget_rate"], localtrain.COTEACHING_DEFAULT_RAMP_ROUNDS
-                )
+                mp = cfg.method_params
+                keep = coteaching_keep_fraction(round_t, mp["forget_rate"], mp["ramp_rounds"])
                 # rank with a pass in a new workspace, then take the gradient from the peer's rows of that pass
                 works = [Workspace(net.layout, len(x), net) for net in nets]
                 passes = [forward_cached(net, x, work) for net, work in zip(nets, works)]
@@ -335,7 +368,8 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                 batch_losses.append(0.5 * (outs[0].value + outs[1].value))
             else:
                 if cfg.method == "mixup":
-                    lam = float(mix_gen.beta(MIXUP_DEFAULT_ALPHA, MIXUP_DEFAULT_ALPHA))
+                    alpha = cfg.method_params["alpha"]
+                    lam = float(mix_gen.beta(alpha, alpha))
                     onehot = one_hot(y, ds.num_classes)
                     buffers = mixup_buffers(x, onehot)
                     mixed_x, mixed_t = mixup_batch(x, onehot, lam, mix_gen.permutation(len(idx)), buffers)
