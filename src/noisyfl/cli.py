@@ -1,4 +1,4 @@
-"""Config-driven command line: dataset -> noise -> train, then analyze over finished runs.
+"""Config-driven command line: noise -> train, then analyze over finished runs.
 
 Every stage goes through :func:`run_stage`, the one place that decides
 whether a stage runs, writes its artifacts, hashes them and writes its
@@ -8,7 +8,8 @@ manifest.
   config without its output directory), ``inputs`` and ``outputs`` (file
   name -> sha256), plus the stage's own fields: the noise spec, the
   partition spec and the noise report, a train seed's ``seed``, ``lr`` and last-k accuracy, the selected lr.
-  A stage's inputs are the verified outputs of the stages before it.
+  The noise stage's inputs are the sha256 of a CSV dataset's files (none
+  for synthetic data); the train stage's are the noise stage's verified outputs.
 - Skip rule: a stage is skipped when its manifest records the same stage,
   version, config digest, input hashes (and a train seed's ``seed`` and
   ``lr``) and every recorded output still hashes as recorded.  A missing
@@ -18,18 +19,17 @@ manifest.
   so a killed run leaves only finished stages behind.
 - Hashing: a pipeline reads each file once to hash it, when its stage
   writes it or, for a skipped stage, when the skip rule checks it.  The
-  train stage takes its inputs from the dataset and noise manifests the
-  pipeline just got back from those stages, and ``run.json`` takes each
-  digest from the manifest that records the file; only files no manifest
-  lists (the manifests themselves, leftovers of older versions) are
-  hashed for it.  ``train`` run on its own re-checks its upstream stages
-  from disk.
+  train stage takes its inputs from the noise manifest the pipeline just
+  got back from that stage, and ``run.json`` takes each digest from the
+  manifest that records the file; only files no manifest lists (the
+  manifests themselves, leftovers of older versions) are hashed for it.
+  ``train`` run on its own re-checks the noise stage from disk.
 
-The dataset stage writes dataset.npy (and test_dataset.npy).  The noise
-stage runs the configured scene once and is the one writer of the client
-split: plan.json, client_histograms.csv and noisy_dataset.npy for train.
-``partition`` only prints the histograms of that split.  The
-intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
+The noise stage materializes the dataset, runs the configured scene once
+and is the one writer of the client split and of what train reads:
+plan.json, client_histograms.csv, noisy_dataset.npy and test_dataset.npy.
+``partition`` prints the histograms of that split and writes nothing.
+The intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
 import format of user datasets.  All output bytes are a pure function of
 the config and master seed: JSON is dumped with sorted keys, CSVs use
 fixed formatting, and no timestamps or absolute paths are recorded.
@@ -85,7 +85,7 @@ from .federation import run_federation, write_telemetry
 from .models import save_checkpoint
 from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, NoiseSpec, asymmetric_matrix, run_scene
 from .noise import NoiseReport
-from .partition import PartitionSpec, load_plan, save_plan
+from .partition import SCHEME_PARAM, PartitionSpec, load_plan, save_plan
 
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
@@ -217,31 +217,13 @@ def require_stage(base_dir: str, manifest: str, digest: str, consumer: str) -> d
 
 # ---------------------------------------------------------------- stages
 
-def _dataset_stage(cfg: RunConfig) -> dict:
-    """Materialize dataset.npy (+ test_dataset.npy) for the stages that build on it."""
-    params = cfg.dataset.params
-    sources = {}
-    if cfg.dataset.source == "csv":
-        sources = {field: sha256_file(params[field]) for field in ("path", "test_path") if params.get(field)}
-
-    def produce():
-        train, test = cfg.dataset.materialize()
-        writers = {"dataset.npy": functools.partial(save_npy, train)}
-        if test is not None:
-            writers["test_dataset.npy"] = functools.partial(save_npy, test)
-        return {}, writers
-
-    key = {"config_digest": config_digest(cfg), "inputs": sources}
-    return run_stage("dataset", cfg.output_dir, "dataset_manifest.json", key, produce)
-
-
 def _split(cfg: RunConfig):
-    """Run the configured scene on dataset.npy: (dataset, plan, noisy dataset, report).
+    """Materialize the dataset and run the configured scene on it: (dataset, test set, plan, noisy dataset, report).
 
     The one computation of the client split.  Globalized noise partitions
     the corrupted data, every other scene the data as it is.
     """
-    ds = load_npy(os.path.join(cfg.output_dir, "dataset.npy"))
+    ds, test = cfg.dataset.materialize()
     spec = cfg.noise
     if spec.asym_map is not None:  # only the dataset tells which classes the map must cover
         try:
@@ -252,7 +234,7 @@ def _split(cfg: RunConfig):
         plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
     except (CoverageInfeasibleError, DegeneratePartitionError) as exc:  # only the partition schemes raise these
         raise ConfigError("partition", str(exc)) from None
-    return ds, plan, noisy, report
+    return ds, test, plan, noisy, report
 
 
 def _histograms(ds, plan) -> tuple[list[str], list[list]]:
@@ -262,36 +244,40 @@ def _histograms(ds, plan) -> tuple[list[str], list[list]]:
 
 
 def cmd_partition(cfg: RunConfig) -> None:
-    """Print client_histograms.csv of the split the noise stage writes; writes no plan."""
-    _dataset_stage(cfg)
-    ds, plan, _, _ = _split(cfg)
+    """Print client_histograms.csv of the split the noise stage writes; writes nothing."""
+    ds, _, plan, _, _ = _split(cfg)
     print_csv(*_histograms(ds, plan))
 
 
-def cmd_noise(cfg: RunConfig) -> tuple[dict, dict]:
-    """Run the configured noise scene; write the plan, its histograms and the noisy dataset.
+def cmd_noise(cfg: RunConfig) -> dict:
+    """Run the configured noise scene; write the plan, its histograms, the noisy dataset and the test set.
 
-    Returns the verified dataset and noise manifests.
+    Returns the verified noise manifest.
     """
-    data = _dataset_stage(cfg)
+    params = cfg.dataset.params
+    sources = {}
+    if cfg.dataset.source == "csv":
+        sources = {field: sha256_file(params[field]) for field in ("path", "test_path") if params.get(field)}
 
     def produce():
-        ds, plan, noisy, report = _split(cfg)
+        ds, test, plan, noisy, report = _split(cfg)
         fields = {name: value for name, value in dataclasses.asdict(cfg.noise).items() if name != "asym_map"}
         fields["partition"] = dataclasses.asdict(cfg.partition)
         if report is None:  # real-world data without ground truth
             fields.update({f.name: None for f in dataclasses.fields(NoiseReport)}, skipped_clients=[])
         else:
             fields.update(report.to_dict())
-        return fields, {
+        writers = {
             "plan.json": functools.partial(save_plan, plan),
             "client_histograms.csv": functools.partial(write_csv, *_histograms(ds, plan)),
             "noisy_dataset.npy": functools.partial(save_npy, noisy),
         }
+        if test is not None:
+            writers["test_dataset.npy"] = functools.partial(save_npy, test)
+        return fields, writers
 
-    inputs = _recorded_inputs(data, "dataset_manifest.json", ("dataset.npy",), "noise")
-    key = {"config_digest": config_digest(cfg), "inputs": inputs}
-    return data, run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
+    key = {"config_digest": config_digest(cfg), "inputs": sources}
+    return run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
 
 
 def _noise_ratio_estimate(manifest: dict) -> float:
@@ -305,25 +291,9 @@ def _noise_ratio_estimate(manifest: dict) -> float:
     return 0.0
 
 
-def _train_inputs(
-    out: str, digest: str, consumer: str, upstream: tuple[dict, dict] | None = None
-) -> tuple[dict, dict]:
-    """The noise manifest, and the verified input hashes of the train stage.
-
-    ``upstream`` is the (dataset, noise) manifest pair that a pipeline's
-    stages just returned, verified as they ran; without it, both stages
-    must have finished on disk under ``digest``.
-    """
-    if upstream is None:
-        noise = require_stage(out, "noise_manifest.json", digest, consumer)
-        data = require_stage(out, "dataset_manifest.json", digest, consumer)
-    else:
-        data, noise = upstream
-    inputs = {
-        **_recorded_inputs(noise, "noise_manifest.json", ("noisy_dataset.npy", "plan.json"), consumer),
-        **_recorded_inputs(data, "dataset_manifest.json", ("test_dataset.npy",), consumer),
-    }
-    return noise, inputs
+def _train_inputs(noise: dict, consumer: str) -> dict:
+    """The input hashes of the train stage, as the noise manifest records them."""
+    return _recorded_inputs(noise, "noise_manifest.json", ("noisy_dataset.npy", "plan.json", "test_dataset.npy"), consumer)
 
 
 def _recorded(out: str, base_dir: str, manifest: dict) -> dict:
@@ -349,22 +319,23 @@ def _train_seed(cfg: RunConfig, lr: float, fed_seed: int, load_inputs) -> tuple[
     }
 
 
-def cmd_train(cfg: RunConfig, upstream: tuple[dict, dict] | None = None) -> dict:
+def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
     """Run `repeats` federations per learning rate; summarize last-k accuracy.
 
-    Builds on the verified outputs of the dataset and noise stages: those
-    of the ``upstream`` (dataset, noise) manifests that :func:`cmd_noise`
-    returned, or else those recorded on disk.  Each repeat is a stage of
-    its own, so an interrupted sweep resumes at the first repeat that did
-    not finish.  Returns the digests the train and seed manifests record,
-    by path under the output directory.
+    Builds on the verified outputs of the noise stage: those of the
+    ``noise`` manifest that :func:`cmd_noise` returned, or else those
+    recorded on disk.  Each repeat is a stage of its own, so an
+    interrupted sweep resumes at the first repeat that did not finish.
+    Returns the digests the train and seed manifests record, by path
+    under the output directory.
     """
     if cfg.dataset.source == "csv" and not cfg.dataset.params.get("test_path"):
         raise ConfigError("dataset", "train stage requires a clean test set (test_per_class or test_path)")
     out = cfg.output_dir
     digest = config_digest(cfg)
-    noise, inputs = _train_inputs(out, digest, "train", upstream)
-    key = {"config_digest": digest, "inputs": inputs}
+    if noise is None:
+        noise = require_stage(out, "noise_manifest.json", digest, "train")
+    key = {"config_digest": digest, "inputs": _train_inputs(noise, "train")}
 
     @functools.cache
     def load_inputs():
@@ -426,8 +397,8 @@ def cmd_train(cfg: RunConfig, upstream: tuple[dict, dict] | None = None) -> dict
 def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
     """One finished run as an accuracy-table entry: ((partition, scene/mode, nominal eps), accuracy).
 
-    The train manifest must be of this version, and the dataset and noise
-    manifests must record its config digest and the inputs it trained on.
+    The train manifest must be of this version, and the noise manifest
+    must record its config digest and the inputs it trained on.
     The accuracy is the mean last-k accuracy of the selected lr.
     """
     where = f"analyze {run_dir}"
@@ -435,8 +406,8 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
     train, why = _finished(os.path.join(run_dir, "train"), "run_manifest.json", train_key)
     if train is None:
         raise ArtifactMismatchError(f"{where}: {why}")
-    noise, inputs = _train_inputs(run_dir, train.get("config_digest"), where)
-    if train.get("inputs") != inputs:
+    noise = require_stage(run_dir, "noise_manifest.json", train.get("config_digest"), where)
+    if train.get("inputs") != _train_inputs(noise, where):
         raise ArtifactMismatchError(f"{where}: run_manifest.json records other inputs than the noise stage wrote")
     try:
         spec = PartitionSpec(**{f.name: noise["partition"][f.name] for f in dataclasses.fields(PartitionSpec)})
@@ -446,7 +417,7 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         typed += [(noise[name], float) for name in ("eps_global", "eps_min", "eps_max", "overall_ratio")]
         if any(value is not None and (type(value) is not kind or not math.isfinite(value)) for value, kind in typed):
             raise ValueError("a recorded number is not finite or not of its type")
-        param = {scheme: param for _, _, _, scheme, param, _ in PARTITION_FLAGS}[spec.scheme]
+        param = SCHEME_PARAM[spec.scheme]
         partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
         # eps to 9 decimals, so that a localized (0.2, 0.4) run's midpoint 0.30000000000000004 is the grid point 0.3
         key = (partition, f"{noise['scene']}/{noise['mode']}", round(_noise_ratio_estimate(noise), 9))
@@ -490,14 +461,14 @@ def cmd_analyze(run_dirs: list[str], out_dir: str) -> None:
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    """Run dataset, noise and train, then index the output tree in run.json.
+    """Run noise and train, then index the output tree in run.json.
 
     A file a stage manifest lists is indexed with the digest recorded there;
     only the others are hashed here.
     """
     out = cfg.output_dir
-    data, noise = cmd_noise(cfg)
-    recorded = {**_recorded(out, out, data), **_recorded(out, out, noise), **cmd_train(cfg, (data, noise))}
+    noise = cmd_noise(cfg)
+    recorded = {**_recorded(out, out, noise), **cmd_train(cfg, noise)}
 
     artifacts = {}
     for root, _, files in os.walk(out):
@@ -541,13 +512,13 @@ OVERRIDES = [
     ("--eps-max", float, "noise.eps_max", "localized noise ratio upper bound"),
 ]
 
-# (flag, type, metavar, scheme, the scheme's parameter, help); they exclude each other,
-# and the one given replaces the config's whole partition section
+# (flag, type, metavar, scheme, help); they exclude each other, and the one given
+# replaces the config's whole partition section with the scheme and its parameter
 PARTITION_FLAGS = [
-    ("--iid", None, None, "iid", None, "IID partition"),
-    ("--noniid-labeldir", float, "ALPHA", "label-dir", "alpha", "Dirichlet label skew"),
-    ("--noniid-quantity", float, "ALPHA", "quantity-skew", "alpha", "quantity skew"),
-    ("--noniid-label-count", int, "C", "label-quantity", "c", "label-quantity skew (classes per client)"),
+    ("--iid", None, None, "iid", "IID partition"),
+    ("--noniid-labeldir", float, "ALPHA", "label-dir", "Dirichlet label skew"),
+    ("--noniid-quantity", float, "ALPHA", "quantity-skew", "quantity skew"),
+    ("--noniid-label-count", int, "C", "label-quantity", "label-quantity skew (classes per client)"),
 ]
 
 
@@ -561,7 +532,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     for flag, kind, _, help_text in OVERRIDES:
         parser.add_argument(flag, type=kind, help=help_text)
     group = parser.add_mutually_exclusive_group()
-    for flag, kind, metavar, _, _, help_text in PARTITION_FLAGS:
+    for flag, kind, metavar, _, help_text in PARTITION_FLAGS:
         if kind is None:
             group.add_argument(flag, action="store_true", default=None, help=help_text)
         else:
@@ -574,9 +545,10 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         value = getattr(args, _dest(flag), None)
         if value is not None:
             overrides[dotted] = value
-    for flag, _, _, scheme, param, _ in PARTITION_FLAGS:
+    for flag, _, _, scheme, _ in PARTITION_FLAGS:
         value = getattr(args, _dest(flag), None)
         if value is not None:
+            param = SCHEME_PARAM[scheme]
             overrides["partition"] = {"scheme": scheme} if param is None else {"scheme": scheme, param: value}
     return overrides
 
@@ -588,10 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
-        ("partition", "print per-client class histograms of the split; writes no plan"),
-        ("noise", "apply the configured noise scene; write the plan and the noisy dataset"),
+        ("partition", "print per-client class histograms of the split; writes nothing"),
+        ("noise", "apply the configured noise scene; write the plan, the noisy dataset and the test set"),
         ("train", "run FedAvg repeats and summarize last-10-round accuracy"),
-        ("pipeline", "run dataset, noise and train in order; index the outputs in run.json"),
+        ("pipeline", "run noise and train in order; index the outputs in run.json"),
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_config_arguments(p)

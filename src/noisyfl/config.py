@@ -101,6 +101,8 @@ def _lr_grid(value, where: str) -> tuple[float, ...] | None:
     grid = tuple(_float(v, where) for v in value)
     if any(not v > 0 for v in grid):
         raise ConfigError(where, "learning rates must be > 0")
+    if len(set(grid)) != len(grid):  # a repeated lr would give two summary rows and no one selected lr
+        raise ConfigError(where, "learning rates must differ")
     return grid
 
 

@@ -4,10 +4,11 @@ Labels are dense integers in ``[0, C)``; loaders reject sparse label sets
 because downstream flip-probability tables index rows by label.  Datasets
 are immutable after construction and safe for concurrent reads.
 
-CSV is the import format for user data.  Pipeline stages hand datasets to
-each other as ``.npy`` files (:func:`save_npy` / :func:`load_npy`): four
-consecutive arrays in NumPy's own format, written without pickling, so a
-file's bytes are a function of the dataset alone.
+CSV is the import format for user data.  The noise stage hands the train
+stage its noisy training set and its test set as ``.npy`` files
+(:func:`save_npy` / :func:`load_npy`): four consecutive arrays in NumPy's
+own format, written without pickling, so a file's bytes are a function of
+the dataset alone.
 """
 
 from __future__ import annotations

@@ -26,6 +26,8 @@ SCHEME_QUANTITY = "quantity-skew"
 SCHEME_LABEL_DIR = "label-dir"
 SCHEME_LABEL_QUANTITY = "label-quantity"
 SCHEMES = (SCHEME_IID, SCHEME_QUANTITY, SCHEME_LABEL_DIR, SCHEME_LABEL_QUANTITY)
+# the one parameter each scheme takes, if any
+SCHEME_PARAM = {SCHEME_IID: None, SCHEME_QUANTITY: "alpha", SCHEME_LABEL_DIR: "alpha", SCHEME_LABEL_QUANTITY: "c"}
 
 # Redraw budget when a sampled share vector leaves a client empty.  Dirichlet
 # shares at small alpha are sparse enough that floor(q_k*N) = 0 happens for
@@ -82,7 +84,7 @@ class PartitionPlan:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Scheme tag plus its parameter (Dirichlet alpha or classes-per-client c)."""
+    """Scheme tag plus its parameter (Dirichlet alpha or classes-per-client c); a parameter it does not take is an error."""
 
     scheme: str
     alpha: float | None = None
@@ -91,6 +93,9 @@ class PartitionSpec:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown partition scheme {self.scheme!r}; must be one of {list(SCHEMES)}")
+        stray = [name for name in ("alpha", "c") if name != SCHEME_PARAM[self.scheme] and getattr(self, name) is not None]
+        if stray:
+            raise ValueError(f"scheme {self.scheme} takes no {' or '.join(stray)}")
         if self.scheme in (SCHEME_QUANTITY, SCHEME_LABEL_DIR) and (self.alpha is None or not self.alpha > 0):
             raise ValueError(f"scheme {self.scheme} requires alpha > 0")
         if self.scheme == SCHEME_LABEL_QUANTITY and (self.c is None or self.c < 1):

@@ -4,6 +4,7 @@ import ast
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib
 import io
@@ -220,7 +221,7 @@ class TestResume:
         config, out = write_config(tmp_path)
         assert main(["pipeline", "-c", config]) == 0
         expected = tree(out)
-        assert len(manifests(out)) == 4
+        assert len(manifests(out)) == 3
         for rel in manifests(out):
             path = os.path.join(out, rel)
             with open(path, "r+b") as fh:
@@ -264,13 +265,22 @@ class TestResume:
             assert tree(out) == expected, k
 
     def test_csv_era_directory_is_redone(self, tmp_path, monkeypatch):
-        """A directory the CSV-intermediate version wrote reruns into the tree of a fresh run."""
+        """A directory the CSV-intermediate version wrote reruns into the tree of a fresh run.
+
+        That version also ran a dataset stage, since retired: its dataset.csv and manifest
+        belong to no stage, so they stay and run.json indexes them.
+        """
         config, out = write_config(tmp_path)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "__version__", "0.1.0")
             patch.setattr(cli, "save_npy", save_csv)
             patch.setattr(cli, "load_npy", lambda path: load_csv(path, "label"))
             assert main(["pipeline", "-c", config]) == 0
+            cfg = load_config(config, {})
+            train, _ = cfg.dataset.materialize()
+            key = {"config_digest": cli.config_digest(cfg), "inputs": {}}
+            writers = {"dataset.npy": functools.partial(save_csv, train)}
+            cli.run_stage("dataset", out, "dataset_manifest.json", key, lambda: ({}, writers))
         for rel in tree(out):
             path = os.path.join(out, rel)
             if rel.endswith(".npy"):
@@ -285,7 +295,27 @@ class TestResume:
         assert main(["pipeline", "-c", config]) == 0
         fresh_config, fresh = write_config(tmp_path, "fresh")
         assert main(["pipeline", "-c", fresh_config]) == 0
-        assert tree(out) == tree(fresh)
+        redone, expected = tree(out), tree(fresh)
+        leftovers = ["dataset.csv", "dataset_manifest.json"]
+        kept = {rel: data for rel, data in redone.items() if rel not in leftovers and rel != "run.json"}
+        assert kept == {rel: data for rel, data in expected.items() if rel != "run.json"}
+        assert set(checked_index(out)) == set(json.loads(expected["run.json"])["artifacts"]) | set(leftovers)
+
+    def test_edited_csv_source_reruns_the_noise_stage(self, tmp_path):
+        """The noise stage's inputs are the hashes of the CSV files, so an edited file redoes it under the same config."""
+        path = str(tmp_path / "data.csv")
+        changes = {"dataset": {"csv": {"path": path, "label_column": "label"}}, "noise": {"scene": "realworld"}}
+        config, out = write_config(tmp_path, changes=changes)
+        runs = []
+        for seed in (1, 2):
+            save_csv(make_synthetic_blobs(3, 30, 4, 3.0, seed=seed), path)
+            assert main(["noise", "-c", config]) == 0
+            runs.append(tree(out))
+        assert json.loads(runs[1]["noise_manifest.json"])["inputs"] == {"path": sha256_file(path)}
+        fresh_config, fresh = write_config(tmp_path, "fresh", changes=changes)
+        assert main(["noise", "-c", fresh_config]) == 0
+        assert runs[1] != runs[0]
+        assert runs[1] == tree(fresh)
 
     def test_version_0_4_directory_is_redone(self, tmp_path, monkeypatch):
         """A 0.4.0 tree, whose noise manifest records no partition, reruns every stage and then analyzes.
@@ -312,7 +342,7 @@ class TestResume:
         redone, expected = tree(out), tree(fresh)
         leftovers = sorted(rel for rel in redone if rel.startswith("analysis" + os.sep))
         assert len(leftovers) == 3
-        # every manifest now says 0.5.0 and equals a fresh run's, so every stage ran again
+        # every manifest now records this version and equals a fresh run's, so every stage ran again
         kept = {rel: data for rel, data in redone.items() if rel not in leftovers and rel != "run.json"}
         assert kept == {rel: data for rel, data in expected.items() if rel != "run.json"}
         indexed = checked_index(out)
@@ -368,28 +398,19 @@ class TestExitCodes:
             fh.truncate(os.path.getsize(path) // 2)
         assert main(["train", "-c", config]) == 3
 
-    @pytest.mark.parametrize(
-        "command, name",
-        [
-            ("pipeline", "test_dataset.npy"),
-            ("train", "test_dataset.npy"),
-            ("pipeline", "dataset.npy"),
-            ("noise", "dataset.npy"),
-        ],
-        ids=["pipeline", "train", "pipeline-dataset", "noise-dataset"],
-    )
-    def test_dataset_manifest_without_the_test_set_exits_3(self, tmp_path, capsys, command, name):
-        """The skip rule passes a manifest whose listed outputs are intact, so each stage checks what it reads."""
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    def test_noise_manifest_without_the_test_set_exits_3(self, tmp_path, capsys, command):
+        """The skip rule passes a manifest whose listed outputs are intact, so the train stage checks what it reads."""
         config, out = write_config(tmp_path)
         assert main(["pipeline", "-c", config]) == 0
-        path = os.path.join(out, "dataset_manifest.json")
+        path = os.path.join(out, "noise_manifest.json")
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        del doc["outputs"][name]
+        del doc["outputs"]["test_dataset.npy"]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert main([command, "-c", config]) == 3
-        assert f"dataset_manifest.json records no {name}" in capsys.readouterr().err
+        assert "noise_manifest.json records no test_dataset.npy" in capsys.readouterr().err
 
     def test_train_without_noise_stage_exits_3(self, tmp_path):
         config, _ = write_config(tmp_path)
@@ -587,7 +608,7 @@ class TestExitCodes:
             ("train/run_manifest.json", "summary.0.mean_accuracy", math.inf),
             ("noise_manifest.json", "eps_min", math.nan),
             ("noise_manifest.json", "eps_max", math.inf),
-            # a bool passes every range check of a number, and a stray c is not read by label-dir
+            # a bool passes every range check of a number, and label-dir takes no c
             ("train/run_manifest.json", "summary.0.mean_accuracy", True),
             ("noise_manifest.json", "partition.alpha", True),
             ("noise_manifest.json", "partition.c", "x"),
@@ -632,7 +653,7 @@ class TestArtifacts:
         with open(os.path.join(out, "noise_manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         cfg = load_config(config, {})
-        ds = load_npy(os.path.join(out, "dataset.npy"))
+        ds, _ = cfg.dataset.materialize()
         _, _, report = run_scene(ds, cfg.noise, cfg.federation.num_clients, cfg.partition)
         spec = {
             "scene": cfg.noise.scene,
@@ -648,7 +669,7 @@ class TestArtifacts:
         assert {k: manifest[k] for k in spec} == spec
         assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
         assert manifest["stage"] == "noise"
-        assert set(manifest["outputs"]) == {"plan.json", "client_histograms.csv", "noisy_dataset.npy"}
+        assert set(manifest["outputs"]) == {"plan.json", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"}
 
     def test_noise_manifest_without_ground_truth_has_the_report_keys(self, tmp_path):
         """Real-world data without true labels records every report field, empty, and no other key."""
@@ -687,7 +708,6 @@ class TestArtifacts:
 # the manifest fields analyze reads from a SMALL run (localized noise, label-dir split); the
 # seed manifests and the noise report are not read, and overall_ratio only in the real-world scene
 READ_FIELDS = {
-    "dataset_manifest.json": ["version", "config_digest", "outputs"],
     "noise_manifest.json": [
         "version", "config_digest", "outputs", "scene", "mode", "eps_global", "eps_min", "eps_max",
         "partition", "partition.scheme", "partition.alpha", "partition.c",
@@ -806,12 +826,12 @@ class TestAnalyze:
 
 
 def client_counts(out: str) -> str:
-    """client_histograms.csv text recounted from dataset.npy over the clients of plan.json."""
-    ds = load_npy(os.path.join(out, "dataset.npy"))
+    """client_histograms.csv text recounted from the true labels of noisy_dataset.npy over the clients of plan.json."""
+    ds = load_npy(os.path.join(out, "noisy_dataset.npy"))
     plan = load_plan(os.path.join(out, "plan.json"))
     lines = [",".join(["client"] + [f"class_{c}" for c in range(ds.num_classes)])]
     for k, idx in enumerate(plan.clients):
-        counts = np.bincount(ds.labels[idx], minlength=ds.num_classes)
+        counts = np.bincount(ds.true_labels[idx], minlength=ds.num_classes)
         lines.append(",".join(str(v) for v in [k, *counts]))
     return "\n".join(lines) + "\n"
 
@@ -831,7 +851,7 @@ class TestSplit:
         config, out = write_config(tmp_path, changes=changes)
         assert main(["partition", "-c", config]) == 0
         printed = capsysbinary.readouterr().out
-        assert not os.path.exists(os.path.join(out, "plan.json"))
+        assert not os.path.exists(out)
         assert main(["noise", "-c", config]) == 0
         with open(os.path.join(out, "client_histograms.csv"), "rb") as fh:
             assert printed == fh.read()

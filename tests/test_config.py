@@ -127,6 +127,9 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
         (("noise", "asym_map"), {"01": 0, "0": 1}),
         (("noise", "asym_map"), {"\u0663": 0, "0": 1}),  # ARABIC-INDIC DIGIT THREE
         (("noise", "asym_map"), {"1": 2, "01": 0}),  # two spellings of class 1
+        # a repeated lr gives two summary rows; a parameter the scheme does not take is read by nothing
+        (("federation", "lr_grid"), [0.05, 0.05]),
+        (("partition",), {"scheme": "iid", "alpha": 0.5, "c": 7}),
     ],
 )
 def test_known_malformed_fields(path, value):

@@ -1,9 +1,9 @@
 """What the pipeline's stages hold in memory, and what they import.
 
 A stage holds at most one copy of the training features at a time: the
-dataset stage draws the blobs into the array it saves, the noise stage
-corrupts one client's shard at a time, and the train stage cuts each
-client's shard when the client trains.  The traced allocations of a stage
+noise stage draws the blobs into one array and corrupts the labels of one
+client's shard at a time, and the train stage cuts each client's shard
+when the client trains.  The traced allocations of a stage
 are measured with ``tracemalloc`` (numpy reports its array buffers to it)
 from the stage's start, on a wide config where the features dominate every
 other allocation.
@@ -48,7 +48,7 @@ def test_each_stage_holds_one_copy_of_the_features(tmp_path):
     tracemalloc.start()
     try:
         # each stage runs after the one before it finished, so it does only its own work
-        for stage in (cli._dataset_stage, cli.cmd_noise, cli.cmd_train):
+        for stage in (cli.cmd_noise, cli.cmd_train):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             stage(cfg)
