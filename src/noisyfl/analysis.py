@@ -16,12 +16,8 @@ from .federation import RoundRecord
 
 
 def last_k_average(records: list[RoundRecord], k: int) -> float:
-    """Mean test accuracy over the final k evaluated rounds."""
+    """Mean test accuracy over the final k >= 1 evaluated rounds; ``records`` holds at least k."""
     evaluated = [r.test_accuracy for r in records if r.test_accuracy is not None]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(evaluated) < k:
-        raise ValueError(f"need {k} evaluated rounds, have {len(evaluated)}")
     return float(np.mean(evaluated[-k:]))
 
 
@@ -33,9 +29,7 @@ def accuracy_drop_ratio(acc_iid: float, acc_noniid: float) -> float:
 
 
 def sensitivity(acc_at_eps: float, acc_at_eps_plus_delta: float, delta: float) -> float:
-    """(acc(eps) - acc(eps+delta)) / delta; sign is not clamped."""
-    if not delta > 0:
-        raise ValueError("delta must be > 0")
+    """(acc(eps) - acc(eps+delta)) / delta for delta > 0; sign is not clamped."""
     return (acc_at_eps - acc_at_eps_plus_delta) / delta
 
 

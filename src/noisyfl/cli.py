@@ -23,7 +23,8 @@ manifest.
   got back from that stage, and ``run.json`` takes each digest from the
   manifest that records the file; only files no manifest lists (the
   manifests themselves, leftovers of older versions) are hashed for it.
-  ``train`` run on its own re-checks the noise stage from disk.
+  ``train`` run on its own re-checks the noise stage from disk, under
+  the key its skip rule compares, CSV source digests included.
 
 The noise stage materializes the dataset, runs the configured scene once
 and is the one writer of the client split and of what train reads:
@@ -45,7 +46,11 @@ parameter, scene/mode, nominal noise ratio); its accuracy is the mean
 last-k accuracy of the selected lr.
 
 Exit codes: 0 success, 2 config validation, 3 artifact mismatch,
-4 numerical abort, 1 anything else.
+4 numerical abort, 1 anything else (an unreadable file, or memory that
+runs out).  A CSV dataset is part of the config: a file that does not
+parse, labels that are not contiguous from 0, or a test set whose width
+or classes the training set does not share exit 2 at the CSV's config
+field, before any stage writes.
 """
 
 from __future__ import annotations
@@ -199,22 +204,6 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
     return doc
 
 
-def _recorded_inputs(doc: dict, manifest: str, needs: tuple[str, ...], consumer: str) -> dict:
-    """The digests ``manifest`` records for ``needs``; the skip rule passes a manifest that lost one, so check here."""
-    missing = [name for name in needs if name not in doc["outputs"]]
-    if missing:
-        raise ArtifactMismatchError(f"{consumer}: {manifest} records no {', '.join(missing)}")
-    return {name: doc["outputs"][name] for name in needs}
-
-
-def require_stage(base_dir: str, manifest: str, digest: str, consumer: str) -> dict:
-    """Manifest of an upstream stage that finished under ``digest`` with intact outputs."""
-    doc, why = _finished(base_dir, manifest, {"version": __version__, "config_digest": digest})
-    if doc is None:
-        raise ArtifactMismatchError(f"{consumer}: {why}; run the stage that writes it first")
-    return doc
-
-
 # ---------------------------------------------------------------- stages
 
 def _split(cfg: RunConfig):
@@ -249,15 +238,20 @@ def cmd_partition(cfg: RunConfig) -> None:
     print_csv(*_histograms(ds, plan))
 
 
+def _noise_key(cfg: RunConfig) -> dict:
+    """The key of the noise stage's skip rule: stage, version, config digest and the sha256 of a CSV dataset's files."""
+    params = cfg.dataset.params
+    sources = {}
+    if cfg.dataset.source == "csv":
+        sources = {field: sha256_file(params[field]) for field in ("path", "test_path") if params.get(field)}
+    return {"stage": "noise", "version": __version__, "config_digest": config_digest(cfg), "inputs": sources}
+
+
 def cmd_noise(cfg: RunConfig) -> dict:
     """Run the configured noise scene; write the plan, its histograms, the noisy dataset and the test set.
 
     Returns the verified noise manifest.
     """
-    params = cfg.dataset.params
-    sources = {}
-    if cfg.dataset.source == "csv":
-        sources = {field: sha256_file(params[field]) for field in ("path", "test_path") if params.get(field)}
 
     def produce():
         ds, test, plan, noisy, report = _split(cfg)
@@ -276,8 +270,7 @@ def cmd_noise(cfg: RunConfig) -> dict:
             writers["test_dataset.npy"] = functools.partial(save_npy, test)
         return fields, writers
 
-    key = {"config_digest": config_digest(cfg), "inputs": sources}
-    return run_stage("noise", cfg.output_dir, "noise_manifest.json", key, produce)
+    return run_stage("noise", cfg.output_dir, "noise_manifest.json", _noise_key(cfg), produce)
 
 
 def _noise_ratio_estimate(manifest: dict) -> float:
@@ -291,9 +284,25 @@ def _noise_ratio_estimate(manifest: dict) -> float:
     return 0.0
 
 
-def _train_inputs(noise: dict, consumer: str) -> dict:
-    """The input hashes of the train stage, as the noise manifest records them."""
-    return _recorded_inputs(noise, "noise_manifest.json", ("noisy_dataset.npy", "plan.json", "test_dataset.npy"), consumer)
+TRAIN_INPUTS = ("noisy_dataset.npy", "plan.json", "test_dataset.npy")
+
+
+def _train_inputs(base_dir: str, consumer: str, noise: dict | None, key: dict | None) -> tuple[dict, dict]:
+    """The noise manifest, and the digests it records for ``TRAIN_INPUTS``: the train stage's inputs.
+
+    ``noise`` is the manifest the noise stage just returned.  Without it, the
+    manifest on disk must record ``key`` and intact outputs: it must be one
+    that the noise stage's skip rule would keep.  That rule passes a
+    manifest that lost one of its outputs, so a missing input is checked here.
+    """
+    if noise is None:
+        noise, why = _finished(base_dir, "noise_manifest.json", key)
+        if noise is None:
+            raise ArtifactMismatchError(f"{consumer}: {why}; run the noise stage first")
+    missing = [name for name in TRAIN_INPUTS if name not in noise["outputs"]]
+    if missing:
+        raise ArtifactMismatchError(f"{consumer}: noise_manifest.json records no {', '.join(missing)}")
+    return noise, {name: noise["outputs"][name] for name in TRAIN_INPUTS}
 
 
 def _recorded(out: str, base_dir: str, manifest: dict) -> dict:
@@ -324,18 +333,17 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
 
     Builds on the verified outputs of the noise stage: those of the
     ``noise`` manifest that :func:`cmd_noise` returned, or else those
-    recorded on disk.  Each repeat is a stage of its own, so an
-    interrupted sweep resumes at the first repeat that did not finish.
+    recorded on disk by a noise stage that ran under the same key.  Each
+    repeat is a stage of its own, so an interrupted sweep resumes at the
+    first repeat that did not finish.
     Returns the digests the train and seed manifests record, by path
     under the output directory.
     """
     if cfg.dataset.source == "csv" and not cfg.dataset.params.get("test_path"):
-        raise ConfigError("dataset", "train stage requires a clean test set (test_per_class or test_path)")
+        raise ConfigError("dataset.csv.test_path", "missing; the train stage needs a clean test set")
     out = cfg.output_dir
-    digest = config_digest(cfg)
-    if noise is None:
-        noise = require_stage(out, "noise_manifest.json", digest, "train")
-    key = {"config_digest": digest, "inputs": _train_inputs(noise, "train")}
+    noise, inputs = _train_inputs(out, "train", noise, _noise_key(cfg) if noise is None else None)
+    key = {"config_digest": config_digest(cfg), "inputs": inputs}
 
     @functools.cache
     def load_inputs():
@@ -406,8 +414,9 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
     train, why = _finished(os.path.join(run_dir, "train"), "run_manifest.json", train_key)
     if train is None:
         raise ArtifactMismatchError(f"{where}: {why}")
-    noise = require_stage(run_dir, "noise_manifest.json", train.get("config_digest"), where)
-    if train.get("inputs") != _train_inputs(noise, where):
+    noise_key = {"stage": "noise", "version": __version__, "config_digest": train.get("config_digest")}
+    noise, inputs = _train_inputs(run_dir, where, None, noise_key)
+    if train.get("inputs") != inputs:
         raise ArtifactMismatchError(f"{where}: run_manifest.json records other inputs than the noise stage wrote")
     try:
         spec = PartitionSpec(**{f.name: noise["partition"][f.name] for f in dataclasses.fields(PartitionSpec)})
@@ -600,6 +609,9 @@ def main(argv=None) -> int:
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except (NoisyFLError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

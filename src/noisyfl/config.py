@@ -24,7 +24,7 @@ import math
 
 from . import rng
 from .datasets import LabeledDataset, load_csv, make_synthetic_blobs
-from .errors import ConfigError
+from .errors import ConfigError, LabelRangeError, ParseError
 from .federation import FedConfig
 from .localtrain import TrainerConfig
 from .models import Layout, LinearSoftmaxLayout, MLPLayout
@@ -182,16 +182,39 @@ class DatasetConfig:
     params: dict
 
     def materialize(self) -> tuple[LabeledDataset, LabeledDataset | None]:
-        """Build (train, test) datasets; test is None when not configured."""
+        """Build (train, test) datasets; test is None when not configured.
+
+        A CSV file is read here, where it enters: one that is no dataset,
+        or a test set whose width or classes the training set lacks, is a
+        ConfigError at its field.
+        """
         p = self.params
         if self.source == "synthetic":
             blobs = {field: p[field] for field in ("num_classes", "dim", "separation")}
             train = make_synthetic_blobs(per_class=p["per_class"], seed=p["seed"], **blobs)
             test = make_synthetic_blobs(per_class=p["test_per_class"], seed=rng.derive_seed(p["seed"], "test"), **blobs)
             return train, test
-        train = load_csv(p["path"], p["label_column"])
-        test = load_csv(p["test_path"], p["label_column"]) if p.get("test_path") else None
+        train = _read_csv(p, "path")
+        if not p.get("test_path"):
+            return train, None
+        test = _read_csv(p, "test_path")
+        if test.dim != train.dim:
+            raise _csv_error(p, "test_path", f"{test.dim} features, but the training set has {train.dim}")
+        if test.num_classes > train.num_classes:
+            classes = f"{test.num_classes} classes, but the training set has {train.num_classes}"
+            raise _csv_error(p, "test_path", classes)
         return train, test
+
+
+def _csv_error(params: dict, field: str, message: str) -> ConfigError:
+    return ConfigError(f"dataset.csv.{field}", f"{params[field]}: {message}")
+
+
+def _read_csv(params: dict, field: str) -> LabeledDataset:
+    try:
+        return load_csv(params[field], params["label_column"])
+    except (ParseError, LabelRangeError) as exc:
+        raise _csv_error(params, field, str(exc)) from None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -98,16 +98,9 @@ def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation:
     Deterministic for fixed arguments; ``true_labels`` equals ``labels``
     since the construction is clean.  The features are drawn into one
     (N, dim) array and shifted to their class means in place, so the
-    dataset is the only feature-sized array made.
+    dataset is the only feature-sized array made.  The config checks the
+    arguments (``config._dataset``).
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not separation > 0:
-        raise ValueError("separation must be > 0")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     means = _blob_means(num_classes, dim, separation)
     features = rng.stream(seed, "blobs").standard_normal((len(labels), dim))
@@ -278,7 +271,4 @@ def load_npy(path: str) -> LabeledDataset:
 
 def class_histogram(ds: LabeledDataset, indices) -> np.ndarray:
     """Per-class counts (int64, length C) of the observed labels at ``indices``."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= len(ds)):
-        raise IndexError(f"index out of range for dataset of size {len(ds)}")
-    return np.bincount(ds.labels[idx], minlength=ds.num_classes)
+    return np.bincount(ds.labels[indices], minlength=ds.num_classes)

@@ -11,11 +11,11 @@ class NoisyFLError(Exception):
 
 
 class ConfigError(NoisyFLError):
-    """Invalid run configuration; message carries the offending field path."""
+    """Invalid run configuration; message carries the offending field path ("" for the whole document)."""
 
     def __init__(self, field: str, message: str):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
 
 
 class ParseError(NoisyFLError):
@@ -41,14 +41,6 @@ class DegeneratePartitionError(NoisyFLError):
 
 class CoverageInfeasibleError(NoisyFLError):
     """label-quantity cannot give each client c classes and cover every class (c > C or K*c < C)."""
-
-
-class LabelNotInMatrixError(NoisyFLError):
-    """Dataset contains a label outside the transition matrix's class set."""
-
-
-class LayoutMismatchError(NoisyFLError):
-    """Model parameter vectors with incompatible layouts were combined."""
 
 
 class ArtifactMismatchError(NoisyFLError):

@@ -5,12 +5,11 @@ named stream so that stubbing the mixing coefficient to 1 reproduces the
 plain-CE trajectory bit for bit.  One call trains one client for E epochs
 and is single-threaded and deterministic.
 
-Every method runs through one epoch/batch loop, :func:`_train`.  It checks
-the dataset against the layout once, then holds the networks it trains as
-one stack (one network, or co-teaching's two as the rows of an (S, P)
-array) with one ``models.Workspace`` bound to it and sized to the batch,
-for the whole call.  A method is a batch rule that takes the stack's
-gradient through the checked entries ``losses.backward`` (or, for
+Every method runs through one epoch/batch loop, :func:`_train`.  It holds
+the networks it trains as one stack (one network, or co-teaching's two as
+the rows of an (S, P) array) with one ``models.Workspace`` bound to it and
+sized to the batch, for the whole call.  A method is a batch rule that
+takes the stack's gradient through ``losses.backward`` (or, for
 co-teaching, ``models.forward_cached`` and ``losses.backward_cached``),
 which bind nothing anew for the bound stack; the loop then takes one
 momentum-SGD step (:func:`sgd_step`) per batch for the whole stack, in
@@ -35,7 +34,6 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .errors import LayoutMismatchError
 from .losses import LOSS_KINDS, _per_sample, backward, backward_cached, one_hot
 from .models import ModelParams, Workspace, forward_cached
 
@@ -117,8 +115,6 @@ def sgd_step(
     training step allocates nothing; ``values`` and ``grad`` are only read.
     Weight decay is folded into ``grad`` by the loss backward, not here.
     """
-    if grad.shape != values.shape or velocity.shape != values.shape:
-        raise ValueError("grad/velocity shape must match parameter shape")
     velocity *= momentum
     velocity += grad
     np.multiply(velocity, lr, out=out)
@@ -151,8 +147,9 @@ def _train(
     The S networks (S = 1, or 2 for co-teaching) train as one stack: a
     copy of their start parameters, as the rows of an (S, P) array for
     S > 1, with one velocity of that shape and one workspace bound to it
-    for the whole call, sized to the largest batch.  The dataset's width is
-    checked against the layout here, once, before any step.
+    for the whole call, sized to the largest batch.  ``ds`` is a client's
+    shard, never empty (the split gives every client a sample), and the
+    layout is built from the data's width.
     ``batch_rule(stack, work, x, y)`` runs the backward of every network on
     the batch and returns one ``LossOutput`` whose ``grad`` is shaped like
     the stack and whose ``value`` is the batch loss.  The loop then takes
@@ -165,11 +162,7 @@ def _train(
     and raises ``FloatingPointError``.  Returns the trained networks in the
     order of ``start`` and the call's :class:`TrainStats`.
     """
-    if len(ds) == 0:
-        raise ValueError("cannot train on an empty dataset")
     layout = start[0].layout
-    if ds.features.shape[1] != layout.dim:
-        raise LayoutMismatchError(f"dataset of width {ds.features.shape[1]} does not match layout dim {layout.dim}")
     if len(start) == 1:
         stack = start[0].copy()
     else:
@@ -214,8 +207,6 @@ def train_local(
     buffers.  Co-teaching needs two models; use
     :func:`train_local_coteaching`.
     """
-    if cfg.method == "coteaching":
-        raise ValueError("co-teaching trains two models; call train_local_coteaching")
     targets = None
     if cfg.method == "mixup":
         mix_alpha = cfg.method_params["alpha"]
@@ -277,8 +268,6 @@ def train_local_coteaching(
     matmul, which can differ in the last bits from a pass over the kept
     rows alone.
     """
-    if params_a.layout != params_b.layout:
-        raise ValueError("co-teaching networks must share a layout")
     keep_fraction = coteaching_keep_fraction(round_t, cfg.method_params["forget_rate"], cfg.method_params["ramp_rounds"])
 
     def cross_update(stack, work, x, y):

@@ -13,10 +13,9 @@ its probabilities into d(mean loss)/d(logits) in place; :func:`backward`
 is ``forward_cached`` followed by it, and is the step of every method but
 co-teaching.  Bound to a stack of networks, they compute every network's
 loss over the stack's rows as one block and backpropagate once for all.
-Their checks take constant time, and binding a workspace to the network
-it already holds is a no-op, so a training step recomputes no weight
-view.  The gradient they return is a view of the workspace's buffers,
-valid until its next pass.  Co-teaching takes its update loss from the
+Binding a workspace to the network it already holds is a no-op, so a
+training step recomputes no weight view.  The gradient they return is a
+view of the workspace's buffers, valid until its next pass.  Co-teaching takes its update loss from the
 pass that ranked the batch, as in Han et al.'s reference implementation
 (arXiv 1804.06872).
 """
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutMismatchError
 from .models import ModelParams, Workspace, forward_cached
 
 LOSS_KINDS = ("ce", "sce", "gce", "mae", "soft_ce")
@@ -40,7 +38,7 @@ class LossOutput:
     """Mean loss value and the flat gradient; each row's loss stays in the workspace's ``per_sample``.
 
     Not frozen: training builds one per step, and a frozen dataclass's
-    ``__init__`` costs about as much as the step's checks together.
+    ``__init__`` is slower.
     """
 
     value: float
@@ -74,8 +72,6 @@ def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict | Non
         terms *= labels
         np.negative(np.add.reduce(terms, axis=1, out=out), out=out)
         return None
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
     p_label = probs[row_ids, labels]
     if kind == "ce" or kind == "sce":  # -log p_y, with log(0) floored
         np.negative(np.log(np.maximum(p_label, _LOG_FLOOR, out=out), out=out), out=out)
@@ -155,8 +151,6 @@ def backward_cached(
     gradient is that of its own batch mean.  ``value`` is then the mean of
     the networks' batch means.  The backpropagation runs with ``params``.
     """
-    if work.layout is not params.layout and work.layout != params.layout:
-        raise LayoutMismatchError("workspace layout does not match the parameters")
     work.bind(params)
     b = work.x.shape[-2]  # rows per network
     n = work.networks * b

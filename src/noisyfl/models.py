@@ -10,7 +10,7 @@ the values, so a step runs its kernels in place and recomputes no view.
 Each kernel of a pass runs once for the whole stack, so co-teaching's two
 networks cost one pass's dispatch.  What a pass returns is a view of the
 workspace's buffers and holds until its next pass.  :func:`forward_cached`
-is the checked entry over :meth:`Workspace.forward`, and every pass runs in
+binds a network and runs :meth:`Workspace.forward`, and every pass runs in
 a workspace its caller made; the loss-specific part of the hand-derived
 gradient is in losses.py.
 """
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import LayoutMismatchError
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,8 @@ class Workspace:
     network's values are bound anew.  :meth:`forward` and :meth:`backprop`
     run only their kernels: they take the rows as given (float64,
     ``layout.dim`` columns, at most ``rows`` of them).  :func:`forward_cached`
-    and ``losses.backward`` are the checked entries over them; each checks
-    its input in constant time and binds the network it is given.
+    and ``losses.backward`` bind the network they are given and run them;
+    their callers size the workspace and the data, so nothing checks again.
 
     Buffers: ``probs`` holds the logits, then the probabilities, then
     d(mean loss)/d(logits); ``per_sample``, ``row_scale`` and ``row_stat``
@@ -224,10 +223,6 @@ class Workspace:
         """Compute with ``params`` from the next pass on (its layout and shape must be this workspace's)."""
         if self.values is params.values:
             return
-        if params.values.shape != self.grad.shape:
-            raise LayoutMismatchError(
-                f"parameters of shape {params.values.shape} do not fit a workspace for {self.grad.shape}"
-            )
         self.values = params.values
         views = _layer_views(self.layout, params.values)
         if self.mlp:
@@ -247,7 +242,7 @@ class Workspace:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probability rows of the bound networks for ``x``: a view of ``probs``, network after network."""
-        b = len(x)
+        b, _ = x.shape  # (b, d): another rank fails here, not in a broadcast
         logits = self._block(self.probs, b)
         if self.mlp:
             hidden = self._block(self.hidden, b)
@@ -326,21 +321,15 @@ class Workspace:
 
 
 def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace) -> np.ndarray:
-    """Checked forward pass into ``work``; returns the probability rows.
+    """Forward pass into ``work``; returns the probability rows.
 
-    ``work`` is bound to ``params`` first.  For a stack of S networks every
-    network sees the rows of ``x``, and the S*len(x) returned rows are
-    network after network.  The returned rows alias ``work.probs``; the
-    workspace also keeps what backward needs (``x`` and ``hidden``).
+    ``work`` is bound to ``params`` first; it must be made for their layout
+    and shape, and hold at least ``len(x)`` rows of ``layout.dim`` features.
+    For a stack of S networks every network sees the rows of ``x``, and the
+    S*len(x) returned rows are network after network.  The returned rows
+    alias ``work.probs``; the workspace also keeps what backward needs
+    (``x`` and ``hidden``).
     """
-    x = np.asarray(x, dtype=np.float64)
-    layout = params.layout
-    if x.ndim != 2 or x.shape[1] != layout.dim:
-        raise LayoutMismatchError(f"input of shape {x.shape} does not match layout dim {layout.dim}")
-    if work.layout is not layout and work.layout != layout:
-        raise LayoutMismatchError("workspace layout does not match the parameters")
-    if len(x) > work.rows:
-        raise ValueError(f"batch of {len(x)} rows exceeds the workspace's {work.rows}")
     work.bind(params)
     return work.forward(x)
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .errors import LabelNotInMatrixError
 from .partition import PartitionPlan, PartitionSpec, make_partition
 from .partition import restrict  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
 
@@ -36,47 +35,23 @@ MODE_ASYMMETRIC = "asymmetric"
 MODE_NONE = "none"
 MODES = (MODE_SYMMETRIC, MODE_ASYMMETRIC, MODE_NONE)
 
-ROW_SUM_TOL = 1e-12
+def symmetric_matrix(num_classes: int, eps: float) -> np.ndarray:
+    """Uniform corruption: diagonal 1-eps, every off-diagonal eps/(C-1).
 
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic table of flip probabilities P(observed=j | true=i)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if probs.min() < 0.0 or probs.max() > 1.0:
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.abs(probs.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise ValueError("transition matrix rows must sum to 1")
-
-    @property
-    def size(self) -> int:
-        return self.probs.shape[0]
-
-
-def symmetric_matrix(num_classes: int, eps: float) -> TransitionMatrix:
-    """Uniform corruption: diagonal 1-eps, every off-diagonal eps/(C-1)."""
-    if num_classes < 2:
-        raise ValueError("symmetric noise needs at least 2 classes")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    Returns the row-stochastic (C, C) table of flip probabilities
+    P(observed=j | true=i).
+    """
     probs = np.full((num_classes, num_classes), eps / (num_classes - 1), dtype=np.float64)
     np.fill_diagonal(probs, 1.0 - eps)
-    return TransitionMatrix(probs=probs)
+    return probs
 
 
-def asymmetric_matrix(num_classes: int, eps: float, target_map: dict[int, int]) -> TransitionMatrix:
-    """Pairwise flipping: row i keeps 1-eps and sends eps to target_map[i]."""
-    if num_classes < 2:
-        raise ValueError("asymmetric noise needs at least 2 classes")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+def asymmetric_matrix(num_classes: int, eps: float, target_map: dict[int, int]) -> np.ndarray:
+    """Pairwise flipping: row i keeps 1-eps and sends eps to target_map[i].
+
+    A config's ``asym_map`` reaches this table, so the map is checked here:
+    it must send every class to another class.
+    """
     probs = np.zeros((num_classes, num_classes), dtype=np.float64)
     for i in range(num_classes):
         if i not in target_map:
@@ -88,7 +63,7 @@ def asymmetric_matrix(num_classes: int, eps: float, target_map: dict[int, int]) 
             raise ValueError(f"target_map[{i}] maps a class to itself")
         probs[i, i] = 1.0 - eps
         probs[i, j] += eps
-    return TransitionMatrix(probs=probs)
+    return probs
 
 
 def cyclic_target_map(num_classes: int) -> dict[int, int]:
@@ -180,23 +155,21 @@ class NoiseReport:
         }
 
 
-def apply_noise(labels: np.ndarray, num_classes: int, matrix: TransitionMatrix, seed: int) -> np.ndarray:
-    """Independently redraw each of ``labels`` (ids below ``num_classes``) from its transition row.
+def apply_noise(labels: np.ndarray, probs: np.ndarray, seed: int) -> np.ndarray:
+    """Independently redraw each of ``labels`` from its row of the flip table ``probs``.
 
     Sample n's flip consumes exactly the n-th uniform of the flip stream,
     so the outcome is a function of (seed, n) alone and growing the label
     vector never perturbs earlier samples.  Returns the noisy labels as a
     new int64 vector; ``labels`` is only read.
     """
-    if matrix.size < num_classes:
-        raise LabelNotInMatrixError(f"matrix over {matrix.size} classes cannot corrupt labels of {num_classes} classes")
     u = rng.stream(seed, "flip").random(len(labels))
-    cdf = np.cumsum(matrix.probs, axis=1)
+    cdf = np.cumsum(probs, axis=1)
     noisy = np.empty(len(labels), dtype=np.int64)
     for r in np.flatnonzero(np.bincount(labels)):
         mask = labels == r
         noisy[mask] = np.searchsorted(cdf[r], u[mask], side="right")
-    np.clip(noisy, 0, matrix.size - 1, out=noisy)
+    np.clip(noisy, 0, len(probs) - 1, out=noisy)
     return noisy
 
 
@@ -222,7 +195,7 @@ def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps,
     )
 
 
-def _mode_matrix(num_classes: int, eps: float, mode: str, asym_map: dict[int, int] | None = None) -> TransitionMatrix:
+def _mode_matrix(num_classes: int, eps: float, mode: str, asym_map: dict[int, int] | None = None) -> np.ndarray:
     if mode == MODE_SYMMETRIC:
         return symmetric_matrix(num_classes, eps)
     return asymmetric_matrix(num_classes, eps, asym_map if asym_map is not None else cyclic_target_map(num_classes))
@@ -250,7 +223,7 @@ def run_scene(
     eps = None
     if spec.scene == SCENE_GLOBALIZED:
         matrix = _mode_matrix(ds.num_classes, spec.eps_global, spec.mode, spec.asym_map)
-        noisy = apply_noise(ds.labels, ds.num_classes, matrix, rng.derive_seed(spec.seed, "flip"))
+        noisy = apply_noise(ds.labels, matrix, rng.derive_seed(spec.seed, "flip"))
         ds = ds.with_labels(labels=noisy, true_labels=ds.labels.copy())
         eps = np.full(num_clients, spec.eps_global, dtype=np.float64)
     plan = make_partition(ds, num_clients, partition_spec, rng.derive_seed(spec.seed, "partition"))
@@ -264,7 +237,7 @@ def run_scene(
                 skipped.append(k)
                 continue
             matrix = _mode_matrix(len(classes), float(eps[k]), spec.mode)
-            flipped = apply_noise(positions, len(classes), matrix, rng.derive_seed(spec.seed, "flip", k))
+            flipped = apply_noise(positions, matrix, rng.derive_seed(spec.seed, "flip", k))
             labels[idx] = classes[flipped]
         ds = ds.with_labels(labels=labels, true_labels=ds.labels.copy())
     elif spec.scene == SCENE_CLEAN:

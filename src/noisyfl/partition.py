@@ -108,9 +108,7 @@ def _redraw(attempt: int) -> tuple:
 
 
 def _check_client_count(n: int, num_clients: int) -> None:
-    """Reject a client count that no draw can serve: below 1, or above the N samples."""
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
+    """Reject a client count that no draw can serve: above the N samples."""
     if n < num_clients:
         raise DegeneratePartitionError(f"{num_clients} clients cannot each get one of {n} samples")
 
@@ -139,8 +137,6 @@ def partition_quantity_skew(
     """
     n = len(ds)
     _check_client_count(n, num_clients)
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
         redraw = _redraw(attempt)
         q = np.asarray(sampler(rng.stream(seed, "quantity-shares", *redraw), alpha, num_clients), dtype=np.float64)
@@ -181,8 +177,6 @@ def partition_label_dirichlet(
     """
     n = len(ds)
     _check_client_count(n, num_clients)
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
     client_ids = np.arange(num_clients)
     classes = [(cls, np.flatnonzero(ds.labels == cls)) for cls in range(ds.num_classes)]
     classes = [(cls, members) for cls, members in classes if len(members)]
@@ -228,10 +222,6 @@ def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed:
     round-robin (ascending deficit, ties by client index).
     """
     num_classes = ds.num_classes
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    if c < 1:
-        raise ValueError("c must be >= 1")
     if c > num_classes:
         raise CoverageInfeasibleError(f"c = {c} classes per client exceeds the C = {num_classes} classes")
     if num_clients * c < num_classes:
@@ -285,8 +275,6 @@ def make_partition(ds: LabeledDataset, num_clients: int, spec: PartitionSpec, se
 
 def restrict(ds: LabeledDataset, plan: PartitionPlan, k: int) -> LabeledDataset:
     """Materialize client k's local dataset; the global class count is retained."""
-    if not 0 <= k < plan.num_clients:
-        raise IndexError(f"client index {k} out of range for {plan.num_clients} clients")
     idx = plan.clients[k]
     return LabeledDataset(
         features=ds.features[idx],

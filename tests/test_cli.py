@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noisyfl import cli
+from noisyfl import config as config_module
 from noisyfl import noise as noise_module
 from noisyfl.analysis import AccuracyTable, drop_ratio_series, sensitivity_series
 from noisyfl.cli import main, sha256_file
@@ -54,6 +55,9 @@ SMALL = {
 }
 
 GLOBALIZED = {"noise": {"scene": "globalized", "mode": "asymmetric", "eps_global": 0.3}}
+
+CSV_ROWS = "x0,x1,label\n0.5,1.0,0\n1.5,2.0,1\n2.5,3.0,2\n"  # three classes of two features
+CSV_FIVE_CLASSES = "x0,x1,label\n" + "".join(f"0.5,1.0,{c}\n" for c in range(5))
 
 
 def write_config(tmp_path, out="out", changes=None) -> tuple[str, str]:
@@ -515,6 +519,10 @@ class TestExitCodes:
                 },
                 "noise.asym_map: must map class ids to class ids",
             ),
+            (
+                {"noise": {**GLOBALIZED["noise"], "asym_map": {"0": 1, "1": 2, "2": 7}}},
+                "config error: noise.asym_map: target_map[2] = 7 out of range",
+            ),
         ],
         ids=[
             "gce-q-2",
@@ -530,6 +538,7 @@ class TestExitCodes:
             "string-lr",
             "bool-lr",
             "fractional-asym-map-target",
+            "asym-map-target-out-of-range",
         ],
     )
     def test_malformed_training_value_exits_2(self, tmp_path, capsys, changes, field):
@@ -633,10 +642,65 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith(f"artifact mismatch: analyze {run}: ") and err.count("\n") == 1
 
-    def test_config_that_is_not_json_exits_2(self, tmp_path):
+    def test_config_that_is_not_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"seed": ', encoding="utf-8")
         assert main(["pipeline", "-c", str(path)]) == 2
+        # the whole document is at fault, so no field path precedes the message
+        assert capsys.readouterr().err.startswith(f"config error: {path} is not a JSON document: ")
+
+    @pytest.mark.parametrize(
+        "train, test, field, message",
+        [
+            (CSV_ROWS, "x0,label\n0.5,0\n1.5,1\n", "test_path", "1 features, but the training set has 2"),
+            (CSV_ROWS, CSV_FIVE_CLASSES, "test_path", "5 classes, but the training set has 3"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,abc,1\n", CSV_ROWS, "path", "(row 3, column 'x1')"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,2\n2.5,3.0,0\n", CSV_ROWS, "path", "not contiguous from 0: missing [1]"),
+        ],
+        ids=["narrow-test-set", "extra-test-class", "unparseable-feature", "non-contiguous-labels"],
+    )
+    def test_malformed_dataset_exits_2_before_any_stage_writes(self, tmp_path, capsys, train, test, field, message):
+        """A CSV dataset is checked where it enters: one ConfigError at its field, whatever is wrong with it."""
+        paths = {"path": tmp_path / "train.csv", "test_path": tmp_path / "test.csv"}
+        paths["path"].write_text(train, encoding="utf-8")
+        paths["test_path"].write_text(test, encoding="utf-8")
+        dataset = {"csv": {"label_column": "label", **{name: str(path) for name, path in paths.items()}}}
+        config, out = write_config(tmp_path, changes={"dataset": dataset, "noise": {"scene": "realworld"}})
+        assert main(["pipeline", "-c", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: dataset.csv.{field}: {paths[field]}: ") and err.count("\n") == 1
+        assert message in err
+        assert not os.path.exists(out)
+
+    def test_csv_without_a_test_set_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "train.csv"
+        path.write_text(CSV_ROWS, encoding="utf-8")
+        dataset = {"csv": {"path": str(path), "label_column": "label"}}
+        config, _ = write_config(tmp_path, changes={"dataset": dataset, "noise": {"scene": "realworld"}})
+        assert main(["pipeline", "-c", config]) == 2
+        assert capsys.readouterr().err.startswith("config error: dataset.csv.test_path: missing")
+
+    def test_train_after_a_csv_edit_exits_3(self, tmp_path, capsys):
+        """Run on its own, train checks the noise stage under the key the pipeline's skip rule compares."""
+        paths = {"path": str(tmp_path / "train.csv"), "test_path": str(tmp_path / "test.csv")}
+        save_csv(make_synthetic_blobs(3, 30, 4, 3.0, seed=1), paths["path"])
+        save_csv(make_synthetic_blobs(3, 10, 4, 3.0, seed=2), paths["test_path"])
+        dataset = {"csv": {"label_column": "label", **paths}}
+        config, _ = write_config(tmp_path, changes={"dataset": dataset, "noise": {"scene": "realworld"}})
+        assert main(["pipeline", "-c", config]) == 0
+        save_csv(make_synthetic_blobs(3, 30, 4, 3.0, seed=3), paths["path"])
+        assert main(["train", "-c", config]) == 3
+        err = capsys.readouterr().err
+        assert err == "artifact mismatch: train: noise_manifest.json records a different inputs; run the noise stage first\n"
+
+    def test_running_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(config_module, "make_synthetic_blobs", no_memory)
+        config, _ = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_misspelled_config_key_exits_2_before_any_stage(self, tmp_path, capsys):
         config, out = write_config(tmp_path, changes={"federation.trainer.epoch": 9})

@@ -2,12 +2,13 @@
 
 import copy
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisyfl.config import validate_config
+from noisyfl.config import load_config, validate_config
 from noisyfl.errors import ConfigError
 
 SYNTHETIC = {
@@ -130,6 +131,12 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
         # a repeated lr gives two summary rows; a parameter the scheme does not take is read by nothing
         (("federation", "lr_grid"), [0.05, 0.05]),
         (("partition",), {"scheme": "iid", "alpha": 0.5, "c": 7}),
+        # the checks of values that enter here and nowhere else
+        (("federation", "lr_grid"), [0.05, -0.1]),
+        (("federation", "model", "kind"), "cnn"),
+        (("federation", "model", "activation"), "gelu"),
+        (("output_dir",), ""),
+        (("repeats",), 0),
     ],
 )
 def test_known_malformed_fields(path, value):
@@ -142,6 +149,22 @@ def test_known_malformed_fields(path, value):
     with pytest.raises(ConfigError) as err:
         validate_config(doc)
     assert ".".join(path).startswith(err.value.field)  # the field, or the section whose type rejects it
+
+
+def test_a_root_that_is_not_an_object_is_a_document_error():
+    with pytest.raises(ConfigError) as err:
+        validate_config([SYNTHETIC])
+    assert (err.value.field, str(err.value)) == ("", "config root must be a JSON object")
+
+
+def test_an_override_inside_a_value_that_is_not_an_object(tmp_path):
+    doc = copy.deepcopy(SYNTHETIC)
+    doc["federation"]["trainer"] = "x"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path), {"federation.trainer.lr": 0.1})
+    assert err.value.field == "federation.trainer.lr"
 
 
 @pytest.mark.parametrize("value", [2, 2.0, 2e0])

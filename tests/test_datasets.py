@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -18,9 +19,11 @@ from noisyfl.datasets import (
     save_csv,
     save_npy,
 )
-from noisyfl.errors import LabelRangeError, ParseError
+from noisyfl.config import validate_config
+from noisyfl.errors import ConfigError, LabelRangeError, ParseError
 from noisyfl.localtrain import TrainerConfig, train_local
 from noisyfl.models import LinearSoftmaxLayout, init_params
+from test_config import SYNTHETIC
 
 
 class TestMakeSyntheticBlobs:
@@ -73,8 +76,12 @@ class TestMakeSyntheticBlobs:
         ],
     )
     def test_invalid_arguments(self, kwargs):
-        with pytest.raises(ValueError):
-            make_synthetic_blobs(**kwargs)
+        """make_synthetic_blobs takes the arguments the config checked where they entered."""
+        doc = copy.deepcopy(SYNTHETIC)
+        doc["dataset"]["synthetic"].update(kwargs)
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.field.removeprefix("dataset.synthetic.") in kwargs
 
     def test_one_dimensional_blobs(self):
         ds = make_synthetic_blobs(3, 10, 1, 4.0, seed=0)

@@ -10,7 +10,6 @@ from conftest import (
     naive_softmax_forward,
     resolved,
 )
-from noisyfl.errors import LayoutMismatchError
 from noisyfl.localtrain import mixup_batch, sgd_step
 from noisyfl.losses import LossOutput, backward, backward_cached
 from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
@@ -148,7 +147,7 @@ class TestForward:
     def test_shape_mismatch(self):
         layout = LinearSoftmaxLayout(dim=3, num_classes=2)
         params = init_params(layout, seed=0)
-        with pytest.raises(LayoutMismatchError):
+        with pytest.raises(ValueError, match="matmul"):  # no check of ours: the kernel refuses the width
             fresh_forward(params, np.zeros((4, 5)))
 
 
@@ -210,25 +209,22 @@ class TestWorkspace:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,), (1, 4, 3)])
     def test_misshaped_input_rejected(self, layout, shape):
+        """A pass checks nothing (features enter as ``LabeledDataset``), but its kernels refuse another width or rank."""
         params = init_params(layout, seed=0)
         work = Workspace(layout, rows=8)
-        with pytest.raises(LayoutMismatchError):
+        with pytest.raises(ValueError, match="matmul|unpack"):
             forward_cached(params, np.zeros(shape), work)
-        with pytest.raises(LayoutMismatchError):
+        with pytest.raises(ValueError, match="matmul|unpack"):
             backward(params, np.zeros(shape), np.zeros(4, dtype=int), kind="ce", weight_decay=0.0, work=work)
 
     def test_batch_larger_than_workspace_rejected(self):
+        """Callers size the workspace to their largest batch; a larger one finds no room for its rows."""
         layout = LAYOUTS[1]
         params = init_params(layout, seed=0)
         work = Workspace(layout, rows=4)
         backward(params, np.zeros((4, 3)), np.zeros(4, dtype=int), kind="ce", weight_decay=0.0, work=work)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="matmul"):
             backward(params, np.zeros((5, 3)), np.zeros(5, dtype=int), kind="ce", weight_decay=0.0, work=work)
-
-    def test_workspace_of_another_layout_rejected(self):
-        params = init_params(LAYOUTS[1], seed=0)
-        with pytest.raises(LayoutMismatchError):
-            forward_cached(params, np.zeros((2, 3)), Workspace(LAYOUTS[2], rows=4))
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae", "soft_ce"])
@@ -280,12 +276,6 @@ class TestBoundWorkspace:
         fresh, _ = fresh_backward(other, x, y, "ce", weight_decay=0.01)
         assert np.array_equal(out.grad, fresh.grad)
         assert out.value == fresh.value
-
-    def test_backward_cached_rejects_another_layout(self):
-        work = Workspace(LAYOUTS[1], rows=4)
-        forward_cached(init_params(LAYOUTS[1], seed=0), np.zeros((2, 3)), work)
-        with pytest.raises(LayoutMismatchError):
-            backward_cached(init_params(LAYOUTS[2], seed=0), work, np.zeros(2, dtype=int), kind="ce", weight_decay=0.0)
 
 
 class TestReusedPass:
@@ -425,15 +415,6 @@ class TestStackedPass:
             grads.append(backward_cached(stack, work, y[composed].ravel(), kind="ce", weight_decay=0.0).grad.copy())
         assert np.array_equal(grads[0], grads[1])
 
-    def test_workspace_of_another_stack_size_rejected(self):
-        layout = self.LAYOUTS[1]
-        nets, stack = self._stack(layout)
-        x = np.zeros((4, layout.dim))
-        with pytest.raises(LayoutMismatchError, match="shape"):
-            forward_cached(nets[0], x, Workspace(layout, rows=4, params=stack))
-        with pytest.raises(LayoutMismatchError, match="shape"):
-            forward_cached(stack, x, Workspace(layout, rows=4))
-
     @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 4)])
     def test_misshaped_stack_rejected(self, shape):
         layout = LinearSoftmaxLayout(dim=1, num_classes=2)  # 4 parameters
@@ -468,7 +449,7 @@ class TestSgdStep:
         assert v2[0] == pytest.approx(0.9 * 0.5 + 3.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="broadcast"):  # no check of ours: numpy refuses the shapes
             sgd_step(np.zeros(3), np.zeros(2), np.zeros(3), 0.1, 0.0, np.empty(3))
 
     def test_values_and_grad_are_only_read(self):

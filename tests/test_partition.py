@@ -93,9 +93,10 @@ class TestQuantitySkew:
             partition_quantity_skew(ds, 3, alpha=1.0, seed=0, sampler=stub)
 
     def test_invalid_alpha(self):
-        ds = balanced(2, 10)
-        with pytest.raises(ValueError):
-            partition_quantity_skew(ds, 2, alpha=0.0, seed=0)
+        """The schemes take the alpha PartitionSpec checked where it entered."""
+        for scheme in ("quantity-skew", "label-dir"):
+            with pytest.raises(ValueError, match="alpha > 0"):
+                PartitionSpec(scheme=scheme, alpha=0.0)
 
 
 class TestLabelDirichlet:
@@ -233,8 +234,8 @@ class TestLabelQuantity:
         ds = balanced(4, 10)
         with pytest.raises(CoverageInfeasibleError):
             partition_label_quantity(ds, 4, c=5, seed=0)
-        with pytest.raises(ValueError):
-            partition_label_quantity(ds, 4, c=0, seed=0)
+        with pytest.raises(ValueError, match="c >= 1"):  # checked where it enters
+            PartitionSpec(scheme="label-quantity", c=0)
 
 
 class TestRestrict:
