@@ -10,10 +10,11 @@ manifest.
   partition spec and the noise report, a train seed's ``seed``, ``lr`` and last-k accuracy, the selected lr.
   The noise stage's inputs are the sha256 of a CSV dataset's files (none
   for synthetic data); the train stage's are the noise stage's verified outputs.
-- Skip rule: a stage is skipped when its manifest records the same stage,
-  version, config digest, input hashes (and a train seed's ``seed`` and
-  ``lr``) and every recorded output still hashes as recorded.  A missing
-  or unparseable manifest counts as absent, so the stage runs again.
+  ``manifest_sha256`` seals the rest: the sha256 of its canonical JSON (sorted keys).
+- Skip rule: :func:`verified`, the one reader of a manifest, passes one
+  that is sealed and records the same stage, version, config digest, input
+  hashes (and a train seed's ``seed`` and ``lr``) and outputs that still
+  hash as recorded.  Any other counts as absent: the stage runs again.
 - Atomic writes: each output is written to ``<name>.tmp`` and moved into
   place with ``os.replace``; the manifest is written last, the same way,
   so a killed run leaves only finished stages behind.
@@ -23,8 +24,8 @@ manifest.
   got back from that stage, and ``run.json`` takes each digest from the
   manifest that records the file; only files no manifest lists (the
   manifests themselves, leftovers of older versions) are hashed for it.
-  ``train`` run on its own re-checks the noise stage from disk, under
-  the key its skip rule compares, CSV source digests included.
+  ``train`` run on its own verifies the noise manifest on disk, under the
+  key its skip rule compares, CSV source digests included.
 
 The noise stage materializes the dataset, runs the configured scene once
 and is the one writer of the client split and of what train reads:
@@ -41,16 +42,19 @@ or the real-world ``overall_ratio``), or ``COTEACHING_FALLBACK_FORGET_RATE`` if 
 
 ``analyze`` is no stage: it reads finished run directories, one
 accuracy-table entry each, and writes the paper's drop-ratio and
-sensitivity series over them.  Its key for a run is (partition with its
-parameter, scene/mode, nominal noise ratio); its accuracy is the mean
-last-k accuracy of the selected lr.
+sensitivity series over them.  It verifies each run's train manifest and
+then its noise manifest at this version, and checks the chain: the train
+manifest's inputs are the noise manifest's outputs.  Its key for a run is
+(partition with its parameter, scene/mode, nominal noise ratio); its
+accuracy is the mean last-k accuracy of the selected lr.
 
 Exit codes: 0 success, 2 config validation, 3 artifact mismatch,
 4 numerical abort, 1 anything else (an unreadable file, or memory that
 runs out).  A CSV dataset is part of the config: a file that does not
-parse, labels that are not contiguous from 0, or a test set whose width
-or classes the training set does not share exit 2 at the CSV's config
-field, before any stage writes.
+parse, labels that are not contiguous from 0, a test set whose width or
+classes the training set does not share or, for ``train`` and
+``pipeline``, no test set exit 2 at the CSV's config field, before any
+stage writes.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ from .partition import SCHEME_PARAM, PartitionSpec, load_plan, save_plan
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
 TMP_SUFFIX = ".tmp"
+SEAL = "manifest_sha256"  # a manifest's sha256 of its canonical JSON without this key
 COTEACHING_FALLBACK_FORGET_RATE = 0.2  # when the config sets no forget_rate and the run's noise ratio is 0
 
 
@@ -117,11 +122,6 @@ def write_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def print_csv(header: list[str], rows: list[list], fh=None) -> None:
     writer = csv.writer(fh or sys.stdout, lineterminator="\n")
     writer.writerow(header)
@@ -140,40 +140,44 @@ def write_atomic(path: str, write) -> None:
     os.replace(tmp, path)
 
 
+def _digest(doc) -> str:
+    """sha256 of ``doc``'s canonical JSON (sorted keys, default separators)."""
+    return "sha256:" + hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def config_digest(cfg: RunConfig) -> str:
-    blob = json.dumps(cfg.canonical_dict(), sort_keys=True).encode("utf-8")
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+    return _digest(cfg.canonical_dict())
 
 
 # ---------------------------------------------------------------- stage runner
 
-def _read_manifest(path: str) -> dict | None:
+def verified(base_dir: str, manifest: str, key: dict) -> dict:
+    """The manifest ``base_dir/manifest``, once it is sealed, records ``key`` and its outputs hash as recorded.
+
+    The one reader of a stage manifest.  Otherwise raises ArtifactMismatchError
+    saying why not; its ``listed`` holds the outputs the manifest names.
+    """
     try:
-        doc = read_json(path)
+        with open(os.path.join(base_dir, manifest), encoding="utf-8") as fh:
+            doc = json.load(fh)
     except (OSError, ValueError):  # missing, truncated or not UTF-8
-        return None
+        doc = None
     if not isinstance(doc, dict) or not isinstance(doc.get("outputs"), dict):
-        return None
-    return doc
-
-
-def _finished(base_dir: str, manifest: str, key: dict) -> tuple[dict | None, str]:
-    """(manifest, "") if it records ``key`` and intact outputs, else (None, why not)."""
-    doc = _read_manifest(os.path.join(base_dir, manifest))
-    if doc is None:
-        return None, f"{manifest} is missing or unreadable"
+        raise ArtifactMismatchError(f"{manifest} is missing or unreadable")
+    if doc.get(SEAL) != _digest({name: value for name, value in doc.items() if name != SEAL}):
+        raise ArtifactMismatchError(f"{manifest} does not match its {SEAL}", doc["outputs"])
     for field, value in key.items():
         if doc.get(field) != value:
-            return None, f"{manifest} records a different {field}"
+            raise ArtifactMismatchError(f"{manifest} records a different {field}", doc["outputs"])
     for rel, recorded in doc["outputs"].items():
         path = os.path.join(base_dir, rel)
         if not os.path.isfile(path) or sha256_file(path) != recorded:
-            return None, f"artifact {rel} does not match the hash in {manifest}"
-    return doc, ""
+            raise ArtifactMismatchError(f"artifact {rel} does not match the hash in {manifest}", doc["outputs"])
+    return doc
 
 
 def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> dict:
-    """Run one stage unless ``manifest`` shows it finished under ``key``; return the manifest.
+    """Run one stage unless ``manifest`` is :func:`verified` under ``key``; return the manifest.
 
     ``key`` holds ``config_digest`` and ``inputs`` (name -> sha256), plus
     whatever else tells runs of the stage apart.  ``produce()`` returns
@@ -183,10 +187,10 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
     files of an older format) are removed once the new manifest is in place.
     """
     key = {"stage": stage, "version": __version__, **key}
-    done, _ = _finished(base_dir, manifest, key)
-    if done is not None:
-        return done
-    previous = _read_manifest(os.path.join(base_dir, manifest))
+    try:
+        return verified(base_dir, manifest, key)
+    except ArtifactMismatchError as exc:
+        previous = exc.listed
     fields, writers = produce()
     outputs = {}
     for rel, write in writers.items():
@@ -195,9 +199,10 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
         write_atomic(path, write)
         outputs[rel] = sha256_file(path)
     doc = {**fields, **key, "outputs": outputs}
+    doc[SEAL] = _digest(doc)
     write_atomic(os.path.join(base_dir, manifest), functools.partial(write_json, doc))
     root = os.path.abspath(base_dir)
-    for rel in set((previous or {}).get("outputs", {})) - set(outputs):
+    for rel in set(previous) - set(outputs):
         stale = os.path.abspath(os.path.join(root, rel))
         if os.path.commonpath([root, stale]) == root and os.path.isfile(stale):
             os.remove(stale)
@@ -287,22 +292,15 @@ def _noise_ratio_estimate(manifest: dict) -> float:
 TRAIN_INPUTS = ("noisy_dataset.npy", "plan.json", "test_dataset.npy")
 
 
-def _train_inputs(base_dir: str, consumer: str, noise: dict | None, key: dict | None) -> tuple[dict, dict]:
-    """The noise manifest, and the digests it records for ``TRAIN_INPUTS``: the train stage's inputs.
+def _train_inputs(noise: dict) -> dict:
+    """The digests a verified noise manifest records for ``TRAIN_INPUTS``: the train stage's inputs.
 
-    ``noise`` is the manifest the noise stage just returned.  Without it, the
-    manifest on disk must record ``key`` and intact outputs: it must be one
-    that the noise stage's skip rule would keep.  That rule passes a
-    manifest that lost one of its outputs, so a missing input is checked here.
+    The skip rule passes a manifest that lists no test set, so a missing input is checked here.
     """
-    if noise is None:
-        noise, why = _finished(base_dir, "noise_manifest.json", key)
-        if noise is None:
-            raise ArtifactMismatchError(f"{consumer}: {why}; run the noise stage first")
     missing = [name for name in TRAIN_INPUTS if name not in noise["outputs"]]
     if missing:
-        raise ArtifactMismatchError(f"{consumer}: noise_manifest.json records no {', '.join(missing)}")
-    return noise, {name: noise["outputs"][name] for name in TRAIN_INPUTS}
+        raise ArtifactMismatchError(f"noise_manifest.json records no {', '.join(missing)}")
+    return {name: noise["outputs"][name] for name in TRAIN_INPUTS}
 
 
 def _recorded(out: str, base_dir: str, manifest: dict) -> dict:
@@ -331,19 +329,20 @@ def _train_seed(cfg: RunConfig, lr: float, fed_seed: int, load_inputs) -> tuple[
 def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
     """Run `repeats` federations per learning rate; summarize last-k accuracy.
 
-    Builds on the verified outputs of the noise stage: those of the
-    ``noise`` manifest that :func:`cmd_noise` returned, or else those
-    recorded on disk by a noise stage that ran under the same key.  Each
-    repeat is a stage of its own, so an interrupted sweep resumes at the
-    first repeat that did not finish.
+    Builds on the outputs of a verified noise manifest: the one
+    :func:`cmd_noise` returned, or else the one on disk, verified under the
+    key of the noise stage's skip rule.  Each repeat is a stage of its own,
+    so an interrupted sweep resumes at the first repeat that did not finish.
     Returns the digests the train and seed manifests record, by path
     under the output directory.
     """
-    if cfg.dataset.source == "csv" and not cfg.dataset.params.get("test_path"):
-        raise ConfigError("dataset.csv.test_path", "missing; the train stage needs a clean test set")
     out = cfg.output_dir
-    noise, inputs = _train_inputs(out, "train", noise, _noise_key(cfg) if noise is None else None)
-    key = {"config_digest": config_digest(cfg), "inputs": inputs}
+    if noise is None:
+        try:
+            noise = verified(out, "noise_manifest.json", _noise_key(cfg))
+        except ArtifactMismatchError as exc:
+            raise ArtifactMismatchError(f"train: {exc}; run the noise stage first") from None
+    key = {"config_digest": config_digest(cfg), "inputs": _train_inputs(noise)}
 
     @functools.cache
     def load_inputs():
@@ -405,19 +404,14 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
 def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
     """One finished run as an accuracy-table entry: ((partition, scene/mode, nominal eps), accuracy).
 
-    The train manifest must be of this version, and the noise manifest
-    must record its config digest and the inputs it trained on.
+    Both manifests must be verified at this version, and the train
+    manifest's inputs must be the noise manifest's outputs: the chain.
     The accuracy is the mean last-k accuracy of the selected lr.
     """
-    where = f"analyze {run_dir}"
-    train_key = {"stage": "train", "version": __version__}
-    train, why = _finished(os.path.join(run_dir, "train"), "run_manifest.json", train_key)
-    if train is None:
-        raise ArtifactMismatchError(f"{where}: {why}")
-    noise_key = {"stage": "noise", "version": __version__, "config_digest": train.get("config_digest")}
-    noise, inputs = _train_inputs(run_dir, where, None, noise_key)
-    if train.get("inputs") != inputs:
-        raise ArtifactMismatchError(f"{where}: run_manifest.json records other inputs than the noise stage wrote")
+    train = verified(os.path.join(run_dir, "train"), "run_manifest.json", {"stage": "train", "version": __version__})
+    noise = verified(run_dir, "noise_manifest.json", {"stage": "noise", "version": __version__})
+    if train.get("inputs") != _train_inputs(noise):
+        raise ArtifactMismatchError("run_manifest.json records other inputs than the noise stage wrote")
     try:
         spec = PartitionSpec(**{f.name: noise["partition"][f.name] for f in dataclasses.fields(PartitionSpec)})
         NoiseSpec(**{name: noise[name] for name in ("scene", "mode", "eps_global", "eps_min", "eps_max")})
@@ -432,7 +426,7 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         key = (partition, f"{noise['scene']}/{noise['mode']}", round(_noise_ratio_estimate(noise), 9))
         AccuracyTable(entries={key: accuracy})  # its own check: a fraction in [0, 1]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactMismatchError(f"{where}: unusable manifest field ({exc})") from None
+        raise ArtifactMismatchError(f"unusable manifest field ({exc})") from None
     return key, accuracy
 
 
@@ -440,7 +434,10 @@ def cmd_analyze(run_dirs: list[str], out_dir: str) -> None:
     """Write drop_ratio.csv and sensitivity.csv over the accuracies of finished runs."""
     entries, owners = {}, {}
     for run_dir in run_dirs:
-        key, accuracy = _run_entry(run_dir)
+        try:
+            key, accuracy = _run_entry(run_dir)
+        except ArtifactMismatchError as exc:
+            raise ArtifactMismatchError(f"analyze {run_dir}: {exc}") from None
         if key in owners:
             raise NoisyFLError(f"analyze: {owners[key]} and {run_dir} both give ({key[0]}, {key[1]}, {key[2]!r})")
         entries[key], owners[key] = accuracy, run_dir
@@ -591,6 +588,9 @@ def main(argv=None) -> int:
             cmd_analyze(args.runs, args.out)
             return 0
         cfg = load_config(args.config, _overrides_from_args(args))
+        trains = args.command in ("train", "pipeline")
+        if trains and cfg.dataset.source == "csv" and not cfg.dataset.params.get("test_path"):
+            raise ConfigError("dataset.csv.test_path", "missing; the train stage needs a clean test set")
         if args.command == "partition":
             cmd_partition(cfg)
         elif args.command == "noise":

@@ -44,7 +44,14 @@ class CoverageInfeasibleError(NoisyFLError):
 
 
 class ArtifactMismatchError(NoisyFLError):
-    """Pipeline stage inputs do not match the hashes recorded upstream."""
+    """Pipeline stage inputs do not match the hashes recorded upstream.
+
+    ``listed`` holds the outputs (name -> sha256) that a rejected stage manifest names.
+    """
+
+    def __init__(self, message: str, listed: dict | None = None):
+        self.listed = listed or {}
+        super().__init__(message)
 
 
 class NumericalAbortError(NoisyFLError):

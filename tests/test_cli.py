@@ -104,11 +104,21 @@ def _holder(doc, path: str):
     *parents, last = path.split(".")
     for part in parents:
         doc = doc[int(part)] if isinstance(doc, list) else doc[part]
-    return doc, last
+    return doc, int(last) if isinstance(doc, list) else last
 
 
-def edit_json(run_dir: str, rel: str, path: str, value=DELETE) -> None:
-    """Set, or delete, the value at the dotted ``path`` of a JSON file."""
+def sealed(manifest: dict) -> dict:
+    """``manifest`` with the manifest_sha256 of the rest of it: the sha256 of its canonical JSON."""
+    body = {key: value for key, value in manifest.items() if key != "manifest_sha256"}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+    return {**body, "manifest_sha256": "sha256:" + digest}
+
+
+def edit_json(run_dir: str, rel: str, path: str, value=DELETE, seal=True) -> None:
+    """Set, or delete, the value at the dotted ``path`` of a manifest, and reseal it unless ``seal`` is false.
+
+    A resealed edit reaches the checks of what a manifest records; an unsealed one stops at its seal.
+    """
     file = os.path.join(run_dir, rel)
     with open(file, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -118,7 +128,7 @@ def edit_json(run_dir: str, rel: str, path: str, value=DELETE) -> None:
     else:
         node[last] = value
     with open(file, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(sealed(doc) if seal else doc, fh, sort_keys=True, indent=2)
 
 
 def read_rows(path) -> list[list[str]]:
@@ -230,6 +240,20 @@ class TestResume:
             path = os.path.join(out, rel)
             with open(path, "r+b") as fh:
                 fh.truncate(len(expected[rel]) // 2)
+            assert main(["pipeline", "-c", config]) == 0, rel
+            assert tree(out) == expected, rel
+
+    def test_unsealed_manifest_edit_is_redone(self, tmp_path):
+        """A number edited in any manifest without resealing it makes that stage run again."""
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        expected = tree(out)
+        for rel, path in [
+            ("noise_manifest.json", "eps_min"),
+            ("train/seed_0/seed_manifest.json", "last_k_accuracy"),
+            ("train/run_manifest.json", "summary.0.mean_accuracy"),
+        ]:
+            edit_json(out, rel, path, 0.123, seal=False)
             assert main(["pipeline", "-c", config]) == 0, rel
             assert tree(out) == expected, rel
 
@@ -412,7 +436,7 @@ class TestExitCodes:
             doc = json.load(fh)
         del doc["outputs"]["test_dataset.npy"]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            json.dump(sealed(doc), fh)
         assert main([command, "-c", config]) == 3
         assert "noise_manifest.json records no test_dataset.npy" in capsys.readouterr().err
 
@@ -621,6 +645,9 @@ class TestExitCodes:
             ("train/run_manifest.json", "summary.0.mean_accuracy", True),
             ("noise_manifest.json", "partition.alpha", True),
             ("noise_manifest.json", "partition.c", "x"),
+            ("noise_manifest.json", "mode", "x"),
+            ("noise_manifest.json", "partition.scheme", "x"),
+            ("noise_manifest.json", "partition.alpha", 0.0),
         ],
         ids=[
             "accuracy-above-1",
@@ -632,6 +659,9 @@ class TestExitCodes:
             "bool-accuracy",
             "bool-alpha",
             "string-c",
+            "unknown-mode",
+            "unknown-scheme",
+            "zero-alpha",
         ],
     )
     def test_unusable_run_exits_3(self, tmp_path, finished_small, rel, path, value):
@@ -640,7 +670,25 @@ class TestExitCodes:
         edit_json(run, rel, path, value)
         code, err = analyze([run], str(tmp_path / "grid"))
         assert code == 3
-        assert err.startswith(f"artifact mismatch: analyze {run}: ") and err.count("\n") == 1
+        assert err.startswith(f"artifact mismatch: analyze {run}: unusable manifest field (") and err.count("\n") == 1
+
+    def test_unsealed_accuracy_edit_exits_3(self, tmp_path, finished_small):
+        """A number rewritten in a manifest, well-typed and in range, breaks the manifest's seal."""
+        run = str(tmp_path / "run")
+        shutil.copytree(finished_small, run)
+        edit_json(run, "train/run_manifest.json", "summary.0.mean_accuracy", 0.123, seal=False)
+        code, err = analyze([run], str(tmp_path / "grid"))
+        assert code == 3
+        assert err == f"artifact mismatch: analyze {run}: run_manifest.json does not match its manifest_sha256\n"
+
+    def test_run_whose_noise_stage_was_redone_exits_3(self, tmp_path):
+        """The train manifest's inputs must be the noise manifest's outputs: the chain ties the two together."""
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        assert main(["noise", "-c", config, "--seed", "4"]) == 0
+        code, err = analyze([out], str(tmp_path / "grid"))
+        assert code == 3
+        assert err == f"artifact mismatch: analyze {out}: run_manifest.json records other inputs than the noise stage wrote\n"
 
     def test_config_that_is_not_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -676,9 +724,14 @@ class TestExitCodes:
         path = tmp_path / "train.csv"
         path.write_text(CSV_ROWS, encoding="utf-8")
         dataset = {"csv": {"path": str(path), "label_column": "label"}}
-        config, _ = write_config(tmp_path, changes={"dataset": dataset, "noise": {"scene": "realworld"}})
-        assert main(["pipeline", "-c", config]) == 2
-        assert capsys.readouterr().err.startswith("config error: dataset.csv.test_path: missing")
+        config, out = write_config(tmp_path, changes={"dataset": dataset, "noise": {"scene": "realworld"}})
+        for command in ("pipeline", "train"):
+            assert main([command, "-c", config]) == 2
+            assert capsys.readouterr().err.startswith("config error: dataset.csv.test_path: missing")
+        assert not os.path.exists(out)
+        # the partition preview and the noise stage need no test set
+        for command in ("partition", "noise"):
+            assert main([command, "-c", config]) == 0
 
     def test_train_after_a_csv_edit_exits_3(self, tmp_path, capsys):
         """Run on its own, train checks the noise stage under the key the pipeline's skip rule compares."""
@@ -728,7 +781,7 @@ class TestArtifacts:
             "seed": cfg.noise.seed,
             "partition": {"scheme": "label-dir", "alpha": 0.5, "c": None},
         }
-        runner_keys = {"stage", "version", "config_digest", "inputs", "outputs"}
+        runner_keys = {"stage", "version", "config_digest", "inputs", "outputs", "manifest_sha256"}
         assert set(manifest) == runner_keys | set(spec) | set(report.to_dict())
         assert {k: manifest[k] for k in spec} == spec
         assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
@@ -770,14 +823,15 @@ class TestArtifacts:
 
 
 # the manifest fields analyze reads from a SMALL run (localized noise, label-dir split); the
-# seed manifests and the noise report are not read, and overall_ratio only in the real-world scene
+# seed manifests, the config digests and the noise report are not read, and overall_ratio
+# only in the real-world scene
 READ_FIELDS = {
     "noise_manifest.json": [
-        "version", "config_digest", "outputs", "scene", "mode", "eps_global", "eps_min", "eps_max",
+        "stage", "version", "outputs", "scene", "mode", "eps_global", "eps_min", "eps_max",
         "partition", "partition.scheme", "partition.alpha", "partition.c",
     ],
     "train/run_manifest.json": [
-        "stage", "version", "config_digest", "inputs", "outputs", "selected_lr",
+        "stage", "version", "inputs", "outputs", "selected_lr",
         "summary", "summary.0.lr", "summary.0.mean_accuracy",
     ],
 }  # fmt: skip
@@ -790,17 +844,32 @@ def _value_at(run_dir: str, rel: str, path: str):
     return node[last]
 
 
+def _number_paths(node, prefix: str = "") -> list[str]:
+    """Dotted paths of the int and float leaves of a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [path for key, child in items for path in _number_paths(child, f"{prefix}{key}.")]
+    return [prefix[:-1]] if type(node) in (int, float) else []
+
+
+def _same_document(before: bytes, after: bytes) -> bool:
+    try:
+        return json.loads(after) == json.loads(before)
+    except ValueError:  # not JSON, or not UTF-8
+        return False
+
+
 @st.composite
 def run_mutations(draw):
     """One change to a finished run: (kind, file, detail)."""
-    kind = draw(st.sampled_from(["delete", "set", "truncate", "flip", "missing"]))
+    kind = draw(st.sampled_from(["delete", "set", "renumber", "truncate", "flip", "missing"]))
     if kind == "missing":
         return kind, None, None
     if kind in ("delete", "set"):
         rel = draw(st.sampled_from(sorted(READ_FIELDS)))
         return kind, rel, draw(st.sampled_from(READ_FIELDS[rel]))
-    rel = draw(st.sampled_from(sorted(READ_FIELDS) + ["train/summary.csv"]))
-    return kind, rel, draw(st.integers(min_value=0, max_value=10**6))
+    files = sorted(READ_FIELDS) + ([] if kind == "renumber" else ["train/summary.csv"])
+    return kind, draw(st.sampled_from(files)), draw(st.integers(min_value=0, max_value=10**6))
 
 
 class TestAnalyze:
@@ -853,11 +922,12 @@ class TestAnalyze:
     @settings(max_examples=100, deadline=None)
     @given(mutation=run_mutations(), value=st.sampled_from(WRONG_VALUES))
     def test_any_broken_run_exits_3_without_traceback(self, finished_small, mutation, value):
-        """A deleted key, a wrong type or NaN in a field analyze reads, a truncated or flipped file,
-        or a missing directory: analyze prints one artifact-mismatch line and exits 3.
+        """A deleted key, a wrong type or NaN in a field analyze reads (each resealed), a number
+        rewritten without resealing, a truncated or flipped file, or a missing directory: analyze
+        prints one artifact-mismatch line and exits 3.
 
-        A flipped manifest byte gets its high bit set, which no ASCII JSON file holds: a flip that
-        leaves valid JSON with another value cannot be told apart without a hash of the manifest itself.
+        A flip that leaves the same JSON document (one whitespace byte for another) changes
+        nothing a manifest records, so it is not drawn.
         """
         kind, rel, detail = mutation
         with tempfile.TemporaryDirectory() as tmp:
@@ -871,22 +941,31 @@ class TestAnalyze:
                 current = _value_at(run, rel, detail)
                 assume(type(value) is not type(current) or value != value)  # value != value: NaN
                 edit_json(run, rel, detail, value)
+            elif kind == "renumber":
+                with open(os.path.join(run, rel), encoding="utf-8") as fh:
+                    paths = _number_paths(json.load(fh))
+                path = paths[detail % len(paths)]
+                current = _value_at(run, rel, path)
+                edit_json(run, rel, path, current + 1 if type(current) is int else current / 2 or 0.5, seal=False)
             else:
                 path = os.path.join(run, rel)
                 with open(path, "rb") as fh:
-                    data = bytearray(fh.read())
+                    before = fh.read()
+                data = bytearray(before)
                 if kind == "truncate":
                     # without its closing brace (and newline) a manifest is not JSON; summary.csv loses its hash
                     data = data[: detail % (len(data) - 1)]
                 else:
-                    at = detail % len(data)
-                    data[at] ^= 0x80 if rel.endswith(".json") else 1 + detail % 255
+                    data[detail % len(data)] ^= 1 + detail % 255
+                    assume(not _same_document(before, bytes(data)))
                 with open(path, "wb") as fh:
                     fh.write(bytes(data))
             code, err = analyze([run], os.path.join(tmp, "grid"))
         assert code == 3, (mutation, value, err)
         assert err.startswith("artifact mismatch: analyze ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if kind == "renumber":
+            assert err.endswith(f"{os.path.basename(rel)} does not match its manifest_sha256\n")
 
 
 def client_counts(out: str) -> str:
