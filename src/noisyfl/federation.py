@@ -5,19 +5,30 @@ from the broadcast global model on their noisy local shards, and averages
 the results weighted by shard size.  Clients are stateless between rounds
 except for co-teaching's peer network, whose selection schedule depends on
 the round number.
+
+A round's clients are independent given the global model, so a large
+federation trains them in the caller and in workers forked once, which
+share its pages copy-on-write.  Only parameter vectors cross the pipes, and
+the caller aggregates in selection order: the outputs are the same bytes
+for any process count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import math
+import os
+import pickle
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .errors import NumericalAbortError
+from .errors import NoisyFLError, NumericalAbortError
 from .localtrain import TrainerConfig, train_local, train_local_coteaching
 from .models import Layout, ModelParams, Workspace, init_params
 from .models import forward_cached as forward  # perfbench/tracer.py times evaluation's passes at this name
@@ -101,6 +112,87 @@ def evaluate(params: ModelParams, test_set: LabeledDataset, work: Workspace) -> 
     return float((predictions == test_set.labels).mean())
 
 
+# A federation forks workers from this many local batches on.  Forking and ending
+# a worker costs 3-9 ms of wall time and each batch a second process takes saves
+# ~50 us, so a fork pays from ~180 batches; this leaves a 2x margin.
+FORK_MIN_BATCHES = 400
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+
+
+def _send(fd: int, obj) -> None:
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, n: int) -> bytearray:
+    """Exactly ``n`` bytes of ``fd``; EOFError once every writer is gone."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            raise EOFError
+        buf += chunk
+    return buf
+
+
+def _recv(fd: int):
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _split(selected: list[int], sizes, processes: int) -> list[list[int]]:
+    """The round's clients per process, longest shard first onto the least loaded; process 0 is the caller."""
+    shares: list[list[int]] = [[] for _ in range(processes)]
+    loads = [0] * processes
+    for k in sorted(selected, key=lambda k: -sizes[k]):
+        p = loads.index(min(loads))
+        shares[p].append(k)
+        loads[p] += sizes[k]
+    return shares
+
+
+@contextlib.contextmanager
+def _workers(count: int, serve):
+    """``count`` forked children running ``serve(requests, replies)``; yields each one's (pid, requests, replies).
+
+    A child closes the caller's pipe ends, so that the caller's death gives it EOF, and leaves only by ``os._exit``.
+    """
+    workers: list[tuple[int, int, int]] = []
+    gc.freeze()  # the collector then writes to none of the pages the children share
+    try:
+        for _ in range(count):
+            (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (req_r, req_w, rep_r, rep_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                try:
+                    for fd in [req_w, rep_r] + [fd for _, w, r in workers for fd in (w, r)]:
+                        os.close(fd)
+                    serve(req_r, rep_w)
+                finally:
+                    os._exit(0)
+            os.close(req_r)
+            os.close(rep_w)
+            workers.append((pid, req_w, rep_r))
+        yield workers
+    finally:
+        for _, req_w, rep_r in workers:
+            os.close(req_w)
+            os.close(rep_r)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+        gc.unfreeze()
+
+
 def run_federation(
     train_ds: LabeledDataset,
     plan: PartitionPlan,
@@ -110,63 +202,94 @@ def run_federation(
 ) -> FederationResult:
     """Run T FedAvg rounds and collect per-round telemetry.
 
-    Clients train on their noisy shards; evaluation uses the clean test
-    set.  Raises :class:`NumericalAbortError` (with the round number) if
-    the global model goes non-finite.
+    Clients train on their noisy shards, in ``min(usable CPUs, clients per
+    round)`` processes from ``FORK_MIN_BATCHES`` local batches on; evaluation
+    uses the clean test set.  Raises :class:`NumericalAbortError` (with the
+    round number) if the global model goes non-finite, a worker's exception
+    as it was raised, and :class:`NoisyFLError` if a worker dies.
 
-    Memory: besides ``train_ds`` and ``test_set``, a federation holds one
-    client's shard at a time, cut from ``train_ds`` for the client's
-    training call and dropped when it returns; the models of the round's
-    selected clients and co-teaching's peer networks; and one evaluation
-    workspace sized to the test set, made once.
+    Memory: besides ``train_ds`` and ``test_set``, which the workers share
+    copy-on-write, each process holds one client's shard at a time, cut
+    from ``train_ds`` for the client's training call and dropped when it
+    returns.  The caller holds the models of the round's selected clients,
+    co-teaching's peer networks, and one evaluation workspace sized to the
+    test set, made once.
     """
     sizes = plan.sizes()
+    coteaching = cfg.trainer.method == "coteaching"
+    per_round = math.ceil(cfg.selection_fraction * cfg.num_clients)
+    shard_batches = np.mean(-(-sizes // cfg.trainer.batch_size))
+    batches = cfg.rounds * per_round * cfg.trainer.epochs * (1 + coteaching) * shard_batches
+    processes = min(_usable_cpus(), per_round) if batches >= FORK_MIN_BATCHES else 1
+
+    def train_share(round_t: int, start: np.ndarray, share: list) -> list:
+        """(trained values, peer values, mean loss) for each (client, peer values or None if new) of ``share``."""
+        start, trained = ModelParams(start, layout), []
+        for k, peer in share:
+            shard, train_seed = restrict(train_ds, plan, k), rng.derive_seed(cfg.seed, "train", round_t, k)
+            if coteaching:
+                peer_seed = rng.derive_seed(cfg.seed, "coteach-init", k)
+                peer = init_params(layout, peer_seed) if peer is None else ModelParams(peer, layout)
+                model, peer, stats = train_local_coteaching(shard, start, peer, cfg.trainer, train_seed, round_t)
+                peer = peer.values
+            else:
+                model, stats = train_local(shard, start, cfg.trainer, train_seed)
+            trained.append((model.values, peer, stats.mean_loss))
+        return trained
+
+    def serve(requests: int, replies: int) -> None:
+        with contextlib.suppress(EOFError):  # the caller closed its end
+            while True:
+                job = _recv(requests)
+                try:
+                    reply = train_share(*job)
+                except Exception as exc:  # raised again in the caller, with this traceback as a note
+                    exc.add_note(traceback.format_exc())
+                    reply = exc
+                _send(replies, reply)
 
     global_params = init_params(layout, rng.derive_seed(cfg.seed, "init"))
-    eval_work = Workspace(layout, len(test_set))
-
-    coteaching = cfg.trainer.method == "coteaching"
-    peer_nets: dict[int, ModelParams] = {}
-
+    peers: dict[int, np.ndarray] = {}  # co-teaching's peer networks
     records: list[RoundRecord] = []
-    for round_t in range(1, cfg.rounds + 1):
-        selected = select_clients(cfg.num_clients, cfg.selection_fraction, round_t, cfg.seed)
-        trained: list[ModelParams] = []
-        client_losses: list[float] = []
-        try:
-            for k in selected:
-                train_seed = rng.derive_seed(cfg.seed, "train", round_t, k)
-                if coteaching:
-                    if k not in peer_nets:
-                        peer_nets[k] = init_params(layout, rng.derive_seed(cfg.seed, "coteach-init", k))
-                    model, peer, stats = train_local_coteaching(
-                        restrict(train_ds, plan, k), global_params, peer_nets[k], cfg.trainer, train_seed, round_t
-                    )
-                    peer_nets[k] = peer
-                else:
-                    model, stats = train_local(restrict(train_ds, plan, k), global_params, cfg.trainer, train_seed)
-                trained.append(model)
-                client_losses.append(stats.mean_loss)
-        except FloatingPointError as exc:
-            raise NumericalAbortError(round_t) from exc
+    with _workers(processes - 1, serve) as workers:
+        eval_work = Workspace(layout, len(test_set))
+        for round_t in range(1, cfg.rounds + 1):
+            selected = select_clients(cfg.num_clients, cfg.selection_fraction, round_t, cfg.seed)
+            shares = _split(selected, sizes, processes)
+            jobs = [[(k, peers.get(k)) for k in share] for share in shares]
+            try:
+                for (_, requests, _), job in zip(workers, jobs[1:]):
+                    _send(requests, (round_t, global_params.values, job))
+                results = dict(zip(shares[0], train_share(round_t, global_params.values, jobs[0])))
+                for (_, _, replies), share in zip(workers, shares[1:]):
+                    reply = _recv(replies)
+                    if isinstance(reply, Exception):
+                        raise reply
+                    results.update(zip(share, reply))
+            except FloatingPointError as exc:
+                raise NumericalAbortError(round_t) from exc
+            except (EOFError, BrokenPipeError) as exc:
+                raise NoisyFLError(f"a training worker exited during round {round_t}") from exc
+            if coteaching:
+                peers.update((k, results[k][1]) for k in selected)
 
-        values = aggregate(trained, [sizes[k] for k in selected])
-        if not np.isfinite(values).all():
-            raise NumericalAbortError(round_t)
-        new_params = ModelParams(values, layout)
-        grad_norm = float(np.linalg.norm(new_params.values - global_params.values))
-        global_params = new_params
+            values = aggregate([ModelParams(results[k][0], layout) for k in selected], [sizes[k] for k in selected])
+            if not np.isfinite(values).all():
+                raise NumericalAbortError(round_t)
+            new_params = ModelParams(values, layout)
+            grad_norm = float(np.linalg.norm(new_params.values - global_params.values))
+            global_params = new_params
 
-        accuracy = evaluate(global_params, test_set, eval_work) if round_t % cfg.eval_every == 0 else None
-        records.append(
-            RoundRecord(
-                round=round_t,
-                test_accuracy=accuracy,
-                grad_norm=grad_norm,
-                selected_clients=tuple(selected),
-                mean_client_loss=float(np.mean(client_losses)),
+            accuracy = evaluate(global_params, test_set, eval_work) if round_t % cfg.eval_every == 0 else None
+            records.append(
+                RoundRecord(
+                    round=round_t,
+                    test_accuracy=accuracy,
+                    grad_norm=grad_norm,
+                    selected_clients=tuple(selected),
+                    mean_client_loss=float(np.mean([results[k][2] for k in selected])),
+                )
             )
-        )
     return FederationResult(records=records, params=global_params)
 
 

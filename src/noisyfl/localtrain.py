@@ -13,9 +13,10 @@ takes the stack's gradient through ``losses.backward`` (or, for
 co-teaching, ``models.forward_cached`` and ``losses.backward_cached``),
 which bind nothing anew for the bound stack; the loop then takes one
 momentum-SGD step (:func:`sgd_step`) per batch for the whole stack, in
-per-call velocity and workspace buffers.  Co-teaching is the same loop
-with a stack of two networks and a batch rule: one stacked forward pass
-per batch ranks the batch for both networks and, as in Han et al.'s
+place, with per-call velocity and workspace buffers, and checks the stack
+for finiteness once per epoch.  Co-teaching is the same loop with a stack
+of two networks and a batch rule: one stacked forward pass per batch
+ranks the batch for both networks and, as in Han et al.'s
 reference implementation (arXiv 1804.06872), carries each network's update
 loss on the rows its peer selected.
 
@@ -107,18 +108,17 @@ class TrainStats:
 
 
 def sgd_step(
-    values: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum SGD: v' = mu*v + g, w' = w - lr*v'; returns (w', v').
+    values: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float, scratch: np.ndarray
+) -> None:
+    """Momentum SGD in place: v' = mu*v + g, w' = w - lr*v'.
 
-    ``velocity`` becomes v' in place and w' is written to ``out``, so a
-    training step allocates nothing; ``values`` and ``grad`` are only read.
-    Weight decay is folded into ``grad`` by the loss backward, not here.
+    ``velocity`` becomes v' and ``values`` becomes w', with lr*v' in
+    ``scratch``, so a training step allocates nothing; ``grad`` is only
+    read.  Weight decay is folded into ``grad`` by the loss backward, not here.
     """
     velocity *= momentum
     velocity += grad
-    np.multiply(velocity, lr, out=out)
-    return np.subtract(values, out, out=out), velocity
+    values -= np.multiply(velocity, lr, out=scratch)
 
 
 def mixup_batch(
@@ -153,13 +153,14 @@ def _train(
     ``batch_rule(stack, work, x, y)`` runs the backward of every network on
     the batch and returns one ``LossOutput`` whose ``grad`` is shaped like
     the stack and whose ``value`` is the batch loss.  The loop then takes
-    one momentum-SGD step (:func:`sgd_step`) for the whole stack, in the
-    velocity and the workspace's ``step`` buffer, and checks the new values
-    for finiteness once before the stack takes them.  Each epoch gathers
+    one momentum-SGD step (:func:`sgd_step`) for the whole stack, in place,
+    with the velocity and the workspace's ``step`` buffer, and checks the
+    stack for finiteness at the end of each epoch.  Each epoch gathers
     its shuffled rows and their targets (``ds.labels`` unless ``targets``
     gives one row per sample) once; a batch is a slice of them.  Overflow
-    is not reported as a numpy warning: a diverging step fails that check
-    and raises ``FloatingPointError``.  Returns the trained networks in the
+    is not reported as a numpy warning: a diverging step leaves the stack
+    non-finite, which fails that epoch's check and raises
+    ``FloatingPointError``.  Returns the trained networks in the
     order of ``start`` and the call's :class:`TrainStats`.
     """
     layout = start[0].layout
@@ -179,12 +180,12 @@ def _train(
             for first in range(0, len(ds), cfg.batch_size):
                 rows = slice(first, first + cfg.batch_size)
                 out = batch_rule(stack, work, xs[rows], ys[rows])
-                values, velocity = sgd_step(stack.values, out.grad, velocity, cfg.lr, cfg.momentum, work.step)
-                # the step's one finiteness check, before the stack takes the values
-                if not np.isfinite(values, out=work.finite).all():
-                    raise FloatingPointError("local training diverged to non-finite parameters")
-                stack.values[:] = values
+                sgd_step(stack.values, out.grad, velocity, cfg.lr, cfg.momentum, work.step)
                 batch_losses.append(out.value)
+            # a non-finite parameter stays non-finite under the step (inf - finite is inf, NaN stays NaN),
+            # so one check per epoch catches a diverging step of that epoch
+            if not np.isfinite(stack.values).all():
+                raise FloatingPointError("local training diverged to non-finite parameters")
             epoch_losses.append(float(np.mean(batch_losses)))
     stats = TrainStats(mean_loss=float(np.mean(epoch_losses)))
     if len(start) == 1:

@@ -183,13 +183,12 @@ class Workspace:
     are per-row scratch; ``hidden`` (the activations) and ``dhidden`` are
     the hidden layer's (MLP only); ``grad`` is the gradient, shaped like
     the values, with per-layer views ``grad_views`` in the layout's order;
-    ``decay``, ``step`` and ``finite`` are scratch of that shape for weight
-    decay, the SGD step and its finiteness check.  Everything a pass
-    returns is a view of these buffers and holds only until the next pass
-    in the same workspace.  :meth:`keep` narrows the last pass to some of
-    its rows, so that a backward can reuse it; it gathers them into a
-    spare copy of ``probs`` and ``hidden``, made on its first call, and
-    swaps it in.
+    ``decay`` and ``step`` are scratch of that shape for weight decay and
+    the SGD step.  Everything a pass returns is a view of these buffers
+    and holds only until the next pass in the same workspace.
+    :meth:`keep` narrows the last pass to some of its rows, so that a
+    backward can reuse it; it gathers them into a spare copy of ``probs``
+    and ``hidden``, made on its first call, and swaps it in.
     """
 
     def __init__(self, layout: Layout, rows: int, params: ModelParams | None = None):
@@ -208,7 +207,6 @@ class Workspace:
         self.grad = np.empty(shape)
         self.decay = np.empty(shape)
         self.step = np.empty(shape)
-        self.finite = np.empty(shape, dtype=bool)
         self.x = None  # the rows of the last pass: (b, d), or (S, k, d) once a stack keeps k each
         self.values = None  # the bound network's (or stack's) parameters
         self.spare_probs = self.spare_hidden = None  # keep's gather targets, made by its first call

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from conftest import naive_softmax_forward
 from noisyfl.datasets import LabeledDataset, make_synthetic_blobs
 from noisyfl import federation
-from noisyfl.errors import NumericalAbortError
+from noisyfl.errors import NoisyFLError, NumericalAbortError
 from noisyfl.federation import (
     FedConfig,
     aggregate,
@@ -18,9 +21,9 @@ from noisyfl.federation import (
     select_clients,
     write_telemetry,
 )
-from noisyfl.localtrain import TrainerConfig, TrainStats, train_local
+from noisyfl.localtrain import METHODS, TrainerConfig, TrainStats, train_local, train_local_coteaching
 from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, init_params
-from noisyfl.partition import partition_iid
+from noisyfl.partition import partition_iid, partition_quantity_skew, restrict
 from noisyfl.rng import derive_seed
 
 
@@ -238,6 +241,156 @@ class TestRunFederation:
     def test_zero_epochs_rejected_at_config(self):
         with pytest.raises(ValueError):
             TrainerConfig(epochs=0)
+
+
+def in_processes(monkeypatch, processes):
+    """Make every federation train its rounds in up to ``processes`` processes, whatever its size."""
+    monkeypatch.setattr(federation, "_usable_cpus", lambda: processes)
+    monkeypatch.setattr(federation, "FORK_MIN_BATCHES", 0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
+
+
+class TestProcesses:
+    """Rounds trained across forked workers give the serial run's bits, and leave no process behind."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A reply that never comes fails the test instead of hanging it."""
+
+        def expired(signum, frame):
+            raise TimeoutError("no reply from a training worker in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def _setup(self, method="ce", fraction=1.0, lr=0.05):
+        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
+        plan = partition_quantity_skew(ds, 6, 2.0, seed=2)  # unequal shards, so the split balances them
+        layout = MLPLayout(dim=2, hidden=4, num_classes=3)
+        params = {"coteaching": {"forget_rate": 0.2}}.get(method, {})
+        trainer = TrainerConfig(method=method, lr=lr, epochs=1, batch_size=16, method_params=params)
+        cfg = FedConfig(num_clients=6, rounds=4, trainer=trainer, selection_fraction=fraction, seed=9)
+        return ds, plan, test, layout, cfg
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_process_count_leaves_results_unchanged(self, monkeypatch, method, fraction):
+        args = self._setup(method, fraction)
+        runs, homes = {}, {}
+        split = federation._split
+        for processes in (1, 2, 3):
+            in_processes(monkeypatch, processes)
+            shares = []
+            monkeypatch.setattr(federation, "_split", lambda *a: shares.append(split(*a)) or shares[-1])
+            runs[processes] = run_federation(*args)
+            homes[processes] = [{k: p for p, share in enumerate(rnd) for k in share} for rnd in shares]
+            assert_no_child_left()
+        for processes in (2, 3):
+            assert runs[processes].records == runs[1].records
+            assert runs[processes].params.values.tobytes() == runs[1].params.values.tobytes()
+        # the split puts every client in the caller for one process, and uses each process for more
+        assert {p for rnd in homes[1] for p in rnd.values()} == {0}
+        assert {p for rnd in homes[3] for p in rnd.values()} == {0, 1, 2}
+        if fraction < 1.0:  # some client, with its co-teaching peer, trains in different processes in different rounds
+            assert any(len({rnd[k] for rnd in homes[3] if k in rnd}) > 1 for k in range(6))
+
+    @pytest.mark.parametrize("processes", [1, 3])
+    def test_coteaching_matches_a_serial_loop_with_persisted_peers(self, monkeypatch, processes):
+        ds, plan, test, layout, cfg = self._setup("coteaching", fraction=0.5)
+        params, peers = init_params(layout, derive_seed(cfg.seed, "init")), {}
+        for t in range(1, cfg.rounds + 1):
+            selected = select_clients(cfg.num_clients, cfg.selection_fraction, t, cfg.seed)
+            models = []
+            for k in selected:
+                peer = peers.get(k) or init_params(layout, derive_seed(cfg.seed, "coteach-init", k))
+                seed = derive_seed(cfg.seed, "train", t, k)
+                model, peers[k], _ = train_local_coteaching(restrict(ds, plan, k), params, peer, cfg.trainer, seed, t)
+                models.append(model)
+            params = ModelParams(aggregate(models, [plan.sizes()[k] for k in selected]), layout)
+        in_processes(monkeypatch, processes)
+        assert run_federation(ds, plan, test, layout, cfg).params.values.tobytes() == params.values.tobytes()
+
+    def test_small_federation_trains_in_process(self, monkeypatch):
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a small federation forked"))
+        run_federation(*self._setup())
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_numerical_abort_from_either_share(self, monkeypatch, where):
+        caller = os.getpid()
+
+        def diverging(shard, params, trainer, seed):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise FloatingPointError("local training diverged to non-finite parameters")
+            return train_local(shard, params, trainer, seed)
+
+        in_processes(monkeypatch, 2)
+        monkeypatch.setattr(federation, "train_local", diverging)
+        with pytest.raises(NumericalAbortError) as err:
+            run_federation(*self._setup())
+        assert err.value.round_t == 1
+        assert_no_child_left()
+
+    def test_diverging_training_aborts(self, monkeypatch):
+        in_processes(monkeypatch, 2)
+        with pytest.raises(NumericalAbortError):
+            run_federation(*self._setup("coteaching", lr=1e200))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, error):
+        caller = os.getpid()
+
+        def failing(shard, params, trainer, seed):
+            if os.getpid() != caller:
+                raise error("raised in a worker")
+            return train_local(shard, params, trainer, seed)
+
+        in_processes(monkeypatch, 2)
+        monkeypatch.setattr(federation, "train_local", failing)
+        with pytest.raises(error, match="raised in a worker"):
+            run_federation(*self._setup())
+        assert_no_child_left()
+
+    def test_failed_fork_closes_its_pipes(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def second_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        in_processes(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", second_fails)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_federation(*self._setup())
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        assert_no_child_left()
+
+    def test_killed_worker_raises(self, monkeypatch):
+        caller = os.getpid()
+
+        def killed(shard, params, trainer, seed):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_local(shard, params, trainer, seed)
+
+        in_processes(monkeypatch, 2)
+        monkeypatch.setattr(federation, "train_local", killed)
+        with pytest.raises(NoisyFLError, match="a training worker exited during round 1"):
+            run_federation(*self._setup())
+        assert_no_child_left()
 
 
 class TestTelemetryIO:

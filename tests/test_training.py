@@ -242,7 +242,7 @@ class TestTrainCoteaching:
 
 
 class TestOneModelPerCall:
-    """A call builds each network's ModelParams once, and every step checks finiteness once for all networks."""
+    """A call builds each network's ModelParams once, and every epoch checks finiteness once for all networks."""
 
     PARAMS = {"ce": {}, "mixup": {}, "coteaching": {"forget_rate": 0.2}}
 
@@ -308,22 +308,21 @@ class TestOneModelPerCall:
         assert passes == [] and steps == []
 
     @pytest.mark.parametrize("method", ["ce", "coteaching"])
-    def test_divergence_raises_on_its_step(self, monkeypatch, method):
+    def test_divergence_raises_at_the_end_of_its_epoch(self, monkeypatch, method):
+        # 120 rows in batches of 16: 8 steps an epoch; a NaN after the third step is caught at the eighth
         train = self._train(method)
         steps = []
 
-        def nan_on_third_step(values, grad, velocity, lr, momentum, out):
+        def nan_on_third_step(values, grad, velocity, lr, momentum, scratch):
             steps.append(None)
-            values, velocity = sgd_step(values, grad, velocity, lr, momentum, out)
+            sgd_step(values, grad, velocity, lr, momentum, scratch)
             if len(steps) == 3:
-                values = values.copy()
-                values[0] = np.nan
-            return values, velocity
+                values.flat[0] = np.nan
 
         monkeypatch.setattr(localtrain, "sgd_step", nan_on_third_step)
         with pytest.raises(FloatingPointError):
             train()
-        assert len(steps) == 3
+        assert len(steps) == 8
 
 
 def hand_trained(ds, starts, cfg, seed, round_t):
@@ -368,9 +367,7 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                 outs = [out]
                 batch_losses.append(out.value)
             for i, out in enumerate(outs):
-                values[i], velocities[i] = sgd_step(
-                    values[i], out.grad, velocities[i], cfg.lr, cfg.momentum, np.empty_like(values[i])
-                )
+                sgd_step(values[i], out.grad, velocities[i], cfg.lr, cfg.momentum, np.empty_like(values[i]))
         epoch_losses.append(float(np.mean(batch_losses)))
     return values, epoch_losses
 
