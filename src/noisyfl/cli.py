@@ -4,28 +4,35 @@ Every stage goes through :func:`run_stage`, the one place that decides
 whether a stage runs, writes its artifacts, hashes them and writes its
 manifest.
 
-- Manifest keys: ``stage``, ``version``, ``config_digest`` (sha256 of the
-  config without its output directory), ``inputs`` and ``outputs`` (file
-  name -> sha256), plus the stage's own fields: the noise spec, the
-  partition spec and the noise report, a train seed's ``seed``, ``lr`` and last-k accuracy, the selected lr.
-  The noise stage's inputs are the sha256 of a CSV dataset's files (none
-  for synthetic data); the train stage's are the noise stage's verified outputs.
+- Manifest keys: ``stage``, ``version``, ``inputs`` and ``outputs`` (file
+  name -> sha256), and the built values (``dataclasses.asdict``) that
+  decide the stage's bytes.  The noise stage's are ``dataset``,
+  ``partition``, ``noise`` and ``num_clients``; its inputs are the sha256
+  of a CSV dataset's files, which stand in for their paths.  A train
+  seed's are its own ``federation`` (its lr, derived seed and resolved
+  co-teaching ``forget_rate``) and ``model``; the train stage's add
+  ``repeats`` and ``lr_grid``.  Both take the noise stage's verified
+  outputs as inputs.  Then come the stage's results: the noise report, a
+  seed's last-k accuracy, the summary and the selected lr.
   ``manifest_sha256`` seals the rest: the sha256 of its canonical JSON (sorted keys).
 - Skip rule: :func:`verified`, the one reader of a manifest, passes one
-  that is sealed and records the same stage, version, config digest, input
-  hashes (and a train seed's ``seed`` and ``lr``) and outputs that still
-  hash as recorded.  Any other counts as absent: the stage runs again.
+  that is sealed, records the same key, compared as JSON reads it back,
+  and lists outputs that still hash as recorded.  Any other counts as
+  absent: the stage runs again.  So a change that only training reads
+  keeps the noise stage, and spelling out a default changes no key.
 - Atomic writes: each output is written to ``<name>.tmp`` and moved into
   place with ``os.replace``; the manifest is written last, the same way,
   so a killed run leaves only finished stages behind.
 - Hashing: a pipeline reads each file once to hash it, when its stage
   writes it or, for a skipped stage, when the skip rule checks it.  The
   train stage takes its inputs from the noise manifest the pipeline just
-  got back from that stage, and ``run.json`` takes each digest from the
-  manifest that records the file; only files no manifest lists (the
-  manifests themselves, leftovers of older versions) are hashed for it.
-  ``train`` run on its own verifies the noise manifest on disk, under the
-  key its skip rule compares, CSV source digests included.
+  got back from that stage.  ``run.json`` indexes the run: each output
+  with the digest its manifest records, and each manifest, hashed for it.
+  Files no manifest lists (leftovers of older versions) are not indexed.
+  ``run.json``'s ``config_digest`` names the run: the sha256 of the built
+  config without its output directory.  ``train`` run on its own verifies
+  the noise manifest on disk, under the key its skip rule compares, CSV
+  source digests included.
 
 The noise stage materializes the dataset, runs the configured scene once
 and is the one writer of the client split and of what train reads:
@@ -85,12 +92,11 @@ from .partition import make_partition  # noqa: F401  unused here; perfbench/trac
 from .errors import (
     ArtifactMismatchError,
     ConfigError,
-    CoverageInfeasibleError,
     DegeneratePartitionError,
     NoisyFLError,
     NumericalAbortError,
 )
-from .federation import run_federation, write_telemetry
+from .federation import FedConfig, run_federation, write_telemetry
 from .models import save_checkpoint
 from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, NoiseSpec, asymmetric_matrix, run_scene
 from .noise import NoiseReport
@@ -145,8 +151,9 @@ def _digest(doc) -> str:
     return "sha256:" + hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def config_digest(cfg: RunConfig) -> str:
-    return _digest(cfg.canonical_dict())
+def _as_json(value):
+    """``value`` as JSON reads it back: a tuple is a list, and a mapping's keys are strings."""
+    return json.loads(json.dumps(value))
 
 
 # ---------------------------------------------------------------- stage runner
@@ -154,8 +161,10 @@ def config_digest(cfg: RunConfig) -> str:
 def verified(base_dir: str, manifest: str, key: dict) -> dict:
     """The manifest ``base_dir/manifest``, once it is sealed, records ``key`` and its outputs hash as recorded.
 
-    The one reader of a stage manifest.  Otherwise raises ArtifactMismatchError
-    saying why not; its ``listed`` holds the outputs the manifest names.
+    The one reader of a stage manifest.  Each field of ``key`` is compared
+    in its JSON form, as the manifest stores it.  Otherwise raises
+    ArtifactMismatchError saying why not; its ``listed`` holds the outputs
+    the manifest names.
     """
     try:
         with open(os.path.join(base_dir, manifest), encoding="utf-8") as fh:
@@ -166,7 +175,7 @@ def verified(base_dir: str, manifest: str, key: dict) -> dict:
         raise ArtifactMismatchError(f"{manifest} is missing or unreadable")
     if doc.get(SEAL) != _digest({name: value for name, value in doc.items() if name != SEAL}):
         raise ArtifactMismatchError(f"{manifest} does not match its {SEAL}", doc["outputs"])
-    for field, value in key.items():
+    for field, value in _as_json(key).items():
         if doc.get(field) != value:
             raise ArtifactMismatchError(f"{manifest} records a different {field}", doc["outputs"])
     for rel, recorded in doc["outputs"].items():
@@ -179,8 +188,8 @@ def verified(base_dir: str, manifest: str, key: dict) -> dict:
 def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> dict:
     """Run one stage unless ``manifest`` is :func:`verified` under ``key``; return the manifest.
 
-    ``key`` holds ``config_digest`` and ``inputs`` (name -> sha256), plus
-    whatever else tells runs of the stage apart.  ``produce()`` returns
+    ``key`` holds ``inputs`` (name -> sha256) and the built values that
+    decide the stage's bytes.  ``produce()`` returns
     ``(fields, writers)``: extra manifest fields, and one ``writer(path)``
     per output file, named relative to ``base_dir``.  Outputs that an
     earlier run of the stage recorded and this run does not write (say,
@@ -198,7 +207,7 @@ def run_stage(stage: str, base_dir: str, manifest: str, key: dict, produce) -> d
         os.makedirs(os.path.dirname(path), exist_ok=True)
         write_atomic(path, write)
         outputs[rel] = sha256_file(path)
-    doc = {**fields, **key, "outputs": outputs}
+    doc = _as_json({**fields, **key, "outputs": outputs})  # what a reader of the file gets, sealed as such
     doc[SEAL] = _digest(doc)
     write_atomic(os.path.join(base_dir, manifest), functools.partial(write_json, doc))
     root = os.path.abspath(base_dir)
@@ -226,7 +235,7 @@ def _split(cfg: RunConfig):
             raise ConfigError("noise.asym_map", str(exc)) from None
     try:
         plan, noisy, report = run_scene(ds, spec, cfg.federation.num_clients, cfg.partition)
-    except (CoverageInfeasibleError, DegeneratePartitionError) as exc:  # only the partition schemes raise these
+    except DegeneratePartitionError as exc:  # only the partition schemes raise it
         raise ConfigError("partition", str(exc)) from None
     return ds, test, plan, noisy, report
 
@@ -244,12 +253,18 @@ def cmd_partition(cfg: RunConfig) -> None:
 
 
 def _noise_key(cfg: RunConfig) -> dict:
-    """The key of the noise stage's skip rule: stage, version, config digest and the sha256 of a CSV dataset's files."""
-    params = cfg.dataset.params
+    """The key of the noise stage's skip rule: the built dataset, partition and noise, and the client count.
+
+    A CSV dataset's files enter by their sha256, the stage's inputs, in place of their paths.
+    """
+    dataset = dataclasses.asdict(cfg.dataset)
     sources = {}
     if cfg.dataset.source == "csv":
-        sources = {field: sha256_file(params[field]) for field in ("path", "test_path") if params.get(field)}
-    return {"stage": "noise", "version": __version__, "config_digest": config_digest(cfg), "inputs": sources}
+        paths = {field: dataset["params"].pop(field) for field in ("path", "test_path")}
+        sources = {field: sha256_file(path) for field, path in paths.items() if path}
+    specs = {"partition": dataclasses.asdict(cfg.partition), "noise": dataclasses.asdict(cfg.noise)}
+    key = {"dataset": dataset, **specs, "num_clients": cfg.federation.num_clients, "inputs": sources}
+    return {"stage": "noise", "version": __version__, **key}
 
 
 def cmd_noise(cfg: RunConfig) -> dict:
@@ -260,12 +275,10 @@ def cmd_noise(cfg: RunConfig) -> dict:
 
     def produce():
         ds, test, plan, noisy, report = _split(cfg)
-        fields = {name: value for name, value in dataclasses.asdict(cfg.noise).items() if name != "asym_map"}
-        fields["partition"] = dataclasses.asdict(cfg.partition)
         if report is None:  # real-world data without ground truth
-            fields.update({f.name: None for f in dataclasses.fields(NoiseReport)}, skipped_clients=[])
+            fields = {**{f.name: None for f in dataclasses.fields(NoiseReport)}, "skipped_clients": []}
         else:
-            fields.update(report.to_dict())
+            fields = report.to_dict()
         writers = {
             "plan.json": functools.partial(save_plan, plan),
             "client_histograms.csv": functools.partial(write_csv, *_histograms(ds, plan)),
@@ -279,12 +292,12 @@ def cmd_noise(cfg: RunConfig) -> dict:
 
 
 def _noise_ratio_estimate(manifest: dict) -> float:
-    scene = manifest["scene"]
-    if scene == SCENE_GLOBALIZED:
-        return float(manifest["eps_global"])
-    if scene == SCENE_LOCALIZED:
-        return 0.5 * (float(manifest["eps_min"]) + float(manifest["eps_max"]))
-    if scene == SCENE_REALWORLD and manifest.get("overall_ratio") is not None:
+    spec = manifest["noise"]
+    if spec["scene"] == SCENE_GLOBALIZED:
+        return float(spec["eps_global"])
+    if spec["scene"] == SCENE_LOCALIZED:
+        return 0.5 * (float(spec["eps_min"]) + float(spec["eps_max"]))
+    if spec["scene"] == SCENE_REALWORLD and manifest.get("overall_ratio") is not None:
         return float(manifest["overall_ratio"])
     return 0.0
 
@@ -303,38 +316,27 @@ def _train_inputs(noise: dict) -> dict:
     return {name: noise["outputs"][name] for name in TRAIN_INPUTS}
 
 
-def _recorded(out: str, base_dir: str, manifest: dict) -> dict:
-    """The output digests ``manifest`` records, by their path under ``out`` as run.json names it."""
-    return {
-        os.path.relpath(os.path.join(base_dir, rel), out).replace(os.sep, "/"): digest
-        for rel, digest in manifest["outputs"].items()
-    }
-
-
-def _train_seed(cfg: RunConfig, lr: float, fed_seed: int, load_inputs) -> tuple[dict, dict]:
+def _train_seed(cfg: RunConfig, fed_cfg: FedConfig, load_inputs) -> tuple[dict, dict]:
     """One federation repeat: its last-k accuracy plus writers for telemetry and checkpoint."""
     noisy, plan, test = load_inputs()
     layout = cfg.layout_for(noisy.dim, noisy.num_classes)
-    trainer = dataclasses.replace(cfg.federation.trainer, lr=lr)
-    fed_cfg = dataclasses.replace(cfg.federation, trainer=trainer, seed=fed_seed)
     result = run_federation(noisy, plan, test, layout, fed_cfg)
     last_k = min(SUMMARY_LAST_K, sum(1 for r in result.records if r.test_accuracy is not None))
     fields = {"last_k": last_k, "last_k_accuracy": last_k_average(result.records, last_k)}
     return fields, {
         "telemetry.csv": functools.partial(write_telemetry, result.records),
-        "final_checkpoint.bin": lambda path: save_checkpoint(result.params, path, round_t=fed_cfg.rounds, seed=fed_seed),
+        "final_checkpoint.bin": functools.partial(save_checkpoint, result.params, round_t=fed_cfg.rounds, seed=fed_cfg.seed),
     }
 
 
-def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
+def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str, dict]]:
     """Run `repeats` federations per learning rate; summarize last-k accuracy.
 
     Builds on the outputs of a verified noise manifest: the one
     :func:`cmd_noise` returned, or else the one on disk, verified under the
     key of the noise stage's skip rule.  Each repeat is a stage of its own,
     so an interrupted sweep resumes at the first repeat that did not finish.
-    Returns the digests the train and seed manifests record, by path
-    under the output directory.
+    Returns (directory, manifest name, manifest) of each seed stage and of the train stage.
     """
     out = cfg.output_dir
     if noise is None:
@@ -342,7 +344,7 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
             noise = verified(out, "noise_manifest.json", _noise_key(cfg))
         except ArtifactMismatchError as exc:
             raise ArtifactMismatchError(f"train: {exc}; run the noise stage first") from None
-    key = {"config_digest": config_digest(cfg), "inputs": _train_inputs(noise)}
+    inputs = _train_inputs(noise)
 
     @functools.cache
     def load_inputs():
@@ -363,27 +365,22 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
                 "federation.trainer.method_params.forget_rate",
                 f"not set, and the noise-ratio estimate {estimate!r} is out of range ({exc})",
             ) from None
-        cfg = dataclasses.replace(cfg, federation=dataclasses.replace(cfg.federation, trainer=trainer))
+    federation = dataclasses.replace(cfg.federation, trainer=trainer)
 
     train_root = os.path.join(out, "train")
     sweep = cfg.lr_grid is not None
-    rows, summary, writers, recorded = [], [], {}, {}
+    rows, summary, writers, stages = [], [], {}, []
     for lr in cfg.lr_grid or (trainer.lr,):
         lr_dir = f"lr_{lr!r}" if sweep else ""
         seeds = []
         for i in range(cfg.repeats):
             fed_seed = rng.derive_seed(cfg.seed, "federate", i)
+            fed_cfg = dataclasses.replace(federation, trainer=dataclasses.replace(trainer, lr=lr), seed=fed_seed)
             seed_dir = os.path.join(train_root, lr_dir, f"seed_{i}")
-            seeds.append(
-                run_stage(
-                    "train-seed",
-                    seed_dir,
-                    "seed_manifest.json",
-                    {**key, "seed": fed_seed, "lr": lr},
-                    functools.partial(_train_seed, cfg, lr, fed_seed, load_inputs),
-                )
-            )
-            recorded.update(_recorded(out, seed_dir, seeds[-1]))
+            key = {"federation": dataclasses.asdict(fed_cfg), "model": cfg.model, "inputs": inputs}
+            train_seed = functools.partial(_train_seed, cfg, fed_cfg, load_inputs)
+            seeds.append(run_stage("train-seed", seed_dir, "seed_manifest.json", key, train_seed))
+            stages.append((seed_dir, "seed_manifest.json", seeds[-1]))
         accs = [s["last_k_accuracy"] for s in seeds]
         mean, std = float(np.mean(accs)), float(np.std(accs))
         # every repeat averages the same evaluated rounds
@@ -397,8 +394,10 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> dict:
     # grid sweeps select the lr with the best mean last-k accuracy
     best = max(summary, key=lambda r: r["mean_accuracy"])
     fields = {"selected_lr": best["lr"], "summary": summary}
+    key = {"federation": dataclasses.asdict(federation), "model": cfg.model, "inputs": inputs}
+    key.update(repeats=cfg.repeats, lr_grid=cfg.lr_grid)
     train = run_stage("train", train_root, "run_manifest.json", key, lambda: (fields, writers))
-    return {**recorded, **_recorded(out, train_root, train)}
+    return [*stages, (train_root, "run_manifest.json", train)]
 
 
 def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
@@ -414,16 +413,17 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         raise ArtifactMismatchError("run_manifest.json records other inputs than the noise stage wrote")
     try:
         spec = PartitionSpec(**{f.name: noise["partition"][f.name] for f in dataclasses.fields(PartitionSpec)})
-        NoiseSpec(**{name: noise[name] for name in ("scene", "mode", "eps_global", "eps_min", "eps_max")})
+        eps = {name: noise["noise"][name] for name in ("eps_global", "eps_min", "eps_max")}
+        NoiseSpec(scene=noise["noise"]["scene"], mode=noise["noise"]["mode"], **eps)
         (accuracy,) = [row["mean_accuracy"] for row in train["summary"] if row["lr"] == train["selected_lr"]]
-        typed = [(accuracy, float), (spec.alpha, float), (spec.c, int)]
-        typed += [(noise[name], float) for name in ("eps_global", "eps_min", "eps_max", "overall_ratio")]
+        typed = [(accuracy, float), (spec.alpha, float), (spec.c, int), (noise["overall_ratio"], float)]
+        typed += [(value, float) for value in eps.values()]
         if any(value is not None and (type(value) is not kind or not math.isfinite(value)) for value, kind in typed):
             raise ValueError("a recorded number is not finite or not of its type")
         param = SCHEME_PARAM[spec.scheme]
         partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
         # eps to 9 decimals, so that a localized (0.2, 0.4) run's midpoint 0.30000000000000004 is the grid point 0.3
-        key = (partition, f"{noise['scene']}/{noise['mode']}", round(_noise_ratio_estimate(noise), 9))
+        key = (partition, f"{noise['noise']['scene']}/{noise['noise']['mode']}", round(_noise_ratio_estimate(noise), 9))
         AccuracyTable(entries={key: accuracy})  # its own check: a fraction in [0, 1]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactMismatchError(f"unusable manifest field ({exc})") from None
@@ -467,26 +467,21 @@ def cmd_analyze(run_dirs: list[str], out_dir: str) -> None:
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    """Run noise and train, then index the output tree in run.json.
+    """Run noise and train, then index the run in run.json.
 
-    A file a stage manifest lists is indexed with the digest recorded there;
-    only the others are hashed here.
+    Each output is indexed with the digest its stage manifest records, and
+    each manifest is hashed here; a file no manifest lists is not indexed.
     """
     out = cfg.output_dir
     noise = cmd_noise(cfg)
-    recorded = {**_recorded(out, out, noise), **cmd_train(cfg, noise)}
-
     artifacts = {}
-    for root, _, files in os.walk(out):
-        for name in sorted(files):
-            path = os.path.join(root, name)
-            rel = os.path.relpath(path, out).replace(os.sep, "/")
-            if rel in ("run.json", "run.json" + TMP_SUFFIX):
-                continue
-            artifacts[rel] = recorded[rel] if rel in recorded else sha256_file(path)
+    for base_dir, name, manifest in [(out, "noise_manifest.json", noise), *cmd_train(cfg, noise)]:
+        for rel, digest in {**manifest["outputs"], name: sha256_file(os.path.join(base_dir, name))}.items():
+            artifacts[os.path.relpath(os.path.join(base_dir, rel), out).replace(os.sep, "/")] = digest
+    built = {name: value for name, value in dataclasses.asdict(cfg).items() if name != "output_dir"}
     doc = {
         "version": __version__,
-        "config_digest": config_digest(cfg),
+        "config_digest": _digest(built),
         "seed": cfg.seed,
         "artifacts": artifacts,
     }

@@ -14,6 +14,11 @@ defaults and ranges from their type: ``TrainerConfig`` resolves
 ``method_params``, and this module only reads them as numbers.  An error
 names the path of its field, or of its section when the section's type
 rejects a value.
+
+The document itself is not kept: the config exists once, as the built
+values of :class:`RunConfig`.  Each stage's key and ``run.json``'s
+``config_digest`` are made of them, so a config that spells out a default,
+or writes ``2`` for ``2.0``, is the same config as one that does not.
 """
 
 from __future__ import annotations
@@ -94,10 +99,10 @@ def _class_map(value, where: str) -> dict[int, int]:
 
 
 def _lr_grid(value, where: str) -> tuple[float, ...] | None:
-    if not value:  # null or empty: no sweep
-        return None
     if not isinstance(value, list):
         raise ConfigError(where, "must be a list of learning rates")
+    if not value:  # empty, as null: no sweep
+        return None
     grid = tuple(_float(v, where) for v in value)
     if any(not v > 0 for v in grid):
         raise ConfigError(where, "learning rates must be > 0")
@@ -134,7 +139,7 @@ FEDERATION = {
     "eval_every": _int,
     "trainer": _object,
     "model": _object,
-    "lr_grid": _lr_grid,
+    "lr_grid": _optional(_lr_grid),
 }
 TRAINER = {
     "method": _text,
@@ -230,7 +235,6 @@ class RunConfig:
     federation: FedConfig
     model: dict
     lr_grid: tuple[float, ...] | None
-    raw: dict
 
     def layout_for(self, dim: int, num_classes: int) -> Layout:
         if self.model["kind"] == "linear-softmax":
@@ -238,14 +242,6 @@ class RunConfig:
         return MLPLayout(
             dim=dim, hidden=self.model["hidden"], num_classes=num_classes, activation=self.model["activation"]
         )
-
-    def canonical_dict(self) -> dict:
-        """The config document as written, without the output directory (location-independent).
-
-        Defaults are not filled in, so a config that spells out a default
-        gets a different ``config_digest`` from one that omits it.
-        """
-        return {k: v for k, v in self.raw.items() if k != "output_dir"}
 
 
 def _dataset(doc: dict) -> DatasetConfig:
@@ -312,7 +308,6 @@ def validate_config(doc: dict) -> RunConfig:
         federation=_build(FedConfig, "federation", federation, trainer=trainer, seed=seed),
         model=model,
         lr_grid=lr_grid,
-        raw=doc,
     )
 
 

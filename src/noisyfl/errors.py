@@ -36,11 +36,8 @@ class LabelRangeError(NoisyFLError):
 
 
 class DegeneratePartitionError(NoisyFLError):
-    """A partition scheme would leave a client empty: K > N, or its redraws ran out."""
-
-
-class CoverageInfeasibleError(NoisyFLError):
-    """label-quantity cannot give each client c classes and cover every class (c > C or K*c < C)."""
+    """A partition cannot be built: a client would be empty (K > N, or the redraws ran out), or
+    label-quantity cannot give each client c classes and cover every class (c > C or K*c < C)."""
 
 
 class ArtifactMismatchError(NoisyFLError):

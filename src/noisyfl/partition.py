@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .errors import CoverageInfeasibleError, DegeneratePartitionError
+from .errors import DegeneratePartitionError
 
 SCHEME_IID = "iid"
 SCHEME_QUANTITY = "quantity-skew"
@@ -223,9 +223,9 @@ def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed:
     """
     num_classes = ds.num_classes
     if c > num_classes:
-        raise CoverageInfeasibleError(f"c = {c} classes per client exceeds the C = {num_classes} classes")
+        raise DegeneratePartitionError(f"c = {c} classes per client exceeds the C = {num_classes} classes")
     if num_clients * c < num_classes:
-        raise CoverageInfeasibleError(
+        raise DegeneratePartitionError(
             f"K*c = {num_clients * c} < C = {num_classes}: some class would be unassigned"
         )
     gen = rng.stream(seed, "labelqty-assign")

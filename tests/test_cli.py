@@ -81,19 +81,39 @@ def tree(root: str) -> dict[str, bytes]:
     return files
 
 
-def checked_index(root: str) -> dict[str, str]:
+def checked_index(root: str, unindexed=()) -> dict[str, str]:
     """run.json's artifacts, after checking them against the tree with an independent hasher.
 
-    run.json lists every file but itself, each with the sha256 of its bytes.
+    run.json lists every file but itself and the ``unindexed`` leftovers that no manifest
+    lists, each with the sha256 of its bytes.
     """
     files = {rel.replace(os.sep, "/"): data for rel, data in tree(root).items()}
     indexed = json.loads(files.pop("run.json"))["artifacts"]
-    assert indexed == {rel: "sha256:" + hashlib.sha256(data).hexdigest() for rel, data in files.items()}
+    expected = {rel: data for rel, data in files.items() if rel not in unindexed}
+    assert indexed == {rel: "sha256:" + hashlib.sha256(data).hexdigest() for rel, data in expected.items()}
     return indexed
 
 
 def manifests(root: str) -> list[str]:
     return sorted(rel for rel in tree(root) if rel.endswith("manifest.json"))
+
+
+NOISE_FILES = ["noise_manifest.json", "plan.json", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"]
+
+
+def stamps(root: str, names) -> dict:
+    """Each file's inode, mtime and bytes: a rewrite moves a new file into place, even one of the same bytes."""
+    result = {}
+    for name in names:
+        path = os.path.join(root, name)
+        info = os.stat(path)
+        with open(path, "rb") as fh:
+            result[name] = (info.st_ino, info.st_mtime_ns, fh.read())
+    return result
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a finished stage ran again")
 
 
 DELETE = object()
@@ -213,10 +233,6 @@ class TestResume:
         config, out = write_config(tmp_path, changes=changes)
         assert main(["pipeline", "-c", config]) == 0
         before = tree(out)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a finished stage ran again")
-
         for module, name in [
             (cli, "run_federation"),
             (cli, "make_partition"),
@@ -249,7 +265,7 @@ class TestResume:
         assert main(["pipeline", "-c", config]) == 0
         expected = tree(out)
         for rel, path in [
-            ("noise_manifest.json", "eps_min"),
+            ("noise_manifest.json", "noise.eps_min"),
             ("train/seed_0/seed_manifest.json", "last_k_accuracy"),
             ("train/run_manifest.json", "summary.0.mean_accuracy"),
         ]:
@@ -296,7 +312,7 @@ class TestResume:
         """A directory the CSV-intermediate version wrote reruns into the tree of a fresh run.
 
         That version also ran a dataset stage, since retired: its dataset.csv and manifest
-        belong to no stage, so they stay and run.json indexes them.
+        belong to no stage, so they stay, and run.json, an index of the run, leaves them out.
         """
         config, out = write_config(tmp_path)
         with monkeypatch.context() as patch:
@@ -306,7 +322,7 @@ class TestResume:
             assert main(["pipeline", "-c", config]) == 0
             cfg = load_config(config, {})
             train, _ = cfg.dataset.materialize()
-            key = {"config_digest": cli.config_digest(cfg), "inputs": {}}
+            key = {"inputs": {}}
             writers = {"dataset.npy": functools.partial(save_csv, train)}
             cli.run_stage("dataset", out, "dataset_manifest.json", key, lambda: ({}, writers))
         for rel in tree(out):
@@ -325,9 +341,8 @@ class TestResume:
         assert main(["pipeline", "-c", fresh_config]) == 0
         redone, expected = tree(out), tree(fresh)
         leftovers = ["dataset.csv", "dataset_manifest.json"]
-        kept = {rel: data for rel, data in redone.items() if rel not in leftovers and rel != "run.json"}
-        assert kept == {rel: data for rel, data in expected.items() if rel != "run.json"}
-        assert set(checked_index(out)) == set(json.loads(expected["run.json"])["artifacts"]) | set(leftovers)
+        assert {rel: data for rel, data in redone.items() if rel not in leftovers} == expected
+        checked_index(out, leftovers)
 
     def test_edited_csv_source_reruns_the_noise_stage(self, tmp_path):
         """The noise stage's inputs are the hashes of the CSV files, so an edited file redoes it under the same config."""
@@ -348,7 +363,7 @@ class TestResume:
     def test_version_0_4_directory_is_redone(self, tmp_path, monkeypatch):
         """A 0.4.0 tree, whose noise manifest records no partition, reruns every stage and then analyzes.
 
-        The analysis/ files 0.4.0 wrote belong to no stage, so they stay and run.json indexes them.
+        The analysis/ files 0.4.0 wrote belong to no stage, so they stay, and run.json leaves them out.
         """
         config, out = write_config(tmp_path)
         with monkeypatch.context() as patch:
@@ -371,12 +386,8 @@ class TestResume:
         leftovers = sorted(rel for rel in redone if rel.startswith("analysis" + os.sep))
         assert len(leftovers) == 3
         # every manifest now records this version and equals a fresh run's, so every stage ran again
-        kept = {rel: data for rel, data in redone.items() if rel not in leftovers and rel != "run.json"}
-        assert kept == {rel: data for rel, data in expected.items() if rel != "run.json"}
-        indexed = checked_index(out)
-        assert set(indexed) == set(json.loads(expected["run.json"])["artifacts"]) | {
-            rel.replace(os.sep, "/") for rel in leftovers
-        }
+        assert {rel: data for rel, data in redone.items() if rel not in leftovers} == expected
+        checked_index(out, [rel.replace(os.sep, "/") for rel in leftovers])
         assert analyze([out], str(tmp_path / "grid"))[0] == 0
 
 
@@ -408,6 +419,108 @@ class TestIndex:
         os.remove(os.path.join(out, "noisy_dataset.npy"))
         assert main(["pipeline", "-c", config]) == 0
         assert checked_index(out) == expected
+
+
+class TestStageKeys:
+    """Each stage is keyed by the built values that decide its bytes, not by the config as written."""
+
+    def test_a_training_only_change_keeps_the_noise_stage(self, tmp_path, monkeypatch):
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 0
+        noise = stamps(out, NOISE_FILES)
+        monkeypatch.setattr(cli, "run_scene", refuse)
+        manifest = [os.path.join("train", "run_manifest.json")]
+        for flags in (["--lr", "0.06"], ["--method", "coteaching"], ["--epochs", "3"]):
+            train = stamps(out, manifest)
+            assert main(["pipeline", "-c", config, *flags]) == 0, flags
+            assert stamps(out, NOISE_FILES) == noise, flags
+            assert stamps(out, manifest) != train, flags  # the train stage did run
+        # run on its own, train verifies the noise stage under the noise stage's key
+        assert main(["train", "-c", config, "--epochs", "3"]) == 0
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"partition.alpha": 1.0},
+            {"dataset.synthetic.seed": 6},
+            {"noise.eps_max": 0.5},
+            {"federation.num_clients": 4},
+            {"noise": {**GLOBALIZED["noise"], "asym_map": {"0": 2, "1": 0, "2": 1}}},
+        ],
+        ids=["alpha", "dataset-seed", "eps-max", "num-clients", "asym-map"],
+    )
+    def test_a_noise_setting_redoes_the_noise_stage(self, tmp_path, monkeypatch, changes):
+        base = GLOBALIZED if "noise" in changes else {}  # an asym_map needs the globalized asymmetric scene
+        config, out = write_config(tmp_path, changes=base)
+        assert main(["noise", "-c", config]) == 0
+        before = stamps(out, ["noise_manifest.json"])
+        scenes = []
+        monkeypatch.setattr(cli, "run_scene", lambda *args: scenes.append(args) or run_scene(*args))
+        config, _ = write_config(tmp_path, changes={**base, **changes})
+        assert main(["noise", "-c", config]) == 0
+        assert len(scenes) == 1
+        assert stamps(out, ["noise_manifest.json"])["noise_manifest.json"][2] != before["noise_manifest.json"][2]
+
+    def test_spelled_out_defaults_give_the_same_tree(self, tmp_path):
+        """A config that writes every default, and integers for floats, is the config that omits them."""
+        terse = copy.deepcopy(SMALL)
+        del terse["repeats"], terse["federation"]["eval_every"], terse["federation"]["model"]["activation"]
+        terse["output_dir"] = str(tmp_path / "terse")
+        (tmp_path / "terse.json").write_text(json.dumps(terse), encoding="utf-8")
+        spelled = {
+            "dataset.synthetic.separation": 3,
+            "noise.eps_global": None,
+            "noise.asym_map": None,
+            "federation.rounds": 4.0,
+            "federation.selection_fraction": 1,
+            "federation.lr_grid": [],
+            "federation.trainer.momentum": 0.9,
+            "federation.trainer.weight_decay": 0.0005,
+            "federation.trainer.method_params": {},
+        }
+        config, full = write_config(tmp_path, "full", spelled)
+        for path in (str(tmp_path / "terse.json"), config):
+            assert main(["pipeline", "-c", path]) == 0
+        assert tree(full) == tree(terse["output_dir"])
+
+    def test_rerun_with_a_class_map_and_an_lr_grid_rewrites_only_run_json(self, tmp_path, monkeypatch):
+        """The keys hold a class map's integer keys and the grid's tuple, and match them as JSON stores them.
+
+        With 11 classes the map's keys sort one way as numbers and another as text ("10" < "2").
+        """
+        classes = 11
+        asym_map = {str(c): (c + 2) % classes for c in range(classes)}
+        changes = {
+            "dataset.synthetic.num_classes": classes,
+            "noise": {**GLOBALIZED["noise"], "asym_map": asym_map},
+            "repeats": 2,
+            "federation.lr_grid": [0.05, 0.1],
+        }
+        config, out = write_config(tmp_path, changes=changes)
+        assert main(["pipeline", "-c", config]) == 0
+        expected = tree(out)
+        files = [rel for rel in expected if rel != "run.json"]
+        before = stamps(out, files)
+        monkeypatch.setattr(cli, "run_scene", refuse)
+        monkeypatch.setattr(cli, "run_federation", refuse)
+        assert main(["pipeline", "-c", config]) == 0
+        assert stamps(out, files) == before
+        assert tree(out) == expected
+
+    def test_a_moved_csv_keeps_the_noise_stage(self, tmp_path, monkeypatch):
+        """A CSV dataset enters the noise stage's key by the sha256 of its file, not by its path."""
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        save_csv(make_synthetic_blobs(3, 30, 4, 3.0, seed=1), paths[0])
+        shutil.copy(paths[0], paths[1])
+        stamped = []
+        for path in paths:
+            changes = {"dataset": {"csv": {"path": path, "label_column": "label"}}, "noise": {"scene": "realworld"}}
+            config, out = write_config(tmp_path, changes=changes)
+            assert main(["noise", "-c", config]) == 0
+            stamped.append(stamps(out, NOISE_FILES[:-1]))  # no test set is configured
+            monkeypatch.setattr(cli, "run_scene", refuse)
+        assert stamped[1] == stamped[0]
+        assert str(tmp_path).encode() not in stamped[0]["noise_manifest.json"][2]
 
 
 class TestExitCodes:
@@ -639,13 +752,13 @@ class TestExitCodes:
             ("train/run_manifest.json", "summary.0.mean_accuracy", -0.1),
             ("train/run_manifest.json", "summary.0.mean_accuracy", math.nan),
             ("train/run_manifest.json", "summary.0.mean_accuracy", math.inf),
-            ("noise_manifest.json", "eps_min", math.nan),
-            ("noise_manifest.json", "eps_max", math.inf),
+            ("noise_manifest.json", "noise.eps_min", math.nan),
+            ("noise_manifest.json", "noise.eps_max", math.inf),
             # a bool passes every range check of a number, and label-dir takes no c
             ("train/run_manifest.json", "summary.0.mean_accuracy", True),
             ("noise_manifest.json", "partition.alpha", True),
             ("noise_manifest.json", "partition.c", "x"),
-            ("noise_manifest.json", "mode", "x"),
+            ("noise_manifest.json", "noise.mode", "x"),
             ("noise_manifest.json", "partition.scheme", "x"),
             ("noise_manifest.json", "partition.alpha", 0.0),
         ],
@@ -772,18 +885,20 @@ class TestArtifacts:
         cfg = load_config(config, {})
         ds, _ = cfg.dataset.materialize()
         _, _, report = run_scene(ds, cfg.noise, cfg.federation.num_clients, cfg.partition)
-        spec = {
-            "scene": cfg.noise.scene,
-            "mode": cfg.noise.mode,
-            "eps_global": cfg.noise.eps_global,
-            "eps_min": cfg.noise.eps_min,
-            "eps_max": cfg.noise.eps_max,
-            "seed": cfg.noise.seed,
+        # the key: SMALL's built values, each default filled in
+        key = {
+            "dataset": {"source": "synthetic", "params": SMALL["dataset"]["synthetic"]},
             "partition": {"scheme": "label-dir", "alpha": 0.5, "c": None},
-        }
-        runner_keys = {"stage", "version", "config_digest", "inputs", "outputs", "manifest_sha256"}
-        assert set(manifest) == runner_keys | set(spec) | set(report.to_dict())
-        assert {k: manifest[k] for k in spec} == spec
+            "noise": {
+                "scene": "localized", "mode": "symmetric", "eps_global": None, "eps_min": 0.2, "eps_max": 0.4,
+                "asym_map": None, "seed": 3,
+            },
+            "num_clients": 3,
+            "inputs": {},
+        }  # fmt: skip
+        runner_keys = {"stage", "version", "outputs", "manifest_sha256"}
+        assert set(manifest) == runner_keys | set(key) | set(report.to_dict())
+        assert {k: manifest[k] for k in key} == key
         assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
         assert manifest["stage"] == "noise"
         assert set(manifest["outputs"]) == {"plan.json", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"}
@@ -823,11 +938,12 @@ class TestArtifacts:
 
 
 # the manifest fields analyze reads from a SMALL run (localized noise, label-dir split); the
-# seed manifests, the config digests and the noise report are not read, and overall_ratio
+# seed manifests, the noise stage's dataset and the noise report are not read, and overall_ratio
 # only in the real-world scene
 READ_FIELDS = {
     "noise_manifest.json": [
-        "stage", "version", "outputs", "scene", "mode", "eps_global", "eps_min", "eps_max",
+        "stage", "version", "outputs",
+        "noise", "noise.scene", "noise.mode", "noise.eps_global", "noise.eps_min", "noise.eps_max",
         "partition", "partition.scheme", "partition.alpha", "partition.c",
     ],
     "train/run_manifest.json": [

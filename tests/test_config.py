@@ -68,6 +68,37 @@ def field_paths(doc: dict, prefix=()):
             yield from field_paths(value, prefix + (key,))
 
 
+def leaves(node, path=()):
+    """(path, value) of each written value that is neither an object nor a list; list items are indexed."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def built_at(cfg, path: tuple):
+    """The built value that the written field at ``path`` became.
+
+    A section's fields live on the type that reads it, except a dataset's, which
+    live in ``dataset.params``, and the model and lr grid, which live on the root.
+    A class map's keys are read as class ids.
+    """
+    if path[0] == "dataset":
+        assert cfg.dataset.source == path[1]
+        node, path = cfg.dataset.params, path[2:]
+    elif path[:2] in (("federation", "model"), ("federation", "lr_grid")):
+        node, path = getattr(cfg, path[1]), path[2:]
+    else:
+        node = cfg
+    for key in path:
+        if dataclasses.is_dataclass(node):
+            node = getattr(node, key)
+        else:
+            node = node[int(key) if isinstance(node, dict) and key not in node else key]
+    return node
+
+
 @pytest.mark.parametrize("base", [SYNTHETIC, CSV], ids=["synthetic", "csv"])
 def test_base_documents_validate(base):
     validate_config(copy.deepcopy(base))
@@ -97,9 +128,15 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
             assert err.value.field == ".".join(path)
         return
     try:
-        validate_config(doc)
+        cfg = validate_config(doc)
     except ConfigError:
-        pass
+        return
+    # nothing written is lost on its way to the built values the stage keys are made of
+    for leaf, written in leaves(doc):
+        built = built_at(cfg, leaf)
+        if type(built) is float and type(written) is int:  # a float field reads an integer as its nearest float
+            written = float(written)
+        assert built == written, leaf
 
 
 @pytest.mark.parametrize(
@@ -137,6 +174,10 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
         (("federation", "model", "activation"), "gelu"),
         (("output_dir",), ""),
         (("repeats",), 0),
+        # only null and an empty list mean no sweep; another value that is no list would be lost
+        (("federation", "lr_grid"), False),
+        (("federation", "lr_grid"), 0),
+        (("federation", "lr_grid"), {}),
     ],
 )
 def test_known_malformed_fields(path, value):
@@ -206,9 +247,9 @@ def test_misspelled_key_is_a_config_error_at_its_path(base, path):
 
 
 def _outcome(doc: dict):
-    """The validated config without its raw document, or the ConfigError's text."""
+    """The validated config, or the ConfigError's text."""
     try:
-        return dataclasses.replace(validate_config(doc), raw=None)
+        return validate_config(doc)
     except ConfigError as exc:
         return str(exc)
 

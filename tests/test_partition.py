@@ -5,7 +5,7 @@ import pytest
 
 from noisyfl import rng
 from noisyfl.datasets import LabeledDataset, class_histogram, make_synthetic_blobs
-from noisyfl.errors import CoverageInfeasibleError, DegeneratePartitionError
+from noisyfl.errors import DegeneratePartitionError
 from noisyfl.partition import (
     PartitionPlan,
     PartitionSpec,
@@ -227,12 +227,12 @@ class TestLabelQuantity:
 
     def test_coverage_infeasible(self):
         ds = balanced(10, 10)
-        with pytest.raises(CoverageInfeasibleError):
+        with pytest.raises(DegeneratePartitionError):
             partition_label_quantity(ds, 3, c=3, seed=0)
 
     def test_invalid_c(self):
         ds = balanced(4, 10)
-        with pytest.raises(CoverageInfeasibleError):
+        with pytest.raises(DegeneratePartitionError):
             partition_label_quantity(ds, 4, c=5, seed=0)
         with pytest.raises(ValueError, match="c >= 1"):  # checked where it enters
             PartitionSpec(scheme="label-quantity", c=0)
