@@ -11,9 +11,10 @@ manifest.
   of a CSV dataset's files, which stand in for their paths.  A train
   seed's are its own ``federation`` (its lr, derived seed and resolved
   co-teaching ``forget_rate``) and ``model``; the train stage's add
-  ``repeats`` and ``lr_grid``.  Both take the noise stage's verified
-  outputs as inputs.  Then come the stage's results: the noise report, a
-  seed's last-k accuracy, the summary and the selected lr.
+  ``repeats`` and ``lr_grid``, and under a grid its trainer has no
+  ``lr``.  Both take the noise stage's verified outputs as inputs.  Then
+  come the stage's results: the noise report, a seed's last-k accuracy,
+  the summary and the selected lr.
   ``manifest_sha256`` seals the rest: the sha256 of its canonical JSON (sorted keys).
 - Skip rule: :func:`verified`, the one reader of a manifest, passes one
   that is sealed, records the same key, compared as JSON reads it back,
@@ -97,9 +98,8 @@ from .errors import (
     NumericalAbortError,
 )
 from .federation import FedConfig, run_federation, write_telemetry
-from .models import save_checkpoint
+from .models import layout_from_dict, save_checkpoint
 from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, NoiseSpec, asymmetric_matrix, run_scene
-from .noise import NoiseReport
 from .partition import SCHEME_PARAM, PartitionSpec, load_plan, save_plan
 
 SUMMARY_LAST_K = 10
@@ -224,7 +224,8 @@ def _split(cfg: RunConfig):
     """Materialize the dataset and run the configured scene on it: (dataset, test set, plan, noisy dataset, report).
 
     The one computation of the client split.  Globalized noise partitions
-    the corrupted data, every other scene the data as it is.
+    the corrupted data, every other scene the data as it is.  The report is
+    the noise manifest's fields as ``run_scene`` returns them.
     """
     ds, test = cfg.dataset.materialize()
     spec = cfg.noise
@@ -275,10 +276,6 @@ def cmd_noise(cfg: RunConfig) -> dict:
 
     def produce():
         ds, test, plan, noisy, report = _split(cfg)
-        if report is None:  # real-world data without ground truth
-            fields = {**{f.name: None for f in dataclasses.fields(NoiseReport)}, "skipped_clients": []}
-        else:
-            fields = report.to_dict()
         writers = {
             "plan.json": functools.partial(save_plan, plan),
             "client_histograms.csv": functools.partial(write_csv, *_histograms(ds, plan)),
@@ -286,7 +283,7 @@ def cmd_noise(cfg: RunConfig) -> dict:
         }
         if test is not None:
             writers["test_dataset.npy"] = functools.partial(save_npy, test)
-        return fields, writers
+        return report, writers
 
     return run_stage("noise", cfg.output_dir, "noise_manifest.json", _noise_key(cfg), produce)
 
@@ -319,13 +316,13 @@ def _train_inputs(noise: dict) -> dict:
 def _train_seed(cfg: RunConfig, fed_cfg: FedConfig, load_inputs) -> tuple[dict, dict]:
     """One federation repeat: its last-k accuracy plus writers for telemetry and checkpoint."""
     noisy, plan, test = load_inputs()
-    layout = cfg.layout_for(noisy.dim, noisy.num_classes)
-    result = run_federation(noisy, plan, test, layout, fed_cfg)
-    last_k = min(SUMMARY_LAST_K, sum(1 for r in result.records if r.test_accuracy is not None))
-    fields = {"last_k": last_k, "last_k_accuracy": last_k_average(result.records, last_k)}
+    layout = layout_from_dict({**cfg.model, "dim": noisy.dim, "num_classes": noisy.num_classes})
+    records, params = run_federation(noisy, plan, test, layout, fed_cfg)
+    last_k = min(SUMMARY_LAST_K, sum(1 for r in records if r.test_accuracy is not None))
+    fields = {"last_k": last_k, "last_k_accuracy": last_k_average(records, last_k)}
     return fields, {
-        "telemetry.csv": functools.partial(write_telemetry, result.records),
-        "final_checkpoint.bin": functools.partial(save_checkpoint, result.params, round_t=fed_cfg.rounds, seed=fed_cfg.seed),
+        "telemetry.csv": functools.partial(write_telemetry, records),
+        "final_checkpoint.bin": functools.partial(save_checkpoint, params, round_t=fed_cfg.rounds, seed=fed_cfg.seed),
     }
 
 
@@ -394,7 +391,10 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
     # grid sweeps select the lr with the best mean last-k accuracy
     best = max(summary, key=lambda r: r["mean_accuracy"])
     fields = {"selected_lr": best["lr"], "summary": summary}
-    key = {"federation": dataclasses.asdict(federation), "model": cfg.model, "inputs": inputs}
+    recorded = dataclasses.asdict(federation)
+    if sweep:  # every seed trains with a grid lr, so the trainer's own is read by none
+        del recorded["trainer"]["lr"]
+    key = {"federation": recorded, "model": cfg.model, "inputs": inputs}
     key.update(repeats=cfg.repeats, lr_grid=cfg.lr_grid)
     train = run_stage("train", train_root, "run_manifest.json", key, lambda: (fields, writers))
     return [*stages, (train_root, "run_manifest.json", train)]

@@ -29,10 +29,9 @@ import math
 
 from . import rng
 from .datasets import LabeledDataset, load_csv, make_synthetic_blobs
-from .errors import ConfigError, LabelRangeError, ParseError
+from .errors import ConfigError, ParseError
 from .federation import FedConfig
 from .localtrain import TrainerConfig
-from .models import Layout, LinearSoftmaxLayout, MLPLayout
 from .noise import SCENE_CLEAN, NoiseSpec
 from .partition import PartitionSpec
 
@@ -218,7 +217,7 @@ def _csv_error(params: dict, field: str, message: str) -> ConfigError:
 def _read_csv(params: dict, field: str) -> LabeledDataset:
     try:
         return load_csv(params[field], params["label_column"])
-    except (ParseError, LabelRangeError) as exc:
+    except ParseError as exc:
         raise _csv_error(params, field, str(exc)) from None
 
 
@@ -233,15 +232,8 @@ class RunConfig:
     partition: PartitionSpec
     noise: NoiseSpec
     federation: FedConfig
-    model: dict
+    model: dict  # models.layout_from_dict's description without the data's dim and num_classes
     lr_grid: tuple[float, ...] | None
-
-    def layout_for(self, dim: int, num_classes: int) -> Layout:
-        if self.model["kind"] == "linear-softmax":
-            return LinearSoftmaxLayout(dim=dim, num_classes=num_classes)
-        return MLPLayout(
-            dim=dim, hidden=self.model["hidden"], num_classes=num_classes, activation=self.model["activation"]
-        )
 
 
 def _dataset(doc: dict) -> DatasetConfig:
@@ -268,10 +260,16 @@ def _dataset(doc: dict) -> DatasetConfig:
 
 
 def _model(doc: dict) -> dict:
+    """A linear softmax is its kind alone, and its section takes no MLP field; an MLP has defaults for both."""
     path = "federation.model"
     model = {"kind": "mlp", "hidden": 32, "activation": "tanh", **_fields(doc, path, MODEL)}
     if model["kind"] not in ("mlp", "linear-softmax"):
         raise ConfigError(f"{path}.kind", "must be 'mlp' or 'linear-softmax'")
+    if model["kind"] == "linear-softmax":
+        for field in ("hidden", "activation"):
+            if field in doc:
+                raise ConfigError(f"{path}.{field}", "a linear-softmax model has no hidden layer")
+        return {"kind": "linear-softmax"}
     if model["hidden"] < 1:
         raise ConfigError(f"{path}.hidden", "must be >= 1")
     if model["activation"] not in ("tanh", "relu"):

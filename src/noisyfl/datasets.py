@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import LabelRangeError, ParseError
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ def load_csv(path: str, label_column: str) -> LabeledDataset:
 
     All columns other than the label column (and the optional true-label
     column, when present) are parsed as real-valued features.  Labels must
-    form a contiguous integer range starting at 0.
+    form a contiguous integer range starting at 0.  A file that breaks
+    either rule raises ParseError.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -168,16 +169,16 @@ def load_csv(path: str, label_column: str) -> LabeledDataset:
     # invalidating the file.
     pool = np.concatenate([label_arr, np.asarray(true_labels, dtype=np.int64)]) if true_labels else label_arr
     if pool.min() < 0:
-        raise LabelRangeError("negative label values are not allowed")
+        raise ParseError("negative label values are not allowed")
     if pool.max() >= len(pool):  # C contiguous labels need C <= len(pool); also bounds the count array
-        raise LabelRangeError(f"labels are not contiguous from 0: label {int(pool.max())} among {len(pool)} labels")
+        raise ParseError(f"labels are not contiguous from 0: label {int(pool.max())} among {len(pool)} labels")
     counts = np.bincount(pool)
     num_classes = len(counts)
     if not counts.all():
         missing = np.flatnonzero(counts == 0).tolist()
-        raise LabelRangeError(f"labels are not contiguous from 0: missing {missing}")
+        raise ParseError(f"labels are not contiguous from 0: missing {missing}")
     if num_classes < 2:
-        raise LabelRangeError("at least two classes are required")
+        raise ParseError("at least two classes are required")
     return LabeledDataset(
         features=feature_arr,
         labels=label_arr,

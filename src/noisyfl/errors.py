@@ -19,7 +19,7 @@ class ConfigError(NoisyFLError):
 
 
 class ParseError(NoisyFLError):
-    """Malformed input file; carries row/column location when known."""
+    """Malformed input file, labels not contiguous from 0 included; carries row/column location when known."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
         self.row = row
@@ -29,10 +29,6 @@ class ParseError(NoisyFLError):
             loc += f" (row {row}"
             loc += f", column {column!r})" if column is not None else ")"
         super().__init__(message + loc)
-
-
-class LabelRangeError(NoisyFLError):
-    """Label column is not a contiguous integer range starting at 0."""
 
 
 class DegeneratePartitionError(NoisyFLError):

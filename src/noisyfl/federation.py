@@ -68,12 +68,6 @@ class RoundRecord:
     mean_client_loss: float
 
 
-@dataclass
-class FederationResult:
-    records: list[RoundRecord]
-    params: ModelParams
-
-
 def select_clients(num_clients: int, fraction: float, round_t: int, seed: int) -> list[int]:
     """ceil(fraction*K) distinct clients from the (seed, round) stream, sorted."""
     count = math.ceil(fraction * num_clients)
@@ -199,8 +193,8 @@ def run_federation(
     test_set: LabeledDataset,
     layout: Layout,
     cfg: FedConfig,
-) -> FederationResult:
-    """Run T FedAvg rounds and collect per-round telemetry.
+) -> tuple[list[RoundRecord], ModelParams]:
+    """Run T FedAvg rounds; returns the per-round telemetry and the final global model.
 
     Clients train on their noisy shards, in ``min(usable CPUs, clients per
     round)`` processes from ``FORK_MIN_BATCHES`` local batches on; evaluation
@@ -290,7 +284,7 @@ def run_federation(
                     mean_client_loss=float(np.mean([results[k][2] for k in selected])),
                 )
             )
-    return FederationResult(records=records, params=global_params)
+    return records, global_params
 
 
 TELEMETRY_COLUMNS = ("round", "test_accuracy", "grad_norm", "mean_client_loss", "selected_clients")

@@ -151,17 +151,17 @@ def _train(
     shard, never empty (the split gives every client a sample), and the
     layout is built from the data's width.
     ``batch_rule(stack, work, x, y)`` runs the backward of every network on
-    the batch and returns one ``LossOutput`` whose ``grad`` is shaped like
-    the stack and whose ``value`` is the batch loss.  The loop then takes
-    one momentum-SGD step (:func:`sgd_step`) for the whole stack, in place,
-    with the velocity and the workspace's ``step`` buffer, and checks the
-    stack for finiteness at the end of each epoch.  Each epoch gathers
-    its shuffled rows and their targets (``ds.labels`` unless ``targets``
-    gives one row per sample) once; a batch is a slice of them.  Overflow
-    is not reported as a numpy warning: a diverging step leaves the stack
-    non-finite, which fails that epoch's check and raises
-    ``FloatingPointError``.  Returns the trained networks in the
-    order of ``start`` and the call's :class:`TrainStats`.
+    the batch, leaves the stack's gradient in ``work.grad`` and returns the
+    batch loss as a float.  The loop then takes one momentum-SGD step
+    (:func:`sgd_step`) for the whole stack, in place, with the velocity and
+    the workspace's ``step`` buffer, and checks the stack for finiteness
+    at the end of each epoch.  Each epoch gathers its shuffled rows and
+    their targets (``ds.labels`` unless ``targets`` gives one row per
+    sample) once; a batch is a slice of them.  Overflow is not reported as
+    a numpy warning: a diverging step leaves the stack non-finite, which
+    fails that epoch's check and raises ``FloatingPointError``.  Returns
+    the trained networks in the order of ``start`` and the call's
+    :class:`TrainStats`.
     """
     layout = start[0].layout
     if len(start) == 1:
@@ -179,9 +179,8 @@ def _train(
             batch_losses = []
             for first in range(0, len(ds), cfg.batch_size):
                 rows = slice(first, first + cfg.batch_size)
-                out = batch_rule(stack, work, xs[rows], ys[rows])
-                sgd_step(stack.values, out.grad, velocity, cfg.lr, cfg.momentum, work.step)
-                batch_losses.append(out.value)
+                batch_losses.append(batch_rule(stack, work, xs[rows], ys[rows]))
+                sgd_step(stack.values, work.grad, velocity, cfg.lr, cfg.momentum, work.step)
             # a non-finite parameter stays non-finite under the step (inf - finite is inf, NaN stays NaN),
             # so one check per epoch catches a diverging step of that epoch
             if not np.isfinite(stack.values).all():

@@ -14,15 +14,14 @@ is ``forward_cached`` followed by it, and is the step of every method but
 co-teaching.  Bound to a stack of networks, they compute every network's
 loss over the stack's rows as one block and backpropagate once for all.
 Binding a workspace to the network it already holds is a no-op, so a
-training step recomputes no weight view.  The gradient they return is a
-view of the workspace's buffers, valid until its next pass.  Co-teaching takes its update loss from the
-pass that ranked the batch, as in Han et al.'s reference implementation
+training step recomputes no weight view.  They return the mean loss as a
+float and leave the flat gradient in ``work.grad``, valid until the
+workspace's next pass.  Co-teaching takes its update loss from the pass
+that ranked the batch, as in Han et al.'s reference implementation
 (arXiv 1804.06872).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,6 @@ from .models import ModelParams, Workspace, forward_cached
 LOSS_KINDS = ("ce", "sce", "gce", "mae", "soft_ce")
 
 _LOG_FLOOR = 1e-300
-
-
-@dataclass(slots=True)
-class LossOutput:
-    """Mean loss value and the flat gradient; each row's loss stays in the workspace's ``per_sample``.
-
-    Not frozen: training builds one per step, and a frozen dataclass's
-    ``__init__`` is slower.
-    """
-
-    value: float
-    grad: np.ndarray
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -123,13 +110,12 @@ def backward(
     weight_decay: float,
     work: Workspace,
     method_params: dict | None = None,
-) -> LossOutput:
-    """Mean loss and the exact flat gradient of a pass over ``x`` in ``work``.
+) -> float:
+    """The mean loss of a pass over ``x`` in ``work``; its exact flat gradient is left in ``work.grad``.
 
     The gradient is d(mean loss)/dw plus ``weight_decay * w``; it matches
     central finite differences of mean loss + weight_decay/2 * |w|^2.
-    The returned ``grad`` is ``work.grad``, and each row's loss is left in
-    ``work.per_sample``.
+    Each row's loss is left in ``work.per_sample``.
     """
     forward_cached(params, x, work)
     return backward_cached(params, work, labels, kind=kind, weight_decay=weight_decay, method_params=method_params)
@@ -143,13 +129,13 @@ def backward_cached(
     kind: str,
     weight_decay: float,
     method_params: dict | None = None,
-) -> LossOutput:
+) -> float:
     """:func:`backward` over the forward pass ``work`` already holds.
 
     ``labels`` belong to the rows of that pass, after any ``work.keep``;
     for a stack they are each network's labels in turn, and each network's
-    gradient is that of its own batch mean.  ``value`` is then the mean of
-    the networks' batch means.  The backpropagation runs with ``params``.
+    gradient is that of its own batch mean.  The returned loss is then the
+    mean of the networks' batch means.  The backpropagation runs with ``params``.
     """
     work.bind(params)
     b = work.x.shape[-2]  # rows per network
@@ -158,4 +144,6 @@ def backward_cached(
     p_label = _per_sample(probs, labels, kind, method_params, per, row_ids)
     _logit_gap(probs, labels, kind, method_params, p_label, row_ids, work.row_scale[:n])
     probs /= b  # the gradient of each network's batch mean
-    return LossOutput(value=_mean(per, work.networks), grad=work.backprop(weight_decay))
+    loss = _mean(per, work.networks)
+    work.backprop(weight_decay)
+    return loss

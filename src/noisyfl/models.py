@@ -71,6 +71,7 @@ Layout = LinearSoftmaxLayout | MLPLayout
 
 
 def layout_from_dict(doc: dict) -> Layout:
+    """The layout ``doc`` describes: a checkpoint's ``layout``, or a config's model with the data's dim and classes."""
     kind = doc.get("kind")
     if kind == "linear-softmax":
         return LinearSoftmaxLayout(dim=int(doc["dim"]), num_classes=int(doc["num_classes"]))
@@ -286,7 +287,7 @@ class Workspace:
         # the pass's rows are shared by the stack until a keep gives each network its own
         self.x = self.x[rows] if self.x.ndim == 2 else np.take_along_axis(self.x, rows[:, :, None], axis=1)
 
-    def backprop(self, weight_decay: float) -> np.ndarray:
+    def backprop(self, weight_decay: float) -> None:
         """``grad`` from the mean-loss logit gradient left in ``probs`` by the caller.
 
         It reverses the last forward pass (whose ``hidden`` it overwrites)
@@ -315,7 +316,6 @@ class Workspace:
             np.add.reduce(dlogits, axis=-2, out=gb)
         if weight_decay:
             self.grad += np.multiply(self.values, weight_decay, out=self.decay)
-        return self.grad
 
 
 def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace) -> np.ndarray:

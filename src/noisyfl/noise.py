@@ -121,40 +121,6 @@ class NoiseSpec:
                 raise ValueError(f"{self.scene} scene requires mode 'none'")
 
 
-@dataclass(frozen=True)
-class NoiseReport:
-    """Realized corruption accounting for one scene run.
-
-    ``flip_counts[i, j]`` counts assigned samples with true class i observed
-    as class j; the diagonal counts unflipped samples.  The report is the one
-    place flip counts are computed: they are recounted from the (observed,
-    true) label pairs of the assigned samples, whichever scene flipped them.
-    ``skipped_clients`` lists single-class clients that localized noise left
-    clean.
-    """
-
-    per_client_ratio: np.ndarray
-    overall_ratio: float
-    flip_counts: np.ndarray
-    per_client_eps: np.ndarray | None = None
-    skipped_clients: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_client_ratio", np.asarray(self.per_client_ratio, dtype=np.float64))
-        object.__setattr__(self, "flip_counts", np.asarray(self.flip_counts, dtype=np.int64))
-        if self.per_client_eps is not None:
-            object.__setattr__(self, "per_client_eps", np.asarray(self.per_client_eps, dtype=np.float64))
-
-    def to_dict(self) -> dict:
-        return {
-            "per_client_ratio": self.per_client_ratio.tolist(),
-            "overall_ratio": self.overall_ratio,
-            "per_client_eps": None if self.per_client_eps is None else self.per_client_eps.tolist(),
-            "flip_counts": self.flip_counts.tolist(),
-            "skipped_clients": list(self.skipped_clients),
-        }
-
-
 def apply_noise(labels: np.ndarray, probs: np.ndarray, seed: int) -> np.ndarray:
     """Independently redraw each of ``labels`` from its row of the flip table ``probs``.
 
@@ -173,8 +139,22 @@ def apply_noise(labels: np.ndarray, probs: np.ndarray, seed: int) -> np.ndarray:
     return noisy
 
 
-def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps, skipped) -> NoiseReport:
-    """Recount realized flips per client from (observed, true) label pairs."""
+def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps, skipped: list[int]) -> dict:
+    """The realized corruption, as the noise manifest records it, recounted from (observed, true) label pairs.
+
+    ``flip_counts[i][j]`` counts assigned samples with true class i
+    observed as class j; the diagonal counts unflipped samples.  This is
+    the one place flip counts are computed, whichever scene flipped them.
+    ``per_client_ratio`` and ``overall_ratio`` are the realized flip
+    ratios, ``per_client_eps`` the nominal ones (None outside the
+    globalized and localized scenes) and ``skipped_clients`` the
+    single-class clients that localized noise left clean.  Data without
+    ground truth has none to recount: every field is None, and
+    ``skipped_clients`` is empty.
+    """
+    if noisy.true_labels is None:
+        report = dict.fromkeys(("per_client_ratio", "overall_ratio", "per_client_eps", "flip_counts"))
+        return {**report, "skipped_clients": []}
     ratios = np.zeros(plan.num_clients, dtype=np.float64)
     flips = 0
     total = 0
@@ -185,14 +165,13 @@ def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps,
         flips += int(disagree.sum())
         total += len(idx)
         np.add.at(counts, (noisy.true_labels[idx], noisy.labels[idx]), 1)
-    overall = flips / total if total else 0.0
-    return NoiseReport(
-        per_client_ratio=ratios,
-        overall_ratio=overall,
-        flip_counts=counts,
-        per_client_eps=per_client_eps,
-        skipped_clients=tuple(skipped),
-    )
+    return {
+        "per_client_ratio": ratios.tolist(),
+        "overall_ratio": flips / total if total else 0.0,
+        "per_client_eps": None if per_client_eps is None else per_client_eps.tolist(),
+        "flip_counts": counts.tolist(),
+        "skipped_clients": skipped,
+    }
 
 
 def _mode_matrix(num_classes: int, eps: float, mode: str, asym_map: dict[int, int] | None = None) -> np.ndarray:
@@ -203,7 +182,7 @@ def _mode_matrix(num_classes: int, eps: float, mode: str, asym_map: dict[int, in
 
 def run_scene(
     ds: LabeledDataset, spec: NoiseSpec, num_clients: int, partition_spec: PartitionSpec
-) -> tuple[PartitionPlan, LabeledDataset, NoiseReport | None]:
+) -> tuple[PartitionPlan, LabeledDataset, dict]:
     """Run the scene ``spec`` names; returns (plan, dataset, report).
 
     One path for every scene, in one order:
@@ -218,7 +197,8 @@ def run_scene(
        and mapped back.  Single-class clients stay clean and are listed in
        ``skipped_clients``.  The clean scene pins its true labels to its
        labels; the real-world scene returns the input itself.
-    4. The report is built unless the data has no ground truth; then it is None.
+    4. The report is :func:`_post_hoc_report`'s recount, the noise
+       manifest's fields as JSON values.
     """
     eps = None
     if spec.scene == SCENE_GLOBALIZED:
@@ -242,6 +222,4 @@ def run_scene(
         ds = ds.with_labels(labels=labels, true_labels=ds.labels.copy())
     elif spec.scene == SCENE_CLEAN:
         ds = ds.with_labels(labels=ds.labels.copy(), true_labels=ds.labels.copy())
-    if ds.true_labels is None:
-        return plan, ds, None
     return plan, ds, _post_hoc_report(ds, plan, eps, skipped)

@@ -27,14 +27,14 @@ def fresh_forward(params, x):
 
 
 def fresh_backward(params, x, labels, kind, method_params=None, weight_decay=0.0):
-    """``backward`` in a workspace made for it; returns its LossOutput and the workspace (each row's loss).
+    """``backward`` in a workspace made for it; returns its mean loss and the workspace (gradient, each row's loss).
 
     ``method_params`` are written values; the defaults of ``kind``'s method fill in the rest.
     """
     work = Workspace(params.layout, len(x), params)
     mp = resolved(kind, method_params)
-    out = backward(params, x, labels, kind=kind, weight_decay=weight_decay, work=work, method_params=mp)
-    return out, work
+    loss = backward(params, x, labels, kind=kind, weight_decay=weight_decay, work=work, method_params=mp)
+    return loss, work
 
 
 def mixup_buffers(x, onehot):
@@ -49,8 +49,8 @@ def finite_difference_grad(params, x, y, kind, method_params=None, weight_decay=
 
     def objective(values):
         net = ModelParams(values, params.layout)
-        out = backward(net, x, y, kind=kind, weight_decay=0.0, work=work, method_params=mp)
-        return out.value + 0.5 * weight_decay * float(values @ values)
+        loss = backward(net, x, y, kind=kind, weight_decay=0.0, work=work, method_params=mp)
+        return loss + 0.5 * weight_decay * float(values @ values)
 
     grad = np.zeros_like(params.values)
     for i in range(len(grad)):

@@ -100,21 +100,21 @@ class TestOverallNoiseRatio:
     def test_equal_sizes(self):
         plan, _, report = self._run(PartitionSpec(scheme="iid"))
         assert len(set(plan.sizes().tolist())) == 1
-        assert report.overall_ratio == pytest.approx(report.per_client_ratio.mean(), abs=1e-15)
+        assert report["overall_ratio"] == pytest.approx(np.mean(report["per_client_ratio"]), abs=1e-15)
 
     def test_weighted(self):
         plan, _, report = self._run(PartitionSpec(scheme="quantity-skew", alpha=0.5))
         sizes = plan.sizes()
         assert len(set(sizes.tolist())) > 1
-        weighted = float((report.per_client_ratio * sizes).sum() / sizes.sum())
-        assert report.overall_ratio == pytest.approx(weighted, abs=1e-15)
-        assert report.overall_ratio != pytest.approx(report.per_client_ratio.mean(), abs=1e-6)
+        weighted = float((np.array(report["per_client_ratio"]) * sizes).sum() / sizes.sum())
+        assert report["overall_ratio"] == pytest.approx(weighted, abs=1e-15)
+        assert report["overall_ratio"] != pytest.approx(np.mean(report["per_client_ratio"]), abs=1e-6)
 
     def test_matches_full_recount(self):
         plan, noisy, report = self._run(PartitionSpec(scheme="iid"))
         assigned = np.concatenate(plan.clients)
         brute = (noisy.labels[assigned] != noisy.true_labels[assigned]).mean()
-        assert report.overall_ratio == pytest.approx(brute, abs=1e-15)
+        assert report["overall_ratio"] == pytest.approx(brute, abs=1e-15)
 
 
 class TestGradNormSeries:
@@ -126,12 +126,12 @@ class TestGradNormSeries:
         plan = partition_iid(ds, 3, seed=2)
         layout = LinearSoftmaxLayout(dim=2, num_classes=3)
         cfg = FedConfig(num_clients=3, rounds=5, trainer=TrainerConfig(epochs=1, lr=0.05), seed=3)
-        result = run_federation(ds, plan, test, layout, cfg)
+        records, _ = run_federation(ds, plan, test, layout, cfg)
         path = str(tmp_path / "telemetry.csv")
-        write_telemetry(result.records, path)
+        write_telemetry(records, path)
         # the global model after t rounds is the final model of the same run cut at t rounds
         models = [init_params(layout, derive_seed(3, "init")).values]
-        models += [run_federation(ds, plan, test, layout, replace(cfg, rounds=t)).params.values for t in range(1, 6)]
+        models += [run_federation(ds, plan, test, layout, replace(cfg, rounds=t))[1].values for t in range(1, 6)]
         series = [float(np.linalg.norm(b - a)) for a, b in zip(models[:-1], models[1:])]
         recorded = [r.grad_norm for r in read_telemetry(path)]
         assert np.abs(np.array(series) - np.array(recorded)).max() <= 1e-9

@@ -30,7 +30,7 @@ from noisyfl.config import load_config, set_by_path
 from noisyfl.datasets import load_csv, load_npy, make_synthetic_blobs, save_csv
 from noisyfl.federation import run_federation
 from noisyfl.localtrain import METHODS
-from noisyfl.models import load_checkpoint
+from noisyfl.models import layout_from_dict, load_checkpoint
 from noisyfl.noise import run_scene
 from noisyfl.partition import load_plan
 from noisyfl.rng import derive_seed
@@ -507,6 +507,19 @@ class TestStageKeys:
         assert stamps(out, files) == before
         assert tree(out) == expected
 
+    def test_an_lr_grid_keeps_every_stage_when_only_the_trainer_lr_changes(self, tmp_path, monkeypatch):
+        """Under a grid every seed trains with a grid lr, so the train stage's key holds no trainer lr."""
+        config, out = write_config(tmp_path, changes={"federation.lr_grid": [0.05, 0.1]})
+        assert main(["pipeline", "-c", config]) == 0
+        files = [rel for rel in tree(out) if rel != "run.json"]
+        before = stamps(out, files)
+        monkeypatch.setattr(cli, "run_scene", refuse)
+        monkeypatch.setattr(cli, "run_federation", refuse)
+        assert main(["pipeline", "-c", config, "--lr", "0.06"]) == 0
+        assert stamps(out, files) == before
+        with open(os.path.join(out, "train", "run_manifest.json"), encoding="utf-8") as fh:
+            assert "lr" not in json.load(fh)["federation"]["trainer"]
+
     def test_a_moved_csv_keeps_the_noise_stage(self, tmp_path, monkeypatch):
         """A CSV dataset enters the noise stage's key by the sha256 of its file, not by its path."""
         paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
@@ -897,9 +910,9 @@ class TestArtifacts:
             "inputs": {},
         }  # fmt: skip
         runner_keys = {"stage", "version", "outputs", "manifest_sha256"}
-        assert set(manifest) == runner_keys | set(key) | set(report.to_dict())
+        assert set(manifest) == runner_keys | set(key) | set(report)
         assert {k: manifest[k] for k in key} == key
-        assert {k: manifest[k] for k in report.to_dict()} == report.to_dict()
+        assert {k: manifest[k] for k in report} == report
         assert manifest["stage"] == "noise"
         assert set(manifest["outputs"]) == {"plan.json", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"}
 
@@ -930,10 +943,11 @@ class TestArtifacts:
         plan = load_plan(os.path.join(out, "plan.json"))
         fed_seed = derive_seed(cfg.seed, "federate", 0)
         fed_cfg = dataclasses.replace(cfg.federation, seed=fed_seed)
-        result = run_federation(noisy, plan, test, cfg.layout_for(noisy.dim, noisy.num_classes), fed_cfg)
+        layout = layout_from_dict({**cfg.model, "dim": noisy.dim, "num_classes": noisy.num_classes})
+        _, final = run_federation(noisy, plan, test, layout, fed_cfg)
 
-        assert params.layout == result.params.layout
-        assert np.array_equal(params.values, result.params.values)
+        assert params.layout == final.layout
+        assert np.array_equal(params.values, final.values)
         assert (header["round"], header["seed"]) == (cfg.federation.rounds, fed_seed)
 
 

@@ -139,6 +139,10 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
         assert built == written, leaf
 
 
+# an MLP's width and activation, each valid for an MLP, written on CSV's linear-softmax model, which has no hidden layer
+LINEAR_SOFTMAX_MLP_FIELDS = [(("federation", "model", "hidden"), 8), (("federation", "model", "activation"), "tanh")]
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -178,11 +182,13 @@ def test_one_replaced_field_validates_or_raises_config_error(base, data):
         (("federation", "lr_grid"), False),
         (("federation", "lr_grid"), 0),
         (("federation", "lr_grid"), {}),
+        *LINEAR_SOFTMAX_MLP_FIELDS,
     ],
 )
 def test_known_malformed_fields(path, value):
     # CSV's globalized asymmetric scene takes a class map, so only the map's own reader can reject one
-    doc = copy.deepcopy(CSV if path == ("noise", "asym_map") else SYNTHETIC)
+    on_csv = path == ("noise", "asym_map") or (path, value) in LINEAR_SOFTMAX_MLP_FIELDS
+    doc = copy.deepcopy(CSV if on_csv else SYNTHETIC)
     node = doc
     for key in path[:-1]:
         node = node[key]

@@ -20,7 +20,7 @@ from noisyfl.datasets import (
     save_npy,
 )
 from noisyfl.config import validate_config
-from noisyfl.errors import ConfigError, LabelRangeError, ParseError
+from noisyfl.errors import ConfigError, ParseError
 from noisyfl.localtrain import TrainerConfig, train_local
 from noisyfl.models import LinearSoftmaxLayout, init_params
 from test_config import SYNTHETIC
@@ -119,7 +119,7 @@ class TestCsv:
     def test_noncontiguous_labels_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,label\n1.0,5\n2.0,0\n")
-        with pytest.raises(LabelRangeError):
+        with pytest.raises(ParseError, match="not contiguous from 0"):
             load_csv(str(path), "label")
 
     @pytest.mark.parametrize(
@@ -135,7 +135,7 @@ class TestCsv:
     def test_bad_label_set_rejected(self, tmp_path, rows, match):
         path = tmp_path / "bad.csv"
         path.write_text("x0,label\n" + rows)
-        with pytest.raises(LabelRangeError, match=match):
+        with pytest.raises(ParseError, match=match):
             load_csv(str(path), "label")
 
     @pytest.mark.parametrize(
@@ -146,7 +146,7 @@ class TestCsv:
     def test_true_labels_join_the_contiguity_check(self, tmp_path, rows, match):
         path = tmp_path / "bad.csv"
         path.write_text("x0,label,true_label\n" + rows)
-        with pytest.raises(LabelRangeError, match=match):
+        with pytest.raises(ParseError, match=match):
             load_csv(str(path), "label")
 
     def test_round_trip(self, tmp_path):

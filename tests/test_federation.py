@@ -142,13 +142,13 @@ def global_models(ds, plan, test, layout, cfg):
     of t rounds is the first t rounds of the longer one; the records of
     every cut run are checked to be a prefix of the whole run's.
     """
-    whole = run_federation(ds, plan, test, layout, cfg)
+    records, params = run_federation(ds, plan, test, layout, cfg)
     history = [init_params(layout, derive_seed(cfg.seed, "init"))]
     for t in range(1, cfg.rounds + 1):
-        cut = run_federation(ds, plan, test, layout, dataclasses.replace(cfg, rounds=t))
-        assert cut.records == whole.records[:t]
-        history.append(cut.params)
-    assert np.array_equal(history[-1].values, whole.params.values)
+        cut_records, cut_params = run_federation(ds, plan, test, layout, dataclasses.replace(cfg, rounds=t))
+        assert cut_records == records[:t]
+        history.append(cut_params)
+    assert np.array_equal(history[-1].values, params.values)
     return history
 
 
@@ -178,25 +178,25 @@ class TestRunFederation:
 
     def test_grad_norm_recomputable_from_history(self):
         ds, test, plan, layout, cfg = self._setup()
-        result = run_federation(ds, plan, test, layout, cfg)
+        records, _ = run_federation(ds, plan, test, layout, cfg)
         history = global_models(ds, plan, test, layout, cfg)
-        for t, rec in enumerate(result.records, start=1):
+        for t, rec in enumerate(records, start=1):
             diff = history[t].values - history[t - 1].values
             assert rec.grad_norm == pytest.approx(float(np.linalg.norm(diff)), abs=1e-9)
 
     def test_deterministic(self):
         ds, test, plan, layout, cfg = self._setup()
-        a = run_federation(ds, plan, test, layout, cfg)
-        b = run_federation(ds, plan, test, layout, cfg)
-        assert np.array_equal(a.params.values, b.params.values)
-        assert a.records == b.records
+        records_a, params_a = run_federation(ds, plan, test, layout, cfg)
+        records_b, params_b = run_federation(ds, plan, test, layout, cfg)
+        assert np.array_equal(params_a.values, params_b.values)
+        assert records_a == records_b
 
     def test_eval_cadence(self):
         ds, test, plan, layout, _ = self._setup()
         trainer = TrainerConfig(method="ce", lr=0.05, epochs=1)
         cfg = FedConfig(num_clients=4, rounds=6, trainer=trainer, eval_every=3, seed=1)
-        result = run_federation(ds, plan, test, layout, cfg)
-        evaluated = [r.round for r in result.records if r.test_accuracy is not None]
+        records, _ = run_federation(ds, plan, test, layout, cfg)
+        evaluated = [r.round for r in records if r.test_accuracy is not None]
         assert evaluated == [3, 6]
 
     def test_nonfinite_abort_carries_round(self):
@@ -225,8 +225,8 @@ class TestRunFederation:
         ds, test, plan, layout, _ = self._setup()
         trainer = TrainerConfig(method="ce", lr=0.05, epochs=1)
         cfg = FedConfig(num_clients=4, rounds=4, trainer=trainer, selection_fraction=0.5, seed=5)
-        result = run_federation(ds, plan, test, layout, cfg)
-        assert all(len(r.selected_clients) == 2 for r in result.records)
+        records, _ = run_federation(ds, plan, test, layout, cfg)
+        assert all(len(r.selected_clients) == 2 for r in records)
 
     def test_coteaching_method_runs_and_persists_peers(self):
         ds, test, plan, layout, _ = self._setup()
@@ -234,9 +234,9 @@ class TestRunFederation:
             method="coteaching", lr=0.05, epochs=1, method_params={"forget_rate": 0.2}
         )
         cfg = FedConfig(num_clients=4, rounds=3, trainer=trainer, seed=2)
-        result = run_federation(ds, plan, test, layout, cfg)
-        assert len(result.records) == 3
-        assert result.records[-1].test_accuracy > 0.5
+        records, _ = run_federation(ds, plan, test, layout, cfg)
+        assert len(records) == 3
+        assert records[-1].test_accuracy > 0.5
 
     def test_zero_epochs_rejected_at_config(self):
         with pytest.raises(ValueError):
@@ -294,9 +294,11 @@ class TestProcesses:
             runs[processes] = run_federation(*args)
             homes[processes] = [{k: p for p, share in enumerate(rnd) for k in share} for rnd in shares]
             assert_no_child_left()
+        serial_records, serial_params = runs[1]
         for processes in (2, 3):
-            assert runs[processes].records == runs[1].records
-            assert runs[processes].params.values.tobytes() == runs[1].params.values.tobytes()
+            records, params = runs[processes]
+            assert records == serial_records
+            assert params.values.tobytes() == serial_params.values.tobytes()
         # the split puts every client in the caller for one process, and uses each process for more
         assert {p for rnd in homes[1] for p in rnd.values()} == {0}
         assert {p for rnd in homes[3] for p in rnd.values()} == {0, 1, 2}
@@ -317,7 +319,7 @@ class TestProcesses:
                 models.append(model)
             params = ModelParams(aggregate(models, [plan.sizes()[k] for k in selected]), layout)
         in_processes(monkeypatch, processes)
-        assert run_federation(ds, plan, test, layout, cfg).params.values.tobytes() == params.values.tobytes()
+        assert run_federation(ds, plan, test, layout, cfg)[1].values.tobytes() == params.values.tobytes()
 
     def test_small_federation_trains_in_process(self, monkeypatch):
         monkeypatch.setattr(federation, "_usable_cpus", lambda: 2)
@@ -402,8 +404,8 @@ class TestTelemetryIO:
         cfg = FedConfig(
             num_clients=2, rounds=4, trainer=TrainerConfig(epochs=1), eval_every=2, seed=0
         )
-        result = run_federation(ds, plan, test, layout, cfg)
+        records, _ = run_federation(ds, plan, test, layout, cfg)
         path = tmp_path / "telemetry.csv"
-        write_telemetry(result.records, str(path))
+        write_telemetry(records, str(path))
         back = read_telemetry(str(path))
-        assert back == result.records
+        assert back == records

@@ -11,7 +11,7 @@ from conftest import (
     resolved,
 )
 from noisyfl.localtrain import mixup_batch, sgd_step
-from noisyfl.losses import LossOutput, backward, backward_cached
+from noisyfl.losses import backward, backward_cached
 from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
 
 LAYOUTS = [
@@ -28,7 +28,7 @@ def probs_row(p_y, num_classes=4, label=0):
 
 
 def loss_and_work(probs, labels, kind, **method_params):
-    """``backward(kind=...)`` on a network whose forward pass gives back ``probs``; returns it and its workspace.
+    """``backward(kind=...)`` on a network whose forward pass gives back ``probs``; returns its loss and workspace.
 
     A linear-softmax network over the identity input: row i picks weight
     column i, set to log probs[i], so the softmax returns probs[i] up to
@@ -57,38 +57,37 @@ class TestLossValues:
     def test_perfect_prediction_zero_loss(self):
         probs = probs_row(1.0)
         labels = np.array([0])
-        assert loss_of(probs, labels, "ce").value == 0.0
-        assert loss_of(probs, labels, "gce", q=0.7).value == 0.0
-        assert loss_of(probs, labels, "mae").value == 0.0
+        assert loss_of(probs, labels, "ce") == 0.0
+        assert loss_of(probs, labels, "gce", q=0.7) == 0.0
+        assert loss_of(probs, labels, "mae") == 0.0
 
     def test_gce_matches_high_precision_oracle(self):
         # independent oracle: evaluate (1 - p^q)/q with 50-digit arithmetic
         with mpmath.workdps(50):
             expected = float((1 - mpmath.mpf("0.5") ** mpmath.mpf("0.7")) / mpmath.mpf("0.7"))
-        got = loss_of(probs_row(0.5), np.array([0]), "gce", q=0.7).value
+        got = loss_of(probs_row(0.5), np.array([0]), "gce", q=0.7)
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_gce_limit_approaches_mae_form(self):
         probs = probs_row(0.37)
         labels = np.array([0])
-        near_one = loss_of(probs, labels, "gce", q=0.999).value
+        near_one = loss_of(probs, labels, "gce", q=0.999)
         assert near_one == pytest.approx(1.0 - 0.37, abs=1e-3)
 
     def test_sce_composition(self):
         probs = probs_row(0.6)
         labels = np.array([0])
-        ce = loss_of(probs, labels, "ce").value
-        out = loss_of(probs, labels, "sce", alpha=0.1, beta=1.0, log_clip=-4.0)
-        assert out.value == pytest.approx(0.1 * ce + 4.0 * (1.0 - 0.6), rel=1e-12)
+        ce = loss_of(probs, labels, "ce")
+        sce = loss_of(probs, labels, "sce", alpha=0.1, beta=1.0, log_clip=-4.0)
+        assert sce == pytest.approx(0.1 * ce + 4.0 * (1.0 - 0.6), rel=1e-12)
 
     def test_mae_value(self):
-        out = loss_of(probs_row(0.25), np.array([0]), "mae")
-        assert out.value == pytest.approx(1.5, rel=1e-12)
+        assert loss_of(probs_row(0.25), np.array([0]), "mae") == pytest.approx(1.5, rel=1e-12)
 
     def test_ce_and_gce_strictly_decreasing_in_confidence(self):
         grid = np.linspace(0.05, 0.95, 19)
-        ce = [loss_of(probs_row(p), np.array([0]), "ce").value for p in grid]
-        gce = [loss_of(probs_row(p), np.array([0]), "gce").value for p in grid]
+        ce = [loss_of(probs_row(p), np.array([0]), "ce") for p in grid]
+        gce = [loss_of(probs_row(p), np.array([0]), "gce") for p in grid]
         assert all(a > b for a, b in zip(ce[:-1], ce[1:]))
         assert all(a > b for a, b in zip(gce[:-1], gce[1:]))
 
@@ -104,16 +103,16 @@ class TestLossValues:
         gen = np.random.default_rng(1)
         probs = random_probs(gen, 9, 4)
         labels = gen.integers(0, 4, size=9)
-        out, work = loss_and_work(probs, labels, "ce")
-        assert out.value == pytest.approx(work.per_sample.mean(), abs=1e-10)
+        loss, work = loss_and_work(probs, labels, "ce")
+        assert loss == pytest.approx(work.per_sample.mean(), abs=1e-10)
 
     def test_soft_ce_equals_hard_ce_on_one_hot(self):
         gen = np.random.default_rng(2)
         probs = random_probs(gen, 5, 3)
         labels = gen.integers(0, 3, size=5)
         onehot = np.eye(3)[labels]
-        soft = loss_of(probs, onehot, "soft_ce").value
-        assert soft == pytest.approx(loss_of(probs, labels, "ce").value, rel=1e-12)
+        soft = loss_of(probs, onehot, "soft_ce")
+        assert soft == pytest.approx(loss_of(probs, labels, "ce"), rel=1e-12)
 
     def test_network_returns_the_probabilities(self):
         # the premise of every test above: the loss sees (up to rounding) the rows it was handed
@@ -158,10 +157,10 @@ class TestBackward:
         x = np.array([[0.3, -1.2, 2.0]])
         y = np.array([2])
         probs = fresh_forward(params, x)
-        out, _ = fresh_backward(params, x, y, "ce")
+        _, work = fresh_backward(params, x, y, "ce")
         expected_w = np.outer(probs[0] - np.eye(4)[2], x[0])
-        assert np.abs(out.grad[:12].reshape(4, 3) - expected_w).max() <= 1e-12
-        assert np.abs(out.grad[12:] - (probs[0] - np.eye(4)[2])).max() <= 1e-12
+        assert np.abs(work.grad[:12].reshape(4, 3) - expected_w).max() <= 1e-12
+        assert np.abs(work.grad[12:] - (probs[0] - np.eye(4)[2])).max() <= 1e-12
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
@@ -170,9 +169,9 @@ class TestBackward:
         params = init_params(layout, seed=7)
         x = gen.normal(size=(6, layout.dim))
         y = gen.integers(0, layout.num_classes, size=6)
-        out, _ = fresh_backward(params, x, y, kind)
+        _, work = fresh_backward(params, x, y, kind)
         fd = finite_difference_grad(params, x, y, kind)
-        rel = np.abs(out.grad - fd) / (1.0 + np.abs(fd))
+        rel = np.abs(work.grad - fd) / (1.0 + np.abs(fd))
         assert rel.max() < 1e-5
 
     @pytest.mark.parametrize("layout", LAYOUTS[:2])
@@ -182,9 +181,9 @@ class TestBackward:
         x = gen.normal(size=(5, layout.dim))
         raw = gen.uniform(0.1, 1.0, size=(5, layout.num_classes))
         targets = raw / raw.sum(axis=1, keepdims=True)
-        out, _ = fresh_backward(params, x, targets, "soft_ce")
+        _, work = fresh_backward(params, x, targets, "soft_ce")
         fd = finite_difference_grad(params, x, targets, "soft_ce")
-        rel = np.abs(out.grad - fd) / (1.0 + np.abs(fd))
+        rel = np.abs(work.grad - fd) / (1.0 + np.abs(fd))
         assert rel.max() < 1e-5
 
     def test_weight_decay_adds_lambda_w(self):
@@ -193,16 +192,15 @@ class TestBackward:
         gen = np.random.default_rng(3)
         x = gen.normal(size=(4, 2))
         y = gen.integers(0, 2, size=4)
-        bare, _ = fresh_backward(params, x, y, "ce", weight_decay=0.0)
-        decayed, _ = fresh_backward(params, x, y, "ce", weight_decay=0.01)
+        _, bare = fresh_backward(params, x, y, "ce", weight_decay=0.0)
+        _, decayed = fresh_backward(params, x, y, "ce", weight_decay=0.01)
         assert np.array_equal(decayed.grad, bare.grad + 0.01 * params.values)
 
     def test_grad_finite(self):
         layout = LinearSoftmaxLayout(dim=2, num_classes=3)
         params = init_params(layout, seed=0)
-        out, _ = fresh_backward(params, np.zeros((2, 2)), np.array([0, 1]), "ce")
-        assert isinstance(out, LossOutput)
-        assert np.all(np.isfinite(out.grad))
+        _, work = fresh_backward(params, np.zeros((2, 2)), np.array([0, 1]), "ce")
+        assert np.all(np.isfinite(work.grad))
 
 
 class TestWorkspace:
@@ -236,11 +234,11 @@ class TestWorkspace:
         labels = np.eye(3)[y] if kind == "soft_ce" else y
         work = Workspace(layout, rows=7)
         fresh, fresh_work = fresh_backward(params, x, labels, kind, weight_decay=0.01)
-        out = backward(params, x, labels, kind=kind, weight_decay=0.01, work=work, method_params=resolved(kind))
-        assert out.grad is work.grad
-        assert np.array_equal(out.grad, fresh.grad)
+        loss = backward(params, x, labels, kind=kind, weight_decay=0.01, work=work, method_params=resolved(kind))
+        assert type(loss) is float
+        assert np.array_equal(work.grad, fresh_work.grad)
         assert np.array_equal(work.per_sample[:5], fresh_work.per_sample)
-        assert out.value == fresh.value
+        assert loss == fresh
 
 
 class TestBoundWorkspace:
@@ -259,9 +257,9 @@ class TestBoundWorkspace:
         probs = forward_cached(second, x, work)
         assert np.array_equal(probs, fresh_forward(second, x))
         backward(first, x, y, kind="ce", weight_decay=0.01, work=work)
-        out = backward(second, x, y, kind="ce", weight_decay=0.01, work=work)
-        fresh, fresh_work = fresh_backward(second, x, y, "ce", weight_decay=0.01)
-        assert np.array_equal(out.grad, fresh.grad)
+        backward(second, x, y, kind="ce", weight_decay=0.01, work=work)
+        _, fresh_work = fresh_backward(second, x, y, "ce", weight_decay=0.01)
+        assert np.array_equal(work.grad, fresh_work.grad)
         assert np.array_equal(work.per_sample[:6], fresh_work.per_sample)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -272,10 +270,10 @@ class TestBoundWorkspace:
         work.forward(x)
         params.values[:] = other.values
         assert np.array_equal(work.forward(x), fresh_forward(other, x))
-        out = backward_cached(params, work, y, kind="ce", weight_decay=0.01)
-        fresh, _ = fresh_backward(other, x, y, "ce", weight_decay=0.01)
-        assert np.array_equal(out.grad, fresh.grad)
-        assert out.value == fresh.value
+        loss = backward_cached(params, work, y, kind="ce", weight_decay=0.01)
+        fresh, fresh_work = fresh_backward(other, x, y, "ce", weight_decay=0.01)
+        assert np.array_equal(work.grad, fresh_work.grad)
+        assert loss == fresh
 
 
 class TestReusedPass:
@@ -306,8 +304,8 @@ class TestReusedPass:
         work.keep(sel)
         reused = backward_cached(params, work, y[sel], kind=kind, weight_decay=5e-4, method_params=resolved(kind))
         recomputed, fresh = fresh_backward(params, x[sel], y[sel], kind, weight_decay=5e-4)
-        # each row's loss: the kept rows of the reused pass, and the rows of the fresh one
-        return reused, work.per_sample[: len(sel)], recomputed, fresh.per_sample
+        # (mean loss, gradient, each row's loss): the kept rows of the reused pass, and the rows of the fresh one
+        return (reused, work.grad, work.per_sample[: len(sel)]), (recomputed, fresh.grad, fresh.per_sample)
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
@@ -316,27 +314,33 @@ class TestReusedPass:
         for seed in range(3):
             # choice without replacement returns the rows unsorted
             sel = np.random.default_rng(100 + seed).choice(self.BATCH, size=k, replace=False)
-            reused, reused_rows, recomputed, _ = self._reused_and_recomputed(layout, kind, sel, seed)
-            scale = np.abs(recomputed.grad).max()
-            assert np.abs(reused.grad - recomputed.grad).max() <= 1e-12 * scale
-            assert reused.value == pytest.approx(recomputed.value, rel=1e-12)
-            assert reused.value == pytest.approx(reused_rows.mean(), rel=1e-12)  # the value covers the k kept rows
+            (reused, reused_grad, reused_rows), (recomputed, recomputed_grad, _) = self._reused_and_recomputed(
+                layout, kind, sel, seed
+            )
+            scale = np.abs(recomputed_grad).max()
+            assert np.abs(reused_grad - recomputed_grad).max() <= 1e-12 * scale
+            assert reused == pytest.approx(recomputed, rel=1e-12)
+            assert reused == pytest.approx(reused_rows.mean(), rel=1e-12)  # the loss covers the k kept rows
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     def test_unsorted_selection_keeps_its_order(self, layout):
         sel = np.array([40, 3, 17, 63, 0, 8, 25])
-        reused, reused_rows, recomputed, recomputed_rows = self._reused_and_recomputed(layout, "ce", sel)
+        (_, reused_grad, reused_rows), (_, recomputed_grad, recomputed_rows) = self._reused_and_recomputed(
+            layout, "ce", sel
+        )
         assert np.abs(reused_rows - recomputed_rows).max() <= 1e-12
-        assert np.abs(reused.grad - recomputed.grad).max() <= 1e-12 * np.abs(recomputed.grad).max()
+        assert np.abs(reused_grad - recomputed_grad).max() <= 1e-12 * np.abs(recomputed_grad).max()
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
     def test_keeping_every_row_is_bit_equal(self, layout, kind):
         every_row = np.arange(self.BATCH)
-        reused, reused_rows, recomputed, recomputed_rows = self._reused_and_recomputed(layout, kind, every_row)
-        assert np.array_equal(reused.grad, recomputed.grad)
+        (reused, reused_grad, reused_rows), (recomputed, recomputed_grad, recomputed_rows) = self._reused_and_recomputed(
+            layout, kind, every_row
+        )
+        assert np.array_equal(reused_grad, recomputed_grad)
         assert np.array_equal(reused_rows, recomputed_rows)
-        assert reused.value == recomputed.value
+        assert reused == recomputed
 
 
 class TestStackedPass:
@@ -363,21 +367,22 @@ class TestStackedPass:
         mp = resolved(kind)
         work = Workspace(layout, rows=self.ROWS, params=stack)
         probs = forward_cached(stack, x, work)
-        singles, single_rows = [], []
+        singles, single_losses = [], []
         for net, sel in zip(nets, selections):
             single = Workspace(layout, rows=self.ROWS)
             own_probs = forward_cached(net, x, single)
             assert np.array_equal(probs[len(singles) * b : (len(singles) + 1) * b], own_probs)
             single.keep(sel)
-            singles.append(backward_cached(net, single, y[sel], kind=kind, weight_decay=5e-4, method_params=mp))
-            single_rows.append(single.per_sample[: len(sel)])
+            single_losses.append(backward_cached(net, single, y[sel], kind=kind, weight_decay=5e-4, method_params=mp))
+            singles.append(single)
         rows = np.array(selections)
         work.keep(rows)
-        out = backward_cached(stack, work, y[rows].ravel(), kind=kind, weight_decay=5e-4, method_params=mp)
-        assert out.grad is work.grad and out.grad.shape == stack.values.shape
-        assert np.array_equal(out.grad, np.stack([single.grad for single in singles]))
+        loss = backward_cached(stack, work, y[rows].ravel(), kind=kind, weight_decay=5e-4, method_params=mp)
+        assert work.grad.shape == stack.values.shape
+        assert np.array_equal(work.grad, np.stack([single.grad for single in singles]))
+        single_rows = [single.per_sample[: len(sel)] for single, sel in zip(singles, selections)]
         assert np.array_equal(work.per_sample[: rows.size], np.concatenate(single_rows))
-        assert out.value == 0.5 * (singles[0].value + singles[1].value)
+        assert loss == 0.5 * (single_losses[0] + single_losses[1])
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     @pytest.mark.parametrize("b", [1, 5, 63, 64])
@@ -412,7 +417,8 @@ class TestStackedPass:
             forward_cached(stack, x, work)
             for rows in steps:
                 work.keep(rows)
-            grads.append(backward_cached(stack, work, y[composed].ravel(), kind="ce", weight_decay=0.0).grad.copy())
+            backward_cached(stack, work, y[composed].ravel(), kind="ce", weight_decay=0.0)
+            grads.append(work.grad)
         assert np.array_equal(grads[0], grads[1])
 
     @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 4)])

@@ -13,6 +13,9 @@ from noisyfl.noise import (
 from noisyfl.partition import PartitionSpec, partition_iid, partition_label_quantity
 from noisyfl.rng import derive_seed
 
+# the fields of run_scene's report, which the noise manifest records
+REPORT_FIELDS = ("per_client_ratio", "overall_ratio", "per_client_eps", "flip_counts", "skipped_clients")
+
 
 class TestSymmetricMatrix:
     def test_closed_form(self):
@@ -171,16 +174,16 @@ class TestGlobalizedScene:
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.0, seed=5)
         _, noisy, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
         assert np.array_equal(noisy.labels, ds.labels)
-        assert (report.per_client_ratio == 0).all()
-        assert report.overall_ratio == 0.0
+        assert report["per_client_ratio"] == [0.0] * 4
+        assert report["overall_ratio"] == 0.0
 
     def test_per_client_ratios_in_band(self):
         ds = make_synthetic_blobs(10, 1000, 2, 4.0, seed=0)
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.4, seed=7)
         _, _, report = run_scene(ds, spec, 10, PartitionSpec(scheme="iid"))
         band = 3 * np.sqrt(0.4 * 0.6 / 1000)
-        assert np.abs(report.per_client_ratio - 0.4).max() <= band
-        assert np.allclose(report.per_client_eps, 0.4)
+        assert np.abs(np.array(report["per_client_ratio"]) - 0.4).max() <= band
+        assert np.allclose(report["per_client_eps"], 0.4)
 
     def test_corruption_independent_of_partition(self):
         # corrupt-then-partition: the corrupted global labels cannot depend
@@ -207,7 +210,7 @@ class TestLocalizedScene:
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.0, eps_max=0.0, seed=3)
         _, noisy, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
         assert np.array_equal(noisy.labels, ds.labels)
-        assert report.overall_ratio == 0.0
+        assert report["overall_ratio"] == 0.0
 
     def test_overall_ratio_matches_recount(self):
         ds = make_synthetic_blobs(6, 500, 2, 4.0, seed=4)
@@ -215,7 +218,7 @@ class TestLocalizedScene:
         plan, noisy, report = run_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
         assigned = np.concatenate(plan.clients)
         recount = (noisy.labels[assigned] != noisy.true_labels[assigned]).mean()
-        assert report.overall_ratio == pytest.approx(recount, abs=1e-15)
+        assert report["overall_ratio"] == pytest.approx(recount, abs=1e-15)
 
     def test_overall_ratio_near_mean_eps(self):
         # U(0.3, 0.5) over K=10: the overall ratio is a mean of 10 uniform
@@ -225,7 +228,7 @@ class TestLocalizedScene:
         for seed in range(20):
             spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.3, eps_max=0.5, seed=seed)
             _, _, report = run_scene(ds, spec, 10, PartitionSpec(scheme="iid"))
-            if abs(report.overall_ratio - 0.4) <= 0.05:
+            if abs(report["overall_ratio"] - 0.4) <= 0.05:
                 hits += 1
         assert hits >= 19
 
@@ -234,7 +237,7 @@ class TestLocalizedScene:
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.5, eps_max=0.5, seed=2)
         # label-quantity with c=1 makes every client single-class
         plan, noisy, report = run_scene(ds, spec, 4, PartitionSpec(scheme="label-quantity", c=1))
-        assert report.skipped_clients == (0, 1, 2, 3)
+        assert report["skipped_clients"] == [0, 1, 2, 3]
         assert np.array_equal(noisy.labels, ds.labels)
 
     def test_eps_draws_are_order_stable(self):
@@ -242,7 +245,7 @@ class TestLocalizedScene:
         spec = NoiseSpec(scene="localized", mode="symmetric", eps_min=0.1, eps_max=0.9, seed=6)
         _, _, r1 = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
         _, _, r2 = run_scene(ds, spec, 4, PartitionSpec(scheme="quantity-skew", alpha=10.0))
-        assert np.array_equal(r1.per_client_eps, r2.per_client_eps)
+        assert r1["per_client_eps"] == r2["per_client_eps"]
 
     def test_asymmetric_local_flips(self):
         # label-quantity, c = 3 of 6 classes: at eps 1 every label moves to the
@@ -262,8 +265,8 @@ class TestLocalizedScene:
             [2, 2, 2, 3, 0],  # 0 -> 2 -> 3 -> 0
         ]
         assert np.array_equal(noisy.true_labels, ds.labels)
-        assert report.skipped_clients == ()
-        assert report.overall_ratio == 1.0
+        assert report["skipped_clients"] == []
+        assert report["overall_ratio"] == 1.0
 
     def test_single_class_client_stays_clean_under_asymmetric_noise(self):
         ds = make_synthetic_blobs(3, 4, 2, 4.0, seed=0)
@@ -271,8 +274,8 @@ class TestLocalizedScene:
         plan, noisy, report = run_scene(ds, spec, 3, PartitionSpec(scheme="label-quantity", c=1))
         assert sorted(np.unique(ds.labels[idx]).tolist() for idx in plan.clients) == [[0], [1], [2]]
         assert np.array_equal(noisy.labels, ds.labels)
-        assert report.skipped_clients == (0, 1, 2)
-        assert report.overall_ratio == 0.0
+        assert report["skipped_clients"] == [0, 1, 2]
+        assert report["overall_ratio"] == 0.0
 
 
 class TestRealworldScene:
@@ -283,7 +286,7 @@ class TestRealworldScene:
         assert out is ds
         direct = partition_iid(ds, 4, seed=derive_seed(21, "partition"))
         assert all(np.array_equal(a, b) for a, b in zip(plan.clients, direct.clients))
-        assert report is None
+        assert report == {**dict.fromkeys(REPORT_FIELDS[:-1]), "skipped_clients": []}
 
     def test_report_present_with_ground_truth(self):
         base = make_synthetic_blobs(4, 200, 2, 4.0, seed=0)
@@ -293,9 +296,9 @@ class TestRealworldScene:
         assert out is noisy
         assigned = np.concatenate(plan.clients)
         recount = (noisy.labels[assigned] != noisy.true_labels[assigned]).mean()
-        assert report is not None
-        assert report.overall_ratio == pytest.approx(recount, abs=1e-15)
-        assert report.per_client_eps is None
+        assert set(report) == set(REPORT_FIELDS)
+        assert report["overall_ratio"] == pytest.approx(recount, abs=1e-15)
+        assert report["per_client_eps"] is None
 
 
 class TestCleanScene:
@@ -304,8 +307,8 @@ class TestCleanScene:
         spec = NoiseSpec(scene="clean", seed=3)
         plan, clean, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))
         assert np.array_equal(clean.labels, ds.labels)
-        assert report.overall_ratio == 0.0
-        assert np.trace(report.flip_counts) == plan.sizes().sum()
+        assert report["overall_ratio"] == 0.0
+        assert np.trace(report["flip_counts"]) == plan.sizes().sum()
 
 
 class TestNoiseReport:
@@ -313,8 +316,8 @@ class TestNoiseReport:
         ds = make_synthetic_blobs(4, 100, 2, 4.0, seed=0)
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.0, seed=1)
         _, _, report = run_scene(ds, spec, 4, PartitionSpec(scheme="iid"))  # 4 blocks of 100: every sample assigned
-        assert report.flip_counts.sum() == len(ds)
-        assert np.array_equal(np.diag(report.flip_counts), np.bincount(ds.labels, minlength=4))
+        assert np.sum(report["flip_counts"]) == len(ds)
+        assert np.array_equal(np.diag(report["flip_counts"]), np.bincount(ds.labels, minlength=4))
 
     def test_off_diagonal_counts_are_the_flips(self):
         ds = make_synthetic_blobs(3, 50, 2, 4.0, seed=0)
@@ -322,14 +325,14 @@ class TestNoiseReport:
         _, noisy, report = run_scene(ds, spec, 3, PartitionSpec(scheme="iid"))  # 3 blocks of 50: every sample assigned
         flips = (noisy.labels != ds.labels).sum()
         assert flips > 0
-        assert report.flip_counts.sum() - np.trace(report.flip_counts) == flips
+        assert np.sum(report["flip_counts"]) - np.trace(report["flip_counts"]) == flips
 
     def test_overall_consistent_with_flip_counts(self):
         ds = make_synthetic_blobs(5, 400, 2, 4.0, seed=1)
         spec = NoiseSpec(scene="globalized", mode="symmetric", eps_global=0.35, seed=9)
         plan, _, report = run_scene(ds, spec, 5, PartitionSpec(scheme="iid"))
-        total = report.flip_counts.sum()
-        flips = total - np.trace(report.flip_counts)
-        assert report.overall_ratio == pytest.approx(flips / total, abs=1e-15)
-        weighted = (report.per_client_ratio * plan.sizes()).sum() / plan.sizes().sum()
-        assert report.overall_ratio == pytest.approx(weighted, abs=1e-12)
+        total = np.sum(report["flip_counts"])
+        flips = total - np.trace(report["flip_counts"])
+        assert report["overall_ratio"] == pytest.approx(flips / total, abs=1e-15)
+        weighted = (np.array(report["per_client_ratio"]) * plan.sizes()).sum() / plan.sizes().sum()
+        assert report["overall_ratio"] == pytest.approx(weighted, abs=1e-12)

@@ -120,10 +120,10 @@ class TestTrainLocal:
         from noisyfl.rng import stream
 
         order = stream(3, "shuffle", 0).permutation(len(ds))
-        out, _ = fresh_backward(params, ds.features[order], ds.labels[order], "ce", weight_decay=0.01)
-        expected = params.values - 0.1 * out.grad
+        loss, work = fresh_backward(params, ds.features[order], ds.labels[order], "ce", weight_decay=0.01)
+        expected = params.values - 0.1 * work.grad
         assert np.array_equal(trained.values, expected)
-        assert stats.mean_loss == out.value
+        assert stats.mean_loss == loss
 
     def test_determinism(self):
         ds = blobs()
@@ -349,11 +349,11 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                 passes = [forward_cached(net, x, work) for net, work in zip(nets, works)]
                 ce = [-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)) for probs in passes]
                 kept = [small_loss_selection(per_sample, keep) for per_sample in ce]
-                outs = []
+                losses = []
                 for net, work, sel in zip(nets, works, kept[::-1]):
                     work.keep(sel)
-                    outs.append(backward_cached(net, work, y[sel], kind="ce", weight_decay=cfg.weight_decay))
-                batch_losses.append(0.5 * (outs[0].value + outs[1].value))
+                    losses.append(backward_cached(net, work, y[sel], kind="ce", weight_decay=cfg.weight_decay))
+                batch_losses.append(0.5 * (losses[0] + losses[1]))
             else:
                 if cfg.method == "mixup":
                     alpha = cfg.method_params["alpha"]
@@ -361,13 +361,13 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                     onehot = one_hot(y, ds.num_classes)
                     buffers = mixup_buffers(x, onehot)
                     mixed_x, mixed_t = mixup_batch(x, onehot, lam, mix_gen.permutation(len(idx)), buffers)
-                    out, _ = fresh_backward(nets[0], mixed_x, mixed_t, "soft_ce", weight_decay=cfg.weight_decay)
+                    loss, work = fresh_backward(nets[0], mixed_x, mixed_t, "soft_ce", weight_decay=cfg.weight_decay)
                 else:
-                    out, _ = fresh_backward(nets[0], x, y, cfg.loss_kind, cfg.method_params, cfg.weight_decay)
-                outs = [out]
-                batch_losses.append(out.value)
-            for i, out in enumerate(outs):
-                sgd_step(values[i], out.grad, velocities[i], cfg.lr, cfg.momentum, np.empty_like(values[i]))
+                    loss, work = fresh_backward(nets[0], x, y, cfg.loss_kind, cfg.method_params, cfg.weight_decay)
+                works = [work]
+                batch_losses.append(loss)
+            for i, work in enumerate(works):
+                sgd_step(values[i], work.grad, velocities[i], cfg.lr, cfg.momentum, np.empty_like(values[i]))
         epoch_losses.append(float(np.mean(batch_losses)))
     return values, epoch_losses
 
