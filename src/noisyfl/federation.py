@@ -8,9 +8,9 @@ the round number.
 
 A round's clients are independent given the global model, so a large
 federation trains them in the caller and in workers forked once, which
-share its pages copy-on-write.  Only parameter vectors cross the pipes, and
-the caller aggregates in selection order: the outputs are the same bytes
-for any process count.
+share its pages copy-on-write.  Workers send back one :class:`ClientUpdate`
+per client they train, and the caller aggregates in selection order: the
+outputs are the same bytes for any process count.
 """
 
 from __future__ import annotations
@@ -76,21 +76,31 @@ def select_clients(num_clients: int, fraction: float, round_t: int, seed: int) -
     return sorted(int(c) for c in chosen)
 
 
-def aggregate(models: list[ModelParams], weights) -> np.ndarray:
-    """Size-weighted average in list order, as flat values of the models' layout.
+@dataclass(frozen=True)
+class ClientUpdate:
+    """One selected client's round: its trained values, co-teaching's trained peer (else None) and its mean loss."""
 
-    Anchored at the first model so aggregating identical models returns
-    them exactly, not merely to rounding.  Finite models can average to
+    client: int
+    values: np.ndarray
+    peer: ModelParams | None
+    mean_loss: float
+
+
+def aggregate(values: list[np.ndarray], weights) -> np.ndarray:
+    """Size-weighted average of parameter vectors of one shape, in list order.
+
+    Anchored at the first vector so aggregating identical vectors returns
+    them exactly, not merely to rounding.  Finite vectors can average to
     non-finite values, which the caller checks; the overflow raises no
     numpy warning.
     """
     weights = [float(w) for w in weights]
     total = sum(weights)
-    base = models[0].values
+    base = values[0]
     out = base.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, w in zip(models[1:], weights[1:]):
-            out += (w / total) * (m.values - base)
+        for v, w in zip(values[1:], weights[1:]):
+            out += (w / total) * (v - base)
     return out
 
 
@@ -205,9 +215,9 @@ def run_federation(
     Memory: besides ``train_ds`` and ``test_set``, which the workers share
     copy-on-write, each process holds one client's shard at a time, cut
     from ``train_ds`` for the client's training call and dropped when it
-    returns.  The caller holds the models of the round's selected clients,
-    co-teaching's peer networks, and one evaluation workspace sized to the
-    test set, made once.
+    returns.  The caller holds the round's :class:`ClientUpdate` records,
+    co-teaching's peer networks as their training returned them, and one
+    evaluation workspace sized to the test set, made once.
     """
     sizes = plan.sizes()
     coteaching = cfg.trainer.method == "coteaching"
@@ -216,20 +226,19 @@ def run_federation(
     batches = cfg.rounds * per_round * cfg.trainer.epochs * (1 + coteaching) * shard_batches
     processes = min(_usable_cpus(), per_round) if batches >= FORK_MIN_BATCHES else 1
 
-    def train_share(round_t: int, start: np.ndarray, share: list) -> list:
-        """(trained values, peer values, mean loss) for each (client, peer values or None if new) of ``share``."""
-        start, trained = ModelParams(start, layout), []
+    def train_share(round_t: int, start: ModelParams, share: list) -> list[ClientUpdate]:
+        """One :class:`ClientUpdate` for each (client, co-teaching peer or None if new) of ``share``, in its order."""
+        updates = []
         for k, peer in share:
             shard, train_seed = restrict(train_ds, plan, k), rng.derive_seed(cfg.seed, "train", round_t, k)
             if coteaching:
-                peer_seed = rng.derive_seed(cfg.seed, "coteach-init", k)
-                peer = init_params(layout, peer_seed) if peer is None else ModelParams(peer, layout)
-                model, peer, stats = train_local_coteaching(shard, start, peer, cfg.trainer, train_seed, round_t)
-                peer = peer.values
+                if peer is None:
+                    peer = init_params(layout, rng.derive_seed(cfg.seed, "coteach-init", k))
+                model, peer, mean_loss = train_local_coteaching(shard, start, peer, cfg.trainer, train_seed, round_t)
             else:
-                model, stats = train_local(shard, start, cfg.trainer, train_seed)
-            trained.append((model.values, peer, stats.mean_loss))
-        return trained
+                model, mean_loss = train_local(shard, start, cfg.trainer, train_seed)
+            updates.append(ClientUpdate(k, model.values, peer, mean_loss))
+        return updates
 
     def serve(requests: int, replies: int) -> None:
         with contextlib.suppress(EOFError):  # the caller closed its end
@@ -243,36 +252,34 @@ def run_federation(
                 _send(replies, reply)
 
     global_params = init_params(layout, rng.derive_seed(cfg.seed, "init"))
-    peers: dict[int, np.ndarray] = {}  # co-teaching's peer networks
+    peers: dict[int, ModelParams | None] = {}  # co-teaching's peer networks
     records: list[RoundRecord] = []
     with _workers(processes - 1, serve) as workers:
         eval_work = Workspace(layout, len(test_set))
         for round_t in range(1, cfg.rounds + 1):
             selected = select_clients(cfg.num_clients, cfg.selection_fraction, round_t, cfg.seed)
-            shares = _split(selected, sizes, processes)
-            jobs = [[(k, peers.get(k)) for k in share] for share in shares]
+            jobs = [[(k, peers.get(k)) for k in share] for share in _split(selected, sizes, processes)]
             try:
                 for (_, requests, _), job in zip(workers, jobs[1:]):
-                    _send(requests, (round_t, global_params.values, job))
-                results = dict(zip(shares[0], train_share(round_t, global_params.values, jobs[0])))
-                for (_, _, replies), share in zip(workers, shares[1:]):
+                    _send(requests, (round_t, global_params, job))
+                updates = train_share(round_t, global_params, jobs[0])
+                for _, _, replies in workers:
                     reply = _recv(replies)
                     if isinstance(reply, Exception):
                         raise reply
-                    results.update(zip(share, reply))
+                    updates += reply
             except FloatingPointError as exc:
                 raise NumericalAbortError(round_t) from exc
             except (EOFError, BrokenPipeError) as exc:
                 raise NoisyFLError(f"a training worker exited during round {round_t}") from exc
-            if coteaching:
-                peers.update((k, results[k][1]) for k in selected)
+            updates.sort(key=lambda u: u.client)  # selection order, as select_clients sorts
+            peers.update((u.client, u.peer) for u in updates)  # None but for co-teaching
 
-            values = aggregate([ModelParams(results[k][0], layout) for k in selected], [sizes[k] for k in selected])
+            values = aggregate([u.values for u in updates], [sizes[u.client] for u in updates])
             if not np.isfinite(values).all():
                 raise NumericalAbortError(round_t)
-            new_params = ModelParams(values, layout)
-            grad_norm = float(np.linalg.norm(new_params.values - global_params.values))
-            global_params = new_params
+            grad_norm = float(np.linalg.norm(values - global_params.values))
+            global_params = ModelParams(values, layout)
 
             accuracy = evaluate(global_params, test_set, eval_work) if round_t % cfg.eval_every == 0 else None
             records.append(
@@ -281,7 +288,7 @@ def run_federation(
                     test_accuracy=accuracy,
                     grad_norm=grad_norm,
                     selected_clients=tuple(selected),
-                    mean_client_loss=float(np.mean([results[k][2] for k in selected])),
+                    mean_client_loss=float(np.mean([u.mean_loss for u in updates])),
                 )
             )
     return records, global_params

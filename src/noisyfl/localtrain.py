@@ -100,13 +100,6 @@ class TrainerConfig:
         return kind
 
 
-@dataclass(frozen=True)
-class TrainStats:
-    """One local training call's loss: the mean over its epochs of each epoch's mean batch loss."""
-
-    mean_loss: float
-
-
 def sgd_step(
     values: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float, scratch: np.ndarray
 ) -> None:
@@ -160,8 +153,8 @@ def _train(
     sample) once; a batch is a slice of them.  Overflow is not reported as
     a numpy warning: a diverging step leaves the stack non-finite, which
     fails that epoch's check and raises ``FloatingPointError``.  Returns
-    the trained networks in the order of ``start`` and the call's
-    :class:`TrainStats`.
+    the trained networks in the order of ``start`` and the call's mean
+    loss: the mean over its epochs of each epoch's mean batch loss.
     """
     layout = start[0].layout
     if len(start) == 1:
@@ -186,10 +179,10 @@ def _train(
             if not np.isfinite(stack.values).all():
                 raise FloatingPointError("local training diverged to non-finite parameters")
             epoch_losses.append(float(np.mean(batch_losses)))
-    stats = TrainStats(mean_loss=float(np.mean(epoch_losses)))
+    mean_loss = float(np.mean(epoch_losses))
     if len(start) == 1:
-        return [stack], stats
-    return [ModelParams(values, layout) for values in stack.values], stats
+        return [stack], mean_loss
+    return [ModelParams(values, layout) for values in stack.values], mean_loss
 
 
 def train_local(
@@ -198,7 +191,7 @@ def train_local(
     cfg: TrainerConfig,
     seed: int,
     lam_sampler=None,
-) -> tuple[ModelParams, TrainStats]:
+) -> tuple[ModelParams, float]:
     """E epochs of mini-batch SGD with the configured loss or mixup.
 
     ``lam_sampler(gen, alpha) -> lam`` overrides the Beta(alpha, alpha) draw
@@ -230,8 +223,8 @@ def train_local(
                 stack, x, y, kind=kind, method_params=cfg.method_params, weight_decay=cfg.weight_decay, work=work
             )
 
-    (model,), stats = _train(ds, (params,), cfg, seed, one_network, targets)
-    return model, stats
+    (model,), mean_loss = _train(ds, (params,), cfg, seed, one_network, targets)
+    return model, mean_loss
 
 
 def coteaching_keep_fraction(round_t: int, forget_rate: float, ramp_rounds: int) -> float:
@@ -255,7 +248,7 @@ def train_local_coteaching(
     cfg: TrainerConfig,
     seed: int,
     round_t: int,
-) -> tuple[ModelParams, ModelParams, TrainStats]:
+) -> tuple[ModelParams, ModelParams, float]:
     """Cross-update two networks on each other's small-loss samples.
 
     The two networks train as one stack, so each batch runs one forward
@@ -282,5 +275,5 @@ def train_local_coteaching(
         work.keep(peers)
         return backward_cached(stack, work, y[peers].ravel(), kind="ce", weight_decay=cfg.weight_decay)
 
-    (model_a, model_b), stats = _train(ds, (params_a, params_b), cfg, seed, cross_update)
-    return model_a, model_b, stats
+    (model_a, model_b), mean_loss = _train(ds, (params_a, params_b), cfg, seed, cross_update)
+    return model_a, model_b, mean_loss

@@ -37,6 +37,19 @@ def fresh_backward(params, x, labels, kind, method_params=None, weight_decay=0.0
     return loss, work
 
 
+def count_builds(monkeypatch) -> list:
+    """A list that grows by one for each ModelParams this process builds from now on."""
+    built = []
+    post_init = ModelParams.__post_init__
+
+    def counting_post_init(params):
+        built.append(None)
+        post_init(params)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counting_post_init)
+    return built
+
+
 def mixup_buffers(x, onehot):
     """``mixup_batch``'s ``out``: mixed rows, mixed targets and their scratch."""
     return np.empty_like(x), np.empty_like(onehot), np.empty_like(x), np.empty_like(onehot)

@@ -12,16 +12,19 @@ import json
 import math
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, suppress
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noisyfl import cli
+from noisyfl import cli, federation
 from noisyfl import config as config_module
 from noisyfl import noise as noise_module
 from noisyfl.analysis import AccuracyTable, drop_ratio_series, sensitivity_series
@@ -36,6 +39,7 @@ from noisyfl.partition import load_plan
 from noisyfl.rng import derive_seed
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 SMALL = {
     "seed": 3,
@@ -1209,6 +1213,56 @@ class TestOverrides:
             cli.build_parser().parse_args(["noise", "-c", "cfg.json", "--iid", "--noniid-label-count", "3"])
         assert err.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+# SMALL at 300 samples per class over 4 clients and 10 rounds: about 600 local CE batches, so the federation
+# forks its workers; on two processes, the caller's share and the worker's come back out of selection order
+FORKING = {"dataset.synthetic.per_class": 300, "federation.num_clients": 4, "federation.rounds": 10}
+
+
+def pipeline_process(config: str, *args: str, one_cpu: bool = False) -> tuple[int, str]:
+    """``python -X dev -W error -m noisyfl.cli pipeline -c config *args`` in a session of its own.
+
+    Returns its exit code and stderr, once it has ended and no process of its group (a training worker) is
+    left.  ``one_cpu`` pins it to one CPU, where it trains every client in process.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
+    command = [sys.executable, "-X", "dev", "-W", "error", "-m", "noisyfl.cli", "pipeline", "-c", config, *args]
+    proc = subprocess.Popen(command, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True, preexec_fn=pin)
+    try:
+        _, err = proc.communicate(timeout=60)  # a worker that never answers fails the test here
+        with pytest.raises(ProcessLookupError):  # the run's process group is empty
+            os.killpg(proc.pid, 0)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    return proc.returncode, err
+
+
+class TestForkedPipeline:
+    """A pipeline whose clients train in forked workers, run as a command under every warning as an error.
+
+    ``-X dev`` turns on ResourceWarning for unclosed files, and ``-W error`` makes every warning fail the run.
+    """
+
+    @pytest.mark.parametrize("method", ["ce", "coteaching"])
+    def test_serial_and_parallel_runs_agree(self, tmp_path, method):
+        config, _ = write_config(tmp_path, changes=FORKING)
+        parallel, serial = tmp_path / "parallel", tmp_path / "serial"
+        for out, one_cpu in ((parallel, False), (serial, True)):
+            assert pipeline_process(config, "--output-dir", str(out), "--method", method, one_cpu=one_cpu) == (0, "")
+        assert (parallel / "run.json").read_bytes() == (serial / "run.json").read_bytes()
+        # with two usable CPUs or more the parallel run forks, as its federation is over the threshold
+        trainer = SMALL["federation"]["trainer"]
+        shard_batches = np.mean(-(-load_plan(str(parallel / "plan.json")).sizes() // trainer["batch_size"]))
+        batches = FORKING["federation.rounds"] * FORKING["federation.num_clients"] * trainer["epochs"] * shard_batches
+        assert batches >= federation.FORK_MIN_BATCHES
+
+    def test_diverging_run_reports_one_line(self, tmp_path):
+        config, _ = write_config(tmp_path, changes=FORKING)
+        assert pipeline_process(config, "--lr", "1e200") == (4, "numerical abort: non-finite parameters at round 1\n")
 
 
 def test_tracer_targets_resolve():

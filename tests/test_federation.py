@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_softmax_forward
+from conftest import count_builds, naive_softmax_forward
 from noisyfl.datasets import LabeledDataset, make_synthetic_blobs
 from noisyfl import federation
 from noisyfl.errors import NoisyFLError, NumericalAbortError
@@ -21,7 +23,7 @@ from noisyfl.federation import (
     select_clients,
     write_telemetry,
 )
-from noisyfl.localtrain import METHODS, TrainerConfig, TrainStats, train_local, train_local_coteaching
+from noisyfl.localtrain import METHODS, TrainerConfig, train_local, train_local_coteaching
 from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, init_params
 from noisyfl.partition import partition_iid, partition_quantity_skew, restrict
 from noisyfl.rng import derive_seed
@@ -57,46 +59,44 @@ class TestSelectClients:
 
 
 class TestAggregate:
-    def _params(self, values):
-        layout = LinearSoftmaxLayout(dim=1, num_classes=2)
-        return ModelParams(np.asarray(values, dtype=float), layout)
-
     def test_identical_models_exact(self):
         m = init_params(MLPLayout(dim=3, hidden=5, num_classes=4), seed=9)
-        out = aggregate([m] * 7, [3, 1, 4, 1, 5, 9, 2])
+        out = aggregate([m.values] * 7, [3, 1, 4, 1, 5, 9, 2])
         assert np.array_equal(out, m.values)
 
     def test_two_model_weighted_mean(self):
         v = np.array([1.0, -2.0, 3.0, 4.0])
-        zero = self._params(np.zeros(4))
-        out = aggregate([zero, self._params(v)], [1, 3])
+        out = aggregate([np.zeros(4), v], [1, 3])
         assert np.array_equal(out, 0.75 * v)
 
     def test_matches_high_precision_oracle(self):
-        gen = np.random.default_rng(12)
         layout = MLPLayout(dim=4, hidden=6, num_classes=3)
-        models = [init_params(layout, seed=i) for i in range(5)]
+        values = [init_params(layout, seed=i).values for i in range(5)]
         weights = [17, 3, 41, 29, 11]
-        out = aggregate(models, weights)
+        out = aggregate(values, weights)
         total = sum(weights)
         oracle = np.array(
-            [
-                math.fsum(w / total * m.values[i] for m, w in zip(models, weights))
-                for i in range(layout.param_count)
-            ]
+            [math.fsum(w / total * v[i] for v, w in zip(values, weights)) for i in range(layout.param_count)]
         )
         assert np.abs(out - oracle).max() <= 1e-12
 
-    def test_weights_normalize_to_one(self):
-        weights = np.array([123, 7, 55], dtype=float)
-        fractions = weights / weights.sum()
-        assert abs(fractions.sum() - 1.0) <= 1e-12
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 10_000), min_size=1, max_size=6),
+        scale=st.integers(2, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaled_integer_weights_give_the_same_bits(self, weights, scale, seed):
+        """Only the shard sizes' ratios weigh: each weight over the total is one correctly rounded division."""
+        values = list(np.random.default_rng(seed).normal(size=(len(weights), 7)))
+        scaled = aggregate(values, [scale * w for w in weights])
+        assert scaled.tobytes() == aggregate(values, weights).tobytes()
 
     def test_layout_mismatch(self):
         a = init_params(LinearSoftmaxLayout(dim=2, num_classes=2), seed=0)
         b = init_params(LinearSoftmaxLayout(dim=3, num_classes=2), seed=0)
         with pytest.raises(ValueError, match="broadcast"):  # no check of ours: numpy refuses the shapes
-            aggregate([a, b], [1, 1])
+            aggregate([a.values, b.values], [1, 1])
 
     def test_empty_input(self):
         with pytest.raises(IndexError):  # no check of ours: a round selects at least one client
@@ -213,7 +213,7 @@ class TestRunFederation:
 
         def extreme(shard, params, trainer, seed):
             sign = 1.0 if np.array_equal(shard.features, ds.features[plan.clients[0]]) else -1.0
-            return ModelParams(np.full(layout.param_count, sign * 1e308), layout), TrainStats(1.0)
+            return ModelParams(np.full(layout.param_count, sign * 1e308), layout), 1.0
 
         monkeypatch.setattr(federation, "train_local", extreme)
         with warnings.catch_warnings(), pytest.raises(NumericalAbortError) as err:
@@ -317,7 +317,7 @@ class TestProcesses:
                 seed = derive_seed(cfg.seed, "train", t, k)
                 model, peers[k], _ = train_local_coteaching(restrict(ds, plan, k), params, peer, cfg.trainer, seed, t)
                 models.append(model)
-            params = ModelParams(aggregate(models, [plan.sizes()[k] for k in selected]), layout)
+            params = ModelParams(aggregate([m.values for m in models], [plan.sizes()[k] for k in selected]), layout)
         in_processes(monkeypatch, processes)
         assert run_federation(ds, plan, test, layout, cfg)[1].values.tobytes() == params.values.tobytes()
 
@@ -393,6 +393,38 @@ class TestProcesses:
         with pytest.raises(NoisyFLError, match="a training worker exited during round 1"):
             run_federation(*self._setup())
         assert_no_child_left()
+
+
+class TestModelsBuilt:
+    """A federation builds each network once where it trains or is averaged: nothing is wrapped again across a pipe."""
+
+    deadline = TestProcesses.deadline
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("method", ["ce", "coteaching"])
+    def test_builds_in_the_caller(self, monkeypatch, method, processes):
+        ds, plan, test, layout, cfg = TestProcesses._setup(self, method, fraction=0.5)
+        in_processes(monkeypatch, processes)
+        shares, split = [], federation._split
+        monkeypatch.setattr(federation, "_split", lambda *a: shares.append(split(*a)) or shares[-1])
+        built = count_builds(monkeypatch)
+        run_federation(ds, plan, test, layout, cfg)
+        # share 0 trains in the caller, and a co-teaching peer is built where its client first trains
+        caller_rounds = sum(len(rnd[0]) for rnd in shares)
+        first_home = {}
+        for rnd in shares:
+            for p, share in enumerate(rnd):
+                for k in share:
+                    first_home.setdefault(k, p)
+        caller_peers = sum(p == 0 for p in first_home.values())
+        # the initial model, each trained network (co-teaching: the stack, its two rows and each new peer), each average
+        trained = 3 * caller_rounds + caller_peers if method == "coteaching" else caller_rounds
+        assert len(built) == 1 + trained + cfg.rounds
+        client_rounds = cfg.rounds * math.ceil(cfg.selection_fraction * cfg.num_clients)
+        if processes == 1:
+            assert caller_rounds == client_rounds
+        else:  # the worker trained the rest
+            assert 0 < caller_rounds < client_rounds
 
 
 class TestTelemetryIO:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import fresh_backward, mixup_buffers
+from conftest import count_builds, fresh_backward, mixup_buffers
 from noisyfl import localtrain, models, rng
 from noisyfl.cli import main
 from noisyfl.datasets import make_synthetic_blobs, save_csv
@@ -115,7 +115,7 @@ class TestTrainLocal:
         layout = LinearSoftmaxLayout(dim=2, num_classes=3)
         params = init_params(layout, seed=1)
         cfg = TrainerConfig(method="ce", lr=0.1, momentum=0.0, weight_decay=0.01, batch_size=len(ds), epochs=1)
-        trained, stats = train_local(ds, params, cfg, seed=3)
+        trained, mean_loss = train_local(ds, params, cfg, seed=3)
 
         from noisyfl.rng import stream
 
@@ -123,7 +123,7 @@ class TestTrainLocal:
         loss, work = fresh_backward(params, ds.features[order], ds.labels[order], "ce", weight_decay=0.01)
         expected = params.values - 0.1 * work.grad
         assert np.array_equal(trained.values, expected)
-        assert stats.mean_loss == loss
+        assert mean_loss == loss
 
     def test_determinism(self):
         ds = blobs()
@@ -153,8 +153,8 @@ class TestTrainLocal:
             cfg = TrainerConfig(method=method, lr=0.1, epochs=1, batch_size=64)
             trained, first = train_local(ds, params, cfg, seed=seed)
             _, continued = train_local(ds, trained, dataclasses.replace(cfg, epochs=4), seed=seed + 1)
-            firsts.append(first.mean_loss)
-            lasts.append(continued.mean_loss)
+            firsts.append(first)
+            lasts.append(continued)
         assert np.mean(lasts) < np.mean(firsts)
 
     def test_mixup_with_stubbed_lambda_matches_ce(self):
@@ -222,11 +222,11 @@ class TestTrainCoteaching:
         a0 = init_params(layout, seed=1)
         b0 = init_params(layout, seed=2)
         cfg = TrainerConfig(method="coteaching", lr=0.05, epochs=1, method_params={"forget_rate": 0.4})
-        a1, b1, stats = train_local_coteaching(ds, a0, b0, cfg, seed=5, round_t=20)
+        a1, b1, mean_loss = train_local_coteaching(ds, a0, b0, cfg, seed=5, round_t=20)
         assert not np.array_equal(a1.values, a0.values)
         assert not np.array_equal(b1.values, b0.values)
         assert not np.array_equal(a1.values, b1.values)
-        assert np.isfinite(stats.mean_loss) and stats.mean_loss > 0
+        assert np.isfinite(mean_loss) and mean_loss > 0
 
     def test_layout_mismatch(self):
         ds = self._noisy_blobs()
@@ -258,14 +258,7 @@ class TestOneModelPerCall:
     @pytest.mark.parametrize("method, networks", [("ce", 1), ("coteaching", 2)])
     def test_one_build_per_network(self, monkeypatch, method, networks):
         train = self._train(method)
-        built = []
-        post_init = ModelParams.__post_init__
-
-        def counting_post_init(params):
-            built.append(None)
-            post_init(params)
-
-        monkeypatch.setattr(ModelParams, "__post_init__", counting_post_init)
+        built = count_builds(monkeypatch)
         train()
         # networks beyond one train as a stack, built once, and each result is built from a row of it
         assert len(built) == (1 if networks == 1 else networks + 1)
@@ -415,11 +408,11 @@ class TestWorkspaceReuse:
             method=method, lr=0.2, epochs=3, batch_size=batch_size, method_params=self.METHOD_PARAMS[method]
         )
         if method == "coteaching":
-            *trained, stats = train_local_coteaching(ds, starts[0], starts[1], cfg, seed=5, round_t=6)
+            *trained, mean_loss = train_local_coteaching(ds, starts[0], starts[1], cfg, seed=5, round_t=6)
         else:
             starts = starts[:1]
-            *trained, stats = train_local(ds, starts[0], cfg, seed=5)
+            *trained, mean_loss = train_local(ds, starts[0], cfg, seed=5)
         values, epoch_losses = hand_trained(ds, starts, cfg, seed=5, round_t=6)
         for model, expected in zip(trained, values):
             assert np.array_equal(model.values, expected)
-        assert stats.mean_loss == float(np.mean(epoch_losses))
+        assert mean_loss == float(np.mean(epoch_losses))
