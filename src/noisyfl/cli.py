@@ -17,10 +17,11 @@ manifest.
   the summary and the selected lr.
   ``manifest_sha256`` seals the rest: the sha256 of its canonical JSON (sorted keys).
 - Skip rule: :func:`verified`, the one reader of a manifest, passes one
-  that is sealed, records the same key, compared as JSON reads it back,
-  and lists outputs that still hash as recorded.  Any other counts as
-  absent: the stage runs again.  So a change that only training reads
-  keeps the noise stage, and spelling out a default changes no key.
+  that is sealed, records the same key, each field compared as canonical
+  JSON text (so 10 and 10.0 differ), and lists outputs that still hash as
+  recorded.  Any other counts as absent: the stage runs again.  So a
+  change that only training reads keeps the noise stage, and spelling out
+  a default changes no key.
 - Atomic writes: each output is written to ``<name>.tmp`` and moved into
   place with ``os.replace``; the manifest is written last, the same way,
   so a killed run leaves only finished stages behind.
@@ -162,7 +163,8 @@ def verified(base_dir: str, manifest: str, key: dict) -> dict:
     """The manifest ``base_dir/manifest``, once it is sealed, records ``key`` and its outputs hash as recorded.
 
     The one reader of a stage manifest.  Each field of ``key`` is compared
-    in its JSON form, as the manifest stores it.  Otherwise raises
+    as canonical JSON text, as the manifest stores it, so a recorded 10
+    does not match a key's 10.0.  Otherwise raises
     ArtifactMismatchError saying why not; its ``listed`` holds the outputs
     the manifest names.
     """
@@ -176,7 +178,7 @@ def verified(base_dir: str, manifest: str, key: dict) -> dict:
     if doc.get(SEAL) != _digest({name: value for name, value in doc.items() if name != SEAL}):
         raise ArtifactMismatchError(f"{manifest} does not match its {SEAL}", doc["outputs"])
     for field, value in _as_json(key).items():
-        if doc.get(field) != value:
+        if json.dumps(doc.get(field), sort_keys=True) != json.dumps(value, sort_keys=True):
             raise ArtifactMismatchError(f"{manifest} records a different {field}", doc["outputs"])
     for rel, recorded in doc["outputs"].items():
         path = os.path.join(base_dir, rel)

@@ -68,11 +68,20 @@ class RoundRecord:
     mean_client_loss: float
 
 
+def _clients_per_round(num_clients: int, fraction: float) -> int:
+    """The round size of :func:`select_clients`."""
+    return math.ceil(round(fraction * num_clients, 9))
+
+
 def select_clients(num_clients: int, fraction: float, round_t: int, seed: int) -> list[int]:
-    """ceil(fraction*K) distinct clients from the (seed, round) stream, sorted."""
-    count = math.ceil(fraction * num_clients)
+    """ceil(round(fraction*K, 9)) distinct clients from the (seed, round) stream, sorted.
+
+    The product is rounded to 9 decimals before the ceiling, so float error
+    adds no client: 7 of 100 at 0.07, and at least one client for any
+    fraction in (0, 1].
+    """
     gen = rng.stream(seed, "select", round_t)
-    chosen = gen.choice(num_clients, size=count, replace=False)
+    chosen = gen.choice(num_clients, size=_clients_per_round(num_clients, fraction), replace=False)
     return sorted(int(c) for c in chosen)
 
 
@@ -221,7 +230,7 @@ def run_federation(
     """
     sizes = plan.sizes()
     coteaching = cfg.trainer.method == "coteaching"
-    per_round = math.ceil(cfg.selection_fraction * cfg.num_clients)
+    per_round = _clients_per_round(cfg.num_clients, cfg.selection_fraction)
     shard_batches = np.mean(-(-sizes // cfg.trainer.batch_size))
     batches = cfg.rounds * per_round * cfg.trainer.epochs * (1 + coteaching) * shard_batches
     processes = min(_usable_cpus(), per_round) if batches >= FORK_MIN_BATCHES else 1

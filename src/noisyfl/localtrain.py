@@ -50,7 +50,7 @@ _METHOD_PARAMS = {
     "mixup": {"alpha": (1.0, *_POSITIVE)},
     "sce": {"alpha": (0.1, *_POSITIVE), "beta": (1.0, *_POSITIVE), "log_clip": (-4.0, lambda v: v < 0, "< 0")},
     "gce": {"q": (0.7, lambda v: 0 < v <= 1, "in (0, 1]")},
-    "coteaching": {"forget_rate": (None, lambda v: 0 <= v < 1, "in [0, 1)"), "ramp_rounds": (10, *_POSITIVE)},
+    "coteaching": {"forget_rate": (None, lambda v: 0 <= v < 1, "in [0, 1)"), "ramp_rounds": (10.0, *_POSITIVE)},
 }
 
 

@@ -1,4 +1,9 @@
-"""End-to-end checks of the command line, each through ``main()`` on a seconds-long config."""
+"""End-to-end checks of the command line, each through ``main()`` on a seconds-long config.
+
+Every behaviour of the command line is checked here: exit codes and their messages, the
+files each stage writes, the skip rule, determinism and ``analyze``.  CI adds only a run
+of the installed ``noisyfl`` entry point; a check of the command belongs here, not there.
+"""
 
 import ast
 import copy
@@ -17,7 +22,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr, suppress
+from contextlib import contextmanager, redirect_stderr, suppress
 
 import numpy as np
 import pytest
@@ -103,6 +108,11 @@ def manifests(root: str) -> list[str]:
 
 
 NOISE_FILES = ["noise_manifest.json", "plan.json", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"]
+# with NOISE_FILES and run.json, every file a one-seed run writes: no dataset.npy, no analysis/
+TRAIN_FILES = [
+    "train/run_manifest.json", "train/summary.csv",
+    "train/seed_0/seed_manifest.json", "train/seed_0/telemetry.csv", "train/seed_0/final_checkpoint.bin",
+]  # fmt: skip
 
 
 def stamps(root: str, names) -> dict:
@@ -184,19 +194,44 @@ def finished_small(tmp_path_factory):
     return out
 
 
+@contextmanager
+def deadline(seconds: int):
+    """Fail the test if the block still runs after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestDeterminism:
-    def test_two_directories_give_identical_run_json(self, tmp_path):
-        cfg_a, out_a = write_config(tmp_path, "a")
-        cfg_b, out_b = write_config(tmp_path, "b")
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            *[{"federation.trainer.method": method} for method in METHODS],
+            {"noise.mode": "asymmetric"},  # flips each client's labels among the classes it holds
+            {"federation.model": {"kind": "linear-softmax"}},
+            {"federation.model.activation": "relu"},
+        ],
+        ids=[*METHODS, "localized-asymmetric", "linear-softmax", "relu"],
+    )
+    def test_two_directories_give_identical_run_json(self, tmp_path, changes):
+        cfg_a, out_a = write_config(tmp_path, "a", changes)
+        cfg_b, out_b = write_config(tmp_path, "b", changes)
         assert main(["pipeline", "-c", cfg_a]) == 0
         assert main(["pipeline", "-c", cfg_b]) == 0
         assert tree(out_a) == tree(out_b)
         with open(os.path.join(out_a, "run.json"), "rb") as fh:
             run = json.loads(fh.read())
-        assert set(run["artifacts"]) | {"run.json"} == {rel.replace(os.sep, "/") for rel in tree(out_a)}
+        assert sorted(run["artifacts"]) == sorted(NOISE_FILES + TRAIN_FILES)
+        assert sorted(rel.replace(os.sep, "/") for rel in tree(out_a)) == sorted([*run["artifacts"], "run.json"])
         assert set(run) == {"version", "config_digest", "seed", "artifacts"}
-        assert "partition_manifest.json" not in run["artifacts"]
-        assert [rel for rel in run["artifacts"] if rel.startswith("analysis/") or rel == "noise_ratio.csv"] == []
 
     def test_summary_last_k_counts_evaluated_rounds(self, tmp_path):
         config, out = write_config(
@@ -465,27 +500,46 @@ class TestStageKeys:
         assert len(scenes) == 1
         assert stamps(out, ["noise_manifest.json"])["noise_manifest.json"][2] != before["noise_manifest.json"][2]
 
-    def test_spelled_out_defaults_give_the_same_tree(self, tmp_path):
+    @pytest.mark.parametrize(
+        "method, lr_grid, method_params",
+        [("ce", [], {}), ("coteaching", None, {"ramp_rounds": 10})],
+        ids=["ce", "coteaching"],
+    )
+    def test_spelled_out_defaults_give_the_same_tree(self, tmp_path, method, lr_grid, method_params):
         """A config that writes every default, and integers for floats, is the config that omits them."""
         terse = copy.deepcopy(SMALL)
         del terse["repeats"], terse["federation"]["eval_every"], terse["federation"]["model"]["activation"]
+        del terse["dataset"]["synthetic"]["seed"]
+        terse["federation"]["trainer"]["method"] = method
         terse["output_dir"] = str(tmp_path / "terse")
         (tmp_path / "terse.json").write_text(json.dumps(terse), encoding="utf-8")
         spelled = {
             "dataset.synthetic.separation": 3,
+            "dataset.synthetic.seed": 0,
             "noise.eps_global": None,
             "noise.asym_map": None,
             "federation.rounds": 4.0,
             "federation.selection_fraction": 1,
-            "federation.lr_grid": [],
+            "federation.lr_grid": lr_grid,
+            "federation.trainer.method": method,
             "federation.trainer.momentum": 0.9,
             "federation.trainer.weight_decay": 0.0005,
-            "federation.trainer.method_params": {},
+            "federation.trainer.method_params": method_params,
         }
         config, full = write_config(tmp_path, "full", spelled)
         for path in (str(tmp_path / "terse.json"), config):
             assert main(["pipeline", "-c", path]) == 0
         assert tree(full) == tree(terse["output_dir"])
+
+    def test_a_key_recorded_as_an_integer_is_redone(self, tmp_path):
+        """A manifest that records 10 where the built value is 10.0 holds another key, so its stage runs again."""
+        config, out = write_config(tmp_path, changes={"federation.trainer.method": "coteaching"})
+        assert main(["pipeline", "-c", config]) == 0
+        expected = tree(out)
+        for rel in ("train/seed_0/seed_manifest.json", "train/run_manifest.json"):
+            edit_json(out, rel, "federation.trainer.method_params.ramp_rounds", 10)
+        assert main(["pipeline", "-c", config]) == 0
+        assert tree(out) == expected
 
     def test_rerun_with_a_class_map_and_an_lr_grid_rewrites_only_run_json(self, tmp_path, monkeypatch):
         """The keys hold a class map's integer keys and the grid's tuple, and match them as JSON stores them.
@@ -677,6 +731,49 @@ class TestExitCodes:
                 {"noise": {**GLOBALIZED["noise"], "asym_map": {"0": 1, "1": 2, "2": 7}}},
                 "config error: noise.asym_map: target_map[2] = 7 out of range",
             ),
+            (
+                {"noise": {**GLOBALIZED["noise"], "asym_map": {"0": 0, "1": 2, "2": 1}}},
+                "config error: noise.asym_map: target_map[0] maps a class to itself",
+            ),
+            # a linear softmax has no hidden layer, so a hidden width beside it is read by nothing
+            ({"federation.model": {"kind": "linear-softmax", "hidden": 8}}, "config error: federation.model.hidden: "),
+            ({"dataset": {}}, "config error: dataset: exactly one of 'synthetic' or 'csv' is required"),
+            (
+                {"dataset.csv": {"path": "train.csv", "label_column": "label"}},
+                "config error: dataset: exactly one of 'synthetic' or 'csv' is required",
+            ),
+            ({"dataset.synthetic": {"num_classes": 3, "per_class": 60}}, "config error: dataset.synthetic.dim: missing"),
+            ({"dataset.synthetic.num_classes": 1}, "config error: dataset.synthetic.num_classes: must be >= 2"),
+            ({"dataset.synthetic.separation": 0}, "config error: dataset.synthetic.separation: must be > 0"),
+            ({"partition": {"alpha": 0.5}}, "config error: partition.scheme: missing required field"),
+            ({"partition": {"scheme": "label-quantity", "c": 0}}, "config error: partition: scheme label-quantity requires c >= 1"),
+            ({"federation.num_clients": 0}, "config error: federation: num_clients must be >= 1"),
+            ({"federation.rounds": 0}, "config error: federation: rounds must be >= 1"),
+            ({"federation.selection_fraction": 0}, "config error: federation: selection_fraction must lie in (0, 1]"),
+            ({"federation.selection_fraction": 1.5}, "config error: federation: selection_fraction must lie in (0, 1]"),
+            ({"federation.trainer.method": "sgd"}, "config error: federation.trainer: unknown training method 'sgd'"),
+            ({"federation.trainer.lr": 0}, "config error: federation.trainer: lr must be > 0"),
+            ({"federation.trainer.momentum": 1}, "config error: federation.trainer: momentum must lie in [0, 1)"),
+            ({"federation.trainer.weight_decay": -1}, "config error: federation.trainer: weight_decay must be >= 0"),
+            ({"federation.trainer.batch_size": 0}, "config error: federation.trainer: batch_size must be >= 1"),
+            ({"federation.trainer.epochs": 0}, "config error: federation.trainer: epochs must be >= 1"),
+            (
+                {"federation.trainer.method_params": {"q": 0.5}},
+                "config error: federation.trainer: method_params keys ['q'] invalid for method 'ce'",
+            ),
+            ({"noise": {"scene": "global"}}, "config error: noise: unknown noise scene 'global'"),
+            (
+                {"noise": {"scene": "globalized", "eps_global": 0.3}},
+                "config error: noise: globalized scene requires a symmetric or asymmetric mode",
+            ),
+            (
+                {"noise": {"scene": "globalized", "mode": "symmetric", "eps_global": 0.3, "eps_max": 0.4}},
+                "config error: noise: globalized scene takes eps_global, not eps_min/eps_max",
+            ),
+            ({"noise.mode": "none"}, "config error: noise: localized scene requires a symmetric or asymmetric mode"),
+            ({"noise.eps_global": 0.3}, "config error: noise: localized scene takes eps_min/eps_max, not eps_global"),
+            ({"noise": {"scene": "clean", "eps_global": 0.3}}, "config error: noise: clean scene takes no noise ratios"),
+            ({"noise": {"scene": "realworld", "mode": "symmetric"}}, "config error: noise: realworld scene requires mode 'none'"),
         ],
         ids=[
             "gce-q-2",
@@ -693,12 +790,44 @@ class TestExitCodes:
             "bool-lr",
             "fractional-asym-map-target",
             "asym-map-target-out-of-range",
+            "asym-map-to-itself",
+            "linear-softmax-hidden",
+            "no-dataset-source",
+            "two-dataset-sources",
+            "synthetic-without-dim",
+            "one-class",
+            "zero-separation",
+            "partition-without-scheme",
+            "label-count-zero",
+            "zero-clients",
+            "zero-rounds",
+            "zero-selection-fraction",
+            "selection-fraction-above-1",
+            "unknown-method",
+            "zero-lr",
+            "momentum-1",
+            "negative-weight-decay",
+            "zero-batch-size",
+            "zero-epochs",
+            "unknown-method-param",
+            "unknown-scene",
+            "globalized-without-mode",
+            "globalized-eps-max",
+            "localized-mode-none",
+            "localized-eps-global",
+            "clean-eps-global",
+            "realworld-symmetric",
         ],
     )
     def test_malformed_training_value_exits_2(self, tmp_path, capsys, changes, field):
-        config, _ = write_config(tmp_path, changes=changes)
+        """One line naming the field; a value checked where the config enters stops the run before any stage writes."""
+        config, out = write_config(tmp_path, changes=changes)
         assert main(["pipeline", "-c", config]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        # only a forget_rate left to the noise-ratio estimate waits for the noise stage, which gives the estimate
+        assert os.path.exists(out) == ("noise-ratio estimate" in err)
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -728,7 +857,8 @@ class TestExitCodes:
     def test_partition_that_cannot_be_built_exits_2(self, tmp_path, capsys, command, flags):
         # 5 classes of 20 samples: N = 100, C = 5
         config, _ = write_config(tmp_path, changes={"dataset.synthetic.num_classes": 5, "dataset.synthetic.per_class": 20})
-        assert main([command, "-c", config, *flags]) == 2
+        with deadline(20):  # each case fails within seconds, so a redraw loop that never ends fails the test
+            assert main([command, "-c", config, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: partition: ")
         assert err.count("\n") == 1

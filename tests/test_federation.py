@@ -41,8 +41,9 @@ class TestSelectClients:
         assert chosen == sorted(chosen)
 
     def test_ceiling(self):
-        assert len(select_clients(10, 0.25, 1, seed=0)) == 3
-        assert len(select_clients(3, 0.1, 1, seed=0)) == 1
+        """ceil(fraction*K) of the product rounded to 9 decimals: 0.07*100 is 7.000000000000001, and 7 clients."""
+        for num_clients, fraction, count in [(100, 0.07, 7), (25, 0.28, 7), (100, 0.1, 10), (10, 0.25, 3), (3, 0.1, 1)]:
+            assert len(select_clients(num_clients, fraction, 1, seed=0)) == count, (num_clients, fraction)
 
     def test_deterministic_per_round(self):
         assert select_clients(20, 0.5, 7, seed=3) == select_clients(20, 0.5, 7, seed=3)
