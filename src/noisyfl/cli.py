@@ -46,8 +46,11 @@ the config and master seed: JSON is dumped with sorted keys, CSVs use
 fixed formatting, and no timestamps or absolute paths are recorded.
 
 A co-teaching config that sets no ``forget_rate`` trains with the run's
-nominal noise ratio (``eps_global``, the midpoint of ``eps_min`` and ``eps_max``,
-or the real-world ``overall_ratio``), or ``COTEACHING_FALLBACK_FORGET_RATE`` if it is 0.
+noise ratio (:func:`~noisyfl.noise.nominal_ratio`, or the real-world
+``overall_ratio``), or ``COTEACHING_FALLBACK_FORGET_RATE`` if it is 0
+(:func:`~noisyfl.config.with_forget_rate`).  A nominal ratio that gives no
+forget_rate exits 2 where the config enters; only a real-world ratio, which
+the data gives, is checked after the noise stage.
 
 ``analyze`` is no stage: it reads finished run directories, one
 accuracy-table entry each, and writes the paper's drop-ratio and
@@ -87,7 +90,7 @@ from .analysis import (
     last_k_average,
     sensitivity_series,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, with_forget_rate
 from .datasets import class_histogram, load_npy, save_npy
 from .datasets import load_csv, save_csv  # noqa: F401  unused here; perfbench/tracer.py wraps them at this name
 from .partition import make_partition  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
@@ -100,14 +103,13 @@ from .errors import (
 )
 from .federation import FedConfig, run_federation, write_telemetry
 from .models import layout_from_dict, save_checkpoint
-from .noise import SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, NoiseSpec, asymmetric_matrix, run_scene
+from .noise import NoiseSpec, asymmetric_matrix, nominal_ratio, run_scene
 from .partition import SCHEME_PARAM, PartitionSpec, load_plan, save_plan
 
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
 TMP_SUFFIX = ".tmp"
 SEAL = "manifest_sha256"  # a manifest's sha256 of its canonical JSON without this key
-COTEACHING_FALLBACK_FORGET_RATE = 0.2  # when the config sets no forget_rate and the run's noise ratio is 0
 
 
 # ---------------------------------------------------------------- artifact I/O
@@ -292,13 +294,10 @@ def cmd_noise(cfg: RunConfig) -> dict:
 
 def _noise_ratio_estimate(manifest: dict) -> float:
     spec = manifest["noise"]
-    if spec["scene"] == SCENE_GLOBALIZED:
-        return float(spec["eps_global"])
-    if spec["scene"] == SCENE_LOCALIZED:
-        return 0.5 * (float(spec["eps_min"]) + float(spec["eps_max"]))
-    if spec["scene"] == SCENE_REALWORLD and manifest.get("overall_ratio") is not None:
-        return float(manifest["overall_ratio"])
-    return 0.0
+    ratio = nominal_ratio(spec["scene"], spec["eps_global"], spec["eps_min"], spec["eps_max"])
+    if ratio is None:  # the real-world scene: the ratio its data gave
+        ratio = manifest.get("overall_ratio") or 0.0
+    return float(ratio)
 
 
 TRAIN_INPUTS = ("noisy_dataset.npy", "plan.json", "test_dataset.npy")
@@ -353,17 +352,7 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
             load_npy(os.path.join(out, "test_dataset.npy")),
         )
 
-    trainer = cfg.federation.trainer
-    if trainer.method == "coteaching" and "forget_rate" not in trainer.method_params:
-        estimate = _noise_ratio_estimate(noise)
-        params = {**trainer.method_params, "forget_rate": estimate if estimate > 0 else COTEACHING_FALLBACK_FORGET_RATE}
-        try:
-            trainer = dataclasses.replace(trainer, method_params=params)
-        except ValueError as exc:
-            raise ConfigError(
-                "federation.trainer.method_params.forget_rate",
-                f"not set, and the noise-ratio estimate {estimate!r} is out of range ({exc})",
-            ) from None
+    trainer = with_forget_rate(cfg.federation.trainer, _noise_ratio_estimate(noise))
     federation = dataclasses.replace(cfg.federation, trainer=trainer)
 
     train_root = os.path.join(out, "train")

@@ -32,8 +32,11 @@ from .datasets import LabeledDataset, load_csv, make_synthetic_blobs
 from .errors import ConfigError, ParseError
 from .federation import FedConfig
 from .localtrain import TrainerConfig
-from .noise import SCENE_CLEAN, NoiseSpec
+from .noise import SCENE_CLEAN, NoiseSpec, nominal_ratio
 from .partition import PartitionSpec
+
+
+COTEACHING_FALLBACK_FORGET_RATE = 0.2  # when the config sets no forget_rate and the run's noise ratio is 0
 
 
 def _where(path: str, field: str) -> str:
@@ -277,6 +280,24 @@ def _model(doc: dict) -> dict:
     return model
 
 
+def with_forget_rate(trainer: TrainerConfig, noise_ratio: float) -> TrainerConfig:
+    """``trainer``, with the forget_rate co-teaching takes from the run's noise ratio when the config sets none.
+
+    A ratio of 0 gives ``COTEACHING_FALLBACK_FORGET_RATE``; one out of the
+    forget_rate's range is a ConfigError at that field.
+    """
+    if trainer.method != "coteaching" or "forget_rate" in trainer.method_params:
+        return trainer
+    forget_rate = noise_ratio if noise_ratio > 0 else COTEACHING_FALLBACK_FORGET_RATE
+    try:
+        return dataclasses.replace(trainer, method_params={**trainer.method_params, "forget_rate": forget_rate})
+    except ValueError as exc:
+        raise ConfigError(
+            "federation.trainer.method_params.forget_rate",
+            f"not set, and the noise-ratio estimate {noise_ratio!r} is out of range ({exc})",
+        ) from None
+
+
 def validate_config(doc: dict) -> RunConfig:
     """Validate a raw config dictionary into a RunConfig."""
     if not isinstance(doc, dict):
@@ -295,15 +316,21 @@ def validate_config(doc: dict) -> RunConfig:
     trainer = _build(TrainerConfig, "federation.trainer", _fields(trainer_doc, "federation.trainer", TRAINER))
     model = _model(federation.pop("model", {}))
     lr_grid = federation.pop("lr_grid", None)
-    noise = root.get("noise", {"scene": SCENE_CLEAN})
+    dataset = _dataset(root["dataset"])
+    partition = _build(PartitionSpec, "partition", _fields(root["partition"], "partition", PARTITION))
+    noise = _build(NoiseSpec, "noise", _fields(root.get("noise", {"scene": SCENE_CLEAN}), "noise", NOISE), seed=seed)
+    federation = _build(FedConfig, "federation", federation, trainer=trainer, seed=seed)
+    ratio = nominal_ratio(noise.scene, noise.eps_global, noise.eps_min, noise.eps_max)
+    if ratio is not None:  # checked only: the train stage resolves the forget_rate, so the built config keeps none
+        with_forget_rate(trainer, ratio)
     return RunConfig(
         seed=seed,
         output_dir=root["output_dir"],
         repeats=repeats,
-        dataset=_dataset(root["dataset"]),
-        partition=_build(PartitionSpec, "partition", _fields(root["partition"], "partition", PARTITION)),
-        noise=_build(NoiseSpec, "noise", _fields(noise, "noise", NOISE), seed=seed),
-        federation=_build(FedConfig, "federation", federation, trainer=trainer, seed=seed),
+        dataset=dataset,
+        partition=partition,
+        noise=noise,
+        federation=federation,
         model=model,
         lr_grid=lr_grid,
     )

@@ -121,6 +121,18 @@ class NoiseSpec:
                 raise ValueError(f"{self.scene} scene requires mode 'none'")
 
 
+def nominal_ratio(scene: str, eps_global: float | None, eps_min: float | None, eps_max: float | None) -> float | None:
+    """The scene's nominal noise ratio: ``eps_global``, the midpoint of ``eps_min`` and ``eps_max``, or 0 when clean.
+
+    None for the real-world scene, whose ratio its data gives.
+    """
+    if scene == SCENE_GLOBALIZED:
+        return float(eps_global)
+    if scene == SCENE_LOCALIZED:
+        return 0.5 * (float(eps_min) + float(eps_max))
+    return None if scene == SCENE_REALWORLD else 0.0
+
+
 def apply_noise(labels: np.ndarray, probs: np.ndarray, seed: int) -> np.ndarray:
     """Independently redraw each of ``labels`` from its row of the flip table ``probs``.
 

@@ -250,6 +250,11 @@ def in_processes(monkeypatch, processes):
     monkeypatch.setattr(federation, "FORK_MIN_BATCHES", 0)
 
 
+def training_seeds(cfg, round_t):
+    """The local-training seeds of round ``round_t``, one per client."""
+    return {derive_seed(cfg.seed, "train", round_t, k) for k in range(cfg.num_clients)}
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -272,20 +277,30 @@ class TestProcesses:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-    def _setup(self, method="ce", fraction=1.0, lr=0.05):
+    def _setup(self, method="ce", fraction=1.0, lr=0.05, eval_every=1):
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         plan = partition_quantity_skew(ds, 6, 2.0, seed=2)  # unequal shards, so the split balances them
         layout = MLPLayout(dim=2, hidden=4, num_classes=3)
         params = {"coteaching": {"forget_rate": 0.2}}.get(method, {})
         trainer = TrainerConfig(method=method, lr=lr, epochs=1, batch_size=16, method_params=params)
-        cfg = FedConfig(num_clients=6, rounds=4, trainer=trainer, selection_fraction=fraction, seed=9)
+        cfg = FedConfig(
+            num_clients=6, rounds=4, trainer=trainer, selection_fraction=fraction, eval_every=eval_every, seed=9
+        )
         return ds, plan, test, layout, cfg
 
-    @pytest.mark.parametrize("fraction", [1.0, 0.5])
-    @pytest.mark.parametrize("method", METHODS)
-    def test_process_count_leaves_results_unchanged(self, monkeypatch, method, fraction):
-        args = self._setup(method, fraction)
+    @pytest.mark.parametrize(
+        "method, fraction, eval_every",
+        [
+            # every third of 4 rounds: the last round's record is pending when the loop ends, and is not evaluated
+            pytest.param(method, fraction, every, id=f"{method}-{fraction}" + (f"-every-{every}" if every > 1 else ""))
+            for every in (1, 3)
+            for fraction in (1.0, 0.5)
+            for method in METHODS
+        ],
+    )
+    def test_process_count_leaves_results_unchanged(self, monkeypatch, method, fraction, eval_every):
+        args = self._setup(method, fraction, eval_every=eval_every)
         runs, homes = {}, {}
         split = federation._split
         for processes in (1, 2, 3):
@@ -327,20 +342,25 @@ class TestProcesses:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a small federation forked"))
         run_federation(*self._setup())
 
-    @pytest.mark.parametrize("where", ["worker", "caller"])
-    def test_numerical_abort_from_either_share(self, monkeypatch, where):
-        caller = os.getpid()
+    @pytest.mark.parametrize(
+        "where, round_t",
+        [("worker", 1), ("caller", 1), ("worker", 2), ("caller", 2)],
+        ids=["worker", "caller", "worker-round-2", "caller-round-2"],  # in round 2, round 1's evaluation is pending
+    )
+    def test_numerical_abort_from_either_share(self, monkeypatch, where, round_t):
+        caller, args = os.getpid(), self._setup()
+        seeds = training_seeds(args[-1], round_t)
 
         def diverging(shard, params, trainer, seed):
-            if (os.getpid() == caller) == (where == "caller"):
+            if seed in seeds and (os.getpid() == caller) == (where == "caller"):
                 raise FloatingPointError("local training diverged to non-finite parameters")
             return train_local(shard, params, trainer, seed)
 
         in_processes(monkeypatch, 2)
         monkeypatch.setattr(federation, "train_local", diverging)
         with pytest.raises(NumericalAbortError) as err:
-            run_federation(*self._setup())
-        assert err.value.round_t == 1
+            run_federation(*args)
+        assert err.value.round_t == round_t
         assert_no_child_left()
 
     def test_diverging_training_aborts(self, monkeypatch):
@@ -349,20 +369,60 @@ class TestProcesses:
             run_federation(*self._setup("coteaching", lr=1e200))
         assert_no_child_left()
 
-    @pytest.mark.parametrize("error", [ValueError, MemoryError])
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, error):
-        caller = os.getpid()
+    @pytest.mark.parametrize(
+        "error, round_t",
+        [(ValueError, 1), (MemoryError, 1), (ValueError, 2), (MemoryError, 2)],
+        ids=["ValueError", "MemoryError", "ValueError-round-2", "MemoryError-round-2"],
+    )
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, error, round_t):
+        caller, args = os.getpid(), self._setup()
+        seeds = training_seeds(args[-1], round_t)
 
         def failing(shard, params, trainer, seed):
-            if os.getpid() != caller:
+            if seed in seeds and os.getpid() != caller:
                 raise error("raised in a worker")
             return train_local(shard, params, trainer, seed)
 
         in_processes(monkeypatch, 2)
         monkeypatch.setattr(federation, "train_local", failing)
         with pytest.raises(error, match="raised in a worker"):
-            run_federation(*self._setup())
+            run_federation(*args)
         assert_no_child_left()
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_each_round_is_evaluated_while_the_next_trains(self, monkeypatch, eval_every):
+        """Round t is evaluated once round t+1's jobs are sent; that round's split gives the caller a head start."""
+        ds, plan, test, layout, cfg = self._setup(eval_every=eval_every)
+        caller, events, head_starts = os.getpid(), [], []
+        send, evaluate_, split = federation._send, federation.evaluate, federation._split
+
+        def recording_send(fd, obj):
+            if os.getpid() == caller:  # a worker's replies are not the caller's events
+                events.append(f"send {obj[0]}")
+            send(fd, obj)
+
+        def recording_evaluate(*args):
+            events.append("evaluate")
+            return evaluate_(*args)
+
+        def recording_split(selected, sizes, processes, head_start):
+            head_starts.append(head_start)
+            return split(selected, sizes, processes, head_start)
+
+        in_processes(monkeypatch, 2)
+        monkeypatch.setattr(federation, "_send", recording_send)
+        monkeypatch.setattr(federation, "evaluate", recording_evaluate)
+        monkeypatch.setattr(federation, "_split", recording_split)
+        records, _ = run_federation(ds, plan, test, layout, cfg)
+        assert_no_child_left()
+        head = len(test) * federation.EVAL_ROW_COST / cfg.trainer.epochs
+        if eval_every == 1:
+            assert events == ["send 1", "send 2", "evaluate", "send 3", "evaluate", "send 4", "evaluate", "evaluate"]
+            assert head_starts == [0, head, head, head]
+        else:  # only round 3 is evaluated, while round 4 trains
+            assert events == ["send 1", "send 2", "send 3", "send 4", "evaluate"]
+            assert head_starts == [0, 0, 0, head]
+        assert [r.test_accuracy is not None for r in records] == [t % eval_every == 0 for t in range(1, 5)]
 
     def test_failed_fork_closes_its_pipes(self, monkeypatch):
         forks, fork = [], os.fork
@@ -394,6 +454,23 @@ class TestProcesses:
         with pytest.raises(NoisyFLError, match="a training worker exited during round 1"):
             run_federation(*self._setup())
         assert_no_child_left()
+
+
+class TestSplit:
+    """Longest shard first onto the least loaded process; process 0, the caller, may start ahead."""
+
+    SIZES = np.array([50, 40, 30, 20, 10])
+
+    def test_without_a_head_start(self):
+        # loads 50|40, 50|70, 70|70, and the tie goes to the caller
+        assert federation._split([0, 1, 2, 3, 4], self.SIZES, 2, 0) == [[0, 3, 4], [1, 2]]
+
+    def test_a_head_start_moves_clients_off_the_caller(self):
+        # the caller starts at 45 rows: loads 45|50, 85|50, 85|80, 85|100, 95|100
+        assert federation._split([0, 1, 2, 3, 4], self.SIZES, 2, 45.0) == [[1, 4], [0, 2, 3]]
+
+    def test_one_process_takes_every_client(self):
+        assert federation._split([3, 1, 4], self.SIZES, 1, 45.0) == [[1, 3, 4]]
 
 
 class TestModelsBuilt:
