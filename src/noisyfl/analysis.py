@@ -1,13 +1,14 @@
 """Derived metrics: the last-k accuracy of a run, and the paper's drop
 ratio and noise sensitivity over an accuracy table.
 
-All functions are pure.  Accuracies are fractions in [0, 1], so
-sensitivities come out in accuracy per unit noise ratio.
+An accuracy table is a mapping ``{(partition, mode, eps): accuracy}``;
+the series read one (partition, mode) curve of it, in ascending eps.
+All functions are pure.  Accuracies are fractions in [0, 1], checked
+where a run's accuracy enters (``cli._run_entry``), so sensitivities come
+out in accuracy per unit noise ratio.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,44 +34,28 @@ def sensitivity(acc_at_eps: float, acc_at_eps_plus_delta: float, delta: float) -
     return (acc_at_eps - acc_at_eps_plus_delta) / delta
 
 
-@dataclass(frozen=True)
-class AccuracyTable:
-    """(partition, mode, eps) -> accuracy, a fraction in [0, 1]."""
-
-    entries: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, value in self.entries.items():
-            if not 0.0 <= value <= 1.0:  # also rejects nan
-                raise ValueError(f"accuracy {value} for {key} is not in [0, 1]")
-
-    def eps_grid(self, partition: str, mode: str) -> list[float]:
-        return sorted(e for (p, m, e) in self.entries if p == partition and m == mode)
+def _curve(table: dict, partition: str, mode: str) -> dict[float, float]:
+    """The (partition, mode) entries of ``table`` as eps -> accuracy, in ascending eps."""
+    return dict(sorted((e, acc) for (p, m, e), acc in table.items() if p == partition and m == mode))
 
 
-def sensitivity_series(table: AccuracyTable, partition: str, mode: str) -> list[tuple[float, float]]:
+def sensitivity_series(table: dict, partition: str, mode: str) -> list[tuple[float, float]]:
     """s(eps) over adjacent grid points present in the table; gaps are skipped."""
-    grid = table.eps_grid(partition, mode)
-    series = []
-    for eps, nxt in zip(grid[:-1], grid[1:]):
-        delta = nxt - eps
-        acc_now = table.entries[(partition, mode, eps)]
-        acc_next = table.entries[(partition, mode, nxt)]
-        series.append((eps, sensitivity(acc_now, acc_next, delta)))
-    return series
+    points = list(_curve(table, partition, mode).items())
+    return [(eps, sensitivity(acc, acc_next, nxt - eps)) for (eps, acc), (nxt, acc_next) in zip(points, points[1:])]
 
 
-def drop_ratio_series(table: AccuracyTable, mode: str, noniid_partition: str) -> list[tuple[float, float]]:
+def drop_ratio_series(table: dict, mode: str, noniid_partition: str) -> list[tuple[float, float]]:
     """Drop ratio at every eps where both the ``iid`` and non-IID entries exist.
 
     An IID accuracy of 0 leaves the ratio undefined; the error names the point.
     """
+    noniid = _curve(table, noniid_partition, mode)
     series = []
-    for eps in table.eps_grid("iid", mode):
-        key_noniid = (noniid_partition, mode, eps)
-        if key_noniid in table.entries:
+    for eps, acc_iid in _curve(table, "iid", mode).items():
+        if eps in noniid:
             try:
-                ratio = accuracy_drop_ratio(table.entries[("iid", mode, eps)], table.entries[key_noniid])
+                ratio = accuracy_drop_ratio(acc_iid, noniid[eps])
             except ZeroDivisionError:
                 raise NoisyFLError(
                     f"drop ratio at ({noniid_partition}, {mode}, {eps!r}) is undefined: the iid accuracy is 0"

@@ -84,12 +84,7 @@ import sys
 import numpy as np
 
 from . import __version__, rng
-from .analysis import (
-    AccuracyTable,
-    drop_ratio_series,
-    last_k_average,
-    sensitivity_series,
-)
+from .analysis import drop_ratio_series, last_k_average, sensitivity_series
 from .config import RunConfig, load_config, with_forget_rate
 from .datasets import class_histogram, load_npy, save_npy
 from .datasets import load_csv, save_csv  # noqa: F401  unused here; perfbench/tracer.py wraps them at this name
@@ -357,7 +352,7 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
 
     train_root = os.path.join(out, "train")
     sweep = cfg.lr_grid is not None
-    rows, summary, writers, stages = [], [], {}, []
+    rows, summary, stages = [], [], []
     for lr in cfg.lr_grid or (trainer.lr,):
         lr_dir = f"lr_{lr!r}" if sweep else ""
         seeds = []
@@ -372,12 +367,9 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
         accs = [s["last_k_accuracy"] for s in seeds]
         mean, std = float(np.mean(accs)), float(np.std(accs))
         # every repeat averages the same evaluated rounds
-        row = [repr(lr), cfg.repeats, seeds[0]["last_k"], repr(mean), repr(std), f"{mean:.4f} ± {std:.4f}"]
-        rows.append(row)
+        rows.append([repr(lr), cfg.repeats, seeds[0]["last_k"], repr(mean), repr(std), f"{mean:.4f} ± {std:.4f}"])
         summary.append({"lr": lr, "mean_accuracy": mean, "std_accuracy": std})
-        if sweep:
-            writers[f"{lr_dir}/summary.csv"] = functools.partial(write_csv, SUMMARY_HEADER, [row])
-    writers["summary.csv"] = functools.partial(write_csv, SUMMARY_HEADER, rows)
+    writers = {"summary.csv": functools.partial(write_csv, SUMMARY_HEADER, rows)}
 
     # grid sweeps select the lr with the best mean last-k accuracy
     best = max(summary, key=lambda r: r["mean_accuracy"])
@@ -396,7 +388,9 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
 
     Both manifests must be verified at this version, and the train
     manifest's inputs must be the noise manifest's outputs: the chain.
-    The accuracy is the mean last-k accuracy of the selected lr.
+    The accuracy is the mean last-k accuracy of the selected lr, a
+    finite float in [0, 1]: the one check of an accuracy that enters from
+    outside.
     """
     train = verified(os.path.join(run_dir, "train"), "run_manifest.json", {"stage": "train", "version": __version__})
     noise = verified(run_dir, "noise_manifest.json", {"stage": "noise", "version": __version__})
@@ -415,7 +409,8 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
         # eps to 9 decimals, so that a localized (0.2, 0.4) run's midpoint 0.30000000000000004 is the grid point 0.3
         key = (partition, f"{noise['noise']['scene']}/{noise['noise']['mode']}", round(_noise_ratio_estimate(noise), 9))
-        AccuracyTable(entries={key: accuracy})  # its own check: a fraction in [0, 1]
+        if not 0.0 <= accuracy <= 1.0:
+            raise ValueError(f"accuracy {accuracy} for {key} is not in [0, 1]")
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactMismatchError(f"unusable manifest field ({exc})") from None
     return key, accuracy
@@ -432,21 +427,20 @@ def cmd_analyze(run_dirs: list[str], out_dir: str) -> None:
         if key in owners:
             raise NoisyFLError(f"analyze: {owners[key]} and {run_dir} both give ({key[0]}, {key[1]}, {key[2]!r})")
         entries[key], owners[key] = accuracy, run_dir
-    table = AccuracyTable(entries=entries)
 
     drop_rows: list[list] = []
     sens_rows: list[list] = []
-    partitions = sorted({p for (p, _, _) in table.entries})
-    modes = sorted({m for (_, m, _) in table.entries})
+    partitions = sorted({p for (p, _, _) in entries})
+    modes = sorted({m for (_, m, _) in entries})
     for mode in modes:
         for part in partitions:
             if part == "iid":
                 continue
-            for eps, ratio in drop_ratio_series(table, mode, part):
+            for eps, ratio in drop_ratio_series(entries, mode, part):
                 drop_rows.append([part, mode, repr(eps), repr(ratio)])
     for mode in modes:
         for part in partitions:
-            for eps, s in sensitivity_series(table, part, mode):
+            for eps, s in sensitivity_series(entries, part, mode):
                 sens_rows.append([part, mode, repr(eps), repr(s)])
 
     os.makedirs(out_dir, exist_ok=True)

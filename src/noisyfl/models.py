@@ -270,7 +270,9 @@ class Workspace:
         for a stack, row s for network s.  A backward over the workspace
         then sees only those rows, as if each network's pass had run on
         ``x[rows[s]]``; the values are the full pass's, which can differ in
-        the last bits from a pass over the subset alone.
+        the last bits from a pass over the subset alone.  A pass is
+        narrowed once: ``rows`` index its own rows, so another call
+        needs a new forward pass first.
         """
         b = self.x.shape[-2]
         picked = (np.arange(0, self.networks * b, b)[:, None] + rows).ravel()
@@ -284,8 +286,7 @@ class Workspace:
         if self.mlp:
             np.take(self.hidden, picked, axis=0, out=self.spare_hidden[:n], mode="clip")
             self.hidden, self.spare_hidden = self.spare_hidden, self.hidden
-        # the pass's rows are shared by the stack until a keep gives each network its own
-        self.x = self.x[rows] if self.x.ndim == 2 else np.take_along_axis(self.x, rows[:, :, None], axis=1)
+        self.x = self.x[rows]  # (k, d), or (S, k, d): each network's own rows
 
     def backprop(self, weight_decay: float) -> None:
         """``grad`` from the mean-loss logit gradient left in ``probs`` by the caller.

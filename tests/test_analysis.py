@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from noisyfl.analysis import (
-    AccuracyTable,
     accuracy_drop_ratio,
     drop_ratio_series,
     last_k_average,
@@ -138,34 +137,28 @@ class TestGradNormSeries:
 
 
 class TestAccuracyTable:
-    def test_scale_bounds(self):
-        """Accuracies are fractions: the table takes [0, 1] and nothing else."""
-        for bad in (1.5, -0.1, float("nan"), 85.86):
-            with pytest.raises(ValueError):
-                AccuracyTable(entries={("iid", "symmetric", 0.1): bad})
-        assert AccuracyTable(entries={("iid", "symmetric", 0.1): 0.0, ("iid", "symmetric", 0.2): 1.0}).entries
+    """An accuracy table is a mapping (partition, mode, eps) -> accuracy; each series reads one curve of it."""
 
     def test_series_skip_missing_grid_points(self):
-        entries = {
+        table = {
+            ("iid", "symmetric", 0.4): 0.5,
             ("iid", "symmetric", 0.1): 0.8,
             ("iid", "symmetric", 0.3): 0.6,  # 0.2 missing: delta becomes 0.2
-            ("iid", "symmetric", 0.4): 0.5,
+            ("iid", "asymmetric", 0.2): 0.1,  # another curve
         }
-        table = AccuracyTable(entries=entries)
         series = sensitivity_series(table, "iid", "symmetric")
-        assert series[0] == (0.1, pytest.approx((0.8 - 0.6) / 0.2))
-        assert series[1] == (0.3, pytest.approx((0.6 - 0.5) / 0.1))
+        assert series == [(0.1, pytest.approx((0.8 - 0.6) / 0.2)), (0.3, pytest.approx((0.6 - 0.5) / 0.1))]
 
     def test_drop_ratio_series(self):
-        entries = {
+        table = {
             ("iid", "symmetric", 0.4): 0.6508,
             ("label-dir", "symmetric", 0.4): 0.3043,
+            ("label-dir", "symmetric", 0.2): 0.5,  # no iid entry at 0.2
         }
-        table = AccuracyTable(entries=entries)
         series = drop_ratio_series(table, "symmetric", "label-dir")
         assert series == [(0.4, pytest.approx(0.5325, abs=1e-3))]
 
     def test_undefined_drop_ratio_names_its_point(self):
-        entries = {("iid", "symmetric", 0.4): 0.0, ("label-dir", "symmetric", 0.4): 0.3043}
+        table = {("iid", "symmetric", 0.4): 0.0, ("label-dir", "symmetric", 0.4): 0.3043}
         with pytest.raises(NoisyFLError, match=r"\(label-dir, symmetric, 0\.4\)"):
-            drop_ratio_series(AccuracyTable(entries=entries), "symmetric", "label-dir")
+            drop_ratio_series(table, "symmetric", "label-dir")

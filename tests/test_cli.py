@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from noisyfl import cli, federation
 from noisyfl import config as config_module
 from noisyfl import noise as noise_module
-from noisyfl.analysis import AccuracyTable, drop_ratio_series, sensitivity_series
+from noisyfl.analysis import drop_ratio_series, sensitivity_series
 from noisyfl.cli import main, sha256_file
 from noisyfl.config import load_config, set_by_path
 from noisyfl.datasets import load_csv, load_npy, make_synthetic_blobs, save_csv
@@ -113,6 +113,14 @@ TRAIN_FILES = [
     "train/run_manifest.json", "train/summary.csv",
     "train/seed_0/seed_manifest.json", "train/seed_0/telemetry.csv", "train/seed_0/final_checkpoint.bin",
 ]  # fmt: skip
+GRID = {"repeats": 2, "federation.lr_grid": [0.05, 0.1]}
+# the train files of a GRID run: one summary of every lr, and each lr's seeds
+GRID_TRAIN_FILES = ["train/run_manifest.json", "train/summary.csv"] + [
+    f"train/lr_{lr}/seed_{i}/{name}"
+    for lr in ("0.05", "0.1")
+    for i in (0, 1)
+    for name in ("seed_manifest.json", "telemetry.csv", "final_checkpoint.bin")
+]
 
 
 def stamps(root: str, names) -> dict:
@@ -212,16 +220,17 @@ def deadline(seconds: int):
 
 class TestDeterminism:
     @pytest.mark.parametrize(
-        "changes",
+        "changes, train_files",
         [
-            *[{"federation.trainer.method": method} for method in METHODS],
-            {"noise.mode": "asymmetric"},  # flips each client's labels among the classes it holds
-            {"federation.model": {"kind": "linear-softmax"}},
-            {"federation.model.activation": "relu"},
+            *[({"federation.trainer.method": method}, TRAIN_FILES) for method in METHODS],
+            ({"noise.mode": "asymmetric"}, TRAIN_FILES),  # flips each client's labels among the classes it holds
+            ({"federation.model": {"kind": "linear-softmax"}}, TRAIN_FILES),
+            ({"federation.model.activation": "relu"}, TRAIN_FILES),
+            (GRID, GRID_TRAIN_FILES),
         ],
-        ids=[*METHODS, "localized-asymmetric", "linear-softmax", "relu"],
+        ids=[*METHODS, "localized-asymmetric", "linear-softmax", "relu", "grid"],
     )
-    def test_two_directories_give_identical_run_json(self, tmp_path, changes):
+    def test_two_directories_give_identical_run_json(self, tmp_path, changes, train_files):
         cfg_a, out_a = write_config(tmp_path, "a", changes)
         cfg_b, out_b = write_config(tmp_path, "b", changes)
         assert main(["pipeline", "-c", cfg_a]) == 0
@@ -229,7 +238,7 @@ class TestDeterminism:
         assert tree(out_a) == tree(out_b)
         with open(os.path.join(out_a, "run.json"), "rb") as fh:
             run = json.loads(fh.read())
-        assert sorted(run["artifacts"]) == sorted(NOISE_FILES + TRAIN_FILES)
+        assert sorted(run["artifacts"]) == sorted(NOISE_FILES + train_files)
         assert sorted(rel.replace(os.sep, "/") for rel in tree(out_a)) == sorted([*run["artifacts"], "run.json"])
         assert set(run) == {"version", "config_digest", "seed", "artifacts"}
 
@@ -346,6 +355,30 @@ class TestResume:
             monkeypatch.setattr(cli, "os", os)
             assert main(["pipeline", "-c", config]) == 0, k
             assert tree(out) == expected, k
+
+    def test_per_lr_summary_of_an_older_grid_tree_goes_once_the_train_stage_is_redone(self, tmp_path):
+        """A train manifest that lists a per-lr summary.csv, as earlier versions wrote, keeps it until the stage runs again."""
+        config, out = write_config(tmp_path, changes=GRID)
+        assert main(["pipeline", "-c", config]) == 0
+        expected = tree(out)
+        per_lr = "lr_0.05/summary.csv"
+        with open(os.path.join(out, "train", "summary.csv"), encoding="utf-8") as fh:
+            header, row, _ = fh.readlines()
+        with open(os.path.join(out, "train", per_lr), "w", encoding="utf-8") as fh:
+            fh.write(header + row)
+        manifest = os.path.join(out, "train", "run_manifest.json")
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["outputs"][per_lr] = sha256_file(os.path.join(out, "train", per_lr))
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(sealed(doc), fh, sort_keys=True, indent=2)
+
+        assert main(["pipeline", "-c", config]) == 0
+        assert f"train/{per_lr}" in checked_index(out)
+        edit_json(out, "train/run_manifest.json", "summary.0.mean_accuracy", 0.123, seal=False)
+        assert main(["pipeline", "-c", config]) == 0
+        assert tree(out) == expected
+        assert f"train/{per_lr}" not in checked_index(out)
 
     def test_csv_era_directory_is_redone(self, tmp_path, monkeypatch):
         """A directory the CSV-intermediate version wrote reruns into the tree of a fresh run.
@@ -1151,16 +1184,15 @@ class TestAnalyze:
         assert main(["analyze", "--runs", *runs, "--out", str(grid)]) == 0
         assert sorted(os.listdir(grid)) == ["drop_ratio.csv", "sensitivity.csv"]
 
-        table = AccuracyTable(entries=entries)
         mode = "globalized/asymmetric"
         drop = [
             ["label-dir(alpha=0.5)", mode, repr(eps), repr(ratio)]
-            for eps, ratio in drop_ratio_series(table, mode, "label-dir(alpha=0.5)")
+            for eps, ratio in drop_ratio_series(entries, mode, "label-dir(alpha=0.5)")
         ]
         sens = [
             [partition, mode, repr(eps), repr(s)]
             for _, partition in splits
-            for eps, s in sensitivity_series(table, partition, mode)
+            for eps, s in sensitivity_series(entries, partition, mode)
         ]
         assert (len(drop), len(sens)) == (2, 2)
         assert read_rows(grid / "drop_ratio.csv") == [["partition", "mode", "eps", "drop_ratio"], *drop]
@@ -1177,6 +1209,13 @@ class TestAnalyze:
         assert code == 1
         key = "(label-dir(alpha=0.5), localized/symmetric, 0.3)"
         assert err == f"error: analyze: {runs[0]} and {runs[1]} both give {key}\n"
+
+    @pytest.mark.parametrize("accuracy", [0.0, 1.0])
+    def test_an_accuracy_at_either_end_of_the_range_is_usable(self, tmp_path, finished_small, accuracy):
+        run = str(tmp_path / "run")
+        shutil.copytree(finished_small, run)
+        edit_json(run, "train/run_manifest.json", "summary.0.mean_accuracy", accuracy)
+        assert analyze([run], str(tmp_path / "grid")) == (0, "")
 
     def test_analyze_takes_runs_and_out_only(self):
         args = cli.build_parser().parse_args(["analyze", "--runs", "a", "b", "--out", "grid"])

@@ -402,25 +402,6 @@ class TestStackedPass:
         gen = np.random.default_rng(7)
         self._check(self.LAYOUTS[1], 64, [gen.permutation(64)[:40], gen.permutation(64)[:40]], kind)
 
-    @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
-    def test_narrowing_twice_keeps_the_composed_rows(self, layout):
-        gen = np.random.default_rng(3)
-        x = gen.normal(size=(64, layout.dim))
-        y = gen.integers(0, layout.num_classes, size=64)
-        first = np.array([gen.permutation(64)[:40], gen.permutation(64)[:40]])
-        second = np.array([gen.permutation(40)[:25], gen.permutation(40)[:25]])
-        composed = np.take_along_axis(first, second, axis=1)
-        grads = []
-        for steps in ([first, second], [composed]):
-            _, stack = self._stack(layout)
-            work = Workspace(layout, rows=self.ROWS, params=stack)
-            forward_cached(stack, x, work)
-            for rows in steps:
-                work.keep(rows)
-            backward_cached(stack, work, y[composed].ravel(), kind="ce", weight_decay=0.0)
-            grads.append(work.grad)
-        assert np.array_equal(grads[0], grads[1])
-
     @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 4)])
     def test_misshaped_stack_rejected(self, shape):
         layout = LinearSoftmaxLayout(dim=1, num_classes=2)  # 4 parameters

@@ -22,7 +22,7 @@ import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "noisyfl")
-DEFAULT_TESTS = ["tests/test_cli.py", "tests/test_config.py", "tests/test_artifact_hashes.py", "tests/test_memory.py"]
+DEFAULT_TESTS = ["tests/test_cli.py", "tests/test_config.py", "tests/test_golden.py", "tests/test_memory.py"]
 # named cases only: the sites a Hypothesis test reaches move with its strategies and their draws
 DEFAULT_ARGS = ["-m", "not hypothesis", *DEFAULT_TESTS]
 
