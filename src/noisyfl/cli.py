@@ -401,7 +401,7 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         eps = {name: noise["noise"][name] for name in ("eps_global", "eps_min", "eps_max")}
         NoiseSpec(scene=noise["noise"]["scene"], mode=noise["noise"]["mode"], **eps)
         (accuracy,) = [row["mean_accuracy"] for row in train["summary"] if row["lr"] == train["selected_lr"]]
-        typed = [(accuracy, float), (spec.alpha, float), (spec.c, int), (noise["overall_ratio"], float)]
+        typed = [(spec.alpha, float), (spec.c, int), (noise["overall_ratio"], float)]
         typed += [(value, float) for value in eps.values()]
         if any(value is not None and (type(value) is not kind or not math.isfinite(value)) for value, kind in typed):
             raise ValueError("a recorded number is not finite or not of its type")
@@ -409,8 +409,8 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
         # eps to 9 decimals, so that a localized (0.2, 0.4) run's midpoint 0.30000000000000004 is the grid point 0.3
         key = (partition, f"{noise['noise']['scene']}/{noise['noise']['mode']}", round(_noise_ratio_estimate(noise), 9))
-        if not 0.0 <= accuracy <= 1.0:
-            raise ValueError(f"accuracy {accuracy} for {key} is not in [0, 1]")
+        if type(accuracy) is not float or not 0.0 <= accuracy <= 1.0:  # NaN fails the range too
+            raise ValueError(f"mean_accuracy {accuracy!r} for {key} is not a float in [0, 1]")
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactMismatchError(f"unusable manifest field ({exc})") from None
     return key, accuracy

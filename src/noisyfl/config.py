@@ -32,6 +32,7 @@ from .datasets import LabeledDataset, load_csv, make_synthetic_blobs
 from .errors import ConfigError, ParseError
 from .federation import FedConfig
 from .localtrain import TrainerConfig
+from .models import ACTIVATIONS
 from .noise import SCENE_CLEAN, NoiseSpec, nominal_ratio
 from .partition import PartitionSpec
 
@@ -235,7 +236,7 @@ class RunConfig:
     partition: PartitionSpec
     noise: NoiseSpec
     federation: FedConfig
-    model: dict  # models.layout_from_dict's description without the data's dim and num_classes
+    model: dict  # models.Layout.to_dict() without the data's dim and num_classes
     lr_grid: tuple[float, ...] | None
 
 
@@ -275,8 +276,8 @@ def _model(doc: dict) -> dict:
         return {"kind": "linear-softmax"}
     if model["hidden"] < 1:
         raise ConfigError(f"{path}.hidden", "must be >= 1")
-    if model["activation"] not in ("tanh", "relu"):
-        raise ConfigError(f"{path}.activation", "must be 'tanh' or 'relu'")
+    if model["activation"] not in ACTIVATIONS:
+        raise ConfigError(f"{path}.activation", "must be " + " or ".join(map(repr, ACTIVATIONS)))
     return model
 
 

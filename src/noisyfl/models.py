@@ -1,7 +1,8 @@
-"""Desk-scale differentiable models: linear-softmax and one-hidden-layer MLP.
+"""Desk-scale differentiable models: a linear softmax or a one-hidden-layer MLP.
 
-Parameters live in a single flat float64 vector; the layout descriptor maps
-slices of it to weight matrices.  A stack of networks of one layout is an
+One :class:`Layout` describes both as a chain of affine layers.  Parameters
+live in a single flat float64 vector, each layer's weight matrix and then
+its bias, layer after layer.  A stack of networks of one layout is an
 (S, P) array with one network per row.  A :class:`Workspace` holds the
 buffers of one network or of one stack for a local-training call and is
 bound to it: it takes the views of its weight matrices (and their
@@ -19,45 +20,43 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rng
 
 
-@dataclass(frozen=True)
-class LinearSoftmaxLayout:
-    """Affine map to class logits: W (C x d) plus bias (C)."""
-
-    dim: int
-    num_classes: int
-
-    @property
-    def param_count(self) -> int:
-        return self.num_classes * self.dim + self.num_classes
-
-    def to_dict(self) -> dict:
-        return {"kind": "linear-softmax", "dim": self.dim, "num_classes": self.num_classes}
+ACTIVATIONS = ("tanh", "relu")
 
 
 @dataclass(frozen=True)
-class MLPLayout:
-    """One hidden layer (tanh or relu) followed by an affine map to logits."""
+class Layout:
+    """Class logits from ``dim`` features: a linear softmax, or first a ``hidden`` layer with an ``activation``."""
 
     dim: int
-    hidden: int
     num_classes: int
+    hidden: int | None = None
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
+    def shapes(self) -> tuple[tuple[int, int], ...]:
+        """Each affine layer's weight matrix as (outputs, inputs), in order; each has a bias of its outputs."""
+        if self.hidden is None:
+            return ((self.num_classes, self.dim),)
+        return ((self.hidden, self.dim), (self.num_classes, self.hidden))
+
+    @cached_property
     def param_count(self) -> int:
-        return self.hidden * self.dim + self.hidden + self.num_classes * self.hidden + self.num_classes
+        return sum(out * inp + out for out, inp in self.shapes)
 
     def to_dict(self) -> dict:
+        if self.hidden is None:
+            return {"kind": "linear-softmax", "dim": self.dim, "num_classes": self.num_classes}
         return {
             "kind": "mlp",
             "dim": self.dim,
@@ -67,22 +66,13 @@ class MLPLayout:
         }
 
 
-Layout = LinearSoftmaxLayout | MLPLayout
-
-
 def layout_from_dict(doc: dict) -> Layout:
     """The layout ``doc`` describes: a checkpoint's ``layout``, or a config's model with the data's dim and classes."""
     kind = doc.get("kind")
-    if kind == "linear-softmax":
-        return LinearSoftmaxLayout(dim=int(doc["dim"]), num_classes=int(doc["num_classes"]))
-    if kind == "mlp":
-        return MLPLayout(
-            dim=int(doc["dim"]),
-            hidden=int(doc["hidden"]),
-            num_classes=int(doc["num_classes"]),
-            activation=doc.get("activation", "tanh"),
-        )
-    raise ValueError(f"unknown layout kind {kind!r}")
+    if kind not in ("linear-softmax", "mlp"):
+        raise ValueError(f"unknown layout kind {kind!r}")
+    layers = {"hidden": int(doc["hidden"]), "activation": doc["activation"]} if kind == "mlp" else {}
+    return Layout(dim=int(doc["dim"]), num_classes=int(doc["num_classes"]), **layers)
 
 
 @dataclass(frozen=True)
@@ -111,50 +101,26 @@ class ModelParams:
         return ModelParams(values=self.values.copy(), layout=self.layout)
 
 
-def _linear_views(layout: LinearSoftmaxLayout, values: np.ndarray):
-    c, d = layout.num_classes, layout.dim
+def _layer_views(layout: Layout, values: np.ndarray) -> list[np.ndarray]:
+    """Each layer's weight and bias views, in order, of one network's values or of every row of a stack at once."""
     lead = values.shape[:-1]
-    w = values[..., : c * d].reshape(lead + (c, d))
-    b = values[..., c * d :]
-    return w, b
-
-
-def _mlp_views(layout: MLPLayout, values: np.ndarray):
-    d, h, c = layout.dim, layout.hidden, layout.num_classes
-    lead = values.shape[:-1]
-    i = 0
-    w1 = values[..., i : i + h * d].reshape(lead + (h, d))
-    i += h * d
-    b1 = values[..., i : i + h]
-    i += h
-    w2 = values[..., i : i + c * h].reshape(lead + (c, h))
-    i += c * h
-    b2 = values[..., i : i + c]
-    return w1, b1, w2, b2
-
-
-def _layer_views(layout: Layout, values: np.ndarray):
-    """Per-layer views of one network's values, or of every row of a stack at once."""
-    if isinstance(layout, LinearSoftmaxLayout):
-        return _linear_views(layout, values)
-    return _mlp_views(layout, values)
+    views, i = [], 0
+    for out, inp in layout.shapes:
+        views.append(values[..., i : i + out * inp].reshape(lead + (out, inp)))
+        i += out * inp
+        views.append(values[..., i : i + out])
+        i += out
+    return views
 
 
 def init_params(layout: Layout, seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer, from a named stream."""
     gen = rng.stream(seed, "init")
-    values = np.empty(layout.param_count, dtype=np.float64)
-    if isinstance(layout, LinearSoftmaxLayout):
-        bound = 1.0 / np.sqrt(layout.dim)
-        values[:] = gen.uniform(-bound, bound, size=layout.param_count)
-    else:
-        d, h, c = layout.dim, layout.hidden, layout.num_classes
-        b_in = 1.0 / np.sqrt(d)
-        b_hid = 1.0 / np.sqrt(h)
-        n1 = h * d + h
-        values[:n1] = gen.uniform(-b_in, b_in, size=n1)
-        values[n1:] = gen.uniform(-b_hid, b_hid, size=layout.param_count - n1)
-    return ModelParams(values=values, layout=layout)
+    draws = []
+    for out, inp in layout.shapes:
+        bound = 1.0 / np.sqrt(inp)
+        draws.append(gen.uniform(-bound, bound, size=out * inp + out))
+    return ModelParams(values=np.concatenate(draws), layout=layout)
 
 
 class Workspace:
@@ -182,14 +148,14 @@ class Workspace:
     Buffers: ``probs`` holds the logits, then the probabilities, then
     d(mean loss)/d(logits); ``per_sample``, ``row_scale`` and ``row_stat``
     are per-row scratch; ``hidden`` (the activations) and ``dhidden`` are
-    the hidden layer's (MLP only); ``grad`` is the gradient, shaped like
-    the values, with per-layer views ``grad_views`` in the layout's order;
-    ``decay`` and ``step`` are scratch of that shape for weight decay and
-    the SGD step.  Everything a pass returns is a view of these buffers
+    the hidden layer's, made only when the layout has one; ``grad`` is the
+    gradient, shaped like the values, with per-layer views ``grad_views``
+    in the layout's order; ``decay`` and ``step`` are scratch of that shape
+    for weight decay and the SGD step.  Everything a pass returns is a view of these buffers
     and holds only until the next pass in the same workspace.
     :meth:`keep` narrows the last pass to some of its rows, so that a
     backward can reuse it; it gathers them into a spare copy of ``probs``
-    and ``hidden``, made on its first call, and swaps it in.
+    (and of ``hidden``, if any), made on its first call, and swaps it in.
     """
 
     def __init__(self, layout: Layout, rows: int, params: ModelParams | None = None):
@@ -197,7 +163,7 @@ class Workspace:
         self.layout = layout
         self.rows = rows
         self.networks = 1 if len(shape) == 1 else shape[0]
-        self.mlp = isinstance(layout, MLPLayout)
+        self.mlp = layout.hidden is not None
         self.tanh = self.mlp and layout.activation == "tanh"
         n = self.networks * rows
         self.row_ids = np.arange(n)
@@ -223,15 +189,12 @@ class Workspace:
         if self.values is params.values:
             return
         self.values = params.values
-        views = _layer_views(self.layout, params.values)
-        if self.mlp:
-            w1, b1, self.w2, b_out = views
-            self.w1_t, self.b1 = w1.swapaxes(-1, -2), b1[..., None, :]
-            w_out = self.w2
-        else:
-            w_out, b_out = views
+        *hidden_layer, self.w_out, b_out = _layer_views(self.layout, params.values)
         # biases broadcast over each network's rows
-        self.w_out_t, self.b_out = w_out.swapaxes(-1, -2), b_out[..., None, :]
+        if hidden_layer:
+            w1, b1 = hidden_layer
+            self.w1_t, self.b1 = w1.swapaxes(-1, -2), b1[..., None, :]
+        self.w_out_t, self.b_out = self.w_out.swapaxes(-1, -2), b_out[..., None, :]
 
     def _block(self, buf: np.ndarray, b: int) -> np.ndarray:
         """The pass's first ``b`` rows of ``buf`` for each network: (b, m), or (S, b, m) for a stack."""
@@ -243,6 +206,7 @@ class Workspace:
         """Probability rows of the bound networks for ``x``: a view of ``probs``, network after network."""
         b, _ = x.shape  # (b, d): another rank fails here, not in a broadcast
         logits = self._block(self.probs, b)
+        hidden = x  # the output layer's input: x itself without a hidden layer
         if self.mlp:
             hidden = self._block(self.hidden, b)
             np.matmul(x, self.w1_t, out=hidden)
@@ -251,9 +215,7 @@ class Workspace:
                 np.tanh(hidden, out=hidden)
             else:
                 np.maximum(hidden, 0.0, out=hidden)
-            np.matmul(hidden, self.w_out_t, out=logits)
-        else:
-            np.matmul(x, self.w_out_t, out=logits)
+        np.matmul(hidden, self.w_out_t, out=logits)
         logits += self.b_out
         n = self.networks * b
         probs, row_stat = self.probs[:n], self.row_stat[:n]
@@ -297,12 +259,14 @@ class Workspace:
         """
         b = self.x.shape[-2]
         dlogits = self._block(self.probs, b)
+        *hidden_grads, gw_out, gb_out = self.grad_views
+        hidden = self._block(self.hidden, b) if self.mlp else self.x  # the output layer's input
+        np.matmul(dlogits.swapaxes(-1, -2), hidden, out=gw_out)
+        np.add.reduce(dlogits, axis=-2, out=gb_out)
         if self.mlp:
-            gw1, gb1, gw2, gb2 = self.grad_views
-            hidden, dz1 = self._block(self.hidden, b), self._block(self.dhidden, b)
-            np.matmul(dlogits.swapaxes(-1, -2), hidden, out=gw2)
-            np.add.reduce(dlogits, axis=-2, out=gb2)
-            np.matmul(dlogits, self.w2, out=dz1)
+            gw1, gb1 = hidden_grads
+            dz1 = self._block(self.dhidden, b)
+            np.matmul(dlogits, self.w_out, out=dz1)
             if self.tanh:
                 np.square(hidden, out=hidden)
                 np.subtract(1.0, hidden, out=hidden)  # tanh' = 1 - tanh^2
@@ -311,10 +275,6 @@ class Workspace:
                 dz1 *= np.greater(hidden, 0.0, out=hidden)  # relu' as 1.0/0.0: relu(z) > 0 where z > 0
             np.matmul(dz1.swapaxes(-1, -2), self.x, out=gw1)
             np.add.reduce(dz1, axis=-2, out=gb1)
-        else:
-            gw, gb = self.grad_views
-            np.matmul(dlogits.swapaxes(-1, -2), self.x, out=gw)
-            np.add.reduce(dlogits, axis=-2, out=gb)
         if weight_decay:
             self.grad += np.multiply(self.values, weight_decay, out=self.decay)
 

@@ -81,7 +81,7 @@ def naive_softmax_forward(params, x):
     values = params.values
     rows = []
     for sample in np.asarray(x, dtype=float):
-        if layout.__class__.__name__ == "LinearSoftmaxLayout":
+        if layout.hidden is None:
             c, d = layout.num_classes, layout.dim
             w = values[: c * d].reshape(c, d)
             b = values[c * d :]

@@ -14,7 +14,7 @@ from noisyfl.datasets import make_synthetic_blobs
 from noisyfl.errors import NoisyFLError
 from noisyfl.federation import FedConfig, RoundRecord, read_telemetry, run_federation, write_telemetry
 from noisyfl.localtrain import TrainerConfig
-from noisyfl.models import LinearSoftmaxLayout, init_params
+from noisyfl.models import Layout, init_params
 from noisyfl.noise import NoiseSpec, run_scene
 from noisyfl.partition import PartitionSpec, partition_iid
 from noisyfl.rng import derive_seed
@@ -123,7 +123,7 @@ class TestGradNormSeries:
         ds = make_synthetic_blobs(3, 120, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         plan = partition_iid(ds, 3, seed=2)
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         cfg = FedConfig(num_clients=3, rounds=5, trainer=TrainerConfig(epochs=1, lr=0.05), seed=3)
         records, _ = run_federation(ds, plan, test, layout, cfg)
         path = str(tmp_path / "telemetry.csv")

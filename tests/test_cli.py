@@ -935,6 +935,7 @@ class TestExitCodes:
             ("noise_manifest.json", "noise.eps_max", math.inf),
             # a bool passes every range check of a number, and label-dir takes no c
             ("train/run_manifest.json", "summary.0.mean_accuracy", True),
+            ("train/run_manifest.json", "summary.0.mean_accuracy", None),
             ("noise_manifest.json", "partition.alpha", True),
             ("noise_manifest.json", "partition.c", "x"),
             ("noise_manifest.json", "noise.mode", "x"),
@@ -949,6 +950,7 @@ class TestExitCodes:
             "nan-eps",
             "inf-eps",
             "bool-accuracy",
+            "null-accuracy",
             "bool-alpha",
             "string-c",
             "unknown-mode",
@@ -963,6 +965,8 @@ class TestExitCodes:
         code, err = analyze([run], str(tmp_path / "grid"))
         assert code == 3
         assert err.startswith(f"artifact mismatch: analyze {run}: unusable manifest field (") and err.count("\n") == 1
+        if path.endswith("mean_accuracy"):
+            assert "mean_accuracy" in err
 
     def test_unsealed_accuracy_edit_exits_3(self, tmp_path, finished_small):
         """A number rewritten in a manifest, well-typed and in range, breaks the manifest's seal."""
@@ -996,8 +1000,40 @@ class TestExitCodes:
             (CSV_ROWS, CSV_FIVE_CLASSES, "test_path", "5 classes, but the training set has 3"),
             ("x0,x1,label\n0.5,1.0,0\n1.5,abc,1\n", CSV_ROWS, "path", "(row 3, column 'x1')"),
             ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,2\n2.5,3.0,0\n", CSV_ROWS, "path", "not contiguous from 0: missing [1]"),
+            ("", CSV_ROWS, "path", "empty file, header row required (row 1)"),
+            ("x0,x1,y\n0.5,1.0,0\n1.5,2.0,1\n", CSV_ROWS, "path", "label column 'label' not found in header (row 1)"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,1\n", CSV_ROWS, "path", "expected 3 fields, found 2 (row 3)"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,b\n", CSV_ROWS, "path", "label is not an integer (row 3, column 'label')"),
+            (
+                "x0,label,true_label\n0.5,0,0\n1.5,1,b\n",
+                CSV_ROWS,
+                "path",
+                "true label is not an integer (row 3, column 'true_label')",
+            ),
+            ("x0,x1,label\n", CSV_ROWS, "path", "file contains no data rows (row 2)"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,inf,1\n", CSV_ROWS, "path", "feature is not finite (row 3, column 'x1')"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,-1\n", CSV_ROWS, "path", "negative label values are not allowed"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,5\n", CSV_ROWS, "path", "not contiguous from 0: label 5 among 2 labels"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,0\n", CSV_ROWS, "path", "at least two classes are required"),
+            (CSV_ROWS, "x0,x1,label\n0.5,1.0,0\n1.5,1\n", "test_path", "expected 3 fields, found 2 (row 3)"),
         ],
-        ids=["narrow-test-set", "extra-test-class", "unparseable-feature", "non-contiguous-labels"],
+        ids=[
+            "narrow-test-set",
+            "extra-test-class",
+            "unparseable-feature",
+            "non-contiguous-labels",
+            "empty-file",
+            "no-label-column",
+            "ragged-row",
+            "non-integer-label",
+            "non-integer-true-label",
+            "header-only",
+            "non-finite-feature",
+            "negative-label",
+            "label-beyond-the-rows",
+            "one-class",
+            "ragged-test-row",
+        ],
     )
     def test_malformed_dataset_exits_2_before_any_stage_writes(self, tmp_path, capsys, train, test, field, message):
         """A CSV dataset is checked where it enters: one ConfigError at its field, whatever is wrong with it."""

@@ -22,7 +22,7 @@ from noisyfl.datasets import (
 from noisyfl.config import validate_config
 from noisyfl.errors import ConfigError, ParseError
 from noisyfl.localtrain import TrainerConfig, train_local
-from noisyfl.models import LinearSoftmaxLayout, init_params
+from noisyfl.models import Layout, init_params
 from test_config import SYNTHETIC
 
 
@@ -60,7 +60,7 @@ class TestMakeSyntheticBlobs:
     def test_linearly_separable_blobs_are_learnable(self):
         # oracle for the >= 95% centralized-accuracy threshold: actually train
         ds = make_synthetic_blobs(4, 1000, 2, 6.0, seed=1)
-        params = init_params(LinearSoftmaxLayout(dim=2, num_classes=4), seed=0)
+        params = init_params(Layout(dim=2, num_classes=4), seed=0)
         cfg = TrainerConfig(method="ce", lr=0.1, epochs=5, batch_size=128)
         trained, _ = train_local(ds, params, cfg, seed=0)
         accuracy = (fresh_forward(trained, ds.features).argmax(axis=1) == ds.labels).mean()

@@ -24,7 +24,7 @@ from noisyfl.federation import (
     write_telemetry,
 )
 from noisyfl.localtrain import METHODS, TrainerConfig, train_local, train_local_coteaching
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, init_params
+from noisyfl.models import Layout, ModelParams, Workspace, init_params
 from noisyfl.partition import partition_iid, partition_quantity_skew, restrict
 from noisyfl.rng import derive_seed
 
@@ -61,7 +61,7 @@ class TestSelectClients:
 
 class TestAggregate:
     def test_identical_models_exact(self):
-        m = init_params(MLPLayout(dim=3, hidden=5, num_classes=4), seed=9)
+        m = init_params(Layout(dim=3, hidden=5, num_classes=4), seed=9)
         out = aggregate([m.values] * 7, [3, 1, 4, 1, 5, 9, 2])
         assert np.array_equal(out, m.values)
 
@@ -71,7 +71,7 @@ class TestAggregate:
         assert np.array_equal(out, 0.75 * v)
 
     def test_matches_high_precision_oracle(self):
-        layout = MLPLayout(dim=4, hidden=6, num_classes=3)
+        layout = Layout(dim=4, hidden=6, num_classes=3)
         values = [init_params(layout, seed=i).values for i in range(5)]
         weights = [17, 3, 41, 29, 11]
         out = aggregate(values, weights)
@@ -94,8 +94,8 @@ class TestAggregate:
         assert scaled.tobytes() == aggregate(values, weights).tobytes()
 
     def test_layout_mismatch(self):
-        a = init_params(LinearSoftmaxLayout(dim=2, num_classes=2), seed=0)
-        b = init_params(LinearSoftmaxLayout(dim=3, num_classes=2), seed=0)
+        a = init_params(Layout(dim=2, num_classes=2), seed=0)
+        b = init_params(Layout(dim=3, num_classes=2), seed=0)
         with pytest.raises(ValueError, match="broadcast"):  # no check of ours: numpy refuses the shapes
             aggregate([a.values, b.values], [1, 1])
 
@@ -107,19 +107,19 @@ class TestAggregate:
 class TestEvaluate:
     def test_perfect_classifier(self):
         ds = make_synthetic_blobs(3, 100, 2, 8.0, seed=0)
-        params = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=0)
+        params = init_params(Layout(dim=2, num_classes=3), seed=0)
         trained, _ = train_local(ds, params, TrainerConfig(lr=0.2, epochs=10), seed=0)
         assert evaluate(trained, ds, Workspace(trained.layout, len(ds))) == 1.0
 
     def test_zero_params_tie_break_to_class_zero(self):
         ds = make_synthetic_blobs(4, 25, 2, 4.0, seed=1)  # balanced, 25 per class
-        layout = LinearSoftmaxLayout(dim=2, num_classes=4)
+        layout = Layout(dim=2, num_classes=4)
         params = ModelParams(np.zeros(layout.param_count), layout)
         assert evaluate(params, ds, Workspace(layout, len(ds))) == 0.25
 
     def test_matches_recount(self):
         ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
-        params = init_params(MLPLayout(dim=2, hidden=4, num_classes=3), seed=5)
+        params = init_params(Layout(dim=2, hidden=4, num_classes=3), seed=5)
         probs = naive_softmax_forward(params, ds.features)
         correct = sum(
             1 for i in range(len(ds)) if int(np.argmax(probs[i])) == int(ds.labels[i])
@@ -129,7 +129,7 @@ class TestEvaluate:
     def test_one_workspace_serves_every_round(self):
         # run_federation evaluates every round's model in one workspace
         ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
-        layout = MLPLayout(dim=2, hidden=4, num_classes=3)
+        layout = Layout(dim=2, hidden=4, num_classes=3)
         shared = Workspace(layout, len(ds))
         for seed in range(3):
             params = init_params(layout, seed=seed)
@@ -158,7 +158,7 @@ class TestRunFederation:
         ds = make_synthetic_blobs(3, 200, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 60, 2, 5.0, seed=1)
         plan = partition_iid(ds, num_clients, seed=2)
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, epochs=1, batch_size=64, **trainer_kwargs)
         cfg = FedConfig(num_clients=num_clients, rounds=rounds, trainer=trainer, seed=11)
         return ds, test, plan, layout, cfg
@@ -167,7 +167,7 @@ class TestRunFederation:
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=3)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=4)
         plan = partition_iid(ds, 1, seed=0)
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, momentum=0.9, epochs=1, batch_size=32)
         cfg = FedConfig(num_clients=1, rounds=10, trainer=trainer, seed=31)
         history = global_models(ds, plan, test, layout, cfg)
@@ -281,7 +281,7 @@ class TestProcesses:
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         plan = partition_quantity_skew(ds, 6, 2.0, seed=2)  # unequal shards, so the split balances them
-        layout = MLPLayout(dim=2, hidden=4, num_classes=3)
+        layout = Layout(dim=2, hidden=4, num_classes=3)
         params = {"coteaching": {"forget_rate": 0.2}}.get(method, {})
         trainer = TrainerConfig(method=method, lr=lr, epochs=1, batch_size=16, method_params=params)
         cfg = FedConfig(
@@ -510,7 +510,7 @@ class TestTelemetryIO:
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         plan = partition_iid(ds, 2, seed=0)
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         cfg = FedConfig(
             num_clients=2, rounds=4, trainer=TrainerConfig(epochs=1), eval_every=2, seed=0
         )

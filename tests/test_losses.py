@@ -12,12 +12,12 @@ from conftest import (
 )
 from noisyfl.localtrain import mixup_batch, sgd_step
 from noisyfl.losses import backward, backward_cached
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
+from noisyfl.models import Layout, ModelParams, Workspace, forward_cached, init_params
 
 LAYOUTS = [
-    LinearSoftmaxLayout(dim=3, num_classes=3),
-    MLPLayout(dim=3, hidden=4, num_classes=3, activation="tanh"),
-    MLPLayout(dim=3, hidden=4, num_classes=3, activation="relu"),
+    Layout(dim=3, num_classes=3),
+    Layout(dim=3, hidden=4, num_classes=3, activation="tanh"),
+    Layout(dim=3, hidden=4, num_classes=3, activation="relu"),
 ]
 
 
@@ -36,7 +36,7 @@ def loss_and_work(probs, labels, kind, **method_params):
     share of the row rounds away against any probability near 1.
     """
     n, num_classes = probs.shape
-    layout = LinearSoftmaxLayout(dim=n, num_classes=num_classes)
+    layout = Layout(dim=n, num_classes=num_classes)
     weights = np.log(np.maximum(probs, 1e-300)).T
     params = ModelParams(np.concatenate([weights.ravel(), np.zeros(num_classes)]), layout)
     return fresh_backward(params, np.eye(n), labels, kind, method_params)
@@ -125,7 +125,7 @@ class TestLossValues:
 
 class TestForward:
     def test_zero_params_uniform(self):
-        layout = LinearSoftmaxLayout(dim=2, num_classes=4)
+        layout = Layout(dim=2, num_classes=4)
         params = ModelParams(np.zeros(layout.param_count), layout)
         probs = fresh_forward(params, np.random.default_rng(0).normal(size=(5, 2)))
         assert np.allclose(probs, 0.25, atol=1e-15)
@@ -144,7 +144,7 @@ class TestForward:
         assert np.abs(fresh_forward(params, x) - naive_softmax_forward(params, x)).max() <= 1e-12
 
     def test_shape_mismatch(self):
-        layout = LinearSoftmaxLayout(dim=3, num_classes=2)
+        layout = Layout(dim=3, num_classes=2)
         params = init_params(layout, seed=0)
         with pytest.raises(ValueError, match="matmul"):  # no check of ours: the kernel refuses the width
             fresh_forward(params, np.zeros((4, 5)))
@@ -152,7 +152,7 @@ class TestForward:
 
 class TestBackward:
     def test_ce_linear_single_sample_textbook_identity(self):
-        layout = LinearSoftmaxLayout(dim=3, num_classes=4)
+        layout = Layout(dim=3, num_classes=4)
         params = init_params(layout, seed=1)
         x = np.array([[0.3, -1.2, 2.0]])
         y = np.array([2])
@@ -187,7 +187,7 @@ class TestBackward:
         assert rel.max() < 1e-5
 
     def test_weight_decay_adds_lambda_w(self):
-        layout = MLPLayout(dim=2, hidden=3, num_classes=2)
+        layout = Layout(dim=2, hidden=3, num_classes=2)
         params = init_params(layout, seed=4)
         gen = np.random.default_rng(3)
         x = gen.normal(size=(4, 2))
@@ -197,7 +197,7 @@ class TestBackward:
         assert np.array_equal(decayed.grad, bare.grad + 0.01 * params.values)
 
     def test_grad_finite(self):
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         params = init_params(layout, seed=0)
         _, work = fresh_backward(params, np.zeros((2, 2)), np.array([0, 1]), "ce")
         assert np.all(np.isfinite(work.grad))
@@ -288,9 +288,9 @@ class TestReusedPass:
 
     # the benchmark's shapes: 32 features, 64 hidden units, 10 classes, 64-row batches
     LAYOUTS = [
-        LinearSoftmaxLayout(dim=32, num_classes=10),
-        MLPLayout(dim=32, hidden=64, num_classes=10, activation="tanh"),
-        MLPLayout(dim=32, hidden=64, num_classes=10, activation="relu"),
+        Layout(dim=32, num_classes=10),
+        Layout(dim=32, hidden=64, num_classes=10, activation="tanh"),
+        Layout(dim=32, hidden=64, num_classes=10, activation="relu"),
     ]
     BATCH = 64
 
@@ -404,7 +404,7 @@ class TestStackedPass:
 
     @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 4)])
     def test_misshaped_stack_rejected(self, shape):
-        layout = LinearSoftmaxLayout(dim=1, num_classes=2)  # 4 parameters
+        layout = Layout(dim=1, num_classes=2)  # 4 parameters
         with pytest.raises(ValueError, match="expected 4 parameters"):
             ModelParams(np.zeros(shape), layout)
 

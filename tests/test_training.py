@@ -17,7 +17,7 @@ from noisyfl.localtrain import (
     train_local_coteaching,
 )
 from noisyfl.losses import backward_cached, one_hot
-from noisyfl.models import LinearSoftmaxLayout, MLPLayout, ModelParams, Workspace, forward_cached, init_params
+from noisyfl.models import Layout, ModelParams, Workspace, forward_cached, init_params
 from noisyfl.noise import apply_noise, symmetric_matrix
 from test_cli import write_config
 
@@ -112,7 +112,7 @@ class TestTrainerConfig:
 class TestTrainLocal:
     def test_single_full_batch_step_matches_hand_computation(self):
         ds = blobs(per_class=20)
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         params = init_params(layout, seed=1)
         cfg = TrainerConfig(method="ce", lr=0.1, momentum=0.0, weight_decay=0.01, batch_size=len(ds), epochs=1)
         trained, mean_loss = train_local(ds, params, cfg, seed=3)
@@ -127,7 +127,7 @@ class TestTrainLocal:
 
     def test_determinism(self):
         ds = blobs()
-        layout = MLPLayout(dim=2, hidden=8, num_classes=3)
+        layout = Layout(dim=2, hidden=8, num_classes=3)
         params = init_params(layout, seed=2)
         cfg = TrainerConfig(method="gce", lr=0.05, epochs=2, batch_size=32)
         a, _ = train_local(ds, params, cfg, seed=9)
@@ -136,7 +136,7 @@ class TestTrainLocal:
 
     def test_input_params_not_mutated(self):
         ds = blobs()
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         params = init_params(layout, seed=2)
         snapshot = params.values.copy()
         train_local(ds, params, TrainerConfig(epochs=1), seed=0)
@@ -145,7 +145,7 @@ class TestTrainLocal:
     @pytest.mark.parametrize("method", ["ce", "mixup", "sce", "gce", "mae"])
     def test_loss_decreases_on_separable_blobs(self, method):
         # one epoch's mean loss against that of four more epochs continued from its result
-        layout = MLPLayout(dim=2, hidden=16, num_classes=3)
+        layout = Layout(dim=2, hidden=16, num_classes=3)
         firsts, lasts = [], []
         for seed in range(5):
             ds = blobs(seed=seed)
@@ -159,7 +159,7 @@ class TestTrainLocal:
 
     def test_mixup_with_stubbed_lambda_matches_ce(self):
         ds = blobs()
-        layout = MLPLayout(dim=2, hidden=8, num_classes=3)
+        layout = Layout(dim=2, hidden=8, num_classes=3)
         params = init_params(layout, seed=4)
         ce_cfg = TrainerConfig(method="ce", lr=0.05, epochs=2, batch_size=32)
         mix_cfg = TrainerConfig(method="mixup", lr=0.05, epochs=2, batch_size=32)
@@ -169,7 +169,7 @@ class TestTrainLocal:
 
     def test_mixup_differs_from_ce_without_stub(self):
         ds = blobs()
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         params = init_params(layout, seed=4)
         ce_params, _ = train_local(ds, params, TrainerConfig(method="ce", epochs=1), seed=7)
         mix_params, _ = train_local(ds, params, TrainerConfig(method="mixup", epochs=1), seed=7)
@@ -205,7 +205,7 @@ class TestTrainCoteaching:
 
     def test_zero_forget_rate_matches_independent_ce(self):
         ds = self._noisy_blobs()
-        layout = MLPLayout(dim=2, hidden=8, num_classes=3)
+        layout = Layout(dim=2, hidden=8, num_classes=3)
         a0 = init_params(layout, seed=1)
         b0 = init_params(layout, seed=2)
         cfg = TrainerConfig(method="coteaching", lr=0.05, epochs=2, batch_size=32, method_params={"forget_rate": 0.0})
@@ -218,7 +218,7 @@ class TestTrainCoteaching:
 
     def test_networks_diverge_and_update(self):
         ds = self._noisy_blobs()
-        layout = LinearSoftmaxLayout(dim=2, num_classes=3)
+        layout = Layout(dim=2, num_classes=3)
         a0 = init_params(layout, seed=1)
         b0 = init_params(layout, seed=2)
         cfg = TrainerConfig(method="coteaching", lr=0.05, epochs=1, method_params={"forget_rate": 0.4})
@@ -230,8 +230,8 @@ class TestTrainCoteaching:
 
     def test_layout_mismatch(self):
         ds = self._noisy_blobs()
-        a = init_params(LinearSoftmaxLayout(dim=2, num_classes=3), seed=0)
-        b = init_params(MLPLayout(dim=2, hidden=4, num_classes=3), seed=0)
+        a = init_params(Layout(dim=2, num_classes=3), seed=0)
+        b = init_params(Layout(dim=2, hidden=4, num_classes=3), seed=0)
         cfg = TrainerConfig(method="coteaching", method_params={"forget_rate": 0.2})
         with pytest.raises(ValueError, match="same shape"):  # no check of ours: the two cannot stack
             train_local_coteaching(ds, a, b, cfg, seed=0, round_t=1)
@@ -246,9 +246,10 @@ class TestOneModelPerCall:
 
     PARAMS = {"ce": {}, "mixup": {}, "coteaching": {"forget_rate": 0.2}}
 
-    def _train(self, method):
+    LAYOUTS = {"mlp": Layout(dim=2, hidden=4, num_classes=3), "linear": Layout(dim=2, num_classes=3)}
+
+    def _train(self, method, layout=LAYOUTS["mlp"]):
         ds = blobs(per_class=40)
-        layout = MLPLayout(dim=2, hidden=4, num_classes=3)
         a, b = init_params(layout, seed=1), init_params(layout, seed=2)
         cfg = TrainerConfig(method=method, lr=0.05, epochs=2, batch_size=16, method_params=self.PARAMS[method])
         if method == "coteaching":
@@ -263,21 +264,22 @@ class TestOneModelPerCall:
         # networks beyond one train as a stack, built once, and each result is built from a row of it
         assert len(built) == (1 if networks == 1 else networks + 1)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize(
         "method, entry, networks", [("ce", "backward", 1), ("mixup", "backward", 1), ("coteaching", "forward_cached", 2)]
     )
-    def test_steps_run_the_checked_entries_on_a_once_bound_workspace(self, monkeypatch, method, entry, networks):
+    def test_steps_run_the_checked_entries_on_a_once_bound_workspace(self, monkeypatch, method, entry, networks, layout):
         # 120 rows in batches of 16 over 2 epochs: 16 steps, each one pass over every network
-        train = self._train(method)
+        train = self._train(method, self.LAYOUTS[layout])
         calls, views = [], []
-        original, mlp_views = getattr(localtrain, entry), models._mlp_views
+        original, layer_views = getattr(localtrain, entry), models._layer_views
 
         def counted(params, *args, **kw):
             calls.append(params.values.shape[:-1])
             return original(params, *args, **kw)
 
         monkeypatch.setattr(localtrain, entry, counted)
-        monkeypatch.setattr(models, "_mlp_views", lambda *args: views.append(None) or mlp_views(*args))
+        monkeypatch.setattr(models, "_layer_views", lambda *args: views.append(None) or layer_views(*args))
         train()
         assert calls == [() if networks == 1 else (networks,)] * 16
         assert len(views) == 2  # the one workspace's grad views and its one bind
@@ -369,9 +371,9 @@ class TestWorkspaceReuse:
     """Training through reused workspaces equals steps in fresh workspaces bit for bit."""
 
     LAYOUTS = [
-        LinearSoftmaxLayout(dim=5, num_classes=3),
-        MLPLayout(dim=5, hidden=6, num_classes=3, activation="tanh"),
-        MLPLayout(dim=5, hidden=6, num_classes=3, activation="relu"),
+        Layout(dim=5, num_classes=3),
+        Layout(dim=5, hidden=6, num_classes=3, activation="tanh"),
+        Layout(dim=5, hidden=6, num_classes=3, activation="relu"),
     ]
     METHOD_PARAMS = {
         "ce": {},
@@ -398,7 +400,7 @@ class TestWorkspaceReuse:
         # co-teaching network that recomputed its pass on the kept rows would
         # differ in the last bits from one that reuses its ranking pass.
         clean = make_synthetic_blobs(10, 15, 32, 2.0, seed=1)
-        self._check(clean, MLPLayout(dim=32, hidden=64, num_classes=10, activation="tanh"), method, 64)
+        self._check(clean, Layout(dim=32, hidden=64, num_classes=10, activation="tanh"), method, 64)
 
     def _check(self, clean, layout, method, batch_size):
         noisy = apply_noise(clean.labels, symmetric_matrix(clean.num_classes, 0.3), seed=2)
