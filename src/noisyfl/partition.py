@@ -1,19 +1,25 @@
 """Client index partitioning: IID plus three non-IID skew schemes.
 
-Every scheme is a pure function of (dataset, parameters, seed).  Index lists
-are stored sorted ascending so plan files diff canonically.  Schemes that
-sample client shares redraw (up to a fixed budget) when a client would come
-out empty, since aggregation weights by client size; redraw ``a`` of seed
-``s`` uses streams of its own, ``stream(s, <name>, "redraw", a)``, never the
-streams of another seed.  More clients than samples fail before any draw,
-since no redraw could give every client a sample.
+Every scheme follows one split rule.  It shuffles sets of sample indices,
+each with a named stream of its own.  It cuts each set at per-client counts
+and hands the rest round-robin to clients in a given order, or drops it.
+IID and quantity skew cut one global permutation and drop the rest; label
+Dirichlet and label quantity cut each class and deal its leftovers.  Every
+scheme is a pure function of (dataset, parameters, seed), and index lists
+are stored sorted ascending so plan files diff canonically.
+
+The two Dirichlet schemes redraw their shares (up to a fixed budget) while
+a client would come out empty, since aggregation weights by client size;
+redraw ``a`` of seed ``s`` uses streams of its own, ``stream(s, <name>,
+"redraw", a)``, never the streams of another seed.  Every scheme checks
+K <= N before its first draw: no draw could give more clients than
+samples a sample each.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -34,9 +40,6 @@ SCHEME_PARAM = {SCHEME_IID: None, SCHEME_QUANTITY: "alpha", SCHEME_LABEL_DIR: "a
 # ~99.5% of draws (alpha=0.1, K=10, N=1e4), so the budget must be generous
 # for small-alpha settings to remain usable.
 EMPTY_CLIENT_RETRIES = 2000
-
-# sampler(gen, alpha, size) -> probability vector; injectable for stubbing
-DirichletSampler = Callable[[np.random.Generator, float, int], np.ndarray]
 
 
 def gamma_dirichlet(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
@@ -113,23 +116,62 @@ def _check_client_count(n: int, num_clients: int) -> None:
         raise DegeneratePartitionError(f"{num_clients} clients cannot each get one of {n} samples")
 
 
+def _cut(n: int, counts: np.ndarray, deal: np.ndarray | None = None) -> np.ndarray:
+    """Client of each of n shuffled positions, or -1 for a dropped one.
+
+    Client k takes the next counts[k] positions in turn; the rest go
+    round-robin to the clients listed in ``deal``, or are dropped without it.
+    """
+    owners = np.repeat(np.arange(len(counts)), counts)[:n]
+    rest = np.arange(n - len(owners))
+    return np.concatenate([owners, deal[rest % len(deal)] if deal is not None else np.full(len(rest), -1)])
+
+
+def _assign(seed: int, groups: list, owners: list[np.ndarray], num_clients: int, redraw: tuple = ()) -> list[np.ndarray]:
+    """Shuffle each (stream path, sample indices) group with its stream and give each position to its owner."""
+    shuffled = np.concatenate([rng.stream(seed, *path, *redraw).permutation(members) for path, members in groups])
+    owners = np.concatenate(owners)
+    return [shuffled[owners == k] for k in range(num_clients)]
+
+
+def _dirichlet_split(scheme: str, groups: list, num_clients: int, alpha: float, seed: int) -> list[np.ndarray]:
+    """Cut each group at floor(q_k * N_g) for Dirichlet(alpha) shares q of its own, redrawing while a client is empty.
+
+    Label Dirichlet deals a group's leftovers over clients by ascending
+    fractional deficit, ties by client index; quantity skew drops them.
+    A client's size depends only on the shares, so an attempt draws them
+    and cuts; only the accepted attempt shuffles the groups.
+    """
+    label, shares = {
+        SCHEME_QUANTITY: ("quantity skew", "quantity-shares"),
+        SCHEME_LABEL_DIR: ("label-dirichlet", "labeldir-shares"),
+    }[scheme]
+    for attempt in range(EMPTY_CLIENT_RETRIES + 1):
+        gen = rng.stream(seed, shares, *_redraw(attempt))
+        owners = []
+        for _, members in groups:
+            targets = gamma_dirichlet(gen, alpha, num_clients) * len(members)
+            counts = np.floor(targets).astype(np.int64)
+            deal = np.lexsort((np.arange(num_clients), targets - counts)) if scheme == SCHEME_LABEL_DIR else None
+            owners.append(_cut(len(members), counts, deal))
+        if np.isin(np.arange(num_clients), np.concatenate(owners)).all():
+            return _assign(seed, groups, owners, num_clients, _redraw(attempt))
+    n = sum(len(members) for _, members in groups)
+    raise DegeneratePartitionError(
+        f"{label} left a client empty after {EMPTY_CLIENT_RETRIES} redraws (alpha={alpha}, K={num_clients}, N={n})"
+    )
+
+
 def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> PartitionPlan:
     """Global shuffle, then K blocks of floor(N/K); the remainder is unassigned."""
     n = len(ds)
     _check_client_count(n, num_clients)
-    perm = rng.stream(seed, "iid").permutation(n)
-    block = n // num_clients
-    clients = [perm[k * block : (k + 1) * block] for k in range(num_clients)]
+    owners = _cut(n, np.full(num_clients, n // num_clients))
+    clients = _assign(seed, [(("iid",), np.arange(n))], [owners], num_clients)
     return PartitionPlan(clients=clients, scheme=SCHEME_IID, params={}, seed=seed)
 
 
-def partition_quantity_skew(
-    ds: LabeledDataset,
-    num_clients: int,
-    alpha: float,
-    seed: int,
-    sampler: DirichletSampler = gamma_dirichlet,
-) -> PartitionPlan:
+def partition_quantity_skew(ds: LabeledDataset, num_clients: int, alpha: float, seed: int) -> PartitionPlan:
     """One Dirichlet(alpha) share vector sizes the clients; class mix untouched.
 
     Client k gets a contiguous block of floor(q_k * N) globally shuffled
@@ -137,79 +179,20 @@ def partition_quantity_skew(
     """
     n = len(ds)
     _check_client_count(n, num_clients)
-    for attempt in range(EMPTY_CLIENT_RETRIES + 1):
-        redraw = _redraw(attempt)
-        q = np.asarray(sampler(rng.stream(seed, "quantity-shares", *redraw), alpha, num_clients), dtype=np.float64)
-        counts = np.floor(q * n).astype(np.int64)
-        if counts.min() >= 1:
-            perm = rng.stream(seed, "quantity-shuffle", *redraw).permutation(n)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            clients = [perm[offsets[k] : offsets[k + 1]] for k in range(num_clients)]
-            return PartitionPlan(
-                clients=clients, scheme=SCHEME_QUANTITY, params={"alpha": float(alpha)}, seed=seed
-            )
-    raise DegeneratePartitionError(
-        f"quantity skew left a client empty after {EMPTY_CLIENT_RETRIES} redraws (alpha={alpha}, K={num_clients}, N={n})"
-    )
+    clients = _dirichlet_split(SCHEME_QUANTITY, [(("quantity-shuffle",), np.arange(n))], num_clients, alpha, seed)
+    return PartitionPlan(clients=clients, scheme=SCHEME_QUANTITY, params={"alpha": float(alpha)}, seed=seed)
 
 
-def _deal_leftovers(order: np.ndarray, leftover_indices: np.ndarray, out: list[list[np.ndarray]], client_ids: np.ndarray) -> None:
-    """Hand leftover sample indices one-by-one to clients cycling through ``order``."""
-    for pos, sample in enumerate(leftover_indices):
-        k = client_ids[order[pos % len(order)]]
-        out[k].append(np.array([sample], dtype=np.int64))
-
-
-def partition_label_dirichlet(
-    ds: LabeledDataset,
-    num_clients: int,
-    alpha: float,
-    seed: int,
-    sampler: DirichletSampler = gamma_dirichlet,
-) -> PartitionPlan:
+def partition_label_dirichlet(ds: LabeledDataset, num_clients: int, alpha: float, seed: int) -> PartitionPlan:
     """Per-class Dirichlet(alpha) shares give each client a slice of every class.
 
     Class i is shuffled once, split at floor(q_ik * N_i); per-class leftovers
     go round-robin over clients ordered by ascending fractional deficit.
-    A client's size depends only on the shares, so an attempt draws them
-    and counts each client's samples; only the accepted attempt shuffles
-    the classes and builds the split.
     """
-    n = len(ds)
-    _check_client_count(n, num_clients)
-    client_ids = np.arange(num_clients)
+    _check_client_count(len(ds), num_clients)
     classes = [(cls, np.flatnonzero(ds.labels == cls)) for cls in range(ds.num_classes)]
-    classes = [(cls, members) for cls, members in classes if len(members)]
-    for attempt in range(EMPTY_CLIENT_RETRIES + 1):
-        shares_gen = rng.stream(seed, "labeldir-shares", *_redraw(attempt))
-        sizes = np.zeros(num_clients, dtype=np.int64)
-        splits = []  # per class: the cut offsets and the leftover order
-        for _, members in classes:
-            q = np.asarray(sampler(shares_gen, alpha, num_clients), dtype=np.float64)
-            targets = q * len(members)
-            counts = np.floor(targets).astype(np.int64)
-            # cuts past the class end keep only what is there, as the slices of the split do
-            offsets = np.minimum(np.concatenate([[0], np.cumsum(counts)]), len(members))
-            order = np.lexsort((client_ids, targets - counts))
-            leftover = order[np.arange(len(members) - offsets[-1]) % num_clients]
-            sizes += np.diff(offsets) + np.bincount(leftover, minlength=num_clients)
-            splits.append((offsets, order))
-        if sizes.min() >= 1:
-            return _label_dirichlet_plan(seed, _redraw(attempt), classes, splits, num_clients, alpha)
-    raise DegeneratePartitionError(
-        f"label-dirichlet left a client empty after {EMPTY_CLIENT_RETRIES} redraws (alpha={alpha}, K={num_clients}, N={n})"
-    )
-
-
-def _label_dirichlet_plan(seed: int, redraw: tuple, classes: list, splits: list, num_clients: int, alpha: float):
-    """Shuffle each class with the accepted attempt's streams and cut it where the shares say."""
-    parts: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-    for (cls, members), (offsets, order) in zip(classes, splits):
-        members = rng.stream(seed, "labeldir-class", cls, *redraw).permutation(members)
-        for k in range(num_clients):
-            parts[k].append(members[offsets[k] : offsets[k + 1]])
-        _deal_leftovers(order, members[offsets[-1] :], parts, np.arange(num_clients))
-    clients = [np.concatenate(p) if p else np.zeros(0, dtype=np.int64) for p in parts]
+    groups = [(("labeldir-class", cls), members) for cls, members in classes if len(members)]
+    clients = _dirichlet_split(SCHEME_LABEL_DIR, groups, num_clients, alpha, seed)
     return PartitionPlan(clients=clients, scheme=SCHEME_LABEL_DIR, params={"alpha": float(alpha)}, seed=seed)
 
 
@@ -221,6 +204,7 @@ def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed:
     Samples of a class held by m clients split floor(N_i/m) each, leftover
     round-robin (ascending deficit, ties by client index).
     """
+    _check_client_count(len(ds), num_clients)
     num_classes = ds.num_classes
     if c > num_classes:
         raise DegeneratePartitionError(f"c = {c} classes per client exceeds the C = {num_classes} classes")
@@ -241,20 +225,16 @@ def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed:
             extra = gen.choice(pool, size=missing, replace=False)
             assigned[k].update(int(x) for x in extra)
 
-    parts: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    groups, owners = [], []
     for cls in range(num_classes):
+        # equal shares, so deficit ties break by client index
         holders = np.array([k for k in range(num_clients) if cls in assigned[k]], dtype=np.int64)
         members = np.flatnonzero(ds.labels == cls)
-        members = rng.stream(seed, "labelqty-class", cls).permutation(members)
-        m = len(holders)
-        base = len(members) // m
-        offsets = np.arange(m + 1) * base
-        for j, k in enumerate(holders):
-            parts[k].append(members[offsets[j] : offsets[j + 1]])
-        order = np.arange(m)  # equal shares, so deficit ties break by client index
-        _deal_leftovers(order, members[offsets[-1] :], parts, holders)
-
-    clients = [np.concatenate(p) if p else np.zeros(0, dtype=np.int64) for p in parts]
+        counts = np.zeros(num_clients, dtype=np.int64)
+        counts[holders] = len(members) // len(holders)
+        groups.append((("labelqty-class", cls), members))
+        owners.append(_cut(len(members), counts, holders))
+    clients = _assign(seed, groups, owners, num_clients)
     if min(len(cl) for cl in clients) < 1:
         raise DegeneratePartitionError("label-quantity produced an empty client")
     return PartitionPlan(

@@ -867,6 +867,7 @@ class TestExitCodes:
             ("pipeline", ["--noniid-label-count", "9"]),
             ("pipeline", ["--clients", "500", "--iid"]),
             ("pipeline", ["--clients", "500", "--noniid-labeldir", "0.5"]),
+            ("pipeline", ["--clients", "500", "--noniid-label-count", "1"]),
             ("pipeline", ["--clients", "2", "--noniid-label-count", "2"]),
             ("pipeline", ["--clients", "40", "--noniid-labeldir", "0.0001"]),
             ("partition", ["--noniid-label-count", "9"]),
@@ -878,6 +879,7 @@ class TestExitCodes:
             "c-above-classes",
             "clients-above-samples",
             "labeldir-clients-above-samples",
+            "label-quantity-clients-above-samples",
             "classes-uncovered",
             "redraws-exhausted",  # 2000 redraws take about 1.5 s, so only through one command
             "partition-c-above-classes",

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from noisyfl import rng
+from noisyfl import partition, rng
 from noisyfl.datasets import LabeledDataset, class_histogram, make_synthetic_blobs
 from noisyfl.errors import DegeneratePartitionError
 from noisyfl.partition import (
@@ -61,10 +61,10 @@ class TestIid:
 
 
 class TestQuantitySkew:
-    def test_stubbed_shares(self):
+    def test_stubbed_shares(self, monkeypatch):
         ds = balanced(4, 25)  # N=100
-        stub = lambda gen, alpha, size: np.full(size, 0.25)
-        plan = partition_quantity_skew(ds, 4, alpha=1.0, seed=0, sampler=stub)
+        monkeypatch.setattr(partition, "gamma_dirichlet", lambda gen, alpha, size: np.full(size, 0.25))
+        plan = partition_quantity_skew(ds, 4, alpha=1.0, seed=0)
         assert plan.sizes().tolist() == [25, 25, 25, 25]
 
     def test_large_alpha_is_nearly_balanced(self):
@@ -85,12 +85,13 @@ class TestQuantitySkew:
                 hits += 1
         assert hits > 50
 
-    def test_degenerate_raises(self):
+    def test_degenerate_raises(self, monkeypatch):
         # every share draw gives one client a floor of zero
         ds = balanced(2, 10)
         stub = lambda gen, alpha, size: np.array([0.999, 0.001] + [0.0] * (size - 2))[:size]
+        monkeypatch.setattr(partition, "gamma_dirichlet", stub)
         with pytest.raises(DegeneratePartitionError):
-            partition_quantity_skew(ds, 3, alpha=1.0, seed=0, sampler=stub)
+            partition_quantity_skew(ds, 3, alpha=1.0, seed=0)
 
     def test_invalid_alpha(self):
         """The schemes take the alpha PartitionSpec checked where it entered."""
@@ -100,10 +101,10 @@ class TestQuantitySkew:
 
 
 class TestLabelDirichlet:
-    def test_stubbed_uniform_shares(self):
+    def test_stubbed_uniform_shares(self, monkeypatch):
         ds = balanced(10, 100)
-        stub = lambda gen, alpha, size: np.full(size, 1.0 / size)
-        plan = partition_label_dirichlet(ds, 10, alpha=1.0, seed=0, sampler=stub)
+        monkeypatch.setattr(partition, "gamma_dirichlet", lambda gen, alpha, size: np.full(size, 1.0 / size))
+        plan = partition_label_dirichlet(ds, 10, alpha=1.0, seed=0)
         for idx in plan.clients:
             assert class_histogram(ds, idx).tolist() == [10] * 10
 
@@ -141,9 +142,10 @@ class TestRedrawStreams:
         [(partition_quantity_skew, 1), (partition_label_dirichlet, 4)],
         ids=["quantity-skew", "label-dir"],
     )
-    def test_redraw_does_not_reuse_the_next_seeds_streams(self, scheme, calls_per_attempt):
+    def test_redraw_does_not_reuse_the_next_seeds_streams(self, monkeypatch, scheme, calls_per_attempt):
         """Attempt 1 at seed s draws from streams of its own, not those of attempt 0 at seed s+1."""
         ds = balanced(4, 50)
+        next_seed = scheme(ds, 4, alpha=50.0, seed=8)
         calls = []
 
         def fail_first_attempt(gen, alpha, size):
@@ -152,8 +154,8 @@ class TestRedrawStreams:
                 return np.eye(size)[0]  # every share to client 0 empties the others
             return gamma_dirichlet(gen, alpha, size)
 
-        redrawn = scheme(ds, 4, alpha=50.0, seed=7, sampler=fail_first_attempt)
-        next_seed = scheme(ds, 4, alpha=50.0, seed=8)
+        monkeypatch.setattr(partition, "gamma_dirichlet", fail_first_attempt)
+        redrawn = scheme(ds, 4, alpha=50.0, seed=7)
         assert len(calls) == 2 * calls_per_attempt
         assert min(redrawn.sizes()) >= 1
         assert not all(np.array_equal(a, b) for a, b in zip(redrawn.clients, next_seed.clients))
@@ -180,16 +182,44 @@ class TestRedrawStreams:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "c8c384bf996a9d34bcab8226042d34706804c3dba6b7690bc15cdf442f2dfc7e"
 
-    @pytest.mark.parametrize("scheme", [partition_quantity_skew, partition_label_dirichlet], ids=["quantity-skew", "label-dir"])
-    def test_more_clients_than_samples_fails_before_any_draw(self, scheme):
-        """No redraw can give K > N clients a sample each, so none is drawn."""
+    @pytest.mark.parametrize(
+        "blobs, make, digest",
+        [
+            (
+                (5, 20, 8, 3.0, 1),
+                lambda ds: partition_quantity_skew(ds, 8, alpha=0.5, seed=8),  # three attempts
+                "07ca76571bd55bf76ca927c2fbddcd3f7f8930518216d06271a5b02105bddbbd",
+            ),
+            (
+                (5, 21, 8, 3.0, 1),
+                lambda ds: partition_label_quantity(ds, 8, c=2, seed=7),  # sizes 16, 11, 14, 14, 11, 14, 14, 11
+                "2015f2a4b736e6f5a8f4b70360d5d85f1093f6a81909327a220ec020b43a9e97",
+            ),
+        ],
+        ids=["quantity-skew-after-redraws", "label-quantity-leftovers-dealt"],
+    )
+    def test_plan_keeps_its_digest(self, tmp_path, blobs, make, digest):
+        """Golden digests of plan files written before the schemes shared one cut and one redraw loop."""
+        path = tmp_path / "plan.json"
+        save_plan(make(make_synthetic_blobs(*blobs)), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "scheme, param",
+        [
+            (partition_quantity_skew, {"alpha": 0.5}),
+            (partition_label_dirichlet, {"alpha": 0.5}),
+            (partition_label_quantity, {"c": 1}),
+            (partition_iid, {}),
+        ],
+        ids=["quantity-skew", "label-dir", "label-quantity", "iid"],
+    )
+    def test_more_clients_than_samples_fails_before_any_draw(self, monkeypatch, scheme, param):
+        """No draw can give K > N clients a sample each, so no stream is drawn."""
         ds = balanced(5, 20)
-
-        def sampler(gen, alpha, size):
-            pytest.fail("sampler called for more clients than samples")
-
+        monkeypatch.setattr(rng, "stream", lambda seed, *path: pytest.fail(f"stream {path} drawn for more clients than samples"))
         with pytest.raises(DegeneratePartitionError, match="500 clients cannot each get one of 100 samples"):
-            scheme(ds, 500, alpha=0.5, seed=0, sampler=sampler)
+            scheme(ds, 500, seed=0, **param)
 
 
 class TestLabelQuantity:
@@ -229,6 +259,12 @@ class TestLabelQuantity:
         ds = balanced(10, 10)
         with pytest.raises(DegeneratePartitionError):
             partition_label_quantity(ds, 3, c=3, seed=0)
+
+    def test_empty_client_raises(self):
+        """K <= N, but c = 2 of 3 single-sample classes cannot give 3 clients a sample each."""
+        ds = make_synthetic_blobs(3, 1, 2, 3.0, 0)
+        with pytest.raises(DegeneratePartitionError, match="label-quantity produced an empty client"):
+            partition_label_quantity(ds, 3, c=2, seed=0)
 
     def test_invalid_c(self):
         ds = balanced(4, 10)

@@ -22,8 +22,6 @@ ALLOWED_METHODS = {
 ALLOWED_DEFAULTS = {
     "main.argv": "tests run the command line in-process with their own arguments",
     "train_local.lam_sampler": "tests pin mixup's Beta draw",
-    "partition_quantity_skew.sampler": "tests stub the Dirichlet share draw",
-    "partition_label_dirichlet.sampler": "tests stub the Dirichlet share draw",
 }
 
 
