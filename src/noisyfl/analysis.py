@@ -45,12 +45,12 @@ def sensitivity_series(table: dict, partition: str, mode: str) -> list[tuple[flo
     return [(eps, sensitivity(acc, acc_next, nxt - eps)) for (eps, acc), (nxt, acc_next) in zip(points, points[1:])]
 
 
-def drop_ratio_series(table: dict, mode: str, noniid_partition: str) -> list[tuple[float, float]]:
-    """Drop ratio at every eps where both the ``iid`` and non-IID entries exist.
+def drop_ratio_series(table: dict, partition: str, mode: str) -> list[tuple[float, float]]:
+    """Drop ratio of the non-IID ``partition`` at every eps where both its and the ``iid`` entry exist.
 
     An IID accuracy of 0 leaves the ratio undefined; the error names the point.
     """
-    noniid = _curve(table, noniid_partition, mode)
+    noniid = _curve(table, partition, mode)
     series = []
     for eps, acc_iid in _curve(table, "iid", mode).items():
         if eps in noniid:
@@ -58,7 +58,7 @@ def drop_ratio_series(table: dict, mode: str, noniid_partition: str) -> list[tup
                 ratio = accuracy_drop_ratio(acc_iid, noniid[eps])
             except ZeroDivisionError:
                 raise NoisyFLError(
-                    f"drop ratio at ({noniid_partition}, {mode}, {eps!r}) is undefined: the iid accuracy is 0"
+                    f"drop ratio at ({partition}, {mode}, {eps!r}) is undefined: the iid accuracy is 0"
                 ) from None
             series.append((eps, ratio))
     return series

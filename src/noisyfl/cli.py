@@ -46,11 +46,11 @@ the config and master seed: JSON is dumped with sorted keys, CSVs use
 fixed formatting, and no timestamps or absolute paths are recorded.
 
 A co-teaching config that sets no ``forget_rate`` trains with the run's
-noise ratio (:func:`~noisyfl.noise.nominal_ratio`, or the real-world
-``overall_ratio``), or ``COTEACHING_FALLBACK_FORGET_RATE`` if it is 0
-(:func:`~noisyfl.config.with_forget_rate`).  A nominal ratio that gives no
-forget_rate exits 2 where the config enters; only a real-world ratio, which
-the data gives, is checked after the noise stage.
+noise ratio (the noise spec's :attr:`~noisyfl.noise.NoiseSpec.nominal_ratio`,
+or the real-world ``overall_ratio``), or ``COTEACHING_FALLBACK_FORGET_RATE``
+if it is 0 (:func:`~noisyfl.config.with_forget_rate`).  A nominal ratio that
+gives no forget_rate exits 2 where the config enters; only a real-world
+ratio, which the data gives, is checked after the noise stage.
 
 ``analyze`` is no stage: it reads finished run directories, one
 accuracy-table entry each, and writes the paper's drop-ratio and
@@ -98,7 +98,7 @@ from .errors import (
 )
 from .federation import FedConfig, run_federation, write_telemetry
 from .models import layout_from_dict, save_checkpoint
-from .noise import NoiseSpec, asymmetric_matrix, nominal_ratio, run_scene
+from .noise import RATIOS, NoiseSpec, asymmetric_matrix, run_scene
 from .partition import SCHEME_PARAM, PartitionSpec, load_plan, save_plan
 
 SUMMARY_LAST_K = 10
@@ -287,9 +287,9 @@ def cmd_noise(cfg: RunConfig) -> dict:
     return run_stage("noise", cfg.output_dir, "noise_manifest.json", _noise_key(cfg), produce)
 
 
-def _noise_ratio_estimate(manifest: dict) -> float:
-    spec = manifest["noise"]
-    ratio = nominal_ratio(spec["scene"], spec["eps_global"], spec["eps_min"], spec["eps_max"])
+def _noise_ratio_estimate(spec: NoiseSpec, manifest: dict) -> float:
+    """``spec``'s nominal noise ratio, or the real-world ratio of the noise ``manifest`` that records ``spec``."""
+    ratio = spec.nominal_ratio
     if ratio is None:  # the real-world scene: the ratio its data gave
         ratio = manifest.get("overall_ratio") or 0.0
     return float(ratio)
@@ -347,7 +347,7 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
             load_npy(os.path.join(out, "test_dataset.npy")),
         )
 
-    trainer = with_forget_rate(cfg.federation.trainer, _noise_ratio_estimate(noise))
+    trainer = with_forget_rate(cfg.federation.trainer, _noise_ratio_estimate(cfg.noise, noise))
     federation = dataclasses.replace(cfg.federation, trainer=trainer)
 
     train_root = os.path.join(out, "train")
@@ -398,8 +398,8 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         raise ArtifactMismatchError("run_manifest.json records other inputs than the noise stage wrote")
     try:
         spec = PartitionSpec(**{f.name: noise["partition"][f.name] for f in dataclasses.fields(PartitionSpec)})
-        eps = {name: noise["noise"][name] for name in ("eps_global", "eps_min", "eps_max")}
-        NoiseSpec(scene=noise["noise"]["scene"], mode=noise["noise"]["mode"], **eps)
+        eps = {name: noise["noise"][name] for name in RATIOS}
+        noise_spec = NoiseSpec(scene=noise["noise"]["scene"], mode=noise["noise"]["mode"], **eps)
         (accuracy,) = [row["mean_accuracy"] for row in train["summary"] if row["lr"] == train["selected_lr"]]
         typed = [(spec.alpha, float), (spec.c, int), (noise["overall_ratio"], float)]
         typed += [(value, float) for value in eps.values()]
@@ -408,7 +408,7 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         param = SCHEME_PARAM[spec.scheme]
         partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
         # eps to 9 decimals, so that a localized (0.2, 0.4) run's midpoint 0.30000000000000004 is the grid point 0.3
-        key = (partition, f"{noise['noise']['scene']}/{noise['noise']['mode']}", round(_noise_ratio_estimate(noise), 9))
+        key = (partition, f"{noise_spec.scene}/{noise_spec.mode}", round(_noise_ratio_estimate(noise_spec, noise), 9))
         if type(accuracy) is not float or not 0.0 <= accuracy <= 1.0:  # NaN fails the range too
             raise ValueError(f"mean_accuracy {accuracy!r} for {key} is not a float in [0, 1]")
     except (KeyError, TypeError, ValueError) as exc:
@@ -434,12 +434,9 @@ def cmd_analyze(run_dirs: list[str], out_dir: str) -> None:
     modes = sorted({m for (_, m, _) in entries})
     for mode in modes:
         for part in partitions:
-            if part == "iid":
-                continue
-            for eps, ratio in drop_ratio_series(entries, mode, part):
-                drop_rows.append([part, mode, repr(eps), repr(ratio)])
-    for mode in modes:
-        for part in partitions:
+            if part != "iid":
+                for eps, ratio in drop_ratio_series(entries, part, mode):
+                    drop_rows.append([part, mode, repr(eps), repr(ratio)])
             for eps, s in sensitivity_series(entries, part, mode):
                 sens_rows.append([part, mode, repr(eps), repr(s)])
 

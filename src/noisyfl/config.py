@@ -33,7 +33,7 @@ from .errors import ConfigError, ParseError
 from .federation import FedConfig
 from .localtrain import TrainerConfig
 from .models import ACTIVATIONS
-from .noise import SCENE_CLEAN, NoiseSpec, nominal_ratio
+from .noise import RATIOS, SCENE_CLEAN, NoiseSpec
 from .partition import PartitionSpec
 
 
@@ -130,9 +130,7 @@ PARTITION = {"scheme": _text, "alpha": _float, "c": _int}
 NOISE = {
     "scene": _text,
     "mode": _text,
-    "eps_global": _optional(_float),
-    "eps_min": _optional(_float),
-    "eps_max": _optional(_float),
+    **{name: _optional(_float) for name in RATIOS},
     "asym_map": _optional(_class_map),
 }
 FEDERATION = {
@@ -321,7 +319,7 @@ def validate_config(doc: dict) -> RunConfig:
     partition = _build(PartitionSpec, "partition", _fields(root["partition"], "partition", PARTITION))
     noise = _build(NoiseSpec, "noise", _fields(root.get("noise", {"scene": SCENE_CLEAN}), "noise", NOISE), seed=seed)
     federation = _build(FedConfig, "federation", federation, trainer=trainer, seed=seed)
-    ratio = nominal_ratio(noise.scene, noise.eps_global, noise.eps_min, noise.eps_max)
+    ratio = noise.nominal_ratio
     if ratio is not None:  # checked only: the train stage resolves the forget_rate, so the built config keeps none
         with_forget_rate(trainer, ratio)
     return RunConfig(

@@ -20,10 +20,12 @@ ranks the batch for both networks and, as in Han et al.'s
 reference implementation (arXiv 1804.06872), carries each network's update
 loss on the rows its peer selected.
 
-``_METHOD_PARAMS`` alone declares each method's parameter names, defaults
-and ranges.  :class:`TrainerConfig` checks the written values against it and
-fills in the defaults, so every reader, here and in ``losses``, reads
-``method_params[key]``.  Co-teaching's ``forget_rate`` has no default: the
+The methods ce, sce, gce and mae pass their name to ``losses`` as the loss
+kind; mixup trains ``soft_ce`` on mixed one-hot targets, and co-teaching
+ranks and updates with ``ce``.  ``_METHOD_PARAMS`` alone declares each
+method's parameter names, defaults and ranges.  :class:`TrainerConfig`
+checks the written values against it and fills in the defaults, so every
+reader, here and in ``losses``, reads ``method_params[key]``.  Co-teaching's ``forget_rate`` has no default: the
 train stage infers it from the run's noise ratio (see ``cli``).
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .losses import LOSS_KINDS, _per_sample, backward, backward_cached, one_hot
+from .losses import _per_sample, backward, backward_cached, one_hot
 from .models import ModelParams, Workspace, forward_cached
 
 METHODS = ("ce", "mixup", "sce", "gce", "mae", "coteaching")
@@ -92,12 +94,6 @@ class TrainerConfig:
                 raise ValueError(f"method_params.{key} must be {allowed} for method {self.method!r}, got {value!r}")
         defaults = {key: default for key, (default, _, _) in table.items() if default is not None}
         object.__setattr__(self, "method_params", {**defaults, **self.method_params})
-
-    @property
-    def loss_kind(self) -> str:
-        kind = "ce" if self.method in ("mixup", "coteaching") else self.method
-        assert kind in LOSS_KINDS
-        return kind
 
 
 def sgd_step(
@@ -216,7 +212,8 @@ def train_local(
             return backward(stack, mixed_x, mixed_t, kind="soft_ce", weight_decay=cfg.weight_decay, work=work)
 
     else:
-        kind = cfg.loss_kind
+        assert cfg.method != "coteaching", "co-teaching trains two networks: use train_local_coteaching"
+        kind = cfg.method
 
         def one_network(stack, work, x, y):
             return backward(

@@ -27,8 +27,6 @@ import numpy as np
 
 from .models import ModelParams, Workspace, forward_cached
 
-LOSS_KINDS = ("ce", "sce", "gce", "mae", "soft_ce")
-
 _LOG_FLOOR = 1e-300
 
 

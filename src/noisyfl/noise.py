@@ -5,7 +5,9 @@ partition, corrupt per client.  Globalized noise takes the first step: one
 row-stochastic flip table corrupts the whole dataset before it is split.
 Localized noise takes the last: each client draws its own ratio from
 U(eps_min, eps_max) and flips only among the classes it holds.  The clean
-and real-world scenes are only partitioned.
+and real-world scenes are only partitioned.  ``SCENE_RATIOS`` names the
+ratios each scene takes; :class:`NoiseSpec` derives its checks and its
+``nominal_ratio`` (co-teaching's default forget rate) from that table alone.
 
 One master seed fans out into named streams: ``flip`` for the global
 corruption, ``partition`` for the split, ``eps-draw`` for the per-client
@@ -28,7 +30,14 @@ SCENE_GLOBALIZED = "globalized"
 SCENE_LOCALIZED = "localized"
 SCENE_REALWORLD = "realworld"
 SCENE_CLEAN = "clean"
-SCENES = (SCENE_GLOBALIZED, SCENE_LOCALIZED, SCENE_REALWORLD, SCENE_CLEAN)
+# scene -> the ratio fields of NoiseSpec it takes, lowest first
+SCENE_RATIOS = {
+    SCENE_GLOBALIZED: ("eps_global",),
+    SCENE_LOCALIZED: ("eps_min", "eps_max"),
+    SCENE_REALWORLD: (),
+    SCENE_CLEAN: (),
+}
+RATIOS = tuple(name for names in SCENE_RATIOS.values() for name in names)
 
 MODE_SYMMETRIC = "symmetric"
 MODE_ASYMMETRIC = "asymmetric"
@@ -75,12 +84,13 @@ def cyclic_target_map(num_classes: int) -> dict[int, int]:
 class NoiseSpec:
     """Declarative description of a noise scene.
 
-    eps_global parametrizes the globalized scene; (eps_min, eps_max) bound
-    the per-client uniform draw of the localized scene; clean/realworld
-    scenes carry no ratios.  Specs with eps_max > 1 are rejected rather
-    than clamped.  ``asym_map`` overrides the cyclic flip target of the
-    globalized asymmetric scene and is rejected everywhere else, where
-    nothing would read it.
+    Every check derives from ``SCENE_RATIOS``: eps_global for the globalized
+    scene, (eps_min, eps_max) bounding the localized scene's per-client
+    uniform draw, and none, with mode 'none', for the clean and real-world
+    scenes.  A scene's ratios lie in [0, 1] in the table's order; eps_max > 1
+    is rejected rather than clamped.  ``asym_map`` overrides the cyclic flip
+    target of the globalized asymmetric scene and is rejected everywhere
+    else, where nothing would read it.
     """
 
     scene: str
@@ -92,45 +102,39 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scene not in SCENES:
-            raise ValueError(f"unknown noise scene {self.scene!r}; must be one of {list(SCENES)}")
+        if self.scene not in SCENE_RATIOS:
+            raise ValueError(f"unknown noise scene {self.scene!r}; must be one of {list(SCENE_RATIOS)}")
         if self.mode not in MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}; must be one of {list(MODES)}")
         if self.asym_map is not None and (self.scene, self.mode) != (SCENE_GLOBALIZED, MODE_ASYMMETRIC):
             raise ValueError("asym_map applies only to the globalized scene in asymmetric mode")
-        if self.scene == SCENE_GLOBALIZED:
-            if self.mode == MODE_NONE:
-                raise ValueError("globalized scene requires a symmetric or asymmetric mode")
-            if self.eps_global is None or not 0.0 <= self.eps_global <= 1.0:
-                raise ValueError("globalized scene requires eps_global in [0, 1]")
-            if self.eps_min is not None or self.eps_max is not None:
-                raise ValueError("globalized scene takes eps_global, not eps_min/eps_max")
-        elif self.scene == SCENE_LOCALIZED:
-            if self.mode == MODE_NONE:
-                raise ValueError("localized scene requires a symmetric or asymmetric mode")
-            if self.eps_min is None or self.eps_max is None:
-                raise ValueError("localized scene requires eps_min and eps_max")
-            if not 0.0 <= self.eps_min <= self.eps_max <= 1.0:
-                raise ValueError("localized scene requires 0 <= eps_min <= eps_max <= 1")
-            if self.eps_global is not None:
-                raise ValueError("localized scene takes eps_min/eps_max, not eps_global")
-        else:
-            if self.eps_global is not None or self.eps_min is not None or self.eps_max is not None:
-                raise ValueError(f"{self.scene} scene takes no noise ratios")
-            if self.mode != MODE_NONE:
-                raise ValueError(f"{self.scene} scene requires mode 'none'")
+        names = SCENE_RATIOS[self.scene]
+        if names and self.mode == MODE_NONE:
+            raise ValueError(f"{self.scene} scene requires a symmetric or asymmetric mode")
+        values = [getattr(self, name) for name in names]
+        if None in values:
+            raise ValueError(f"{self.scene} scene requires {' and '.join(names)}")
+        bounds = [0.0, *values, 1.0]
+        if not all(low <= high for low, high in zip(bounds, bounds[1:])):  # NaN fails too
+            raise ValueError(f"{self.scene} scene requires 0 <= {' <= '.join(names)} <= 1")
+        others = [name for name in RATIOS if name not in names]
+        if any(getattr(self, name) is not None for name in others):
+            taken = f"{'/'.join(names)}, not {'/'.join(others)}" if names else "no noise ratios"
+            raise ValueError(f"{self.scene} scene takes {taken}")
+        if not names and self.mode != MODE_NONE:
+            raise ValueError(f"{self.scene} scene requires mode 'none'")
 
+    @property
+    def nominal_ratio(self) -> float | None:
+        """The scene's nominal noise ratio: the midpoint of its lowest and highest ratio, or 0 when clean.
 
-def nominal_ratio(scene: str, eps_global: float | None, eps_min: float | None, eps_max: float | None) -> float | None:
-    """The scene's nominal noise ratio: ``eps_global``, the midpoint of ``eps_min`` and ``eps_max``, or 0 when clean.
-
-    None for the real-world scene, whose ratio its data gives.
-    """
-    if scene == SCENE_GLOBALIZED:
-        return float(eps_global)
-    if scene == SCENE_LOCALIZED:
-        return 0.5 * (float(eps_min) + float(eps_max))
-    return None if scene == SCENE_REALWORLD else 0.0
+        The midpoint of one ratio is eps_global itself, bit for bit.  None
+        for the real-world scene, whose ratio its data gives.
+        """
+        ratios = [float(getattr(self, name)) for name in SCENE_RATIOS[self.scene]]
+        if not ratios:
+            return None if self.scene == SCENE_REALWORLD else 0.0
+        return 0.5 * (ratios[0] + ratios[-1])
 
 
 def apply_noise(labels: np.ndarray, probs: np.ndarray, seed: int) -> np.ndarray:

@@ -155,10 +155,10 @@ class TestAccuracyTable:
             ("label-dir", "symmetric", 0.4): 0.3043,
             ("label-dir", "symmetric", 0.2): 0.5,  # no iid entry at 0.2
         }
-        series = drop_ratio_series(table, "symmetric", "label-dir")
+        series = drop_ratio_series(table, "label-dir", "symmetric")
         assert series == [(0.4, pytest.approx(0.5325, abs=1e-3))]
 
     def test_undefined_drop_ratio_names_its_point(self):
         table = {("iid", "symmetric", 0.4): 0.0, ("label-dir", "symmetric", 0.4): 0.3043}
         with pytest.raises(NoisyFLError, match=r"\(label-dir, symmetric, 0\.4\)"):
-            drop_ratio_series(table, "symmetric", "label-dir")
+            drop_ratio_series(table, "label-dir", "symmetric")

@@ -862,18 +862,22 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
-        "command, flags",
+        "command, flags, message",
         [
-            ("pipeline", ["--noniid-label-count", "9"]),
-            ("pipeline", ["--clients", "500", "--iid"]),
-            ("pipeline", ["--clients", "500", "--noniid-labeldir", "0.5"]),
-            ("pipeline", ["--clients", "500", "--noniid-label-count", "1"]),
-            ("pipeline", ["--clients", "2", "--noniid-label-count", "2"]),
-            ("pipeline", ["--clients", "40", "--noniid-labeldir", "0.0001"]),
-            ("partition", ["--noniid-label-count", "9"]),
-            ("partition", ["--clients", "500", "--iid"]),
-            ("partition", ["--clients", "500", "--noniid-quantity", "1.0"]),
-            ("partition", ["--clients", "2", "--noniid-label-count", "2"]),
+            ("pipeline", ["--noniid-label-count", "9"], "c = 9 classes per client exceeds the C = 5 classes"),
+            ("pipeline", ["--clients", "500", "--iid"], "500 clients cannot each get one of 100 samples"),
+            ("pipeline", ["--clients", "500", "--noniid-labeldir", "0.5"], "500 clients cannot each get one of 100 samples"),
+            ("pipeline", ["--clients", "500", "--noniid-label-count", "1"], "500 clients cannot each get one of 100 samples"),
+            ("pipeline", ["--clients", "2", "--noniid-label-count", "2"], "K*c = 4 < C = 5"),
+            (
+                "pipeline",
+                ["--clients", "40", "--noniid-labeldir", "0.0001"],
+                "label-dirichlet left a client empty after 2000 redraws",
+            ),
+            ("partition", ["--noniid-label-count", "9"], "c = 9 classes per client exceeds the C = 5 classes"),
+            ("partition", ["--clients", "500", "--iid"], "500 clients cannot each get one of 100 samples"),
+            ("partition", ["--clients", "500", "--noniid-quantity", "1.0"], "500 clients cannot each get one of 100 samples"),
+            ("partition", ["--clients", "2", "--noniid-label-count", "2"], "K*c = 4 < C = 5"),
         ],
         ids=[
             "c-above-classes",
@@ -888,13 +892,13 @@ class TestExitCodes:
             "partition-classes-uncovered",
         ],
     )
-    def test_partition_that_cannot_be_built_exits_2(self, tmp_path, capsys, command, flags):
+    def test_partition_that_cannot_be_built_exits_2(self, tmp_path, capsys, command, flags, message):
         # 5 classes of 20 samples: N = 100, C = 5
         config, _ = write_config(tmp_path, changes={"dataset.synthetic.num_classes": 5, "dataset.synthetic.per_class": 20})
         with deadline(20):  # each case fails within seconds, so a redraw loop that never ends fails the test
             assert main([command, "-c", config, *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: partition: ")
+        assert err.startswith(f"config error: partition: {message}")  # the check that fired, not only its section
         assert err.count("\n") == 1
 
     def test_noise_defect_is_not_a_partition_error(self, tmp_path, monkeypatch):
@@ -1225,7 +1229,7 @@ class TestAnalyze:
         mode = "globalized/asymmetric"
         drop = [
             ["label-dir(alpha=0.5)", mode, repr(eps), repr(ratio)]
-            for eps, ratio in drop_ratio_series(entries, mode, "label-dir(alpha=0.5)")
+            for eps, ratio in drop_ratio_series(entries, "label-dir(alpha=0.5)", mode)
         ]
         sens = [
             [partition, mode, repr(eps), repr(s)]

@@ -105,6 +105,14 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             LabeledDataset(features=np.zeros((2, 1)), labels=[0, 1], num_classes=2, true_labels=[0, 5])
 
+    def test_features_must_be_2d(self):
+        with pytest.raises(ValueError, match=r"features must be 2-D, got shape \(2,\)"):
+            LabeledDataset(features=np.zeros(2), labels=[0, 1], num_classes=2)
+
+    def test_true_labels_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="true_labels length must match labels length"):
+            LabeledDataset(features=np.zeros((2, 1)), labels=[0, 1], num_classes=2, true_labels=[0, 1, 1])
+
 
 class TestCsv:
     def test_small_file(self, tmp_path):

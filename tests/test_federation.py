@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import os
 import signal
@@ -24,7 +25,7 @@ from noisyfl.federation import (
     write_telemetry,
 )
 from noisyfl.localtrain import METHODS, TrainerConfig, train_local, train_local_coteaching
-from noisyfl.models import Layout, ModelParams, Workspace, init_params
+from noisyfl.models import Layout, ModelParams, Workspace, init_params, load_checkpoint, save_checkpoint
 from noisyfl.partition import partition_iid, partition_quantity_skew, restrict
 from noisyfl.rng import derive_seed
 
@@ -519,3 +520,40 @@ class TestTelemetryIO:
         write_telemetry(records, str(path))
         back = read_telemetry(str(path))
         assert back == records
+
+
+class TestCheckpoint:
+    """A checkpoint is a file read from disk, so its reader checks the header and the payload it finds."""
+
+    def saved(self, tmp_path):
+        params = init_params(Layout(dim=2, num_classes=3, hidden=4, activation="relu"), seed=0)
+        path = tmp_path / "final_checkpoint.bin"
+        save_checkpoint(params, str(path), round_t=3, seed=7)
+        return params, path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda header: header.pop("format"), "is not a parameter checkpoint"),
+            (lambda header: header["layout"].update(kind="conv"), "unknown layout kind 'conv'"),
+            (lambda header: header["layout"].update(activation="gelu"), "unsupported activation 'gelu'"),
+        ],
+        ids=["no-magic", "unknown-layout-kind", "unsupported-activation"],
+    )
+    def test_bad_header_rejected(self, tmp_path, edit, message):
+        _, path = self.saved(tmp_path)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+
+    def test_nan_payload_rejected(self, tmp_path):
+        params, path = self.saved(tmp_path)
+        values = params.values.copy()
+        values[5] = np.nan
+        line = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(line + b"\n" + values.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            load_checkpoint(str(path))

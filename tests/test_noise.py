@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestSymmetricMatrix:
 
     def test_eps_out_of_range(self):
         """symmetric_matrix takes the eps NoiseSpec checked where it entered."""
-        with pytest.raises(ValueError, match="eps_global in"):
+        with pytest.raises(ValueError, match="requires 0 <= eps_global <= 1"):
             NoiseSpec(scene="globalized", mode="symmetric", eps_global=1.5)
 
 
@@ -147,6 +149,41 @@ class TestNoiseSpecValidation:
     def test_clean_mode_none(self):
         with pytest.raises(ValueError):
             NoiseSpec(scene="clean", mode="symmetric")
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [
+            dict(scene="globalized", eps_global=math.nan),
+            dict(scene="localized", eps_min=math.nan, eps_max=0.4),
+            dict(scene="localized", eps_min=0.2, eps_max=math.nan),
+        ],
+        ids=["eps_global", "eps_min", "eps_max"],
+    )
+    def test_nan_ratio_rejected(self, ratios):
+        with pytest.raises(ValueError, match=r"requires 0 <= "):
+            NoiseSpec(mode="symmetric", **ratios)
+
+    # (spec, ratio) written from the four-argument nominal_ratio(scene, eps_global, eps_min, eps_max) it replaced
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (dict(scene="globalized", mode="symmetric", eps_global=0.3), 0.3),
+            (dict(scene="globalized", mode="asymmetric", eps_global=1), 1.0),
+            (dict(scene="globalized", mode="symmetric", eps_global=0), 0.0),
+            (dict(scene="localized", mode="symmetric", eps_min=0.2, eps_max=0.4), 0.30000000000000004),
+            (dict(scene="localized", mode="asymmetric", eps_min=0.3, eps_max=0.5), 0.4),
+            (dict(scene="localized", mode="symmetric", eps_min=0, eps_max=1), 0.5),
+            (dict(scene="clean"), 0.0),
+            (dict(scene="realworld"), None),
+        ],
+        ids=[
+            "globalized", "globalized-int-1", "globalized-int-0", "localized-0.2-0.4",
+            "localized-0.3-0.5", "localized-int-0-1", "clean", "realworld",
+        ],
+    )
+    def test_nominal_ratio(self, spec, expected):
+        ratio = NoiseSpec(**spec).nominal_ratio
+        assert ratio == expected and type(ratio) is type(expected)
 
     @pytest.mark.parametrize(
         "scene",

@@ -37,7 +37,7 @@ class TestTrainerConfig:
 
     def test_valid_method_params(self):
         cfg = TrainerConfig(method="sce", method_params={"alpha": 0.2, "beta": 2.0})
-        assert cfg.loss_kind == "sce"
+        assert cfg.method_params == {"alpha": 0.2, "beta": 2.0, "log_clip": -4.0}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -358,7 +358,7 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                     mixed_x, mixed_t = mixup_batch(x, onehot, lam, mix_gen.permutation(len(idx)), buffers)
                     loss, work = fresh_backward(nets[0], mixed_x, mixed_t, "soft_ce", weight_decay=cfg.weight_decay)
                 else:
-                    loss, work = fresh_backward(nets[0], x, y, cfg.loss_kind, cfg.method_params, cfg.weight_decay)
+                    loss, work = fresh_backward(nets[0], x, y, cfg.method, cfg.method_params, cfg.weight_decay)
                 works = [work]
                 batch_losses.append(loss)
             for i, work in enumerate(works):
