@@ -42,8 +42,10 @@ plan.json, client_histograms.csv, noisy_dataset.npy and test_dataset.npy.
 ``partition`` prints the histograms of that split and writes nothing.
 The intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
 import format of user datasets.  All output bytes are a pure function of
-the config and master seed: JSON is dumped with sorted keys, CSVs use
-fixed formatting, and no timestamps or absolute paths are recorded.
+the config and master seed: every JSON artifact goes through
+:func:`write_json` (sorted keys), every CSV artifact through
+:func:`write_csv` (fixed formatting), and no timestamps or absolute paths
+are recorded.
 
 A co-teaching config that sets no ``forget_rate`` trains with the run's
 noise ratio (the noise spec's :attr:`~noisyfl.noise.NoiseSpec.nominal_ratio`,
@@ -61,9 +63,10 @@ manifest's inputs are the noise manifest's outputs.  Its key for a run is
 accuracy is the mean last-k accuracy of the selected lr.
 
 Exit codes: 0 success, 2 config validation, 3 artifact mismatch,
-4 numerical abort, 1 anything else (an unreadable file, or memory that
-runs out).  A CSV dataset is part of the config: a file that does not
-parse, labels that are not contiguous from 0, a test set whose width or
+4 numerical abort, 1 anything else (an unreadable or malformed file, say
+a plan.json that does not hold the config's clients, or memory that runs
+out).  A CSV dataset is part of the config: a file that does not parse,
+labels that are not contiguous from 0, a test set whose width or
 classes the training set does not share or, for ``train`` and
 ``pipeline``, no test set exit 2 at the CSV's config field, before any
 stage writes.
@@ -95,14 +98,16 @@ from .errors import (
     DegeneratePartitionError,
     NoisyFLError,
     NumericalAbortError,
+    ParseError,
 )
-from .federation import FedConfig, run_federation, write_telemetry
+from .federation import FedConfig, RoundRecord, run_federation
 from .models import layout_from_dict, save_checkpoint
 from .noise import RATIOS, NoiseSpec, asymmetric_matrix, run_scene
-from .partition import SCHEME_PARAM, PartitionSpec, load_plan, save_plan
+from .partition import SCHEME_PARAM, PartitionPlan, PartitionSpec
 
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
+TELEMETRY_COLUMNS = ["round", "test_accuracy", "grad_norm", "mean_client_loss", "selected_clients"]
 TMP_SUFFIX = ".tmp"
 SEAL = "manifest_sha256"  # a manifest's sha256 of its canonical JSON without this key
 
@@ -142,6 +147,59 @@ def write_atomic(path: str, write) -> None:
     tmp = path + TMP_SUFFIX
     write(tmp)
     os.replace(tmp, path)
+
+
+def save_plan(plan: PartitionPlan, path: str) -> None:
+    """Write plan.json: the scheme, its params and seed, and each client's sorted indices."""
+    clients = [c.tolist() for c in plan.clients]
+    write_json({"scheme": plan.scheme, "params": plan.params, "seed": plan.seed, "clients": clients}, path)
+
+
+def load_plan(path: str, n: int, num_clients: int) -> PartitionPlan:
+    """Read plan.json; raise ParseError unless it holds ``num_clients`` disjoint, non-empty clients of ``n`` samples."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        clients = [np.asarray(c, dtype=np.int64) for c in doc["clients"]]
+        plan = PartitionPlan(clients, doc["scheme"], doc["params"], int(doc["seed"]))
+        if plan.num_clients != num_clients:
+            raise ValueError(f"plan has {plan.num_clients} clients, federation.num_clients is {num_clients}")
+        plan.validate(n)
+    except KeyError as exc:
+        raise ParseError(f"{path}: no {exc} key") from None
+    except (TypeError, ValueError, IndexError, OverflowError, DegeneratePartitionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return plan
+
+
+def write_telemetry(records: list[RoundRecord], path: str) -> None:
+    """Write telemetry.csv: one row per round; floats keep full precision, client ids are ';'-joined."""
+    rows = [
+        [
+            rec.round,
+            "" if rec.test_accuracy is None else repr(rec.test_accuracy),
+            repr(rec.grad_norm),
+            repr(rec.mean_client_loss),
+            ";".join(str(c) for c in rec.selected_clients),
+        ]
+        for rec in records
+    ]
+    write_csv(TELEMETRY_COLUMNS, rows, path)
+
+
+def read_telemetry(path: str) -> list[RoundRecord]:
+    """The round records of a telemetry.csv that :func:`write_telemetry` wrote."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            RoundRecord(
+                round=int(row["round"]),
+                test_accuracy=float(row["test_accuracy"]) if row["test_accuracy"] else None,
+                grad_norm=float(row["grad_norm"]),
+                selected_clients=tuple(int(c) for c in row["selected_clients"].split(";") if c),
+                mean_client_loss=float(row["mean_client_loss"]),
+            )
+            for row in csv.DictReader(fh)
+        ]
 
 
 def _digest(doc) -> str:
@@ -341,11 +399,9 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
 
     @functools.cache
     def load_inputs():
-        return (
-            load_npy(os.path.join(out, "noisy_dataset.npy")),
-            load_plan(os.path.join(out, "plan.json")),
-            load_npy(os.path.join(out, "test_dataset.npy")),
-        )
+        noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
+        plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
+        return noisy, plan, load_npy(os.path.join(out, "test_dataset.npy"))
 
     trainer = with_forget_rate(cfg.federation.trainer, _noise_ratio_estimate(cfg.noise, noise))
     federation = dataclasses.replace(cfg.federation, trainer=trainer)

@@ -50,6 +50,6 @@ class ArtifactMismatchError(NoisyFLError):
 class NumericalAbortError(NoisyFLError):
     """Training produced non-finite parameters; carries the failing round."""
 
-    def __init__(self, round_t: int, message: str = "non-finite parameters"):
+    def __init__(self, round_t: int):
         self.round_t = round_t
-        super().__init__(f"{message} at round {round_t}")
+        super().__init__(f"non-finite parameters at round {round_t}")

@@ -21,7 +21,6 @@ gives the caller fewer shard rows on a round that evaluates.
 from __future__ import annotations
 
 import contextlib
-import csv
 import gc
 import math
 import os
@@ -328,42 +327,3 @@ def run_federation(
             )
         records.append(settled(pending, global_params))
     return records, global_params
-
-
-TELEMETRY_COLUMNS = ("round", "test_accuracy", "grad_norm", "mean_client_loss", "selected_clients")
-
-
-def write_telemetry(records: list[RoundRecord], path: str) -> None:
-    """Telemetry CSV; floats keep full precision, client ids are ';'-joined."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TELEMETRY_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.round,
-                    "" if rec.test_accuracy is None else repr(rec.test_accuracy),
-                    repr(rec.grad_norm),
-                    repr(rec.mean_client_loss),
-                    ";".join(str(c) for c in rec.selected_clients),
-                ]
-            )
-
-
-def read_telemetry(path: str) -> list[RoundRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(
-                RoundRecord(
-                    round=int(row["round"]),
-                    test_accuracy=float(row["test_accuracy"]) if row["test_accuracy"] else None,
-                    grad_norm=float(row["grad_norm"]),
-                    selected_clients=tuple(
-                        int(c) for c in row["selected_clients"].split(";") if c
-                    ),
-                    mean_client_loss=float(row["mean_client_loss"]),
-                )
-            )
-    return records

@@ -72,6 +72,8 @@ def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict | Non
     elif kind == "mae":  # |onehot - p|_1 = 2(1 - p_y)
         np.subtract(1.0, p_label, out=out)
         out *= 2.0
+    elif kind != "ce":
+        raise ValueError(f"unknown loss kind {kind!r}")
     return p_label
 
 

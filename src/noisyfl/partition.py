@@ -5,8 +5,7 @@ each with a named stream of its own.  It cuts each set at per-client counts
 and hands the rest round-robin to clients in a given order, or drops it.
 IID and quantity skew cut one global permutation and drop the rest; label
 Dirichlet and label quantity cut each class and deal its leftovers.  Every
-scheme is a pure function of (dataset, parameters, seed), and index lists
-are stored sorted ascending so plan files diff canonically.
+scheme is a pure function of (dataset, parameters, seed).
 
 The two Dirichlet schemes redraw their shares (up to a fixed budget) while
 a client would come out empty, since aggregation weights by client size;
@@ -18,7 +17,6 @@ samples a sample each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +53,7 @@ def gamma_dirichlet(gen: np.random.Generator, alpha: float, size: int) -> np.nda
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Disjoint per-client sample-index lists plus the scheme that made them."""
+    """Disjoint per-client sample-index lists, each sorted ascending, plus the scheme that made them."""
 
     clients: list[np.ndarray]
     scheme: str
@@ -261,28 +259,4 @@ def restrict(ds: LabeledDataset, plan: PartitionPlan, k: int) -> LabeledDataset:
         labels=ds.labels[idx],
         num_classes=ds.num_classes,
         true_labels=ds.true_labels[idx] if ds.true_labels is not None else None,
-    )
-
-
-def save_plan(plan: PartitionPlan, path: str) -> None:
-    """Write the canonical plan JSON (sorted indices, sorted keys)."""
-    doc = {
-        "scheme": plan.scheme,
-        "params": plan.params,
-        "seed": plan.seed,
-        "clients": [c.tolist() for c in plan.clients],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_plan(path: str) -> PartitionPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return PartitionPlan(
-        clients=[np.asarray(c, dtype=np.int64) for c in doc["clients"]],
-        scheme=doc["scheme"],
-        params=doc["params"],
-        seed=int(doc["seed"]),
     )

@@ -10,9 +10,10 @@ from noisyfl.analysis import (
     sensitivity,
     sensitivity_series,
 )
+from noisyfl.cli import read_telemetry, write_telemetry
 from noisyfl.datasets import make_synthetic_blobs
 from noisyfl.errors import NoisyFLError
-from noisyfl.federation import FedConfig, RoundRecord, read_telemetry, run_federation, write_telemetry
+from noisyfl.federation import FedConfig, RoundRecord, run_federation
 from noisyfl.localtrain import TrainerConfig
 from noisyfl.models import Layout, init_params
 from noisyfl.noise import NoiseSpec, run_scene

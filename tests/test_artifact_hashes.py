@@ -30,7 +30,7 @@ NAMES = {
     ("label-dir", "localized-asymmetric"): "localized-asymmetric",
 }
 # schemes whose settings only test_golden.py's test_run_keeps_its_bytes checks
-RETIRED = {"iid", "quantity-skew"}
+RETIRED = {"iid", "label-quantity", "quantity-skew"}
 # test id -> golden run
 CASES = {
     NAMES.get(pair, "/".join(pair)): "/".join(pair)

@@ -33,14 +33,13 @@ from noisyfl import cli, federation
 from noisyfl import config as config_module
 from noisyfl import noise as noise_module
 from noisyfl.analysis import drop_ratio_series, sensitivity_series
-from noisyfl.cli import main, sha256_file
+from noisyfl.cli import load_plan, main, sha256_file
 from noisyfl.config import load_config, set_by_path
 from noisyfl.datasets import load_csv, load_npy, make_synthetic_blobs, save_csv
 from noisyfl.federation import run_federation
 from noisyfl.localtrain import METHODS
 from noisyfl.models import layout_from_dict, load_checkpoint
 from noisyfl.noise import run_scene
-from noisyfl.partition import load_plan
 from noisyfl.rng import derive_seed
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -643,6 +642,33 @@ class TestExitCodes:
             fh.truncate(os.path.getsize(path) // 2)
         assert main(["train", "-c", config]) == 3
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc, n: doc["clients"][0].append(n), "plan contains indices outside the dataset"),
+            (lambda doc, n: doc["clients"][1].append(doc["clients"][0][0]), "plan assigns some index to more than one client"),
+            (lambda doc, n: doc["clients"][0].clear(), "plan contains an empty client"),
+            (lambda doc, n: doc.pop("scheme"), "no 'scheme' key"),
+            (lambda doc, n: doc["clients"].pop(), "plan has 2 clients, federation.num_clients is 3"),
+        ],
+        ids=["index-at-n", "index-held-twice", "empty-client", "missing-key", "one-client-too-few"],
+    )
+    def test_malformed_plan_exits_1(self, tmp_path, capsys, edit, message):
+        """train checks the plan.json that a resealed noise manifest lists: one error line naming it, and no training."""
+        config, out = write_config(tmp_path)
+        assert main(["noise", "-c", config]) == 0
+        path = os.path.join(out, "plan.json")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc, len(load_npy(os.path.join(out, "noisy_dataset.npy"))))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        outputs = _value_at(out, "noise_manifest.json", "outputs")
+        edit_json(out, "noise_manifest.json", "outputs", {**outputs, "plan.json": sha256_file(path)})
+        assert main(["train", "-c", config]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not os.path.exists(os.path.join(out, "train"))
+
     @pytest.mark.parametrize("command", ["pipeline", "train"])
     def test_noise_manifest_without_the_test_set_exits_3(self, tmp_path, capsys, command):
         """The skip rule passes a manifest whose listed outputs are intact, so the train stage checks what it reads."""
@@ -1148,7 +1174,7 @@ class TestArtifacts:
         cfg = load_config(config, {})
         noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
         test = load_npy(os.path.join(out, "test_dataset.npy"))
-        plan = load_plan(os.path.join(out, "plan.json"))
+        plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
         fed_seed = derive_seed(cfg.seed, "federate", 0)
         fed_cfg = dataclasses.replace(cfg.federation, seed=fed_seed)
         layout = layout_from_dict({**cfg.model, "dim": noisy.dim, "num_classes": noisy.num_classes})
@@ -1315,9 +1341,10 @@ class TestAnalyze:
 def client_counts(out: str) -> str:
     """client_histograms.csv text recounted from the true labels of noisy_dataset.npy over the clients of plan.json."""
     ds = load_npy(os.path.join(out, "noisy_dataset.npy"))
-    plan = load_plan(os.path.join(out, "plan.json"))
+    with open(os.path.join(out, "plan.json"), encoding="utf-8") as fh:
+        clients = json.load(fh)["clients"]
     lines = [",".join(["client"] + [f"class_{c}" for c in range(ds.num_classes)])]
-    for k, idx in enumerate(plan.clients):
+    for k, idx in enumerate(clients):
         counts = np.bincount(ds.true_labels[idx], minlength=ds.num_classes)
         lines.append(",".join(str(v) for v in [k, *counts]))
     return "\n".join(lines) + "\n"
@@ -1466,7 +1493,8 @@ class TestForkedPipeline:
         assert (parallel / "run.json").read_bytes() == (serial / "run.json").read_bytes()
         # with two usable CPUs or more the parallel run forks, as its federation is over the threshold
         trainer = SMALL["federation"]["trainer"]
-        shard_batches = np.mean(-(-load_plan(str(parallel / "plan.json")).sizes() // trainer["batch_size"]))
+        sizes = np.array([len(c) for c in json.loads((parallel / "plan.json").read_text())["clients"]])
+        shard_batches = np.mean(-(-sizes // trainer["batch_size"]))
         batches = FORKING["federation.rounds"] * FORKING["federation.num_clients"] * trainer["epochs"] * shard_batches
         assert batches >= federation.FORK_MIN_BATCHES
 

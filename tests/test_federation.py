@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_builds, naive_softmax_forward
+from noisyfl.cli import read_telemetry, write_telemetry
 from noisyfl.datasets import LabeledDataset, make_synthetic_blobs
 from noisyfl import federation
 from noisyfl.errors import NoisyFLError, NumericalAbortError
@@ -19,10 +20,8 @@ from noisyfl.federation import (
     FedConfig,
     aggregate,
     evaluate,
-    read_telemetry,
     run_federation,
     select_clients,
-    write_telemetry,
 )
 from noisyfl.localtrain import METHODS, TrainerConfig, train_local, train_local_coteaching
 from noisyfl.models import Layout, ModelParams, Workspace, init_params, load_checkpoint, save_checkpoint

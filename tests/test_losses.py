@@ -106,6 +106,13 @@ class TestLossValues:
         loss, work = loss_and_work(probs, labels, "ce")
         assert loss == pytest.approx(work.per_sample.mean(), abs=1e-10)
 
+    def test_unknown_kind_is_refused(self):
+        """A kind with no loss definition raises instead of averaging a buffer no loss wrote."""
+        layout = Layout(dim=3, num_classes=3)
+        params, work = init_params(layout, seed=0), Workspace(layout, rows=4)
+        with pytest.raises(ValueError, match="unknown loss kind 'nope'"):
+            backward(params, np.zeros((4, 3)), np.zeros(4, dtype=int), kind="nope", weight_decay=0.0, work=work)
+
     def test_soft_ce_equals_hard_ce_on_one_hot(self):
         gen = np.random.default_rng(2)
         probs = random_probs(gen, 5, 3)

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from noisyfl import partition, rng
+from noisyfl.cli import load_plan, save_plan
 from noisyfl.datasets import LabeledDataset, class_histogram, make_synthetic_blobs
 from noisyfl.errors import DegeneratePartitionError
 from noisyfl.partition import (
     PartitionPlan,
     PartitionSpec,
     gamma_dirichlet,
-    load_plan,
     make_partition,
     partition_iid,
     partition_label_dirichlet,
     partition_label_quantity,
     partition_quantity_skew,
     restrict,
-    save_plan,
 )
 
 
@@ -361,7 +360,7 @@ class TestPlanProperties:
         plan = partition_label_quantity(ds, 4, c=2, seed=9)
         path = tmp_path / "plan.json"
         save_plan(plan, str(path))
-        back = load_plan(str(path))
+        back = load_plan(str(path), len(ds), 4)
         assert back.scheme == plan.scheme
         assert back.params == plan.params
         assert back.seed == plan.seed
