@@ -103,7 +103,7 @@ from .errors import (
 from .federation import FedConfig, RoundRecord, run_federation
 from .models import layout_from_dict, save_checkpoint
 from .noise import RATIOS, NoiseSpec, asymmetric_matrix, run_scene
-from .partition import SCHEME_PARAM, PartitionPlan, PartitionSpec
+from .partition import SCHEMES, PartitionPlan, PartitionSpec
 
 SUMMARY_LAST_K = 10
 SUMMARY_HEADER = ["lr", "repeats", "last_k", "mean_accuracy", "std_accuracy", "formatted"]
@@ -115,14 +115,9 @@ SEAL = "manifest_sha256"  # a manifest's sha256 of its canonical JSON without th
 # ---------------------------------------------------------------- artifact I/O
 
 def sha256_file(path: str) -> str:
-    """The file's sha256, read through one 1 MiB buffer that every chunk reuses."""
-    digest = hashlib.sha256()
-    buffer = bytearray(1 << 20)
-    view = memoryview(buffer)
+    """The file's sha256, read through one 256 KiB buffer that every chunk reuses."""
     with open(path, "rb") as fh:
-        while size := fh.readinto(buffer):
-            digest.update(view[:size])
-    return "sha256:" + digest.hexdigest()
+        return "sha256:" + hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_json(doc: dict, path: str) -> None:
@@ -156,11 +151,13 @@ def save_plan(plan: PartitionPlan, path: str) -> None:
 
 
 def load_plan(path: str, n: int, num_clients: int) -> PartitionPlan:
-    """Read plan.json; raise ParseError unless it holds ``num_clients`` disjoint, non-empty clients of ``n`` samples."""
+    """Read plan.json; raise ParseError unless it holds ``num_clients`` disjoint, non-empty integer lists below ``n``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        clients = [np.asarray(c, dtype=np.int64) for c in doc["clients"]]
+        clients = [np.asarray(c) for c in doc["clients"]]
+        if any(len(c) and c.dtype.kind not in "iu" for c in clients):  # an empty list parses as float
+            raise ValueError("plan contains an index that is not an integer")
         plan = PartitionPlan(clients, doc["scheme"], doc["params"], int(doc["seed"]))
         if plan.num_clients != num_clients:
             raise ValueError(f"plan has {plan.num_clients} clients, federation.num_clients is {num_clients}")
@@ -461,8 +458,7 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         typed += [(value, float) for value in eps.values()]
         if any(value is not None and (type(value) is not kind or not math.isfinite(value)) for value, kind in typed):
             raise ValueError("a recorded number is not finite or not of its type")
-        param = SCHEME_PARAM[spec.scheme]
-        partition = spec.scheme if param is None else f"{spec.scheme}({param}={getattr(spec, param)!r})"
+        partition = spec.scheme + "".join(f"({name}={value!r})" for name, value in spec.params.items())
         # eps to 9 decimals, so that a localized (0.2, 0.4) run's midpoint 0.30000000000000004 is the grid point 0.3
         key = (partition, f"{noise_spec.scene}/{noise_spec.mode}", round(_noise_ratio_estimate(noise_spec, noise), 9))
         if type(accuracy) is not float or not 0.0 <= accuracy <= 1.0:  # NaN fails the range too
@@ -587,7 +583,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     for flag, _, _, scheme, _ in PARTITION_FLAGS:
         value = getattr(args, _dest(flag), None)
         if value is not None:
-            param = SCHEME_PARAM[scheme]
+            param = SCHEMES[scheme][0]
             overrides["partition"] = {"scheme": scheme} if param is None else {"scheme": scheme, param: value}
     return overrides
 

@@ -141,25 +141,9 @@ def _usable_cpus() -> int:
 
 
 def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
+    view = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
     while view:
         view = view[os.write(fd, view) :]
-
-
-def _read(fd: int, n: int) -> bytearray:
-    """Exactly ``n`` bytes of ``fd``; EOFError once every writer is gone."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            raise EOFError
-        buf += chunk
-    return buf
-
-
-def _recv(fd: int):
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
 
 
 # An evaluated test row costs about a fifth of a trained shard row-epoch: on io_heavy a
@@ -186,9 +170,10 @@ def _split(selected: list[int], sizes, processes: int, head_start: float) -> lis
 def _workers(count: int, serve):
     """``count`` forked children running ``serve(requests, replies)``; yields each one's (pid, requests, replies).
 
+    Requests and replies are pickle streams: :func:`_send` writes one to an fd, ``pickle.load`` reads it from a file.
     A child closes the caller's pipe ends, so that the caller's death gives it EOF, and leaves only by ``os._exit``.
     """
-    workers: list[tuple[int, int, int]] = []
+    workers: list[tuple] = []  # (pid, request fd, reply file)
     gc.freeze()  # the collector then writes to none of the pages the children share
     try:
         for _ in range(count):
@@ -201,19 +186,20 @@ def _workers(count: int, serve):
                 raise
             if pid == 0:
                 try:
-                    for fd in [req_w, rep_r] + [fd for _, w, r in workers for fd in (w, r)]:
+                    for fd in [req_w, rep_r] + [fd for _, w, r in workers for fd in (w, r.fileno())]:
                         os.close(fd)
-                    serve(req_r, rep_w)
+                    with os.fdopen(req_r, "rb") as requests:
+                        serve(requests, rep_w)
                 finally:
                     os._exit(0)
             os.close(req_r)
             os.close(rep_w)
-            workers.append((pid, req_w, rep_r))
+            workers.append((pid, req_w, os.fdopen(rep_r, "rb")))
         yield workers
     finally:
-        for _, req_w, rep_r in workers:
+        for _, req_w, replies in workers:
             os.close(req_w)
-            os.close(rep_r)
+            replies.close()
         for pid, _, _ in workers:
             os.waitpid(pid, 0)
         gc.unfreeze()
@@ -266,10 +252,10 @@ def run_federation(
             updates.append(ClientUpdate(k, model.values, peer, mean_loss))
         return updates
 
-    def serve(requests: int, replies: int) -> None:
+    def serve(requests, replies: int) -> None:
         with contextlib.suppress(EOFError):  # the caller closed its end
             while True:
-                job = _recv(requests)
+                job = pickle.load(requests)
                 try:
                     reply = train_share(*job)
                 except Exception as exc:  # raised again in the caller, with this traceback as a note
@@ -302,13 +288,13 @@ def run_federation(
                     records.append(settled(pending, global_params))
                 updates = train_share(round_t, global_params, jobs[0])
                 for _, _, replies in workers:
-                    reply = _recv(replies)
+                    reply = pickle.load(replies)
                     if isinstance(reply, Exception):
                         raise reply
                     updates += reply
             except FloatingPointError as exc:
                 raise NumericalAbortError(round_t) from exc
-            except (EOFError, BrokenPipeError) as exc:
+            except (EOFError, pickle.UnpicklingError, BrokenPipeError) as exc:  # no reply, or one cut short
                 raise NoisyFLError(f"a training worker exited during round {round_t}") from exc
             updates.sort(key=lambda u: u.client)  # selection order, as select_clients sorts
             peers.update((u.client, u.peer) for u in updates)  # None but for co-teaching

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import rng
 from .datasets import LabeledDataset
-from .losses import _per_sample, backward, backward_cached, one_hot
+from .losses import backward, backward_cached, one_hot, row_losses
 from .models import ModelParams, Workspace, forward_cached
 
 METHODS = ("ce", "mixup", "sce", "gce", "mae", "coteaching")
@@ -266,7 +266,7 @@ def train_local_coteaching(
         b = len(x)
         probs = forward_cached(stack, x, work)
         per = work.per_sample[: 2 * b]
-        _per_sample(probs, np.concatenate((y, y)), "ce", {}, per, work.row_ids[: 2 * b])
+        row_losses(probs, np.concatenate((y, y)), "ce", {}, per, work.row_ids[: 2 * b])
         kept = [small_loss_selection(per[:b], keep_fraction), small_loss_selection(per[b:], keep_fraction)]
         peers = np.array(kept[::-1])  # row s: the rows network s steps on
         work.keep(peers)

@@ -45,7 +45,7 @@ def _mean(per_sample: np.ndarray, networks: int) -> float:
     return float(np.add.reduce(means) / networks)
 
 
-def _per_sample(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict | None, out: np.ndarray, row_ids: np.ndarray):
+def row_losses(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict | None, out: np.ndarray, row_ids: np.ndarray):
     """Each row's loss, written into ``out``; returns p_y (None for soft_ce).
 
     ``labels`` is a soft-target matrix for soft_ce; ``row_ids`` is
@@ -141,7 +141,7 @@ def backward_cached(
     b = work.x.shape[-2]  # rows per network
     n = work.networks * b
     probs, per, row_ids = work.probs[:n], work.per_sample[:n], work.row_ids[:n]
-    p_label = _per_sample(probs, labels, kind, method_params, per, row_ids)
+    p_label = row_losses(probs, labels, kind, method_params, per, row_ids)
     _logit_gap(probs, labels, kind, method_params, p_label, row_ids, work.row_scale[:n])
     probs /= b  # the gradient of each network's batch mean
     loss = _mean(per, work.networks)

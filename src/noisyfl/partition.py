@@ -1,5 +1,9 @@
 """Client index partitioning: IID plus three non-IID skew schemes.
 
+:func:`make_partition` is the one entry: it checks K <= N before any draw
+(no draw could give more clients than samples a sample each), then runs
+the split that ``SCHEMES`` names for the scheme and builds the one plan.
+
 Every scheme follows one split rule.  It shuffles sets of sample indices,
 each with a named stream of its own.  It cuts each set at per-client counts
 and hands the rest round-robin to clients in a given order, or drops it.
@@ -10,9 +14,7 @@ scheme is a pure function of (dataset, parameters, seed).
 The two Dirichlet schemes redraw their shares (up to a fixed budget) while
 a client would come out empty, since aggregation weights by client size;
 redraw ``a`` of seed ``s`` uses streams of its own, ``stream(s, <name>,
-"redraw", a)``, never the streams of another seed.  Every scheme checks
-K <= N before its first draw: no draw could give more clients than
-samples a sample each.
+"redraw", a)``, never the streams of another seed.
 """
 
 from __future__ import annotations
@@ -24,14 +26,6 @@ import numpy as np
 from . import rng
 from .datasets import LabeledDataset
 from .errors import DegeneratePartitionError
-
-SCHEME_IID = "iid"
-SCHEME_QUANTITY = "quantity-skew"
-SCHEME_LABEL_DIR = "label-dir"
-SCHEME_LABEL_QUANTITY = "label-quantity"
-SCHEMES = (SCHEME_IID, SCHEME_QUANTITY, SCHEME_LABEL_DIR, SCHEME_LABEL_QUANTITY)
-# the one parameter each scheme takes, if any
-SCHEME_PARAM = {SCHEME_IID: None, SCHEME_QUANTITY: "alpha", SCHEME_LABEL_DIR: "alpha", SCHEME_LABEL_QUANTITY: "c"}
 
 # Redraw budget when a sampled share vector leaves a client empty.  Dirichlet
 # shares at small alpha are sparse enough that floor(q_k*N) = 0 happens for
@@ -94,13 +88,20 @@ class PartitionSpec:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown partition scheme {self.scheme!r}; must be one of {list(SCHEMES)}")
-        stray = [name for name in ("alpha", "c") if name != SCHEME_PARAM[self.scheme] and getattr(self, name) is not None]
+        param = SCHEMES[self.scheme][0]
+        stray = [name for name in ("alpha", "c") if name != param and getattr(self, name) is not None]
         if stray:
             raise ValueError(f"scheme {self.scheme} takes no {' or '.join(stray)}")
-        if self.scheme in (SCHEME_QUANTITY, SCHEME_LABEL_DIR) and (self.alpha is None or not self.alpha > 0):
+        if param == "alpha" and (self.alpha is None or not self.alpha > 0):
             raise ValueError(f"scheme {self.scheme} requires alpha > 0")
-        if self.scheme == SCHEME_LABEL_QUANTITY and (self.c is None or self.c < 1):
-            raise ValueError("scheme label-quantity requires c >= 1")
+        if param == "c" and (self.c is None or self.c < 1):
+            raise ValueError(f"scheme {self.scheme} requires c >= 1")
+
+    @property
+    def params(self) -> dict:
+        """The scheme's parameter as plan.json records it: ``{}`` or ``{name: value}``, alpha a float and c an int."""
+        param = SCHEMES[self.scheme][0]
+        return {} if param is None else {param: float(self.alpha) if param == "alpha" else int(self.c)}
 
 
 def _redraw(attempt: int) -> tuple:
@@ -132,25 +133,24 @@ def _assign(seed: int, groups: list, owners: list[np.ndarray], num_clients: int,
     return [shuffled[owners == k] for k in range(num_clients)]
 
 
-def _dirichlet_split(scheme: str, groups: list, num_clients: int, alpha: float, seed: int) -> list[np.ndarray]:
+def _dirichlet_split(
+    label: str, shares: str, deals: bool, groups: list, num_clients: int, alpha: float, seed: int
+) -> list[np.ndarray]:
     """Cut each group at floor(q_k * N_g) for Dirichlet(alpha) shares q of its own, redrawing while a client is empty.
 
-    Label Dirichlet deals a group's leftovers over clients by ascending
-    fractional deficit, ties by client index; quantity skew drops them.
-    A client's size depends only on the shares, so an attempt draws them
-    and cuts; only the accepted attempt shuffles the groups.
+    The shares come from stream ``shares``.  With ``deals``, a group's
+    leftovers go over clients by ascending fractional deficit, ties by
+    client index; without, they are dropped.  A client's size depends only
+    on the shares, so an attempt draws them and cuts; only the accepted
+    attempt shuffles the groups.  ``label`` names the scheme in the error.
     """
-    label, shares = {
-        SCHEME_QUANTITY: ("quantity skew", "quantity-shares"),
-        SCHEME_LABEL_DIR: ("label-dirichlet", "labeldir-shares"),
-    }[scheme]
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
         gen = rng.stream(seed, shares, *_redraw(attempt))
         owners = []
         for _, members in groups:
             targets = gamma_dirichlet(gen, alpha, num_clients) * len(members)
             counts = np.floor(targets).astype(np.int64)
-            deal = np.lexsort((np.arange(num_clients), targets - counts)) if scheme == SCHEME_LABEL_DIR else None
+            deal = np.lexsort((np.arange(num_clients), targets - counts)) if deals else None
             owners.append(_cut(len(members), counts, deal))
         if np.isin(np.arange(num_clients), np.concatenate(owners)).all():
             return _assign(seed, groups, owners, num_clients, _redraw(attempt))
@@ -160,41 +160,35 @@ def _dirichlet_split(scheme: str, groups: list, num_clients: int, alpha: float, 
     )
 
 
-def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> PartitionPlan:
+def _iid_split(ds: LabeledDataset, num_clients: int, seed: int) -> list[np.ndarray]:
     """Global shuffle, then K blocks of floor(N/K); the remainder is unassigned."""
     n = len(ds)
-    _check_client_count(n, num_clients)
     owners = _cut(n, np.full(num_clients, n // num_clients))
-    clients = _assign(seed, [(("iid",), np.arange(n))], [owners], num_clients)
-    return PartitionPlan(clients=clients, scheme=SCHEME_IID, params={}, seed=seed)
+    return _assign(seed, [(("iid",), np.arange(n))], [owners], num_clients)
 
 
-def partition_quantity_skew(ds: LabeledDataset, num_clients: int, alpha: float, seed: int) -> PartitionPlan:
+def _quantity_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: float) -> list[np.ndarray]:
     """One Dirichlet(alpha) share vector sizes the clients; class mix untouched.
 
     Client k gets a contiguous block of floor(q_k * N) globally shuffled
     indices; floor remainders are dropped.
     """
-    n = len(ds)
-    _check_client_count(n, num_clients)
-    clients = _dirichlet_split(SCHEME_QUANTITY, [(("quantity-shuffle",), np.arange(n))], num_clients, alpha, seed)
-    return PartitionPlan(clients=clients, scheme=SCHEME_QUANTITY, params={"alpha": float(alpha)}, seed=seed)
+    groups = [(("quantity-shuffle",), np.arange(len(ds)))]
+    return _dirichlet_split("quantity skew", "quantity-shares", False, groups, num_clients, alpha, seed)
 
 
-def partition_label_dirichlet(ds: LabeledDataset, num_clients: int, alpha: float, seed: int) -> PartitionPlan:
+def _label_dir_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: float) -> list[np.ndarray]:
     """Per-class Dirichlet(alpha) shares give each client a slice of every class.
 
     Class i is shuffled once, split at floor(q_ik * N_i); per-class leftovers
     go round-robin over clients ordered by ascending fractional deficit.
     """
-    _check_client_count(len(ds), num_clients)
     classes = [(cls, np.flatnonzero(ds.labels == cls)) for cls in range(ds.num_classes)]
     groups = [(("labeldir-class", cls), members) for cls, members in classes if len(members)]
-    clients = _dirichlet_split(SCHEME_LABEL_DIR, groups, num_clients, alpha, seed)
-    return PartitionPlan(clients=clients, scheme=SCHEME_LABEL_DIR, params={"alpha": float(alpha)}, seed=seed)
+    return _dirichlet_split("label-dirichlet", "labeldir-shares", True, groups, num_clients, alpha, seed)
 
 
-def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed: int) -> PartitionPlan:
+def _label_quantity_split(ds: LabeledDataset, num_clients: int, seed: int, c: int) -> list[np.ndarray]:
     """Assign exactly c distinct classes per client, then split each class evenly.
 
     Coverage first: shuffled classes are dealt one each to shuffled clients,
@@ -202,7 +196,6 @@ def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed:
     Samples of a class held by m clients split floor(N_i/m) each, leftover
     round-robin (ascending deficit, ties by client index).
     """
-    _check_client_count(len(ds), num_clients)
     num_classes = ds.num_classes
     if c > num_classes:
         raise DegeneratePartitionError(f"c = {c} classes per client exceeds the C = {num_classes} classes")
@@ -235,20 +228,24 @@ def partition_label_quantity(ds: LabeledDataset, num_clients: int, c: int, seed:
     clients = _assign(seed, groups, owners, num_clients)
     if min(len(cl) for cl in clients) < 1:
         raise DegeneratePartitionError("label-quantity produced an empty client")
-    return PartitionPlan(
-        clients=clients, scheme=SCHEME_LABEL_QUANTITY, params={"c": int(c)}, seed=seed
-    )
+    return clients
+
+
+# scheme -> (its one parameter or None, its split(ds, num_clients, seed[, parameter]))
+SCHEMES = {
+    "iid": (None, _iid_split),
+    "quantity-skew": ("alpha", _quantity_split),
+    "label-dir": ("alpha", _label_dir_split),
+    "label-quantity": ("c", _label_quantity_split),
+}
 
 
 def make_partition(ds: LabeledDataset, num_clients: int, spec: PartitionSpec, seed: int) -> PartitionPlan:
-    """Dispatch to the scheme named by ``spec``."""
-    if spec.scheme == SCHEME_IID:
-        return partition_iid(ds, num_clients, seed)
-    if spec.scheme == SCHEME_QUANTITY:
-        return partition_quantity_skew(ds, num_clients, spec.alpha, seed)
-    if spec.scheme == SCHEME_LABEL_DIR:
-        return partition_label_dirichlet(ds, num_clients, spec.alpha, seed)
-    return partition_label_quantity(ds, num_clients, spec.c, seed)
+    """The plan of the scheme named by ``spec``; K <= N is checked before the scheme draws."""
+    param, split = SCHEMES[spec.scheme]
+    _check_client_count(len(ds), num_clients)
+    clients = split(ds, num_clients, seed) if param is None else split(ds, num_clients, seed, getattr(spec, param))
+    return PartitionPlan(clients, spec.scheme, spec.params, seed)
 
 
 def restrict(ds: LabeledDataset, plan: PartitionPlan, k: int) -> LabeledDataset:

@@ -626,6 +626,9 @@ class TestStageKeys:
         assert str(tmp_path).encode() not in stamped[0]["noise_manifest.json"][2]
 
 
+NOT_INTEGER = "plan contains an index that is not an integer"
+
+
 class TestExitCodes:
     def test_tampered_noisy_dataset_exits_3(self, tmp_path):
         config, out = write_config(tmp_path)
@@ -650,8 +653,18 @@ class TestExitCodes:
             (lambda doc, n: doc["clients"][0].clear(), "plan contains an empty client"),
             (lambda doc, n: doc.pop("scheme"), "no 'scheme' key"),
             (lambda doc, n: doc["clients"].pop(), "plan has 2 clients, federation.num_clients is 3"),
+            (lambda doc, n: doc["clients"][0].__setitem__(0, doc["clients"][0][0] + 0.5), NOT_INTEGER),
+            (lambda doc, n: doc["clients"][0].__setitem__(0, str(doc["clients"][0][0])), NOT_INTEGER),
         ],
-        ids=["index-at-n", "index-held-twice", "empty-client", "missing-key", "one-client-too-few"],
+        ids=[
+            "index-at-n",
+            "index-held-twice",
+            "empty-client",
+            "missing-key",
+            "one-client-too-few",
+            "fractional-index",
+            "string-index",
+        ],
     )
     def test_malformed_plan_exits_1(self, tmp_path, capsys, edit, message):
         """train checks the plan.json that a resealed noise manifest lists: one error line naming it, and no training."""

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import pickle
 import signal
 import warnings
 
@@ -25,7 +26,7 @@ from noisyfl.federation import (
 )
 from noisyfl.localtrain import METHODS, TrainerConfig, train_local, train_local_coteaching
 from noisyfl.models import Layout, ModelParams, Workspace, init_params, load_checkpoint, save_checkpoint
-from noisyfl.partition import partition_iid, partition_quantity_skew, restrict
+from noisyfl.partition import PartitionSpec, make_partition, restrict
 from noisyfl.rng import derive_seed
 
 
@@ -157,7 +158,7 @@ class TestRunFederation:
     def _setup(self, num_clients=4, rounds=6, **trainer_kwargs):
         ds = make_synthetic_blobs(3, 200, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 60, 2, 5.0, seed=1)
-        plan = partition_iid(ds, num_clients, seed=2)
+        plan = make_partition(ds, num_clients, PartitionSpec("iid"), seed=2)
         layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, epochs=1, batch_size=64, **trainer_kwargs)
         cfg = FedConfig(num_clients=num_clients, rounds=rounds, trainer=trainer, seed=11)
@@ -166,7 +167,7 @@ class TestRunFederation:
     def test_single_client_matches_centralized_loop(self):
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=3)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=4)
-        plan = partition_iid(ds, 1, seed=0)
+        plan = make_partition(ds, 1, PartitionSpec("iid"), seed=0)
         layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, momentum=0.9, epochs=1, batch_size=32)
         cfg = FedConfig(num_clients=1, rounds=10, trainer=trainer, seed=31)
@@ -280,7 +281,8 @@ class TestProcesses:
     def _setup(self, method="ce", fraction=1.0, lr=0.05, eval_every=1):
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
-        plan = partition_quantity_skew(ds, 6, 2.0, seed=2)  # unequal shards, so the split balances them
+        # unequal shards, so the split balances them
+        plan = make_partition(ds, 6, PartitionSpec("quantity-skew", alpha=2.0), seed=2)
         layout = Layout(dim=2, hidden=4, num_classes=3)
         params = {"coteaching": {"forget_rate": 0.2}}.get(method, {})
         trainer = TrainerConfig(method=method, lr=lr, epochs=1, batch_size=16, method_params=params)
@@ -455,6 +457,23 @@ class TestProcesses:
             run_federation(*self._setup())
         assert_no_child_left()
 
+    def test_reply_cut_short_raises(self, monkeypatch):
+        """A worker that dies halfway through its reply leaves the caller a truncated pickle, not an EOF."""
+        caller, send = os.getpid(), federation._send
+
+        def half_then_exit(fd, obj):
+            if os.getpid() == caller:
+                return send(fd, obj)
+            data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+            os.write(fd, data[: len(data) // 2])
+            os._exit(1)
+
+        in_processes(monkeypatch, 2)
+        monkeypatch.setattr(federation, "_send", half_then_exit)
+        with pytest.raises(NoisyFLError, match="a training worker exited during round 1"):
+            run_federation(*self._setup())
+        assert_no_child_left()
+
 
 class TestSplit:
     """Longest shard first onto the least loaded process; process 0, the caller, may start ahead."""
@@ -509,7 +528,7 @@ class TestTelemetryIO:
     def test_round_trip(self, tmp_path):
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
-        plan = partition_iid(ds, 2, seed=0)
+        plan = make_partition(ds, 2, PartitionSpec("iid"), seed=0)
         layout = Layout(dim=2, num_classes=3)
         cfg = FedConfig(
             num_clients=2, rounds=4, trainer=TrainerConfig(epochs=1), eval_every=2, seed=0

@@ -12,7 +12,7 @@ from noisyfl.noise import (
     run_scene,
     symmetric_matrix,
 )
-from noisyfl.partition import PartitionSpec, partition_iid, partition_label_quantity
+from noisyfl.partition import PartitionSpec, make_partition
 from noisyfl.rng import derive_seed
 
 # the fields of run_scene's report, which the noise manifest records
@@ -321,7 +321,7 @@ class TestRealworldScene:
         ds = LabeledDataset(ds.features, ds.labels, 4)  # strip ground truth
         plan, out, report = run_scene(ds, NoiseSpec(scene="realworld", seed=21), 4, PartitionSpec(scheme="iid"))
         assert out is ds
-        direct = partition_iid(ds, 4, seed=derive_seed(21, "partition"))
+        direct = make_partition(ds, 4, PartitionSpec("iid"), seed=derive_seed(21, "partition"))
         assert all(np.array_equal(a, b) for a, b in zip(plan.clients, direct.clients))
         assert report == {**dict.fromkeys(REPORT_FIELDS[:-1]), "skipped_clients": []}
 

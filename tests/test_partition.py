@@ -12,10 +12,6 @@ from noisyfl.partition import (
     PartitionSpec,
     gamma_dirichlet,
     make_partition,
-    partition_iid,
-    partition_label_dirichlet,
-    partition_label_quantity,
-    partition_quantity_skew,
     restrict,
 )
 
@@ -27,13 +23,13 @@ def balanced(num_classes=10, per_class=1000, seed=0):
 class TestIid:
     def test_even_split(self):
         ds = balanced(10, 10)
-        plan = partition_iid(ds, 10, seed=0)
+        plan = make_partition(ds, 10, PartitionSpec("iid"), seed=0)
         assert plan.sizes().tolist() == [10] * 10
 
     def test_floor_semantics_drops_remainder(self):
         ds = make_synthetic_blobs(2, 52, 2, 4.0, seed=0)  # N=104; use 103 of them
         ds = LabeledDataset(ds.features[:103], ds.labels[:103], 2)
-        plan = partition_iid(ds, 10, seed=1)
+        plan = make_partition(ds, 10, PartitionSpec("iid"), seed=1)
         assert plan.sizes().tolist() == [10] * 10
         assert sum(len(c) for c in plan.clients) == 100
 
@@ -41,7 +37,7 @@ class TestIid:
         # hypergeometric oracle: sigma_h <= binomial sigma sqrt(n p (1-p)),
         # so a 4-sigma binomial band bounds the per-class counts
         ds = balanced(10, 1000)
-        plan = partition_iid(ds, 10, seed=3)
+        plan = make_partition(ds, 10, PartitionSpec("iid"), seed=3)
         sigma = np.sqrt(1000 * 0.1 * 0.9)
         for idx in plan.clients:
             counts = class_histogram(ds, idx)
@@ -50,12 +46,12 @@ class TestIid:
     def test_too_few_samples(self):
         ds = make_synthetic_blobs(2, 2, 2, 4.0, seed=0)
         with pytest.raises(DegeneratePartitionError):
-            partition_iid(ds, 5, seed=0)
+            make_partition(ds, 5, PartitionSpec("iid"), seed=0)
 
     def test_determinism(self):
         ds = balanced(4, 50)
-        a = partition_iid(ds, 7, seed=5)
-        b = partition_iid(ds, 7, seed=5)
+        a = make_partition(ds, 7, PartitionSpec("iid"), seed=5)
+        b = make_partition(ds, 7, PartitionSpec("iid"), seed=5)
         assert all(np.array_equal(x, y) for x, y in zip(a.clients, b.clients))
 
 
@@ -63,14 +59,14 @@ class TestQuantitySkew:
     def test_stubbed_shares(self, monkeypatch):
         ds = balanced(4, 25)  # N=100
         monkeypatch.setattr(partition, "gamma_dirichlet", lambda gen, alpha, size: np.full(size, 0.25))
-        plan = partition_quantity_skew(ds, 4, alpha=1.0, seed=0)
+        plan = make_partition(ds, 4, PartitionSpec("quantity-skew", alpha=1.0), seed=0)
         assert plan.sizes().tolist() == [25, 25, 25, 25]
 
     def test_large_alpha_is_nearly_balanced(self):
         ds = balanced(10, 1000)
         hits = 0
         for seed in range(100):
-            sizes = partition_quantity_skew(ds, 10, alpha=1000.0, seed=seed).sizes()
+            sizes = make_partition(ds, 10, PartitionSpec("quantity-skew", alpha=1000.0), seed=seed).sizes()
             if sizes.max() / sizes.min() < 1.3:
                 hits += 1
         assert hits >= 95
@@ -79,7 +75,7 @@ class TestQuantitySkew:
         ds = balanced(10, 1000)
         hits = 0
         for seed in range(100):
-            sizes = partition_quantity_skew(ds, 10, alpha=0.1, seed=seed).sizes()
+            sizes = make_partition(ds, 10, PartitionSpec("quantity-skew", alpha=0.1), seed=seed).sizes()
             if sizes.max() > 0.4 * len(ds):
                 hits += 1
         assert hits > 50
@@ -90,7 +86,7 @@ class TestQuantitySkew:
         stub = lambda gen, alpha, size: np.array([0.999, 0.001] + [0.0] * (size - 2))[:size]
         monkeypatch.setattr(partition, "gamma_dirichlet", stub)
         with pytest.raises(DegeneratePartitionError):
-            partition_quantity_skew(ds, 3, alpha=1.0, seed=0)
+            make_partition(ds, 3, PartitionSpec("quantity-skew", alpha=1.0), seed=0)
 
     def test_invalid_alpha(self):
         """The schemes take the alpha PartitionSpec checked where it entered."""
@@ -103,7 +99,7 @@ class TestLabelDirichlet:
     def test_stubbed_uniform_shares(self, monkeypatch):
         ds = balanced(10, 100)
         monkeypatch.setattr(partition, "gamma_dirichlet", lambda gen, alpha, size: np.full(size, 1.0 / size))
-        plan = partition_label_dirichlet(ds, 10, alpha=1.0, seed=0)
+        plan = make_partition(ds, 10, PartitionSpec("label-dir", alpha=1.0), seed=0)
         for idx in plan.clients:
             assert class_histogram(ds, idx).tolist() == [10] * 10
 
@@ -111,7 +107,7 @@ class TestLabelDirichlet:
         ds = balanced(10, 1000)
         max_fracs = []
         for seed in range(100):
-            plan = partition_label_dirichlet(ds, 10, alpha=0.1, seed=seed)
+            plan = make_partition(ds, 10, PartitionSpec("label-dir", alpha=0.1), seed=seed)
             for idx in plan.clients:
                 counts = class_histogram(ds, idx)
                 max_fracs.append(counts.max() / counts.sum())
@@ -122,7 +118,7 @@ class TestLabelDirichlet:
         tvs = []
         global_dist = np.full(10, 0.1)
         for seed in range(20):
-            plan = partition_label_dirichlet(ds, 10, alpha=1e4, seed=seed)
+            plan = make_partition(ds, 10, PartitionSpec("label-dir", alpha=1e4), seed=seed)
             for idx in plan.clients:
                 counts = class_histogram(ds, idx)
                 tvs.append(0.5 * np.abs(counts / counts.sum() - global_dist).sum())
@@ -130,21 +126,19 @@ class TestLabelDirichlet:
 
     def test_full_coverage(self):
         ds = balanced(5, 101)
-        plan = partition_label_dirichlet(ds, 7, alpha=0.5, seed=2)
+        plan = make_partition(ds, 7, PartitionSpec("label-dir", alpha=0.5), seed=2)
         assigned = np.sort(np.concatenate(plan.clients))
         assert np.array_equal(assigned, np.arange(len(ds)))
 
 
 class TestRedrawStreams:
     @pytest.mark.parametrize(
-        "scheme, calls_per_attempt",
-        [(partition_quantity_skew, 1), (partition_label_dirichlet, 4)],
-        ids=["quantity-skew", "label-dir"],
+        "scheme, calls_per_attempt", [("quantity-skew", 1), ("label-dir", 4)], ids=["quantity-skew", "label-dir"]
     )
     def test_redraw_does_not_reuse_the_next_seeds_streams(self, monkeypatch, scheme, calls_per_attempt):
         """Attempt 1 at seed s draws from streams of its own, not those of attempt 0 at seed s+1."""
         ds = balanced(4, 50)
-        next_seed = scheme(ds, 4, alpha=50.0, seed=8)
+        next_seed = make_partition(ds, 4, PartitionSpec(scheme, alpha=50.0), seed=8)
         calls = []
 
         def fail_first_attempt(gen, alpha, size):
@@ -154,7 +148,7 @@ class TestRedrawStreams:
             return gamma_dirichlet(gen, alpha, size)
 
         monkeypatch.setattr(partition, "gamma_dirichlet", fail_first_attempt)
-        redrawn = scheme(ds, 4, alpha=50.0, seed=7)
+        redrawn = make_partition(ds, 4, PartitionSpec(scheme, alpha=50.0), seed=7)
         assert len(calls) == 2 * calls_per_attempt
         assert min(redrawn.sizes()) >= 1
         assert not all(np.array_equal(a, b) for a, b in zip(redrawn.clients, next_seed.clients))
@@ -165,7 +159,7 @@ class TestRedrawStreams:
         paths = []
         stream = rng.stream
         monkeypatch.setattr(rng, "stream", lambda seed, *path: paths.append(path) or stream(seed, *path))
-        partition_label_dirichlet(ds, 20, alpha=0.2, seed=7)
+        make_partition(ds, 20, PartitionSpec("label-dir", alpha=0.2), seed=7)
         shares = [path for path in paths if path[0] == "labeldir-shares"]
         assert shares == [("labeldir-shares",), ("labeldir-shares", "redraw", 1), ("labeldir-shares", "redraw", 2)]
         assert [path for path in paths if path[0] == "labeldir-class"] == [
@@ -177,7 +171,7 @@ class TestRedrawStreams:
         rejected attempts stopped building their split."""
         ds = make_synthetic_blobs(5, 20, 8, 3.0, 1)
         path = tmp_path / "plan.json"
-        save_plan(partition_label_dirichlet(ds, 20, alpha=0.2, seed=7), str(path))
+        save_plan(make_partition(ds, 20, PartitionSpec("label-dir", alpha=0.2), seed=7), str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "c8c384bf996a9d34bcab8226042d34706804c3dba6b7690bc15cdf442f2dfc7e"
 
@@ -186,12 +180,13 @@ class TestRedrawStreams:
         [
             (
                 (5, 20, 8, 3.0, 1),
-                lambda ds: partition_quantity_skew(ds, 8, alpha=0.5, seed=8),  # three attempts
+                lambda ds: make_partition(ds, 8, PartitionSpec("quantity-skew", alpha=0.5), seed=8),  # three attempts
                 "07ca76571bd55bf76ca927c2fbddcd3f7f8930518216d06271a5b02105bddbbd",
             ),
             (
                 (5, 21, 8, 3.0, 1),
-                lambda ds: partition_label_quantity(ds, 8, c=2, seed=7),  # sizes 16, 11, 14, 14, 11, 14, 14, 11
+                # sizes 16, 11, 14, 14, 11, 14, 14, 11
+                lambda ds: make_partition(ds, 8, PartitionSpec("label-quantity", c=2), seed=7),
                 "2015f2a4b736e6f5a8f4b70360d5d85f1093f6a81909327a220ec020b43a9e97",
             ),
         ],
@@ -206,10 +201,10 @@ class TestRedrawStreams:
     @pytest.mark.parametrize(
         "scheme, param",
         [
-            (partition_quantity_skew, {"alpha": 0.5}),
-            (partition_label_dirichlet, {"alpha": 0.5}),
-            (partition_label_quantity, {"c": 1}),
-            (partition_iid, {}),
+            ("quantity-skew", {"alpha": 0.5}),
+            ("label-dir", {"alpha": 0.5}),
+            ("label-quantity", {"c": 1}),
+            ("iid", {}),
         ],
         ids=["quantity-skew", "label-dir", "label-quantity", "iid"],
     )
@@ -218,13 +213,13 @@ class TestRedrawStreams:
         ds = balanced(5, 20)
         monkeypatch.setattr(rng, "stream", lambda seed, *path: pytest.fail(f"stream {path} drawn for more clients than samples"))
         with pytest.raises(DegeneratePartitionError, match="500 clients cannot each get one of 100 samples"):
-            scheme(ds, 500, seed=0, **param)
+            make_partition(ds, 500, PartitionSpec(scheme, **param), seed=0)
 
 
 class TestLabelQuantity:
     def test_c_equals_num_classes_covers_everything(self):
         ds = balanced(6, 100)
-        plan = partition_label_quantity(ds, 8, c=6, seed=0)
+        plan = make_partition(ds, 8, PartitionSpec("label-quantity", c=6), seed=0)
         counts = np.stack([class_histogram(ds, idx) for idx in plan.clients])
         assert (counts > 0).all()
         # samples of each class split evenly across all clients
@@ -232,13 +227,13 @@ class TestLabelQuantity:
 
     def test_exactly_c_classes_per_client(self):
         ds = balanced(10, 100)
-        plan = partition_label_quantity(ds, 10, c=3, seed=4)
+        plan = make_partition(ds, 10, PartitionSpec("label-quantity", c=3), seed=4)
         for idx in plan.clients:
             assert np.count_nonzero(class_histogram(ds, idx)) == 3
 
     def test_per_class_split_sizes(self):
         ds = balanced(10, 100)
-        plan = partition_label_quantity(ds, 10, c=3, seed=4)
+        plan = make_partition(ds, 10, PartitionSpec("label-quantity", c=3), seed=4)
         counts = np.stack([class_histogram(ds, idx) for idx in plan.clients])
         for cls in range(10):
             holders = counts[:, cls][counts[:, cls] > 0]
@@ -250,25 +245,25 @@ class TestLabelQuantity:
     def test_every_class_assigned_somewhere(self):
         ds = balanced(10, 30)
         for seed in range(10):
-            plan = partition_label_quantity(ds, 4, c=3, seed=seed)
+            plan = make_partition(ds, 4, PartitionSpec("label-quantity", c=3), seed=seed)
             counts = np.stack([class_histogram(ds, idx) for idx in plan.clients])
             assert (counts.sum(axis=0) > 0).all()
 
     def test_coverage_infeasible(self):
         ds = balanced(10, 10)
         with pytest.raises(DegeneratePartitionError):
-            partition_label_quantity(ds, 3, c=3, seed=0)
+            make_partition(ds, 3, PartitionSpec("label-quantity", c=3), seed=0)
 
     def test_empty_client_raises(self):
         """K <= N, but c = 2 of 3 single-sample classes cannot give 3 clients a sample each."""
         ds = make_synthetic_blobs(3, 1, 2, 3.0, 0)
         with pytest.raises(DegeneratePartitionError, match="label-quantity produced an empty client"):
-            partition_label_quantity(ds, 3, c=2, seed=0)
+            make_partition(ds, 3, PartitionSpec("label-quantity", c=2), seed=0)
 
     def test_invalid_c(self):
         ds = balanced(4, 10)
         with pytest.raises(DegeneratePartitionError):
-            partition_label_quantity(ds, 4, c=5, seed=0)
+            make_partition(ds, 4, PartitionSpec("label-quantity", c=5), seed=0)
         with pytest.raises(ValueError, match="c >= 1"):  # checked where it enters
             PartitionSpec(scheme="label-quantity", c=0)
 
@@ -284,7 +279,7 @@ class TestRestrict:
 
     def test_concatenation_recovers_assignment(self):
         ds = balanced(4, 50)
-        plan = partition_label_dirichlet(ds, 5, alpha=1.0, seed=3)
+        plan = make_partition(ds, 5, PartitionSpec("label-dir", alpha=1.0), seed=3)
         rebuilt = []
         for k in range(5):
             local = restrict(ds, plan, k)
@@ -296,13 +291,13 @@ class TestRestrict:
 
     def test_sizes_sum_to_plan_totals(self):
         ds = balanced(4, 50)
-        plan = partition_quantity_skew(ds, 3, alpha=5.0, seed=1)
+        plan = make_partition(ds, 3, PartitionSpec("quantity-skew", alpha=5.0), seed=1)
         total = sum(len(restrict(ds, plan, k)) for k in range(3))
         assert total == plan.sizes().sum()
 
     def test_out_of_range_client(self):
         ds = balanced(2, 10)
-        plan = partition_iid(ds, 2, seed=0)
+        plan = make_partition(ds, 2, PartitionSpec("iid"), seed=0)
         with pytest.raises(IndexError):
             restrict(ds, plan, 2)
 
@@ -348,7 +343,7 @@ class TestPlanProperties:
         for alpha in (0.1, 1.0, 10.0, 100.0):
             tvs = []
             for seed in range(50):
-                plan = partition_label_dirichlet(ds, 5, alpha=alpha, seed=seed)
+                plan = make_partition(ds, 5, PartitionSpec("label-dir", alpha=alpha), seed=seed)
                 for idx in plan.clients:
                     counts = class_histogram(ds, idx)
                     tvs.append(0.5 * np.abs(counts / counts.sum() - global_dist).sum())
@@ -357,7 +352,7 @@ class TestPlanProperties:
 
     def test_plan_round_trip(self, tmp_path):
         ds = balanced(5, 40)
-        plan = partition_label_quantity(ds, 4, c=2, seed=9)
+        plan = make_partition(ds, 4, PartitionSpec("label-quantity", c=2), seed=9)
         path = tmp_path / "plan.json"
         save_plan(plan, str(path))
         back = load_plan(str(path), len(ds), 4)
@@ -370,7 +365,7 @@ class TestPlanProperties:
         import json
 
         ds = balanced(4, 30)
-        plan = partition_iid(ds, 3, seed=2)
+        plan = make_partition(ds, 3, PartitionSpec("iid"), seed=2)
         path = tmp_path / "plan.json"
         save_plan(plan, str(path))
         doc = json.loads(path.read_text())

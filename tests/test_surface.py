@@ -184,6 +184,32 @@ def _never_passed(modules: dict[str, ast.Module]) -> set[str]:
     }
 
 
+def _private_imports(modules: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(module, name) for each private name a module takes from another module of the package.
+
+    A name is taken by ``from .x import _name`` or read as ``x._name`` of a
+    module bound by ``from . import x``; dunder names such as ``__version__`` are public.
+    """
+    found = []
+    for module, tree in modules.items():
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+        submodules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if node in imports:
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in submodules:
+                names = [node.attr]
+            else:
+                continue
+            found += [(module, name) for name in names if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A leading underscore keeps a name to its module: a second module that needs it needs a public name."""
+    assert _private_imports(_modules()) == []
+
+
 def test_every_defaulted_parameter_is_passed_by_some_caller():
     """A parameter whose callers all take its default is one value in disguise, so it should be a constant."""
     never_passed = _never_passed(_modules())
