@@ -39,6 +39,8 @@ manifest.
 The noise stage materializes the dataset, runs the configured scene once
 and is the one writer of the client split and of what train reads:
 plan.json, client_histograms.csv, noisy_dataset.npy and test_dataset.npy.
+Those files hold float64 features; the train stage casts them to float32,
+the one dtype networks train and evaluate in, once as it loads them.
 ``partition`` prints the histograms of that split and writes nothing.
 The intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
 import format of user datasets.  All output bytes are a pure function of
@@ -395,10 +397,10 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
     inputs = _train_inputs(noise)
 
     @functools.cache
-    def load_inputs():
-        noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
+    def load_inputs():  # training runs in float32: each set is cast once, here, and its float64 features dropped
+        noisy = load_npy(os.path.join(out, "noisy_dataset.npy")).as_float32()
         plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
-        return noisy, plan, load_npy(os.path.join(out, "test_dataset.npy"))
+        return noisy, plan, load_npy(os.path.join(out, "test_dataset.npy")).as_float32()
 
     trainer = with_forget_rate(cfg.federation.trainer, _noise_ratio_estimate(cfg.noise, noise))
     federation = dataclasses.replace(cfg.federation, trainer=trainer)

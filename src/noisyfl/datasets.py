@@ -14,7 +14,7 @@ the dataset alone.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,9 @@ class LabeledDataset:
     ``true_labels`` is present iff noise was injected or ground truth is
     otherwise known; ``num_classes`` is the global class count, which a
     client-local view retains even when some classes are absent locally.
+    Features are float64, as they are made, stored and loaded, or float32,
+    the width that the train stage casts them to once and trains in;
+    features of any other dtype become float64.
     """
 
     features: np.ndarray
@@ -37,7 +40,9 @@ class LabeledDataset:
     true_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
+        if features.dtype != np.float32:
+            features = features.astype(np.float64, copy=False)
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -64,6 +69,10 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    def as_float32(self) -> "LabeledDataset":
+        """This dataset with its features cast to float32, the dtype that networks train and evaluate in."""
+        return replace(self, features=self.features.astype(np.float32))
 
     def with_labels(self, labels: np.ndarray, true_labels: np.ndarray | None) -> "LabeledDataset":
         """Copy of this dataset with replaced (observed, true) label vectors."""

@@ -120,19 +120,21 @@ def aggregate(values: list[np.ndarray], weights) -> np.ndarray:
 def evaluate(params: ModelParams, test_set: LabeledDataset, work: Workspace) -> float:
     """Fraction of argmax-correct predictions; ties break to the lowest class id.
 
-    The pass runs in ``work``, which must hold ``len(test_set)`` rows; beyond
-    its buffers, evaluation holds only each row's predicted class and
-    whether it is correct.
+    The pass runs in ``work``, which must hold ``len(test_set)`` rows of
+    float32 features; beyond its buffers, evaluation holds only each row's
+    predicted class and whether it is correct, and counts the correct rows
+    without a float buffer.
     """
     probs = forward(params, test_set.features, work)
     predictions = probs.argmax(axis=1)
-    return float((predictions == test_set.labels).mean())
+    return int(np.count_nonzero(predictions == test_set.labels)) / len(test_set)
 
 
 # A federation forks workers from this many local batches on.  Forking and ending
-# a worker costs 3-9 ms of wall time and each batch a second process takes saves
-# ~50 us, so a fork pays from ~180 batches; this leaves a 2x margin.
-FORK_MIN_BATCHES = 400
+# a worker costs 3-9 ms of wall time, and each batch a second process takes saves
+# ~35 us (a float32 64-row batch of the benchmark's 32-64-10 MLP takes 66-100 us
+# at one BLAS thread), so a fork pays from ~260 batches; this leaves a 2x margin.
+FORK_MIN_BATCHES = 500
 
 
 def _usable_cpus() -> int:
@@ -146,10 +148,10 @@ def _send(fd: int, obj) -> None:
         view = view[os.write(fd, view) :]
 
 
-# An evaluated test row costs about a fifth of a trained shard row-epoch: on io_heavy a
-# 2,000-row evaluation takes ~0.65 ms, and a trained row-epoch ~1.6 us.  A wrong value
-# only moves the split, never the bytes.
-EVAL_ROW_COST = 0.2
+# An evaluated test row costs about a quarter of a trained shard row-epoch: in float32, at
+# one BLAS thread, a 2,000-row evaluation of the benchmark's 32-64-10 MLP takes 0.55-0.74 ms
+# and a trained row-epoch 1.06-1.65 us.  A wrong value only moves the split, never the bytes.
+EVAL_ROW_COST = 0.25
 
 
 def _split(selected: list[int], sizes, processes: int, head_start: float) -> list[list[int]]:

@@ -3,7 +3,10 @@
 Batches come from a per-epoch seeded shuffle; mixup draws consume a separate
 named stream so that stubbing the mixing coefficient to 1 reproduces the
 plain-CE trajectory bit for bit.  One call trains one client for E epochs
-and is single-threaded and deterministic.
+and is single-threaded and deterministic.  It trains in float32: the
+shard's features come float32 (the train stage casts them once), and so
+are the parameters, the velocity, the mixup buffers and every workspace
+buffer.
 
 Every method runs through one epoch/batch loop, :func:`_train`.  It holds
 the networks it trains as one stack (one network, or co-teaching's two as
@@ -137,8 +140,8 @@ def _train(
     copy of their start parameters, as the rows of an (S, P) array for
     S > 1, with one velocity of that shape and one workspace bound to it
     for the whole call, sized to the largest batch.  ``ds`` is a client's
-    shard, never empty (the split gives every client a sample), and the
-    layout is built from the data's width.
+    shard with float32 features, never empty (the split gives every client
+    a sample), and the layout is built from the data's width.
     ``batch_rule(stack, work, x, y)`` runs the backward of every network on
     the batch, leaves the stack's gradient in ``work.grad`` and returns the
     batch loss as a float.  The loop then takes one momentum-SGD step
@@ -152,6 +155,7 @@ def _train(
     the trained networks in the order of ``start`` and the call's mean
     loss: the mean over its epochs of each epoch's mean batch loss.
     """
+    assert ds.features.dtype == np.float32, "networks train on float32 features: cast the dataset once with as_float32"
     layout = start[0].layout
     if len(start) == 1:
         stack = start[0].copy()
@@ -202,7 +206,7 @@ def train_local(
         mix_gen = rng.stream(seed, "mixup")
         targets = one_hot(ds.labels, ds.num_classes)
         rows = min(cfg.batch_size, len(ds))
-        buffers = [np.empty((rows,) + a.shape[1:]) for a in (ds.features, targets, ds.features, targets)]
+        buffers = [np.empty((rows,) + a.shape[1:], a.dtype) for a in (ds.features, targets, ds.features, targets)]
 
         def one_network(stack, work, x, onehot):
             lam = float(lam_sampler(mix_gen, mix_alpha)) if lam_sampler else float(mix_gen.beta(mix_alpha, mix_alpha))

@@ -27,22 +27,28 @@ import numpy as np
 
 from .models import ModelParams, Workspace, forward_cached
 
-_LOG_FLOOR = 1e-300
+# log's argument floor: float32's smallest normal, so -log(0) is ~87.3, not inf
+_LOG_FLOOR = np.finfo(np.float32).tiny
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes), dtype=np.float64)
+    """float32 one-hot rows of ``labels``."""
+    out = np.zeros((len(labels), num_classes), dtype=np.float32)
     out[np.arange(len(labels)), labels] = 1.0
     return out
 
 
 def _mean(per_sample: np.ndarray, networks: int) -> float:
-    """Each network's mean over its rows, averaged over a stack of ``networks``."""
+    """Each network's mean over its rows, averaged over a stack of ``networks``.
+
+    A network's mean is a float32, as its own pass gives it; the stack's
+    average of them is a float64, so it is the mean of the networks' losses.
+    """
     if networks == 1:
         return float(np.add.reduce(per_sample) / len(per_sample))
     means = np.add.reduce(per_sample.reshape(networks, -1), axis=1)
     means /= len(per_sample) // networks
-    return float(np.add.reduce(means) / networks)
+    return float(np.add.reduce(means, dtype=np.float64) / networks)
 
 
 def row_losses(probs: np.ndarray, labels: np.ndarray, kind: str, mp: dict | None, out: np.ndarray, row_ids: np.ndarray):

@@ -1,9 +1,11 @@
 """Desk-scale differentiable models: a linear softmax or a one-hidden-layer MLP.
 
 One :class:`Layout` describes both as a chain of affine layers.  Parameters
-live in a single flat float64 vector, each layer's weight matrix and then
-its bias, layer after layer.  A stack of networks of one layout is an
-(S, P) array with one network per row.  A :class:`Workspace` holds the
+live in a single flat float32 vector, each layer's weight matrix and then
+its bias, layer after layer.  float32 is the one dtype that networks train
+and evaluate in: every buffer and every row they compute with has it.  A
+stack of networks of one layout is an (S, P) array with one network per
+row.  A :class:`Workspace` holds the
 buffers of one network or of one stack for a local-training call and is
 bound to it: it takes the views of its weight matrices (and their
 transposes) once, and they follow the training loop's in-place updates of
@@ -77,18 +79,20 @@ def layout_from_dict(doc: dict) -> Layout:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Flat float64 parameters tied to their layout.
+    """Flat float32 parameters tied to their layout.
 
     ``values`` is one network's vector of ``layout.param_count`` entries,
     or a stack of S networks of that layout as the rows of an (S, P)
-    array, which a :class:`Workspace` runs in one pass.
+    array, which a :class:`Workspace` runs in one pass.  Values of another
+    dtype are cast to float32; float32 values are taken as they are, not
+    copied.
     """
 
     values: np.ndarray
     layout: Layout
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float32)
         object.__setattr__(self, "values", values)
         if values.ndim not in (1, 2) or values.shape[-1] != self.layout.param_count:
             raise ValueError(
@@ -114,7 +118,10 @@ def _layer_views(layout: Layout, values: np.ndarray) -> list[np.ndarray]:
 
 
 def init_params(layout: Layout, seed: int) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer, from a named stream."""
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer, from a named stream.
+
+    The stream draws float64s, which are then rounded to float32.
+    """
     gen = rng.stream(seed, "init")
     draws = []
     for out, inp in layout.shapes:
@@ -140,14 +147,15 @@ class Workspace:
     caller updates the values in place, as the training loop does after
     every step; binding the same values again is a no-op, and only another
     network's values are bound anew.  :meth:`forward` and :meth:`backprop`
-    run only their kernels: they take the rows as given (float64,
+    run only their kernels: they take the rows as given (float32,
     ``layout.dim`` columns, at most ``rows`` of them).  :func:`forward_cached`
     and ``losses.backward`` bind the network they are given and run them;
     their callers size the workspace and the data, so nothing checks again.
 
-    Buffers: ``probs`` holds the logits, then the probabilities, then
-    d(mean loss)/d(logits); ``per_sample``, ``row_scale`` and ``row_stat``
-    are per-row scratch; ``hidden`` (the activations) and ``dhidden`` are
+    Buffers, all float32: ``probs`` holds the logits, then the
+    probabilities, then d(mean loss)/d(logits); ``per_sample``,
+    ``row_scale`` and ``row_stat`` are per-row scratch; ``hidden`` (the
+    activations) and ``dhidden`` are
     the hidden layer's, made only when the layout has one; ``grad`` is the
     gradient, shaped like the values, with per-layer views ``grad_views``
     in the layout's order; ``decay`` and ``step`` are scratch of that shape
@@ -167,20 +175,20 @@ class Workspace:
         self.tanh = self.mlp and layout.activation == "tanh"
         n = self.networks * rows
         self.row_ids = np.arange(n)
-        self.probs = np.empty((n, layout.num_classes))
-        self.row_stat = np.empty((n, 1))  # softmax row max, then row sum
-        self.per_sample = np.empty(n)
-        self.row_scale = np.empty(n)
-        self.grad = np.empty(shape)
-        self.decay = np.empty(shape)
-        self.step = np.empty(shape)
+        self.probs = np.empty((n, layout.num_classes), dtype=np.float32)
+        self.row_stat = np.empty((n, 1), dtype=np.float32)  # softmax row max, then row sum
+        self.per_sample = np.empty(n, dtype=np.float32)
+        self.row_scale = np.empty(n, dtype=np.float32)
+        self.grad = np.empty(shape, dtype=np.float32)
+        self.decay = np.empty(shape, dtype=np.float32)
+        self.step = np.empty(shape, dtype=np.float32)
         self.x = None  # the rows of the last pass: (b, d), or (S, k, d) once a stack keeps k each
         self.values = None  # the bound network's (or stack's) parameters
         self.spare_probs = self.spare_hidden = None  # keep's gather targets, made by its first call
         self.grad_views = _layer_views(layout, self.grad)
         if self.mlp:
-            self.hidden = np.empty((n, layout.hidden))
-            self.dhidden = np.empty((n, layout.hidden))
+            self.hidden = np.empty((n, layout.hidden), dtype=np.float32)
+            self.dhidden = np.empty((n, layout.hidden), dtype=np.float32)
         if params is not None:
             self.bind(params)
 
@@ -297,7 +305,7 @@ CHECKPOINT_MAGIC = "noisyfl-checkpoint"
 
 
 def save_checkpoint(params: ModelParams, path: str, round_t: int, seed: int) -> None:
-    """JSON header line + little-endian float64 payload."""
+    """JSON header line + little-endian float64 payload: the float32 values, widened exactly."""
     header = {
         "format": CHECKPOINT_MAGIC,
         "layout": params.layout.to_dict(),
@@ -318,5 +326,5 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     if header.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a parameter checkpoint")
     layout = layout_from_dict(header["layout"])
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f8")
     return ModelParams(values=values, layout=layout), header

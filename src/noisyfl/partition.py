@@ -126,6 +126,17 @@ def _cut(n: int, counts: np.ndarray, deal: np.ndarray | None = None) -> np.ndarr
     return np.concatenate([owners, deal[rest % len(deal)] if deal is not None else np.full(len(rest), -1)])
 
 
+def _sizes(n: int, counts: np.ndarray, deal: np.ndarray | None) -> np.ndarray:
+    """Each client's number of positions in ``_cut(n, counts, deal)``, without building the n owners."""
+    ends = np.minimum(np.cumsum(counts), n)
+    sizes = ends.copy()
+    sizes[1:] -= ends[:-1]
+    if deal is not None:
+        rest = n - ends[-1]
+        sizes[deal] += rest // len(deal) + (np.arange(len(deal)) < rest % len(deal))
+    return sizes
+
+
 def _assign(seed: int, groups: list, owners: list[np.ndarray], num_clients: int, redraw: tuple = ()) -> list[np.ndarray]:
     """Shuffle each (stream path, sample indices) group with its stream and give each position to its owner."""
     shuffled = np.concatenate([rng.stream(seed, *path, *redraw).permutation(members) for path, members in groups])
@@ -141,18 +152,21 @@ def _dirichlet_split(
     The shares come from stream ``shares``.  With ``deals``, a group's
     leftovers go over clients by ascending fractional deficit, ties by
     client index; without, they are dropped.  A client's size depends only
-    on the shares, so an attempt draws them and cuts; only the accepted
-    attempt shuffles the groups.  ``label`` names the scheme in the error.
+    on the shares, so an attempt draws them and is accepted or redrawn on
+    the K sizes alone; only the accepted attempt cuts and shuffles the
+    groups.  ``label`` names the scheme in the error.
     """
     for attempt in range(EMPTY_CLIENT_RETRIES + 1):
         gen = rng.stream(seed, shares, *_redraw(attempt))
-        owners = []
+        cuts, sizes = [], np.zeros(num_clients, dtype=np.int64)
         for _, members in groups:
             targets = gamma_dirichlet(gen, alpha, num_clients) * len(members)
             counts = np.floor(targets).astype(np.int64)
             deal = np.lexsort((np.arange(num_clients), targets - counts)) if deals else None
-            owners.append(_cut(len(members), counts, deal))
-        if np.isin(np.arange(num_clients), np.concatenate(owners)).all():
+            cuts.append((len(members), counts, deal))
+            sizes += _sizes(len(members), counts, deal)
+        if sizes.all():
+            owners = [_cut(*cut) for cut in cuts]
             return _assign(seed, groups, owners, num_clients, _redraw(attempt))
     n = sum(len(members) for _, members in groups)
     raise DegeneratePartitionError(

@@ -1,4 +1,9 @@
-"""Shared test helpers: independent oracles kept deliberately naive."""
+"""Shared test helpers: independent oracles kept deliberately naive.
+
+The oracles compute in float64, while the package trains and evaluates in
+float32: each widens its float32 inputs exactly and is the reference that
+the float32 kernels are held to.
+"""
 
 from __future__ import annotations
 
@@ -50,37 +55,90 @@ def count_builds(monkeypatch) -> list:
     return built
 
 
+def float_dtypes(obj) -> dict:
+    """The dtype of every floating-point array that ``obj`` holds as an attribute, or in a list attribute."""
+    dtypes = {}
+    for name, value in vars(obj).items():
+        arrays = value if isinstance(value, list) else [value]
+        for i, a in enumerate(arrays):
+            if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                dtypes[f"{name}[{i}]" if isinstance(value, list) else name] = a.dtype
+    return dtypes
+
+
+def recorded_workspaces(monkeypatch, module) -> list:
+    """A list that grows by each Workspace ``module`` makes from now on."""
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(module, "Workspace", Recorded)
+    return made
+
+
 def mixup_buffers(x, onehot):
     """``mixup_batch``'s ``out``: mixed rows, mixed targets and their scratch."""
     return np.empty_like(x), np.empty_like(onehot), np.empty_like(x), np.empty_like(onehot)
 
 
 def finite_difference_grad(params, x, y, kind, method_params=None, weight_decay=0.0, h=1e-5):
-    """Central-difference gradient of mean loss + (wd/2)|w|^2, coordinate by coordinate."""
-    work = Workspace(params.layout, len(x))
+    """Central-difference gradient of the float64 oracle's mean loss + (wd/2)|w|^2, coordinate by coordinate.
+
+    ``params`` and ``x`` are widened to float64 (exactly) and every
+    difference is taken in float64, so the float32 kernels under test take
+    no part in it.  With h = 1e-5 the truncation error is O(h^2), ~1e-10,
+    and the rounding error ~1e-16 / h, ~1e-11.
+    """
     mp = resolved(kind, method_params)
+    values, x = np.asarray(params.values, dtype=np.float64), np.asarray(x, dtype=np.float64)
 
     def objective(values):
-        net = ModelParams(values, params.layout)
-        loss = backward(net, x, y, kind=kind, weight_decay=0.0, work=work, method_params=mp)
-        return loss + 0.5 * weight_decay * float(values @ values)
+        per_sample = oracle_losses(oracle_probs(values, params.layout, x), y, kind, mp)
+        return float(per_sample.mean()) + 0.5 * weight_decay * float(values @ values)
 
-    grad = np.zeros_like(params.values)
+    grad = np.zeros_like(values)
     for i in range(len(grad)):
-        plus = params.values.copy()
+        plus = values.copy()
         plus[i] += h
-        minus = params.values.copy()
+        minus = values.copy()
         minus[i] -= h
         grad[i] = (objective(plus) - objective(minus)) / (2.0 * h)
     return grad
 
 
-def naive_softmax_forward(params, x):
-    """Per-row reimplementation of the forward pass using plain math.exp."""
-    layout = params.layout
-    values = params.values
+def oracle_losses(probs, labels, kind, method_params):
+    """Each row's loss in float64, written from the definitions: the float64 oracle of every loss.
+
+    ce is -log p_y; sce is alpha*CE + beta*RCE, where RCE = -sum_k p_k log
+    onehot_k with log 0 clipped to ``log_clip``; gce is (1 - p_y^q)/q; mae
+    is |onehot - p|_1; soft_ce is -sum_k t_k log p_k for soft targets t.
+    """
+    if kind == "soft_ce":
+        return -(labels * np.log(probs)).sum(axis=1)
+    p_y = probs[np.arange(len(probs)), labels]
+    onehot = np.eye(probs.shape[1])[labels]
+    if kind == "ce":
+        return -np.log(p_y)
+    if kind == "sce":
+        rce = -(probs * np.where(onehot == 1.0, 0.0, method_params["log_clip"])).sum(axis=1)
+        return method_params["alpha"] * -np.log(p_y) + method_params["beta"] * rce
+    if kind == "gce":
+        return (1.0 - p_y ** method_params["q"]) / method_params["q"]
+    assert kind == "mae", kind
+    return np.abs(onehot - probs).sum(axis=1)
+
+
+def oracle_probs(values, layout, x):
+    """Probability rows of the network ``values`` of ``layout`` for ``x``, in float64, row by row with plain math.exp.
+
+    ``values`` and ``x`` are widened to float64: the forward pass of the float64 oracle.
+    """
+    values = np.asarray(values, dtype=np.float64)
     rows = []
-    for sample in np.asarray(x, dtype=float):
+    for sample in np.asarray(x, dtype=np.float64):
         if layout.hidden is None:
             c, d = layout.num_classes, layout.dim
             w = values[: c * d].reshape(c, d)

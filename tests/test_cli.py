@@ -1185,8 +1185,8 @@ class TestArtifacts:
         params, header = load_checkpoint(os.path.join(out, "train", "seed_0", "final_checkpoint.bin"))
 
         cfg = load_config(config, {})
-        noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
-        test = load_npy(os.path.join(out, "test_dataset.npy"))
+        noisy = load_npy(os.path.join(out, "noisy_dataset.npy")).as_float32()  # as the train stage casts them
+        test = load_npy(os.path.join(out, "test_dataset.npy")).as_float32()
         plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
         fed_seed = derive_seed(cfg.seed, "federate", 0)
         fed_cfg = dataclasses.replace(cfg.federation, seed=fed_seed)

@@ -59,7 +59,7 @@ class TestMakeSyntheticBlobs:
 
     def test_linearly_separable_blobs_are_learnable(self):
         # oracle for the >= 95% centralized-accuracy threshold: actually train
-        ds = make_synthetic_blobs(4, 1000, 2, 6.0, seed=1)
+        ds = make_synthetic_blobs(4, 1000, 2, 6.0, seed=1).as_float32()
         params = init_params(Layout(dim=2, num_classes=4), seed=0)
         cfg = TrainerConfig(method="ce", lr=0.1, epochs=5, batch_size=128)
         trained, _ = train_local(ds, params, cfg, seed=0)

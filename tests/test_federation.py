@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_builds, naive_softmax_forward
+from conftest import count_builds, float_dtypes, oracle_probs, recorded_workspaces
 from noisyfl.cli import read_telemetry, write_telemetry
 from noisyfl.datasets import LabeledDataset, make_synthetic_blobs
 from noisyfl import federation
@@ -78,9 +79,12 @@ class TestAggregate:
         out = aggregate(values, weights)
         total = sum(weights)
         oracle = np.array(
-            [math.fsum(w / total * v[i] for v, w in zip(values, weights)) for i in range(layout.param_count)]
+            [math.fsum(w / total * float(v[i]) for v, w in zip(values, weights)) for i in range(layout.param_count)]
         )
-        assert np.abs(out - oracle).max() <= 1e-12
+        # in float32 (unit roundoff u = 2^-24), each of the 4 steps rounds its weight, difference, product and
+        # sum once; with every |v| <= M that is within ~3u * 2M per term plus 4u * M for the running sum
+        u, scale = np.finfo(np.float32).eps / 2, max(np.abs(v).max() for v in values)
+        assert np.abs(out - oracle).max() <= 16 * u * scale
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -90,7 +94,7 @@ class TestAggregate:
     )
     def test_scaled_integer_weights_give_the_same_bits(self, weights, scale, seed):
         """Only the shard sizes' ratios weigh: each weight over the total is one correctly rounded division."""
-        values = list(np.random.default_rng(seed).normal(size=(len(weights), 7)))
+        values = list(np.random.default_rng(seed).normal(size=(len(weights), 7)).astype(np.float32))
         scaled = aggregate(values, [scale * w for w in weights])
         assert scaled.tobytes() == aggregate(values, weights).tobytes()
 
@@ -107,21 +111,21 @@ class TestAggregate:
 
 class TestEvaluate:
     def test_perfect_classifier(self):
-        ds = make_synthetic_blobs(3, 100, 2, 8.0, seed=0)
+        ds = make_synthetic_blobs(3, 100, 2, 8.0, seed=0).as_float32()
         params = init_params(Layout(dim=2, num_classes=3), seed=0)
         trained, _ = train_local(ds, params, TrainerConfig(lr=0.2, epochs=10), seed=0)
         assert evaluate(trained, ds, Workspace(trained.layout, len(ds))) == 1.0
 
     def test_zero_params_tie_break_to_class_zero(self):
-        ds = make_synthetic_blobs(4, 25, 2, 4.0, seed=1)  # balanced, 25 per class
+        ds = make_synthetic_blobs(4, 25, 2, 4.0, seed=1).as_float32()  # balanced, 25 per class
         layout = Layout(dim=2, num_classes=4)
         params = ModelParams(np.zeros(layout.param_count), layout)
         assert evaluate(params, ds, Workspace(layout, len(ds))) == 0.25
 
     def test_matches_recount(self):
-        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
+        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2).as_float32()
         params = init_params(Layout(dim=2, hidden=4, num_classes=3), seed=5)
-        probs = naive_softmax_forward(params, ds.features)
+        probs = oracle_probs(params.values, params.layout, ds.features)
         correct = sum(
             1 for i in range(len(ds)) if int(np.argmax(probs[i])) == int(ds.labels[i])
         )
@@ -129,12 +133,65 @@ class TestEvaluate:
 
     def test_one_workspace_serves_every_round(self):
         # run_federation evaluates every round's model in one workspace
-        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
+        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2).as_float32()
         layout = Layout(dim=2, hidden=4, num_classes=3)
         shared = Workspace(layout, len(ds))
         for seed in range(3):
             params = init_params(layout, seed=seed)
             assert evaluate(params, ds, shared) == evaluate(params, ds, Workspace(layout, len(ds)))
+
+
+class TestFloat32:
+    """A federation trains, averages and evaluates in float32."""
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_models_and_buffers_are_float32(self, monkeypatch, method, processes):
+        ds, plan, test, layout, cfg = TestProcesses._setup(self, method, fraction=0.5)
+        in_processes(monkeypatch, processes)
+        made = recorded_workspaces(monkeypatch, federation)
+        peers = []
+        if method == "coteaching":
+            train = federation.train_local_coteaching
+
+            def recording(*args):
+                model, peer, loss = train(*args)
+                peers.append(peer)
+                return model, peer, loss
+
+            monkeypatch.setattr(federation, "train_local_coteaching", recording)
+        _, final = run_federation(ds, plan, test, layout, cfg)
+        assert final.values.dtype == np.float32
+        assert all(peer.values.dtype == np.float32 for peer in peers)
+        assert (method == "coteaching") == bool(peers)
+        (evaluation,) = made
+        assert set(float_dtypes(evaluation).values()) == {np.dtype(np.float32)}
+
+    def test_evaluation_allocates_no_float64_array(self):
+        """A float32 test set is evaluated in the workspace, with no row-sized float64 array beside it.
+
+        What the pass allocates is argmax's int64 labels, the bool flags and
+        numpy's iterator buffer for a broadcast bias add (8192 float32s):
+        less than the smallest float64 array of the pass, (rows, classes).
+        A float64 test set, against float32 weights, makes the first matmul
+        allocate a float64 (rows, hidden) temporary: the probe sees it.
+        """
+        layout = Layout(dim=32, hidden=64, num_classes=10)
+        params = init_params(layout, seed=0)
+        test = make_synthetic_blobs(10, 200, 32, 2.0, seed=1)
+        work = Workspace(layout, len(test))
+
+        def peak(test_set):
+            evaluate(params, test_set, work)  # the first call may allocate lazily; it is not measured
+            tracemalloc.start()
+            try:
+                evaluate(params, test_set, work)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(test.as_float32()) < len(test) * layout.num_classes * 8
+        assert peak(test) >= len(test) * layout.hidden * 8
 
 
 def global_models(ds, plan, test, layout, cfg):
@@ -156,8 +213,8 @@ def global_models(ds, plan, test, layout, cfg):
 
 class TestRunFederation:
     def _setup(self, num_clients=4, rounds=6, **trainer_kwargs):
-        ds = make_synthetic_blobs(3, 200, 2, 5.0, seed=0)
-        test = make_synthetic_blobs(3, 60, 2, 5.0, seed=1)
+        ds = make_synthetic_blobs(3, 200, 2, 5.0, seed=0).as_float32()
+        test = make_synthetic_blobs(3, 60, 2, 5.0, seed=1).as_float32()
         plan = make_partition(ds, num_clients, PartitionSpec("iid"), seed=2)
         layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, epochs=1, batch_size=64, **trainer_kwargs)
@@ -165,8 +222,8 @@ class TestRunFederation:
         return ds, test, plan, layout, cfg
 
     def test_single_client_matches_centralized_loop(self):
-        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=3)
-        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=4)
+        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=3).as_float32()
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=4).as_float32()
         plan = make_partition(ds, 1, PartitionSpec("iid"), seed=0)
         layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, momentum=0.9, epochs=1, batch_size=32)
@@ -210,12 +267,15 @@ class TestRunFederation:
         assert err.value.round_t >= 1
 
     def test_overflowing_average_aborts_with_its_round(self, monkeypatch):
-        """Finite client models whose average overflows abort the run (exit 4 at the CLI), not a ValueError."""
+        """Finite client models whose average overflows abort the run (exit 4 at the CLI), not a ValueError.
+
+        The models hold float32's largest finite value, with opposite signs, so their difference overflows.
+        """
         ds, test, plan, layout, cfg = self._setup(num_clients=2)
 
         def extreme(shard, params, trainer, seed):
             sign = 1.0 if np.array_equal(shard.features, ds.features[plan.clients[0]]) else -1.0
-            return ModelParams(np.full(layout.param_count, sign * 1e308), layout), 1.0
+            return ModelParams(np.full(layout.param_count, sign * np.finfo(np.float32).max), layout), 1.0
 
         monkeypatch.setattr(federation, "train_local", extreme)
         with warnings.catch_warnings(), pytest.raises(NumericalAbortError) as err:
@@ -279,8 +339,8 @@ class TestProcesses:
         signal.signal(signal.SIGALRM, previous)
 
     def _setup(self, method="ce", fraction=1.0, lr=0.05, eval_every=1):
-        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
-        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
+        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0).as_float32()
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1).as_float32()
         # unequal shards, so the split balances them
         plan = make_partition(ds, 6, PartitionSpec("quantity-skew", alpha=2.0), seed=2)
         layout = Layout(dim=2, hidden=4, num_classes=3)
@@ -526,8 +586,8 @@ class TestModelsBuilt:
 
 class TestTelemetryIO:
     def test_round_trip(self, tmp_path):
-        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
-        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
+        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0).as_float32()
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1).as_float32()
         plan = make_partition(ds, 2, PartitionSpec("iid"), seed=0)
         layout = Layout(dim=2, num_classes=3)
         cfg = FedConfig(

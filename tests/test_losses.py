@@ -7,12 +7,15 @@ from conftest import (
     fresh_backward,
     fresh_forward,
     mixup_buffers,
-    naive_softmax_forward,
+    oracle_probs,
     resolved,
 )
 from noisyfl.localtrain import mixup_batch, sgd_step
 from noisyfl.losses import backward, backward_cached
 from noisyfl.models import Layout, ModelParams, Workspace, forward_cached, init_params
+
+# float32's unit roundoff, 2^-24: networks compute in float32, and each bound below counts its roundings
+U32 = float(np.finfo(np.float32).eps) / 2
 
 LAYOUTS = [
     Layout(dim=3, num_classes=3),
@@ -32,14 +35,14 @@ def loss_and_work(probs, labels, kind, **method_params):
 
     A linear-softmax network over the identity input: row i picks weight
     column i, set to log probs[i], so the softmax returns probs[i] up to
-    rounding.  A zero probability becomes a logit of log(1e-300), whose
-    share of the row rounds away against any probability near 1.
+    float32 rounding.  A zero probability becomes a logit of log(1e-300),
+    whose share of the row rounds away against any probability near 1.
     """
     n, num_classes = probs.shape
     layout = Layout(dim=n, num_classes=num_classes)
     weights = np.log(np.maximum(probs, 1e-300)).T
     params = ModelParams(np.concatenate([weights.ravel(), np.zeros(num_classes)]), layout)
-    return fresh_backward(params, np.eye(n), labels, kind, method_params)
+    return fresh_backward(params, np.eye(n, dtype=np.float32), labels, kind, method_params)
 
 
 def loss_of(probs, labels, kind, **method_params):
@@ -66,7 +69,22 @@ class TestLossValues:
         with mpmath.workdps(50):
             expected = float((1 - mpmath.mpf("0.5") ** mpmath.mpf("0.7")) / mpmath.mpf("0.7"))
         got = loss_of(probs_row(0.5), np.array([0]), "gce", q=0.7)
-        assert got == pytest.approx(expected, abs=1e-15)
+        # p_y = 0.5 comes back through float32's log, exp, row sum and division (~6 roundings),
+        # and the power, subtraction and division of gce add ~4: 16 u leaves a margin
+        assert got == pytest.approx(expected, rel=16 * U32)
+
+    @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
+    def test_zero_probability_gives_finite_loss_and_gradient(self, kind):
+        """A label whose probability underflows to 0 in float32 meets log's floor, float32's smallest normal.
+
+        The label's logit is log(1e-300) = -690.8, whose exp is 0 in float32.
+        A floor that float32 cannot hold (1e-300 rounds to 0) would give
+        -log(0) = inf, and a divide-by-zero warning.
+        """
+        loss, work = loss_and_work(probs_row(0.0), np.array([0]), kind)
+        assert np.isfinite(loss) and np.isfinite(work.grad).all()
+        if kind == "ce":  # p_y is 0 exactly, and the loss is -log of the floor
+            assert loss == float(-np.log(np.finfo(np.float32).tiny))
 
     def test_gce_limit_approaches_mae_form(self):
         probs = probs_row(0.37)
@@ -79,7 +97,7 @@ class TestLossValues:
         labels = np.array([0])
         ce = loss_of(probs, labels, "ce")
         sce = loss_of(probs, labels, "sce", alpha=0.1, beta=1.0, log_clip=-4.0)
-        assert sce == pytest.approx(0.1 * ce + 4.0 * (1.0 - 0.6), rel=1e-12)
+        assert sce == pytest.approx(0.1 * ce + 4.0 * (1.0 - 0.6), rel=16 * U32)  # as in the gce oracle above
 
     def test_mae_value(self):
         assert loss_of(probs_row(0.25), np.array([0]), "mae") == pytest.approx(1.5, rel=1e-12)
@@ -127,34 +145,75 @@ class TestLossValues:
         probs = random_probs(gen, 7, 5)
         labels = gen.integers(0, 5, size=7)
         _, work = loss_and_work(probs, labels, "ce")
-        assert np.abs(work.per_sample + np.log(probs[np.arange(7), labels])).max() <= 1e-14
+        expected = -np.log(probs[np.arange(7), labels])
+        assert np.abs(work.per_sample / expected - 1.0).max() <= 16 * U32  # as in the gce oracle above
 
 
 class TestForward:
     def test_zero_params_uniform(self):
         layout = Layout(dim=2, num_classes=4)
         params = ModelParams(np.zeros(layout.param_count), layout)
-        probs = fresh_forward(params, np.random.default_rng(0).normal(size=(5, 2)))
+        probs = fresh_forward(params, np.random.default_rng(0).normal(size=(5, 2)).astype(np.float32))
         assert np.allclose(probs, 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_rows_on_simplex(self, layout):
         params = init_params(layout, seed=3)
-        probs = fresh_forward(params, np.random.default_rng(1).normal(size=(7, layout.dim)))
-        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-10
+        probs = fresh_forward(params, np.random.default_rng(1).normal(size=(7, layout.dim)).astype(np.float32))
+        # each of the 3 probabilities is within ~5 u of its exact value, and their sum adds 2 roundings
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 32 * U32
         assert probs.min() >= 0
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_matches_naive_reimplementation(self, layout):
         params = init_params(layout, seed=5)
-        x = np.random.default_rng(2).normal(size=(6, layout.dim))
-        assert np.abs(fresh_forward(params, x) - naive_softmax_forward(params, x)).max() <= 1e-12
+        x = np.random.default_rng(2).normal(size=(6, layout.dim)).astype(np.float32)
+        # the float64 oracle against float32 kernels: the longest path to a probability is the two
+        # dot products (4 and 5 roundings), tanh, and the softmax's shift, exp, sum and division (7)
+        assert np.abs(fresh_forward(params, x) - oracle_probs(params.values, layout, x)).max() <= 32 * U32
 
     def test_shape_mismatch(self):
         layout = Layout(dim=3, num_classes=2)
         params = init_params(layout, seed=0)
         with pytest.raises(ValueError, match="matmul"):  # no check of ours: the kernel refuses the width
             fresh_forward(params, np.zeros((4, 5)))
+
+
+def gradient_bound(params, x) -> float:
+    """How far the float32 gradient of one pass over ``x`` may lie from the exact one, relative to 1 + |g|.
+
+    Derived from float32's unit roundoff u = 2^-24.  Each float32 operation
+    returns its exact result times (1 + d), |d| <= u; numpy's exp, log,
+    tanh and power are within an ulp, so each counts as 2 roundings.  A sum
+    of n terms is then within gamma_n = n*u / (1 - n*u) of its exact value,
+    relative to the sum of its terms' magnitudes, and a relative error
+    carried in from an earlier step adds its count.  The longest path to a
+    gradient entry of these layouts (dim 3, hidden 4, 3 classes, 6 rows)
+    has the hidden layer's dot product and bias (4 roundings), tanh (2), the
+    output layer's (5), the softmax's shift, exp, row sum and division (7),
+    the loss's scale of p - onehot (at most 4: gce's power), the batch
+    mean's 1/b (1), the backward matmul over the classes (3), tanh' = 1 -
+    tanh^2 (3) and the sum over the rows (6): 35, taken as m = 40.  The
+    terms: a row's dloss/dlogits entries are at most 1.06 (sce's (1 - p_y) *
+    (alpha + beta * 4 * p_y) peaks at 1.0506; ce's |p - onehot| is at most 1,
+    mae's and gce's less) and sum in magnitude to twice that.  A layer's
+    input is at most S = max(1, |x|, |z1|) (|z1| bounds tanh and relu
+    alike), and the hidden layer's gradient passes W_out, a factor of at
+    most max(1, 2 |W_out|).  So |g32 - g| <= gamma_40 * 1.06 * S * max(1, 2
+    |W_out|): about 5e-6 to 1e-5 on these cases, where the float32 kernels
+    land within ~4e-8.  The float64 finite differences add ~1e-9, counted as
+    1e-8.
+    """
+    layout, values = params.layout, params.values.astype(np.float64)
+    x = np.abs(np.asarray(x, dtype=np.float64))
+    scale, w_out = max(1.0, float(x.max())), 0.0
+    if layout.hidden is not None:
+        (h, d), (c, _) = layout.shapes
+        w1, b1 = values[: h * d].reshape(h, d), values[h * d : h * d + h]
+        scale = max(scale, float((x @ np.abs(w1).T + np.abs(b1)).max()))
+        w_out = float(np.abs(values[h * d + h : h * d + h + c * h]).max())
+    m = 40
+    return m * U32 / (1 - m * U32) * 1.06 * scale * max(1.0, 2.0 * w_out) + 1e-8
 
 
 class TestBackward:
@@ -165,39 +224,40 @@ class TestBackward:
         y = np.array([2])
         probs = fresh_forward(params, x)
         _, work = fresh_backward(params, x, y, "ce")
-        expected_w = np.outer(probs[0] - np.eye(4)[2], x[0])
-        assert np.abs(work.grad[:12].reshape(4, 3) - expected_w).max() <= 1e-12
-        assert np.abs(work.grad[12:] - (probs[0] - np.eye(4)[2])).max() <= 1e-12
+        expected_w = np.outer(probs[0] - np.eye(4)[2], x[0])  # in float64, from the float32 pass
+        # each entry is one float32 subtraction and one product away from its float64 value
+        assert np.abs(work.grad[:12].reshape(4, 3) - expected_w).max() <= 4 * U32 * np.abs(expected_w).max()
+        assert np.abs(work.grad[12:] - (probs[0] - np.eye(4)[2])).max() <= 2 * U32
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
     def test_finite_difference_all_losses(self, layout, kind):
         gen = np.random.default_rng(hash((layout.param_count, kind)) % 2**32)
         params = init_params(layout, seed=7)
-        x = gen.normal(size=(6, layout.dim))
+        x = gen.normal(size=(6, layout.dim)).astype(np.float32)
         y = gen.integers(0, layout.num_classes, size=6)
         _, work = fresh_backward(params, x, y, kind)
         fd = finite_difference_grad(params, x, y, kind)
         rel = np.abs(work.grad - fd) / (1.0 + np.abs(fd))
-        assert rel.max() < 1e-5
+        assert rel.max() < gradient_bound(params, x)
 
     @pytest.mark.parametrize("layout", LAYOUTS[:2])
     def test_finite_difference_soft_targets(self, layout):
         gen = np.random.default_rng(9)
         params = init_params(layout, seed=2)
-        x = gen.normal(size=(5, layout.dim))
+        x = gen.normal(size=(5, layout.dim)).astype(np.float32)
         raw = gen.uniform(0.1, 1.0, size=(5, layout.num_classes))
         targets = raw / raw.sum(axis=1, keepdims=True)
         _, work = fresh_backward(params, x, targets, "soft_ce")
         fd = finite_difference_grad(params, x, targets, "soft_ce")
         rel = np.abs(work.grad - fd) / (1.0 + np.abs(fd))
-        assert rel.max() < 1e-5
+        assert rel.max() < gradient_bound(params, x)
 
     def test_weight_decay_adds_lambda_w(self):
         layout = Layout(dim=2, hidden=3, num_classes=2)
         params = init_params(layout, seed=4)
         gen = np.random.default_rng(3)
-        x = gen.normal(size=(4, 2))
+        x = gen.normal(size=(4, 2)).astype(np.float32)
         y = gen.integers(0, 2, size=4)
         _, bare = fresh_backward(params, x, y, "ce", weight_decay=0.0)
         _, decayed = fresh_backward(params, x, y, "ce", weight_decay=0.01)
@@ -236,7 +296,7 @@ class TestWorkspace:
     def test_results_are_views_of_the_workspace(self, layout, kind):
         gen = np.random.default_rng(4)
         params = init_params(layout, seed=1)
-        x = gen.normal(size=(5, 3))
+        x = gen.normal(size=(5, 3)).astype(np.float32)
         y = gen.integers(0, 3, size=5)
         labels = np.eye(3)[y] if kind == "soft_ce" else y
         work = Workspace(layout, rows=7)
@@ -253,7 +313,7 @@ class TestBoundWorkspace:
 
     def _batch(self, layout):
         gen = np.random.default_rng(6)
-        return gen.normal(size=(6, layout.dim)), gen.integers(0, layout.num_classes, size=6)
+        return gen.normal(size=(6, layout.dim)).astype(np.float32), gen.integers(0, layout.num_classes, size=6)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_checked_entries_rebind_to_a_second_network(self, layout):
@@ -288,10 +348,16 @@ class TestReusedPass:
 
     Co-teaching backpropagates through the pass that ranked the batch.  A
     row of a 64-row matmul can differ in the last bits from the same row of
-    a matmul over fewer rows, so the bound is relative: 1e-12 of the largest
-    gradient entry, about 4500 float64 ulps.  Keeping every row in order is
-    the same pass, so it is bit-equal.
+    a matmul over fewer rows, because BLAS may sum its dot products in
+    another order.  Two orders of a sum of n terms each lie within gamma_n
+    ~ n*u of the exact sum, relative to its terms' magnitudes, with u =
+    2^-24 float32's unit roundoff; the longest sums here have 64 terms.  So
+    the bound is relative: ``TOLERANCE`` = 64 u, 3.8e-6, of the largest
+    gradient entry (the kernels land within ~3e-7).  Keeping every row in
+    order is the same pass, so it is bit-equal.
     """
+
+    TOLERANCE = 64 * U32
 
     # the benchmark's shapes: 32 features, 64 hidden units, 10 classes, 64-row batches
     LAYOUTS = [
@@ -304,7 +370,7 @@ class TestReusedPass:
     def _reused_and_recomputed(self, layout, kind, sel, seed=0):
         gen = np.random.default_rng(seed)
         params = init_params(layout, seed=seed + 1)
-        x = gen.normal(size=(self.BATCH, layout.dim))
+        x = gen.normal(size=(self.BATCH, layout.dim)).astype(np.float32)
         y = gen.integers(0, layout.num_classes, size=self.BATCH)
         work = Workspace(layout, rows=self.BATCH)
         forward_cached(params, x, work)
@@ -325,9 +391,9 @@ class TestReusedPass:
                 layout, kind, sel, seed
             )
             scale = np.abs(recomputed_grad).max()
-            assert np.abs(reused_grad - recomputed_grad).max() <= 1e-12 * scale
-            assert reused == pytest.approx(recomputed, rel=1e-12)
-            assert reused == pytest.approx(reused_rows.mean(), rel=1e-12)  # the loss covers the k kept rows
+            assert np.abs(reused_grad - recomputed_grad).max() <= self.TOLERANCE * scale
+            assert reused == pytest.approx(recomputed, rel=self.TOLERANCE)
+            assert reused == pytest.approx(reused_rows.mean(), rel=self.TOLERANCE)  # the loss covers the k kept rows
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     def test_unsorted_selection_keeps_its_order(self, layout):
@@ -335,8 +401,8 @@ class TestReusedPass:
         (_, reused_grad, reused_rows), (_, recomputed_grad, recomputed_rows) = self._reused_and_recomputed(
             layout, "ce", sel
         )
-        assert np.abs(reused_rows - recomputed_rows).max() <= 1e-12
-        assert np.abs(reused_grad - recomputed_grad).max() <= 1e-12 * np.abs(recomputed_grad).max()
+        assert np.abs(reused_rows - recomputed_rows).max() <= self.TOLERANCE * np.abs(recomputed_rows).max()
+        assert np.abs(reused_grad - recomputed_grad).max() <= self.TOLERANCE * np.abs(recomputed_grad).max()
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
@@ -368,7 +434,7 @@ class TestStackedPass:
 
     def _check(self, layout, b, selections, kind="ce"):
         gen = np.random.default_rng(b)
-        x = gen.normal(size=(b, layout.dim))
+        x = gen.normal(size=(b, layout.dim)).astype(np.float32)
         y = gen.integers(0, layout.num_classes, size=b)
         nets, stack = self._stack(layout)
         mp = resolved(kind)
@@ -468,7 +534,7 @@ class TestMixupBatch:
     def test_targets_stay_on_simplex(self):
         gen = np.random.default_rng(5)
         onehot = np.eye(5)[gen.integers(0, 5, size=16)]
-        x = gen.normal(size=(16, 3))
+        x = gen.normal(size=(16, 3)).astype(np.float32)
         for lam in (0.0, 0.25, 0.7, 1.0):
             _, targets = mixup_batch(x, onehot, lam, gen.permutation(16), mixup_buffers(x, onehot))
             assert np.abs(targets.sum(axis=1) - 1.0).max() <= 1e-12
@@ -476,7 +542,7 @@ class TestMixupBatch:
     def test_lambda_one_is_identity(self):
         gen = np.random.default_rng(6)
         onehot = np.eye(3)[gen.integers(0, 3, size=8)]
-        x = gen.normal(size=(8, 2))
+        x = gen.normal(size=(8, 2)).astype(np.float32)
         mixed_x, mixed_t = mixup_batch(x, onehot, 1.0, gen.permutation(8), mixup_buffers(x, onehot))
         assert np.array_equal(mixed_x, x)
         assert np.array_equal(mixed_t, onehot)
@@ -484,7 +550,7 @@ class TestMixupBatch:
     def test_out_buffers_are_written_bit_equal(self):
         gen = np.random.default_rng(7)
         onehot = np.eye(4)[gen.integers(0, 4, size=9)]
-        x = gen.normal(size=(9, 3))
+        x = gen.normal(size=(9, 3)).astype(np.float32)
         perm = gen.permutation(9)
         out = mixup_buffers(x, onehot)
         mixed_x, mixed_t = mixup_batch(x, onehot, 0.37, perm, out)

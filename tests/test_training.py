@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import count_builds, fresh_backward, mixup_buffers
+from conftest import count_builds, float_dtypes, fresh_backward, mixup_buffers, recorded_workspaces
 from noisyfl import localtrain, models, rng
 from noisyfl.cli import main
 from noisyfl.datasets import make_synthetic_blobs, save_csv
 from noisyfl.localtrain import (
+    METHODS,
     TrainerConfig,
     coteaching_keep_fraction,
     mixup_batch,
@@ -23,7 +24,8 @@ from test_cli import write_config
 
 
 def blobs(num_classes=3, per_class=80, seed=0, separation=5.0):
-    return make_synthetic_blobs(num_classes, per_class, 2, separation, seed=seed)
+    """Two-feature blobs as the train stage hands them to training: with float32 features."""
+    return make_synthetic_blobs(num_classes, per_class, 2, separation, seed=seed).as_float32()
 
 
 class TestTrainerConfig:
@@ -342,7 +344,7 @@ def hand_trained(ds, starts, cfg, seed, round_t):
                 # rank with a pass in a new workspace, then take the gradient from the peer's rows of that pass
                 works = [Workspace(net.layout, len(x), net) for net in nets]
                 passes = [forward_cached(net, x, work) for net, work in zip(nets, works)]
-                ce = [-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)) for probs in passes]
+                ce = [-np.log(np.maximum(probs[np.arange(len(y)), y], np.finfo(np.float32).tiny)) for probs in passes]
                 kept = [small_loss_selection(per_sample, keep) for per_sample in ce]
                 losses = []
                 for net, work, sel in zip(nets, works, kept[::-1]):
@@ -389,7 +391,7 @@ class TestWorkspaceReuse:
     # 69 rows: a 5-row last batch, a 1-row last batch, one batch smaller than the batch size
     @pytest.mark.parametrize("batch_size", [16, 17, 100])
     def test_matches_fresh_steps(self, layout, method, batch_size):
-        clean = make_synthetic_blobs(3, 23, 5, 2.0, seed=1)
+        clean = make_synthetic_blobs(3, 23, 5, 2.0, seed=1).as_float32()
         self._check(clean, layout, method, batch_size)
 
     @pytest.mark.parametrize("method", list(METHOD_PARAMS))
@@ -399,7 +401,7 @@ class TestWorkspaceReuse:
         # small shapes above; 150 rows end each epoch on a 22-row batch.  Here a
         # co-teaching network that recomputed its pass on the kept rows would
         # differ in the last bits from one that reuses its ranking pass.
-        clean = make_synthetic_blobs(10, 15, 32, 2.0, seed=1)
+        clean = make_synthetic_blobs(10, 15, 32, 2.0, seed=1).as_float32()
         self._check(clean, Layout(dim=32, hidden=64, num_classes=10, activation="tanh"), method, 64)
 
     def _check(self, clean, layout, method, batch_size):
@@ -418,3 +420,36 @@ class TestWorkspaceReuse:
         for model, expected in zip(trained, values):
             assert np.array_equal(model.values, expected)
         assert mean_loss == float(np.mean(epoch_losses))
+
+
+class TestFloat32:
+    """Every method trains in float32: no buffer, trained network or peer comes out wider.
+
+    The hyperparameters are numpy float64 scalars, as a caller may pass
+    them: under NEP 50 such a scalar times a float32 array gives a float64
+    array, which a new (not in-place) result would carry on.
+    """
+
+    PARAMS = TestWorkspaceReuse.METHOD_PARAMS
+
+    @pytest.mark.parametrize("layout", TestWorkspaceReuse.LAYOUTS, ids=["linear", "mlp-tanh", "mlp-relu"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_buffers_and_results_are_float32(self, monkeypatch, layout, method):
+        made = recorded_workspaces(monkeypatch, localtrain)
+        ds = make_synthetic_blobs(3, 23, 5, 2.0, seed=1).as_float32()
+        a, b = init_params(layout, seed=3), init_params(layout, seed=4)
+        params = {key: np.float64(value) for key, value in self.PARAMS[method].items()}
+        lr, momentum, decay = np.float64(0.2), np.float64(0.9), np.float64(5e-4)
+        cfg = TrainerConfig(method, lr, momentum, decay, batch_size=16, epochs=2, method_params=params)
+        if method == "coteaching":
+            *trained, _ = train_local_coteaching(ds, a, b, cfg, seed=5, round_t=6)
+        else:
+            *trained, _ = train_local(ds, a, cfg, seed=5)
+        assert [model.values.dtype for model in trained] == [np.float32] * len(trained)  # co-teaching: and its peer
+        (work,) = made
+        dtypes = float_dtypes(work)
+        assert {"probs", "grad", "step", "x", "values", "grad_views[0]"} <= set(dtypes)  # the probe sees the buffers
+        assert set(dtypes.values()) == {np.dtype(np.float32)}, dtypes
+
+    def test_one_hot_targets_are_float32(self):
+        assert one_hot(np.array([2, 0, 1]), 3).dtype == np.float32
