@@ -39,8 +39,12 @@ manifest.
 The noise stage materializes the dataset, runs the configured scene once
 and is the one writer of the client split and of what train reads:
 plan.json, client_histograms.csv, noisy_dataset.npy and test_dataset.npy.
-Those files hold float64 features; the train stage casts them to float32,
-the one dtype networks train and evaluate in, once as it loads them.
+plan.json holds only each client's sorted indices; the scheme, its
+parameter and the seed are the noise manifest's key.  The datasets hold
+float64 features; the train stage casts them to float32, the one dtype
+networks train and evaluate in, once as it loads them.  A train seed
+writes telemetry.csv and final_params.npy, the final model's values as one
+.npy array, whose layout, rounds and seed are the seed manifest's key.
 ``partition`` prints the histograms of that split and writes nothing.
 The intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
 import format of user datasets.  All output bytes are a pure function of
@@ -54,7 +58,8 @@ noise ratio (the noise spec's :attr:`~noisyfl.noise.NoiseSpec.nominal_ratio`,
 or the real-world ``overall_ratio``), or ``COTEACHING_FALLBACK_FORGET_RATE``
 if it is 0 (:func:`~noisyfl.config.with_forget_rate`).  A nominal ratio that
 gives no forget_rate exits 2 where the config enters; only a real-world
-ratio, which the data gives, is checked after the noise stage.
+ratio, which the data gives, is checked after the noise stage, and a noise
+manifest's ``overall_ratio`` that is not null or in [0, 1] exits 3.
 
 ``analyze`` is no stage: it reads finished run directories, one
 accuracy-table entry each, and writes the paper's drop-ratio and
@@ -147,9 +152,8 @@ def write_atomic(path: str, write) -> None:
 
 
 def save_plan(plan: PartitionPlan, path: str) -> None:
-    """Write plan.json: the scheme, its params and seed, and each client's sorted indices."""
-    clients = [c.tolist() for c in plan.clients]
-    write_json({"scheme": plan.scheme, "params": plan.params, "seed": plan.seed, "clients": clients}, path)
+    """Write plan.json: each client's sorted indices, under ``clients``."""
+    write_json({"clients": [c.tolist() for c in plan.clients]}, path)
 
 
 def load_plan(path: str, n: int, num_clients: int) -> PartitionPlan:
@@ -160,7 +164,7 @@ def load_plan(path: str, n: int, num_clients: int) -> PartitionPlan:
         clients = [np.asarray(c) for c in doc["clients"]]
         if any(len(c) and c.dtype.kind not in "iu" for c in clients):  # an empty list parses as float
             raise ValueError("plan contains an index that is not an integer")
-        plan = PartitionPlan(clients, doc["scheme"], doc["params"], int(doc["seed"]))
+        plan = PartitionPlan(clients)
         if plan.num_clients != num_clients:
             raise ValueError(f"plan has {plan.num_clients} clients, federation.num_clients is {num_clients}")
         plan.validate(n)
@@ -345,11 +349,16 @@ def cmd_noise(cfg: RunConfig) -> dict:
 
 
 def _noise_ratio_estimate(spec: NoiseSpec, manifest: dict) -> float:
-    """``spec``'s nominal noise ratio, or the real-world ratio of the noise ``manifest`` that records ``spec``."""
-    ratio = spec.nominal_ratio
-    if ratio is None:  # the real-world scene: the ratio its data gave
-        ratio = manifest.get("overall_ratio") or 0.0
-    return float(ratio)
+    """``spec``'s nominal noise ratio, or the real-world ratio of the noise ``manifest`` that records ``spec``.
+
+    The one check of ``overall_ratio``: null (no true labels, taken as 0) or a float in [0, 1].
+    """
+    if spec.nominal_ratio is not None:
+        return spec.nominal_ratio
+    ratio = manifest.get("overall_ratio", "absent")
+    if ratio is not None and (type(ratio) is not float or not 0.0 <= ratio <= 1.0):  # NaN fails the range too
+        raise ArtifactMismatchError(f"noise_manifest.json: overall_ratio is {ratio!r}, not null or a float in [0, 1]")
+    return ratio or 0.0
 
 
 TRAIN_INPUTS = ("noisy_dataset.npy", "plan.json", "test_dataset.npy")
@@ -375,7 +384,7 @@ def _train_seed(cfg: RunConfig, fed_cfg: FedConfig, load_inputs) -> tuple[dict, 
     fields = {"last_k": last_k, "last_k_accuracy": last_k_average(records, last_k)}
     return fields, {
         "telemetry.csv": functools.partial(write_telemetry, records),
-        "final_checkpoint.bin": functools.partial(save_checkpoint, params, round_t=fed_cfg.rounds, seed=fed_cfg.seed),
+        "final_params.npy": functools.partial(save_checkpoint, params),
     }
 
 
@@ -456,8 +465,7 @@ def _run_entry(run_dir: str) -> tuple[tuple[str, str, float], float]:
         eps = {name: noise["noise"][name] for name in RATIOS}
         noise_spec = NoiseSpec(scene=noise["noise"]["scene"], mode=noise["noise"]["mode"], **eps)
         (accuracy,) = [row["mean_accuracy"] for row in train["summary"] if row["lr"] == train["selected_lr"]]
-        typed = [(spec.alpha, float), (spec.c, int), (noise["overall_ratio"], float)]
-        typed += [(value, float) for value in eps.values()]
+        typed = [(spec.alpha, float), (spec.c, int)] + [(value, float) for value in eps.values()]
         if any(value is not None and (type(value) is not kind or not math.isfinite(value)) for value, kind in typed):
             raise ValueError("a recorded number is not finite or not of its type")
         partition = spec.scheme + "".join(f"({name}={value!r})" for name, value in spec.params.items())

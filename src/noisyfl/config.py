@@ -234,7 +234,7 @@ class RunConfig:
     partition: PartitionSpec
     noise: NoiseSpec
     federation: FedConfig
-    model: dict  # models.Layout.to_dict() without the data's dim and num_classes
+    model: dict  # what models.layout_from_dict takes, without the data's dim and num_classes
     lr_grid: tuple[float, ...] | None
 
 

@@ -15,12 +15,13 @@ networks cost one pass's dispatch.  What a pass returns is a view of the
 workspace's buffers and holds until its next pass.  :func:`forward_cached`
 binds a network and runs :meth:`Workspace.forward`, and every pass runs in
 a workspace its caller made; the loss-specific part of the hand-derived
-gradient is in losses.py.
+gradient is in losses.py.  :func:`save_checkpoint` writes a network's
+values as one .npy array, widened exactly to float64; the layout, round
+and seed it belongs to are the train stage's key, not the file's.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,25 +57,11 @@ class Layout:
     def param_count(self) -> int:
         return sum(out * inp + out for out, inp in self.shapes)
 
-    def to_dict(self) -> dict:
-        if self.hidden is None:
-            return {"kind": "linear-softmax", "dim": self.dim, "num_classes": self.num_classes}
-        return {
-            "kind": "mlp",
-            "dim": self.dim,
-            "hidden": self.hidden,
-            "num_classes": self.num_classes,
-            "activation": self.activation,
-        }
-
 
 def layout_from_dict(doc: dict) -> Layout:
-    """The layout ``doc`` describes: a checkpoint's ``layout``, or a config's model with the data's dim and classes."""
-    kind = doc.get("kind")
-    if kind not in ("linear-softmax", "mlp"):
-        raise ValueError(f"unknown layout kind {kind!r}")
-    layers = {"hidden": int(doc["hidden"]), "activation": doc["activation"]} if kind == "mlp" else {}
-    return Layout(dim=int(doc["dim"]), num_classes=int(doc["num_classes"]), **layers)
+    """The layout of a config's model, which the config has validated, with the data's ``dim`` and ``num_classes``."""
+    layers = {"hidden": doc["hidden"], "activation": doc["activation"]} if doc["kind"] == "mlp" else {}
+    return Layout(dim=doc["dim"], num_classes=doc["num_classes"], **layers)
 
 
 @dataclass(frozen=True)
@@ -301,30 +288,10 @@ def forward_cached(params: ModelParams, x: np.ndarray, work: Workspace) -> np.nd
     return work.forward(x)
 
 
-CHECKPOINT_MAGIC = "noisyfl-checkpoint"
+def save_checkpoint(params: ModelParams, path: str) -> None:
+    """One .npy array: the float32 values, widened exactly to little-endian float64.
 
-
-def save_checkpoint(params: ModelParams, path: str, round_t: int, seed: int) -> None:
-    """JSON header line + little-endian float64 payload: the float32 values, widened exactly."""
-    header = {
-        "format": CHECKPOINT_MAGIC,
-        "layout": params.layout.to_dict(),
-        "round": int(round_t),
-        "seed": int(seed),
-    }
+    It is written through an open file, so ``np.save`` adds no ``.npy`` suffix to ``path``.
+    """
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(params.values.astype("<f8").tobytes())
-
-
-def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a parameter checkpoint")
-    layout = layout_from_dict(header["layout"])
-    values = np.frombuffer(payload, dtype="<f8")
-    return ModelParams(values=values, layout=layout), header
+        np.save(fh, params.values.astype("<f8"), allow_pickle=False)

@@ -19,7 +19,7 @@ redraw ``a`` of seed ``s`` uses streams of its own, ``stream(s, <name>,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +47,9 @@ def gamma_dirichlet(gen: np.random.Generator, alpha: float, size: int) -> np.nda
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Disjoint per-client sample-index lists, each sorted ascending, plus the scheme that made them."""
+    """Disjoint per-client sample-index lists, each sorted ascending."""
 
     clients: list[np.ndarray]
-    scheme: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -99,9 +96,9 @@ class PartitionSpec:
 
     @property
     def params(self) -> dict:
-        """The scheme's parameter as plan.json records it: ``{}`` or ``{name: value}``, alpha a float and c an int."""
+        """The scheme's parameter by name, ``{}`` or ``{name: value}``, as the accuracy table's key spells it."""
         param = SCHEMES[self.scheme][0]
-        return {} if param is None else {param: float(self.alpha) if param == "alpha" else int(self.c)}
+        return {} if param is None else {param: getattr(self, param)}
 
 
 def _redraw(attempt: int) -> tuple:
@@ -259,7 +256,7 @@ def make_partition(ds: LabeledDataset, num_clients: int, spec: PartitionSpec, se
     param, split = SCHEMES[spec.scheme]
     _check_client_count(len(ds), num_clients)
     clients = split(ds, num_clients, seed) if param is None else split(ds, num_clients, seed, getattr(spec, param))
-    return PartitionPlan(clients, spec.scheme, spec.params, seed)
+    return PartitionPlan(clients)
 
 
 def restrict(ds: LabeledDataset, plan: PartitionPlan, k: int) -> LabeledDataset:

@@ -34,11 +34,11 @@ from noisyfl import config as config_module
 from noisyfl import noise as noise_module
 from noisyfl.analysis import drop_ratio_series, sensitivity_series
 from noisyfl.cli import load_plan, main, sha256_file
-from noisyfl.config import load_config, set_by_path
+from noisyfl.config import COTEACHING_FALLBACK_FORGET_RATE, load_config, set_by_path
 from noisyfl.datasets import load_csv, load_npy, make_synthetic_blobs, save_csv
 from noisyfl.federation import run_federation
 from noisyfl.localtrain import METHODS
-from noisyfl.models import layout_from_dict, load_checkpoint
+from noisyfl.models import layout_from_dict
 from noisyfl.noise import run_scene
 from noisyfl.rng import derive_seed
 
@@ -110,7 +110,7 @@ NOISE_FILES = ["noise_manifest.json", "plan.json", "client_histograms.csv", "noi
 # with NOISE_FILES and run.json, every file a one-seed run writes: no dataset.npy, no analysis/
 TRAIN_FILES = [
     "train/run_manifest.json", "train/summary.csv",
-    "train/seed_0/seed_manifest.json", "train/seed_0/telemetry.csv", "train/seed_0/final_checkpoint.bin",
+    "train/seed_0/seed_manifest.json", "train/seed_0/telemetry.csv", "train/seed_0/final_params.npy",
 ]  # fmt: skip
 GRID = {"repeats": 2, "federation.lr_grid": [0.05, 0.1]}
 # the train files of a GRID run: one summary of every lr, and each lr's seeds
@@ -118,7 +118,7 @@ GRID_TRAIN_FILES = ["train/run_manifest.json", "train/summary.csv"] + [
     f"train/lr_{lr}/seed_{i}/{name}"
     for lr in ("0.05", "0.1")
     for i in (0, 1)
-    for name in ("seed_manifest.json", "telemetry.csv", "final_checkpoint.bin")
+    for name in ("seed_manifest.json", "telemetry.csv", "final_params.npy")
 ]
 
 
@@ -172,6 +172,13 @@ def edit_json(run_dir: str, rel: str, path: str, value=DELETE, seal=True) -> Non
         json.dump(sealed(doc) if seal else doc, fh, sort_keys=True, indent=2)
 
 
+def reseal_output(run_dir: str, name: str) -> None:
+    """Record the sha256 that noise output ``name`` has now in the noise manifest, and reseal the manifest."""
+    with open(os.path.join(run_dir, "noise_manifest.json"), encoding="utf-8") as fh:
+        outputs = json.load(fh)["outputs"]
+    edit_json(run_dir, "noise_manifest.json", "outputs", {**outputs, name: sha256_file(os.path.join(run_dir, name))})
+
+
 def read_rows(path) -> list[list[str]]:
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
@@ -199,6 +206,26 @@ def finished_small(tmp_path_factory):
     config, out = write_config(tmp_path_factory.mktemp("finished"))
     assert main(["pipeline", "-c", config]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def finished_realworld(tmp_path_factory):
+    """(config, output directory) of a finished co-teaching pipeline, with no forget_rate set, on real-world CSVs."""
+    from test_golden import write_csv_dataset  # test_golden imports this module
+
+    tmp = tmp_path_factory.mktemp("realworld")
+    changes = {"dataset": write_csv_dataset(tmp), "noise": {"scene": "realworld"}}
+    config, out = write_config(tmp, changes={**changes, "federation.trainer.method": "coteaching"})
+    assert main(["pipeline", "-c", config]) == 0
+    return config, out
+
+
+@pytest.fixture(scope="module")
+def noise_only(tmp_path_factory):
+    """(config, output directory) of SMALL's finished noise stage; tests that change it work on a copy."""
+    config, out = write_config(tmp_path_factory.mktemp("noise"))
+    assert main(["noise", "-c", config]) == 0
+    return config, out
 
 
 @contextmanager
@@ -432,34 +459,59 @@ class TestResume:
         assert runs[1] == tree(fresh)
 
     def test_version_0_4_directory_is_redone(self, tmp_path, monkeypatch):
-        """A 0.4.0 tree, whose noise manifest records no partition, reruns every stage and then analyzes.
+        """A tree of 0.4.0 or 0.8.0 reruns every stage into a fresh run's tree, and then analyzes.
 
-        The analysis/ files 0.4.0 wrote belong to no stage, so they stay, and run.json leaves them out.
+        A 0.4.0 noise manifest records no partition, and the analysis/ files 0.4.0 wrote belong
+        to no stage, so they stay, and run.json leaves them out.  0.8.0 wrote plan.json with the
+        scheme, its params and the seed, and a final_checkpoint.bin with a JSON header line; the
+        seed stage that redoes it removes the checkpoint, which its manifest listed.
         """
-        config, out = write_config(tmp_path)
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "__version__", "0.4.0")
-            assert main(["pipeline", "-c", config]) == 0
-        edit_json(out, "noise_manifest.json", "partition")
-        os.makedirs(os.path.join(out, "analysis"))
-        for name, header in [
-            ("drop_ratio.csv", "partition,mode,eps,drop_ratio"),
-            ("sensitivity.csv", "partition,mode,eps,sensitivity"),
-            ("noise_ratio.csv", "scene,mode,eps_nominal,overall_ratio"),
-        ]:
-            with open(os.path.join(out, "analysis", name), "w", encoding="utf-8") as fh:
-                fh.write(header + "\n")
-
-        assert main(["pipeline", "-c", config]) == 0
         fresh_config, fresh = write_config(tmp_path, "fresh")
         assert main(["pipeline", "-c", fresh_config]) == 0
-        redone, expected = tree(out), tree(fresh)
-        leftovers = sorted(rel for rel in redone if rel.startswith("analysis" + os.sep))
-        assert len(leftovers) == 3
-        # every manifest now records this version and equals a fresh run's, so every stage ran again
-        assert {rel: data for rel, data in redone.items() if rel not in leftovers} == expected
-        checked_index(out, [rel.replace(os.sep, "/") for rel in leftovers])
-        assert analyze([out], str(tmp_path / "grid"))[0] == 0
+        expected = tree(fresh)
+        for version in ("0.4.0", "0.8.0"):
+            config, out = write_config(tmp_path, f"v{version}")
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "__version__", version)
+                assert main(["pipeline", "-c", config]) == 0
+            if version == "0.4.0":
+                edit_json(out, "noise_manifest.json", "partition")
+                os.makedirs(os.path.join(out, "analysis"))
+                for name, header in [
+                    ("drop_ratio.csv", "partition,mode,eps,drop_ratio"),
+                    ("sensitivity.csv", "partition,mode,eps,sensitivity"),
+                    ("noise_ratio.csv", "scene,mode,eps_nominal,overall_ratio"),
+                ]:
+                    with open(os.path.join(out, "analysis", name), "w", encoding="utf-8") as fh:
+                        fh.write(header + "\n")
+            else:
+                plan = os.path.join(out, "plan.json")
+                with open(plan, encoding="utf-8") as fh:
+                    clients = json.load(fh)["clients"]
+                header = {"scheme": "label-dir", "params": {"alpha": 0.5}, "seed": SMALL["seed"]}
+                cli.write_json({**header, "clients": clients}, plan)
+                reseal_output(out, "plan.json")
+                seed_dir = os.path.join(out, "train", "seed_0")
+                values = np.load(os.path.join(seed_dir, "final_params.npy"))
+                os.remove(os.path.join(seed_dir, "final_params.npy"))
+                layout = {**SMALL["federation"]["model"], "dim": 8, "num_classes": 3}
+                header = {"format": "noisyfl-checkpoint", "layout": layout, "round": 4}
+                header["seed"] = derive_seed(SMALL["seed"], "federate", 0)
+                with open(os.path.join(seed_dir, "final_checkpoint.bin"), "wb") as fh:
+                    fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + values.tobytes())
+                outputs = _value_at(seed_dir, "seed_manifest.json", "outputs")
+                del outputs["final_params.npy"]
+                outputs["final_checkpoint.bin"] = sha256_file(os.path.join(seed_dir, "final_checkpoint.bin"))
+                edit_json(seed_dir, "seed_manifest.json", "outputs", outputs)
+
+            assert main(["pipeline", "-c", config]) == 0, version
+            redone = tree(out)
+            leftovers = sorted(rel for rel in redone if rel.startswith("analysis" + os.sep))
+            assert len(leftovers) == (3 if version == "0.4.0" else 0)
+            # every manifest now records this version and equals a fresh run's, so every stage ran again
+            assert {rel: data for rel, data in redone.items() if rel not in leftovers} == expected, version
+            checked_index(out, [rel.replace(os.sep, "/") for rel in leftovers])
+            assert analyze([out], str(tmp_path / f"grid_{version}"))[0] == 0
 
 
 class TestIndex:
@@ -651,7 +703,7 @@ class TestExitCodes:
             (lambda doc, n: doc["clients"][0].append(n), "plan contains indices outside the dataset"),
             (lambda doc, n: doc["clients"][1].append(doc["clients"][0][0]), "plan assigns some index to more than one client"),
             (lambda doc, n: doc["clients"][0].clear(), "plan contains an empty client"),
-            (lambda doc, n: doc.pop("scheme"), "no 'scheme' key"),
+            (lambda doc, n: doc.pop("clients"), "no 'clients' key"),
             (lambda doc, n: doc["clients"].pop(), "plan has 2 clients, federation.num_clients is 3"),
             (lambda doc, n: doc["clients"][0].__setitem__(0, doc["clients"][0][0] + 0.5), NOT_INTEGER),
             (lambda doc, n: doc["clients"][0].__setitem__(0, str(doc["clients"][0][0])), NOT_INTEGER),
@@ -676,8 +728,7 @@ class TestExitCodes:
         edit(doc, len(load_npy(os.path.join(out, "noisy_dataset.npy"))))
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        outputs = _value_at(out, "noise_manifest.json", "outputs")
-        edit_json(out, "noise_manifest.json", "outputs", {**outputs, "plan.json": sha256_file(path)})
+        reseal_output(out, "plan.json")
         assert main(["train", "-c", config]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not os.path.exists(os.path.join(out, "train"))
@@ -1031,6 +1082,38 @@ class TestExitCodes:
         assert code == 3
         assert err == f"artifact mismatch: analyze {out}: run_manifest.json records other inputs than the noise stage wrote\n"
 
+    @pytest.mark.parametrize(
+        "ratio, shown",
+        [("x", "'x'"), (-1.0, "-1.0"), (5.0, "5.0"), (True, "True"), (DELETE, "'absent'")],
+        ids=["string", "negative", "above-1", "bool", "absent"],
+    )
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_unusable_overall_ratio_exits_3(self, tmp_path, capsys, finished_realworld, command, ratio, shown):
+        """The real-world scene's overall_ratio, edited and resealed, is refused where it is read, before training."""
+        config, finished = finished_realworld
+        run = str(tmp_path / "run")
+        shutil.copytree(finished, run, ignore=shutil.ignore_patterns("train") if command == "train" else None)
+        edit_json(run, "noise_manifest.json", "overall_ratio", ratio)
+        if command == "train":
+            code, err = main(["train", "-c", config, "--output-dir", run]), capsys.readouterr().err
+            assert not os.path.exists(os.path.join(run, "train"))
+        else:
+            code, err = analyze([run], str(tmp_path / "grid"))
+        assert code == 3
+        assert err.startswith("artifact mismatch: ") and err.count("\n") == 1
+        assert err.endswith(f"noise_manifest.json: overall_ratio is {shown}, not null or a float in [0, 1]\n")
+
+    def test_a_null_overall_ratio_trains_at_the_fallback_forget_rate(self, tmp_path, finished_realworld):
+        """Real-world data without true labels gives no ratio: co-teaching forgets at the fallback rate."""
+        config, finished = finished_realworld
+        run = str(tmp_path / "run")
+        shutil.copytree(finished, run, ignore=shutil.ignore_patterns("train"))
+        edit_json(run, "noise_manifest.json", "overall_ratio", None)
+        assert main(["train", "-c", config, "--output-dir", run]) == 0
+        forget_rate = _value_at(run, "train/seed_0/seed_manifest.json", "federation.trainer.method_params.forget_rate")
+        assert forget_rate == COTEACHING_FALLBACK_FORGET_RATE
+        assert analyze([run], str(tmp_path / "grid")) == (0, "")
+
     def test_config_that_is_not_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"seed": ', encoding="utf-8")
@@ -1182,20 +1265,85 @@ class TestArtifacts:
     def test_checkpoint_holds_run_federation_final_params(self, tmp_path):
         config, out = write_config(tmp_path)
         assert main(["pipeline", "-c", config]) == 0
-        params, header = load_checkpoint(os.path.join(out, "train", "seed_0", "final_checkpoint.bin"))
+        values = np.load(os.path.join(out, "train", "seed_0", "final_params.npy"), allow_pickle=False)
 
         cfg = load_config(config, {})
         noisy = load_npy(os.path.join(out, "noisy_dataset.npy")).as_float32()  # as the train stage casts them
         test = load_npy(os.path.join(out, "test_dataset.npy")).as_float32()
         plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
-        fed_seed = derive_seed(cfg.seed, "federate", 0)
-        fed_cfg = dataclasses.replace(cfg.federation, seed=fed_seed)
+        fed_cfg = dataclasses.replace(cfg.federation, seed=derive_seed(cfg.seed, "federate", 0))
         layout = layout_from_dict({**cfg.model, "dim": noisy.dim, "num_classes": noisy.num_classes})
         _, final = run_federation(noisy, plan, test, layout, fed_cfg)
 
-        assert params.layout == final.layout
-        assert np.array_equal(params.values, final.values)
-        assert (header["round"], header["seed"]) == (cfg.federation.rounds, fed_seed)
+        assert values.dtype == np.dtype("<f8")
+        assert np.array_equal(values, final.values.astype(np.float64))
+
+
+def _rewritten(edit):
+    """An edit of a file that save_npy wrote: ``edit`` takes its four arrays and returns the arrays to write."""
+
+    def apply(data: bytes) -> bytes:
+        source, target = io.BytesIO(data), io.BytesIO()
+        for array in edit(*[np.load(source) for _ in range(4)]):
+            np.save(target, array)
+        return target.getvalue()
+
+    return apply
+
+
+def _set(array: np.ndarray, index, value) -> np.ndarray:
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# id -> (edit of a dataset file's bytes, the start of the error train prints after the file's path)
+DATASET_EDITS = {
+    "label-at-num-classes": (
+        _rewritten(lambda x, y, t, c: (x, _set(y, 0, c), t, c)), "labels must lie in [0, num_classes)"
+    ),
+    "labels-one-short": (
+        _rewritten(lambda x, y, t, c: (x, y[:-1], t, c)), "labels length must match feature row count"
+    ),
+    "true-labels-one-short": (
+        _rewritten(lambda x, y, t, c: (x, y, t[:, :-1], c)), "true_labels length must match labels length"
+    ),
+    "true-label-out-of-range": (
+        _rewritten(lambda x, y, t, c: (x, y, _set(t, (0, 0), c), c)), "true_labels must lie in [0, num_classes)"
+    ),
+    "one-class": (_rewritten(lambda x, y, t, c: (x, y, t, np.array(1))), "num_classes must be >= 2"),
+    "nan-feature": (
+        _rewritten(lambda x, y, t, c: (_set(x, (1, 2), np.nan), y, t, c)), "feature is not finite (row 1, column 'x2')"
+    ),
+    "int32-labels": (_rewritten(lambda x, y, t, c: (x, y.astype(np.int32), t, c)), "labels is not a 1-D <i8 array"),
+    "trailing-bytes": (lambda data: data + b"\0", "unexpected bytes after the dataset arrays"),
+    "truncated": (lambda data: data[: len(data) // 2], "cannot read features: "),
+}
+
+
+class TestArtifactEdits:
+    """A dataset file edited and resealed into the noise manifest: train refuses it with one line, before training.
+
+    The seals show only that a file is the one its stage recorded.  These edits pass them, so
+    what stops each one is the check of the stage that reads the file.
+    """
+
+    @pytest.mark.parametrize("name", ["noisy_dataset.npy", "test_dataset.npy"])
+    @pytest.mark.parametrize("edit, message", DATASET_EDITS.values(), ids=list(DATASET_EDITS))
+    def test_edited_dataset_exits_1(self, tmp_path, capsys, noise_only, name, edit, message):
+        config, finished = noise_only
+        out = str(tmp_path / "out")
+        shutil.copytree(finished, out)
+        path = os.path.join(out, name)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(edit(data))
+        reseal_output(out, name)
+        assert main(["train", "-c", config, "--output-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert not os.path.exists(os.path.join(out, "train"))
 
 
 # the manifest fields analyze reads from a SMALL run (localized noise, label-dir split); the

@@ -12,8 +12,7 @@ The matrix runs ``pipeline`` in process on:
   usable CPUs), which must give the bytes of its serial run.
 
 ``golden.json`` maps each run to its ``run.json`` ``artifacts`` and keeps,
-beside them, the floats of each ``telemetry.csv`` and
-``final_checkpoint.bin``.  It also records the numpy version and the
+beside them, the floats of each ``telemetry.csv`` and ``final_params.npy``.  It also records the numpy version and the
 OpenBLAS core it was written with.  On that (numpy, core) pair every hash
 must match.  Another BLAS core can move the last bits of training: there
 the files that only the RNG streams decide (``RNG_ONLY``) must still match
@@ -68,7 +67,6 @@ from noisyfl import federation
 from noisyfl.cli import main
 from noisyfl.datasets import make_synthetic_blobs
 from noisyfl.localtrain import METHODS
-from noisyfl.models import load_checkpoint
 from test_cli import GLOBALIZED, SRC, write_config
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
@@ -164,8 +162,8 @@ def write_csv_dataset(tmp_path) -> dict:
 
 def file_floats(path: str) -> list[float]:
     """The floats a run writes to ``path``: a checkpoint's values, or telemetry's float cells row by row."""
-    if path.endswith(".bin"):
-        return load_checkpoint(path)[0].values.tolist()
+    if path.endswith(".npy"):
+        return np.load(path, allow_pickle=False).tolist()
     with open(path, encoding="utf-8", newline="") as fh:
         return [float(row[column]) for row in csv.DictReader(fh) for column in TELEMETRY_FLOATS if row[column]]
 
@@ -190,7 +188,7 @@ def run(name: str, tmp_path) -> dict:
     floats = {
         rel: file_floats(os.path.join(out, rel))
         for rel in artifacts
-        if rel.endswith(("/telemetry.csv", "/final_checkpoint.bin"))
+        if rel.endswith(("/telemetry.csv", "/final_params.npy"))
     }
     return {"artifacts": artifacts, "floats": floats}
 

@@ -1,3 +1,5 @@
+import zlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ class TestBackward:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("kind", ["ce", "sce", "gce", "mae"])
     def test_finite_difference_all_losses(self, layout, kind):
-        gen = np.random.default_rng(hash((layout.param_count, kind)) % 2**32)
+        gen = np.random.default_rng((layout.param_count, zlib.crc32(kind.encode())))  # hash() of a str is salted
         params = init_params(layout, seed=7)
         x = gen.normal(size=(6, layout.dim)).astype(np.float32)
         y = gen.integers(0, layout.num_classes, size=6)

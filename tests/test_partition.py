@@ -168,12 +168,12 @@ class TestRedrawStreams:
 
     def test_label_dir_plan_after_redraws_is_unchanged(self, tmp_path):
         """Golden digest of the plan file for a case that takes three attempts, as written before
-        rejected attempts stopped building their split."""
+        rejected attempts stopped building their split, with the client lists alone (the 0.9.0 format)."""
         ds = make_synthetic_blobs(5, 20, 8, 3.0, 1)
         path = tmp_path / "plan.json"
         save_plan(make_partition(ds, 20, PartitionSpec("label-dir", alpha=0.2), seed=7), str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "c8c384bf996a9d34bcab8226042d34706804c3dba6b7690bc15cdf442f2dfc7e"
+        assert digest == "14d9acd2ee7ee2943d41bf3c8d767a983687c4549ee9bbf3afae561bf03af991"
 
     @pytest.mark.parametrize(
         "blobs, make, digest",
@@ -181,19 +181,20 @@ class TestRedrawStreams:
             (
                 (5, 20, 8, 3.0, 1),
                 lambda ds: make_partition(ds, 8, PartitionSpec("quantity-skew", alpha=0.5), seed=8),  # three attempts
-                "07ca76571bd55bf76ca927c2fbddcd3f7f8930518216d06271a5b02105bddbbd",
+                "1d0a65b254fe5aa1bd3d4881474cf75389a9e3b5f3b8386235f560cdd53eb82e",
             ),
             (
                 (5, 21, 8, 3.0, 1),
                 # sizes 16, 11, 14, 14, 11, 14, 14, 11
                 lambda ds: make_partition(ds, 8, PartitionSpec("label-quantity", c=2), seed=7),
-                "2015f2a4b736e6f5a8f4b70360d5d85f1093f6a81909327a220ec020b43a9e97",
+                "235be2d34c3d138013d87d18458f7424ad65310c750c792cb9e8ce45aa79f06c",
             ),
         ],
         ids=["quantity-skew-after-redraws", "label-quantity-leftovers-dealt"],
     )
     def test_plan_keeps_its_digest(self, tmp_path, blobs, make, digest):
-        """Golden digests of plan files written before the schemes shared one cut and one redraw loop."""
+        """Golden digests of plan files written before the schemes shared one cut and one redraw loop,
+        with the client lists alone (the 0.9.0 format)."""
         path = tmp_path / "plan.json"
         save_plan(make(make_synthetic_blobs(*blobs)), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -271,7 +272,7 @@ class TestLabelQuantity:
 class TestRestrict:
     def test_local_view(self):
         ds = LabeledDataset(features=np.arange(3.0).reshape(3, 1), labels=[5, 1, 5], num_classes=6)
-        plan = PartitionPlan(clients=[np.array([0, 2]), np.array([1])], scheme="iid")
+        plan = PartitionPlan(clients=[np.array([0, 2]), np.array([1])])
         local = restrict(ds, plan, 0)
         assert local.labels.tolist() == [5, 5]
         assert local.num_classes == 6
@@ -332,7 +333,7 @@ class TestPlanProperties:
         ids=["shared-index", "shared-last-index", "index-past-end", "negative-index", "empty-client"],
     )
     def test_invalid_plan_rejected(self, clients, error, match):
-        plan = PartitionPlan(clients=clients, scheme="iid")
+        plan = PartitionPlan(clients=clients)
         with pytest.raises(error, match=match):
             plan.validate(5)
 
@@ -356,9 +357,7 @@ class TestPlanProperties:
         path = tmp_path / "plan.json"
         save_plan(plan, str(path))
         back = load_plan(str(path), len(ds), 4)
-        assert back.scheme == plan.scheme
-        assert back.params == plan.params
-        assert back.seed == plan.seed
+        assert back.num_clients == plan.num_clients
         assert all(np.array_equal(a, b) for a, b in zip(back.clients, plan.clients))
 
     def test_plan_file_indices_sorted(self, tmp_path):
@@ -369,5 +368,6 @@ class TestPlanProperties:
         path = tmp_path / "plan.json"
         save_plan(plan, str(path))
         doc = json.loads(path.read_text())
+        assert list(doc) == ["clients"]  # the scheme, its parameter and the seed are the noise manifest's key
         for client in doc["clients"]:
             assert client == sorted(client)

@@ -9,7 +9,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # public names no module of the package uses, each kept on purpose
 ALLOWED = {
-    "load_checkpoint": "the reader of final_checkpoint.bin, which tests use as the oracle of its format",
     "read_telemetry": "the reader of telemetry.csv, kept for a planned report command",
 }
 
