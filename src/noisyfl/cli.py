@@ -388,6 +388,17 @@ def _train_seed(cfg: RunConfig, fed_cfg: FedConfig, load_inputs) -> tuple[dict, 
     }
 
 
+def _checked_seed(seed_dir: str, manifest: dict) -> dict:
+    """The seed ``manifest``, once its ``last_k_accuracy`` is a float in [0, 1] and its ``last_k`` an int >= 1."""
+    path = os.path.join(seed_dir, "seed_manifest.json")
+    accuracy, last_k = manifest.get("last_k_accuracy", "absent"), manifest.get("last_k", "absent")
+    if type(accuracy) is not float or not 0.0 <= accuracy <= 1.0:  # NaN fails the range too
+        raise ArtifactMismatchError(f"{path}: last_k_accuracy is {accuracy!r}, not a float in [0, 1]")
+    if type(last_k) is not int or last_k < 1:
+        raise ArtifactMismatchError(f"{path}: last_k is {last_k!r}, not an int >= 1")
+    return manifest
+
+
 def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str, dict]]:
     """Run `repeats` federations per learning rate; summarize last-k accuracy.
 
@@ -426,7 +437,8 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
             seed_dir = os.path.join(train_root, lr_dir, f"seed_{i}")
             key = {"federation": dataclasses.asdict(fed_cfg), "model": cfg.model, "inputs": inputs}
             train_seed = functools.partial(_train_seed, cfg, fed_cfg, load_inputs)
-            seeds.append(run_stage("train-seed", seed_dir, "seed_manifest.json", key, train_seed))
+            seed = run_stage("train-seed", seed_dir, "seed_manifest.json", key, train_seed)
+            seeds.append(_checked_seed(seed_dir, seed))
             stages.append((seed_dir, "seed_manifest.json", seeds[-1]))
         accs = [s["last_k_accuracy"] for s in seeds]
         mean, std = float(np.mean(accs)), float(np.std(accs))

@@ -8,14 +8,13 @@ the round number.
 
 A round's clients are independent given the global model, so a large
 federation trains them in the caller and in workers forked once, which
-share its pages copy-on-write.  Workers send back one :class:`ClientUpdate`
-per client they train, and the caller aggregates in selection order: the
-outputs are the same bytes for any process count.
+share its pages copy-on-write.  The caller queues the round's clients,
+longest shard first, in one claim pipe; each process claims the next when
+it is free, so none idles while clients wait.  The caller aggregates in
+selection order: the bytes are the same whoever trains what.
 
-Round t's global model is round t+1's start, so the caller evaluates it in
-round t+1, after sending that round's jobs: it tests round t while the
-workers train round t+1, and the last round after the loop.  The split
-gives the caller fewer shard rows on a round that evaluates.
+Round t's global model is round t+1's start, so the caller evaluates it
+once round t+1 is queued, before it claims, and the last round after the loop.
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ def evaluate(params: ModelParams, test_set: LabeledDataset, work: Workspace) -> 
 
 # A federation forks workers from this many local batches on.  Forking and ending
 # a worker costs 3-9 ms of wall time, and each batch a second process takes saves
-# ~35 us (a float32 64-row batch of the benchmark's 32-64-10 MLP takes 66-100 us
-# at one BLAS thread), so a fork pays from ~260 batches; this leaves a 2x margin.
+# half a batch, ~30 us (a float32 64-row batch of the benchmark's 32-64-10 MLP takes
+# 58-90 us at one BLAS thread), so a fork pays from ~300 batches; 500 leave a 1.7x margin.
 FORK_MIN_BATCHES = 500
 
 
@@ -142,40 +141,46 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
 
 
+def _write(fd: int, data) -> memoryview:
+    """Write ``data`` to ``fd``: all of it if ``fd`` blocks, else what it takes now; returns what is left."""
+    view = memoryview(data)
+    with contextlib.suppress(BlockingIOError):
+        while view:
+            view = view[os.write(fd, view) :]
+    return view
+
+
 def _send(fd: int, obj) -> None:
-    view = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-    while view:
-        view = view[os.write(fd, view) :]
+    _write(fd, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
 
 
-# An evaluated test row costs about a quarter of a trained shard row-epoch: in float32, at
-# one BLAS thread, a 2,000-row evaluation of the benchmark's 32-64-10 MLP takes 0.55-0.74 ms
-# and a trained row-epoch 1.06-1.65 us.  A wrong value only moves the split, never the bytes.
-EVAL_ROW_COST = 0.25
+def _claims(fd: int, put: int = -1, queue=b""):
+    """The clients claimed from the claim pipe ``fd``: 4-byte little-endian records, up to a stop (-1) or EOF.
 
-
-def _split(selected: list[int], sizes, processes: int, head_start: float) -> list[list[int]]:
-    """The round's clients per process, longest shard first onto the least loaded; process 0 is the caller.
-
-    The caller starts ``head_start`` shard rows ahead, for the evaluation it runs while the workers train.
+    The caller also passes the pipe's non-blocking write end and the queue's unwritten rest.  It writes what
+    the pipe takes before each read, so it never waits for room, not even on a dead worker.
     """
-    shares: list[list[int]] = [[] for _ in range(processes)]
-    loads = [head_start] + [0] * (processes - 1)
-    for k in sorted(selected, key=lambda k: -sizes[k]):
-        p = loads.index(min(loads))
-        shares[p].append(k)
-        loads[p] += sizes[k]
-    return shares
+    while True:
+        queue = _write(put, queue)
+        if not (record := os.read(fd, 4)) or (k := int.from_bytes(record, "little", signed=True)) < 0:
+            while queue:  # only the other processes' stops are left, and the pipe holds nothing before them
+                queue = _write(put, queue)
+            return
+        yield k
 
 
 @contextlib.contextmanager
 def _workers(count: int, serve):
-    """``count`` forked children running ``serve(requests, replies)``; yields each one's (pid, requests, replies).
+    """``count`` forked children running ``serve(requests, replies, claims)``; yields (claim pipe, children).
 
-    Requests and replies are pickle streams: :func:`_send` writes one to an fd, ``pickle.load`` reads it from a file.
+    Each child is (pid, requests, replies): pickle streams, which :func:`_send` writes to an fd and ``pickle.load``
+    reads from a file.  Every process reads the claim pipe, (read fd, non-blocking write fd) or () without children.
     A child closes the caller's pipe ends, so that the caller's death gives it EOF, and leaves only by ``os._exit``.
     """
     workers: list[tuple] = []  # (pid, request fd, reply file)
+    claims = os.pipe() if count else ()
+    if claims:
+        os.set_blocking(claims[1], False)  # see _claims
     gc.freeze()  # the collector then writes to none of the pages the children share
     try:
         for _ in range(count):
@@ -188,17 +193,19 @@ def _workers(count: int, serve):
                 raise
             if pid == 0:
                 try:
-                    for fd in [req_w, rep_r] + [fd for _, w, r in workers for fd in (w, r.fileno())]:
+                    for fd in [req_w, rep_r, claims[1]] + [fd for _, w, r in workers for fd in (w, r.fileno())]:
                         os.close(fd)
                     with os.fdopen(req_r, "rb") as requests:
-                        serve(requests, rep_w)
+                        serve(requests, rep_w, claims[0])
                 finally:
                     os._exit(0)
             os.close(req_r)
             os.close(rep_w)
             workers.append((pid, req_w, os.fdopen(rep_r, "rb")))
-        yield workers
+        yield claims, workers
     finally:
+        for fd in claims:
+            os.close(fd)
         for _, req_w, replies in workers:
             os.close(req_w)
             replies.close()
@@ -217,10 +224,11 @@ def run_federation(
     """Run T FedAvg rounds; returns the per-round telemetry and the final global model.
 
     Clients train on their noisy shards, in ``min(usable CPUs, clients per
-    round)`` processes from ``FORK_MIN_BATCHES`` local batches on.  The caller
-    evaluates round t's model on the clean test set in round t+1, once that
-    round's jobs are sent, and the last round's after the loop; rounds that
-    ``eval_every`` skips are not evaluated.  Raises
+    round)`` processes from ``FORK_MIN_BATCHES`` local batches on, each
+    claiming the round's clients from one queue as it is free; a lone caller
+    trains them in queue order.  The caller evaluates round t's model on the
+    clean test set in round t+1, before it claims, and the last round's after
+    the loop; rounds that ``eval_every`` skips are not evaluated.  Raises
     :class:`NumericalAbortError` (with the round number) if the global model
     goes non-finite, a worker's exception as it was raised, and
     :class:`NoisyFLError` if a worker dies.
@@ -228,10 +236,11 @@ def run_federation(
     Memory: besides ``train_ds`` and ``test_set``, which the workers share
     copy-on-write, each process holds one client's shard at a time, cut
     from ``train_ds`` for the client's training call and dropped when it
-    returns.  The caller holds the round's :class:`ClientUpdate` records,
-    co-teaching's peer networks as their training returned them, one pending
-    :class:`RoundRecord` (the last round's, not yet evaluated) and one
-    evaluation workspace sized to the test set, made once.
+    returns, and a worker the round's co-teaching peers.  The caller holds
+    the round's :class:`ClientUpdate` records, co-teaching's peer networks
+    as their training returned them, one pending :class:`RoundRecord` (the
+    last round's, not yet evaluated) and one evaluation workspace sized to
+    the test set, made once.
     """
     sizes = plan.sizes()
     coteaching = cfg.trainer.method == "coteaching"
@@ -240,11 +249,12 @@ def run_federation(
     batches = cfg.rounds * per_round * cfg.trainer.epochs * (1 + coteaching) * shard_batches
     processes = min(_usable_cpus(), per_round) if batches >= FORK_MIN_BATCHES else 1
 
-    def train_share(round_t: int, start: ModelParams, share: list) -> list[ClientUpdate]:
-        """One :class:`ClientUpdate` for each (client, co-teaching peer or None if new) of ``share``, in its order."""
+    def train_claimed(round_t: int, start: ModelParams, round_peers: dict, claimed) -> list[ClientUpdate]:
+        """A :class:`ClientUpdate` for each client of ``claimed``, in its order; ``round_peers`` maps each to a peer."""
         updates = []
-        for k, peer in share:
+        for k in claimed:
             shard, train_seed = restrict(train_ds, plan, k), rng.derive_seed(cfg.seed, "train", round_t, k)
+            peer = round_peers[k]
             if coteaching:
                 if peer is None:
                     peer = init_params(layout, rng.derive_seed(cfg.seed, "coteach-init", k))
@@ -254,12 +264,12 @@ def run_federation(
             updates.append(ClientUpdate(k, model.values, peer, mean_loss))
         return updates
 
-    def serve(requests, replies: int) -> None:
+    def serve(requests, replies: int, claims: int) -> None:
         with contextlib.suppress(EOFError):  # the caller closed its end
             while True:
                 job = pickle.load(requests)
                 try:
-                    reply = train_share(*job)
+                    reply = train_claimed(*job, _claims(claims))
                 except Exception as exc:  # raised again in the caller, with this traceback as a note
                     exc.add_note(traceback.format_exc())
                     reply = exc
@@ -269,8 +279,7 @@ def run_federation(
     peers: dict[int, ModelParams | None] = {}  # co-teaching's peer networks
     records: list[RoundRecord] = []
     pending: RoundRecord | None = None  # the last round's record, evaluated while the next round trains
-    eval_rows = len(test_set) * EVAL_ROW_COST / (cfg.trainer.epochs * (1 + coteaching))  # in shard rows
-    with _workers(processes - 1, serve) as workers:
+    with _workers(processes - 1, serve) as (claims, workers):
         eval_work = Workspace(layout, len(test_set))
 
         def settled(record: RoundRecord, params: ModelParams) -> RoundRecord:
@@ -281,14 +290,17 @@ def run_federation(
 
         for round_t in range(1, cfg.rounds + 1):
             selected = select_clients(cfg.num_clients, cfg.selection_fraction, round_t, cfg.seed)
-            head_start = eval_rows if pending is not None and pending.round % cfg.eval_every == 0 else 0
-            jobs = [[(k, peers.get(k)) for k in share] for share in _split(selected, sizes, processes, head_start)]
+            order = sorted(selected, key=lambda k: -sizes[k])  # longest shard first
+            round_peers = {k: peers.get(k) for k in selected}
             try:
-                for (_, requests, _), job in zip(workers, jobs[1:]):
-                    _send(requests, (round_t, global_params, job))
+                # the round's queue and a stop for each process, as far as the pipe takes it now
+                queue = _write(claims[1], np.array(order + [-1] * processes, dtype="<i4").tobytes()) if workers else b""
+                for _, requests, _ in workers:
+                    _send(requests, (round_t, global_params, round_peers))
                 if pending is not None:  # the last round's model is this round's start
                     records.append(settled(pending, global_params))
-                updates = train_share(round_t, global_params, jobs[0])
+                claimed = _claims(*claims, queue) if workers else order
+                updates = train_claimed(round_t, global_params, round_peers, claimed)
                 for _, _, replies in workers:
                     reply = pickle.load(replies)
                     if isinstance(reply, Exception):

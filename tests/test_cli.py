@@ -1103,6 +1103,71 @@ class TestExitCodes:
         assert err.startswith("artifact mismatch: ") and err.count("\n") == 1
         assert err.endswith(f"noise_manifest.json: overall_ratio is {shown}, not null or a float in [0, 1]\n")
 
+    @pytest.mark.parametrize(
+        "field, value, shown, wanted",
+        [
+            ("last_k_accuracy", "x", "'x'", "a float in [0, 1]"),
+            ("last_k_accuracy", True, "True", "a float in [0, 1]"),
+            ("last_k_accuracy", 1, "1", "a float in [0, 1]"),
+            ("last_k_accuracy", math.nan, "nan", "a float in [0, 1]"),
+            ("last_k_accuracy", 1.5, "1.5", "a float in [0, 1]"),
+            ("last_k_accuracy", None, "None", "a float in [0, 1]"),
+            ("last_k_accuracy", DELETE, "'absent'", "a float in [0, 1]"),
+            ("last_k", 0, "0", "an int >= 1"),
+            ("last_k", 4.0, "4.0", "an int >= 1"),
+            ("last_k", True, "True", "an int >= 1"),
+            ("last_k", "x", "'x'", "an int >= 1"),
+            ("last_k", DELETE, "'absent'", "an int >= 1"),
+        ],
+        ids=[
+            "accuracy-string",
+            "accuracy-bool",
+            "accuracy-int",
+            "accuracy-nan",
+            "accuracy-above-1",
+            "accuracy-null",
+            "accuracy-absent",
+            "last-k-zero",
+            "last-k-float",
+            "last-k-bool",
+            "last-k-string",
+            "last-k-absent",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_unusable_seed_summary_exits_3(self, tmp_path, capsys, finished_small, command, field, value, shown, wanted):
+        """A seed manifest's last-k fields, edited and resealed, are refused where train reads them, with one line."""
+        config, run = write_config(tmp_path, out="run")
+        shutil.copytree(finished_small, run)
+        edit_json(run, "train/seed_0/seed_manifest.json", field, value)
+        assert main([command, "-c", config]) == 3
+        seed = os.path.join(run, "train", "seed_0", "seed_manifest.json")
+        assert capsys.readouterr().err == f"artifact mismatch: {seed}: {field} is {shown}, not {wanted}\n"
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("num_clients", 4, "train: noise_manifest.json records a different num_clients; run the noise stage first"),
+            ("noise.eps_min", 0.25, "train: noise_manifest.json records a different noise; run the noise stage first"),
+            ("version", "0.0.1", "train: noise_manifest.json records a different version; run the noise stage first"),
+            ("outputs.plan.json", DELETE, "noise_manifest.json records no plan.json"),
+        ],
+        ids=["num-clients", "eps-min", "version", "no-plan"],
+    )
+    def test_resealed_noise_manifest_edit_stops_train(self, tmp_path, capsys, noise_only, path, value, message):
+        """A resealed edit of a key field or of the outputs of the noise manifest: train exits 3 with one line, writing nothing."""
+        config, finished = noise_only
+        run = str(tmp_path / "run")
+        shutil.copytree(finished, run)
+        if path == "outputs.plan.json":  # the file name holds a dot, so the whole outputs map is rewritten
+            outputs = _value_at(run, "noise_manifest.json", "outputs")
+            edit_json(run, "noise_manifest.json", "outputs", {k: v for k, v in outputs.items() if k != "plan.json"})
+        else:
+            edit_json(run, "noise_manifest.json", path, value)
+        assert main(["train", "-c", config, "--output-dir", run]) == 3
+        assert capsys.readouterr().err == f"artifact mismatch: {message}\n"
+        assert not os.path.exists(os.path.join(run, "train"))
+
     def test_a_null_overall_ratio_trains_at_the_fallback_forget_rate(self, tmp_path, finished_realworld):
         """Real-world data without true labels gives no ratio: co-teaching forgets at the fallback rate."""
         config, finished = finished_realworld

@@ -1,8 +1,10 @@
 import dataclasses
+import fcntl
 import gc
 import math
 import os
 import pickle
+import select
 import signal
 import tracemalloc
 import warnings
@@ -315,10 +317,89 @@ def training_seeds(cfg, round_t):
     return {derive_seed(cfg.seed, "train", round_t, k) for k in range(cfg.num_clients)}
 
 
+def one_page_pipes(monkeypatch) -> int:
+    """Make each pipe opened from now on hold as little as a pipe can, one page; returns that many bytes."""
+    pipe = os.pipe
+
+    def one_page():
+        r, w = pipe()
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1)  # rounded up to a page
+        return r, w
+
+    monkeypatch.setattr(os, "pipe", one_page)
+    r, w = one_page()
+    try:
+        return fcntl.fcntl(w, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(r)
+        os.close(w)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert gc.get_freeze_count() == 0
+
+
+@pytest.fixture
+def trained_where(monkeypatch, tmp_path):
+    """``log(cfg, meet=1)``: log where each client of ``cfg``'s federation trains, from every process.
+
+    The first call wraps the federation's training functions, so patch them
+    before it; a later call logs the next run afresh.  ``log.rounds()`` then
+    gives, per round, the (client, process id) pairs in the order each
+    process started them.  With ``meet`` > 1, that many processes meet
+    before each trains its first client of a round: the caller waits until
+    every worker holds a client, then lets them go on.  Each of them then
+    trains in every round, whatever the scheduling, if each round has
+    ``meet`` clients or more.
+    """
+    caller, fds, run = os.getpid(), [], {}
+    (arrived_r, arrived_w), (go_r, go_w) = os.pipe(), os.pipe()
+    fds += [arrived_r, arrived_w, go_r, go_w]
+
+    def met(meet):
+        if os.getpid() == caller:
+            for _ in range(meet - 1):
+                os.read(arrived_r, 1)
+            os.write(go_w, b"x" * (meet - 1))
+        elif meet > 1:
+            os.write(arrived_w, b"x")
+            assert select.select([go_r], [], [], 30)[0], "the caller never let this worker go on"
+            os.read(go_r, 1)
+
+    def logged(train, seed_at):
+        def logging(*args):
+            t, k = run["seeds"][args[seed_at]]
+            if t != run["round"]:  # this process's first client of round t; each process has its own ``run``
+                run["round"] = t
+                met(run["meet"])
+            os.write(run["out"], np.array([t, k, os.getpid()], dtype="<i8").tobytes())
+            return train(*args)
+
+        return logging
+
+    def log(cfg, meet=1):
+        if not run:
+            monkeypatch.setattr(federation, "train_local", logged(federation.train_local, 3))
+            monkeypatch.setattr(federation, "train_local_coteaching", logged(federation.train_local_coteaching, 4))
+        path = tmp_path / f"trained-{len(fds)}.bin"
+        out = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)  # each record lands whole, after the last
+        fds.append(out)
+        rounds = range(1, cfg.rounds + 1)
+        run.update(out=out, meet=meet, round=0)
+        run["seeds"] = {derive_seed(cfg.seed, "train", t, k): (t, k) for t in rounds for k in range(cfg.num_clients)}
+
+        def trained():
+            entries = np.fromfile(path, dtype="<i8").reshape(-1, 3)
+            return [[(int(k), int(pid)) for r, k, pid in entries if r == t] for t in rounds]
+
+        log.rounds = trained
+        return log
+
+    yield log
+    for fd in fds:
+        os.close(fd)
 
 
 class TestProcesses:
@@ -340,7 +421,7 @@ class TestProcesses:
     def _setup(self, method="ce", fraction=1.0, lr=0.05, eval_every=1):
         ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0).as_float32()
         test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1).as_float32()
-        # unequal shards, so the split balances them
+        # unequal shards, so that the claim order is longest shard first
         plan = make_partition(ds, 6, PartitionSpec("quantity-skew", alpha=2.0), seed=2)
         layout = Layout(dim=2, hidden=4, num_classes=3)
         params = {"coteaching": {"forget_rate": 0.2}}.get(method, {})
@@ -360,27 +441,92 @@ class TestProcesses:
             for method in METHODS
         ],
     )
-    def test_process_count_leaves_results_unchanged(self, monkeypatch, method, fraction, eval_every):
+    def test_process_count_leaves_results_unchanged(self, monkeypatch, trained_where, method, fraction, eval_every):
         args = self._setup(method, fraction, eval_every=eval_every)
-        runs, homes = {}, {}
-        split = federation._split
+        runs = {}
         for processes in (1, 2, 3):
             in_processes(monkeypatch, processes)
-            shares = []
-            monkeypatch.setattr(federation, "_split", lambda *a: shares.append(split(*a)) or shares[-1])
+            log = trained_where(args[-1], meet=processes)
             runs[processes] = run_federation(*args)
-            homes[processes] = [{k: p for p, share in enumerate(rnd) for k in share} for rnd in shares]
             assert_no_child_left()
+            # every selected client trains once a round, and every process trains in every round
+            for record, trained in zip(runs[processes][0], log.rounds()):
+                assert sorted(k for k, _ in trained) == list(record.selected_clients)
+                assert len({pid for _, pid in trained}) == processes
         serial_records, serial_params = runs[1]
         for processes in (2, 3):
             records, params = runs[processes]
             assert records == serial_records
             assert params.values.tobytes() == serial_params.values.tobytes()
-        # the split puts every client in the caller for one process, and uses each process for more
-        assert {p for rnd in homes[1] for p in rnd.values()} == {0}
-        assert {p for rnd in homes[3] for p in rnd.values()} == {0, 1, 2}
-        if fraction < 1.0:  # some client, with its co-teaching peer, trains in different processes in different rounds
-            assert any(len({rnd[k] for rnd in homes[3] if k in rnd}) > 1 for k in range(6))
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_claim_order_is_longest_shard_first(self, monkeypatch, trained_where, processes):
+        """Each process trains its clients in the order of the claim pipe: longest shard first."""
+        ds, plan, test, layout, cfg = self._setup(fraction=0.5)
+        sizes = plan.sizes()
+        assert len(set(sizes)) == len(sizes)  # no tie: the sizes alone fix the order
+        in_processes(monkeypatch, processes)
+        log = trained_where(cfg, meet=processes)
+        records, _ = run_federation(ds, plan, test, layout, cfg)
+        orders = []
+        for record, trained in zip(records, log.rounds()):
+            order = sorted(record.selected_clients, key=lambda k: -sizes[k])
+            orders.append(order)
+            for pid in {pid for _, pid in trained}:
+                mine = [k for k, p in trained if p == pid]
+                assert mine == [k for k in order if k in mine]
+            if processes == 1:
+                assert [k for k, _ in trained] == order
+        assert any(order != sorted(order) for order in orders)  # not the selection order
+
+    def _many_clients(self, num_clients, rounds=1):
+        """A federation of ``num_clients`` one- or two-row shards."""
+        ds = make_synthetic_blobs(3, num_clients // 3 + 20, 2, 5.0, seed=0).as_float32()
+        test = make_synthetic_blobs(3, 10, 2, 5.0, seed=1).as_float32()
+        plan = make_partition(ds, num_clients, PartitionSpec("iid"), seed=2)
+        trainer = TrainerConfig(lr=0.05, epochs=1, batch_size=8)
+        cfg = FedConfig(num_clients=num_clients, rounds=rounds, trainer=trainer, seed=3)
+        return ds, plan, test, Layout(dim=2, hidden=4, num_classes=3), cfg
+
+    def test_more_claims_than_pipe_buf_give_the_serial_bytes(self, monkeypatch):
+        """With 4 KiB pages, 1,023 clients and two stops: 4,100 bytes of claims, more than PIPE_BUF and than the pipe holds."""
+        capacity = one_page_pipes(monkeypatch)
+        num_clients = capacity // 4 - 1
+        assert (num_clients + 2) * 4 > max(capacity, select.PIPE_BUF)
+        args = self._many_clients(num_clients, rounds=2)
+        runs = []
+        for processes in (1, 2):
+            in_processes(monkeypatch, processes)
+            runs.append(run_federation(*args))
+            assert_no_child_left()
+        (serial_records, serial_params), (records, params) = runs
+        assert records == serial_records
+        assert params.values.tobytes() == serial_params.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "failure, error, message",
+        [("raise", ValueError, "raised in a worker"), ("kill", NoisyFLError, "a training worker exited during round 1")],
+        ids=["raise", "kill"],
+    )
+    def test_worker_failing_in_a_round_the_pipe_cannot_hold(self, monkeypatch, trained_where, failure, error, message):
+        """The caller writes the queue as the pipe takes it and claims the rest itself: it never waits on a dead worker."""
+        capacity = one_page_pipes(monkeypatch)
+        args = self._many_clients(capacity // 4 + 100)
+        caller = os.getpid()
+
+        def failing(shard, params, trainer, seed):
+            if os.getpid() != caller:
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("raised in a worker")
+            return train_local(shard, params, trainer, seed)
+
+        in_processes(monkeypatch, 2)
+        monkeypatch.setattr(federation, "train_local", failing)
+        trained_where(args[-1], meet=2)  # the worker trains, and fails on, a client
+        with pytest.raises(error, match=message):
+            run_federation(*args)
+        assert_no_child_left()
 
     @pytest.mark.parametrize("processes", [1, 3])
     def test_coteaching_matches_a_serial_loop_with_persisted_peers(self, monkeypatch, processes):
@@ -401,6 +547,7 @@ class TestProcesses:
     def test_small_federation_trains_in_process(self, monkeypatch):
         monkeypatch.setattr(federation, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a small federation forked"))
+        monkeypatch.setattr(os, "pipe", lambda: pytest.fail("a serial federation opened a pipe"))
         run_federation(*self._setup())
 
     @pytest.mark.parametrize(
@@ -408,7 +555,7 @@ class TestProcesses:
         [("worker", 1), ("caller", 1), ("worker", 2), ("caller", 2)],
         ids=["worker", "caller", "worker-round-2", "caller-round-2"],  # in round 2, round 1's evaluation is pending
     )
-    def test_numerical_abort_from_either_share(self, monkeypatch, where, round_t):
+    def test_numerical_abort_from_either_share(self, monkeypatch, trained_where, where, round_t):
         caller, args = os.getpid(), self._setup()
         seeds = training_seeds(args[-1], round_t)
 
@@ -419,6 +566,7 @@ class TestProcesses:
 
         in_processes(monkeypatch, 2)
         monkeypatch.setattr(federation, "train_local", diverging)
+        trained_where(args[-1], meet=2)  # the caller and the worker each train a client of every round
         with pytest.raises(NumericalAbortError) as err:
             run_federation(*args)
         assert err.value.round_t == round_t
@@ -435,7 +583,7 @@ class TestProcesses:
         [(ValueError, 1), (MemoryError, 1), (ValueError, 2), (MemoryError, 2)],
         ids=["ValueError", "MemoryError", "ValueError-round-2", "MemoryError-round-2"],
     )
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, error, round_t):
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, trained_where, error, round_t):
         caller, args = os.getpid(), self._setup()
         seeds = training_seeds(args[-1], round_t)
 
@@ -446,16 +594,17 @@ class TestProcesses:
 
         in_processes(monkeypatch, 2)
         monkeypatch.setattr(federation, "train_local", failing)
+        trained_where(args[-1], meet=2)  # the worker trains a client of every round
         with pytest.raises(error, match="raised in a worker"):
             run_federation(*args)
         assert_no_child_left()
 
     @pytest.mark.parametrize("eval_every", [1, 3])
     def test_each_round_is_evaluated_while_the_next_trains(self, monkeypatch, eval_every):
-        """Round t is evaluated once round t+1's jobs are sent; that round's split gives the caller a head start."""
+        """Round t is evaluated once round t+1's jobs are sent, before the caller claims a client of it."""
         ds, plan, test, layout, cfg = self._setup(eval_every=eval_every)
-        caller, events, head_starts = os.getpid(), [], []
-        send, evaluate_, split = federation._send, federation.evaluate, federation._split
+        caller, events = os.getpid(), []
+        send, evaluate_, claims = federation._send, federation.evaluate, federation._claims
 
         def recording_send(fd, obj):
             if os.getpid() == caller:  # a worker's replies are not the caller's events
@@ -466,23 +615,26 @@ class TestProcesses:
             events.append("evaluate")
             return evaluate_(*args)
 
-        def recording_split(selected, sizes, processes, head_start):
-            head_starts.append(head_start)
-            return split(selected, sizes, processes, head_start)
+        def recording_claims(*args):
+            if os.getpid() == caller:
+                events.append("claim")
+            return claims(*args)
 
         in_processes(monkeypatch, 2)
         monkeypatch.setattr(federation, "_send", recording_send)
         monkeypatch.setattr(federation, "evaluate", recording_evaluate)
-        monkeypatch.setattr(federation, "_split", recording_split)
+        monkeypatch.setattr(federation, "_claims", recording_claims)
         records, _ = run_federation(ds, plan, test, layout, cfg)
         assert_no_child_left()
-        head = len(test) * federation.EVAL_ROW_COST / cfg.trainer.epochs
         if eval_every == 1:
-            assert events == ["send 1", "send 2", "evaluate", "send 3", "evaluate", "send 4", "evaluate", "evaluate"]
-            assert head_starts == [0, head, head, head]
+            assert events == ["send 1", "claim"] + ["send 2", "evaluate", "claim", "send 3", "evaluate", "claim"] + [
+                "send 4",
+                "evaluate",
+                "claim",
+                "evaluate",
+            ]
         else:  # only round 3 is evaluated, while round 4 trains
-            assert events == ["send 1", "send 2", "send 3", "send 4", "evaluate"]
-            assert head_starts == [0, 0, 0, head]
+            assert events == ["send 1", "claim", "send 2", "claim", "send 3", "claim", "send 4", "evaluate", "claim"]
         assert [r.test_accuracy is not None for r in records] == [t % eval_every == 0 for t in range(1, 5)]
 
     def test_failed_fork_closes_its_pipes(self, monkeypatch):
@@ -502,8 +654,8 @@ class TestProcesses:
         assert sorted(os.listdir("/proc/self/fd")) == open_fds
         assert_no_child_left()
 
-    def test_killed_worker_raises(self, monkeypatch):
-        caller = os.getpid()
+    def test_killed_worker_raises(self, monkeypatch, trained_where):
+        caller, args = os.getpid(), self._setup()
 
         def killed(shard, params, trainer, seed):
             if os.getpid() != caller:
@@ -512,8 +664,9 @@ class TestProcesses:
 
         in_processes(monkeypatch, 2)
         monkeypatch.setattr(federation, "train_local", killed)
+        trained_where(args[-1], meet=2)  # the worker trains a client of round 1
         with pytest.raises(NoisyFLError, match="a training worker exited during round 1"):
-            run_federation(*self._setup())
+            run_federation(*args)
         assert_no_child_left()
 
     def test_reply_cut_short_raises(self, monkeypatch):
@@ -534,21 +687,43 @@ class TestProcesses:
         assert_no_child_left()
 
 
-class TestSplit:
-    """Longest shard first onto the least loaded process; process 0, the caller, may start ahead."""
+class TestClaims:
+    """A process reads 4-byte client records from the claim pipe up to a stop record."""
 
-    SIZES = np.array([50, 40, 30, 20, 10])
+    def test_reads_up_to_the_first_stop(self):
+        r, w = os.pipe()
+        try:
+            os.write(w, np.array([4, 0, 2, -1, 7, -1], dtype="<i4").tobytes())
+            assert list(federation._claims(r)) == [4, 0, 2]
+            assert list(federation._claims(r)) == [7]
+        finally:
+            os.close(r)
+            os.close(w)
 
-    def test_without_a_head_start(self):
-        # loads 50|40, 50|70, 70|70, and the tie goes to the caller
-        assert federation._split([0, 1, 2, 3, 4], self.SIZES, 2, 0) == [[0, 3, 4], [1, 2]]
+    def test_a_queue_longer_than_the_pipe_is_written_as_it_is_claimed(self, monkeypatch):
+        """One process alone claims a queue the pipe cannot hold: it writes what fits before each read, never waiting."""
+        capacity = one_page_pipes(monkeypatch)
+        clients = list(range(capacity // 4 + 100))
+        r, w = os.pipe()
+        os.set_blocking(w, False)
+        try:
+            queue = federation._write(w, np.array(clients + [-1, -1], dtype="<i4").tobytes())
+            assert len(queue) == 4 * 102  # the pipe took a page
+            assert list(federation._claims(r, w, queue)) == clients
+            assert os.read(r, capacity) == np.array([-1], dtype="<i4").tobytes()  # the other process's stop
+        finally:
+            os.close(r)
+            os.close(w)
 
-    def test_a_head_start_moves_clients_off_the_caller(self):
-        # the caller starts at 45 rows: loads 45|50, 85|50, 85|80, 85|100, 95|100
-        assert federation._split([0, 1, 2, 3, 4], self.SIZES, 2, 45.0) == [[1, 4], [0, 2, 3]]
-
-    def test_one_process_takes_every_client(self):
-        assert federation._split([3, 1, 4], self.SIZES, 1, 45.0) == [[1, 3, 4]]
+    def test_a_closed_write_end_ends_the_claims(self):
+        """A worker whose caller has gone claims nothing more."""
+        r, w = os.pipe()
+        os.write(w, np.array([3], dtype="<i4").tobytes())
+        os.close(w)
+        try:
+            assert list(federation._claims(r)) == [3]
+        finally:
+            os.close(r)
 
 
 class TestModelsBuilt:
@@ -558,25 +733,22 @@ class TestModelsBuilt:
 
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("method", ["ce", "coteaching"])
-    def test_builds_in_the_caller(self, monkeypatch, method, processes):
+    def test_builds_in_the_caller(self, monkeypatch, trained_where, method, processes):
         ds, plan, test, layout, cfg = TestProcesses._setup(self, method, fraction=0.5)
         in_processes(monkeypatch, processes)
-        shares, split = [], federation._split
-        monkeypatch.setattr(federation, "_split", lambda *a: shares.append(split(*a)) or shares[-1])
+        log = trained_where(cfg, meet=processes)
         built = count_builds(monkeypatch)
         run_federation(ds, plan, test, layout, cfg)
-        # share 0 trains in the caller, and a co-teaching peer is built where its client first trains
-        caller_rounds = sum(len(rnd[0]) for rnd in shares)
-        first_home = {}
-        for rnd in shares:
-            for p, share in enumerate(rnd):
-                for k in share:
-                    first_home.setdefault(k, p)
-        caller_peers = sum(p == 0 for p in first_home.values())
+        # the clients the caller trained, and a co-teaching peer is built where its client first trains
+        caller, first_home = os.getpid(), {}
+        trained = [pid for rnd in log.rounds() for k, pid in rnd if first_home.setdefault(k, pid)]
+        caller_rounds = trained.count(caller)
+        caller_peers = list(first_home.values()).count(caller)
         # the initial model, each trained network (co-teaching: the stack, its two rows and each new peer), each average
-        trained = 3 * caller_rounds + caller_peers if method == "coteaching" else caller_rounds
-        assert len(built) == 1 + trained + cfg.rounds
+        networks = 3 * caller_rounds + caller_peers if method == "coteaching" else caller_rounds
+        assert len(built) == 1 + networks + cfg.rounds
         client_rounds = cfg.rounds * math.ceil(cfg.selection_fraction * cfg.num_clients)
+        assert len(trained) == client_rounds
         if processes == 1:
             assert caller_rounds == client_rounds
         else:  # the worker trained the rest
