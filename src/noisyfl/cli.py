@@ -41,10 +41,10 @@ and is the one writer of the client split and of what train reads:
 plan.json, client_histograms.csv, noisy_dataset.npy and test_dataset.npy.
 plan.json holds only each client's sorted indices; the scheme, its
 parameter and the seed are the noise manifest's key.  The datasets hold
-float64 features; the train stage casts them to float32, the one dtype
-networks train and evaluate in, once as it loads them.  A train seed
-writes telemetry.csv and final_params.npy, the final model's values as one
-.npy array, whose layout, rounds and seed are the seed manifest's key.
+float32 features, the one dtype networks train and evaluate in, from
+generation or CSV entry on, so no stage casts them.  A train seed writes
+telemetry.csv and final_params.npy, the final model's values as one .npy
+array, whose layout, rounds and seed are the seed manifest's key.
 ``partition`` prints the histograms of that split and writes nothing.
 The intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
 import format of user datasets.  All output bytes are a pure function of
@@ -417,10 +417,10 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
     inputs = _train_inputs(noise)
 
     @functools.cache
-    def load_inputs():  # training runs in float32: each set is cast once, here, and its float64 features dropped
-        noisy = load_npy(os.path.join(out, "noisy_dataset.npy")).as_float32()
+    def load_inputs():
+        noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
         plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
-        return noisy, plan, load_npy(os.path.join(out, "test_dataset.npy")).as_float32()
+        return noisy, plan, load_npy(os.path.join(out, "test_dataset.npy"))
 
     trainer = with_forget_rate(cfg.federation.trainer, _noise_ratio_estimate(cfg.noise, noise))
     federation = dataclasses.replace(cfg.federation, trainer=trainer)

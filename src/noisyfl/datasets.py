@@ -2,7 +2,9 @@
 
 Labels are dense integers in ``[0, C)``; loaders reject sparse label sets
 because downstream flip-probability tables index rows by label.  Datasets
-are immutable after construction and safe for concurrent reads.
+are immutable after construction and safe for concurrent reads.  Their
+features are float32, the dtype networks train in, from the blob draw or
+the CSV parse on, so no stage holds a float64 copy or casts them.
 
 CSV is the import format for user data.  The noise stage hands the train
 stage its noisy training set and its test set as ``.npy`` files
@@ -14,7 +16,7 @@ the dataset alone.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +31,8 @@ class LabeledDataset:
     ``true_labels`` is present iff noise was injected or ground truth is
     otherwise known; ``num_classes`` is the global class count, which a
     client-local view retains even when some classes are absent locally.
-    Features are float64, as they are made, stored and loaded, or float32,
-    the width that the train stage casts them to once and trains in;
-    features of any other dtype become float64.
+    Features are float32: float32 features are taken as they are, not
+    copied, and features of any other dtype are cast to float32.
     """
 
     features: np.ndarray
@@ -40,9 +41,7 @@ class LabeledDataset:
     true_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        features = np.asarray(self.features)
-        if features.dtype != np.float32:
-            features = features.astype(np.float64, copy=False)
+        features = np.asarray(self.features, dtype=np.float32)
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -69,10 +68,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def as_float32(self) -> "LabeledDataset":
-        """This dataset with its features cast to float32, the dtype that networks train and evaluate in."""
-        return replace(self, features=self.features.astype(np.float32))
 
     def with_labels(self, labels: np.ndarray, true_labels: np.ndarray | None) -> "LabeledDataset":
         """Copy of this dataset with replaced (observed, true) label vectors."""
@@ -105,15 +100,21 @@ def make_synthetic_blobs(num_classes: int, per_class: int, dim: int, separation:
     """Balanced isotropic Gaussian blobs, one unit-variance cluster per class.
 
     Deterministic for fixed arguments; ``true_labels`` equals ``labels``
-    since the construction is clean.  The features are drawn into one
-    (N, dim) array and shifted to their class means in place, so the
-    dataset is the only feature-sized array made.  The config checks the
-    arguments (``config._dataset``).
+    since the construction is clean.  The float32 features are filled one
+    class at a time from the ``blobs`` stream, whose chunked draws continue
+    it exactly: each is the float64 ``means[labels] + noise`` of one whole
+    draw, rounded, and no float64 array beyond one class's is made.  The
+    config checks the arguments (``config._dataset``).
     """
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     means = _blob_means(num_classes, dim, separation)
-    features = rng.stream(seed, "blobs").standard_normal((len(labels), dim))
-    features.reshape(num_classes, per_class, dim)[...] += means[:, None, :]  # x + m == m + x exactly
+    stream = rng.stream(seed, "blobs")
+    features = np.empty((len(labels), dim), dtype=np.float32)
+    draw = np.empty((per_class, dim))
+    for c, rows in enumerate(features.reshape(num_classes, per_class, dim)):
+        stream.standard_normal(out=draw)
+        draw += means[c]  # x + m == m + x exactly
+        rows[...] = draw
     return LabeledDataset(
         features=features,
         labels=labels,
@@ -129,9 +130,10 @@ def load_csv(path: str, label_column: str) -> LabeledDataset:
     """Load a dataset from a headered CSV file.
 
     All columns other than the label column (and the optional true-label
-    column, when present) are parsed as real-valued features.  Labels must
-    form a contiguous integer range starting at 0.  A file that breaks
-    either rule raises ParseError.
+    column, when present) are parsed as real-valued features, rounded to
+    float32, and must be finite there.  Labels must form a contiguous
+    integer range starting at 0.  A file that breaks either rule raises
+    ParseError.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -169,10 +171,13 @@ def load_csv(path: str, label_column: str) -> LabeledDataset:
     label_arr = np.asarray(labels, dtype=np.int64)
     if len(label_arr) == 0:
         raise ParseError("file contains no data rows", row=2)
-    feature_arr = np.asarray(features, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a value beyond float32's range rounds to inf, refused here
+        feature_arr = np.asarray(features, dtype=np.float32)
     if not np.isfinite(feature_arr).all():
         row, col = np.argwhere(~np.isfinite(feature_arr))[0]
-        raise ParseError("feature is not finite", row=int(row) + 2, column=header[feature_cols[col]])
+        value = features[row][col]
+        problem = f"{value!r} is beyond float32's range" if np.isfinite(value) else "is not finite"
+        raise ParseError(f"feature {problem}", row=int(row) + 2, column=header[feature_cols[col]])
     # Contiguity is checked over the union of observed and (when present)
     # true labels: noise can wipe a class out of the observed column without
     # invalidating the file.
@@ -207,7 +212,7 @@ def _is_float(text: str) -> bool:
 def save_csv(ds: LabeledDataset, path: str) -> None:
     """Write a dataset so that ``load_csv(path, "label")`` round-trips it bit-compatibly.
 
-    Features are written with 17 significant digits (lossless for float64);
+    Features are written with 17 significant digits (lossless for float32);
     the true-label column is emitted only when ground truth is known.
     """
     header = [f"x{i}" for i in range(ds.dim)] + ["label"]
@@ -225,11 +230,11 @@ def save_csv(ds: LabeledDataset, path: str) -> None:
 
 
 # (field, dtype, ndim) of each array in a save_npy file, in file order
-_NPY_FIELDS = (("features", "<f8", 2), ("labels", "<i8", 1), ("true_labels", "<i8", 2), ("num_classes", "<i8", 0))
+_NPY_FIELDS = (("features", "<f4", 2), ("labels", "<i8", 1), ("true_labels", "<i8", 2), ("num_classes", "<i8", 0))
 
 
 def save_npy(ds: LabeledDataset, path: str) -> None:
-    """Write features, labels, true labels and ``num_classes`` as four consecutive .npy arrays.
+    """Write float32 features, labels, true labels and ``num_classes`` as four consecutive .npy arrays.
 
     True labels are stored as a (0, n) array when unknown and as a (1, n)
     array when known, so "absent" stays distinct from "empty".  The class
@@ -247,7 +252,8 @@ def load_npy(path: str) -> LabeledDataset:
     """Read a dataset written by :func:`save_npy`; raise ParseError on anything else.
 
     Pickled or object arrays are refused, and the file must hold exactly the
-    four arrays with their dtypes and ranks.  Features must be finite; the
+    four arrays with their dtypes and ranks (float64 features, which earlier
+    versions wrote, are refused).  Features must be finite; the
     ``LabeledDataset`` constructor checks shapes and label ranges.
     """
     arrays = []

@@ -4,8 +4,8 @@ Batches come from a per-epoch seeded shuffle; mixup draws consume a separate
 named stream so that stubbing the mixing coefficient to 1 reproduces the
 plain-CE trajectory bit for bit.  One call trains one client for E epochs
 and is single-threaded and deterministic.  It trains in float32: the
-shard's features come float32 (the train stage casts them once), and so
-are the parameters, the velocity, the mixup buffers and every workspace
+shard's features are float32, as every dataset's are, and so are the
+parameters, the velocity, the mixup buffers and every workspace
 buffer.
 
 Every method runs through one epoch/batch loop, :func:`_train`.  It holds
@@ -155,7 +155,6 @@ def _train(
     the trained networks in the order of ``start`` and the call's mean
     loss: the mean over its epochs of each epoch's mean batch loss.
     """
-    assert ds.features.dtype == np.float32, "networks train on float32 features: cast the dataset once with as_float32"
     layout = start[0].layout
     if len(start) == 1:
         stack = start[0].copy()

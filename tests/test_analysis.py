@@ -121,8 +121,8 @@ class TestGradNormSeries:
     """The grad_norm column of telemetry.csv is the series of |w^t - w^(t-1)|."""
 
     def test_matches_runtime_telemetry(self, tmp_path):
-        ds = make_synthetic_blobs(3, 120, 2, 5.0, seed=0).as_float32()
-        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1).as_float32()
+        ds = make_synthetic_blobs(3, 120, 2, 5.0, seed=0)
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         plan = make_partition(ds, 3, PartitionSpec("iid"), seed=2)
         layout = Layout(dim=2, num_classes=3)
         cfg = FedConfig(num_clients=3, rounds=5, trainer=TrainerConfig(epochs=1, lr=0.05), seed=3)

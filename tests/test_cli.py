@@ -459,17 +459,18 @@ class TestResume:
         assert runs[1] == tree(fresh)
 
     def test_version_0_4_directory_is_redone(self, tmp_path, monkeypatch):
-        """A tree of 0.4.0 or 0.8.0 reruns every stage into a fresh run's tree, and then analyzes.
+        """A tree of 0.4.0, 0.8.0 or 0.9.0 reruns every stage into a fresh run's tree, and then analyzes.
 
         A 0.4.0 noise manifest records no partition, and the analysis/ files 0.4.0 wrote belong
         to no stage, so they stay, and run.json leaves them out.  0.8.0 wrote plan.json with the
         scheme, its params and the seed, and a final_checkpoint.bin with a JSON header line; the
-        seed stage that redoes it removes the checkpoint, which its manifest listed.
+        seed stage that redoes it removes the checkpoint, which its manifest listed.  0.9.0 wrote
+        the two datasets with float64 features, which load_npy now refuses.
         """
         fresh_config, fresh = write_config(tmp_path, "fresh")
         assert main(["pipeline", "-c", fresh_config]) == 0
         expected = tree(fresh)
-        for version in ("0.4.0", "0.8.0"):
+        for version in ("0.4.0", "0.8.0", "0.9.0"):
             config, out = write_config(tmp_path, f"v{version}")
             with monkeypatch.context() as patch:
                 patch.setattr(cli, "__version__", version)
@@ -484,6 +485,15 @@ class TestResume:
                 ]:
                     with open(os.path.join(out, "analysis", name), "w", encoding="utf-8") as fh:
                         fh.write(header + "\n")
+            elif version == "0.9.0":
+                for name in ("noisy_dataset.npy", "test_dataset.npy"):
+                    path = os.path.join(out, name)
+                    with open(path, "rb") as fh:
+                        data = fh.read()
+                    with open(path, "wb") as fh:
+                        fh.write(_rewritten(lambda x, y, t, c: (x.astype("<f8"), y, t, c))(data))
+                    reseal_output(out, name)
+                    assert np.load(path).dtype == np.dtype("<f8")  # the first of the four arrays: the features
             else:
                 plan = os.path.join(out, "plan.json")
                 with open(plan, encoding="utf-8") as fh:
@@ -1205,6 +1215,8 @@ class TestExitCodes:
             ),
             ("x0,x1,label\n", CSV_ROWS, "path", "file contains no data rows (row 2)"),
             ("x0,x1,label\n0.5,1.0,0\n1.5,inf,1\n", CSV_ROWS, "path", "feature is not finite (row 3, column 'x1')"),
+            ("x0,x1,label\n0.5,1.0,0\n1.5,1e39,1\n", CSV_ROWS, "path", "beyond float32's range (row 3, column 'x1')"),
+            (CSV_ROWS, "x0,x1,label\n-4e38,1.0,0\n1.5,2.0,1\n", "test_path", "beyond float32's range (row 2, column 'x0')"),
             ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,-1\n", CSV_ROWS, "path", "negative label values are not allowed"),
             ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,5\n", CSV_ROWS, "path", "not contiguous from 0: label 5 among 2 labels"),
             ("x0,x1,label\n0.5,1.0,0\n1.5,2.0,0\n", CSV_ROWS, "path", "at least two classes are required"),
@@ -1222,6 +1234,8 @@ class TestExitCodes:
             "non-integer-true-label",
             "header-only",
             "non-finite-feature",
+            "feature-beyond-float32",
+            "test-feature-beyond-float32",
             "negative-label",
             "label-beyond-the-rows",
             "one-class",
@@ -1239,6 +1253,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: dataset.csv.{field}: {paths[field]}: ") and err.count("\n") == 1
         assert message in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("field", ["path", "test_path"])
+    def test_feature_beyond_float32_exits_2_where_the_file_is_read(self, tmp_path, capsys, field):
+        """A feature that float32 cannot hold is refused at its file's field, with no overflow warning.
+
+        ``pipeline`` and ``noise`` read the file and exit 2; ``train`` on its
+        own reads no CSV but the noise manifest, which such a file never
+        gets, so it exits 3 and names the noise stage.  None of them writes.
+        """
+        paths = {"path": tmp_path / "train.csv", "test_path": tmp_path / "test.csv"}
+        for name, path in paths.items():
+            path.write_text(CSV_ROWS.replace("2.0", "1e39") if name == field else CSV_ROWS, encoding="utf-8")
+        dataset = {"csv": {"label_column": "label", **{name: str(path) for name, path in paths.items()}}}
+        config, out = write_config(tmp_path, changes={"dataset": dataset, "noise": {"scene": "realworld"}})
+        refused = f"config error: dataset.csv.{field}: {paths[field]}: feature 1e+39 is beyond float32's range (row 3, column 'x1')\n"
+        for command, code, err in [("pipeline", 2, refused), ("noise", 2, refused), ("train", 3, "run the noise stage first\n")]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([command, "-c", config]) == code
+            assert caught == []
+            assert capsys.readouterr().err.endswith(err)
         assert not os.path.exists(out)
 
     def test_csv_without_a_test_set_exits_2(self, tmp_path, capsys):
@@ -1333,8 +1369,8 @@ class TestArtifacts:
         values = np.load(os.path.join(out, "train", "seed_0", "final_params.npy"), allow_pickle=False)
 
         cfg = load_config(config, {})
-        noisy = load_npy(os.path.join(out, "noisy_dataset.npy")).as_float32()  # as the train stage casts them
-        test = load_npy(os.path.join(out, "test_dataset.npy")).as_float32()
+        noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
+        test = load_npy(os.path.join(out, "test_dataset.npy"))
         plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
         fed_cfg = dataclasses.replace(cfg.federation, seed=derive_seed(cfg.seed, "federate", 0))
         layout = layout_from_dict({**cfg.model, "dim": noisy.dim, "num_classes": noisy.num_classes})
@@ -1381,6 +1417,9 @@ DATASET_EDITS = {
         _rewritten(lambda x, y, t, c: (_set(x, (1, 2), np.nan), y, t, c)), "feature is not finite (row 1, column 'x2')"
     ),
     "int32-labels": (_rewritten(lambda x, y, t, c: (x, y.astype(np.int32), t, c)), "labels is not a 1-D <i8 array"),
+    "float64-features": (
+        _rewritten(lambda x, y, t, c: (x.astype("<f8"), y, t, c)), "features is not a 2-D <f4 array"
+    ),
     "trailing-bytes": (lambda data: data + b"\0", "unexpected bytes after the dataset arrays"),
     "truncated": (lambda data: data[: len(data) // 2], "cannot read features: "),
 }

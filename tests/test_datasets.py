@@ -41,10 +41,12 @@ class TestMakeSyntheticBlobs:
 
     @pytest.mark.parametrize("dim", [1, 5])
     def test_bit_equal_to_means_plus_noise(self, dim):
-        # the in-place shift gives the bits of the plain sum means[labels] + noise
+        # the class-by-class draws and in-place shifts give the float64 sum means[labels] + noise of
+        # one whole draw, rounded to float32
         ds = make_synthetic_blobs(4, 30, dim, 2.0, seed=3)
         noise = rng.stream(3, "blobs").standard_normal((120, dim))
-        assert np.array_equal(ds.features, _blob_means(4, dim, 2.0)[ds.labels] + noise)
+        assert ds.features.dtype == np.float32
+        assert np.array_equal(ds.features, (_blob_means(4, dim, 2.0)[ds.labels] + noise).astype(np.float32))
 
     def test_different_seed_differs(self):
         a = make_synthetic_blobs(3, 50, 4, 2.5, seed=13)
@@ -59,7 +61,7 @@ class TestMakeSyntheticBlobs:
 
     def test_linearly_separable_blobs_are_learnable(self):
         # oracle for the >= 95% centralized-accuracy threshold: actually train
-        ds = make_synthetic_blobs(4, 1000, 2, 6.0, seed=1).as_float32()
+        ds = make_synthetic_blobs(4, 1000, 2, 6.0, seed=1)
         params = init_params(Layout(dim=2, num_classes=4), seed=0)
         cfg = TrainerConfig(method="ce", lr=0.1, epochs=5, batch_size=128)
         trained, _ = train_local(ds, params, cfg, seed=0)
@@ -186,13 +188,21 @@ class TestCsv:
             load_csv(str(path), "label")
         assert err.value.row == 3
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e39", "-3.5e38"])
     def test_non_finite_feature_rejected(self, tmp_path, bad):
+        """A value that is not finite in float32, among them a finite float64 beyond its range, is refused at its field."""
         path = tmp_path / "bad.csv"
         path.write_text(f"x0,label,x1\n1.0,0,2.0\n3.0,1,{bad}\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError) as err:  # and warns nothing: pytest turns warnings into errors
             load_csv(str(path), "label")
         assert (err.value.row, err.value.column) == (3, "x1")
+
+    def test_features_are_rounded_to_float32(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x0,label\n0.1,0\n3.4028234663852886e38,1\n1e-50,0\n")
+        ds = load_csv(str(path), "label")
+        assert ds.features.dtype == np.float32
+        assert ds.features[:, 0].tolist() == np.array([0.1, 3.4028234663852886e38, 0.0], dtype=np.float32).tolist()
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -215,7 +225,7 @@ def datasets(draw):
     num_classes = draw(st.integers(2, 6))
     labels = hnp.arrays(np.int64, n, elements=st.integers(0, num_classes - 1))
     return LabeledDataset(
-        features=draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(allow_nan=False, allow_infinity=False))),
+        features=draw(hnp.arrays(np.float32, (n, dim), elements=st.floats(allow_nan=False, allow_infinity=False, width=32))),
         labels=draw(labels),
         num_classes=num_classes,
         true_labels=draw(st.none() | labels),
@@ -231,7 +241,7 @@ def write_arrays(path, *arrays, allow_pickle=False):
 def npy_arrays(features=((0.5, 1.0), (2.0, -1.0)), labels=(0, 1), true=((1, 1),), num_classes=2):
     """The four arrays of a save_npy file, for building malformed ones."""
     return (
-        np.array(features, dtype=np.float64),
+        np.array(features, dtype=np.float32),
         np.array(labels, dtype=np.int64),
         np.array(true, dtype=np.int64).reshape(-1, len(labels)),
         np.array(num_classes, dtype=np.int64),
@@ -272,7 +282,7 @@ class TestNpy:
         [
             lambda p: write_arrays(p, np.array([[1.0, None]], dtype=object), *npy_arrays()[1:], allow_pickle=True),
             lambda p: p.write_bytes(pickle.dumps(npy_arrays())),
-            lambda p: write_arrays(p, npy_arrays()[0].astype(np.float32), *npy_arrays()[1:]),
+            lambda p: write_arrays(p, npy_arrays()[0].astype(np.float64), *npy_arrays()[1:]),
             lambda p: write_arrays(p, *npy_arrays()[:3], np.array([2], dtype=np.int64)),
             lambda p: write_arrays(p, *npy_arrays()[:3]),
             lambda p: write_arrays(p, *npy_arrays(), np.zeros(1)),
@@ -284,7 +294,7 @@ class TestNpy:
         ids=[
             "object-dtype",
             "pickled",
-            "float32-features",
+            "float64-features",
             "num-classes-not-scalar",
             "truncated-after-three-arrays",
             "trailing-array",

@@ -112,19 +112,19 @@ class TestAggregate:
 
 class TestEvaluate:
     def test_perfect_classifier(self):
-        ds = make_synthetic_blobs(3, 100, 2, 8.0, seed=0).as_float32()
+        ds = make_synthetic_blobs(3, 100, 2, 8.0, seed=0)
         params = init_params(Layout(dim=2, num_classes=3), seed=0)
         trained, _ = train_local(ds, params, TrainerConfig(lr=0.2, epochs=10), seed=0)
         assert evaluate(trained, ds, Workspace(trained.layout, len(ds))) == 1.0
 
     def test_zero_params_tie_break_to_class_zero(self):
-        ds = make_synthetic_blobs(4, 25, 2, 4.0, seed=1).as_float32()  # balanced, 25 per class
+        ds = make_synthetic_blobs(4, 25, 2, 4.0, seed=1)  # balanced, 25 per class
         layout = Layout(dim=2, num_classes=4)
         params = ModelParams(np.zeros(layout.param_count), layout)
         assert evaluate(params, ds, Workspace(layout, len(ds))) == 0.25
 
     def test_matches_recount(self):
-        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2).as_float32()
+        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
         params = init_params(Layout(dim=2, hidden=4, num_classes=3), seed=5)
         probs = oracle_probs(params.values, params.layout, ds.features)
         correct = sum(
@@ -134,7 +134,7 @@ class TestEvaluate:
 
     def test_one_workspace_serves_every_round(self):
         # run_federation evaluates every round's model in one workspace
-        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2).as_float32()
+        ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)
         layout = Layout(dim=2, hidden=4, num_classes=3)
         shared = Workspace(layout, len(ds))
         for seed in range(3):
@@ -174,8 +174,9 @@ class TestFloat32:
         What the pass allocates is argmax's int64 labels, the bool flags and
         numpy's iterator buffer for a broadcast bias add (8192 float32s):
         less than the smallest float64 array of the pass, (rows, classes).
-        A float64 test set, against float32 weights, makes the first matmul
-        allocate a float64 (rows, hidden) temporary: the probe sees it.
+        Float64 features, which a dataset no longer holds and are forced
+        past its constructor here, make the first matmul against float32
+        weights allocate a float64 (rows, hidden) temporary: the probe sees it.
         """
         layout = Layout(dim=32, hidden=64, num_classes=10)
         params = init_params(layout, seed=0)
@@ -191,8 +192,10 @@ class TestFloat32:
             finally:
                 tracemalloc.stop()
 
-        assert peak(test.as_float32()) < len(test) * layout.num_classes * 8
-        assert peak(test) >= len(test) * layout.hidden * 8
+        assert peak(test) < len(test) * layout.num_classes * 8
+        wide = dataclasses.replace(test)
+        object.__setattr__(wide, "features", test.features.astype(np.float64))
+        assert peak(wide) >= len(test) * layout.hidden * 8
 
 
 def global_models(ds, plan, test, layout, cfg):
@@ -214,8 +217,8 @@ def global_models(ds, plan, test, layout, cfg):
 
 class TestRunFederation:
     def _setup(self, num_clients=4, rounds=6, **trainer_kwargs):
-        ds = make_synthetic_blobs(3, 200, 2, 5.0, seed=0).as_float32()
-        test = make_synthetic_blobs(3, 60, 2, 5.0, seed=1).as_float32()
+        ds = make_synthetic_blobs(3, 200, 2, 5.0, seed=0)
+        test = make_synthetic_blobs(3, 60, 2, 5.0, seed=1)
         plan = make_partition(ds, num_clients, PartitionSpec("iid"), seed=2)
         layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, epochs=1, batch_size=64, **trainer_kwargs)
@@ -223,8 +226,8 @@ class TestRunFederation:
         return ds, test, plan, layout, cfg
 
     def test_single_client_matches_centralized_loop(self):
-        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=3).as_float32()
-        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=4).as_float32()
+        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=3)
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=4)
         plan = make_partition(ds, 1, PartitionSpec("iid"), seed=0)
         layout = Layout(dim=2, num_classes=3)
         trainer = TrainerConfig(method="ce", lr=0.05, momentum=0.9, epochs=1, batch_size=32)
@@ -419,8 +422,8 @@ class TestProcesses:
         signal.signal(signal.SIGALRM, previous)
 
     def _setup(self, method="ce", fraction=1.0, lr=0.05, eval_every=1):
-        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0).as_float32()
-        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1).as_float32()
+        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         # unequal shards, so that the claim order is longest shard first
         plan = make_partition(ds, 6, PartitionSpec("quantity-skew", alpha=2.0), seed=2)
         layout = Layout(dim=2, hidden=4, num_classes=3)
@@ -481,8 +484,8 @@ class TestProcesses:
 
     def _many_clients(self, num_clients, rounds=1):
         """A federation of ``num_clients`` one- or two-row shards."""
-        ds = make_synthetic_blobs(3, num_clients // 3 + 20, 2, 5.0, seed=0).as_float32()
-        test = make_synthetic_blobs(3, 10, 2, 5.0, seed=1).as_float32()
+        ds = make_synthetic_blobs(3, num_clients // 3 + 20, 2, 5.0, seed=0)
+        test = make_synthetic_blobs(3, 10, 2, 5.0, seed=1)
         plan = make_partition(ds, num_clients, PartitionSpec("iid"), seed=2)
         trainer = TrainerConfig(lr=0.05, epochs=1, batch_size=8)
         cfg = FedConfig(num_clients=num_clients, rounds=rounds, trainer=trainer, seed=3)
@@ -757,8 +760,8 @@ class TestModelsBuilt:
 
 class TestTelemetryIO:
     def test_round_trip(self, tmp_path):
-        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0).as_float32()
-        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1).as_float32()
+        ds = make_synthetic_blobs(3, 100, 2, 5.0, seed=0)
+        test = make_synthetic_blobs(3, 30, 2, 5.0, seed=1)
         plan = make_partition(ds, 2, PartitionSpec("iid"), seed=0)
         layout = Layout(dim=2, num_classes=3)
         cfg = FedConfig(

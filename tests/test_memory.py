@@ -1,12 +1,14 @@
 """What the pipeline's stages hold in memory, and what they import.
 
-A stage holds at most one copy of the training features at a time: the
-noise stage draws the blobs into one array and corrupts the labels of one
-client's shard at a time, and the train stage cuts each client's shard
-when the client trains.  The traced allocations of a stage
-are measured with ``tracemalloc`` (numpy reports its array buffers to it)
-from the stage's start, on a wide config where the features dominate every
-other allocation.
+A stage holds at most one copy of the training features at a time, in
+float32, 4 bytes a value: the noise stage draws the blobs class by class
+into one float32 array and corrupts the labels of one client's shard at a
+time, and the train stage reads the float32 features and cuts each
+client's shard when the client trains.  No stage makes an (N, dim) float64
+array.  The traced allocations of a stage are measured with
+``tracemalloc`` (numpy reports its array buffers to it) from the stage's
+start, on a wide config where the features dominate every other
+allocation.
 """
 
 import os
@@ -18,11 +20,12 @@ import pytest
 
 from noisyfl import cli
 from noisyfl.config import load_config
+from noisyfl.datasets import make_synthetic_blobs
 from test_cli import GLOBALIZED, write_config
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# SMALL widened to 4 x 1,000 rows of 256 features: 8.2 MB of float64 training features
+# SMALL widened to 4 x 1,000 rows of 256 features: 4.1 MB of float32 training features
 WIDE = {
     "dataset.synthetic.num_classes": 4,
     "dataset.synthetic.per_class": 1000,
@@ -35,15 +38,15 @@ WIDE = {
     "federation.trainer.epochs": 1,
 }
 
-# a second copy of the features would take a stage to 2x; the rest (a
-# client's shard, an epoch's gather of it, hashing buffers) stays below this
+# a second copy of the features would take a stage to 2x, and a float64 one to 3x; the rest (one
+# class's float64 draw, a client's shard, an epoch's gather of it, hashing buffers) stays below this
 PEAK_OVER_FEATURES = 1.75
+FEATURE_BYTES = 4 * 1000 * 256 * 4
 
 
 def test_each_stage_holds_one_copy_of_the_features(tmp_path):
     path, _ = write_config(tmp_path, changes=WIDE)
     cfg = load_config(path, {})
-    feature_bytes = 4 * 1000 * 256 * 8
     peaks = {}
     tracemalloc.start()
     try:
@@ -52,10 +55,29 @@ def test_each_stage_holds_one_copy_of_the_features(tmp_path):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             stage(cfg)
-            peaks[stage.__name__] = (tracemalloc.get_traced_memory()[1] - start) / feature_bytes
+            peaks[stage.__name__] = (tracemalloc.get_traced_memory()[1] - start) / FEATURE_BYTES
     finally:
         tracemalloc.stop()
     assert {name: peak for name, peak in peaks.items() if peak >= PEAK_OVER_FEATURES} == {}, peaks
+
+
+@pytest.mark.parametrize("num_classes", [4, 8])
+def test_blobs_make_no_float64_copy_of_the_features(num_classes):
+    """The blobs hold their float32 features and one class's float64 draw at a time, never an (N, dim) float64 array.
+
+    Beside those two, the draw allocates the label vectors (2 x N int64) and numpy's
+    casting buffers: together under a quarter of one class's draw here.
+    """
+    per_class = 4000 // num_classes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        make_synthetic_blobs(num_classes, per_class, 256, 2.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    class_draw = per_class * 256 * 8
+    assert peak < FEATURE_BYTES + 1.25 * class_draw, (peak, FEATURE_BYTES, class_draw)
 
 
 @pytest.mark.parametrize("changes", [None, GLOBALIZED], ids=["localized", "globalized"])

@@ -25,7 +25,7 @@ from test_cli import write_config
 
 def blobs(num_classes=3, per_class=80, seed=0, separation=5.0):
     """Two-feature blobs as the train stage hands them to training: with float32 features."""
-    return make_synthetic_blobs(num_classes, per_class, 2, separation, seed=seed).as_float32()
+    return make_synthetic_blobs(num_classes, per_class, 2, separation, seed=seed)
 
 
 class TestTrainerConfig:
@@ -391,7 +391,7 @@ class TestWorkspaceReuse:
     # 69 rows: a 5-row last batch, a 1-row last batch, one batch smaller than the batch size
     @pytest.mark.parametrize("batch_size", [16, 17, 100])
     def test_matches_fresh_steps(self, layout, method, batch_size):
-        clean = make_synthetic_blobs(3, 23, 5, 2.0, seed=1).as_float32()
+        clean = make_synthetic_blobs(3, 23, 5, 2.0, seed=1)
         self._check(clean, layout, method, batch_size)
 
     @pytest.mark.parametrize("method", list(METHOD_PARAMS))
@@ -401,7 +401,7 @@ class TestWorkspaceReuse:
         # small shapes above; 150 rows end each epoch on a 22-row batch.  Here a
         # co-teaching network that recomputed its pass on the kept rows would
         # differ in the last bits from one that reuses its ranking pass.
-        clean = make_synthetic_blobs(10, 15, 32, 2.0, seed=1).as_float32()
+        clean = make_synthetic_blobs(10, 15, 32, 2.0, seed=1)
         self._check(clean, Layout(dim=32, hidden=64, num_classes=10, activation="tanh"), method, 64)
 
     def _check(self, clean, layout, method, batch_size):
@@ -436,7 +436,7 @@ class TestFloat32:
     @pytest.mark.parametrize("method", METHODS)
     def test_buffers_and_results_are_float32(self, monkeypatch, layout, method):
         made = recorded_workspaces(monkeypatch, localtrain)
-        ds = make_synthetic_blobs(3, 23, 5, 2.0, seed=1).as_float32()
+        ds = make_synthetic_blobs(3, 23, 5, 2.0, seed=1)
         a, b = init_params(layout, seed=3), init_params(layout, seed=4)
         params = {key: np.float64(value) for key, value in self.PARAMS[method].items()}
         lr, momentum, decay = np.float64(0.2), np.float64(0.9), np.float64(5e-4)
