@@ -6,4 +6,4 @@ pluggable robust local strategies.  Analysis turns the accuracies of
 finished runs into the paper's drop-ratio and sensitivity series.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -38,20 +38,21 @@ manifest.
 
 The noise stage materializes the dataset, runs the configured scene once
 and is the one writer of the client split and of what train reads:
-plan.json, client_histograms.csv, noisy_dataset.npy and test_dataset.npy.
-plan.json holds only each client's sorted indices; the scheme, its
-parameter and the seed are the noise manifest's key.  The datasets hold
-float32 features, the one dtype networks train and evaluate in, from
-generation or CSV entry on, so no stage casts them.  A train seed writes
-telemetry.csv and final_params.npy, the final model's values as one .npy
-array, whose layout, rounds and seed are the seed manifest's key.
-``partition`` prints the histograms of that split and writes nothing.
-The intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
+plan.npy, client_histograms.csv, noisy_dataset.npy and test_dataset.npy.
+plan.npy holds only each sample's client, -1 for a sample no client
+holds, as one <i8 array; the scheme, its parameter and the seed are the
+noise manifest's key.  The datasets hold float32 features, the one dtype
+networks train and evaluate in, from generation or CSV entry on, so no
+stage casts them.  A train seed writes telemetry.csv and
+final_params.npy, the final model's values as one .npy array, whose
+layout, rounds and seed are the seed manifest's key.  ``partition``
+prints the histograms of that split and writes nothing.  The
+intermediates use :func:`~noisyfl.datasets.save_npy`; CSV is only the
 import format of user datasets.  All output bytes are a pure function of
 the config and master seed: every JSON artifact goes through
 :func:`write_json` (sorted keys), every CSV artifact through
-:func:`write_csv` (fixed formatting), and no timestamps or absolute paths
-are recorded.
+:func:`write_csv` (fixed formatting), and no timestamps or absolute
+paths are recorded.
 
 A co-teaching config that sets no ``forget_rate`` trains with the run's
 noise ratio (the noise spec's :attr:`~noisyfl.noise.NoiseSpec.nominal_ratio`,
@@ -69,14 +70,17 @@ manifest's inputs are the noise manifest's outputs.  Its key for a run is
 (partition with its parameter, scene/mode, nominal noise ratio); its
 accuracy is the mean last-k accuracy of the selected lr.
 
-Exit codes: 0 success, 2 config validation, 3 artifact mismatch,
-4 numerical abort, 1 anything else (an unreadable or malformed file, say
-a plan.json that does not hold the config's clients, or memory that runs
-out).  A CSV dataset is part of the config: a file that does not parse,
-labels that are not contiguous from 0, a test set whose width or
-classes the training set does not share or, for ``train`` and
+Exit codes: 0 success, 2 config validation, 3 artifact mismatch, 4
+numerical abort, 1 anything else (an unreadable or malformed file, say a
+plan.npy that does not give each sample one of the config's clients, or
+memory that runs out).  A CSV dataset is part of the config: a file that
+does not parse, labels not contiguous from 0, a test set whose width or
+classes the training set does not share, or, for ``train`` and
 ``pipeline``, no test set exit 2 at the CSV's config field, before any
-stage writes.
+stage writes.  Standalone ``train`` never reads the CSVs, only the noise
+manifest that holds their digests: a file the noise stage refused, or
+one edited since, exits 3 there, as that manifest is missing or records
+other inputs.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ import numpy as np
 from . import __version__, rng
 from .analysis import drop_ratio_series, last_k_average, sensitivity_series
 from .config import RunConfig, load_config, with_forget_rate
-from .datasets import class_histogram, load_npy, save_npy
+from .datasets import load_npy, save_npy
 from .datasets import load_csv, save_csv  # noqa: F401  unused here; perfbench/tracer.py wraps them at this name
 from .partition import make_partition  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
 from .errors import (
@@ -152,26 +156,30 @@ def write_atomic(path: str, write) -> None:
 
 
 def save_plan(plan: PartitionPlan, path: str) -> None:
-    """Write plan.json: each client's sorted indices, under ``clients``."""
-    write_json({"clients": [c.tolist() for c in plan.clients]}, path)
+    """Write plan.npy: each sample's client, -1 where it has none, as one <i8 array."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.asarray(plan.owner, dtype="<i8"), allow_pickle=False)
 
 
 def load_plan(path: str, n: int, num_clients: int) -> PartitionPlan:
-    """Read plan.json; raise ParseError unless it holds ``num_clients`` disjoint, non-empty integer lists below ``n``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        clients = [np.asarray(c) for c in doc["clients"]]
-        if any(len(c) and c.dtype.kind not in "iu" for c in clients):  # an empty list parses as float
-            raise ValueError("plan contains an index that is not an integer")
-        plan = PartitionPlan(clients)
-        if plan.num_clients != num_clients:
-            raise ValueError(f"plan has {plan.num_clients} clients, federation.num_clients is {num_clients}")
-        plan.validate(n)
-    except KeyError as exc:
-        raise ParseError(f"{path}: no {exc} key") from None
-    except (TypeError, ValueError, IndexError, OverflowError, DegeneratePartitionError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """Read plan.npy; raise ParseError unless it holds n <i8 owners in [-1, num_clients) and no client owns nothing."""
+    with open(path, "rb") as fh:
+        try:
+            owner = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ParseError(f"{path}: cannot read the owner array: {exc}") from None
+        if fh.read(1):
+            raise ParseError(f"{path}: unexpected bytes after the owner array")
+    if not isinstance(owner, np.ndarray) or owner.dtype != np.dtype("<i8"):
+        raise ParseError(f"{path}: the owners are not a <i8 array")
+    if owner.shape != (n,):
+        raise ParseError(f"{path}: holds owners of shape {owner.shape}, not one for each of the {n} samples")
+    outside = np.flatnonzero((owner < -1) | (owner >= num_clients))
+    if len(outside):
+        raise ParseError(f"{path}: sample {outside[0]} has owner {owner[outside[0]]}, outside [-1, {num_clients})")
+    plan = PartitionPlan(owner, num_clients)
+    if not plan.sizes().all():
+        raise ParseError(f"{path}: client {int(np.argmin(plan.sizes()))} owns no sample")
     return plan
 
 
@@ -303,8 +311,11 @@ def _split(cfg: RunConfig):
 
 def _histograms(ds, plan) -> tuple[list[str], list[list]]:
     """Header and rows of client_histograms.csv: per-client counts of the dataset's labels."""
-    header = ["client"] + [f"class_{i}" for i in range(ds.num_classes)]
-    return header, [[k] + class_histogram(ds, idx).tolist() for k, idx in enumerate(plan.clients)]
+    num_clients, num_classes = plan.num_clients, ds.num_classes
+    header = ["client"] + [f"class_{i}" for i in range(num_classes)]
+    assigned = plan.owner >= 0
+    cells = np.bincount(plan.owner[assigned] * num_classes + ds.labels[assigned], minlength=num_clients * num_classes)
+    return header, [[k] + row for k, row in enumerate(cells.reshape(num_clients, num_classes).tolist())]
 
 
 def cmd_partition(cfg: RunConfig) -> None:
@@ -337,7 +348,7 @@ def cmd_noise(cfg: RunConfig) -> dict:
     def produce():
         ds, test, plan, noisy, report = _split(cfg)
         writers = {
-            "plan.json": functools.partial(save_plan, plan),
+            "plan.npy": functools.partial(save_plan, plan),
             "client_histograms.csv": functools.partial(write_csv, *_histograms(ds, plan)),
             "noisy_dataset.npy": functools.partial(save_npy, noisy),
         }
@@ -361,7 +372,7 @@ def _noise_ratio_estimate(spec: NoiseSpec, manifest: dict) -> float:
     return ratio or 0.0
 
 
-TRAIN_INPUTS = ("noisy_dataset.npy", "plan.json", "test_dataset.npy")
+TRAIN_INPUTS = ("noisy_dataset.npy", "plan.npy", "test_dataset.npy")
 
 
 def _train_inputs(noise: dict) -> dict:
@@ -419,7 +430,7 @@ def cmd_train(cfg: RunConfig, noise: dict | None = None) -> list[tuple[str, str,
     @functools.cache
     def load_inputs():
         noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
-        plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
+        plan = load_plan(os.path.join(out, "plan.npy"), len(noisy), cfg.federation.num_clients)
         return noisy, plan, load_npy(os.path.join(out, "test_dataset.npy"))
 
     trainer = with_forget_rate(cfg.federation.trainer, _noise_ratio_estimate(cfg.noise, noise))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, class_histogram
 from .partition import PartitionPlan, PartitionSpec, make_partition
 from .partition import restrict  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
 
@@ -171,21 +171,17 @@ def _post_hoc_report(noisy: LabeledDataset, plan: PartitionPlan, per_client_eps,
     if noisy.true_labels is None:
         report = dict.fromkeys(("per_client_ratio", "overall_ratio", "per_client_eps", "flip_counts"))
         return {**report, "skipped_clients": []}
-    ratios = np.zeros(plan.num_clients, dtype=np.float64)
-    flips = 0
-    total = 0
-    counts = np.zeros((noisy.num_classes, noisy.num_classes), dtype=np.int64)
-    for k, idx in enumerate(plan.clients):
-        disagree = noisy.labels[idx] != noisy.true_labels[idx]
-        ratios[k] = float(disagree.mean()) if len(idx) else 0.0
-        flips += int(disagree.sum())
-        total += len(idx)
-        np.add.at(counts, (noisy.true_labels[idx], noisy.labels[idx]), 1)
+    assigned = plan.owner >= 0
+    owner, true, observed = plan.owner[assigned], noisy.true_labels[assigned], noisy.labels[assigned]
+    sizes = np.bincount(owner, minlength=plan.num_clients)
+    flips = np.bincount(owner[observed != true], minlength=plan.num_clients)
+    ratios = flips / np.maximum(sizes, 1)  # exact counts over exact sizes, 0.0 for an empty client
+    counts = np.bincount(true * noisy.num_classes + observed, minlength=noisy.num_classes**2)
     return {
         "per_client_ratio": ratios.tolist(),
-        "overall_ratio": flips / total if total else 0.0,
+        "overall_ratio": int(flips.sum()) / len(owner) if len(owner) else 0.0,
         "per_client_eps": None if per_client_eps is None else per_client_eps.tolist(),
-        "flip_counts": counts.tolist(),
+        "flip_counts": counts.reshape(noisy.num_classes, noisy.num_classes).tolist(),
         "skipped_clients": skipped,
     }
 
@@ -228,7 +224,8 @@ def run_scene(
         eps = rng.stream(spec.seed, "eps-draw").uniform(spec.eps_min, spec.eps_max, size=num_clients)
         labels = ds.labels.copy()
         for k, idx in enumerate(plan.clients):
-            classes, positions = np.unique(ds.labels[idx], return_inverse=True)
+            held = class_histogram(ds, idx) > 0  # the classes client k holds, and each label's position among them
+            classes, positions = np.flatnonzero(held), (np.cumsum(held) - 1)[ds.labels[idx]]
             if len(classes) < 2:
                 skipped.append(k)
                 continue

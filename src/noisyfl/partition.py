@@ -7,7 +7,8 @@ the split that ``SCHEMES`` names for the scheme and builds the one plan.
 Every scheme follows one split rule.  It shuffles sets of sample indices,
 each with a named stream of its own.  It cuts each set at per-client counts
 and hands the rest round-robin to clients in a given order, or drops it.
-IID and quantity skew cut one global permutation and drop the rest; label
+The plan records each sample's client, -1 for a dropped sample.  IID and
+quantity skew cut one global permutation and drop the rest; label
 Dirichlet and label quantity cut each class and deal its leftovers.  Every
 scheme is a pure function of (dataset, parameters, seed).
 
@@ -19,7 +20,7 @@ redraw ``a`` of seed ``s`` uses streams of its own, ``stream(s, <name>,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,31 +48,20 @@ def gamma_dirichlet(gen: np.random.Generator, alpha: float, size: int) -> np.nda
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Disjoint per-client sample-index lists, each sorted ascending."""
+    """Each sample's client (``owner``, -1 for none, as plan.npy holds it) and each client's ascending indices."""
 
-    clients: list[np.ndarray]
+    owner: np.ndarray
+    num_clients: int
+    clients: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "clients", [np.sort(np.asarray(c, dtype=np.int64)) for c in self.clients]
-        )
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.clients)
+        owner = np.asarray(self.owner, dtype=np.int64)
+        ends = np.cumsum(np.bincount(owner + 1, minlength=self.num_clients + 1))
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "clients", np.split(np.argsort(owner, kind="stable"), ends[:-1])[1:])
 
     def sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.clients], dtype=np.int64)
-
-    def validate(self, n: int) -> None:
-        """Check disjointness, index bounds, and non-emptiness against a dataset of size n."""
-        seen = np.concatenate(self.clients) if self.clients else np.zeros(0, dtype=np.int64)
-        if len(seen) and (seen.min() < 0 or seen.max() >= n):
-            raise IndexError("plan contains indices outside the dataset")
-        if len(seen) and np.bincount(seen).max() > 1:
-            raise ValueError("plan assigns some index to more than one client")
-        if any(len(c) == 0 for c in self.clients):
-            raise DegeneratePartitionError("plan contains an empty client")
 
 
 @dataclass(frozen=True)
@@ -134,16 +124,17 @@ def _sizes(n: int, counts: np.ndarray, deal: np.ndarray | None) -> np.ndarray:
     return sizes
 
 
-def _assign(seed: int, groups: list, owners: list[np.ndarray], num_clients: int, redraw: tuple = ()) -> list[np.ndarray]:
-    """Shuffle each (stream path, sample indices) group with its stream and give each position to its owner."""
+def _assign(seed: int, groups: list, owners: list[np.ndarray], redraw: tuple = ()) -> np.ndarray:
+    """Each sample's owner; the (stream path, indices) groups hold every sample once, each shuffled by its stream."""
     shuffled = np.concatenate([rng.stream(seed, *path, *redraw).permutation(members) for path, members in groups])
-    owners = np.concatenate(owners)
-    return [shuffled[owners == k] for k in range(num_clients)]
+    owner = np.empty(len(shuffled), dtype=np.int64)
+    owner[shuffled] = np.concatenate(owners)
+    return owner
 
 
 def _dirichlet_split(
     label: str, shares: str, deals: bool, groups: list, num_clients: int, alpha: float, seed: int
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Cut each group at floor(q_k * N_g) for Dirichlet(alpha) shares q of its own, redrawing while a client is empty.
 
     The shares come from stream ``shares``.  With ``deals``, a group's
@@ -164,21 +155,21 @@ def _dirichlet_split(
             sizes += _sizes(len(members), counts, deal)
         if sizes.all():
             owners = [_cut(*cut) for cut in cuts]
-            return _assign(seed, groups, owners, num_clients, _redraw(attempt))
+            return _assign(seed, groups, owners, _redraw(attempt))
     n = sum(len(members) for _, members in groups)
     raise DegeneratePartitionError(
         f"{label} left a client empty after {EMPTY_CLIENT_RETRIES} redraws (alpha={alpha}, K={num_clients}, N={n})"
     )
 
 
-def _iid_split(ds: LabeledDataset, num_clients: int, seed: int) -> list[np.ndarray]:
+def _iid_split(ds: LabeledDataset, num_clients: int, seed: int) -> np.ndarray:
     """Global shuffle, then K blocks of floor(N/K); the remainder is unassigned."""
     n = len(ds)
     owners = _cut(n, np.full(num_clients, n // num_clients))
-    return _assign(seed, [(("iid",), np.arange(n))], [owners], num_clients)
+    return _assign(seed, [(("iid",), np.arange(n))], [owners])
 
 
-def _quantity_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: float) -> list[np.ndarray]:
+def _quantity_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: float) -> np.ndarray:
     """One Dirichlet(alpha) share vector sizes the clients; class mix untouched.
 
     Client k gets a contiguous block of floor(q_k * N) globally shuffled
@@ -188,7 +179,7 @@ def _quantity_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: floa
     return _dirichlet_split("quantity skew", "quantity-shares", False, groups, num_clients, alpha, seed)
 
 
-def _label_dir_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: float) -> list[np.ndarray]:
+def _label_dir_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: float) -> np.ndarray:
     """Per-class Dirichlet(alpha) shares give each client a slice of every class.
 
     Class i is shuffled once, split at floor(q_ik * N_i); per-class leftovers
@@ -199,7 +190,7 @@ def _label_dir_split(ds: LabeledDataset, num_clients: int, seed: int, alpha: flo
     return _dirichlet_split("label-dirichlet", "labeldir-shares", True, groups, num_clients, alpha, seed)
 
 
-def _label_quantity_split(ds: LabeledDataset, num_clients: int, seed: int, c: int) -> list[np.ndarray]:
+def _label_quantity_split(ds: LabeledDataset, num_clients: int, seed: int, c: int) -> np.ndarray:
     """Assign exactly c distinct classes per client, then split each class evenly.
 
     Coverage first: shuffled classes are dealt one each to shuffled clients,
@@ -236,10 +227,10 @@ def _label_quantity_split(ds: LabeledDataset, num_clients: int, seed: int, c: in
         counts[holders] = len(members) // len(holders)
         groups.append((("labelqty-class", cls), members))
         owners.append(_cut(len(members), counts, holders))
-    clients = _assign(seed, groups, owners, num_clients)
-    if min(len(cl) for cl in clients) < 1:
+    owner = _assign(seed, groups, owners)  # every sample is dealt, so no owner is -1
+    if not np.bincount(owner, minlength=num_clients).all():
         raise DegeneratePartitionError("label-quantity produced an empty client")
-    return clients
+    return owner
 
 
 # scheme -> (its one parameter or None, its split(ds, num_clients, seed[, parameter]))
@@ -255,8 +246,8 @@ def make_partition(ds: LabeledDataset, num_clients: int, spec: PartitionSpec, se
     """The plan of the scheme named by ``spec``; K <= N is checked before the scheme draws."""
     param, split = SCHEMES[spec.scheme]
     _check_client_count(len(ds), num_clients)
-    clients = split(ds, num_clients, seed) if param is None else split(ds, num_clients, seed, getattr(spec, param))
-    return PartitionPlan(clients)
+    owner = split(ds, num_clients, seed) if param is None else split(ds, num_clients, seed, getattr(spec, param))
+    return PartitionPlan(owner, num_clients)
 
 
 def restrict(ds: LabeledDataset, plan: PartitionPlan, k: int) -> LabeledDataset:

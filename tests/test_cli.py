@@ -106,7 +106,7 @@ def manifests(root: str) -> list[str]:
     return sorted(rel for rel in tree(root) if rel.endswith("manifest.json"))
 
 
-NOISE_FILES = ["noise_manifest.json", "plan.json", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"]
+NOISE_FILES = ["noise_manifest.json", "plan.npy", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"]
 # with NOISE_FILES and run.json, every file a one-seed run writes: no dataset.npy, no analysis/
 TRAIN_FILES = [
     "train/run_manifest.json", "train/summary.csv",
@@ -177,6 +177,37 @@ def reseal_output(run_dir: str, name: str) -> None:
     with open(os.path.join(run_dir, "noise_manifest.json"), encoding="utf-8") as fh:
         outputs = json.load(fh)["outputs"]
     edit_json(run_dir, "noise_manifest.json", "outputs", {**outputs, name: sha256_file(os.path.join(run_dir, name))})
+
+
+def _npy(array: np.ndarray, **kwargs) -> bytes:
+    """The bytes ``np.save`` writes for ``array``."""
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+def _with(owner: np.ndarray, index: int, value: int) -> np.ndarray:
+    """A copy of ``owner`` with sample ``index`` given client ``value``."""
+    owner = owner.copy()
+    owner[index] = value
+    return owner
+
+
+def to_plan_json(run_dir: str, header: dict) -> None:
+    """Turn a run's plan.npy into the plan.json of versions before 0.11.0, listed in the resealed noise manifest.
+
+    plan.json held ``header`` and, under ``clients``, each client's sorted sample indices.
+    """
+    npy = os.path.join(run_dir, "plan.npy")
+    owner = np.load(npy, allow_pickle=False)
+    clients = [np.flatnonzero(owner == k).tolist() for k in range(owner.max() + 1)]
+    cli.write_json({**header, "clients": clients}, os.path.join(run_dir, "plan.json"))
+    os.remove(npy)
+    with open(os.path.join(run_dir, "noise_manifest.json"), encoding="utf-8") as fh:
+        outputs = json.load(fh)["outputs"]
+    del outputs["plan.npy"]
+    edit_json(run_dir, "noise_manifest.json", "outputs", outputs)
+    reseal_output(run_dir, "plan.json")
 
 
 def read_rows(path) -> list[list[str]]:
@@ -495,12 +526,7 @@ class TestResume:
                     reseal_output(out, name)
                     assert np.load(path).dtype == np.dtype("<f8")  # the first of the four arrays: the features
             else:
-                plan = os.path.join(out, "plan.json")
-                with open(plan, encoding="utf-8") as fh:
-                    clients = json.load(fh)["clients"]
-                header = {"scheme": "label-dir", "params": {"alpha": 0.5}, "seed": SMALL["seed"]}
-                cli.write_json({**header, "clients": clients}, plan)
-                reseal_output(out, "plan.json")
+                to_plan_json(out, {"scheme": "label-dir", "params": {"alpha": 0.5}, "seed": SMALL["seed"]})
                 seed_dir = os.path.join(out, "train", "seed_0")
                 values = np.load(os.path.join(seed_dir, "final_params.npy"))
                 os.remove(os.path.join(seed_dir, "final_params.npy"))
@@ -522,6 +548,24 @@ class TestResume:
             assert {rel: data for rel, data in redone.items() if rel not in leftovers} == expected, version
             checked_index(out, [rel.replace(os.sep, "/") for rel in leftovers])
             assert analyze([out], str(tmp_path / f"grid_{version}"))[0] == 0
+
+    def test_version_0_10_plan_json_is_replaced(self, tmp_path, monkeypatch, capsys):
+        """A 0.10.0 tree holds plan.json, each client's sorted indices: train refuses its noise manifest,
+        and the pipeline runs the noise stage again, whose new manifest no longer lists plan.json, so it is removed."""
+        fresh_config, fresh = write_config(tmp_path, "fresh")
+        assert main(["pipeline", "-c", fresh_config]) == 0
+        config, out = write_config(tmp_path, "old")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "__version__", "0.10.0")
+            assert main(["pipeline", "-c", config]) == 0
+        to_plan_json(out, {})
+        capsys.readouterr()
+        assert main(["train", "-c", config]) == 3
+        assert "noise_manifest.json records a different version" in capsys.readouterr().err
+        assert main(["pipeline", "-c", config]) == 0
+        assert not os.path.exists(os.path.join(out, "plan.json"))
+        assert _value_at(out, "noise_manifest.json", "version") == cli.__version__
+        assert tree(out) == tree(fresh)
 
 
 class TestIndex:
@@ -688,9 +732,6 @@ class TestStageKeys:
         assert str(tmp_path).encode() not in stamped[0]["noise_manifest.json"][2]
 
 
-NOT_INTEGER = "plan contains an index that is not an integer"
-
-
 class TestExitCodes:
     def test_tampered_noisy_dataset_exits_3(self, tmp_path):
         config, out = write_config(tmp_path)
@@ -708,38 +749,44 @@ class TestExitCodes:
         assert main(["train", "-c", config]) == 3
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "rewrite, message",
         [
-            (lambda doc, n: doc["clients"][0].append(n), "plan contains indices outside the dataset"),
-            (lambda doc, n: doc["clients"][1].append(doc["clients"][0][0]), "plan assigns some index to more than one client"),
-            (lambda doc, n: doc["clients"][0].clear(), "plan contains an empty client"),
-            (lambda doc, n: doc.pop("clients"), "no 'clients' key"),
-            (lambda doc, n: doc["clients"].pop(), "plan has 2 clients, federation.num_clients is 3"),
-            (lambda doc, n: doc["clients"][0].__setitem__(0, doc["clients"][0][0] + 0.5), NOT_INTEGER),
-            (lambda doc, n: doc["clients"][0].__setitem__(0, str(doc["clients"][0][0])), NOT_INTEGER),
+            (lambda owner, k: _npy(owner.astype("<f8")), "the owners are not a <i8 array"),
+            (
+                lambda owner, k: _npy(owner.astype(object), allow_pickle=True),
+                "cannot read the owner array: Object arrays cannot be loaded when allow_pickle=False",
+            ),
+            # one owner more: a client for a sample at index n
+            (lambda owner, k: _npy(np.append(owner, 0)), "holds owners of shape ({n1},), not one for each of the {n} samples"),
+            (lambda owner, k: _npy(_with(owner, 0, k)), "sample 0 has owner {k}, outside [-1, {k})"),
+            (lambda owner, k: _npy(_with(owner, 0, -2)), "sample 0 has owner -2, outside [-1, {k})"),
+            (lambda owner, k: _npy(np.where(owner == 0, 1, owner)), "client 0 owns no sample"),
+            # the plan of one client fewer than the config's
+            (lambda owner, k: _npy(np.where(owner == k - 1, 0, owner)), "client {last} owns no sample"),
+            (lambda owner, k: _npy(owner) + b"\0", "unexpected bytes after the owner array"),
         ],
         ids=[
+            "float-dtype",
+            "object-array",
             "index-at-n",
-            "index-held-twice",
+            "owner-at-k",
+            "owner-below-minus-one",
             "empty-client",
-            "missing-key",
             "one-client-too-few",
-            "fractional-index",
-            "string-index",
+            "trailing-bytes",
         ],
     )
-    def test_malformed_plan_exits_1(self, tmp_path, capsys, edit, message):
-        """train checks the plan.json that a resealed noise manifest lists: one error line naming it, and no training."""
+    def test_malformed_plan_exits_1(self, tmp_path, capsys, rewrite, message):
+        """train checks the plan.npy that a resealed noise manifest lists: one error line naming it, and no training."""
         config, out = write_config(tmp_path)
         assert main(["noise", "-c", config]) == 0
-        path = os.path.join(out, "plan.json")
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        edit(doc, len(load_npy(os.path.join(out, "noisy_dataset.npy"))))
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        reseal_output(out, "plan.json")
+        path = os.path.join(out, "plan.npy")
+        owner, k = np.load(path, allow_pickle=False), SMALL["federation"]["num_clients"]
+        with open(path, "wb") as fh:
+            fh.write(rewrite(owner, k))
+        reseal_output(out, "plan.npy")
         assert main(["train", "-c", config]) == 1
+        message = message.format(n=len(owner), n1=len(owner) + 1, k=k, last=k - 1)
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not os.path.exists(os.path.join(out, "train"))
 
@@ -1160,7 +1207,7 @@ class TestExitCodes:
             ("num_clients", 4, "train: noise_manifest.json records a different num_clients; run the noise stage first"),
             ("noise.eps_min", 0.25, "train: noise_manifest.json records a different noise; run the noise stage first"),
             ("version", "0.0.1", "train: noise_manifest.json records a different version; run the noise stage first"),
-            ("outputs.plan.json", DELETE, "noise_manifest.json records no plan.json"),
+            ("outputs.plan.npy", DELETE, "noise_manifest.json records no plan.npy"),
         ],
         ids=["num-clients", "eps-min", "version", "no-plan"],
     )
@@ -1169,9 +1216,9 @@ class TestExitCodes:
         config, finished = noise_only
         run = str(tmp_path / "run")
         shutil.copytree(finished, run)
-        if path == "outputs.plan.json":  # the file name holds a dot, so the whole outputs map is rewritten
+        if path == "outputs.plan.npy":  # the file name holds a dot, so the whole outputs map is rewritten
             outputs = _value_at(run, "noise_manifest.json", "outputs")
-            edit_json(run, "noise_manifest.json", "outputs", {k: v for k, v in outputs.items() if k != "plan.json"})
+            edit_json(run, "noise_manifest.json", "outputs", {k: v for k, v in outputs.items() if k != "plan.npy"})
         else:
             edit_json(run, "noise_manifest.json", path, value)
         assert main(["train", "-c", config, "--output-dir", run]) == 3
@@ -1345,7 +1392,7 @@ class TestArtifacts:
         assert {k: manifest[k] for k in key} == key
         assert {k: manifest[k] for k in report} == report
         assert manifest["stage"] == "noise"
-        assert set(manifest["outputs"]) == {"plan.json", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"}
+        assert set(manifest["outputs"]) == {"plan.npy", "client_histograms.csv", "noisy_dataset.npy", "test_dataset.npy"}
 
     def test_noise_manifest_without_ground_truth_has_the_report_keys(self, tmp_path):
         """Real-world data without true labels records every report field, empty, and no other key."""
@@ -1371,7 +1418,7 @@ class TestArtifacts:
         cfg = load_config(config, {})
         noisy = load_npy(os.path.join(out, "noisy_dataset.npy"))
         test = load_npy(os.path.join(out, "test_dataset.npy"))
-        plan = load_plan(os.path.join(out, "plan.json"), len(noisy), cfg.federation.num_clients)
+        plan = load_plan(os.path.join(out, "plan.npy"), len(noisy), cfg.federation.num_clients)
         fed_cfg = dataclasses.replace(cfg.federation, seed=derive_seed(cfg.seed, "federate", 0))
         layout = layout_from_dict({**cfg.model, "dim": noisy.dim, "num_classes": noisy.num_classes})
         _, final = run_federation(noisy, plan, test, layout, fed_cfg)
@@ -1604,10 +1651,10 @@ class TestAnalyze:
 
 
 def client_counts(out: str) -> str:
-    """client_histograms.csv text recounted from the true labels of noisy_dataset.npy over the clients of plan.json."""
+    """client_histograms.csv text recounted from the true labels of noisy_dataset.npy over the owners of plan.npy."""
     ds = load_npy(os.path.join(out, "noisy_dataset.npy"))
-    with open(os.path.join(out, "plan.json"), encoding="utf-8") as fh:
-        clients = json.load(fh)["clients"]
+    owner = np.load(os.path.join(out, "plan.npy"), allow_pickle=False)
+    clients = [np.flatnonzero(owner == k) for k in range(owner.max() + 1)]
     lines = [",".join(["client"] + [f"class_{c}" for c in range(ds.num_classes)])]
     for k, idx in enumerate(clients):
         counts = np.bincount(ds.true_labels[idx], minlength=ds.num_classes)
@@ -1758,7 +1805,7 @@ class TestForkedPipeline:
         assert (parallel / "run.json").read_bytes() == (serial / "run.json").read_bytes()
         # with two usable CPUs or more the parallel run forks, as its federation is over the threshold
         trainer = SMALL["federation"]["trainer"]
-        sizes = np.array([len(c) for c in json.loads((parallel / "plan.json").read_text())["clients"]])
+        sizes = np.bincount(np.load(parallel / "plan.npy", allow_pickle=False) + 1)[1:]
         shard_batches = np.mean(-(-sizes // trainer["batch_size"]))
         batches = FORKING["federation.rounds"] * FORKING["federation.num_clients"] * trainer["epochs"] * shard_batches
         assert batches >= federation.FORK_MIN_BATCHES

@@ -70,7 +70,7 @@ from noisyfl.localtrain import METHODS
 from test_cli import GLOBALIZED, SRC, write_config
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
-RNG_ONLY = ("test_dataset.npy", "plan.json", "client_histograms.csv", "noisy_dataset.npy")
+RNG_ONLY = ("test_dataset.npy", "plan.npy", "client_histograms.csv", "noisy_dataset.npy")
 TELEMETRY_FLOATS = ("test_accuracy", "grad_norm", "mean_client_loss")
 OTHER_CORE_BOUND = 2.0**-16  # of a file's largest recorded magnitude; derived in the module docstring
 
@@ -287,9 +287,9 @@ def test_write_refuses_to_move_an_rng_only_file(golden):
     assert moved_rng_files(runs, runs) == []
     name = sorted(runs)[0]
     edited = json.loads(json.dumps(runs))
-    edited[name]["artifacts"]["plan.json"] = "0" * 64
+    edited[name]["artifacts"]["plan.npy"] = "0" * 64
     edited[name]["artifacts"]["train/seed_0/telemetry.csv"] = "0" * 64  # BLAS-touched: free to move
-    assert moved_rng_files(runs, edited) == [f"{name}: plan.json"]
+    assert moved_rng_files(runs, edited) == [f"{name}: plan.npy"]
 
 
 def test_another_blas_core_keeps_the_rng_files_and_the_floats(tmp_path, golden):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from noisyfl import rng
 from noisyfl.datasets import LabeledDataset, make_synthetic_blobs
+from noisyfl.errors import DegeneratePartitionError
 from noisyfl.noise import (
     NoiseSpec,
     apply_noise,
@@ -14,6 +16,7 @@ from noisyfl.noise import (
 )
 from noisyfl.partition import PartitionSpec, make_partition
 from noisyfl.rng import derive_seed
+from test_partition import random_settings
 
 # the fields of run_scene's report, which the noise manifest records
 REPORT_FIELDS = ("per_client_ratio", "overall_ratio", "per_client_eps", "flip_counts", "skipped_clients")
@@ -373,3 +376,69 @@ class TestNoiseReport:
         assert report["overall_ratio"] == pytest.approx(flips / total, abs=1e-15)
         weighted = (np.array(report["per_client_ratio"]) * plan.sizes()).sum() / plan.sizes().sum()
         assert report["overall_ratio"] == pytest.approx(weighted, abs=1e-12)
+
+
+def per_client_report(noisy: LabeledDataset, plan, per_client_eps, skipped: list[int]) -> dict:
+    """The noise report as a loop over the clients computed it before the plan was an owner array."""
+    ratios = np.zeros(plan.num_clients, dtype=np.float64)
+    flips = 0
+    total = 0
+    counts = np.zeros((noisy.num_classes, noisy.num_classes), dtype=np.int64)
+    for k, idx in enumerate(plan.clients):
+        disagree = noisy.labels[idx] != noisy.true_labels[idx]
+        ratios[k] = float(disagree.mean()) if len(idx) else 0.0
+        flips += int(disagree.sum())
+        total += len(idx)
+        np.add.at(counts, (noisy.true_labels[idx], noisy.labels[idx]), 1)
+    return {
+        "per_client_ratio": ratios.tolist(),
+        "overall_ratio": flips / total if total else 0.0,
+        "per_client_eps": per_client_eps,
+        "flip_counts": counts.tolist(),
+        "skipped_clients": skipped,
+    }
+
+
+def localized_labels(ds: LabeledDataset, plan, spec: NoiseSpec) -> tuple[np.ndarray, list[int]]:
+    """Localized noise as it coded each client's labels with ``np.unique``: (noisy labels, skipped clients)."""
+    eps = rng.stream(spec.seed, "eps-draw").uniform(spec.eps_min, spec.eps_max, size=plan.num_clients)
+    labels, skipped = ds.labels.copy(), []
+    for k, idx in enumerate(plan.clients):
+        classes, positions = np.unique(ds.labels[idx], return_inverse=True)
+        m = len(classes)
+        if m < 2:
+            skipped.append(k)
+            continue
+        matrix = symmetric_matrix(m, eps[k]) if spec.mode == "symmetric" else asymmetric_matrix(m, eps[k], cyclic_target_map(m))
+        labels[idx] = classes[apply_noise(positions, matrix, derive_seed(spec.seed, "flip", k))]
+    return labels, skipped
+
+
+class TestOwnerArrayReport:
+    """The report counted with bincounts over the owner array equals the per-client loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"scene": "globalized", "mode": "symmetric", "eps_global": 0.4},
+            {"scene": "globalized", "mode": "asymmetric", "eps_global": 0.3},
+            {"scene": "localized", "mode": "symmetric", "eps_min": 0.1, "eps_max": 0.6},
+            {"scene": "localized", "mode": "asymmetric", "eps_min": 0.2, "eps_max": 0.5},
+            {"scene": "clean"},
+        ],
+        ids=["globalized-symmetric", "globalized-asymmetric", "localized-symmetric", "localized-asymmetric", "clean"],
+    )
+    def test_report_equals_the_per_client_loop(self, noise):
+        scenes = 0
+        for ds, k, partition_spec, trial in random_settings(40, seed=13):
+            spec = NoiseSpec(**noise, seed=trial)
+            try:
+                plan, noisy, report = run_scene(ds, spec, k, partition_spec)
+            except DegeneratePartitionError:  # say, a label-quantity client given only empty classes
+                continue
+            if spec.scene == "localized":
+                labels, skipped = localized_labels(ds, plan, spec)
+                assert np.array_equal(noisy.labels, labels) and report["skipped_clients"] == skipped
+            assert report == per_client_report(noisy, plan, report["per_client_eps"], report["skipped_clients"])
+            scenes += 1
+        assert scenes >= 25

@@ -6,7 +6,7 @@ import pytest
 from noisyfl import partition, rng
 from noisyfl.cli import load_plan, save_plan
 from noisyfl.datasets import LabeledDataset, class_histogram, make_synthetic_blobs
-from noisyfl.errors import DegeneratePartitionError
+from noisyfl.errors import DegeneratePartitionError, ParseError
 from noisyfl.partition import (
     PartitionPlan,
     PartitionSpec,
@@ -168,12 +168,12 @@ class TestRedrawStreams:
 
     def test_label_dir_plan_after_redraws_is_unchanged(self, tmp_path):
         """Golden digest of the plan file for a case that takes three attempts, as written before
-        rejected attempts stopped building their split, with the client lists alone (the 0.9.0 format)."""
+        rejected attempts stopped building their split, converted to the owner array of plan.npy."""
         ds = make_synthetic_blobs(5, 20, 8, 3.0, 1)
-        path = tmp_path / "plan.json"
+        path = tmp_path / "plan.npy"
         save_plan(make_partition(ds, 20, PartitionSpec("label-dir", alpha=0.2), seed=7), str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "14d9acd2ee7ee2943d41bf3c8d767a983687c4549ee9bbf3afae561bf03af991"
+        assert digest == "33b54aec193f80f9dadfde48bc96a9cfe48c6c2ef3cf702c07b5814640f5d161"
 
     @pytest.mark.parametrize(
         "blobs, make, digest",
@@ -181,21 +181,21 @@ class TestRedrawStreams:
             (
                 (5, 20, 8, 3.0, 1),
                 lambda ds: make_partition(ds, 8, PartitionSpec("quantity-skew", alpha=0.5), seed=8),  # three attempts
-                "1d0a65b254fe5aa1bd3d4881474cf75389a9e3b5f3b8386235f560cdd53eb82e",
+                "da92b1d801d3a42afb50e7a5392f51888cdf5d28d081556cffc435af80a0dd6b",
             ),
             (
                 (5, 21, 8, 3.0, 1),
                 # sizes 16, 11, 14, 14, 11, 14, 14, 11
                 lambda ds: make_partition(ds, 8, PartitionSpec("label-quantity", c=2), seed=7),
-                "235be2d34c3d138013d87d18458f7424ad65310c750c792cb9e8ce45aa79f06c",
+                "da62ad8106c6efd74c10e50338d5f88abdf6acf19632cc9d57e1d922d94fe32f",
             ),
         ],
         ids=["quantity-skew-after-redraws", "label-quantity-leftovers-dealt"],
     )
     def test_plan_keeps_its_digest(self, tmp_path, blobs, make, digest):
         """Golden digests of plan files written before the schemes shared one cut and one redraw loop,
-        with the client lists alone (the 0.9.0 format)."""
-        path = tmp_path / "plan.json"
+        converted to the owner array of plan.npy."""
+        path = tmp_path / "plan.npy"
         save_plan(make(make_synthetic_blobs(*blobs)), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
@@ -272,7 +272,7 @@ class TestLabelQuantity:
 class TestRestrict:
     def test_local_view(self):
         ds = LabeledDataset(features=np.arange(3.0).reshape(3, 1), labels=[5, 1, 5], num_classes=6)
-        plan = PartitionPlan(clients=[np.array([0, 2]), np.array([1])])
+        plan = PartitionPlan(owner=np.array([0, 1, 0]), num_clients=2)
         local = restrict(ds, plan, 0)
         assert local.labels.tolist() == [5, 5]
         assert local.num_classes == 6
@@ -303,8 +303,34 @@ class TestRestrict:
             restrict(ds, plan, 2)
 
 
+def random_settings(count: int, seed: int):
+    """``count`` random (dataset, K, spec, seed) settings, the schemes in turn.
+
+    K runs from 1 to 29; the classes are uneven, some of them empty, and
+    iid and quantity skew drop the samples their cuts leave over.
+    """
+    gen = np.random.default_rng(seed)
+    schemes = ("iid", "quantity-skew", "label-dir", "label-quantity")
+    for trial in range(count):
+        k = int(gen.integers(1, 30))
+        num_classes = int(gen.integers(2, 8))
+        per_class = gen.integers(0, 3 * k, size=num_classes)
+        per_class[gen.integers(num_classes)] += k  # K <= N
+        labels = gen.permutation(np.repeat(np.arange(num_classes), per_class))
+        ds = LabeledDataset(features=gen.normal(size=(len(labels), 2)), labels=labels, num_classes=num_classes)
+        scheme = schemes[trial % 4]
+        if scheme == "label-quantity":
+            spec = PartitionSpec(scheme, c=int(gen.integers(-(-num_classes // k), num_classes + 1)))
+        elif scheme == "iid":
+            spec = PartitionSpec(scheme)
+        else:
+            spec = PartitionSpec(scheme, alpha=float(gen.uniform(5.0, 50.0)))
+        yield ds, k, spec, trial
+
+
 class TestPlanProperties:
     def test_disjointness_and_bounds_across_schemes(self):
+        """Each sample is held by its owner's client alone, or by none; no client is empty."""
         gen = np.random.default_rng(0)
         for trial in range(40):
             num_classes = int(gen.integers(3, 8))
@@ -319,23 +345,63 @@ class TestPlanProperties:
             else:
                 spec = PartitionSpec(scheme=scheme, alpha=float(gen.uniform(0.2, 20.0)))
             plan = make_partition(ds, k, spec, seed=trial)
-            plan.validate(len(ds))
+            held = np.concatenate(plan.clients)
+            assert len(np.unique(held)) == len(held) and held.min() >= 0 and held.max() < len(ds)
+            assert min(plan.sizes()) >= 1
+            assert np.array_equal(np.flatnonzero(plan.owner >= 0), np.sort(held))
+            for client, idx in enumerate(plan.clients):
+                assert (plan.owner[idx] == client).all()
+
+    def test_owner_array_gives_the_clients_of_per_client_masks(self, monkeypatch):
+        """Each client is the one the split held before it kept an owner array: its masked shuffled positions."""
+        assign, calls = partition._assign, []
+
+        def recorded(seed, groups, owners, redraw=()):
+            shuffled = [rng.stream(seed, *path, *redraw).permutation(members) for path, members in groups]
+            calls.append((np.concatenate(shuffled), np.concatenate(owners)))
+            return assign(seed, groups, owners, redraw)
+
+        monkeypatch.setattr(partition, "_assign", recorded)
+        built, dropped, sizes = 0, 0, set()
+        for ds, k, spec, trial in random_settings(60, seed=11):
+            calls.clear()
+            try:
+                plan = make_partition(ds, k, spec, seed=trial)
+            except DegeneratePartitionError:  # say, a label-quantity client given only empty classes
+                continue
+            ((shuffled, owners),) = calls
+            assert len(plan.clients) == k
+            for client in range(k):
+                assert np.array_equal(plan.clients[client], np.sort(shuffled[owners == client]))
+            built, dropped, sizes = built + 1, dropped + (owners == -1).any(), sizes | {k}
+        assert built >= 40 and dropped >= 5 and min(sizes) == 1 and max(sizes) >= 25
+
+    def test_saved_plan_loads_the_same_clients(self, tmp_path):
+        path = str(tmp_path / "plan.npy")
+        for ds, k, spec, trial in random_settings(60, seed=12):
+            try:
+                plan = make_partition(ds, k, spec, seed=trial)
+            except DegeneratePartitionError:
+                continue
+            save_plan(plan, path)
+            back = load_plan(path, len(ds), plan.num_clients)
+            assert np.array_equal(back.owner, plan.owner)
+            assert len(back.clients) == plan.num_clients
+            assert all(np.array_equal(a, b) for a, b in zip(back.clients, plan.clients))
 
     @pytest.mark.parametrize(
-        "clients, error, match",
+        "owner, match",
         [
-            ([[0, 2], [2, 3]], ValueError, "more than one client"),
-            ([[0, 1], [1]], ValueError, "more than one client"),
-            ([[0, 1], [5]], IndexError, "outside"),
-            ([[0, -1], [2]], IndexError, "outside"),
-            ([[0, 1], []], DegeneratePartitionError, "empty client"),
+            ([0, 1, 0, 1, 1, 0], r"holds owners of shape \(6,\), not one for each of the 5 samples"),  # index 5 has a client
+            ([0, 0, 0, -1, -1], "client 1 owns no sample"),
         ],
-        ids=["shared-index", "shared-last-index", "index-past-end", "negative-index", "empty-client"],
+        ids=["index-past-end", "empty-client"],
     )
-    def test_invalid_plan_rejected(self, clients, error, match):
-        plan = PartitionPlan(clients=clients)
-        with pytest.raises(error, match=match):
-            plan.validate(5)
+    def test_invalid_plan_rejected(self, tmp_path, owner, match):
+        path = tmp_path / "plan.npy"
+        np.save(path, np.array(owner, dtype="<i8"))
+        with pytest.raises(ParseError, match=match):
+            load_plan(str(path), 5, 2)
 
     def test_heterogeneity_monotone_in_alpha(self):
         ds = balanced(10, 200)
@@ -354,20 +420,19 @@ class TestPlanProperties:
     def test_plan_round_trip(self, tmp_path):
         ds = balanced(5, 40)
         plan = make_partition(ds, 4, PartitionSpec("label-quantity", c=2), seed=9)
-        path = tmp_path / "plan.json"
+        path = tmp_path / "plan.npy"
         save_plan(plan, str(path))
         back = load_plan(str(path), len(ds), 4)
         assert back.num_clients == plan.num_clients
         assert all(np.array_equal(a, b) for a, b in zip(back.clients, plan.clients))
 
     def test_plan_file_indices_sorted(self, tmp_path):
-        import json
-
+        """plan.npy is one <i8 owner per sample; the clients read back from it hold their indices in ascending order."""
         ds = balanced(4, 30)
         plan = make_partition(ds, 3, PartitionSpec("iid"), seed=2)
-        path = tmp_path / "plan.json"
+        path = tmp_path / "plan.npy"
         save_plan(plan, str(path))
-        doc = json.loads(path.read_text())
-        assert list(doc) == ["clients"]  # the scheme, its parameter and the seed are the noise manifest's key
-        for client in doc["clients"]:
-            assert client == sorted(client)
+        owner = np.load(path, allow_pickle=False)
+        assert (owner.dtype.str, owner.shape) == ("<i8", (len(ds),))
+        for client in load_plan(str(path), len(ds), 3).clients:
+            assert np.array_equal(client, np.sort(client))
