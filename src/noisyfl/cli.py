@@ -100,7 +100,7 @@ import numpy as np
 from . import __version__, rng
 from .analysis import drop_ratio_series, last_k_average, sensitivity_series
 from .config import RunConfig, load_config, with_forget_rate
-from .datasets import load_npy, save_npy
+from .datasets import load_npy, read_array, save_npy
 from .datasets import load_csv, save_csv  # noqa: F401  unused here; perfbench/tracer.py wraps them at this name
 from .partition import make_partition  # noqa: F401  unused here; perfbench/tracer.py wraps it at this name
 from .errors import (
@@ -164,16 +164,9 @@ def save_plan(plan: PartitionPlan, path: str) -> None:
 def load_plan(path: str, n: int, num_clients: int) -> PartitionPlan:
     """Read plan.npy; raise ParseError unless it holds n <i8 owners in [-1, num_clients) and no client owns nothing."""
     with open(path, "rb") as fh:
-        try:
-            owner = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError) as exc:
-            raise ParseError(f"{path}: cannot read the owner array: {exc}") from None
+        owner = read_array(fh, path, "owners", "<i8", (n,))
         if fh.read(1):
             raise ParseError(f"{path}: unexpected bytes after the owner array")
-    if not isinstance(owner, np.ndarray) or owner.dtype != np.dtype("<i8"):
-        raise ParseError(f"{path}: the owners are not a <i8 array")
-    if owner.shape != (n,):
-        raise ParseError(f"{path}: holds owners of shape {owner.shape}, not one for each of the {n} samples")
     outside = np.flatnonzero((owner < -1) | (owner >= num_clients))
     if len(outside):
         raise ParseError(f"{path}: sample {outside[0]} has owner {owner[outside[0]]}, outside [-1, {num_clients})")

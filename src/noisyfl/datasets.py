@@ -16,6 +16,8 @@ the dataset alone.
 from __future__ import annotations
 
 import csv
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,8 +231,27 @@ def save_csv(ds: LabeledDataset, path: str) -> None:
             writer.writerow(row)
 
 
-# (field, dtype, ndim) of each array in a save_npy file, in file order
-_NPY_FIELDS = (("features", "<f4", 2), ("labels", "<i8", 1), ("true_labels", "<i8", 2), ("num_classes", "<i8", 0))
+# (field, dtype, shape) of each array in a save_npy file, in file order; "n" is the features' row count
+_NPY_FIELDS = (("features", "<f4", (None, None)), ("labels", "<i8", ("n",)), ("true_labels", "<i8", (None, "n")),
+               ("num_classes", "<i8", ()))  # fmt: skip
+
+
+def read_array(fh, path: str, name: str, dtype: str, shape: tuple) -> np.ndarray:
+    """The next .npy array of ``fh``, of ``dtype`` and ``shape`` (None: any length), checked before it is allocated."""
+    try:
+        if (version := np.lib.format.read_magic(fh)) != (1, 0):
+            raise ValueError(f".npy format version {version} is not (1, 0)")
+        got, fortran, got_dtype = np.lib.format.read_array_header_1_0(fh)
+    except ValueError as exc:
+        raise ParseError(f"{path}: cannot read {name}: {exc}") from None
+    if fortran or got_dtype != np.dtype(dtype) or len(got) != len(shape):
+        raise ParseError(f"{path}: {name} is not a {len(shape)}-D {dtype} array in C order")
+    if any(length < 0 or want not in (None, length) for length, want in zip(got, shape)):
+        raise ParseError(f"{path}: {name} has shape {got}, expected {shape}")
+    size, left = math.prod(got) * got_dtype.itemsize, os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ParseError(f"{path}: cannot read {name}: its header declares {size} bytes of data, the file holds {left}")
+    return np.fromfile(fh, got_dtype, math.prod(got)).reshape(got)
 
 
 def save_npy(ds: LabeledDataset, path: str) -> None:
@@ -251,21 +272,16 @@ def save_npy(ds: LabeledDataset, path: str) -> None:
 def load_npy(path: str) -> LabeledDataset:
     """Read a dataset written by :func:`save_npy`; raise ParseError on anything else.
 
-    Pickled or object arrays are refused, and the file must hold exactly the
-    four arrays with their dtypes and ranks (float64 features, which earlier
-    versions wrote, are refused).  Features must be finite; the
-    ``LabeledDataset`` constructor checks shapes and label ranges.
+    The file must hold exactly the four arrays, each read by
+    :func:`read_array` (float64 features, which earlier versions wrote, are
+    refused).  Features must be finite; the ``LabeledDataset`` constructor
+    checks label ranges.
     """
     arrays = []
     with open(path, "rb") as fh:
-        for field_name, dtype, ndim in _NPY_FIELDS:
-            try:
-                arr = np.load(fh, allow_pickle=False)
-            except (ValueError, EOFError) as exc:
-                raise ParseError(f"{path}: cannot read {field_name}: {exc}") from None
-            if not isinstance(arr, np.ndarray) or arr.dtype != np.dtype(dtype) or arr.ndim != ndim:
-                raise ParseError(f"{path}: {field_name} is not a {ndim}-D {dtype} array")
-            arrays.append(arr)
+        for field_name, dtype, shape in _NPY_FIELDS:
+            shape = tuple(len(arrays[0]) if length == "n" else length for length in shape)
+            arrays.append(read_array(fh, path, field_name, dtype, shape))
         if fh.read(1):
             raise ParseError(f"{path}: unexpected bytes after the dataset arrays")
     features, labels, true, num_classes = arrays
@@ -275,12 +291,7 @@ def load_npy(path: str) -> LabeledDataset:
         row, col = np.argwhere(~np.isfinite(features))[0]
         raise ParseError(f"{path}: feature is not finite", row=int(row), column=f"x{int(col)}")
     try:
-        return LabeledDataset(
-            features=features,
-            labels=labels,
-            num_classes=int(num_classes),
-            true_labels=true[0] if len(true) else None,
-        )
+        return LabeledDataset(features, labels, int(num_classes), true[0] if len(true) else None)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

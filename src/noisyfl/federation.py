@@ -14,7 +14,9 @@ it is free, so none idles while clients wait.  The caller aggregates in
 selection order: the bytes are the same whoever trains what.
 
 Round t's global model is round t+1's start, so the caller evaluates it
-once round t+1 is queued, before it claims, and the last round after the loop.
+once round t+1 is queued, before it claims, and the last round after the
+loop, ``EVAL_ROWS`` test rows at a time.  Beside a client's shard and its
+epoch order, a process's buffers are batch-sized: each batch is taken into one.
 """
 
 from __future__ import annotations
@@ -119,14 +121,16 @@ def aggregate(values: list[np.ndarray], weights) -> np.ndarray:
 def evaluate(params: ModelParams, test_set: LabeledDataset, work: Workspace) -> float:
     """Fraction of argmax-correct predictions; ties break to the lowest class id.
 
-    The pass runs in ``work``, which must hold ``len(test_set)`` rows of
-    float32 features; beyond its buffers, evaluation holds only each row's
-    predicted class and whether it is correct, and counts the correct rows
-    without a float buffer.
+    The test set runs through ``work`` in chunks of ``work.rows`` rows; a
+    row's prediction does not depend on its chunk, so the accuracy is one
+    pass's.  Beyond ``work``, evaluation holds a chunk's predicted classes
+    and whether each is correct, and counts the correct rows.
     """
-    probs = forward(params, test_set.features, work)
-    predictions = probs.argmax(axis=1)
-    return int(np.count_nonzero(predictions == test_set.labels)) / len(test_set)
+    correct = 0
+    for first in range(0, len(test_set), work.rows):
+        probs = forward(params, test_set.features[first : first + work.rows], work)
+        correct += np.count_nonzero(probs.argmax(axis=1) == test_set.labels[first : first + work.rows])
+    return int(correct) / len(test_set)
 
 
 # A federation forks workers from this many local batches on.  Forking and ending
@@ -134,6 +138,9 @@ def evaluate(params: ModelParams, test_set: LabeledDataset, work: Workspace) -> 
 # half a batch, ~30 us (a float32 64-row batch of the benchmark's 32-64-10 MLP takes
 # 58-90 us at one BLAS thread), so a fork pays from ~300 batches; 500 leave a 1.7x margin.
 FORK_MIN_BATCHES = 500
+# Rows of the evaluation workspace.  The benchmark's 2,000 test rows take ~415 us in one pass of its MLP and ~565 us
+# in 256-row chunks (one BLAS thread, a 2-core Xeon; ~3 ms a 20-round run); its hidden layer then holds 64 KiB, not 500.
+EVAL_ROWS = 256
 
 
 def _usable_cpus() -> int:
@@ -239,8 +246,8 @@ def run_federation(
     returns, and a worker the round's co-teaching peers.  The caller holds
     the round's :class:`ClientUpdate` records, co-teaching's peer networks
     as their training returned them, one pending :class:`RoundRecord` (the
-    last round's, not yet evaluated) and one evaluation workspace sized to
-    the test set, made once.
+    last round's, not yet evaluated) and one evaluation workspace of
+    ``min(len(test_set), EVAL_ROWS)`` rows, made once.
     """
     sizes = plan.sizes()
     coteaching = cfg.trainer.method == "coteaching"
@@ -262,6 +269,7 @@ def run_federation(
             else:
                 model, mean_loss = train_local(shard, start, cfg.trainer, train_seed)
             updates.append(ClientUpdate(k, model.values, peer, mean_loss))
+            del shard  # before the next client's is cut: a process holds one shard at a time
         return updates
 
     def serve(requests, replies: int, claims: int) -> None:
@@ -280,7 +288,7 @@ def run_federation(
     records: list[RoundRecord] = []
     pending: RoundRecord | None = None  # the last round's record, evaluated while the next round trains
     with _workers(processes - 1, serve) as (claims, workers):
-        eval_work = Workspace(layout, len(test_set))
+        eval_work = Workspace(layout, min(len(test_set), EVAL_ROWS))
 
         def settled(record: RoundRecord, params: ModelParams) -> RoundRecord:
             """``record`` with the test accuracy of ``params``, its round's global model, if its round is evaluated."""

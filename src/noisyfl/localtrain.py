@@ -147,9 +147,9 @@ def _train(
     batch loss as a float.  The loop then takes one momentum-SGD step
     (:func:`sgd_step`) for the whole stack, in place, with the velocity and
     the workspace's ``step`` buffer, and checks the stack for finiteness
-    at the end of each epoch.  Each epoch gathers its shuffled rows and
-    their targets (``ds.labels`` unless ``targets`` gives one row per
-    sample) once; a batch is a slice of them.  Overflow is not reported as
+    at the end of each epoch.  Each epoch gathers its shuffled targets
+    (``ds.labels`` unless ``targets`` gives one row per sample) once; a batch
+    takes its features from the shard into one buffer.  Overflow is not reported as
     a numpy warning: a diverging step leaves the stack non-finite, which
     fails that epoch's check and raises ``FloatingPointError``.  Returns
     the trained networks in the order of ``start`` and the call's mean
@@ -161,17 +161,19 @@ def _train(
     else:
         stack = ModelParams(np.stack([params.values for params in start]), layout)
     work = Workspace(layout, min(cfg.batch_size, len(ds)), stack)
+    batch = np.empty((work.rows, ds.dim), dtype=ds.features.dtype)
     velocity = np.zeros_like(stack.values)
     targets = ds.labels if targets is None else targets
     epoch_losses = []  # each epoch's mean batch loss
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
-            xs, ys = ds.features[perm], targets[perm]
+            ys = targets[perm]
             batch_losses = []
             for first in range(0, len(ds), cfg.batch_size):
                 rows = slice(first, first + cfg.batch_size)
-                batch_losses.append(batch_rule(stack, work, xs[rows], ys[rows]))
+                x = ds.features.take(perm[rows], axis=0, out=batch[: len(ys[rows])], mode="clip")
+                batch_losses.append(batch_rule(stack, work, x, ys[rows]))
                 sgd_step(stack.values, work.grad, velocity, cfg.lr, cfg.momentum, work.step)
             # a non-finite parameter stays non-finite under the step (inf - finite is inf, NaN stays NaN),
             # so one check per epoch catches a diverging step of that epoch

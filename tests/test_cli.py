@@ -9,6 +9,7 @@ import ast
 import copy
 import csv
 import dataclasses
+import errno
 import functools
 import hashlib
 import importlib
@@ -183,6 +184,13 @@ def _npy(array: np.ndarray, **kwargs) -> bytes:
     """The bytes ``np.save`` writes for ``array``."""
     buf = io.BytesIO()
     np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+def _header(shape: tuple, descr: str = "<i8") -> bytes:
+    """A .npy format 1.0 header that declares a C-ordered ``descr`` array of ``shape``, without its data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": descr, "fortran_order": False, "shape": shape})
     return buf.getvalue()
 
 
@@ -751,13 +759,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "rewrite, message",
         [
-            (lambda owner, k: _npy(owner.astype("<f8")), "the owners are not a <i8 array"),
-            (
-                lambda owner, k: _npy(owner.astype(object), allow_pickle=True),
-                "cannot read the owner array: Object arrays cannot be loaded when allow_pickle=False",
-            ),
+            (lambda owner, k: _npy(owner.astype("<f8")), "owners is not a 1-D <i8 array in C order"),
+            (lambda owner, k: _npy(owner.astype(object), allow_pickle=True), "owners is not a 1-D <i8 array in C order"),
             # one owner more: a client for a sample at index n
-            (lambda owner, k: _npy(np.append(owner, 0)), "holds owners of shape ({n1},), not one for each of the {n} samples"),
+            (lambda owner, k: _npy(np.append(owner, 0)), "owners has shape ({n1},), expected ({n},)"),
+            # headers that np.load would allocate before any check: 72.8 TiB, and 800 MB over 8 bytes of data
+            (lambda owner, k: _header((10**13,)) + owner.tobytes(), "owners has shape (10000000000000,), expected ({n},)"),
+            (lambda owner, k: _header((10**8,)) + bytes(8), "owners has shape (100000000,), expected ({n},)"),
             (lambda owner, k: _npy(_with(owner, 0, k)), "sample 0 has owner {k}, outside [-1, {k})"),
             (lambda owner, k: _npy(_with(owner, 0, -2)), "sample 0 has owner -2, outside [-1, {k})"),
             (lambda owner, k: _npy(np.where(owner == 0, 1, owner)), "client 0 owns no sample"),
@@ -769,6 +777,8 @@ class TestExitCodes:
             "float-dtype",
             "object-array",
             "index-at-n",
+            "header-declares-1e13-owners",
+            "header-declares-1e8-owners-over-8-bytes",
             "owner-at-k",
             "owner-below-minus-one",
             "empty-client",
@@ -1021,6 +1031,8 @@ class TestExitCodes:
                 ["--clients", "40", "--noniid-labeldir", "0.0001"],
                 "label-dirichlet left a client empty after 2000 redraws",
             ),
+            # 90 clients of one class each, over 5 classes of 20: a class that over 20 clients draw leaves one empty
+            ("pipeline", ["--clients", "90", "--noniid-label-count", "1"], "label-quantity produced an empty client"),
             ("partition", ["--noniid-label-count", "9"], "c = 9 classes per client exceeds the C = 5 classes"),
             ("partition", ["--clients", "500", "--iid"], "500 clients cannot each get one of 100 samples"),
             ("partition", ["--clients", "500", "--noniid-quantity", "1.0"], "500 clients cannot each get one of 100 samples"),
@@ -1033,6 +1045,7 @@ class TestExitCodes:
             "label-quantity-clients-above-samples",
             "classes-uncovered",
             "redraws-exhausted",  # 2000 redraws take about 1.5 s, so only through one command
+            "label-quantity-empty-client",
             "partition-c-above-classes",
             "partition-clients-above-samples",
             "partition-quantity-clients-above-samples",
@@ -1350,6 +1363,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "artifact mismatch: train: noise_manifest.json records a different inputs; run the noise stage first\n"
 
+    def test_a_fork_that_fails_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A federation that cannot fork its workers stops the train stage with one error line and no seed output."""
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(federation, "FORK_MIN_BATCHES", 0)
+        monkeypatch.setattr(os, "fork", no_fork)
+        config, out = write_config(tmp_path)
+        assert main(["pipeline", "-c", config]) == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+        assert os.path.exists(os.path.join(out, "noise_manifest.json"))
+        assert not os.path.exists(os.path.join(out, "train", "seed_0", "seed_manifest.json"))
+
     def test_running_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError
@@ -1439,22 +1467,36 @@ def _rewritten(edit):
     return apply
 
 
+def _declaring(shape: tuple):
+    """An edit of a file that save_npy wrote: its features header declares ``shape``, and every byte after it stays."""
+
+    def apply(data: bytes) -> bytes:
+        source = io.BytesIO(data)
+        np.lib.format.read_magic(source)
+        np.lib.format.read_array_header_1_0(source)
+        return _header(shape, "<f4") + data[source.tell() :]
+
+    return apply
+
+
 def _set(array: np.ndarray, index, value) -> np.ndarray:
     array = array.copy()
     array[index] = value
     return array
 
 
-# id -> (edit of a dataset file's bytes, the start of the error train prints after the file's path)
+# id -> (edit of a dataset file's bytes, the start of the error train prints after the file's path,
+# where {n} is the file's row count and {n1} one less)
 DATASET_EDITS = {
     "label-at-num-classes": (
         _rewritten(lambda x, y, t, c: (x, _set(y, 0, c), t, c)), "labels must lie in [0, num_classes)"
     ),
-    "labels-one-short": (
-        _rewritten(lambda x, y, t, c: (x, y[:-1], t, c)), "labels length must match feature row count"
-    ),
+    "labels-one-short": (_rewritten(lambda x, y, t, c: (x, y[:-1], t, c)), "labels has shape ({n1},), expected ({n},)"),
     "true-labels-one-short": (
-        _rewritten(lambda x, y, t, c: (x, y, t[:, :-1], c)), "true_labels length must match labels length"
+        _rewritten(lambda x, y, t, c: (x, y, t[:, :-1], c)), "true_labels has shape (1, {n1}), expected (None, {n})"
+    ),
+    "two-true-label-rows": (
+        _rewritten(lambda x, y, t, c: (x, y, np.concatenate((t, t)), c)), "true_labels holds 2 rows, expected 0 or 1"
     ),
     "true-label-out-of-range": (
         _rewritten(lambda x, y, t, c: (x, y, _set(t, (0, 0), c), c)), "true_labels must lie in [0, num_classes)"
@@ -1463,12 +1505,25 @@ DATASET_EDITS = {
     "nan-feature": (
         _rewritten(lambda x, y, t, c: (_set(x, (1, 2), np.nan), y, t, c)), "feature is not finite (row 1, column 'x2')"
     ),
-    "int32-labels": (_rewritten(lambda x, y, t, c: (x, y.astype(np.int32), t, c)), "labels is not a 1-D <i8 array"),
+    "int32-labels": (
+        _rewritten(lambda x, y, t, c: (x, y.astype(np.int32), t, c)), "labels is not a 1-D <i8 array in C order"
+    ),
     "float64-features": (
-        _rewritten(lambda x, y, t, c: (x.astype("<f8"), y, t, c)), "features is not a 2-D <f4 array"
+        _rewritten(lambda x, y, t, c: (x.astype("<f8"), y, t, c)), "features is not a 2-D <f4 array in C order"
+    ),
+    "fortran-order-features": (
+        _rewritten(lambda x, y, t, c: (np.asfortranarray(x), y, t, c)), "features is not a 2-D <f4 array in C order"
+    ),
+    "npy-format-2.0": (
+        lambda data: data[:6] + b"\2" + data[7:], "cannot read features: .npy format version (2, 0) is not (1, 0)"
+    ),
+    "negative-features-shape": (_declaring((-2, -3)), "features has shape (-2, -3), expected (None, None)"),
+    # np.load would allocate 36.4 TiB for this header before any check
+    "header-declares-1e13-features": (
+        _declaring((10**7, 10**6)), "cannot read features: its header declares 40000000000000 bytes of data, the file holds "
     ),
     "trailing-bytes": (lambda data: data + b"\0", "unexpected bytes after the dataset arrays"),
-    "truncated": (lambda data: data[: len(data) // 2], "cannot read features: "),
+    "truncated": (lambda data: data[: len(data) // 2], "cannot read features: its header declares "),
 }
 
 
@@ -1486,6 +1541,7 @@ class TestArtifactEdits:
         out = str(tmp_path / "out")
         shutil.copytree(finished, out)
         path = os.path.join(out, name)
+        n = len(load_npy(path))
         with open(path, "rb") as fh:
             data = fh.read()
         with open(path, "wb") as fh:
@@ -1493,7 +1549,7 @@ class TestArtifactEdits:
         reseal_output(out, name)
         assert main(["train", "-c", config, "--output-dir", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: {message.format(n=n, n1=n - 1)}") and err.count("\n") == 1
         assert not os.path.exists(os.path.join(out, "train"))
 
 

@@ -132,6 +132,28 @@ class TestEvaluate:
         )
         assert evaluate(params, ds, Workspace(params.layout, len(ds))) == pytest.approx(correct / len(ds), abs=1e-15)
 
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 2000])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            Layout(dim=32, hidden=64, num_classes=10, activation="tanh"),
+            Layout(dim=32, hidden=64, num_classes=10, activation="relu"),
+            Layout(dim=32, num_classes=10),
+        ],
+        ids=["mlp-tanh", "mlp-relu", "linear"],
+    )
+    def test_chunks_give_the_one_pass_accuracy(self, layout, rows):
+        """Evaluated in chunks of EVAL_ROWS rows, as run_federation does, a test set gets the accuracy of one pass."""
+        blobs = make_synthetic_blobs(10, 200, 32, 1.0, seed=3)
+        picked = np.random.default_rng(4).permutation(len(blobs))[:rows]  # every class, in no order
+        test = LabeledDataset(blobs.features[picked], blobs.labels[picked], blobs.num_classes)
+        params = init_params(layout, seed=5)
+        chunked = Workspace(layout, min(rows, federation.EVAL_ROWS))
+        assert chunked.rows == min(rows, 256)
+        one_pass = evaluate(params, test, Workspace(layout, rows))
+        assert evaluate(params, test, chunked) == one_pass
+        assert 0 < one_pass < 1 or rows == 1
+
     def test_one_workspace_serves_every_round(self):
         # run_federation evaluates every round's model in one workspace
         ds = make_synthetic_blobs(3, 60, 2, 3.0, seed=2)

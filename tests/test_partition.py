@@ -392,7 +392,7 @@ class TestPlanProperties:
     @pytest.mark.parametrize(
         "owner, match",
         [
-            ([0, 1, 0, 1, 1, 0], r"holds owners of shape \(6,\), not one for each of the 5 samples"),  # index 5 has a client
+            ([0, 1, 0, 1, 1, 0], r"owners has shape \(6,\), expected \(5,\)"),  # index 5 has a client
             ([0, 0, 0, -1, -1], "client 1 owns no sample"),
         ],
         ids=["index-past-end", "empty-client"],

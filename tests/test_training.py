@@ -6,7 +6,7 @@ import pytest
 from conftest import count_builds, float_dtypes, fresh_backward, mixup_buffers, recorded_workspaces
 from noisyfl import localtrain, models, rng
 from noisyfl.cli import main
-from noisyfl.datasets import make_synthetic_blobs, save_csv
+from noisyfl.datasets import LabeledDataset, make_synthetic_blobs, save_csv
 from noisyfl.localtrain import (
     METHODS,
     TrainerConfig,
@@ -420,6 +420,68 @@ class TestWorkspaceReuse:
         for model, expected in zip(trained, values):
             assert np.array_equal(model.values, expected)
         assert mean_loss == float(np.mean(epoch_losses))
+
+
+def epoch_gather_train(ds, start, cfg, seed, batch_rule, targets=None):
+    """The loop ``localtrain._train`` ran before it took each batch into one buffer: each epoch
+    gathers its shuffled rows of the shard into an array of the shard's size, and a batch is a
+    slice of that array."""
+    layout = start[0].layout
+    if len(start) == 1:
+        stack = start[0].copy()
+    else:
+        stack = ModelParams(np.stack([params.values for params in start]), layout)
+    work = Workspace(layout, min(cfg.batch_size, len(ds)), stack)
+    velocity = np.zeros_like(stack.values)
+    targets = ds.labels if targets is None else targets
+    epoch_losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.stream(seed, "shuffle", epoch).permutation(len(ds))
+            xs, ys = ds.features[perm], targets[perm]
+            batch_losses = []
+            for first in range(0, len(ds), cfg.batch_size):
+                rows = slice(first, first + cfg.batch_size)
+                batch_losses.append(batch_rule(stack, work, xs[rows], ys[rows]))
+                sgd_step(stack.values, work.grad, velocity, cfg.lr, cfg.momentum, work.step)
+            if not np.isfinite(stack.values).all():
+                raise FloatingPointError("local training diverged to non-finite parameters")
+            epoch_losses.append(float(np.mean(batch_losses)))
+    mean_loss = float(np.mean(epoch_losses))
+    if len(start) == 1:
+        return [stack], mean_loss
+    return [ModelParams(values, layout) for values in stack.values], mean_loss
+
+
+class TestBatchBuffer:
+    """Batches taken from the shard into one buffer train bit for bit as slices of an epoch's gather."""
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])  # with 64-row batches: one short batch, one, two full
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_the_epoch_gather(self, monkeypatch, method, rows):
+        layout = Layout(dim=32, hidden=64, num_classes=10, activation="tanh")
+        clean = make_synthetic_blobs(10, 13, 32, 2.0, seed=1)
+        picked = np.random.default_rng(2).permutation(len(clean))[:rows]
+        noisy = apply_noise(clean.labels[picked], symmetric_matrix(clean.num_classes, 0.3), seed=2)
+        ds = LabeledDataset(clean.features[picked], noisy, clean.num_classes, clean.labels[picked])
+        params = {"coteaching": {"forget_rate": 0.4}}.get(method, {})
+        cfg = TrainerConfig(method=method, lr=0.2, epochs=3, batch_size=64, method_params=params)
+        starts = [init_params(layout, seed=3), init_params(layout, seed=4)]
+
+        def train():
+            if method == "coteaching":
+                *trained, mean_loss = train_local_coteaching(ds, starts[0], starts[1], cfg, seed=5, round_t=6)
+            else:
+                *trained, mean_loss = train_local(ds, starts[0], cfg, seed=5)
+            return [model.values for model in trained], mean_loss
+
+        taken, taken_loss = train()
+        monkeypatch.setattr(localtrain, "_train", epoch_gather_train)
+        gathered, gathered_loss = train()
+        assert len(taken) == len(gathered) == 1 + (method == "coteaching")
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(taken, gathered))
+        assert taken_loss == gathered_loss
+        assert not np.array_equal(taken[0], starts[0].values)
 
 
 class TestFloat32:
